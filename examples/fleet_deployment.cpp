@@ -8,9 +8,6 @@
 // with retries — while a grey-market clone outside the group stays locked
 // out and a revoked device is skipped.
 //
-// The vendor still gets the group key through the future-work RSA
-// handshake, so no pre-shared secret channel to the fab is needed.
-//
 // Act 2 stages the rollout: a broken firmware build (every delivery
 // truncated) is stopped by the canary gate before 5/6 of the fleet ever
 // sees a byte of it, then the fixed build ships in rolling waves to
@@ -24,15 +21,12 @@
 #include <filesystem>
 #include <set>
 
-#include "core/handshake.h"
 #include "fleet/campaign_journal.h"
 #include "fleet/campaign_scheduler.h"
 #include "fleet/deployment_engine.h"
 
 int main() {
   using namespace eric;
-
-  Xoshiro256 rng(0xF1EE7D);
 
   // Fab side: registry + one product-line group, 8 devices.
   fleet::RegistryConfig registry_config;
@@ -57,23 +51,8 @@ int main() {
   std::printf("fab: revoked device %llu\n",
               static_cast<unsigned long long>(revoked));
 
-  // Vendor side: RSA handshake delivers the group key.
-  auto vendor_handshake = core::HandshakeInitiator::Create(512, rng);
   auto group_key = registry.GroupKey(group);
-  if (!vendor_handshake.ok() || !group_key.ok()) {
-    std::printf("handshake setup failed\n");
-    return 1;
-  }
-  auto wrapped = crypto::RsaWrapKey(vendor_handshake->public_key(),
-                                    *group_key, rng);
-  if (!wrapped.ok()) return 1;
-  auto vendor_key = vendor_handshake->CompleteHandshake(*wrapped);
-  if (!vendor_key.ok() || !(*vendor_key == *group_key)) {
-    std::printf("handshake failed\n");
-    return 1;
-  }
-  std::printf("vendor: group key received via %zu-byte RSA blob\n\n",
-              wrapped->size());
+  if (!group_key.ok()) return 1;
 
   // Vendor runs the campaign: the cache compiles + seals once; the engine
   // retries through a channel that randomly corrupts one delivery in three.

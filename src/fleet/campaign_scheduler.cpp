@@ -112,6 +112,21 @@ Result<ScheduledReport> CampaignScheduler::Run(const CampaignConfig& config,
     scheduled.bytes_shipped += wave.report.bytes_shipped;
     scheduled.bytes_full_equivalent += wave.report.bytes_full_equivalent;
     scheduled.manifest_update_failures += wave.report.manifest_update_failures;
+    scheduled.rollbacks += wave.report.rollbacks;
+    scheduled.health_failures += wave.report.health_failures;
+    scheduled.cache_artifact_hits += wave.report.cache_artifact_hits;
+    scheduled.cache_artifact_misses += wave.report.cache_artifact_misses;
+    scheduled.cache_compile_misses += wave.report.cache_compile_misses;
+    for (size_t i = 0; i < isa::kNumIsaIds; ++i) {
+      CampaignIsaStats& sum = scheduled.by_isa[i];
+      const CampaignIsaStats& slice = wave.report.by_isa[i];
+      sum.targets += slice.targets;
+      sum.succeeded += slice.succeeded;
+      sum.deliveries += slice.deliveries;
+      sum.bytes_shipped += slice.bytes_shipped;
+      sum.seal_builds += slice.seal_builds;
+      sum.compile_builds += slice.compile_builds;
+    }
     if (control != nullptr) control->NoteWaveCompleted();
 
     // A cancel observed by the engine surfaces as skipped targets; stop

@@ -26,6 +26,7 @@
 // cancelled).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -107,9 +108,19 @@ struct ScheduledReport {
   /// Successful deliveries whose manifest update could not be made
   /// durable (summed across waves; the devices mis-diff next campaign).
   uint64_t manifest_update_failures = 0;
+  /// Targets whose device agent rolled back at least one flip.
+  uint64_t rollbacks = 0;
+  /// Targets that saw at least one post-apply health-check rejection.
+  uint64_t health_failures = 0;
+  uint64_t cache_artifact_hits = 0;    ///< sealed artifacts served from cache
+  uint64_t cache_artifact_misses = 0;  ///< seal operations performed
+  uint64_t cache_compile_misses = 0;   ///< compilations performed
   double wall_ms = 0;       ///< wall time including gate evaluation
   /// Peak simultaneously in-flight deliveries across the campaign.
   uint64_t peak_in_flight = 0;
+  /// Per-ISA slices summed across waves (wave boundaries are a rollout
+  /// policy, not an ISA property).
+  std::array<CampaignIsaStats, isa::kNumIsaIds> by_isa{};
 };
 
 /// Runs engine campaigns wave by wave under a rollout policy.

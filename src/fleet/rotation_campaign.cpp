@@ -8,13 +8,30 @@ namespace eric::fleet {
 
 Result<RotationReport> RotationCampaign::Run(const RotationConfig& config,
                                              CampaignControl* control) {
-  if (config.group == kNoGroup) {
+  auto report = Bump(config.group, config.target_epoch);
+  if (!report.ok()) return report.status();
+
+  // 3. Redeploy under the rollout policy. Every seal now happens under
+  // the new epoch (the engine reads each device's SealingContext), so a
+  // stale-epoch artifact cannot reach the wire even if a racing builder
+  // re-inserted one — its cache address carries the old key.
+  CampaignConfig redeploy = config.campaign;
+  if (redeploy.devices.empty()) redeploy.group = config.group;
+  CampaignScheduler scheduler(engine_, registry_);
+  auto rollout = scheduler.Run(redeploy, config.rollout, control);
+  if (!rollout.ok()) return rollout.status();
+  report->rollout = std::move(*rollout);
+  return report;
+}
+
+Result<RotationReport> RotationCampaign::Bump(GroupId group,
+                                              uint64_t target_epoch) {
+  if (group == kNoGroup) {
     return Status(ErrorCode::kInvalidArgument,
                   "rotation campaign requires a device group");
   }
-  uint64_t target_epoch = config.target_epoch;
   if (target_epoch == 0) {
-    auto current = registry_.GroupEpoch(config.group);
+    auto current = registry_.GroupEpoch(group);
     if (!current.ok()) return current.status();
     target_epoch = *current + 1;
   }
@@ -24,7 +41,7 @@ Result<RotationReport> RotationCampaign::Run(const RotationConfig& config,
   // 1. Bump. Idempotent against a resume: a registry already at (or
   // past) the target rotates nothing.
   const auto bump_start = std::chrono::steady_clock::now();
-  auto rotation = registry_.RotateGroupEpochTo(config.group, target_epoch);
+  auto rotation = registry_.RotateGroupEpochTo(group, target_epoch);
   if (!rotation.ok()) return rotation.status();
   report.bump_ms = MillisecondsSince(bump_start);
   report.old_epoch = rotation->old_epoch;
@@ -43,17 +60,6 @@ Result<RotationReport> RotationCampaign::Run(const RotationConfig& config,
         cache_.InvalidateKeyFingerprint(rotation->old_key_fingerprint);
     report.invalidate_ms = MillisecondsSince(invalidate_start);
   }
-
-  // 3. Redeploy under the rollout policy. Every seal now happens under
-  // the new epoch (the engine reads each device's SealingContext), so a
-  // stale-epoch artifact cannot reach the wire even if a racing builder
-  // re-inserted one — its cache address carries the old key.
-  CampaignConfig redeploy = config.campaign;
-  if (redeploy.devices.empty()) redeploy.group = config.group;
-  CampaignScheduler scheduler(engine_, registry_);
-  auto rollout = scheduler.Run(redeploy, config.rollout, control);
-  if (!rollout.ok()) return rollout.status();
-  report.rollout = std::move(*rollout);
   return report;
 }
 

@@ -82,6 +82,12 @@ class RotationCampaign {
   Result<RotationReport> Run(const RotationConfig& config,
                              CampaignControl* control = nullptr);
 
+  /// Steps 1 and 2 alone: bumps `group` to `target_epoch` (0 = current
+  /// + 1) and drops the retired key's artifacts. The returned report's
+  /// `rollout` is empty; callers that schedule the redeploy themselves
+  /// (eric_fleetd's single campaign pipeline) run it next.
+  Result<RotationReport> Bump(GroupId group, uint64_t target_epoch = 0);
+
  private:
   DeploymentEngine& engine_;
   DeviceRegistry& registry_;

@@ -1,10 +1,9 @@
-// Tests for the paper-sanctioned extensions: device groups (one compile,
-// many devices — Sec. III.1) and the RSA handshake (future work).
+// Tests for the paper-sanctioned device-group extension: one compile,
+// many devices (Sec. III.1).
 #include <gtest/gtest.h>
 
 #include "core/encryption_policy.h"
 #include "core/group_key.h"
-#include "core/handshake.h"
 #include "core/software_source.h"
 
 namespace eric::core {
@@ -109,72 +108,6 @@ TEST(GroupKeyTest, ApplyConversionMaskIsInvolution) {
     mask[i] = static_cast<uint8_t>(200 - i);
   }
   EXPECT_EQ(ApplyConversionMask(ApplyConversionMask(key, mask), mask), key);
-}
-
-// --- RSA handshake --------------------------------------------------------------
-
-TEST(HandshakeTest, EndToEndKeyExchangeAndRun) {
-  crypto::KeyConfig config;
-  Xoshiro256 rng(0x45A);
-
-  // Source publishes a public key; device responds with its wrapped
-  // PUF-based key; source unwraps and builds a package.
-  auto initiator = HandshakeInitiator::Create(512, rng);
-  ASSERT_TRUE(initiator.ok()) << initiator.status().ToString();
-
-  TrustedDevice device(0x777AB, config);
-  auto wrapped = RespondToHandshake(device, initiator->public_key(), rng);
-  ASSERT_TRUE(wrapped.ok());
-
-  auto key = initiator->CompleteHandshake(*wrapped);
-  ASSERT_TRUE(key.ok());
-
-  SoftwareSource source(*key, config);
-  auto built = source.CompileAndPackage(kProgram, EncryptionPolicy::Full());
-  ASSERT_TRUE(built.ok());
-  auto run = device.ReceiveAndRun(pkg::Serialize(built->packaging.package));
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run->exec.exit_code, kExpected);
-}
-
-TEST(HandshakeTest, EavesdropperLearnsNothingUsable) {
-  crypto::KeyConfig config;
-  Xoshiro256 rng(0x45B);
-  auto initiator = HandshakeInitiator::Create(512, rng);
-  ASSERT_TRUE(initiator.ok());
-  TrustedDevice device(0x777AC, config);
-  auto wrapped = RespondToHandshake(device, initiator->public_key(), rng);
-  ASSERT_TRUE(wrapped.ok());
-
-  // Eavesdropper uses the wrapped blob bytes directly as a key guess.
-  crypto::Key256 guess{};
-  std::copy_n(wrapped->begin(), guess.size(), guess.begin());
-  SoftwareSource impostor(guess, config);
-  auto built = impostor.CompileAndPackage(kProgram, EncryptionPolicy::Full());
-  ASSERT_TRUE(built.ok());
-  auto run = device.ReceiveAndRun(pkg::Serialize(built->packaging.package));
-  EXPECT_FALSE(run.ok());
-}
-
-TEST(HandshakeTest, TamperedResponseFailsSafe) {
-  crypto::KeyConfig config;
-  Xoshiro256 rng(0x45C);
-  auto initiator = HandshakeInitiator::Create(512, rng);
-  ASSERT_TRUE(initiator.ok());
-  TrustedDevice device(0x777AD, config);
-  auto wrapped = RespondToHandshake(device, initiator->public_key(), rng);
-  ASSERT_TRUE(wrapped.ok());
-  (*wrapped)[10] ^= 0x08;
-
-  auto key = initiator->CompleteHandshake(*wrapped);
-  if (!key.ok()) return;  // padding caught it: fail-safe
-  // Otherwise the unwrapped key is wrong and packages built with it are
-  // rejected by the device — still fail-safe.
-  SoftwareSource source(*key, config);
-  auto built = source.CompileAndPackage(kProgram, EncryptionPolicy::Full());
-  ASSERT_TRUE(built.ok());
-  auto run = device.ReceiveAndRun(pkg::Serialize(built->packaging.package));
-  EXPECT_FALSE(run.ok());
 }
 
 }  // namespace

@@ -733,6 +733,44 @@ TEST(RotationTest, RotationCampaignInvalidatesTargetedAndRedeploys) {
   EXPECT_EQ(again->rollout.succeeded, 4u);
 }
 
+TEST(RotationTest, BumpAloneRotatesAndInvalidatesWithoutRedeploying) {
+  DeviceRegistry registry;
+  const GroupId group = registry.CreateGroup("g");
+  for (uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(registry.Enroll(0x4B1 + i, group).ok());
+  }
+  PackageCache cache;
+  DeploymentEngine engine(registry, cache);
+  CampaignConfig campaign;
+  campaign.source = kTinyProgram;
+  campaign.group = group;
+  ASSERT_TRUE(engine.Run(campaign).ok());
+
+  RotationCampaign rotation(engine, registry, cache);
+  EXPECT_EQ(rotation.Bump(kNoGroup).status().code(),
+            ErrorCode::kInvalidArgument);
+  auto bumped = rotation.Bump(group);
+  ASSERT_TRUE(bumped.ok());
+  EXPECT_TRUE(bumped->bumped);
+  EXPECT_EQ(bumped->new_epoch, 1u);
+  EXPECT_EQ(bumped->members_rekeyed, 3u);
+  EXPECT_EQ(bumped->artifacts_invalidated, 1u);
+  EXPECT_TRUE(bumped->rollout.waves.empty());  // nothing redeployed yet
+
+  // Replaying the same target epoch is the resume case: a no-op.
+  auto replayed = rotation.Bump(group, 1);
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_FALSE(replayed->bumped);
+  EXPECT_EQ(replayed->artifacts_invalidated, 0u);
+
+  // The caller's own scheduled redeploy then seals under the new epoch.
+  CampaignScheduler scheduler(engine, registry);
+  auto redeploy = scheduler.Run(campaign, SchedulerConfig{});
+  ASSERT_TRUE(redeploy.ok());
+  EXPECT_EQ(redeploy->succeeded, 3u);
+  EXPECT_EQ(redeploy->cache_artifact_misses, 1u);
+}
+
 // --- DeploymentEngine ---------------------------------------------------------
 
 struct FleetFixture {
@@ -906,6 +944,20 @@ TEST(CampaignSchedulerTest, RollingWavesPartitionAndCompleteExactlyOnce) {
     misses += wave.report.cache_artifact_misses;
   }
   EXPECT_EQ(misses, 1u);
+  // The report-level totals are the sums over waves.
+  EXPECT_EQ(report->cache_artifact_misses, 1u);
+  EXPECT_EQ(report->cache_artifact_hits, 9u);
+  EXPECT_EQ(report->cache_compile_misses, 1u);
+  EXPECT_EQ(report->rollbacks, 0u);
+  EXPECT_EQ(report->health_failures, 0u);
+  const CampaignIsaStats& rv64 =
+      report->by_isa[static_cast<size_t>(isa::IsaId::kRv64Gc)];
+  EXPECT_EQ(rv64.targets, 10u);
+  EXPECT_EQ(rv64.succeeded, 10u);
+  EXPECT_EQ(rv64.deliveries, 10u);
+  EXPECT_EQ(rv64.seal_builds, 1u);
+  EXPECT_EQ(rv64.compile_builds, 1u);
+  EXPECT_EQ(rv64.bytes_shipped, report->bytes_shipped);
 }
 
 // The acceptance scenario: a 1000-device campaign whose fault rate is

@@ -749,8 +749,9 @@ def watchdog_attempt(fleetd, workdir, attempt):
 SLOT_MAGIC = b"ERICSLT1"
 SLOT_HEADER = 24
 NO_SLOT = 0xFF
-# Device count of the short soak profile (kSoakShort in eric_fleetd.cpp):
-# the kill waits until every one of them has a durable slot manifest.
+# Device count of the short soak profile (kSoakShort in
+# src/fleet/daemon_config.h): the kill waits until every one of them has a
+# durable slot manifest.
 SOAK_SHORT_DEVICES = 10
 
 

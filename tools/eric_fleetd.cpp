@@ -19,17 +19,19 @@
 //               [--trace-out FILE]
 //               [--json FILE] [--verbose]
 //
-// With no --source/--workload, deploys the crc32 workload. --revoke K
-// revokes every K-th device before the campaign to show revocation
-// handling in the report.
+// The flags are parsed and their conflicts refused (exit 2) by
+// fleet::ParseDaemonConfig (src/fleet/daemon_config.h). With no
+// --source/--workload, deploys the crc32 workload. --revoke K revokes
+// every K-th device before the campaign to show revocation handling in
+// the report.
 //
-// Any of --canary / --wave-size / --rate / --group-concurrency /
-// --pause-after / --shuffle routes the campaign through the
-// CampaignScheduler:
-// canary cohort first, rolling waves gated on the canary failure
-// threshold, token-bucket rate limiting, and a demonstration
-// pause/resume (--pause-after MS pauses the rollout that long into the
-// campaign, --pause-for MS holds it, then resumes).
+// Every campaign runs through one pipeline: the CampaignScheduler over
+// the engine. With no rollout flags it is a single wave. --canary N puts
+// a canary cohort first, gated on --canary-threshold; --wave-size splits
+// the rest into rolling waves; --rate/--burst and --group-concurrency
+// throttle dispatch; --shuffle samples the canary across the fleet; and
+// --pause-after MS pauses the rollout that long into the campaign, holds
+// it for --pause-for MS, then resumes.
 //
 // --state-dir DIR makes the fleet durable: enrollments and revocations
 // are write-ahead logged (and snapshotted) under DIR, and every target's
@@ -50,11 +52,10 @@
 // images are not simulated across restarts: a resumed delta campaign
 // ships full packages to its remaining targets, exactly once).
 //
-// --rotate-epoch GROUP runs a key-epoch rotation campaign instead of a
-// plain deployment: the named group's key epoch is bumped (durably
-// journaled under --state-dir), the package cache drops exactly that
-// group's sealed artifacts, and the group is redeployed under the
-// scheduler's canary/wave machinery with every package sealed under the
+// --rotate-epoch GROUP makes the campaign a key-epoch rotation: the named
+// group's key epoch is bumped (durably journaled under --state-dir), the
+// package cache drops exactly that group's sealed artifacts, and the
+// same pipeline redeploys the group with every package sealed under the
 // new epoch. Killed mid-rotation, --resume --rotate-epoch GROUP finishes
 // the rotation exactly once at the journaled target epoch — stale-epoch
 // artifacts are never re-delivered (the members' rotated HDEs would
@@ -98,13 +99,17 @@
 // exists to prove the durable fleet + slot manifests survive chaos, and
 // the companion resume test kill -9s the soak itself and reruns it over
 // the same state dir.
+//
+// Exit codes: 0 every non-revoked target ran the program; 1 a target
+// failed or the daemon hit a runtime error; 2 invalid flags; 3 a resume
+// refused pending a watchdog acknowledgement.
 #include <algorithm>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -112,6 +117,7 @@
 
 #include "fleet/campaign_journal.h"
 #include "fleet/campaign_scheduler.h"
+#include "fleet/daemon_config.h"
 #include "fleet/deployment_engine.h"
 #include "fleet/package_cache.h"
 #include "fleet/rotation_campaign.h"
@@ -122,88 +128,42 @@
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "store/record_io.h"
 #include "support/bench_json.h"
 #include "support/rng.h"
 #include "workloads/workloads.h"
 
 using namespace eric;
+using fleet::SoakProfile;
 
 namespace {
 
-void Usage() {
-  std::fprintf(
-      stderr,
-      "usage: eric_fleetd --devices N [--groups G] [--workers W]\n"
-      "                   [--rv32-every K]\n"
-      "                   [--attempts K] [--fault KIND] [--fault-rate P]\n"
-      "                   [--latency-us U] [--mode M] [--fraction F]\n"
-      "                   [--revoke K] [--source FILE] [--workload NAME]\n"
-      "                   [--canary N] [--canary-threshold P]\n"
-      "                   [--wave-size N] [--rate R] [--burst B]\n"
-      "                   [--group-concurrency N] [--pause-after MS]\n"
-      "                   [--pause-for MS] [--shuffle]\n"
-      "                   [--state-dir DIR] [--resume] [--snapshot-every N]\n"
-      "                   [--rotate-epoch GROUP] [--json FILE] [--verbose]\n"
-      "                   [--delta --base-source FILE]\n"
-      "                   [--delta --base-workload NAME]\n"
-      "                   [--metrics-out FILE] [--metrics-interval SEC]\n"
-      "                   [--trace-out FILE]\n"
-      "                   [--slo SPEC]... [--slo-interval SEC]\n"
-      "                   [--ack-watchdog]\n"
-      "                   [--listen PORT [--sim-clients N]]\n"
-      "                   [--soak [--soak-profile short|long] "
-      "[--soak-seed N]]\n");
-}
+/// A program to deploy and the name reports call it by.
+struct Program {
+  std::string source;
+  std::string name;
+};
 
-/// Identity of a campaign for resume matching: FNV-1a over everything
-/// that decides what bytes reach a device — program, encryption policy,
-/// seed, channel fault model, and retry budget. Resuming under a
-/// different one must be refused, not silently blended. (Worker count
-/// and simulated latency shape only timing, not bytes, and stay out.)
-uint64_t CampaignFingerprint(const std::string& source,
-                             const std::string& mode, double fraction,
-                             uint64_t seed, const std::string& fault_name,
-                             double fault_rate, uint32_t attempts,
-                             uint64_t rotate_group, uint64_t rotate_epoch,
-                             bool delta, uint64_t base_version) {
-  eric::store::RecordWriter rec;
-  // A rotation campaign is a different campaign from a plain deployment
-  // of the same program: the target epoch decides the bytes sealed.
-  rec.U64(rotate_group);
-  rec.U64(rotate_epoch);
-  rec.Str(source);
-  rec.Str(mode);
-  uint64_t fraction_bits;
-  static_assert(sizeof(fraction_bits) == sizeof(fraction));
-  std::memcpy(&fraction_bits, &fraction, sizeof(fraction_bits));
-  rec.U64(fraction_bits);
-  rec.U64(seed);
-  rec.Str(fault_name);
-  uint64_t fault_rate_bits;
-  std::memcpy(&fault_rate_bits, &fault_rate, sizeof(fault_rate_bits));
-  rec.U64(fault_rate_bits);
-  rec.U32(attempts);
-  // Appended only for delta campaigns so plain campaigns keep their
-  // pre-delta fingerprints (their interrupted journals stay resumable
-  // across this upgrade). A delta campaign over a different base is a
-  // different campaign: the base decides which bytes each device gets.
-  if (delta) {
-    rec.U8(1);
-    rec.U64(base_version);
+/// Reads `path`, or when it is empty the built-in workload `workload`.
+bool LoadProgram(const std::string& path, const std::string& workload,
+                 Program* program) {
+  if (!path.empty()) {
+    std::ifstream in(path);
+    if (!in) {
+      std::fprintf(stderr, "cannot read %s\n", path.c_str());
+      return false;
+    }
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    *program = {buffer.str(), path};
+    return true;
   }
-  return eric::store::Fnv1a64(rec.bytes());
-}
-
-/// Operator-facing durability warning, shared by the flat, scheduled,
-/// and rotation paths: the deliveries themselves stand, the affected
-/// devices simply mis-diff (and get full packages) next campaign.
-void WarnManifestFailures(uint64_t failures) {
-  if (failures == 0) return;
-  std::fprintf(stderr,
-               "warning: %llu delivered manifest update(s) could not be "
-               "made durable\n",
-               static_cast<unsigned long long>(failures));
+  const auto* found = workloads::FindWorkload(workload);
+  if (found == nullptr) {
+    std::fprintf(stderr, "unknown workload %s\n", workload.c_str());
+    return false;
+  }
+  *program = {found->source, found->name};
+  return true;
 }
 
 /// Devices in `targets` whose manifest says they now run `version` —
@@ -219,31 +179,6 @@ size_t CountManifestsAt(const fleet::DeviceRegistry& registry,
   return current;
 }
 
-/// Identity + resume arithmetic shared by every eric_fleetd report.
-/// One writer for these fields keeps the flat, scheduled, rotation, and
-/// nothing-left-to-resume JSON variants from drifting apart — the
-/// crash-resume test asserts on exactly this field set.
-struct ReportContext {
-  const std::string* program = nullptr;
-  const std::string* mode = nullptr;
-  bool resumed = false;
-  size_t previously_completed = 0;
-  uint64_t previously_failed = 0;
-  size_t original_targets = 0;
-  size_t fleet_devices = 0;
-};
-
-void WriteCommonJson(JsonWriter& json, const ReportContext& context) {
-  json.Field("tool", "eric_fleetd");
-  json.Field("program", *context.program);
-  json.Field("mode", *context.mode);
-  json.Field("resumed", context.resumed);
-  json.Field("previously_completed", context.previously_completed);
-  json.Field("previously_failed", context.previously_failed);
-  json.Field("original_targets", context.original_targets);
-  json.Field("fleet_devices", context.fleet_devices);
-}
-
 /// End-of-run telemetry snapshot embedded in every --json report, so
 /// one file carries the campaign's outcome and the telemetry that
 /// explains it: the metrics registry plus the structured event ring and
@@ -254,150 +189,7 @@ void WriteTelemetryJson(JsonWriter& json) {
   obs::WriteSnapshotJson(json);
 }
 
-/// Per-ISA campaign slices as a JSON object keyed by ISA name. ISAs
-/// the campaign never touched are omitted, so homogeneous-fleet
-/// reports carry exactly one entry and pre-heterogeneity consumers
-/// that ignore unknown fields keep working.
-void WriteIsaJson(
-    JsonWriter& json,
-    const std::array<fleet::CampaignIsaStats, isa::kNumIsaIds>& by_isa) {
-  json.Key("by_isa");
-  json.BeginObject();
-  for (size_t i = 0; i < isa::kNumIsaIds; ++i) {
-    const fleet::CampaignIsaStats& slice = by_isa[i];
-    if (slice.targets == 0 && slice.seal_builds == 0 &&
-        slice.compile_builds == 0) {
-      continue;
-    }
-    json.Key(isa::IsaName(static_cast<isa::IsaId>(i)));
-    json.BeginObject();
-    json.Field("targets", slice.targets);
-    json.Field("succeeded", slice.succeeded);
-    json.Field("deliveries", slice.deliveries);
-    json.Field("bytes_shipped", slice.bytes_shipped);
-    json.Field("seal_builds", slice.seal_builds);
-    json.Field("compile_builds", slice.compile_builds);
-    json.EndObject();
-  }
-  json.EndObject();
-}
-
-void PrintScheduledReport(const fleet::ScheduledReport& report) {
-  for (const auto& wave : report.waves) {
-    std::printf("  wave %zu%s: %llu targets, %llu ok / %llu failed / %llu "
-                "revoked, failure-rate %.2f%s\n",
-                wave.wave_index, wave.canary ? " (canary)" : "",
-                static_cast<unsigned long long>(wave.report.targets),
-                static_cast<unsigned long long>(wave.report.succeeded),
-                static_cast<unsigned long long>(wave.report.failed),
-                static_cast<unsigned long long>(wave.report.revoked),
-                wave.failure_rate,
-                wave.gate_breached ? "  << GATE BREACHED" : "");
-  }
-  std::printf("\nresult: %s — %llu ok / %llu failed / %llu revoked, "
-              "%llu never dispatched of %llu targets\n",
-              std::string(fleet::CampaignOutcomeName(report.outcome)).c_str(),
-              static_cast<unsigned long long>(report.succeeded),
-              static_cast<unsigned long long>(report.failed),
-              static_cast<unsigned long long>(report.revoked),
-              static_cast<unsigned long long>(report.never_dispatched),
-              static_cast<unsigned long long>(report.targets));
-  std::printf("wire:   %llu deliveries (%llu retries), peak %llu in flight\n",
-              static_cast<unsigned long long>(report.deliveries),
-              static_cast<unsigned long long>(report.retries),
-              static_cast<unsigned long long>(report.peak_in_flight));
-  std::printf("time:   %.1f ms wall\n", report.wall_ms);
-}
-
-void WriteScheduledJson(JsonWriter& json, const fleet::ScheduledReport& report) {
-  json.Field("outcome", fleet::CampaignOutcomeName(report.outcome));
-  json.Field("devices", report.targets);
-  json.Field("succeeded", report.succeeded);
-  json.Field("failed", report.failed);
-  json.Field("revoked", report.revoked);
-  json.Field("never_dispatched", report.never_dispatched);
-  json.Field("deliveries", report.deliveries);
-  json.Field("retries", report.retries);
-  json.Field("delta_deliveries", report.delta_deliveries);
-  json.Field("full_deliveries", report.full_deliveries);
-  json.Field("delta_fallbacks", report.delta_fallbacks);
-  json.Field("bytes_shipped", report.bytes_shipped);
-  json.Field("bytes_full_equivalent", report.bytes_full_equivalent);
-  json.Field("manifest_update_failures", report.manifest_update_failures);
-  json.Field("peak_in_flight", report.peak_in_flight);
-  json.Field("wall_ms", report.wall_ms);
-  // Per-ISA slices summed across waves: wave boundaries are a rollout
-  // policy, not an ISA property, so the report-level breakdown is the
-  // useful one.
-  std::array<fleet::CampaignIsaStats, isa::kNumIsaIds> by_isa{};
-  for (const auto& wave : report.waves) {
-    for (size_t i = 0; i < isa::kNumIsaIds; ++i) {
-      const fleet::CampaignIsaStats& slice = wave.report.by_isa[i];
-      by_isa[i].targets += slice.targets;
-      by_isa[i].succeeded += slice.succeeded;
-      by_isa[i].deliveries += slice.deliveries;
-      by_isa[i].bytes_shipped += slice.bytes_shipped;
-      by_isa[i].seal_builds += slice.seal_builds;
-      by_isa[i].compile_builds += slice.compile_builds;
-    }
-  }
-  WriteIsaJson(json, by_isa);
-  json.Key("waves");
-  json.BeginArray();
-  for (const auto& wave : report.waves) {
-    json.BeginObject();
-    json.Field("index", wave.wave_index);
-    json.Field("canary", wave.canary);
-    json.Field("trace_id", wave.report.trace_id);
-    json.Field("targets", wave.report.targets);
-    json.Field("succeeded", wave.report.succeeded);
-    json.Field("failed", wave.report.failed);
-    json.Field("failure_rate", wave.failure_rate);
-    json.Field("gate_breached", wave.gate_breached);
-    json.Field("wall_ms", wave.report.wall_ms);
-    json.EndObject();
-  }
-  json.EndArray();
-}
-
-/// Exit-code rule shared by the scheduled and rotation paths: complete
-/// means every non-revoked target of this run succeeded and no target
-/// was durably checkpointed as failed before a resume.
-bool ScheduledCampaignComplete(const fleet::ScheduledReport& report,
-                               uint64_t previously_failed) {
-  return report.outcome == fleet::CampaignOutcome::kCompleted &&
-         report.succeeded == report.targets - report.revoked &&
-         previously_failed == 0;
-}
-
-bool ParseFault(const std::string& name, net::ChannelFault* fault) {
-  if (name == "none") *fault = net::ChannelFault::kNone;
-  else if (name == "bitflips") *fault = net::ChannelFault::kRandomBitFlips;
-  else if (name == "bytepatch") *fault = net::ChannelFault::kBytePatch;
-  else if (name == "truncate") *fault = net::ChannelFault::kTruncate;
-  else if (name == "instrpatch") *fault = net::ChannelFault::kInstructionPatch;
-  else if (name == "dup") *fault = net::ChannelFault::kDuplicate;
-  else return false;
-  return true;
-}
-
 // --- Chaos soak -------------------------------------------------------------
-
-/// One soak tier. `short` is CI-sized (seeded, well under a minute even
-/// under ASan+UBSan); `long` is the nightly tier — same machinery, more
-/// fleet and more rounds.
-struct SoakProfile {
-  const char* name;
-  size_t devices;      ///< initial enrollment (churn grows it)
-  size_t groups;
-  size_t rounds;
-  size_t workers;
-  uint32_t attempts;   ///< per-device retry budget per campaign
-  double crash_rate;   ///< probabilistic agent crash-mid-apply, per apply
-};
-
-constexpr SoakProfile kSoakShort{"short", 10, 2, 8, 4, 6, 0.05};
-constexpr SoakProfile kSoakLong{"long", 32, 4, 40, 8, 6, 0.08};
 
 std::string SoakFormat(const char* fmt, ...) {
   char buf[512];
@@ -810,603 +602,551 @@ int RunSoak(fleet::DeviceRegistry& registry, const SoakProfile& profile,
   return 1;
 }
 
-}  // namespace
+// --- Campaign report --------------------------------------------------------
 
-int main(int argc, char** argv) {
-  size_t devices = 0, groups = 1, workers = 4, revoke_every = 0;
-  // Every K-th device enrolls as RV32I (0 = homogeneous RV64GC fleet).
-  // Like --revoke, this shapes the *initial* enrollment only: a
-  // device's ISA is a silicon property the durable registry remembers.
-  size_t rv32_every = 0;
-  uint32_t attempts = 1, latency_us = 0;
-  double fault_rate = -1.0, fraction = 0.5;  // -1: not set, derived below
-  std::string fault_name = "none", mode = "partial";
-  std::string source_path, workload_name, json_path;
-  bool verbose = false;
-  // Scheduler knobs. The first row *activates* the scheduler path; the
-  // second row (negative sentinel = unset) only modifies it, and setting
-  // one without an activating flag earns a warning instead of silence.
-  size_t canary = 0, wave_size = 0, group_concurrency = 0;
-  uint32_t pause_after_ms = 0;
-  bool shuffle = false;
-  double rate = 0.0;
-  double canary_threshold = -1.0, burst = -1.0;
-  int64_t pause_for_ms = -1;
-  // Durable-state knobs.
-  std::string state_dir;
-  bool resume = false;
-  uint64_t snapshot_every = 0;
-  // Key-epoch rotation: nonzero = rotate this group and redeploy it.
-  uint64_t rotate_group = 0;
-  // Delta deployment knobs.
-  bool delta = false;
-  std::string base_source_path, base_workload_name;
-  // Telemetry export knobs (-1: interval not set, derived below).
-  std::string metrics_out, trace_out;
-  double metrics_interval = -1.0;
-  // Health-watchdog knobs (-1: interval not set, derived below).
-  std::vector<std::string> slo_texts;
-  double slo_interval = -1.0;
-  bool ack_watchdog = false;
-  // Chaos-soak knobs.
-  bool soak = false;
-  std::string soak_profile_name = "short";
-  uint64_t soak_seed = 0x50A4CA05;
-  // Wire-transport knobs (-1: in-process channel, no sockets; 0 = bind an
-  // ephemeral port). --sim-clients 0 means one connection per enrolled
-  // device; larger values add idle connections on top.
-  int64_t listen_port = -1;
-  size_t sim_clients = 0;
+/// Identity + resume arithmetic of a campaign report: what the
+/// crash-resume test asserts exactly-once completion on.
+struct ReportContext {
+  std::string program;
+  bool resumed = false;
+  size_t previously_completed = 0;
+  /// Targets durably checkpointed as failed before a crash: excluded
+  /// from the resume set (their retry budget is spent) but they still
+  /// fail the exit code and show in the report.
+  uint64_t previously_failed = 0;
+  size_t original_targets = 0;
+  size_t fleet_devices = 0;
+};
 
-  for (int i = 1; i < argc; ++i) {
-    auto arg = [&](const char* name) {
-      return std::strcmp(argv[i], name) == 0 && i + 1 < argc;
-    };
-    if (arg("--devices")) devices = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg("--groups")) groups = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg("--workers")) workers = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg("--attempts")) attempts = static_cast<uint32_t>(
-        std::strtoul(argv[++i], nullptr, 0));
-    else if (arg("--fault")) fault_name = argv[++i];
-    else if (arg("--fault-rate")) fault_rate = std::atof(argv[++i]);
-    else if (arg("--latency-us")) latency_us = static_cast<uint32_t>(
-        std::strtoul(argv[++i], nullptr, 0));
-    else if (arg("--mode")) mode = argv[++i];
-    else if (arg("--fraction")) fraction = std::atof(argv[++i]);
-    else if (arg("--revoke")) revoke_every = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg("--rv32-every"))
-      rv32_every = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg("--source")) source_path = argv[++i];
-    else if (arg("--workload")) workload_name = argv[++i];
-    else if (arg("--canary")) canary = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg("--canary-threshold")) canary_threshold = std::atof(argv[++i]);
-    else if (arg("--wave-size")) wave_size = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg("--rate")) rate = std::atof(argv[++i]);
-    else if (arg("--burst")) burst = std::atof(argv[++i]);
-    else if (arg("--group-concurrency"))
-      group_concurrency = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg("--pause-after")) pause_after_ms = static_cast<uint32_t>(
-        std::strtoul(argv[++i], nullptr, 0));
-    else if (arg("--pause-for")) pause_for_ms = std::strtol(argv[++i],
-                                                           nullptr, 0);
-    else if (std::strcmp(argv[i], "--shuffle") == 0) shuffle = true;
-    else if (arg("--state-dir")) state_dir = argv[++i];
-    else if (std::strcmp(argv[i], "--resume") == 0) resume = true;
-    else if (arg("--snapshot-every"))
-      snapshot_every = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg("--rotate-epoch"))
-      rotate_group = std::strtoull(argv[++i], nullptr, 0);
-    else if (std::strcmp(argv[i], "--delta") == 0) delta = true;
-    else if (arg("--base-source")) base_source_path = argv[++i];
-    else if (arg("--base-workload")) base_workload_name = argv[++i];
-    else if (arg("--metrics-out")) metrics_out = argv[++i];
-    else if (arg("--metrics-interval")) metrics_interval = std::atof(argv[++i]);
-    else if (arg("--trace-out")) trace_out = argv[++i];
-    else if (arg("--slo")) slo_texts.push_back(argv[++i]);
-    else if (arg("--slo-interval")) slo_interval = std::atof(argv[++i]);
-    else if (std::strcmp(argv[i], "--ack-watchdog") == 0) ack_watchdog = true;
-    else if (std::strcmp(argv[i], "--soak") == 0) soak = true;
-    else if (arg("--soak-profile")) soak_profile_name = argv[++i];
-    else if (arg("--soak-seed"))
-      soak_seed = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg("--listen")) listen_port = std::strtoll(argv[++i], nullptr, 0);
-    else if (arg("--sim-clients"))
-      sim_clients = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg("--json")) json_path = argv[++i];
-    else if (std::strcmp(argv[i], "--verbose") == 0) verbose = true;
-    else { Usage(); return 2; }
-  }
-  const SoakProfile* soak_profile = nullptr;
-  if (soak) {
-    if (soak_profile_name == "short") soak_profile = &kSoakShort;
-    else if (soak_profile_name == "long") soak_profile = &kSoakLong;
-    else {
-      std::fprintf(stderr, "--soak-profile must be short or long\n");
-      Usage();
-      return 2;
-    }
-    if (state_dir.empty()) {
-      // The soak exists to prove the durable fleet + slot manifests
-      // survive chaos; a memory-only soak would test a different system.
-      std::fprintf(stderr, "--soak requires --state-dir DIR\n");
-      Usage();
-      return 2;
-    }
-    if (resume || rotate_group != 0 || delta) {
-      std::fprintf(stderr,
-                   "--soak drives its own campaigns; drop --resume/"
-                   "--rotate-epoch/--delta\n");
-      Usage();
-      return 2;
-    }
-    // --devices/--groups still override the profile's fleet size.
-    if (devices == 0) devices = soak_profile->devices;
-    if (groups == 1) groups = soak_profile->groups;
-  }
-  if (devices == 0 || groups == 0) { Usage(); return 2; }
-  if (state_dir.empty() && (resume || snapshot_every > 0)) {
-    // Silently ignoring --resume would re-deliver a whole interrupted
-    // campaign from scratch; refuse like any other invalid combination.
-    std::fprintf(stderr,
-                 "--resume/--snapshot-every require --state-dir DIR\n");
-    Usage();
-    return 2;
-  }
+double DevicesPerSecond(const fleet::ScheduledReport& report) {
+  return report.wall_ms > 0
+             ? static_cast<double>(report.targets) / (report.wall_ms / 1000.0)
+             : 0.0;
+}
 
-  if (delta && base_source_path.empty() && base_workload_name.empty()) {
-    std::fprintf(stderr,
-                 "--delta requires the previous release: --base-source FILE "
-                 "or --base-workload NAME\n");
-    Usage();
-    return 2;
-  }
-  if (!delta && (!base_source_path.empty() || !base_workload_name.empty())) {
-    std::fprintf(stderr, "--base-source/--base-workload require --delta\n");
-    Usage();
-    return 2;
-  }
-  if (delta && rotate_group != 0) {
-    // A rotation re-seals the SAME build under a new key; there is no
-    // older version to diff from (and the rotated HDEs could not decrypt
-    // a retained stale-epoch base anyway).
-    std::fprintf(stderr, "--delta cannot be combined with --rotate-epoch\n");
-    Usage();
-    return 2;
-  }
-  if (metrics_out.empty() && metrics_interval >= 0) {
-    // An interval with nothing to export would silently measure nothing;
-    // refuse like --resume without --state-dir.
-    std::fprintf(stderr, "--metrics-interval requires --metrics-out FILE\n");
-    Usage();
-    return 2;
-  }
-  if (metrics_interval < 0) metrics_interval = 1.0;
-
-  // --slo validation mirrors the telemetry flags: modifiers without an
-  // activating flag are refused, and a malformed spec fails fast with
-  // the parser's diagnosis instead of arming a watchdog that watches
-  // nothing.
-  std::vector<obs::SloSpec> slo_specs;
-  for (const auto& text : slo_texts) {
-    auto parsed = obs::ParseSloSpec(text);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "--slo %s: %s\n", text.c_str(),
-                   parsed.status().ToString().c_str());
-      Usage();
-      return 2;
-    }
-    slo_specs.push_back(std::move(*parsed));
-  }
-  if (slo_specs.empty() && slo_interval >= 0) {
-    std::fprintf(stderr, "--slo-interval requires at least one --slo SPEC\n");
-    Usage();
-    return 2;
-  }
-  if (slo_interval < 0) slo_interval = 1.0;
-  if (!slo_specs.empty() && soak) {
-    // The soak drives its own campaign sequence; there is no single
-    // campaign control for a breach policy to act on.
-    std::fprintf(stderr, "--slo cannot be combined with --soak\n");
-    Usage();
-    return 2;
-  }
-  if (ack_watchdog && !resume) {
-    std::fprintf(stderr, "--ack-watchdog requires --resume\n");
-    Usage();
-    return 2;
-  }
-  if (listen_port >= 0 && soak) {
-    // The soak drives its own in-process campaign sequence; its chaos
-    // model (kill points, slot corruption) has no wire leg to attach to.
-    std::fprintf(stderr, "--listen cannot be combined with --soak\n");
-    Usage();
-    return 2;
-  }
-  if (listen_port > 65535) {
-    std::fprintf(stderr, "--listen PORT must be 0..65535 (0 = ephemeral)\n");
-    Usage();
-    return 2;
-  }
-  if (sim_clients > 0 && listen_port < 0) {
-    std::fprintf(stderr, "--sim-clients requires --listen PORT\n");
-    Usage();
-    return 2;
-  }
-
-  // Program to deploy (and, for --delta, the release it patches from).
-  const auto load_program = [](const std::string& path,
-                               std::string fallback_workload,
-                               std::string* source,
-                               std::string* name) -> bool {
-    if (!path.empty()) {
-      std::ifstream in(path);
-      if (!in) {
-        std::fprintf(stderr, "cannot read %s\n", path.c_str());
-        return false;
+void PrintReport(const fleet::ScheduledReport& report,
+                 const fleet::DaemonConfig& config) {
+  double latency_sum = 0, latency_max = 0;
+  size_t delivered_to = 0;
+  for (const auto& wave : report.waves) {
+    for (const auto& outcome : wave.report.outcomes) {
+      if (config.verbose) {
+        std::printf("  device %llu: %s attempts=%u %s\n",
+                    static_cast<unsigned long long>(outcome.device),
+                    outcome.ok ? "ok"
+                               : (outcome.revoked ? "revoked" : "FAILED"),
+                    outcome.attempts,
+                    outcome.ok ? "" : outcome.last_status.ToString().c_str());
       }
-      std::stringstream buffer;
-      buffer << in.rdbuf();
-      *source = buffer.str();
-      *name = path;
-      return true;
-    }
-    const auto* workload = workloads::FindWorkload(fallback_workload);
-    if (workload == nullptr) {
-      std::fprintf(stderr, "unknown workload %s\n", fallback_workload.c_str());
-      return false;
-    }
-    *source = workload->source;
-    *name = workload->name;
-    return true;
-  };
-  std::string program_source, program_name;
-  if (!load_program(source_path,
-                    workload_name.empty() ? "crc32" : workload_name,
-                    &program_source, &program_name)) {
-    return 1;
-  }
-  std::string base_source, base_name;
-  if (delta && !load_program(base_source_path, base_workload_name,
-                             &base_source, &base_name)) {
-    return 1;
-  }
-
-  core::EncryptionPolicy policy;
-  compiler::CompileOptions compile_options;
-  if (mode == "full") policy = core::EncryptionPolicy::Full();
-  else if (mode == "partial") policy = core::EncryptionPolicy::PartialRandom(fraction);
-  else if (mode == "field") {
-    policy = core::EncryptionPolicy::FieldLevelPointers();
-    compile_options.compress = false;  // field rules address 32-bit encodings
-  } else if (mode == "none") policy = core::EncryptionPolicy::None();
-  else { Usage(); return 2; }
-
-  net::ChannelConfig channel;
-  if (!ParseFault(fault_name, &channel.fault)) { Usage(); return 2; }
-  // --fault without --fault-rate means "fault every delivery": a named
-  // fault that never fires would silently test nothing.
-  if (fault_rate < 0) {
-    fault_rate = channel.fault == net::ChannelFault::kNone ? 0.0 : 1.0;
-  }
-
-  // --- Telemetry export -----------------------------------------------------
-  // The exporter starts before the fleet stands up (enrollment gauges are
-  // telemetry too) and its destructor flushes one final snapshot on every
-  // exit path, success or error.
-  if (!trace_out.empty()) obs::TraceCollector::Global().Enable();
-  obs::MetricsExporter exporter;
-  if (!metrics_out.empty() || !trace_out.empty()) {
-    obs::MetricsExporter::Options telemetry;
-    telemetry.json_path = metrics_out;
-    telemetry.trace_path = trace_out;
-    telemetry.interval_seconds = metrics_interval;
-    auto started = exporter.Start(std::move(telemetry));
-    if (!started.ok()) {
-      std::fprintf(stderr, "cannot start telemetry exporter: %s\n",
-                   started.ToString().c_str());
-      return 1;
-    }
-    if (!metrics_out.empty()) {
-      std::printf("telemetry: metrics -> %s (+ .prom) every %.2f s%s%s\n",
-                  metrics_out.c_str(), metrics_interval,
-                  trace_out.empty() ? "" : ", spans -> ",
-                  trace_out.c_str());
-    } else {
-      std::printf("telemetry: spans -> %s\n", trace_out.c_str());
+      if (outcome.attempts == 0) continue;
+      ++delivered_to;
+      latency_sum += outcome.latency_us;
+      latency_max = std::max(latency_max, outcome.latency_us);
     }
   }
+  if (report.waves.size() > 1) {
+    for (const auto& wave : report.waves) {
+      std::printf("  wave %zu%s: %llu targets, %llu ok / %llu failed / %llu "
+                  "revoked, failure-rate %.2f%s\n",
+                  wave.wave_index, wave.canary ? " (canary)" : "",
+                  static_cast<unsigned long long>(wave.report.targets),
+                  static_cast<unsigned long long>(wave.report.succeeded),
+                  static_cast<unsigned long long>(wave.report.failed),
+                  static_cast<unsigned long long>(wave.report.revoked),
+                  wave.failure_rate,
+                  wave.gate_breached ? "  << GATE BREACHED" : "");
+    }
+  }
+  std::printf("\nresult: %s — %llu ok / %llu failed / %llu revoked, "
+              "%llu never dispatched of %llu targets\n",
+              std::string(fleet::CampaignOutcomeName(report.outcome)).c_str(),
+              static_cast<unsigned long long>(report.succeeded),
+              static_cast<unsigned long long>(report.failed),
+              static_cast<unsigned long long>(report.revoked),
+              static_cast<unsigned long long>(report.never_dispatched),
+              static_cast<unsigned long long>(report.targets));
+  std::printf("wire:   %llu deliveries (%llu retries), peak %llu in flight\n",
+              static_cast<unsigned long long>(report.deliveries),
+              static_cast<unsigned long long>(report.retries),
+              static_cast<unsigned long long>(report.peak_in_flight));
+  if (report.rollbacks > 0 || report.health_failures > 0) {
+    std::printf("agent:  %llu targets rolled back, %llu health "
+                "rejections\n",
+                static_cast<unsigned long long>(report.rollbacks),
+                static_cast<unsigned long long>(report.health_failures));
+  }
+  if (config.delta) {
+    const double ratio =
+        report.bytes_full_equivalent == 0
+            ? 0.0
+            : static_cast<double>(report.bytes_shipped) /
+                  static_cast<double>(report.bytes_full_equivalent);
+    std::printf("delta:  %llu delta / %llu full deliveries (%llu fallbacks), "
+                "%llu of %llu bytes shipped (%.2fx)\n",
+                static_cast<unsigned long long>(report.delta_deliveries),
+                static_cast<unsigned long long>(report.full_deliveries),
+                static_cast<unsigned long long>(report.delta_fallbacks),
+                static_cast<unsigned long long>(report.bytes_shipped),
+                static_cast<unsigned long long>(report.bytes_full_equivalent),
+                ratio);
+  }
+  std::printf("time:   %.1f ms wall, %.0f devices/s, latency mean %.0f us "
+              "max %.0f us\n",
+              report.wall_ms, DevicesPerSecond(report),
+              delivered_to == 0 ? 0.0 : latency_sum / delivered_to,
+              latency_max);
+  std::printf("cache:  %llu hits / %llu misses (%llu compiles)\n",
+              static_cast<unsigned long long>(report.cache_artifact_hits),
+              static_cast<unsigned long long>(report.cache_artifact_misses),
+              static_cast<unsigned long long>(report.cache_compile_misses));
+  const auto active_isas =
+      std::count_if(report.by_isa.begin(), report.by_isa.end(),
+                    [](const auto& slice) { return slice.targets > 0; });
+  for (size_t i = 0; active_isas > 1 && i < isa::kNumIsaIds; ++i) {
+    const fleet::CampaignIsaStats& slice = report.by_isa[i];
+    if (slice.targets == 0) continue;
+    std::printf("isa:    %s: %llu ok of %llu targets, %llu deliveries, "
+                "%llu bytes (%llu compiles, %llu seals)\n",
+                std::string(isa::IsaName(static_cast<isa::IsaId>(i))).c_str(),
+                static_cast<unsigned long long>(slice.succeeded),
+                static_cast<unsigned long long>(slice.targets),
+                static_cast<unsigned long long>(slice.deliveries),
+                static_cast<unsigned long long>(slice.bytes_shipped),
+                static_cast<unsigned long long>(slice.compile_builds),
+                static_cast<unsigned long long>(slice.seal_builds));
+  }
+}
 
-  // --- Stand up the fleet ---------------------------------------------------
-  fleet::RegistryConfig registry_config;
-  registry_config.key_config.domain = "fleetd.v1";
-  fleet::DeviceRegistry registry(registry_config);
+/// The --json campaign report. One writer for every campaign (plain,
+/// staged, rotation, and a resume with nothing left to dispatch), so the
+/// field set cannot drift between them.
+bool WriteReportJson(const std::string& path, const ReportContext& context,
+                     const fleet::DaemonConfig& config,
+                     const fleet::ScheduledReport& report,
+                     const fleet::RotationReport* rotation,
+                     size_t manifest_current) {
+  JsonWriter json;
+  json.BeginObject();
+  json.Field("tool", "eric_fleetd");
+  json.Field("program", context.program);
+  json.Field("mode", config.mode);
+  json.Field("resumed", context.resumed);
+  json.Field("previously_completed", context.previously_completed);
+  json.Field("previously_failed", context.previously_failed);
+  json.Field("original_targets", context.original_targets);
+  json.Field("fleet_devices", context.fleet_devices);
+  json.Field("outcome", fleet::CampaignOutcomeName(report.outcome));
+  json.Field("devices", report.targets);
+  json.Field("groups", config.groups);
+  json.Field("workers", config.workers);
+  json.Field("fault", config.fault_name);
+  json.Field("fault_rate", config.fault_rate);
+  json.Field("succeeded", report.succeeded);
+  json.Field("failed", report.failed);
+  json.Field("revoked", report.revoked);
+  json.Field("never_dispatched", report.never_dispatched);
+  json.Field("deliveries", report.deliveries);
+  json.Field("retries", report.retries);
+  json.Field("delta", config.delta);
+  json.Field("delta_deliveries", report.delta_deliveries);
+  json.Field("full_deliveries", report.full_deliveries);
+  json.Field("delta_fallbacks", report.delta_fallbacks);
+  json.Field("bytes_shipped", report.bytes_shipped);
+  json.Field("bytes_full_equivalent", report.bytes_full_equivalent);
+  json.Field("manifest_update_failures", report.manifest_update_failures);
+  json.Field("rollbacks", report.rollbacks);
+  json.Field("health_failures", report.health_failures);
+  json.Field("cache_hits", report.cache_artifact_hits);
+  json.Field("cache_misses", report.cache_artifact_misses);
+  json.Field("peak_in_flight", report.peak_in_flight);
+  json.Field("wall_ms", report.wall_ms);
+  json.Field("devices_per_second", DevicesPerSecond(report));
+  json.Field("manifest_current", manifest_current);
+  json.Field("trace_id",
+             report.waves.empty() ? uint64_t{0}
+                                  : report.waves.front().report.trace_id);
+  // ISAs the campaign never touched are omitted, so homogeneous-fleet
+  // reports carry exactly one entry.
+  json.Key("by_isa");
+  json.BeginObject();
+  for (size_t i = 0; i < isa::kNumIsaIds; ++i) {
+    const fleet::CampaignIsaStats& slice = report.by_isa[i];
+    if (slice.targets == 0 && slice.seal_builds == 0 &&
+        slice.compile_builds == 0) {
+      continue;
+    }
+    json.Key(isa::IsaName(static_cast<isa::IsaId>(i)));
+    json.BeginObject();
+    json.Field("targets", slice.targets);
+    json.Field("succeeded", slice.succeeded);
+    json.Field("deliveries", slice.deliveries);
+    json.Field("bytes_shipped", slice.bytes_shipped);
+    json.Field("seal_builds", slice.seal_builds);
+    json.Field("compile_builds", slice.compile_builds);
+    json.EndObject();
+  }
+  json.EndObject();
+  json.Key("waves");
+  json.BeginArray();
+  for (const auto& wave : report.waves) {
+    json.BeginObject();
+    json.Field("index", wave.wave_index);
+    json.Field("canary", wave.canary);
+    json.Field("trace_id", wave.report.trace_id);
+    json.Field("targets", wave.report.targets);
+    json.Field("succeeded", wave.report.succeeded);
+    json.Field("failed", wave.report.failed);
+    json.Field("failure_rate", wave.failure_rate);
+    json.Field("gate_breached", wave.gate_breached);
+    json.Field("wall_ms", wave.report.wall_ms);
+    json.EndObject();
+  }
+  json.EndArray();
+  if (rotation != nullptr) {
+    json.Key("rotation");
+    json.BeginObject();
+    json.Field("group", config.rotate_group);
+    json.Field("old_epoch", rotation->old_epoch);
+    json.Field("new_epoch", rotation->new_epoch);
+    json.Field("bumped", rotation->bumped);
+    json.Field("members_rekeyed", rotation->members_rekeyed);
+    json.Field("artifacts_invalidated", rotation->artifacts_invalidated);
+    json.EndObject();
+  }
+  WriteTelemetryJson(json);
+  json.EndObject();
+  if (!json.WriteFile(path.c_str())) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
+}
 
-  bool recovered_fleet = false;
-  if (!state_dir.empty()) {
+/// The refusal report of a resume stopped by a journaled watchdog breach.
+void WriteWatchdogStopJson(const std::string& path,
+                           const fleet::CampaignResumeState& recovered,
+                           size_t remaining) {
+  JsonWriter json;
+  json.BeginObject();
+  json.Field("tool", "eric_fleetd");
+  json.Field("watchdog_stopped", true);
+  json.Field("watchdog_aborted", recovered.watchdog_abort);
+  json.Field("slo", recovered.watchdog_slo);
+  json.Field("observed", recovered.watchdog_observed);
+  json.Field("threshold", recovered.watchdog_threshold);
+  json.Field("burn_rate", recovered.watchdog_burn);
+  json.Field("previously_completed", recovered.completed.size());
+  json.Field("previously_failed", recovered.failed);
+  json.Field("original_targets", recovered.targets.size());
+  json.Field("remaining", remaining);
+  json.EndObject();
+  if (!json.WriteFile(path.c_str())) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  } else {
+    std::printf("wrote %s\n", path.c_str());
+  }
+}
+
+// --- Fleet standup ----------------------------------------------------------
+
+/// Opens the durable state (when configured) and enrolls the initial
+/// fleet unless one was recovered. Returns every device, in enrollment
+/// order.
+Result<std::vector<fleet::DeviceId>> StandUpFleet(
+    const fleet::DaemonConfig& config, fleet::DeviceRegistry& registry) {
+  if (!config.state_dir.empty()) {
     fleet::RegistryStorageOptions storage_options;
-    storage_options.snapshot_every = snapshot_every;
-    auto opened = registry.OpenStorage(state_dir, storage_options);
+    storage_options.snapshot_every = config.snapshot_every;
+    auto opened = registry.OpenStorage(config.state_dir, storage_options);
     if (!opened.ok()) {
-      std::fprintf(stderr, "cannot open state dir %s: %s\n",
-                   state_dir.c_str(), opened.ToString().c_str());
-      return 1;
-    }
-    const auto storage = registry.storage_info();
-    recovered_fleet = storage.devices_recovered > 0;
-    if (recovered_fleet) {
-      std::printf("state: recovered %llu devices / %llu groups from %s in "
-                  "%.1f ms (%s%llu WAL records replayed%s)\n",
-                  static_cast<unsigned long long>(storage.devices_recovered),
-                  static_cast<unsigned long long>(storage.groups_recovered),
-                  state_dir.c_str(), storage.recovery_ms,
-                  storage.snapshot_loaded ? "snapshot + " : "",
-                  static_cast<unsigned long long>(
-                      storage.wal_records_replayed),
-                  storage.corrupt_tails > 0 ? ", corrupt tail repaired" : "");
-    } else {
-      std::printf("state: fresh state dir %s\n", state_dir.c_str());
+      return Status(opened.code(), "cannot open state dir " +
+                                       config.state_dir + ": " +
+                                       opened.message());
     }
   }
-
   // Flight recorder: any fatal event (WAL poison, checkpoint-append
   // failure) dumps the whole event ring here. Prefer the durable state
-  // dir (it exists by now — OpenStorage created it); fall back to a
-  // sibling of the metrics snapshot.
-  std::string flight_path;
-  if (!state_dir.empty()) flight_path = state_dir + "/flight-record.json";
-  else if (!metrics_out.empty()) flight_path = metrics_out + ".flight";
-  if (!flight_path.empty()) {
-    obs::EventLog::Global().SetFlightRecorderPath(flight_path);
+  // dir (OpenStorage created it); fall back to a sibling of the metrics
+  // snapshot.
+  if (!config.state_dir.empty()) {
+    obs::EventLog::Global().SetFlightRecorderPath(config.state_dir +
+                                                  "/flight-record.json");
+  } else if (!config.metrics_out.empty()) {
+    obs::EventLog::Global().SetFlightRecorderPath(config.metrics_out +
+                                                  ".flight");
   }
 
-  std::vector<fleet::DeviceId> all_devices;
-  size_t revoked_count = 0;
-  if (recovered_fleet) {
+  std::vector<fleet::DeviceId> devices;
+  size_t revoked = 0;
+  const auto storage = registry.storage_info();
+  if (storage.devices_recovered > 0) {
     // The durable fleet is authoritative; the --devices/--groups/--revoke
-    // flags only describe the *initial* enrollment.
-    all_devices = registry.AllDevices();
-    if (all_devices.size() != devices) {
+    // /--rv32-every flags only describe the *initial* enrollment.
+    std::printf("state: recovered %llu devices / %llu groups from %s in "
+                "%.1f ms (%s%llu WAL records replayed%s)\n",
+                static_cast<unsigned long long>(storage.devices_recovered),
+                static_cast<unsigned long long>(storage.groups_recovered),
+                config.state_dir.c_str(), storage.recovery_ms,
+                storage.snapshot_loaded ? "snapshot + " : "",
+                static_cast<unsigned long long>(storage.wal_records_replayed),
+                storage.corrupt_tails > 0 ? ", corrupt tail repaired" : "");
+    devices = registry.AllDevices();
+    if (devices.size() != config.devices) {
       std::printf("state: recovered fleet has %zu devices (ignoring "
-                  "--devices %zu)\n", all_devices.size(), devices);
+                  "--devices %zu)\n", devices.size(), config.devices);
     }
-    if (revoke_every > 0) {
+    if (config.revoke_every > 0) {
       std::printf("state: fleet recovered from disk; --revoke only "
                   "shapes the initial enrollment (ignored)\n");
     }
-    if (rv32_every > 0) {
+    if (config.rv32_every > 0) {
       std::printf("state: fleet recovered from disk; --rv32-every only "
                   "shapes the initial enrollment (ignored)\n");
     }
   } else {
+    if (!config.state_dir.empty()) {
+      std::printf("state: fresh state dir %s\n", config.state_dir.c_str());
+    }
     std::vector<fleet::GroupId> group_ids;
-    for (size_t g = 0; g < groups; ++g) {
+    for (size_t g = 0; g < config.groups; ++g) {
       group_ids.push_back(registry.CreateGroup("group-" + std::to_string(g)));
     }
-    for (size_t i = 0; i < devices; ++i) {
+    for (size_t i = 0; i < config.devices; ++i) {
+      // Every K-th device enrolls as RV32I: a device's ISA is a silicon
+      // property the durable registry remembers.
       const isa::IsaId device_isa =
-          rv32_every > 0 && (i + 1) % rv32_every == 0 ? isa::IsaId::kRv32I
-                                                      : isa::IsaId::kRv64Gc;
-      auto id =
-          registry.Enroll(0xF1EED000 + i, group_ids[i % groups], device_isa);
-      if (!id.ok()) {
-        std::fprintf(stderr, "enroll failed: %s\n",
-                     id.status().ToString().c_str());
-        return 1;
-      }
-      all_devices.push_back(*id);
+          config.rv32_every > 0 && (i + 1) % config.rv32_every == 0
+              ? isa::IsaId::kRv32I
+              : isa::IsaId::kRv64Gc;
+      auto id = registry.Enroll(0xF1EED000 + i, group_ids[i % config.groups],
+                                device_isa);
+      if (!id.ok()) return id.status();
+      devices.push_back(*id);
     }
-    if (revoke_every > 0) {
-      for (size_t i = revoke_every - 1; i < all_devices.size();
-           i += revoke_every) {
-        if (registry.Revoke(all_devices[i]).ok()) ++revoked_count;
-      }
+    for (size_t i = config.revoke_every - 1;
+         config.revoke_every > 0 && i < devices.size();
+         i += config.revoke_every) {
+      if (registry.Revoke(devices[i]).ok()) ++revoked;
     }
-    if (!state_dir.empty()) {
+    if (!config.state_dir.empty()) {
       // One snapshot after initial enrollment: cold restarts recover from
       // the snapshot instead of replaying the whole enrollment log.
       auto snapped = registry.Snapshot();
-      if (!snapped.ok()) {
-        std::fprintf(stderr, "snapshot failed: %s\n",
-                     snapped.ToString().c_str());
-        return 1;
-      }
+      if (!snapped.ok()) return snapped;
     }
   }
+
   const auto stats = registry.Stats();
   std::printf("fleet: %zu devices / %zu groups / %zu shards "
               "(stripe balance %zu..%zu), %zu revoked\n",
               stats.devices, stats.groups, stats.shards, stats.min_shard,
-              stats.max_shard, revoked_count);
-  // Per-ISA fleet composition, from the registry (the authority for
-  // both fresh enrollments and recovered fleets). Printed only for
-  // heterogeneous fleets so homogeneous runs keep their exact output.
-  std::array<size_t, isa::kNumIsaIds> fleet_isa_counts{};
-  for (fleet::DeviceId id : all_devices) {
+              stats.max_shard, revoked);
+  // Per-ISA composition, printed only for heterogeneous fleets so
+  // homogeneous runs keep their exact output.
+  std::array<size_t, isa::kNumIsaIds> isa_counts{};
+  for (fleet::DeviceId id : devices) {
     auto info = registry.Lookup(id);
-    if (info.ok()) ++fleet_isa_counts[static_cast<size_t>(info->isa)];
+    if (info.ok()) ++isa_counts[static_cast<size_t>(info->isa)];
   }
-  if (fleet_isa_counts[static_cast<size_t>(isa::IsaId::kRv64Gc)] !=
-      all_devices.size()) {
+  if (isa_counts[static_cast<size_t>(isa::IsaId::kRv64Gc)] != devices.size()) {
     std::printf("isa:   ");
-    bool first = true;
+    const char* separator = "";
     for (size_t i = 0; i < isa::kNumIsaIds; ++i) {
-      if (fleet_isa_counts[i] == 0) continue;
-      std::printf("%s%s %zu", first ? "" : ", ",
-                  std::string(isa::IsaName(static_cast<isa::IsaId>(i)))
-                      .c_str(),
-                  fleet_isa_counts[i]);
-      first = false;
+      if (isa_counts[i] == 0) continue;
+      std::printf("%s%s %zu", separator,
+                  std::string(isa::IsaName(static_cast<isa::IsaId>(i))).c_str(),
+                  isa_counts[i]);
+      separator = ", ";
     }
     std::printf("\n");
   }
+  return devices;
+}
 
-  // --- Chaos soak path ------------------------------------------------------
-  if (soak) {
-    std::printf("soak: profile=%s seed=0x%llx (%zu rounds)\n",
-                soak_profile->name,
-                static_cast<unsigned long long>(soak_seed),
-                soak_profile->rounds);
-    return RunSoak(registry, *soak_profile, soak_seed, stats.devices,
-                   json_path);
+/// The --listen wire: a FleetServer plus the simulated device fleet that
+/// connects to it. Both outlive the campaign.
+struct Wire {
+  std::unique_ptr<net::FleetServer> server;
+  std::unique_ptr<net::SimClientFleet> clients;
+};
+
+/// Starts the wire for `devices`; returns the process exit code on
+/// failure. Transport choice shapes only the delivery path, never the
+/// bytes, so it stays out of the campaign fingerprint and a --listen run
+/// can resume a plain one.
+std::optional<int> StartWire(const fleet::DaemonConfig& config,
+                             const std::vector<fleet::DeviceId>& devices,
+                             Wire* wire) {
+  net::FleetServerConfig server_config;
+  server_config.port = *config.listen_port;
+  wire->server = std::make_unique<net::FleetServer>(server_config);
+  auto started = wire->server->Start();
+  if (!started.ok()) {
+    std::fprintf(stderr, "cannot start fleet server: %s\n",
+                 started.ToString().c_str());
+    return 1;
   }
+  const size_t want =
+      config.sim_clients == 0 ? devices.size() : config.sim_clients;
+  if (want < devices.size()) {
+    std::fprintf(stderr,
+                 "--sim-clients %zu is smaller than the enrolled fleet "
+                 "(%zu devices); every campaign target needs a "
+                 "connection\n",
+                 config.sim_clients, devices.size());
+    return 2;
+  }
+  net::SimClientFleetConfig fleet_config;
+  fleet_config.port = wire->server->port();
+  fleet_config.devices.assign(devices.begin(), devices.end());
+  // Extra connections beyond the enrolled fleet handshake and idle: they
+  // load the event loop without joining the campaign.
+  uint64_t synthetic = 0;
+  for (fleet::DeviceId id : devices) {
+    synthetic = std::max<uint64_t>(synthetic, id);
+  }
+  for (size_t extra = devices.size(); extra < want; ++extra) {
+    fleet_config.devices.push_back(++synthetic);
+  }
+  wire->clients =
+      std::make_unique<net::SimClientFleet>(std::move(fleet_config));
+  auto fleet_up = wire->clients->Start();
+  if (!fleet_up.ok()) {
+    std::fprintf(stderr, "cannot start sim client fleet: %s\n",
+                 fleet_up.ToString().c_str());
+    return 1;
+  }
+  if (!wire->server->WaitForDevices(want, 60'000)) {
+    std::fprintf(stderr,
+                 "sim fleet incomplete: %zu of %zu connections handshaken "
+                 "within 60 s\n",
+                 wire->server->connected_devices(), want);
+    return 1;
+  }
+  std::printf("listen: 127.0.0.1:%u, %zu device connections handshaken "
+              "(%zu campaign targets)\n",
+              wire->server->port(), wire->server->connected_devices(),
+              devices.size());
+  return std::nullopt;
+}
 
-  // --- Campaign -------------------------------------------------------------
+// --- The campaign pipeline --------------------------------------------------
+
+/// Stops the watchdog (one final evaluation) and then the exporter (one
+/// final snapshot) on every exit path, in that order, so the final
+/// snapshot's health section carries the final verdict.
+struct TelemetryShutdown {
+  obs::HealthMonitor* watchdog;
+  obs::MetricsExporter* exporter;
+  ~TelemetryShutdown() {
+    watchdog->Stop();
+    exporter->Stop();
+  }
+};
+
+/// Runs the one campaign this invocation asked for: resolve targets,
+/// match or begin the durable journal, arm the watchdog, bump the key
+/// epoch for a rotation, run the scheduler, report. Returns the process
+/// exit code.
+int RunCampaign(const fleet::DaemonConfig& config, const Program& program,
+                const Program& base, fleet::DeviceRegistry& registry,
+                const std::vector<fleet::DeviceId>& fleet_targets,
+                net::DeliveryTransport* transport,
+                obs::MetricsExporter& exporter) {
   fleet::PackageCache cache;
   fleet::DeploymentEngine engine(registry, cache);
 
   fleet::CampaignConfig campaign;
-  campaign.source = program_source;
-  campaign.policy = policy;
-  campaign.compile_options = compile_options;
-  campaign.devices = all_devices;  // across all groups
-  campaign.workers = workers;
-  campaign.max_attempts = attempts;
-  campaign.channel = channel;
-  campaign.fault_rate = fault_rate;
-  campaign.delivery_latency_us = latency_us;
-  campaign.delta = delta;
-  campaign.delta_base_source = base_source;
-
-  // --- Wire transport (--listen) --------------------------------------------
-  // The server and the simulated device fleet outlive every campaign
-  // path below; campaign.transport routes each delivery over their
-  // sockets instead of the in-process channel. Transport choice shapes
-  // only the delivery path, never the bytes, so it stays out of the
-  // campaign fingerprint and a --listen run can resume a plain one.
-  std::unique_ptr<net::FleetServer> listen_server;
-  std::unique_ptr<net::SimClientFleet> sim_fleet;
-  if (listen_port >= 0) {
-    net::FleetServerConfig server_config;
-    server_config.port = static_cast<uint16_t>(listen_port);
-    listen_server = std::make_unique<net::FleetServer>(server_config);
-    auto started = listen_server->Start();
-    if (!started.ok()) {
-      std::fprintf(stderr, "cannot start fleet server: %s\n",
-                   started.ToString().c_str());
-      return 1;
-    }
-    size_t want_clients = sim_clients == 0 ? all_devices.size() : sim_clients;
-    if (want_clients < all_devices.size()) {
-      std::fprintf(stderr,
-                   "--sim-clients %zu is smaller than the enrolled fleet "
-                   "(%zu devices); every campaign target needs a "
-                   "connection\n",
-                   sim_clients, all_devices.size());
-      return 2;
-    }
-    net::SimClientFleetConfig fleet_config;
-    fleet_config.port = listen_server->port();
-    fleet_config.devices.assign(all_devices.begin(), all_devices.end());
-    // Extra connections beyond the enrolled fleet handshake and idle:
-    // they load the event loop without joining the campaign.
-    uint64_t synthetic = 0;
-    for (fleet::DeviceId id : all_devices) {
-      synthetic = std::max<uint64_t>(synthetic, id);
-    }
-    for (size_t extra = all_devices.size(); extra < want_clients; ++extra) {
-      fleet_config.devices.push_back(++synthetic);
-    }
-    sim_fleet = std::make_unique<net::SimClientFleet>(std::move(fleet_config));
-    auto fleet_up = sim_fleet->Start();
-    if (!fleet_up.ok()) {
-      std::fprintf(stderr, "cannot start sim client fleet: %s\n",
-                   fleet_up.ToString().c_str());
-      return 1;
-    }
-    if (!listen_server->WaitForDevices(want_clients, 60'000)) {
-      std::fprintf(stderr,
-                   "sim fleet incomplete: %zu of %zu connections "
-                   "handshaken within 60 s\n",
-                   listen_server->connected_devices(), want_clients);
-      return 1;
-    }
-    std::printf("listen: 127.0.0.1:%u, %zu device connections handshaken "
-                "(%zu campaign targets)\n",
-                listen_server->port(), listen_server->connected_devices(),
-                all_devices.size());
-    campaign.transport = listen_server.get();
-  }
+  campaign.source = program.source;
+  campaign.policy = config.policy;
+  campaign.compile_options = config.compile_options;
+  campaign.devices = fleet_targets;  // across all groups
+  campaign.workers = config.workers;
+  campaign.max_attempts = config.attempts;
+  campaign.channel.fault = config.fault;
+  campaign.fault_rate = config.fault_rate;
+  campaign.delivery_latency_us = config.latency_us;
+  campaign.delta = config.delta;
+  campaign.delta_base_source = base.source;
+  campaign.transport = transport;
 
   // Version identities: what manifests record, what resume matches on.
   const uint64_t target_version = fleet::ProgramVersionFingerprint(
-      program_source, policy, compile_options);
+      program.source, config.policy, config.compile_options);
   const uint64_t base_version =
-      delta ? fleet::ProgramVersionFingerprint(base_source, policy,
-                                               compile_options)
-            : 0;
+      config.delta ? fleet::ProgramVersionFingerprint(
+                         base.source, config.policy, config.compile_options)
+                   : 0;
 
-  // --- Rotation target selection --------------------------------------------
-  // A rotation campaign targets the rotated group only; its target epoch
-  // defaults to current+1 and is overridden by the journal on resume.
-  uint64_t rotate_target_epoch = 0;
-  if (rotate_group != 0) {
-    auto members = registry.GroupMembers(rotate_group);
-    auto epoch = registry.GroupEpoch(rotate_group);
+  // A rotation targets the rotated group only; its target epoch defaults
+  // to current+1 and is overridden by the journal on resume.
+  uint64_t rotate_epoch = 0;
+  if (config.rotate_group != 0) {
+    auto members = registry.GroupMembers(config.rotate_group);
+    auto epoch = registry.GroupEpoch(config.rotate_group);
     if (!members.ok() || !epoch.ok()) {
       std::fprintf(stderr, "--rotate-epoch: unknown group %llu\n",
-                   static_cast<unsigned long long>(rotate_group));
+                   static_cast<unsigned long long>(config.rotate_group));
       return 1;
     }
     campaign.devices = *members;
-    rotate_target_epoch = *epoch + 1;
+    rotate_epoch = *epoch + 1;
   }
 
-  // --- Durable campaign checkpoints -----------------------------------------
-  fleet::CampaignJournal journal;
-  bool journal_active = false;
-  bool resumed = false;
-  size_t previously_completed = 0;
-  // Targets durably checkpointed as failed before the crash: excluded
-  // from the resume set (their retry budget is spent) but they must
-  // still fail the campaign's exit code and show in the report.
-  uint64_t previously_failed = 0;
-  size_t original_targets = campaign.devices.size();
+  // --- Durable campaign checkpoints ---
+  ReportContext context;
+  context.program = program.name;
+  context.original_targets = campaign.devices.size();
+  context.fleet_devices = registry.Stats().devices;
   // The full original target set (resume included): what the manifest
-  // completion count in the JSON report is computed over.
+  // completion count in the report is computed over.
   std::vector<fleet::DeviceId> manifest_targets = campaign.devices;
-  if (!state_dir.empty()) {
-    auto opened = journal.Open(state_dir);
+  fleet::CampaignJournal journal;
+  const bool journaled = !config.state_dir.empty();
+  if (journaled) {
+    auto opened = journal.Open(config.state_dir);
     if (!opened.ok()) {
       std::fprintf(stderr, "cannot open campaign journal: %s\n",
                    opened.ToString().c_str());
       return 1;
     }
     const auto& recovered = journal.recovered();
-    if (recovered.active && resume) {
-      // A resumed rotation continues to the *journaled* target epoch:
-      // the registry may or may not have durably bumped before the
-      // crash, and recomputing current+1 here would rotate one epoch
-      // too far whenever it had.
-      if (rotate_group != 0 && recovered.rotation &&
-          recovered.rotation_group == rotate_group) {
-        rotate_target_epoch = recovered.rotation_epoch;
-      }
-      if (recovered.rotation && rotate_group == 0) {
+    if (recovered.active && !config.resume) {
+      std::fprintf(stderr,
+                   "an interrupted campaign is checkpointed in %s; rerun "
+                   "with --resume to continue it\n",
+                   config.state_dir.c_str());
+      return 1;
+    }
+    if (recovered.active) {
+      if (recovered.rotation && config.rotate_group == 0) {
         std::fprintf(stderr,
                      "refusing to resume: the interrupted campaign is a key "
                      "rotation; rerun with --rotate-epoch %llu\n",
-                     static_cast<unsigned long long>(
-                         recovered.rotation_group));
+                     static_cast<unsigned long long>(recovered.rotation_group));
         return 1;
       }
-      if (!recovered.rotation && rotate_group != 0) {
+      if (!recovered.rotation && config.rotate_group != 0) {
         std::fprintf(stderr,
                      "refusing to resume: the interrupted campaign is not a "
                      "key rotation (drop --rotate-epoch)\n");
         return 1;
       }
-    }
-    const uint64_t fingerprint = CampaignFingerprint(
-        program_source, mode, fraction, campaign.campaign_seed, fault_name,
-        fault_rate, attempts, rotate_group, rotate_target_epoch, delta,
-        base_version);
-    if (recovered.active) {
-      if (!resume) {
-        std::fprintf(stderr,
-                     "an interrupted campaign is checkpointed in %s; rerun "
-                     "with --resume to continue it\n", state_dir.c_str());
-        return 1;
+      // A resumed rotation continues to the *journaled* target epoch:
+      // the registry may or may not have durably bumped before the
+      // crash, and recomputing current+1 here would rotate one epoch too
+      // far whenever it had.
+      if (recovered.rotation &&
+          recovered.rotation_group == config.rotate_group) {
+        rotate_epoch = recovered.rotation_epoch;
       }
+    }
+    const uint64_t fingerprint =
+        fleet::CampaignFingerprint(config, program.source,
+                                   campaign.campaign_seed, rotate_epoch,
+                                   base_version);
+    if (recovered.active) {
       if (recovered.campaign_fingerprint != fingerprint) {
         std::fprintf(stderr,
                      "refusing to resume: the interrupted campaign ran a "
@@ -1415,49 +1155,31 @@ int main(int argc, char** argv) {
       }
       manifest_targets = recovered.targets;
       campaign.devices = recovered.RemainingTargets();
-      previously_completed = recovered.completed.size();
-      previously_failed = recovered.failed;
-      original_targets = recovered.targets.size();
-      resumed = true;
+      context.resumed = true;
+      context.previously_completed = recovered.completed.size();
+      context.previously_failed = recovered.failed;
+      context.original_targets = recovered.targets.size();
       std::printf("resume: %zu of %zu targets already checkpointed "
-                  "(%llu failed), %zu remain\n", previously_completed,
-                  original_targets,
-                  static_cast<unsigned long long>(previously_failed),
+                  "(%llu failed), %zu remain\n",
+                  context.previously_completed, context.original_targets,
+                  static_cast<unsigned long long>(context.previously_failed),
                   campaign.devices.size());
       if (recovered.watchdog) {
         const char* verb = recovered.watchdog_abort ? "aborted" : "paused";
         std::printf(
             "resume: campaign was %s by the health watchdog: SLO %s "
             "observed %.6g > %.6g (burn %.2fx)\n",
-            verb, recovered.watchdog_slo.c_str(),
-            recovered.watchdog_observed, recovered.watchdog_threshold,
-            recovered.watchdog_burn);
-        if (!ack_watchdog) {
+            verb, recovered.watchdog_slo.c_str(), recovered.watchdog_observed,
+            recovered.watchdog_threshold, recovered.watchdog_burn);
+        if (!config.ack_watchdog) {
           std::fprintf(stderr,
                        "refusing to resume a watchdog-%s campaign; rerun "
                        "with --resume --ack-watchdog to acknowledge the "
                        "breach and continue\n",
                        verb);
-          if (!json_path.empty()) {
-            JsonWriter json;
-            json.BeginObject();
-            json.Field("tool", "eric_fleetd");
-            json.Field("watchdog_stopped", true);
-            json.Field("watchdog_aborted", recovered.watchdog_abort);
-            json.Field("slo", recovered.watchdog_slo);
-            json.Field("observed", recovered.watchdog_observed);
-            json.Field("threshold", recovered.watchdog_threshold);
-            json.Field("burn_rate", recovered.watchdog_burn);
-            json.Field("previously_completed", previously_completed);
-            json.Field("previously_failed", previously_failed);
-            json.Field("original_targets", original_targets);
-            json.Field("remaining", campaign.devices.size());
-            json.EndObject();
-            if (!json.WriteFile(json_path.c_str())) {
-              std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-            } else {
-              std::printf("wrote %s\n", json_path.c_str());
-            }
+          if (!config.json_path.empty()) {
+            WriteWatchdogStopJson(config.json_path, recovered,
+                                  campaign.devices.size());
           }
           return 3;
         }
@@ -1466,77 +1188,56 @@ int main(int argc, char** argv) {
                     recovered.watchdog_abort ? "abort" : "pause");
       }
     } else {
-      if (resume) {
+      if (config.resume) {
         std::printf("resume: no interrupted campaign in %s; starting "
-                    "fresh\n", state_dir.c_str());
+                    "fresh\n", config.state_dir.c_str());
       }
-      auto begun =
-          rotate_group != 0
-              ? journal.BeginRotation(fingerprint, campaign.devices,
-                                      rotate_group, rotate_target_epoch)
-              : journal.Begin(fingerprint, campaign.devices);
+      auto begun = config.rotate_group != 0
+                       ? journal.BeginRotation(fingerprint, campaign.devices,
+                                               config.rotate_group,
+                                               rotate_epoch)
+                       : journal.Begin(fingerprint, campaign.devices);
       if (!begun.ok()) {
         std::fprintf(stderr, "cannot begin campaign journal: %s\n",
                      begun.ToString().c_str());
         return 1;
       }
     }
-    journal_active = true;
-  }
-  if (resumed && campaign.devices.empty()) {
-    // The crash landed between the last checkpoint and the end record:
-    // nothing to dispatch, but --json consumers still get a report.
-    std::printf("resume: every target already has a durable outcome; "
-                "campaign complete\n");
-    if (!json_path.empty()) {
-      ReportContext context{&program_name, &mode, true, previously_completed,
-                            previously_failed, original_targets,
-                            stats.devices};
-      JsonWriter json;
-      json.BeginObject();
-      WriteCommonJson(json, context);
-      json.Field("devices", size_t{0});
-      json.Field("succeeded", size_t{0});
-      json.Field("failed", size_t{0});
-      json.Field("revoked", size_t{0});
-      json.Field("deliveries", size_t{0});
-      json.Field("retries", size_t{0});
-      json.Field("delta", delta);
-      json.Field("delta_deliveries", size_t{0});
-      json.Field("full_deliveries", size_t{0});
-      json.Field("delta_fallbacks", size_t{0});
-      json.Field("bytes_shipped", size_t{0});
-      json.Field("bytes_full_equivalent", size_t{0});
-      json.Field("manifest_current",
-                 CountManifestsAt(registry, manifest_targets, target_version));
-      WriteTelemetryJson(json);
-      json.EndObject();
-      if (!json.WriteFile(json_path.c_str())) {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-        return 1;
-      }
-      std::printf("wrote %s\n", json_path.c_str());
-    }
-    if (!journal.Complete().ok()) return 1;
-    return previously_failed == 0 ? 0 : 1;
   }
 
-  std::printf("campaign: %s, %s encryption, %zu workers, %u attempts, "
-              "fault=%s rate=%.2f\n",
-              program_name.c_str(), mode.c_str(), workers, attempts,
-              fault_name.c_str(), fault_rate);
-
-  // --- Health watchdog ------------------------------------------------------
-  // One control block shared by every campaign path below, so the
-  // watchdog's breach action can pause or cancel whichever path runs.
   // Declaration order is the safety argument: the watchdog (and the
   // shutdown guard after it) is declared after the journal and the
   // control, so its breach action can never fire against a destroyed
   // journal or control block.
   fleet::CampaignControl control;
   obs::HealthMonitor watchdog;
-  if (!slo_specs.empty()) {
-    for (const auto& spec : slo_specs) {
+  TelemetryShutdown telemetry_shutdown{&watchdog, &exporter};
+  fleet::ScheduledReport scheduled;  // empty when nothing is left to run
+  std::optional<fleet::RotationReport> rotated;
+
+  if (context.resumed && campaign.devices.empty()) {
+    // The crash landed between the last checkpoint and the end record:
+    // nothing to dispatch, but --json consumers still get a report.
+    std::printf("resume: every target already has a durable outcome; "
+                "campaign complete\n");
+  } else {
+    std::printf("campaign: %s, %s encryption, %zu workers, %u attempts, "
+                "fault=%s rate=%.2f\n",
+                program.name.c_str(), config.mode.c_str(), config.workers,
+                config.attempts, config.fault_name.c_str(),
+                config.fault_rate);
+    const fleet::SchedulerConfig& rollout = config.rollout;
+    if (rollout.canary_size > 0 || rollout.wave_size > 0 ||
+        rollout.limits.dispatch_rate > 0 ||
+        rollout.limits.group_concurrency > 0) {
+      std::printf("rollout:  canary=%zu (threshold %.2f), wave-size=%zu, "
+                  "rate=%.0f/s, group-concurrency=%zu\n",
+                  rollout.canary_size, rollout.canary_failure_threshold,
+                  rollout.wave_size, rollout.limits.dispatch_rate,
+                  rollout.limits.group_concurrency);
+    }
+
+    for (const auto& spec : config.slos) {
       auto added = watchdog.AddSlo(spec);
       if (!added.ok()) {
         std::fprintf(stderr, "--slo %s: %s\n",
@@ -1546,384 +1247,205 @@ int main(int argc, char** argv) {
       }
       std::printf("watchdog: %s\n", obs::FormatSloSpec(spec).c_str());
     }
-    watchdog.SetBreachAction([&](const obs::BreachInfo& breach) {
-      std::fprintf(stderr,
-                   "watchdog: SLO %s breached: observed %.6g > %.6g "
-                   "(burn %.2fx, n=%llu) -> %s\n",
-                   breach.slo_name.c_str(), breach.observed,
-                   breach.threshold, breach.burn_rate,
-                   static_cast<unsigned long long>(breach.window_count),
-                   std::string(obs::BreachPolicyName(breach.policy))
-                       .c_str());
-      if (breach.policy == obs::BreachPolicy::kLog) return;
-      const bool abort = breach.policy == obs::BreachPolicy::kAbort;
-      // Journal before control: a kill -9 landing between the two still
-      // resumes into a watchdog-stopped campaign, never a silently
-      // half-paused one.
-      if (journal_active) {
-        auto noted = journal.NoteWatchdog(breach.slo_name, abort,
-                                          breach.observed, breach.threshold,
-                                          breach.burn_rate);
-        if (!noted.ok()) {
-          std::fprintf(stderr, "watchdog: cannot journal the breach: %s\n",
-                       noted.ToString().c_str());
+    if (!config.slos.empty()) {
+      watchdog.SetBreachAction([&](const obs::BreachInfo& breach) {
+        std::fprintf(stderr,
+                     "watchdog: SLO %s breached: observed %.6g > %.6g "
+                     "(burn %.2fx, n=%llu) -> %s\n",
+                     breach.slo_name.c_str(), breach.observed,
+                     breach.threshold, breach.burn_rate,
+                     static_cast<unsigned long long>(breach.window_count),
+                     std::string(obs::BreachPolicyName(breach.policy))
+                         .c_str());
+        if (breach.policy == obs::BreachPolicy::kLog) return;
+        const bool abort = breach.policy == obs::BreachPolicy::kAbort;
+        // Journal before control: a kill -9 landing between the two
+        // still resumes into a watchdog-stopped campaign, never a
+        // silently half-paused one.
+        if (journaled) {
+          auto noted = journal.NoteWatchdog(breach.slo_name, abort,
+                                            breach.observed,
+                                            breach.threshold,
+                                            breach.burn_rate);
+          if (!noted.ok()) {
+            std::fprintf(stderr, "watchdog: cannot journal the breach: %s\n",
+                         noted.ToString().c_str());
+          }
         }
+        if (abort) {
+          control.Cancel();
+        } else {
+          control.Pause();
+        }
+      });
+      obs::SetGlobalHealthMonitor(&watchdog);
+      auto started = watchdog.Start(config.slo_interval);
+      if (!started.ok()) {
+        std::fprintf(stderr, "cannot start health watchdog: %s\n",
+                     started.ToString().c_str());
+        return 1;
       }
-      if (abort) {
-        control.Cancel();
-      } else {
-        control.Pause();
-      }
-    });
-    obs::SetGlobalHealthMonitor(&watchdog);
-    auto started = watchdog.Start(slo_interval);
-    if (!started.ok()) {
-      std::fprintf(stderr, "cannot start health watchdog: %s\n",
-                   started.ToString().c_str());
-      return 1;
     }
-  }
-  // Stops the watchdog (one final evaluation) and then the exporter
-  // (one final snapshot) on every exit path below — in that order, so
-  // the final snapshot's health section carries the final verdict.
-  struct TelemetryShutdown {
-    obs::HealthMonitor* watchdog;
-    obs::MetricsExporter* exporter;
-    ~TelemetryShutdown() {
-      watchdog->Stop();
-      exporter->Stop();
-    }
-  } telemetry_shutdown{&watchdog, &exporter};
-
-  // --- Key-epoch rotation campaign path -------------------------------------
-  if (rotate_group != 0) {
-    if (canary_threshold < 0) canary_threshold = 0.1;
-    if (burst < 0) burst = 1.0;
-    fleet::SchedulerConfig rollout;
-    rollout.canary_size = canary;
-    rollout.canary_failure_threshold = canary_threshold;
-    rollout.wave_size = wave_size;
-    rollout.shuffle_targets = shuffle;
-    rollout.limits.dispatch_rate = rate;
-    rollout.limits.dispatch_burst = burst;
-    rollout.limits.group_concurrency = group_concurrency;
-
-    fleet::RotationConfig rotation_config;
-    rotation_config.group = rotate_group;
-    rotation_config.target_epoch = rotate_target_epoch;
-    rotation_config.campaign = campaign;
-    rotation_config.rollout = rollout;
-
-    if (journal_active) {
+    if (journaled) {
       control.AttachCheckpointSink(&journal);
       journal.CancelCampaignOnError(&control);
     }
-    fleet::RotationCampaign rotation(engine, registry, cache);
-    auto rotated = rotation.Run(rotation_config, &control);
-    if (!rotated.ok()) {
-      std::fprintf(stderr, "rotation campaign failed: %s\n",
-                   rotated.status().ToString().c_str());
-      return 1;
-    }
-    if (journal_active) {
-      auto journal_error = journal.last_error();
-      if (!journal_error.ok()) {
-        std::fprintf(stderr, "checkpoint append failed: %s\n",
-                     journal_error.ToString().c_str());
+
+    if (config.rotate_group != 0) {
+      fleet::RotationCampaign rotation(engine, registry, cache);
+      auto bumped = rotation.Bump(config.rotate_group, rotate_epoch);
+      if (!bumped.ok()) {
+        std::fprintf(stderr, "rotation campaign failed: %s\n",
+                     bumped.status().ToString().c_str());
         return 1;
       }
-      if (rotated->rollout.outcome != fleet::CampaignOutcome::kCancelled &&
-          !journal.Complete().ok()) {
-        return 1;
-      }
+      rotated = std::move(*bumped);
+      std::printf("rotation: group %llu epoch %llu -> %llu%s, %zu members "
+                  "re-keyed, %zu stale artifacts invalidated "
+                  "(bump %.1f ms, invalidate %.2f ms)\n",
+                  static_cast<unsigned long long>(config.rotate_group),
+                  static_cast<unsigned long long>(rotated->old_epoch),
+                  static_cast<unsigned long long>(rotated->new_epoch),
+                  rotated->bumped ? "" : " (already durable; resume)",
+                  rotated->members_rekeyed, rotated->artifacts_invalidated,
+                  rotated->bump_ms, rotated->invalidate_ms);
     }
 
-    std::printf("rotation: group %llu epoch %llu -> %llu%s, %zu members "
-                "re-keyed, %zu stale artifacts invalidated "
-                "(bump %.1f ms, invalidate %.2f ms)\n",
-                static_cast<unsigned long long>(rotate_group),
-                static_cast<unsigned long long>(rotated->old_epoch),
-                static_cast<unsigned long long>(rotated->new_epoch),
-                rotated->bumped ? "" : " (already durable; resume)",
-                rotated->members_rekeyed, rotated->artifacts_invalidated,
-                rotated->bump_ms, rotated->invalidate_ms);
-    PrintScheduledReport(rotated->rollout);
-    WarnManifestFailures(rotated->rollout.manifest_update_failures);
-
-    if (!json_path.empty()) {
-      ReportContext context{&program_name, &mode, resumed,
-                            previously_completed, previously_failed,
-                            original_targets, stats.devices};
-      JsonWriter json;
-      json.BeginObject();
-      WriteCommonJson(json, context);
-      WriteScheduledJson(json, rotated->rollout);
-      json.Key("rotation");
-      json.BeginObject();
-      json.Field("group", rotate_group);
-      json.Field("old_epoch", rotated->old_epoch);
-      json.Field("new_epoch", rotated->new_epoch);
-      json.Field("bumped", rotated->bumped);
-      json.Field("members_rekeyed", rotated->members_rekeyed);
-      json.Field("artifacts_invalidated", rotated->artifacts_invalidated);
-      json.EndObject();
-      WriteTelemetryJson(json);
-      json.EndObject();
-      if (!json.WriteFile(json_path.c_str())) {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-        return 1;
-      }
-      std::printf("wrote %s\n", json_path.c_str());
-    }
-
-    return ScheduledCampaignComplete(rotated->rollout, previously_failed)
-               ? 0
-               : 1;
-  }
-
-  // --- Scheduled (waved) campaign path --------------------------------------
-  const bool use_scheduler = canary > 0 || wave_size > 0 || rate > 0 ||
-                             group_concurrency > 0 || pause_after_ms > 0 ||
-                             shuffle;
-  if (!use_scheduler &&
-      (canary_threshold >= 0 || burst >= 0 || pause_for_ms >= 0)) {
-    std::fprintf(stderr,
-                 "warning: --canary-threshold/--burst/--pause-for modify the "
-                 "scheduled path only; add --canary, --wave-size, --rate, "
-                 "--group-concurrency, --pause-after, or --shuffle to "
-                 "activate it\n");
-  }
-  if (use_scheduler) {
-    if (canary_threshold < 0) canary_threshold = 0.1;
-    if (burst < 0) burst = 1.0;
-    if (pause_for_ms < 0) pause_for_ms = 250;
-    fleet::SchedulerConfig policy;
-    policy.canary_size = canary;
-    policy.canary_failure_threshold = canary_threshold;
-    policy.wave_size = wave_size;
-    policy.shuffle_targets = shuffle;
-    policy.limits.dispatch_rate = rate;
-    policy.limits.dispatch_burst = burst;
-    policy.limits.group_concurrency = group_concurrency;
-
-    std::printf("rollout:  canary=%zu (threshold %.2f), wave-size=%zu, "
-                "rate=%.0f/s, group-concurrency=%zu\n",
-                canary, canary_threshold, wave_size, rate, group_concurrency);
-
-    fleet::CampaignScheduler scheduler(engine, registry);
-    if (journal_active) {
-      control.AttachCheckpointSink(&journal);
-      journal.CancelCampaignOnError(&control);
-    }
     std::thread pauser;
-    if (pause_after_ms > 0) {
+    if (config.pause_after_ms > 0) {
       pauser = std::thread([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(pause_after_ms));
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(config.pause_after_ms));
         control.Pause();
         const auto at_pause = control.progress();
         std::printf("[control] paused %u ms in (wave %u, %llu deliveries)\n",
-                    pause_after_ms, at_pause.waves_started,
+                    config.pause_after_ms, at_pause.waves_started,
                     static_cast<unsigned long long>(at_pause.deliveries));
-        std::this_thread::sleep_for(std::chrono::milliseconds(pause_for_ms));
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(config.pause_for_ms));
         control.Resume();
-        std::printf("[control] resumed after %lld ms\n",
-                    static_cast<long long>(pause_for_ms));
+        std::printf("[control] resumed after %u ms\n", config.pause_for_ms);
       });
     }
-
-    auto scheduled = scheduler.Run(campaign, policy, &control);
+    fleet::CampaignScheduler scheduler(engine, registry);
+    auto ran = scheduler.Run(campaign, config.rollout, &control);
     if (pauser.joinable()) pauser.join();
-    if (!scheduled.ok()) {
+    if (!ran.ok()) {
       std::fprintf(stderr, "campaign failed: %s\n",
-                   scheduled.status().ToString().c_str());
+                   ran.status().ToString().c_str());
       return 1;
     }
-    if (journal_active) {
-      auto journal_error = journal.last_error();
-      if (!journal_error.ok()) {
-        std::fprintf(stderr, "checkpoint append failed: %s\n",
-                     journal_error.ToString().c_str());
-        return 1;
-      }
-      // A cancelled campaign stays open for --resume; a completed or
-      // gate-aborted one is over (a gate abort is a policy decision, not
-      // lost work).
-      if (scheduled->outcome != fleet::CampaignOutcome::kCancelled &&
-          !journal.Complete().ok()) {
-        return 1;
-      }
+    scheduled = std::move(*ran);
+    if (journaled && !journal.last_error().ok()) {
+      std::fprintf(stderr, "checkpoint append failed: %s\n",
+                   journal.last_error().ToString().c_str());
+      return 1;
     }
-
-    PrintScheduledReport(*scheduled);
-    WarnManifestFailures(scheduled->manifest_update_failures);
-
-    if (!json_path.empty()) {
-      ReportContext context{&program_name, &mode, resumed,
-                            previously_completed, previously_failed,
-                            original_targets, stats.devices};
-      JsonWriter json;
-      json.BeginObject();
-      WriteCommonJson(json, context);
-      WriteScheduledJson(json, *scheduled);
-      json.Field("delta", delta);
-      json.Field("manifest_current",
-                 CountManifestsAt(registry, manifest_targets, target_version));
-      WriteTelemetryJson(json);
-      json.EndObject();
-      if (!json.WriteFile(json_path.c_str())) {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-        return 1;
-      }
-      std::printf("wrote %s\n", json_path.c_str());
-    }
-
-    return ScheduledCampaignComplete(*scheduled, previously_failed) ? 0 : 1;
   }
-
-  // --- Flat (unscheduled) campaign path -------------------------------------
-  // With a journal or a watchdog attached the flat path still needs a
-  // (limitless) governor: it is the conduit that carries each target's
-  // final outcome to the durable checkpoint sink, and the lever the
-  // watchdog's pause/cancel acts through.
-  fleet::DispatchGovernor flat_governor({}, &control);
-  if (journal_active) {
-    control.AttachCheckpointSink(&journal);
-    journal.CancelCampaignOnError(&control);
-  }
-  if (journal_active || watchdog.running()) {
-    campaign.governor = &flat_governor;
-  }
-  auto report = engine.Run(campaign);
-  if (!report.ok()) {
-    std::fprintf(stderr, "campaign failed: %s\n",
-                 report.status().ToString().c_str());
+  // A cancelled campaign stays open for --resume; a completed or
+  // gate-aborted one is over (a gate abort is a policy decision, not
+  // lost work).
+  if (journaled && scheduled.outcome != fleet::CampaignOutcome::kCancelled &&
+      !journal.Complete().ok()) {
     return 1;
   }
-  if (journal_active) {
-    auto journal_error = journal.last_error();
-    if (!journal_error.ok()) {
-      std::fprintf(stderr, "checkpoint append failed: %s\n",
-                   journal_error.ToString().c_str());
+
+  PrintReport(scheduled, config);
+  if (scheduled.manifest_update_failures > 0) {
+    // The deliveries stand; the affected devices simply mis-diff (and
+    // get full packages) next campaign.
+    std::fprintf(stderr,
+                 "warning: %llu delivered manifest update(s) could not be "
+                 "made durable\n",
+                 static_cast<unsigned long long>(
+                     scheduled.manifest_update_failures));
+  }
+  if (!config.json_path.empty() &&
+      !WriteReportJson(config.json_path, context, config, scheduled,
+                       rotated ? &*rotated : nullptr,
+                       CountManifestsAt(registry, manifest_targets,
+                                        target_version))) {
+    return 1;
+  }
+  // Complete: every non-revoked target of this run succeeded and no
+  // target was durably checkpointed as failed before a resume.
+  const bool complete =
+      scheduled.outcome == fleet::CampaignOutcome::kCompleted &&
+      scheduled.succeeded == scheduled.targets - scheduled.revoked &&
+      context.previously_failed == 0;
+  return complete ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  auto parsed =
+      fleet::ParseDaemonConfig(std::vector<std::string>(argv + 1, argv + argc));
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n%s", parsed.status().message().c_str(),
+                 fleet::DaemonUsage());
+    return 2;
+  }
+  const fleet::DaemonConfig& config = *parsed;
+  for (const auto& warning : config.warnings) {
+    std::fprintf(stderr, "warning: %s\n", warning.c_str());
+  }
+
+  Program program, base;
+  if (!LoadProgram(config.source_path, config.workload_name, &program) ||
+      (config.delta && !LoadProgram(config.base_source_path,
+                                    config.base_workload_name, &base))) {
+    return 1;
+  }
+
+  // The exporter starts before the fleet stands up (enrollment gauges are
+  // telemetry too) and flushes one final snapshot on every exit path.
+  if (!config.trace_out.empty()) obs::TraceCollector::Global().Enable();
+  obs::MetricsExporter exporter;
+  if (!config.metrics_out.empty() || !config.trace_out.empty()) {
+    obs::MetricsExporter::Options telemetry;
+    telemetry.json_path = config.metrics_out;
+    telemetry.trace_path = config.trace_out;
+    telemetry.interval_seconds = config.metrics_interval;
+    auto started = exporter.Start(std::move(telemetry));
+    if (!started.ok()) {
+      std::fprintf(stderr, "cannot start telemetry exporter: %s\n",
+                   started.ToString().c_str());
       return 1;
     }
-    if (report->skipped == 0 && !journal.Complete().ok()) return 1;
-  }
-  WarnManifestFailures(report->manifest_update_failures);
-
-  if (verbose) {
-    for (const auto& outcome : report->outcomes) {
-      std::printf("  device %llu: %s attempts=%u %s\n",
-                  static_cast<unsigned long long>(outcome.device),
-                  outcome.ok ? "ok" : (outcome.revoked ? "revoked" : "FAILED"),
-                  outcome.attempts,
-                  outcome.ok ? "" : outcome.last_status.ToString().c_str());
+    if (!config.metrics_out.empty()) {
+      std::printf("telemetry: metrics -> %s (+ .prom) every %.2f s%s%s\n",
+                  config.metrics_out.c_str(), config.metrics_interval,
+                  config.trace_out.empty() ? "" : ", spans -> ",
+                  config.trace_out.c_str());
+    } else {
+      std::printf("telemetry: spans -> %s\n", config.trace_out.c_str());
     }
   }
 
-  std::printf("\nresult: %llu ok / %llu failed / %llu revoked of %llu "
-              "targets\n",
-              static_cast<unsigned long long>(report->succeeded),
-              static_cast<unsigned long long>(report->failed),
-              static_cast<unsigned long long>(report->revoked),
-              static_cast<unsigned long long>(report->targets));
-  std::printf("wire:   %llu deliveries (%llu retries)\n",
-              static_cast<unsigned long long>(report->deliveries),
-              static_cast<unsigned long long>(report->retries));
-  if (report->rollbacks > 0 || report->health_failures > 0) {
-    std::printf("agent:  %llu targets rolled back, %llu health "
-                "rejections\n",
-                static_cast<unsigned long long>(report->rollbacks),
-                static_cast<unsigned long long>(report->health_failures));
-  }
-  if (delta) {
-    const double ratio =
-        report->bytes_full_equivalent == 0
-            ? 0.0
-            : static_cast<double>(report->bytes_shipped) /
-                  static_cast<double>(report->bytes_full_equivalent);
-    std::printf("delta:  %llu delta / %llu full deliveries (%llu fallbacks), "
-                "%llu of %llu bytes shipped (%.2fx)\n",
-                static_cast<unsigned long long>(report->delta_deliveries),
-                static_cast<unsigned long long>(report->full_deliveries),
-                static_cast<unsigned long long>(report->delta_fallbacks),
-                static_cast<unsigned long long>(report->bytes_shipped),
-                static_cast<unsigned long long>(report->bytes_full_equivalent),
-                ratio);
-  }
-  std::printf("time:   %.1f ms wall, %.0f devices/s, latency mean %.0f us "
-              "max %.0f us\n",
-              report->wall_ms, report->devices_per_second,
-              report->mean_latency_us, report->max_latency_us);
-  std::printf("cache:  %llu hits / %llu misses (%llu compiles)\n",
-              static_cast<unsigned long long>(report->cache_artifact_hits),
-              static_cast<unsigned long long>(report->cache_artifact_misses),
-              static_cast<unsigned long long>(report->cache_compile_misses));
-  {
-    size_t active_isas = 0;
-    for (const auto& slice : report->by_isa) {
-      if (slice.targets > 0) ++active_isas;
-    }
-    if (active_isas > 1) {
-      for (size_t i = 0; i < isa::kNumIsaIds; ++i) {
-        const fleet::CampaignIsaStats& slice = report->by_isa[i];
-        if (slice.targets == 0) continue;
-        std::printf(
-            "isa:    %s: %llu ok of %llu targets, %llu deliveries, "
-            "%llu bytes (%llu compiles, %llu seals)\n",
-            std::string(isa::IsaName(static_cast<isa::IsaId>(i))).c_str(),
-            static_cast<unsigned long long>(slice.succeeded),
-            static_cast<unsigned long long>(slice.targets),
-            static_cast<unsigned long long>(slice.deliveries),
-            static_cast<unsigned long long>(slice.bytes_shipped),
-            static_cast<unsigned long long>(slice.compile_builds),
-            static_cast<unsigned long long>(slice.seal_builds));
-      }
-    }
+  fleet::RegistryConfig registry_config;
+  registry_config.key_config.domain = "fleetd.v1";
+  fleet::DeviceRegistry registry(registry_config);
+  auto devices = StandUpFleet(config, registry);
+  if (!devices.ok()) {
+    std::fprintf(stderr, "fleet standup failed: %s\n",
+                 devices.status().ToString().c_str());
+    return 1;
   }
 
-  if (!json_path.empty()) {
-    ReportContext context{&program_name, &mode, resumed,
-                          previously_completed, previously_failed,
-                          original_targets, stats.devices};
-    JsonWriter json;
-    json.BeginObject();
-    WriteCommonJson(json, context);
-    json.Field("devices", report->targets);
-    json.Field("groups", groups);
-    json.Field("workers", workers);
-    json.Field("fault", fault_name);
-    json.Field("fault_rate", fault_rate);
-    json.Field("succeeded", report->succeeded);
-    json.Field("failed", report->failed);
-    json.Field("revoked", report->revoked);
-    json.Field("deliveries", report->deliveries);
-    json.Field("retries", report->retries);
-    json.Field("wall_ms", report->wall_ms);
-    json.Field("devices_per_second", report->devices_per_second);
-    json.Field("cache_hits", report->cache_artifact_hits);
-    json.Field("cache_misses", report->cache_artifact_misses);
-    json.Field("delta", delta);
-    json.Field("delta_deliveries", report->delta_deliveries);
-    json.Field("full_deliveries", report->full_deliveries);
-    json.Field("delta_fallbacks", report->delta_fallbacks);
-    json.Field("bytes_shipped", report->bytes_shipped);
-    json.Field("bytes_full_equivalent", report->bytes_full_equivalent);
-    json.Field("manifest_update_failures", report->manifest_update_failures);
-    json.Field("rollbacks", report->rollbacks);
-    json.Field("health_failures", report->health_failures);
-    json.Field("manifest_current",
-               CountManifestsAt(registry, manifest_targets, target_version));
-    json.Field("trace_id", report->trace_id);
-    WriteIsaJson(json, report->by_isa);
-    WriteTelemetryJson(json);
-    json.EndObject();
-    if (!json.WriteFile(json_path.c_str())) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
+  if (config.soak != nullptr) {
+    std::printf("soak: profile=%s seed=0x%llx (%zu rounds)\n",
+                config.soak->name,
+                static_cast<unsigned long long>(config.soak_seed),
+                config.soak->rounds);
+    return RunSoak(registry, *config.soak, config.soak_seed,
+                   registry.Stats().devices, config.json_path);
   }
 
-  const size_t expected_ok = report->targets - report->revoked;
-  return report->succeeded == expected_ok && previously_failed == 0 ? 0 : 1;
+  Wire wire;
+  if (config.listen_port) {
+    if (auto failed = StartWire(config, *devices, &wire)) return *failed;
+  }
+  return RunCampaign(config, program, base, registry, *devices,
+                     wire.server.get(), exporter);
 }
