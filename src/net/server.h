@@ -11,8 +11,8 @@
 // Connection state machine (per socket):
 //
 //   accepted --kHello--> handshaken --kDispatch/kDelivered pairs--> ...
-//       \                     \
-//        +--- idle timeout ----+--- EOF / error / idle ---> closed
+//       |                     |
+//       +--- idle timeout ----+--- EOF / error / idle ---> closed
 //
 // A frame the decoder cannot validate is skipped (resync) and counted;
 // it never tears the connection down. Every counter and latency lands

@@ -42,10 +42,26 @@ class Cache {
 
   /// Performs one access; returns cycles charged (hit or miss latency) and
   /// updates tag state + stats.
-  uint32_t Access(uint64_t addr);
+  uint32_t Access(uint64_t addr) {
+    const uint64_t line_addr =
+        pow2_ ? addr >> line_shift_ : addr / config_.line_bytes;
+    ++use_counter_;
+    // Same line as the last access: exactly the hit the set search below
+    // would find (that line cannot have been evicted since).
+    Line& last = lines_[last_line_];
+    if (line_addr == last_line_addr_ && last.valid) {
+      last.lru = use_counter_;
+      ++stats_.hits;
+      return config_.hit_cycles;
+    }
+    return Lookup(line_addr);
+  }
 
-  /// Invalidates all lines (program reload).
+  /// Invalidates all lines (program reload). Counters are kept.
   void Flush();
+
+  /// Zeroes the hit/miss counters (start of a run).
+  void ResetStats() { stats_ = {}; }
 
   const CacheStats& stats() const { return stats_; }
   const CacheConfig& config() const { return config_; }
@@ -57,10 +73,20 @@ class Cache {
     bool valid = false;
   };
 
+  /// Set search for `line_addr` (use_counter_ already bumped).
+  uint32_t Lookup(uint64_t line_addr);
+
   CacheConfig config_;
   uint32_t num_sets_;
+  // Line size and set count both powers of two: index by shift and mask.
+  bool pow2_ = false;
+  int line_shift_ = 0;
+  int set_shift_ = 0;
   std::vector<Line> lines_;  // num_sets * ways, row-major by set
   uint64_t use_counter_ = 0;
+  // Line index and line address of the last access.
+  size_t last_line_ = 0;
+  uint64_t last_line_addr_ = 0;
   CacheStats stats_;
 };
 

@@ -21,6 +21,7 @@ Cpu::Cpu(Memory& memory, const CpuTiming& timing, isa::IsaId isa)
       timing_(timing),
       backend_(isa::BackendFor(isa)),
       rv32_(backend_.xlen() == 32),
+      decode_shift_(backend_.supports_compressed() ? 1 : 2),
       icache_(timing.icache),
       dcache_(timing.dcache) {}
 
@@ -32,6 +33,33 @@ void Cpu::Reset(uint64_t entry_pc, uint64_t stack_pointer) {
   exit_code_ = 0;
   icache_.Flush();
   dcache_.Flush();
+  icache_.ResetStats();
+  dcache_.ResetStats();
+}
+
+void Cpu::CacheDecodes(uint64_t base, uint64_t bytes) {
+  decode_base_ = base;
+  decode_table_.assign((bytes >> decode_shift_) + 1, DecodedInstr{});
+}
+
+Instr Cpu::DecodeWord(uint32_t word) const {
+  const auto half = static_cast<uint16_t>(word);
+  // On ISAs without the C extension DecodeCompressed yields kInvalid: a
+  // compressed encoding halts the core instead of executing as something
+  // else.
+  return isa::IsWide(half) ? backend_.Decode(word)
+                           : backend_.DecodeCompressed(half);
+}
+
+inline Instr Cpu::Decode(uint32_t word) {
+  const uint64_t slot = (pc_ - decode_base_) >> decode_shift_;
+  if (slot >= decode_table_.size()) return DecodeWord(word);
+  DecodedInstr& entry = decode_table_[slot];
+  if (entry.word != word || entry.in.op == Op::kInvalid) {
+    entry.word = word;
+    entry.in = DecodeWord(word);
+  }
+  return entry.in;
 }
 
 namespace {
@@ -86,16 +114,7 @@ int64_t SignedUnsignedMulHigh(int64_t a, uint64_t b) {
 bool Cpu::Step(ExecStats& stats) {
   // Fetch (I-cache) and decode.
   stats.cycles += icache_.Access(pc_);
-  const uint16_t half = static_cast<uint16_t>(memory_.Read(pc_, 2));
-  Instr in;
-  if (isa::IsWide(half)) {
-    const uint32_t word = static_cast<uint32_t>(memory_.Read(pc_, 4));
-    in = backend_.Decode(word);
-  } else {
-    // On ISAs without the C extension this yields kInvalid: a compressed
-    // encoding halts the core instead of executing as something else.
-    in = backend_.DecodeCompressed(half);
-  }
+  const Instr in = Decode(static_cast<uint32_t>(memory_.Read(pc_, 4)));
 
   if (in.op == Op::kInvalid) {
     halt_ = HaltReason::kInvalidInstruction;
@@ -170,7 +189,8 @@ bool Cpu::Step(ExecStats& stats) {
       const uint64_t addr = ea(rs1() + static_cast<uint64_t>(in.imm));
       const int size = LoadSize(in.op);
       uint64_t value = 0;
-      if (mmio_.load && mmio_.load(addr, &value, size)) {
+      if (mmio_.Covers(addr) && mmio_.load &&
+          mmio_.load(addr, &value, size)) {
         // Device access: uncached, constant latency.
         stats.cycles += timing_.dcache.miss_cycles;
       } else {
@@ -184,7 +204,8 @@ bool Cpu::Step(ExecStats& stats) {
       ++stats.stores;
       const uint64_t addr = ea(rs1() + static_cast<uint64_t>(in.imm));
       const int size = StoreSize(in.op);
-      if (mmio_.store && mmio_.store(addr, rs2(), size)) {
+      if (mmio_.Covers(addr) && mmio_.store &&
+          mmio_.store(addr, rs2(), size)) {
         stats.cycles += timing_.dcache.miss_cycles;
         if (halt_ != HaltReason::kNone) return false;  // exit device
       } else {

@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "isa/decoder.h"
 #include "isa/instruction.h"
@@ -75,6 +76,12 @@ struct ExecStats {
 struct MmioHandlers {
   std::function<bool(uint64_t addr, uint64_t value, int size)> store;
   std::function<bool(uint64_t addr, uint64_t* value, int size)> load;
+  /// Device address range [first, last]: the core calls the handlers only
+  /// for addresses inside it. The default covers every address.
+  uint64_t first = 0;
+  uint64_t last = ~uint64_t{0};
+
+  bool Covers(uint64_t addr) const { return addr >= first && addr <= last; }
 };
 
 /// The core.
@@ -92,8 +99,13 @@ class Cpu {
   /// Installs device handlers (optional).
   void set_mmio(MmioHandlers handlers) { mmio_ = std::move(handlers); }
 
-  /// Resets architectural state; sets pc and sp.
+  /// Resets architectural state and the run's cache counters; sets pc
+  /// and sp.
   void Reset(uint64_t entry_pc, uint64_t stack_pointer);
+
+  /// Sizes the decode table to cover `bytes` of code at `base` (the loaded
+  /// image). Fetches outside it decode every time.
+  void CacheDecodes(uint64_t base, uint64_t bytes);
 
   /// Runs until halt or limit. Registers/pc retain final state.
   ExecStats Run(const ExecLimits& limits = {});
@@ -116,13 +128,31 @@ class Cpu {
   /// Executes one instruction; returns false on halt.
   bool Step(ExecStats& stats);
 
+  /// Decodes the 4 bytes fetched at pc_ (a compressed instruction uses the
+  /// low half), through the decode table when pc_ is inside it.
+  isa::Instr Decode(uint32_t word);
+  isa::Instr DecodeWord(uint32_t word) const;
+
+  // One slot per instruction-alignment unit of the cached image (2 bytes
+  // with the C extension, else 4). A slot is used only while its raw word
+  // equals the fetched bytes, so self-modifying stores need no
+  // invalidation, and a misaligned pc sharing a slot still decodes its
+  // own word; zero-initialized slots (kInvalid) never match.
+  struct DecodedInstr {
+    uint32_t word = 0;
+    isa::Instr in;
+  };
+
   Memory& memory_;
   CpuTiming timing_;
   const isa::IsaBackend& backend_;
   const bool rv32_;
+  const int decode_shift_;  // log2 of the decode table's slot stride
   Cache icache_;
   Cache dcache_;
   MmioHandlers mmio_;
+  uint64_t decode_base_ = 0;
+  std::vector<DecodedInstr> decode_table_;
 
   std::array<uint64_t, 32> regs_{};
   uint64_t pc_ = 0;

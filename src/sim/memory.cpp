@@ -1,32 +1,26 @@
 #include "sim/memory.h"
 
-#include <cstring>
+#include <algorithm>
 
 namespace eric::sim {
 
-Memory::Page* Memory::FindPage(uint64_t page_index) const {
+uint8_t* Memory::RefillTlb(uint64_t page_index) const {
   const auto it = pages_.find(page_index);
-  if (it == pages_.end()) return nullptr;
-  return const_cast<Page*>(&it->second);
+  if (it == pages_.end()) return nullptr;  // misses are never cached
+  // Node-based map: a page's vector, and so its data, never moves.
+  uint8_t* data = const_cast<uint8_t*>(it->second.data());
+  tlb_[page_index % kTlbEntries] = {page_index, data};
+  return data;
 }
 
-Memory::Page& Memory::TouchPage(uint64_t page_index) {
+uint8_t* Memory::TouchPage(uint64_t page_index) {
   Page& page = pages_[page_index];
   if (page.empty()) page.resize(kPageBytes, 0);
-  return page;
+  tlb_[page_index % kTlbEntries] = {page_index, page.data()};
+  return page.data();
 }
 
-uint8_t Memory::ReadByte(uint64_t addr) const {
-  const Page* page = FindPage(addr / kPageBytes);
-  if (page == nullptr) return 0;
-  return (*page)[addr % kPageBytes];
-}
-
-void Memory::WriteByte(uint64_t addr, uint8_t value) {
-  TouchPage(addr / kPageBytes)[addr % kPageBytes] = value;
-}
-
-uint64_t Memory::Read(uint64_t addr, int size) const {
+uint64_t Memory::ReadStraddling(uint64_t addr, int size) const {
   uint64_t value = 0;
   for (int i = 0; i < size; ++i) {
     value |= static_cast<uint64_t>(ReadByte(addr + i)) << (8 * i);
@@ -34,7 +28,7 @@ uint64_t Memory::Read(uint64_t addr, int size) const {
   return value;
 }
 
-void Memory::Write(uint64_t addr, uint64_t value, int size) {
+void Memory::WriteStraddling(uint64_t addr, uint64_t value, int size) {
   for (int i = 0; i < size; ++i) {
     WriteByte(addr + i, static_cast<uint8_t>(value >> (8 * i)));
   }
@@ -44,10 +38,10 @@ void Memory::WriteBlock(uint64_t addr, std::span<const uint8_t> bytes) {
   size_t done = 0;
   while (done < bytes.size()) {
     const uint64_t a = addr + done;
-    Page& page = TouchPage(a / kPageBytes);
+    uint8_t* page = TouchPage(a / kPageBytes);
     const size_t offset = a % kPageBytes;
     const size_t take = std::min(kPageBytes - offset, bytes.size() - done);
-    std::memcpy(page.data() + offset, bytes.data() + done, take);
+    std::memcpy(page + offset, bytes.data() + done, take);
     done += take;
   }
 }

@@ -3,27 +3,72 @@
 // Backed by 4 KiB pages allocated on first touch, so a 2 GiB address space
 // costs only what the workload touches. All accesses are little-endian,
 // matching RISC-V.
+//
+// The simulator keeps three host-side caches on its hot path. They buy host
+// speed only: every I-cache/D-cache access and every ExecStats increment
+// happens in the same order as without them, so modelled timing is
+// unchanged (tests/sim_test.cpp pins every counter of every kernel).
+//   * Page TLB (here): a small direct-mapped table from page index to page
+//     data, in front of the page map. Only resident pages are entered, so
+//     a read of an unmapped page is never remembered, and pages are never
+//     freed, so an entry cannot dangle. Accesses inside one page are a
+//     single word-wide copy; only page-straddling ones go byte by byte.
+//   * Decode table (Cpu): one decoded instruction per instruction slot of
+//     the loaded image, used only while its stored raw word equals the
+//     bytes just fetched, so a store into text needs no invalidation.
+//   * Last-line cache (Cache): an access to the line touched last skips
+//     the set search but updates LRU state and hit counts exactly as the
+//     search would.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <memory>
+#include <cstring>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 namespace eric::sim {
 
-/// Byte-addressed sparse memory.
+static_assert(std::endian::native == std::endian::little,
+              "word-wide accesses copy host words as little-endian");
+
+/// Byte-addressed sparse memory. Not thread-safe, even for const reads:
+/// a read may refill the page TLB.
 class Memory {
  public:
   static constexpr size_t kPageBytes = 4096;
 
-  uint8_t ReadByte(uint64_t addr) const;
-  void WriteByte(uint64_t addr, uint8_t value);
+  Memory() = default;
+  // The TLB points into this object's own pages.
+  Memory(const Memory&) = delete;
+  Memory& operator=(const Memory&) = delete;
+
+  uint8_t ReadByte(uint64_t addr) const {
+    return static_cast<uint8_t>(Read(addr, 1));
+  }
+  void WriteByte(uint64_t addr, uint8_t value) { Write(addr, value, 1); }
 
   /// Little-endian multi-byte accessors. `size` in {1,2,4,8}.
-  uint64_t Read(uint64_t addr, int size) const;
-  void Write(uint64_t addr, uint64_t value, int size);
+  uint64_t Read(uint64_t addr, int size) const {
+    const size_t offset = addr % kPageBytes;
+    if (offset + static_cast<size_t>(size) > kPageBytes) {
+      return ReadStraddling(addr, size);
+    }
+    const uint8_t* page = PageData(addr / kPageBytes);
+    return page == nullptr ? 0 : Load(page + offset, size);
+  }
+  void Write(uint64_t addr, uint64_t value, int size) {
+    const size_t offset = addr % kPageBytes;
+    if (offset + static_cast<size_t>(size) > kPageBytes) {
+      WriteStraddling(addr, value, size);
+      return;
+    }
+    uint8_t* page = PageData(addr / kPageBytes);
+    if (page == nullptr) page = TouchPage(addr / kPageBytes);
+    Store(page + offset, value, size);
+  }
 
   /// Bulk copy-in (program loading).
   void WriteBlock(uint64_t addr, std::span<const uint8_t> bytes);
@@ -37,11 +82,56 @@ class Memory {
  private:
   using Page = std::vector<uint8_t>;
 
-  Page* FindPage(uint64_t page_index) const;
-  Page& TouchPage(uint64_t page_index);
+  struct TlbEntry {
+    uint64_t page_index = ~uint64_t{0};  // no page has this index
+    uint8_t* data = nullptr;
+  };
+  static constexpr size_t kTlbEntries = 16;
 
-  // mutable: reading unmapped memory returns zeros without allocating.
+  template <typename T>
+  static uint64_t LoadAs(const uint8_t* p) {
+    T v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  }
+  template <typename T>
+  static void StoreAs(uint8_t* p, uint64_t value) {
+    const T v = static_cast<T>(value);
+    std::memcpy(p, &v, sizeof v);
+  }
+  static uint64_t Load(const uint8_t* p, int size) {
+    switch (size) {
+      case 1: return *p;
+      case 2: return LoadAs<uint16_t>(p);
+      case 4: return LoadAs<uint32_t>(p);
+      default: return LoadAs<uint64_t>(p);
+    }
+  }
+  static void Store(uint8_t* p, uint64_t value, int size) {
+    switch (size) {
+      case 1: *p = static_cast<uint8_t>(value); break;
+      case 2: StoreAs<uint16_t>(p, value); break;
+      case 4: StoreAs<uint32_t>(p, value); break;
+      default: StoreAs<uint64_t>(p, value); break;
+    }
+  }
+
+  /// Data of a resident page, or nullptr if the page is unmapped.
+  uint8_t* PageData(uint64_t page_index) const {
+    const TlbEntry& entry = tlb_[page_index % kTlbEntries];
+    if (entry.page_index == page_index) return entry.data;
+    return RefillTlb(page_index);
+  }
+  uint8_t* RefillTlb(uint64_t page_index) const;
+  /// Allocates the page if needed; returns its data.
+  uint8_t* TouchPage(uint64_t page_index);
+
+  uint64_t ReadStraddling(uint64_t addr, int size) const;
+  void WriteStraddling(uint64_t addr, uint64_t value, int size);
+
   std::unordered_map<uint64_t, Page> pages_;
+  // mutable: a const read of a resident page may refill its entry.
+  mutable std::array<TlbEntry, kTlbEntries> tlb_{};
 };
 
 }  // namespace eric::sim

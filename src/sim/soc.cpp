@@ -25,11 +25,14 @@ Soc::Soc(const CpuTiming& timing, isa::IsaId isa)
     }
     return false;
   };
+  handlers.first = kConsoleAddr;
+  handlers.last = kExitAddr + 7;
   cpu_.set_mmio(std::move(handlers));
 }
 
 void Soc::LoadProgram(std::span<const uint8_t> image, uint64_t address) {
   memory_.WriteBlock(address, image);
+  cpu_.CacheDecodes(address, image.size());
 }
 
 ExecStats Soc::Run(uint64_t entry, uint64_t arg0, uint64_t arg1,

@@ -5,6 +5,8 @@
 // Two MMIO devices are provided:
 //   * console at kConsoleAddr — byte stores append to `console_output`
 //   * exit    at kExitAddr    — a store halts the core with that code
+// The core consults the device handlers only inside
+// [kConsoleAddr, kExitAddr + 8); every other address is plain RAM.
 #pragma once
 
 #include <cstdint>

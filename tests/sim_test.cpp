@@ -2,11 +2,13 @@
 // cache behaviour, MMIO devices, timing-model invariants.
 #include <gtest/gtest.h>
 
+#include "compiler/compiler.h"
 #include "isa/assembler.h"
 #include "isa/encoder.h"
 #include "sim/cache.h"
 #include "sim/memory.h"
 #include "sim/soc.h"
+#include "workloads/workloads.h"
 
 namespace eric::sim {
 namespace {
@@ -26,6 +28,23 @@ ExecStats RunAsm(const std::string& source, uint64_t arg0 = 0,
   Soc soc;
   soc.LoadProgram(bytes);
   return soc.Run(kRamBase, arg0, arg1);
+}
+
+// Field-by-field equality, so a mismatch names the counter that moved.
+void ExpectSameStats(const ExecStats& actual, const ExecStats& expected) {
+  EXPECT_EQ(actual.instructions, expected.instructions);
+  EXPECT_EQ(actual.cycles, expected.cycles);
+  EXPECT_EQ(actual.loads, expected.loads);
+  EXPECT_EQ(actual.stores, expected.stores);
+  EXPECT_EQ(actual.branches, expected.branches);
+  EXPECT_EQ(actual.taken_branches, expected.taken_branches);
+  EXPECT_EQ(actual.icache.hits, expected.icache.hits);
+  EXPECT_EQ(actual.icache.misses, expected.icache.misses);
+  EXPECT_EQ(actual.dcache.hits, expected.dcache.hits);
+  EXPECT_EQ(actual.dcache.misses, expected.dcache.misses);
+  EXPECT_EQ(actual.halt_reason, expected.halt_reason);
+  EXPECT_EQ(actual.exit_code, expected.exit_code);
+  EXPECT_EQ(actual.final_pc, expected.final_pc);
 }
 
 TEST(MemoryTest, ReadBackWrites) {
@@ -50,6 +69,50 @@ TEST(MemoryTest, CrossPageBlock) {
   m.WriteBlock(0x8000'0F00, data);
   EXPECT_EQ(m.ReadBlock(0x8000'0F00, data.size()), data);
   EXPECT_GE(m.ResidentPages(), 3u);
+}
+
+TEST(MemoryTest, StraddlingAccessesOfEveryWidth) {
+  // Every width at every offset that crosses the 4 KiB boundary between
+  // two pages (plus the last in-page slot): the value must round-trip and
+  // land little-endian across both pages.
+  constexpr uint64_t kBoundary = 0x8000'1000;
+  const uint64_t pattern = 0x8877665544332211ull;
+  for (int size : {1, 2, 4, 8}) {
+    for (int back = 1; back <= size; ++back) {
+      SCOPED_TRACE(testing::Message() << "size " << size << " back " << back);
+      Memory m;
+      const uint64_t addr = kBoundary - static_cast<uint64_t>(back);
+      const uint64_t value =
+          size == 8 ? pattern : pattern & ((uint64_t{1} << (8 * size)) - 1);
+      m.Write(addr, value, size);
+      EXPECT_EQ(m.Read(addr, size), value);
+      for (int i = 0; i < size; ++i) {
+        EXPECT_EQ(m.ReadByte(addr + static_cast<uint64_t>(i)),
+                  static_cast<uint8_t>(value >> (8 * i)));
+      }
+      EXPECT_EQ(m.ReadByte(addr - 1), 0u);
+      EXPECT_EQ(m.ReadByte(addr + static_cast<uint64_t>(size)), 0u);
+    }
+  }
+}
+
+TEST(MemoryTest, StraddlingReadIntoUnmappedPageReadsZeros) {
+  Memory m;
+  m.Write(0x8000'0FFE, 0xBEEF, 2);
+  EXPECT_EQ(m.Read(0x8000'0FFE, 4), 0xBEEFu);
+  EXPECT_EQ(m.ResidentPages(), 1u);
+}
+
+TEST(MemoryTest, UnmappedReadThenWriteSeesTheWrite) {
+  // A read of an unmapped page returns zeros without allocating; the
+  // later write allocates the page and must be what the next read sees.
+  Memory m;
+  EXPECT_EQ(m.Read(0x8004'0010, 8), 0u);
+  EXPECT_EQ(m.ResidentPages(), 0u);
+  m.Write(0x8004'0010, 0x0123456789ABCDEFull, 8);
+  EXPECT_EQ(m.Read(0x8004'0010, 8), 0x0123456789ABCDEFull);
+  EXPECT_EQ(m.Read(0x8004'0016, 2), 0x0123u);
+  EXPECT_EQ(m.ResidentPages(), 1u);
 }
 
 TEST(CacheTest, RepeatAccessHits) {
@@ -80,6 +143,24 @@ TEST(CacheTest, LruEviction) {
   c.Access(4 * 64);     // evicts LRU = line 1
   EXPECT_EQ(c.Access(0), cfg.hit_cycles);           // still resident
   EXPECT_EQ(c.Access(1 * 64), cfg.miss_cycles);     // was evicted
+}
+
+TEST(CacheTest, NonPowerOfTwoSetCountIndexesByModulo) {
+  CacheConfig cfg;
+  cfg.line_bytes = 64;
+  cfg.ways = 2;
+  cfg.size_bytes = 3 * 2 * 64;  // 3 sets
+  Cache c(cfg);
+  // Lines 0, 3 and 6 share set 0; line 1 lives in set 1.
+  c.Access(0 * 64);
+  c.Access(3 * 64);
+  c.Access(1 * 64);
+  c.Access(6 * 64);  // evicts line 0, the LRU way of set 0
+  EXPECT_EQ(c.Access(3 * 64), cfg.hit_cycles);
+  EXPECT_EQ(c.Access(1 * 64), cfg.hit_cycles);
+  EXPECT_EQ(c.Access(0 * 64), cfg.miss_cycles);
+  EXPECT_EQ(c.stats().misses, 5u);
+  EXPECT_EQ(c.stats().hits, 2u);
 }
 
 TEST(CacheTest, FlushInvalidatesAll) {
@@ -299,6 +380,129 @@ TEST(CpuTest, CompressedProgramRunsIdentically) {
   EXPECT_EQ(wide.instructions, narrow.instructions);
 }
 
+std::vector<uint8_t> Encode(const std::string& source, bool compress) {
+  auto assembled = Assemble(source);
+  EXPECT_TRUE(assembled.ok()) << assembled.status().ToString();
+  std::vector<uint8_t> bytes;
+  EXPECT_TRUE(EncodeProgram(assembled->instructions, compress, bytes).ok());
+  return bytes;
+}
+
+uint64_t Word(const std::vector<uint8_t>& bytes) {
+  EXPECT_EQ(bytes.size(), 4u);
+  uint64_t word = 0;
+  for (size_t i = 0; i < bytes.size() && i < 4; ++i) {
+    word |= static_cast<uint64_t>(bytes[i]) << (8 * i);
+  }
+  return word;
+}
+
+// Runs the patch loop below twice with `original` as the 4 bytes at
+// offset 8. The first pass executes them, then overwrites them with the
+// word in a1 (`addi a0, a0, 100`); the second pass must execute the new
+// bytes, so a stale decode of the old ones shows up in the exit code.
+ExecStats RunSelfModifying(const std::vector<uint8_t>& original) {
+  std::vector<uint8_t> bytes = Encode(R"(
+    auipc t0, 0
+    li t1, 2
+  loop:
+    addi a0, a0, 1
+    sw a1, 8(t0)
+    addi t1, t1, -1
+    bnez t1, loop
+    ecall
+  )", /*compress=*/false);
+  EXPECT_EQ(original.size(), 4u);
+  std::copy(original.begin(), original.end(), bytes.begin() + 8);
+  Soc soc;
+  soc.LoadProgram(bytes);
+  return soc.Run(kRamBase, 0, Word(Encode("addi a0, a0, 100\n", false)));
+}
+
+TEST(CpuTest, SelfModifyingStoreReplacesWideInstruction) {
+  const ExecStats stats =
+      RunSelfModifying(Encode("addi a0, a0, 1\n", /*compress=*/false));
+  EXPECT_EQ(stats.halt_reason, HaltReason::kExit);
+  EXPECT_EQ(stats.exit_code, 101);
+  EXPECT_EQ(stats.instructions, 2u + 2 * 4 + 1);
+}
+
+TEST(CpuTest, SelfModifyingStoreReplacesCompressedPair) {
+  // Two 2-byte instructions (c.addi + c.nop) become one 4-byte addi.
+  const std::vector<uint8_t> pair =
+      Encode("addi a0, a0, 1\nnop\n", /*compress=*/true);
+  ASSERT_EQ(pair.size(), 4u);
+  const ExecStats stats = RunSelfModifying(pair);
+  EXPECT_EQ(stats.halt_reason, HaltReason::kExit);
+  EXPECT_EQ(stats.exit_code, 101);
+  EXPECT_EQ(stats.instructions, 2u + 5 + 4 + 1);
+}
+
+TEST(CpuTest, PageStraddlingLoadsAndStoresOfEveryWidth) {
+  const std::pair<const char*, const char*> widths[] = {
+      {"sb", "lbu"}, {"sh", "lhu"}, {"sw", "lwu"}, {"sd", "ld"}};
+  const uint64_t value = 0x0123456789ABCDEFull;
+  int size = 1;
+  for (const auto& [store, load] : widths) {
+    SCOPED_TRACE(store);
+    // One byte below the boundary of the (initially unmapped) data page:
+    // every access wider than a byte spans two pages.
+    const ExecStats stats = RunAsm(std::string(R"(
+      li t0, 0x21000
+      ld a0, -1(t0)
+      bnez a0, fail
+      )") + store + " a1, -1(t0)\n" + load + R"( a0, -1(t0)
+      ecall
+    fail:
+      ebreak
+    )", 0, value);
+    EXPECT_EQ(stats.halt_reason, HaltReason::kExit);
+    const uint64_t mask =
+        size == 8 ? ~uint64_t{0} : (uint64_t{1} << (8 * size)) - 1;
+    EXPECT_EQ(static_cast<uint64_t>(stats.exit_code), value & mask);
+    size *= 2;
+  }
+}
+
+TEST(CpuTest, MmioHandlersSeeOnlyTheirRange) {
+  // The handlers claim every access they are offered, so the range alone
+  // decides which accesses are device accesses.
+  const std::vector<uint8_t> bytes = Encode(R"(
+    li t0, 0x100
+    sd a1, 0(t0)       # first byte of the range: device
+    sd a1, 8(t0)       # one past the last byte: RAM
+    ld a0, 7(t0)       # last byte of the range: device, reads 42
+    ecall
+  )", /*compress=*/false);
+  Memory memory;
+  memory.WriteBlock(kRamBase, bytes);
+  Cpu cpu(memory);
+  std::vector<uint64_t> seen;
+  MmioHandlers handlers;
+  handlers.store = [&](uint64_t addr, uint64_t, int) {
+    seen.push_back(addr);
+    return true;
+  };
+  handlers.load = [&](uint64_t addr, uint64_t* value, int) {
+    seen.push_back(addr);
+    *value = 42;
+    return true;
+  };
+  EXPECT_TRUE(handlers.Covers(0));
+  EXPECT_TRUE(handlers.Covers(~uint64_t{0}));
+  handlers.first = 0x100;
+  handlers.last = 0x107;
+  cpu.set_mmio(handlers);
+  cpu.Reset(kRamBase, kStackTop);
+  cpu.set_reg(11, 7);
+  const ExecStats stats = cpu.Run();
+  EXPECT_EQ(stats.halt_reason, HaltReason::kExit);
+  EXPECT_EQ(stats.exit_code, 42);
+  EXPECT_EQ(seen, (std::vector<uint64_t>{0x100, 0x107}));
+  EXPECT_EQ(memory.Read(0x100, 8), 0u);
+  EXPECT_EQ(memory.Read(0x108, 8), 7u);
+}
+
 // --- MMIO devices -----------------------------------------------------------
 
 TEST(SocTest, ConsoleOutput) {
@@ -335,6 +539,132 @@ TEST(SocTest, ExitDeviceHaltsWithCode) {
   const ExecStats stats = soc.Run();
   EXPECT_EQ(stats.halt_reason, HaltReason::kExit);
   EXPECT_EQ(stats.exit_code, 7);
+}
+
+TEST(SocTest, MmioDevicesClaimExactlyTheirAddresses) {
+  // The byte just below the console and the byte just past the exit
+  // device are plain RAM: stores there neither print nor halt, and read
+  // back. The devices themselves read as zero.
+  auto assembled = Assemble(R"(
+    li t0, 0x10000000
+    li t1, 65          # 'A'
+    sb t1, -1(t0)
+    sb t1, 16(t0)
+    sb t1, 0(t0)
+    lbu a0, -1(t0)
+    lbu a1, 16(t0)
+    add a0, a0, a1
+    lbu a1, 0(t0)
+    add a0, a0, a1
+    ld a1, 8(t0)
+    add a0, a0, a1
+    sd a0, 8(t0)
+    li a0, 99          # never reached
+    ecall
+  )");
+  ASSERT_TRUE(assembled.ok());
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(EncodeProgram(assembled->instructions, false, bytes).ok());
+  Soc soc;
+  soc.LoadProgram(bytes);
+  const ExecStats stats = soc.Run();
+  EXPECT_EQ(soc.console_output(), "A");
+  EXPECT_EQ(stats.halt_reason, HaltReason::kExit);
+  EXPECT_EQ(stats.exit_code, 2 * 65);
+  EXPECT_EQ(soc.memory().ReadByte(kConsoleAddr - 1), 65u);
+  EXPECT_EQ(soc.memory().ReadByte(kExitAddr + 8), 65u);
+  // The two RAM stores and two RAM loads went through the D-cache; the
+  // device stores and loads did not.
+  EXPECT_EQ(stats.dcache.accesses(), 4u);
+}
+
+TEST(SocTest, BackToBackRunsReportIdenticalStats) {
+  // One Soc, two runs of the same image: every counter is per run. Cache
+  // tags are flushed on reset, so the second run also starts cold. qsort
+  // sorts its array in place, so the image is reloaded in between.
+  const workloads::Workload* qsort = workloads::FindWorkload("qsort");
+  ASSERT_NE(qsort, nullptr);
+  auto compiled = compiler::Compile(qsort->source);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  Soc soc;
+  soc.LoadProgram(compiled->program.image);
+  const ExecStats first = soc.Run();
+  soc.LoadProgram(compiled->program.image);
+  const ExecStats second = soc.Run();
+  ExpectSameStats(second, first);
+  EXPECT_EQ(first.exit_code, qsort->reference());
+}
+
+// --- Golden ExecStats: the cycle-exact oracle ---------------------------------
+
+// Every ExecStats field of every workload kernel, captured from the
+// byte-at-a-time interpreter that predates the host-side fast paths (page
+// TLB, decode table, last-line cache). Those paths must reproduce every
+// number exactly: any drift means a modelled cycle moved. RV32I rows are
+// the kernels bench_isa runs on that ISA (crc32 and sha are not 32-bit
+// clean there).
+struct GoldenRun {
+  isa::IsaId isa;
+  const char* kernel;
+  ExecStats stats;
+};
+
+ExecStats Golden(uint64_t instructions, uint64_t cycles, uint64_t loads,
+                 uint64_t stores, uint64_t branches, uint64_t taken_branches,
+                 uint64_t icache_hits, uint64_t icache_misses,
+                 uint64_t dcache_hits, uint64_t dcache_misses,
+                 int64_t exit_code) {
+  ExecStats s;
+  s.instructions = instructions;
+  s.cycles = cycles;
+  s.loads = loads;
+  s.stores = stores;
+  s.branches = branches;
+  s.taken_branches = taken_branches;
+  s.icache = {icache_hits, icache_misses};
+  s.dcache = {dcache_hits, dcache_misses};
+  s.halt_reason = HaltReason::kExit;
+  s.exit_code = exit_code;
+  s.final_pc = kRamBase + 8;  // the startup stub's ecall
+  return s;
+}
+
+const GoldenRun kGoldenRuns[] = {
+    {isa::IsaId::kRv64Gc, "bitcount", Golden(1532741, 1814054, 428853, 484254, 53351, 3073, 1532733, 8, 913100, 6, 31877)},
+    {isa::IsaId::kRv64Gc, "basicmath", Golden(392680, 674572, 127267, 117555, 12202, 1201, 392669, 11, 244814, 7, 70133)},
+    {isa::IsaId::kRv64Gc, "crc32", Golden(463860, 559431, 114685, 135169, 18433, 5126, 463852, 8, 249847, 6, 80307)},
+    {isa::IsaId::kRv64Gc, "sha", Golden(175163, 195128, 41993, 45070, 513, 1, 175148, 15, 87054, 8, 903978)},
+    {isa::IsaId::kRv64Gc, "qsort", Golden(288849, 383573, 76812, 67113, 12272, 4271, 288834, 15, 143776, 148, 726557)},
+    {isa::IsaId::kRv64Gc, "stringsearch", Golden(1730318, 2119567, 489274, 407447, 78792, 19955, 1730308, 10, 896139, 581, 4090)},
+    {isa::IsaId::kRv64Gc, "dijkstra", Golden(1431947, 1735892, 412925, 350982, 56703, 26826, 1431919, 28, 763812, 94, 3473)},
+    {isa::IsaId::kRv64Gc, "fft", Golden(106520, 186163, 31335, 29419, 1122, 18, 106509, 11, 60731, 22, 356261)},
+    {isa::IsaId::kRv64Gc, "adpcm", Golden(445016, 633195, 124431, 132125, 17410, 9504, 444997, 19, 256413, 142, 356522)},
+    {isa::IsaId::kRv32I, "bitcount", Golden(2446383, 3149803, 428853, 484254, 321707, 164932, 2446368, 15, 913102, 4, 31877)},
+    {isa::IsaId::kRv32I, "basicmath", Golden(3465366, 5067708, 127267, 117555, 821320, 678593, 3465344, 22, 244817, 4, 70133)},
+    {isa::IsaId::kRv32I, "qsort", Golden(795352, 1117018, 76812, 67113, 154139, 108953, 795324, 28, 143849, 75, 726557)},
+    {isa::IsaId::kRv32I, "stringsearch", Golden(2672330, 3440372, 489274, 407447, 349732, 164882, 2672312, 18, 896586, 134, 4090)},
+    {isa::IsaId::kRv32I, "dijkstra", Golden(2404584, 3175138, 412925, 350982, 338171, 142626, 2404537, 47, 763859, 47, 3473)},
+    {isa::IsaId::kRv32I, "fft", Golden(1156534, 1719654, 31335, 29419, 303860, 222565, 1156513, 21, 60741, 12, 356261)},
+    {isa::IsaId::kRv32I, "adpcm", Golden(1836019, 2632815, 124431, 132125, 405554, 290316, 1835985, 34, 256483, 72, 123166)},
+};
+
+TEST(GoldenExecStatsTest, EveryKernelMatchesPinnedCounts) {
+  size_t rv64_rows = 0;
+  for (const GoldenRun& golden : kGoldenRuns) {
+    SCOPED_TRACE(testing::Message() << isa::IsaName(golden.isa) << " "
+                                    << golden.kernel);
+    const workloads::Workload* w = workloads::FindWorkload(golden.kernel);
+    ASSERT_NE(w, nullptr);
+    compiler::CompileOptions options;
+    options.isa = golden.isa;
+    auto compiled = compiler::Compile(w->source, options);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    Soc soc({}, golden.isa);
+    soc.LoadProgram(compiled->program.image);
+    ExpectSameStats(soc.Run(), golden.stats);
+    if (golden.isa == isa::IsaId::kRv64Gc) ++rv64_rows;
+  }
+  EXPECT_EQ(rv64_rows, workloads::AllWorkloads().size());
 }
 
 // --- Timing model invariants -------------------------------------------------
