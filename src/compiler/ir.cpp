@@ -25,8 +25,13 @@ const char* BinOpName(IrBinOp op) {
   return "?";
 }
 
+// Built by appending: GCC 12 reports a false -Wrestrict for
+// `"%" + std::to_string(...)` (the const char* + string&& overload).
 std::string V(VReg reg) {
-  return reg == kNoVReg ? "_" : "%" + std::to_string(reg);
+  if (reg == kNoVReg) return "_";
+  std::string name = "%";
+  name += std::to_string(reg);
+  return name;
 }
 
 }  // namespace
@@ -64,11 +69,15 @@ std::string DumpIr(const IrModule& module) {
             break;
           case IrInstr::Kind::kLoad:
             out += V(i.dst) + " = load " + i.symbol;
-            if (i.index != kNoVReg) out += "[" + V(i.index) + "]";
+            if (i.index != kNoVReg) {
+              out.append("[").append(V(i.index)).append("]");
+            }
             break;
           case IrInstr::Kind::kStore:
             out += "store " + i.symbol;
-            if (i.index != kNoVReg) out += "[" + V(i.index) + "]";
+            if (i.index != kNoVReg) {
+              out.append("[").append(V(i.index)).append("]");
+            }
             out += " = " + V(i.lhs);
             break;
           case IrInstr::Kind::kCall: {

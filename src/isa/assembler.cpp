@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <map>
-#include <optional>
 #include <string>
 
 #include "isa/encoder.h"
@@ -106,8 +105,8 @@ Result<uint8_t> ParseReg(const std::string& text, int line) {
 
 // "imm(reg)" operand.
 struct MemOperand {
-  int64_t offset;
-  uint8_t base;
+  int64_t offset = 0;
+  uint8_t base = 0;
 };
 
 Result<MemOperand> ParseMem(const std::string& text, int line) {
@@ -127,45 +126,207 @@ Result<MemOperand> ParseMem(const std::string& text, int line) {
   return MemOperand{*offset, *base};
 }
 
-std::optional<Op> LookupOp(const std::string& mnemonic) {
-  static const std::map<std::string, Op> kTable = {
-      {"lui", Op::kLui}, {"auipc", Op::kAuipc}, {"jal", Op::kJal},
-      {"jalr", Op::kJalr}, {"beq", Op::kBeq}, {"bne", Op::kBne},
-      {"blt", Op::kBlt}, {"bge", Op::kBge}, {"bltu", Op::kBltu},
-      {"bgeu", Op::kBgeu}, {"lb", Op::kLb}, {"lh", Op::kLh}, {"lw", Op::kLw},
-      {"ld", Op::kLd}, {"lbu", Op::kLbu}, {"lhu", Op::kLhu},
-      {"lwu", Op::kLwu}, {"sb", Op::kSb}, {"sh", Op::kSh}, {"sw", Op::kSw},
-      {"sd", Op::kSd}, {"addi", Op::kAddi}, {"slti", Op::kSlti},
-      {"sltiu", Op::kSltiu}, {"xori", Op::kXori}, {"ori", Op::kOri},
-      {"andi", Op::kAndi}, {"slli", Op::kSlli}, {"srli", Op::kSrli},
-      {"srai", Op::kSrai}, {"add", Op::kAdd}, {"sub", Op::kSub},
-      {"sll", Op::kSll}, {"slt", Op::kSlt}, {"sltu", Op::kSltu},
-      {"xor", Op::kXor}, {"srl", Op::kSrl}, {"sra", Op::kSra},
-      {"or", Op::kOr}, {"and", Op::kAnd}, {"addiw", Op::kAddiw},
-      {"slliw", Op::kSlliw}, {"srliw", Op::kSrliw}, {"sraiw", Op::kSraiw},
-      {"addw", Op::kAddw}, {"subw", Op::kSubw}, {"sllw", Op::kSllw},
-      {"srlw", Op::kSrlw}, {"sraw", Op::kSraw}, {"fence", Op::kFence},
-      {"ecall", Op::kEcall}, {"ebreak", Op::kEbreak}, {"mul", Op::kMul},
-      {"mulh", Op::kMulh}, {"mulhsu", Op::kMulhsu}, {"mulhu", Op::kMulhu},
-      {"div", Op::kDiv}, {"divu", Op::kDivu}, {"rem", Op::kRem},
-      {"remu", Op::kRemu}, {"mulw", Op::kMulw}, {"divw", Op::kDivw},
-      {"divuw", Op::kDivuw}, {"remw", Op::kRemw}, {"remuw", Op::kRemuw},
-      {"csrrw", Op::kCsrrw}, {"csrrs", Op::kCsrrs}, {"csrrc", Op::kCsrrc},
-      {"lr.w", Op::kLrW}, {"lr.d", Op::kLrD}, {"sc.w", Op::kScW},
-      {"sc.d", Op::kScD}, {"amoswap.w", Op::kAmoSwapW},
-      {"amoadd.w", Op::kAmoAddW}, {"amoxor.w", Op::kAmoXorW},
-      {"amoand.w", Op::kAmoAndW}, {"amoor.w", Op::kAmoOrW},
-      {"amomin.w", Op::kAmoMinW}, {"amomax.w", Op::kAmoMaxW},
-      {"amominu.w", Op::kAmoMinuW}, {"amomaxu.w", Op::kAmoMaxuW},
-      {"amoswap.d", Op::kAmoSwapD}, {"amoadd.d", Op::kAmoAddD},
-      {"amoxor.d", Op::kAmoXorD}, {"amoand.d", Op::kAmoAndD},
-      {"amoor.d", Op::kAmoOrD}, {"amomin.d", Op::kAmoMinD},
-      {"amomax.d", Op::kAmoMaxD}, {"amominu.d", Op::kAmoMinuD},
-      {"amomaxu.d", Op::kAmoMaxuD},
+// Reads the operands of a line that takes exactly `count` of them. The
+// leftmost problem is the one reported (a wrong count before any operand);
+// reads past a problem return zero placeholders.
+class Operands {
+ public:
+  Operands(const Line& line, size_t count) : line_(line) {
+    if (line.operands.size() != count) {
+      Fail(0, ParseError(line.number,
+                         line.mnemonic + " expects " + std::to_string(count) +
+                             " operands, got " +
+                             std::to_string(line.operands.size())));
+    }
+  }
+
+  uint8_t Reg(size_t i) { return Read<uint8_t>(i, ParseReg); }
+  int64_t Imm(size_t i) { return Read<int64_t>(i, ParseImm); }
+  MemOperand Mem(size_t i) { return Read<MemOperand>(i, ParseMem); }
+  std::string Label(size_t i) const {
+    return i < line_.operands.size() ? line_.operands[i] : std::string();
+  }
+
+  const Status& status() const { return status_; }
+
+ private:
+  template <typename T>
+  T Read(size_t i, Result<T> (*parse)(const std::string&, int)) {
+    if (i >= line_.operands.size()) return T{};
+    Result<T> value = parse(line_.operands[i], line_.number);
+    if (value.ok()) return *value;
+    Fail(i + 1, value.status());
+    return T{};
+  }
+
+  void Fail(size_t rank, Status status) {
+    if (status_.ok() || rank < failed_rank_) {
+      status_ = std::move(status);
+      failed_rank_ = rank;
+    }
+  }
+
+  const Line& line_;
+  Status status_;
+  size_t failed_rank_ = 0;
+};
+
+// One instruction of pass 1; a non-empty `label` is patched into `imm`
+// as a pc-relative offset in pass 2.
+struct Pending {
+  Instr instr;
+  std::string label;
+  int line = 0;
+};
+
+// Appends the instructions `line` assembles to (pseudo-instructions may
+// expand to several).
+Status Expand(const Line& line, std::vector<Pending>& out) {
+  const std::string& m = line.mnemonic;
+  const int ln = line.number;
+  auto emit = [&](const Instr& instr, std::string label = {}) {
+    out.push_back(Pending{instr, std::move(label), ln});
   };
-  const auto it = kTable.find(mnemonic);
-  if (it == kTable.end()) return std::nullopt;
-  return it->second;
+
+  // --- Pseudo-instructions ---
+  if (m == "nop" || m == "ret") {
+    Operands a(line, 0);
+    emit(m == "nop" ? MakeNop() : MakeJalr(0, 1, 0));
+    return a.status();
+  }
+  if (m == "mv" || m == "not" || m == "neg" || m == "seqz" || m == "snez") {
+    Operands a(line, 2);
+    const uint8_t rd = a.Reg(0);
+    const uint8_t rs = a.Reg(1);
+    if (m == "mv") emit(MakeI(Op::kAddi, rd, rs, 0));
+    if (m == "not") emit(MakeI(Op::kXori, rd, rs, -1));
+    if (m == "neg") emit(MakeR(Op::kSub, rd, 0, rs));
+    if (m == "seqz") emit(MakeI(Op::kSltiu, rd, rs, 1));
+    if (m == "snez") emit(MakeR(Op::kSltu, rd, 0, rs));
+    return a.status();
+  }
+  if (m == "li") {
+    Operands a(line, 2);
+    const uint8_t rd = a.Reg(0);
+    const int64_t v = a.Imm(1);
+    ERIC_RETURN_IF_ERROR(a.status());
+    if (v >= -2048 && v <= 2047) {
+      emit(MakeI(Op::kAddi, rd, 0, v));
+      return Status::Ok();
+    }
+    if (v < INT32_MIN || v > INT32_MAX) {
+      return ParseError(ln, "li immediate out of 32-bit range");
+    }
+    // lui+addiw materialization. The lui field wraps to signed 20-bit
+    // (lui sign-extends on RV64; addiw's 32-bit wrap restores the
+    // intended value for the whole int32 range).
+    const int64_t hi =
+        static_cast<int64_t>(static_cast<int32_t>(
+            static_cast<uint32_t>((v + 0x800) >> 12) << 12)) >> 12;
+    const int64_t lo = static_cast<int32_t>(v - (hi << 12));
+    emit(MakeLui(rd, hi));
+    if (lo != 0) emit(MakeI(Op::kAddiw, rd, rd, lo));
+    return Status::Ok();
+  }
+  if (m == "j" || m == "call") {
+    Operands a(line, 1);
+    emit(MakeJal(m == "j" ? 0 : 1, 0), a.Label(0));
+    return a.status();
+  }
+  if (m == "jr") {
+    Operands a(line, 1);
+    emit(MakeJalr(0, a.Reg(0), 0));
+    return a.status();
+  }
+  if (m == "beqz" || m == "bnez") {
+    Operands a(line, 2);
+    emit(MakeBranch(m == "beqz" ? Op::kBeq : Op::kBne, a.Reg(0), 0, 0),
+         a.Label(1));
+    return a.status();
+  }
+  if (m == "ble" || m == "bgt") {
+    // ble a,b,l == bge b,a,l ; bgt a,b,l == blt b,a,l
+    Operands a(line, 3);
+    const uint8_t ra = a.Reg(0);
+    const uint8_t rb = a.Reg(1);
+    emit(MakeBranch(m == "ble" ? Op::kBge : Op::kBlt, rb, ra, 0), a.Label(2));
+    return a.status();
+  }
+
+  // --- Real instructions: the form fixes the operand syntax ---
+  const Op op = OpFromName(m);
+  if (op == Op::kInvalid) return ParseError(ln, "unknown mnemonic '" + m + "'");
+  const Form form = InfoOf(op).form;
+  switch (form) {
+    case Form::kRegReg: {
+      Operands a(line, 3);
+      emit(MakeR(op, a.Reg(0), a.Reg(1), a.Reg(2)));
+      return a.status();
+    }
+    case Form::kRegImm:
+    case Form::kShift64:
+    case Form::kShiftW: {
+      Operands a(line, 3);
+      emit(MakeI(op, a.Reg(0), a.Reg(1), a.Imm(2)));
+      return a.status();
+    }
+    case Form::kLoad:
+    case Form::kJalr: {
+      Operands a(line, 2);
+      const uint8_t rd = a.Reg(0);
+      const MemOperand mem = a.Mem(1);
+      emit(MakeI(op, rd, mem.base, mem.offset));
+      return a.status();
+    }
+    case Form::kStore: {
+      Operands a(line, 2);
+      const uint8_t rs2 = a.Reg(0);
+      const MemOperand mem = a.Mem(1);
+      emit(MakeStore(op, rs2, mem.base, mem.offset));
+      return a.status();
+    }
+    case Form::kBranch: {
+      Operands a(line, 3);
+      emit(MakeBranch(op, a.Reg(0), a.Reg(1), 0), a.Label(2));
+      return a.status();
+    }
+    case Form::kUpper: {
+      Operands a(line, 2);
+      emit(MakeI(op, a.Reg(0), 0, a.Imm(1)));
+      return a.status();
+    }
+    case Form::kJal: {
+      const bool link_ra = line.operands.size() == 1;  // "jal label"
+      Operands a(line, link_ra ? 1 : 2);
+      emit(MakeJal(link_ra ? 1 : a.Reg(0), 0), a.Label(link_ra ? 0 : 1));
+      return a.status();
+    }
+    case Form::kCsr: {  // csrrw rd, csr, rs1
+      Operands a(line, 3);
+      emit(MakeI(op, a.Reg(0), a.Reg(2), a.Imm(1)));
+      return a.status();
+    }
+    case Form::kAmo:
+    case Form::kLr: {  // amo* rd, rs2, (rs1)  |  lr rd, (rs1)
+      const bool is_lr = form == Form::kLr;
+      Operands a(line, is_lr ? 2 : 3);
+      const uint8_t rd = a.Reg(0);
+      const uint8_t rs2 = is_lr ? 0 : a.Reg(1);
+      const MemOperand mem = a.Mem(is_lr ? 1 : 2);
+      ERIC_RETURN_IF_ERROR(a.status());
+      if (mem.offset != 0) {
+        return ParseError(ln, "atomics take no address offset");
+      }
+      emit(MakeR(op, rd, mem.base, rs2));
+      return Status::Ok();
+    }
+    case Form::kFixed: {
+      Operands a(line, 0);
+      emit(MakeI(op, 0, 0, 0));
+      return a.status();
+    }
+  }
+  return ParseError(ln, "unknown form");
 }
 
 }  // namespace
@@ -174,292 +335,16 @@ Result<AssemblyResult> Assemble(std::string_view source) {
   Result<std::vector<Line>> lines = SplitLines(source);
   if (!lines.ok()) return lines.status();
 
-  // Pass 1: expand pseudo-instructions into placeholder Instrs and record
-  // label addresses (4 bytes per instruction; see header).
-  struct Pending {
-    Instr instr;
-    std::string label;  // non-empty: imm patched with label delta
-    bool pc_relative = true;
-    int line = 0;
-  };
+  // Pass 1: expand every line and record label addresses (4 bytes per
+  // instruction; see header).
   std::vector<Pending> pending;
   std::map<std::string, uint64_t> labels;
-
-  auto push = [&pending](const Instr& i, int line) {
-    pending.push_back(Pending{i, "", true, line});
-  };
-  auto push_label_target = [&pending](const Instr& i, std::string label,
-                                      int line) {
-    pending.push_back(Pending{i, std::move(label), true, line});
-  };
-
   for (const Line& line : *lines) {
-    if (!line.label.empty()) {
-      if (labels.count(line.label) != 0) {
-        return ParseError(line.number, "duplicate label '" + line.label + "'");
-      }
-      labels[line.label] = pending.size() * 4;
+    if (!line.label.empty() &&
+        !labels.emplace(line.label, pending.size() * 4).second) {
+      return ParseError(line.number, "duplicate label '" + line.label + "'");
     }
-    if (line.mnemonic.empty()) continue;
-    const std::string& m = line.mnemonic;
-    const auto& ops = line.operands;
-    const int ln = line.number;
-
-    auto need = [&](size_t n) -> Status {
-      if (ops.size() != n) {
-        return ParseError(ln, m + " expects " + std::to_string(n) +
-                                  " operands, got " +
-                                  std::to_string(ops.size()));
-      }
-      return Status::Ok();
-    };
-
-    // --- Pseudo-instructions ---
-    if (m == "nop") {
-      ERIC_RETURN_IF_ERROR(need(0));
-      push(MakeNop(), ln);
-      continue;
-    }
-    if (m == "li") {
-      ERIC_RETURN_IF_ERROR(need(2));
-      Result<uint8_t> rd = ParseReg(ops[0], ln);
-      if (!rd.ok()) return rd.status();
-      Result<int64_t> imm = ParseImm(ops[1], ln);
-      if (!imm.ok()) return imm.status();
-      const int64_t v = *imm;
-      if (v >= -2048 && v <= 2047) {
-        push(MakeI(Op::kAddi, *rd, 0, v), ln);
-      } else if (v >= INT32_MIN && v <= INT32_MAX) {
-        // lui+addiw materialization. The lui field wraps to signed 20-bit
-        // (lui sign-extends on RV64; addiw's 32-bit wrap restores the
-        // intended value for the whole int32 range).
-        const int64_t hi =
-            static_cast<int64_t>(static_cast<int32_t>(
-                static_cast<uint32_t>((v + 0x800) >> 12) << 12)) >> 12;
-        const int64_t lo = static_cast<int32_t>(v - (hi << 12));
-        push(MakeLui(*rd, hi), ln);
-        if (lo != 0) push(MakeI(Op::kAddiw, *rd, *rd, lo), ln);
-      } else {
-        return ParseError(ln, "li immediate out of 32-bit range");
-      }
-      continue;
-    }
-    if (m == "mv") {
-      ERIC_RETURN_IF_ERROR(need(2));
-      Result<uint8_t> rd = ParseReg(ops[0], ln);
-      Result<uint8_t> rs = ParseReg(ops[1], ln);
-      if (!rd.ok()) return rd.status();
-      if (!rs.ok()) return rs.status();
-      push(MakeI(Op::kAddi, *rd, *rs, 0), ln);
-      continue;
-    }
-    if (m == "not") {
-      ERIC_RETURN_IF_ERROR(need(2));
-      Result<uint8_t> rd = ParseReg(ops[0], ln);
-      Result<uint8_t> rs = ParseReg(ops[1], ln);
-      if (!rd.ok()) return rd.status();
-      if (!rs.ok()) return rs.status();
-      push(MakeI(Op::kXori, *rd, *rs, -1), ln);
-      continue;
-    }
-    if (m == "neg") {
-      ERIC_RETURN_IF_ERROR(need(2));
-      Result<uint8_t> rd = ParseReg(ops[0], ln);
-      Result<uint8_t> rs = ParseReg(ops[1], ln);
-      if (!rd.ok()) return rd.status();
-      if (!rs.ok()) return rs.status();
-      push(MakeR(Op::kSub, *rd, 0, *rs), ln);
-      continue;
-    }
-    if (m == "seqz") {
-      ERIC_RETURN_IF_ERROR(need(2));
-      Result<uint8_t> rd = ParseReg(ops[0], ln);
-      Result<uint8_t> rs = ParseReg(ops[1], ln);
-      if (!rd.ok()) return rd.status();
-      if (!rs.ok()) return rs.status();
-      push(MakeI(Op::kSltiu, *rd, *rs, 1), ln);
-      continue;
-    }
-    if (m == "snez") {
-      ERIC_RETURN_IF_ERROR(need(2));
-      Result<uint8_t> rd = ParseReg(ops[0], ln);
-      Result<uint8_t> rs = ParseReg(ops[1], ln);
-      if (!rd.ok()) return rd.status();
-      if (!rs.ok()) return rs.status();
-      push(MakeR(Op::kSltu, *rd, 0, *rs), ln);
-      continue;
-    }
-    if (m == "j") {
-      ERIC_RETURN_IF_ERROR(need(1));
-      push_label_target(MakeJal(0, 0), ops[0], ln);
-      continue;
-    }
-    if (m == "jr") {
-      ERIC_RETURN_IF_ERROR(need(1));
-      Result<uint8_t> rs = ParseReg(ops[0], ln);
-      if (!rs.ok()) return rs.status();
-      push(MakeJalr(0, *rs, 0), ln);
-      continue;
-    }
-    if (m == "ret") {
-      ERIC_RETURN_IF_ERROR(need(0));
-      push(MakeJalr(0, 1, 0), ln);
-      continue;
-    }
-    if (m == "call") {
-      ERIC_RETURN_IF_ERROR(need(1));
-      push_label_target(MakeJal(1, 0), ops[0], ln);
-      continue;
-    }
-    if (m == "beqz" || m == "bnez") {
-      ERIC_RETURN_IF_ERROR(need(2));
-      Result<uint8_t> rs = ParseReg(ops[0], ln);
-      if (!rs.ok()) return rs.status();
-      push_label_target(
-          MakeBranch(m == "beqz" ? Op::kBeq : Op::kBne, *rs, 0, 0), ops[1],
-          ln);
-      continue;
-    }
-    if (m == "ble" || m == "bgt") {
-      // ble a,b,l == bge b,a,l ; bgt a,b,l == blt b,a,l
-      ERIC_RETURN_IF_ERROR(need(3));
-      Result<uint8_t> ra = ParseReg(ops[0], ln);
-      Result<uint8_t> rb = ParseReg(ops[1], ln);
-      if (!ra.ok()) return ra.status();
-      if (!rb.ok()) return rb.status();
-      push_label_target(
-          MakeBranch(m == "ble" ? Op::kBge : Op::kBlt, *rb, *ra, 0), ops[2],
-          ln);
-      continue;
-    }
-
-    // --- Real instructions ---
-    const std::optional<Op> op = LookupOp(m);
-    if (!op) return ParseError(ln, "unknown mnemonic '" + m + "'");
-
-    switch (ClassOf(*op)) {
-      case OpClass::kAtomic: {
-        // lr.w rd, (rs1)  |  sc.w/amo* rd, rs2, (rs1)
-        const bool is_lr = *op == Op::kLrW || *op == Op::kLrD;
-        ERIC_RETURN_IF_ERROR(need(is_lr ? 2 : 3));
-        Result<uint8_t> rd = ParseReg(ops[0], ln);
-        if (!rd.ok()) return rd.status();
-        uint8_t rs2 = 0;
-        if (!is_lr) {
-          Result<uint8_t> src = ParseReg(ops[1], ln);
-          if (!src.ok()) return src.status();
-          rs2 = *src;
-        }
-        Result<MemOperand> mem = ParseMem(ops[is_lr ? 1 : 2], ln);
-        if (!mem.ok()) return mem.status();
-        if (mem->offset != 0) {
-          return ParseError(ln, "atomics take no address offset");
-        }
-        push(MakeR(*op, *rd, mem->base, rs2), ln);
-        break;
-      }
-      case OpClass::kLoad: {
-        ERIC_RETURN_IF_ERROR(need(2));
-        Result<uint8_t> rd = ParseReg(ops[0], ln);
-        if (!rd.ok()) return rd.status();
-        Result<MemOperand> mem = ParseMem(ops[1], ln);
-        if (!mem.ok()) return mem.status();
-        push(MakeLoad(*op, *rd, mem->base, mem->offset), ln);
-        break;
-      }
-      case OpClass::kStore: {
-        ERIC_RETURN_IF_ERROR(need(2));
-        Result<uint8_t> rs2 = ParseReg(ops[0], ln);
-        if (!rs2.ok()) return rs2.status();
-        Result<MemOperand> mem = ParseMem(ops[1], ln);
-        if (!mem.ok()) return mem.status();
-        push(MakeStore(*op, *rs2, mem->base, mem->offset), ln);
-        break;
-      }
-      case OpClass::kBranch: {
-        ERIC_RETURN_IF_ERROR(need(3));
-        Result<uint8_t> rs1 = ParseReg(ops[0], ln);
-        Result<uint8_t> rs2 = ParseReg(ops[1], ln);
-        if (!rs1.ok()) return rs1.status();
-        if (!rs2.ok()) return rs2.status();
-        push_label_target(MakeBranch(*op, *rs1, *rs2, 0), ops[2], ln);
-        break;
-      }
-      case OpClass::kJump: {
-        if (*op == Op::kJal) {
-          // jal rd, label  |  jal label
-          if (ops.size() == 1) {
-            push_label_target(MakeJal(1, 0), ops[0], ln);
-          } else {
-            ERIC_RETURN_IF_ERROR(need(2));
-            Result<uint8_t> rd = ParseReg(ops[0], ln);
-            if (!rd.ok()) return rd.status();
-            push_label_target(MakeJal(*rd, 0), ops[1], ln);
-          }
-        } else {  // jalr rd, imm(rs1)
-          ERIC_RETURN_IF_ERROR(need(2));
-          Result<uint8_t> rd = ParseReg(ops[0], ln);
-          if (!rd.ok()) return rd.status();
-          Result<MemOperand> mem = ParseMem(ops[1], ln);
-          if (!mem.ok()) return mem.status();
-          push(MakeJalr(*rd, mem->base, mem->offset), ln);
-        }
-        break;
-      }
-      case OpClass::kSystem: {
-        if (*op == Op::kEcall || *op == Op::kEbreak || *op == Op::kFence) {
-          ERIC_RETURN_IF_ERROR(need(0));
-          push(MakeI(*op, 0, 0, 0), ln);
-        } else {  // csrrw rd, csr, rs1
-          ERIC_RETURN_IF_ERROR(need(3));
-          Result<uint8_t> rd = ParseReg(ops[0], ln);
-          if (!rd.ok()) return rd.status();
-          Result<int64_t> csr = ParseImm(ops[1], ln);
-          if (!csr.ok()) return csr.status();
-          Result<uint8_t> rs1 = ParseReg(ops[2], ln);
-          if (!rs1.ok()) return rs1.status();
-          push(MakeI(*op, *rd, *rs1, *csr), ln);
-        }
-        break;
-      }
-      default: {
-        // ALU / MUL / DIV: register or immediate forms.
-        ERIC_RETURN_IF_ERROR(need(*op == Op::kLui || *op == Op::kAuipc ? 2
-                                                                       : 3));
-        Result<uint8_t> rd = ParseReg(ops[0], ln);
-        if (!rd.ok()) return rd.status();
-        if (*op == Op::kLui || *op == Op::kAuipc) {
-          Result<int64_t> imm = ParseImm(ops[1], ln);
-          if (!imm.ok()) return imm.status();
-          push(MakeI(*op, *rd, 0, *imm), ln);
-          break;
-        }
-        Result<uint8_t> rs1 = ParseReg(ops[1], ln);
-        if (!rs1.ok()) return rs1.status();
-        // Third operand: register or immediate depending on the operation.
-        bool imm_form = false;
-        switch (*op) {
-          case Op::kAddi: case Op::kSlti: case Op::kSltiu: case Op::kXori:
-          case Op::kOri: case Op::kAndi: case Op::kSlli: case Op::kSrli:
-          case Op::kSrai: case Op::kAddiw: case Op::kSlliw: case Op::kSrliw:
-          case Op::kSraiw:
-            imm_form = true;
-            break;
-          default:
-            break;
-        }
-        if (imm_form) {
-          Result<int64_t> imm = ParseImm(ops[2], ln);
-          if (!imm.ok()) return imm.status();
-          push(MakeI(*op, *rd, *rs1, *imm), ln);
-        } else {
-          Result<uint8_t> rs2 = ParseReg(ops[2], ln);
-          if (!rs2.ok()) return rs2.status();
-          push(MakeR(*op, *rd, *rs1, *rs2), ln);
-        }
-        break;
-      }
-    }
+    if (!line.mnemonic.empty()) ERIC_RETURN_IF_ERROR(Expand(line, pending));
   }
 
   // Pass 2: patch label-relative immediates.

@@ -8,12 +8,6 @@ int64_t SignExtend(uint64_t value, int bits) {
   return static_cast<int64_t>((value ^ sign) - sign);
 }
 
-uint8_t Rd(uint32_t raw) { return (raw >> 7) & 31; }
-uint8_t Rs1(uint32_t raw) { return (raw >> 15) & 31; }
-uint8_t Rs2(uint32_t raw) { return (raw >> 20) & 31; }
-uint32_t Funct3(uint32_t raw) { return (raw >> 12) & 7; }
-uint32_t Funct7(uint32_t raw) { return raw >> 25; }
-
 int64_t ImmI(uint32_t raw) { return SignExtend(raw >> 20, 12); }
 int64_t ImmS(uint32_t raw) {
   return SignExtend(((raw >> 25) << 5) | ((raw >> 7) & 31), 12);
@@ -47,205 +41,30 @@ Instr Make(Op op, uint8_t rd, uint8_t rs1, uint8_t rs2, int64_t imm,
 }  // namespace
 
 Instr Decode32(uint32_t raw) {
-  const uint32_t opcode = raw & 0x7F;
-  const uint8_t rd = Rd(raw), rs1 = Rs1(raw), rs2 = Rs2(raw);
-  const uint32_t f3 = Funct3(raw), f7 = Funct7(raw);
-  switch (opcode) {
-    case 0x37: return Make(Op::kLui, rd, 0, 0, ImmU(raw), raw);
-    case 0x17: return Make(Op::kAuipc, rd, 0, 0, ImmU(raw), raw);
-    case 0x6F: return Make(Op::kJal, rd, 0, 0, ImmJ(raw), raw);
-    case 0x67:
-      if (f3 != 0) break;
-      return Make(Op::kJalr, rd, rs1, 0, ImmI(raw), raw);
-    case 0x63: {
-      Op op = Op::kInvalid;
-      switch (f3) {
-        case 0b000: op = Op::kBeq; break;
-        case 0b001: op = Op::kBne; break;
-        case 0b100: op = Op::kBlt; break;
-        case 0b101: op = Op::kBge; break;
-        case 0b110: op = Op::kBltu; break;
-        case 0b111: op = Op::kBgeu; break;
-        default: break;
-      }
-      if (op == Op::kInvalid) break;
-      return Make(op, 0, rs1, rs2, ImmB(raw), raw);
-    }
-    case 0x03: {
-      Op op = Op::kInvalid;
-      switch (f3) {
-        case 0b000: op = Op::kLb; break;
-        case 0b001: op = Op::kLh; break;
-        case 0b010: op = Op::kLw; break;
-        case 0b011: op = Op::kLd; break;
-        case 0b100: op = Op::kLbu; break;
-        case 0b101: op = Op::kLhu; break;
-        case 0b110: op = Op::kLwu; break;
-        default: break;
-      }
-      if (op == Op::kInvalid) break;
-      return Make(op, rd, rs1, 0, ImmI(raw), raw);
-    }
-    case 0x23: {
-      Op op = Op::kInvalid;
-      switch (f3) {
-        case 0b000: op = Op::kSb; break;
-        case 0b001: op = Op::kSh; break;
-        case 0b010: op = Op::kSw; break;
-        case 0b011: op = Op::kSd; break;
-        default: break;
-      }
-      if (op == Op::kInvalid) break;
-      return Make(op, 0, rs1, rs2, ImmS(raw), raw);
-    }
-    case 0x13: {
-      switch (f3) {
-        case 0b000: return Make(Op::kAddi, rd, rs1, 0, ImmI(raw), raw);
-        case 0b010: return Make(Op::kSlti, rd, rs1, 0, ImmI(raw), raw);
-        case 0b011: return Make(Op::kSltiu, rd, rs1, 0, ImmI(raw), raw);
-        case 0b100: return Make(Op::kXori, rd, rs1, 0, ImmI(raw), raw);
-        case 0b110: return Make(Op::kOri, rd, rs1, 0, ImmI(raw), raw);
-        case 0b111: return Make(Op::kAndi, rd, rs1, 0, ImmI(raw), raw);
-        case 0b001:
-          if ((raw >> 26) != 0) break;
-          return Make(Op::kSlli, rd, rs1, 0, (raw >> 20) & 63, raw);
-        case 0b101: {
-          const uint32_t high = raw >> 26;
-          if (high == 0) {
-            return Make(Op::kSrli, rd, rs1, 0, (raw >> 20) & 63, raw);
-          }
-          if (high == 0b010000) {
-            return Make(Op::kSrai, rd, rs1, 0, (raw >> 20) & 63, raw);
-          }
-          break;
-        }
-        default: break;
-      }
-      break;
-    }
-    case 0x1B: {
-      switch (f3) {
-        case 0b000: return Make(Op::kAddiw, rd, rs1, 0, ImmI(raw), raw);
-        case 0b001:
-          if (f7 != 0) break;
-          return Make(Op::kSlliw, rd, rs1, 0, (raw >> 20) & 31, raw);
-        case 0b101:
-          if (f7 == 0) {
-            return Make(Op::kSrliw, rd, rs1, 0, (raw >> 20) & 31, raw);
-          }
-          if (f7 == 0b0100000) {
-            return Make(Op::kSraiw, rd, rs1, 0, (raw >> 20) & 31, raw);
-          }
-          break;
-        default: break;
-      }
-      break;
-    }
-    case 0x33: {
-      if (f7 == 0b0000001) {  // M extension
-        Op op = Op::kInvalid;
-        switch (f3) {
-          case 0b000: op = Op::kMul; break;
-          case 0b001: op = Op::kMulh; break;
-          case 0b010: op = Op::kMulhsu; break;
-          case 0b011: op = Op::kMulhu; break;
-          case 0b100: op = Op::kDiv; break;
-          case 0b101: op = Op::kDivu; break;
-          case 0b110: op = Op::kRem; break;
-          case 0b111: op = Op::kRemu; break;
-        }
+  const auto rd = static_cast<uint8_t>((raw >> 7) & 31);
+  const auto rs1 = static_cast<uint8_t>((raw >> 15) & 31);
+  const auto rs2 = static_cast<uint8_t>((raw >> 20) & 31);
+  for (const OpInfo& row : RowsWithOpcode(raw)) {
+    if ((raw & row.mask) != (row.match & row.mask)) continue;
+    const Op op = row.op;
+    switch (row.form) {
+      case Form::kRegReg:
+      case Form::kAmo:
+      case Form::kLr:
         return Make(op, rd, rs1, rs2, 0, raw);
-      }
-      Op op = Op::kInvalid;
-      if (f7 == 0) {
-        switch (f3) {
-          case 0b000: op = Op::kAdd; break;
-          case 0b001: op = Op::kSll; break;
-          case 0b010: op = Op::kSlt; break;
-          case 0b011: op = Op::kSltu; break;
-          case 0b100: op = Op::kXor; break;
-          case 0b101: op = Op::kSrl; break;
-          case 0b110: op = Op::kOr; break;
-          case 0b111: op = Op::kAnd; break;
-        }
-      } else if (f7 == 0b0100000) {
-        if (f3 == 0b000) op = Op::kSub;
-        if (f3 == 0b101) op = Op::kSra;
-      }
-      if (op == Op::kInvalid) break;
-      return Make(op, rd, rs1, rs2, 0, raw);
+      case Form::kRegImm:
+      case Form::kLoad:
+      case Form::kJalr:
+        return Make(op, rd, rs1, 0, ImmI(raw), raw);
+      case Form::kShift64: return Make(op, rd, rs1, 0, (raw >> 20) & 63, raw);
+      case Form::kShiftW: return Make(op, rd, rs1, 0, (raw >> 20) & 31, raw);
+      case Form::kCsr: return Make(op, rd, rs1, 0, raw >> 20, raw);
+      case Form::kStore: return Make(op, 0, rs1, rs2, ImmS(raw), raw);
+      case Form::kBranch: return Make(op, 0, rs1, rs2, ImmB(raw), raw);
+      case Form::kUpper: return Make(op, rd, 0, 0, ImmU(raw), raw);
+      case Form::kJal: return Make(op, rd, 0, 0, ImmJ(raw), raw);
+      case Form::kFixed: return Make(op, 0, 0, 0, 0, raw);
     }
-    case 0x3B: {
-      if (f7 == 0b0000001) {
-        Op op = Op::kInvalid;
-        switch (f3) {
-          case 0b000: op = Op::kMulw; break;
-          case 0b100: op = Op::kDivw; break;
-          case 0b101: op = Op::kDivuw; break;
-          case 0b110: op = Op::kRemw; break;
-          case 0b111: op = Op::kRemuw; break;
-          default: break;
-        }
-        if (op == Op::kInvalid) break;
-        return Make(op, rd, rs1, rs2, 0, raw);
-      }
-      Op op = Op::kInvalid;
-      if (f7 == 0) {
-        switch (f3) {
-          case 0b000: op = Op::kAddw; break;
-          case 0b001: op = Op::kSllw; break;
-          case 0b101: op = Op::kSrlw; break;
-          default: break;
-        }
-      } else if (f7 == 0b0100000) {
-        if (f3 == 0b000) op = Op::kSubw;
-        if (f3 == 0b101) op = Op::kSraw;
-      }
-      if (op == Op::kInvalid) break;
-      return Make(op, rd, rs1, rs2, 0, raw);
-    }
-    case 0x2F: {  // A extension
-      if (f3 != 0b010 && f3 != 0b011) break;
-      const bool is_d = f3 == 0b011;
-      const uint32_t funct5 = raw >> 27;
-      Op op = Op::kInvalid;
-      switch (funct5) {
-        case 0b00010:
-          if (rs2 != 0) break;
-          op = is_d ? Op::kLrD : Op::kLrW;
-          break;
-        case 0b00011: op = is_d ? Op::kScD : Op::kScW; break;
-        case 0b00001: op = is_d ? Op::kAmoSwapD : Op::kAmoSwapW; break;
-        case 0b00000: op = is_d ? Op::kAmoAddD : Op::kAmoAddW; break;
-        case 0b00100: op = is_d ? Op::kAmoXorD : Op::kAmoXorW; break;
-        case 0b01100: op = is_d ? Op::kAmoAndD : Op::kAmoAndW; break;
-        case 0b01000: op = is_d ? Op::kAmoOrD : Op::kAmoOrW; break;
-        case 0b10000: op = is_d ? Op::kAmoMinD : Op::kAmoMinW; break;
-        case 0b10100: op = is_d ? Op::kAmoMaxD : Op::kAmoMaxW; break;
-        case 0b11000: op = is_d ? Op::kAmoMinuD : Op::kAmoMinuW; break;
-        case 0b11100: op = is_d ? Op::kAmoMaxuD : Op::kAmoMaxuW; break;
-        default: break;
-      }
-      if (op == Op::kInvalid) break;
-      return Make(op, rd, rs1, rs2, 0, raw);
-    }
-    case 0x0F: return Make(Op::kFence, 0, 0, 0, 0, raw);
-    case 0x73: {
-      if (raw == 0x00000073) return Make(Op::kEcall, 0, 0, 0, 0, raw);
-      if (raw == 0x00100073) return Make(Op::kEbreak, 0, 0, 0, 0, raw);
-      const int64_t csr = (raw >> 20) & 0xFFF;
-      switch (f3) {
-        case 0b001: return Make(Op::kCsrrw, rd, rs1, 0, csr, raw);
-        case 0b010: return Make(Op::kCsrrs, rd, rs1, 0, csr, raw);
-        case 0b011: return Make(Op::kCsrrc, rd, rs1, 0, csr, raw);
-        case 0b101: return Make(Op::kCsrrwi, rd, rs1, 0, csr, raw);
-        case 0b110: return Make(Op::kCsrrsi, rd, rs1, 0, csr, raw);
-        case 0b111: return Make(Op::kCsrrci, rd, rs1, 0, csr, raw);
-        default: break;
-      }
-      break;
-    }
-    default: break;
   }
   return Make(Op::kInvalid, 0, 0, 0, 0, raw);
 }

@@ -11,58 +11,40 @@ std::string Reg(uint8_t r) { return std::string(AbiRegName(r)); }
 }  // namespace
 
 std::string Disassemble(const Instr& in) {
-  const std::string name(OpName(in.op));
-  switch (ClassOf(in.op)) {
-    case OpClass::kInvalid:
-      return ".insn " + (in.compressed ? Hex32(in.raw & 0xFFFF) : Hex32(in.raw));
-    case OpClass::kLoad:
-      return name + " " + Reg(in.rd) + ", " + std::to_string(in.imm) + "(" +
-             Reg(in.rs1) + ")";
-    case OpClass::kStore:
-      return name + " " + Reg(in.rs2) + ", " + std::to_string(in.imm) + "(" +
-             Reg(in.rs1) + ")";
-    case OpClass::kBranch:
-      return name + " " + Reg(in.rs1) + ", " + Reg(in.rs2) + ", " +
-             std::to_string(in.imm);
-    case OpClass::kJump:
-      if (in.op == Op::kJal) {
-        return name + " " + Reg(in.rd) + ", " + std::to_string(in.imm);
-      }
-      return name + " " + Reg(in.rd) + ", " + std::to_string(in.imm) + "(" +
-             Reg(in.rs1) + ")";
-    case OpClass::kSystem:
-      if (in.op == Op::kEcall || in.op == Op::kEbreak ||
-          in.op == Op::kFence) {
-        return name;
-      }
-      return name + " " + Reg(in.rd) + ", " + std::to_string(in.imm) + ", " +
-             Reg(in.rs1);
-    case OpClass::kAtomic:
-      if (in.op == Op::kLrW || in.op == Op::kLrD) {
-        return name + " " + Reg(in.rd) + ", (" + Reg(in.rs1) + ")";
-      }
+  const OpInfo& row = InfoOf(in.op);
+  if (row.op == Op::kInvalid) {
+    return ".insn " + (in.compressed ? Hex32(in.raw & 0xFFFF) : Hex32(in.raw));
+  }
+  const std::string name(row.mnemonic);
+  const std::string imm = std::to_string(in.imm);
+  switch (row.form) {
+    case Form::kRegReg:
+      return name + " " + Reg(in.rd) + ", " + Reg(in.rs1) + ", " + Reg(in.rs2);
+    case Form::kRegImm:
+    case Form::kShift64:
+    case Form::kShiftW:
+      return name + " " + Reg(in.rd) + ", " + Reg(in.rs1) + ", " + imm;
+    case Form::kLoad:
+    case Form::kJalr:
+      return name + " " + Reg(in.rd) + ", " + imm + "(" + Reg(in.rs1) + ")";
+    case Form::kStore:
+      return name + " " + Reg(in.rs2) + ", " + imm + "(" + Reg(in.rs1) + ")";
+    case Form::kBranch:
+      return name + " " + Reg(in.rs1) + ", " + Reg(in.rs2) + ", " + imm;
+    case Form::kUpper:
+    case Form::kJal:
+      return name + " " + Reg(in.rd) + ", " + imm;
+    case Form::kCsr:
+      return name + " " + Reg(in.rd) + ", " + imm + ", " + Reg(in.rs1);
+    case Form::kAmo:
       return name + " " + Reg(in.rd) + ", " + Reg(in.rs2) + ", (" +
              Reg(in.rs1) + ")";
-    case OpClass::kAlu:
-    case OpClass::kMul:
-    case OpClass::kDiv:
+    case Form::kLr:
+      return name + " " + Reg(in.rd) + ", (" + Reg(in.rs1) + ")";
+    case Form::kFixed:
       break;
   }
-  // ALU / MUL / DIV
-  switch (in.op) {
-    case Op::kLui:
-    case Op::kAuipc:
-      return name + " " + Reg(in.rd) + ", " + std::to_string(in.imm);
-    case Op::kAddi: case Op::kSlti: case Op::kSltiu: case Op::kXori:
-    case Op::kOri: case Op::kAndi: case Op::kSlli: case Op::kSrli:
-    case Op::kSrai: case Op::kAddiw: case Op::kSlliw: case Op::kSrliw:
-    case Op::kSraiw:
-      return name + " " + Reg(in.rd) + ", " + Reg(in.rs1) + ", " +
-             std::to_string(in.imm);
-    default:
-      return name + " " + Reg(in.rd) + ", " + Reg(in.rs1) + ", " +
-             Reg(in.rs2);
-  }
+  return name;
 }
 
 std::string DisassembleStream(std::span<const uint8_t> bytes,

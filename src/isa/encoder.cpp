@@ -1,96 +1,44 @@
 #include "isa/encoder.h"
 
-#include <cassert>
+#include <string>
 
 namespace eric::isa {
 namespace {
 
-// Field placement helpers for the six base formats.
-constexpr uint32_t RType(uint32_t funct7, uint8_t rs2, uint8_t rs1,
-                         uint32_t funct3, uint8_t rd, uint32_t opcode) {
-  return (funct7 << 25) | (uint32_t(rs2 & 31) << 20) |
-         (uint32_t(rs1 & 31) << 15) | (funct3 << 12) |
-         (uint32_t(rd & 31) << 7) | opcode;
+// Operand placement for the base formats (the RV_ISA_*_TYPE layouts);
+// opcode and funct bits come from the table row's `match`.
+constexpr uint32_t RType(uint8_t rs2, uint8_t rs1, uint8_t rd) {
+  return (uint32_t(rs2 & 31) << 20) | (uint32_t(rs1 & 31) << 15) |
+         (uint32_t(rd & 31) << 7);
 }
 
-constexpr uint32_t IType(int64_t imm, uint8_t rs1, uint32_t funct3, uint8_t rd,
-                         uint32_t opcode) {
+constexpr uint32_t IType(int64_t imm, uint8_t rs1, uint8_t rd) {
   return (uint32_t(imm & 0xFFF) << 20) | (uint32_t(rs1 & 31) << 15) |
-         (funct3 << 12) | (uint32_t(rd & 31) << 7) | opcode;
+         (uint32_t(rd & 31) << 7);
 }
 
-constexpr uint32_t SType(int64_t imm, uint8_t rs2, uint8_t rs1,
-                         uint32_t funct3, uint32_t opcode) {
+constexpr uint32_t SType(int64_t imm, uint8_t rs2, uint8_t rs1) {
   const uint32_t i = uint32_t(imm & 0xFFF);
   return ((i >> 5) << 25) | (uint32_t(rs2 & 31) << 20) |
-         (uint32_t(rs1 & 31) << 15) | (funct3 << 12) | ((i & 31u) << 7) |
-         opcode;
+         (uint32_t(rs1 & 31) << 15) | ((i & 31u) << 7);
 }
 
-constexpr uint32_t BType(int64_t imm, uint8_t rs2, uint8_t rs1,
-                         uint32_t funct3, uint32_t opcode) {
+constexpr uint32_t BType(int64_t imm, uint8_t rs2, uint8_t rs1) {
   const uint32_t i = uint32_t(imm & 0x1FFF);
   return (((i >> 12) & 1u) << 31) | (((i >> 5) & 0x3Fu) << 25) |
          (uint32_t(rs2 & 31) << 20) | (uint32_t(rs1 & 31) << 15) |
-         (funct3 << 12) | (((i >> 1) & 0xFu) << 8) | (((i >> 11) & 1u) << 7) |
-         opcode;
+         (((i >> 1) & 0xFu) << 8) | (((i >> 11) & 1u) << 7);
 }
 
-constexpr uint32_t UType(int64_t imm20, uint8_t rd, uint32_t opcode) {
-  return (uint32_t(imm20 & 0xFFFFF) << 12) | (uint32_t(rd & 31) << 7) | opcode;
+constexpr uint32_t UType(int64_t imm20, uint8_t rd) {
+  return (uint32_t(imm20 & 0xFFFFF) << 12) | (uint32_t(rd & 31) << 7);
 }
 
-constexpr uint32_t JType(int64_t imm, uint8_t rd, uint32_t opcode) {
+constexpr uint32_t JType(int64_t imm, uint8_t rd) {
   const uint32_t i = uint32_t(imm & 0x1FFFFF);
   return (((i >> 20) & 1u) << 31) | (((i >> 1) & 0x3FFu) << 21) |
          (((i >> 11) & 1u) << 20) | (((i >> 12) & 0xFFu) << 12) |
-         (uint32_t(rd & 31) << 7) | opcode;
-}
-
-constexpr uint32_t kOpcodeLoad = 0x03;
-constexpr uint32_t kOpcodeOpImm = 0x13;
-constexpr uint32_t kOpcodeAuipc = 0x17;
-constexpr uint32_t kOpcodeOpImm32 = 0x1B;
-constexpr uint32_t kOpcodeStore = 0x23;
-constexpr uint32_t kOpcodeOp = 0x33;
-constexpr uint32_t kOpcodeLui = 0x37;
-constexpr uint32_t kOpcodeOp32 = 0x3B;
-constexpr uint32_t kOpcodeBranch = 0x63;
-constexpr uint32_t kOpcodeJalr = 0x67;
-constexpr uint32_t kOpcodeJal = 0x6F;
-constexpr uint32_t kOpcodeSystem = 0x73;
-constexpr uint32_t kOpcodeMiscMem = 0x0F;
-constexpr uint32_t kOpcodeAmo = 0x2F;
-
-/// funct5 of an A-extension op; -1 if not atomic. W forms use funct3=010,
-/// D forms 011.
-int AmoFunct5(Op op, uint32_t* funct3) {
-  *funct3 = 0b010;
-  switch (op) {
-    case Op::kLrD: *funct3 = 0b011; [[fallthrough]];
-    case Op::kLrW: return 0b00010;
-    case Op::kScD: *funct3 = 0b011; [[fallthrough]];
-    case Op::kScW: return 0b00011;
-    case Op::kAmoSwapD: *funct3 = 0b011; [[fallthrough]];
-    case Op::kAmoSwapW: return 0b00001;
-    case Op::kAmoAddD: *funct3 = 0b011; [[fallthrough]];
-    case Op::kAmoAddW: return 0b00000;
-    case Op::kAmoXorD: *funct3 = 0b011; [[fallthrough]];
-    case Op::kAmoXorW: return 0b00100;
-    case Op::kAmoAndD: *funct3 = 0b011; [[fallthrough]];
-    case Op::kAmoAndW: return 0b01100;
-    case Op::kAmoOrD: *funct3 = 0b011; [[fallthrough]];
-    case Op::kAmoOrW: return 0b01000;
-    case Op::kAmoMinD: *funct3 = 0b011; [[fallthrough]];
-    case Op::kAmoMinW: return 0b10000;
-    case Op::kAmoMaxD: *funct3 = 0b011; [[fallthrough]];
-    case Op::kAmoMaxW: return 0b10100;
-    case Op::kAmoMinuD: *funct3 = 0b011; [[fallthrough]];
-    case Op::kAmoMinuW: return 0b11000;
-    case Op::kAmoMaxuD: *funct3 = 0b011; [[fallthrough]];
-    case Op::kAmoMaxuW: return 0b11100;
-    default: return -1;
-  }
+         (uint32_t(rd & 31) << 7);
 }
 
 bool FitsSigned(int64_t value, int bits) {
@@ -99,174 +47,75 @@ bool FitsSigned(int64_t value, int bits) {
   return value >= lo && value <= hi;
 }
 
-Status ImmRangeError(const Instr& instr, int bits) {
-  return Status(ErrorCode::kInvalidArgument,
-                std::string(OpName(instr.op)) + " immediate " +
-                    std::to_string(instr.imm) + " does not fit in " +
-                    std::to_string(bits) + " bits");
+// A form's immediate field: its width (0 when the form has none and the
+// immediate is ignored), and whether it is unsigned (shift amounts, CSR
+// numbers) or an even offset (branches, jal).
+struct ImmField {
+  int bits = 0;
+  bool is_unsigned = false;
+  bool even = false;
+};
+
+ImmField ImmFieldOf(Form form) {
+  switch (form) {
+    case Form::kShiftW: return {5, true};
+    case Form::kShift64: return {6, true};
+    case Form::kCsr: return {12, true};
+    case Form::kRegImm: case Form::kLoad: case Form::kStore: case Form::kJalr:
+      return {12};
+    case Form::kBranch: return {13, false, true};
+    case Form::kUpper: return {20};
+    case Form::kJal: return {21, false, true};
+    case Form::kRegReg: case Form::kAmo: case Form::kLr: case Form::kFixed:
+      break;
+  }
+  return {};
+}
+
+bool Fits(ImmField field, int64_t imm) {
+  if (field.bits == 0) return true;
+  if (field.is_unsigned) return imm >= 0 && imm < (int64_t{1} << field.bits);
+  return FitsSigned(imm, field.bits) && !(field.even && (imm & 1));
 }
 
 }  // namespace
 
 Result<uint32_t> Encode32(const Instr& in) {
+  const OpInfo& row = InfoOf(in.op);
+  if (row.op == Op::kInvalid) {
+    return Status(ErrorCode::kInvalidArgument, "cannot encode kInvalid");
+  }
+  if (const ImmField field = ImmFieldOf(row.form); !Fits(field, in.imm)) {
+    return Status(ErrorCode::kInvalidArgument,
+                  std::string(row.mnemonic) + " immediate " +
+                      std::to_string(in.imm) + " does not fit in " +
+                      std::to_string(field.bits) + " bits");
+  }
   const uint8_t rd = in.rd, rs1 = in.rs1, rs2 = in.rs2;
   const int64_t imm = in.imm;
-  switch (in.op) {
-    case Op::kInvalid:
-      return Status(ErrorCode::kInvalidArgument, "cannot encode kInvalid");
-    case Op::kLui:
-      if (!FitsSigned(imm, 20)) return ImmRangeError(in, 20);
-      return UType(imm, rd, kOpcodeLui);
-    case Op::kAuipc:
-      if (!FitsSigned(imm, 20)) return ImmRangeError(in, 20);
-      return UType(imm, rd, kOpcodeAuipc);
-    case Op::kJal:
-      if (!FitsSigned(imm, 21) || (imm & 1)) return ImmRangeError(in, 21);
-      return JType(imm, rd, kOpcodeJal);
-    case Op::kJalr:
-      if (!FitsSigned(imm, 12)) return ImmRangeError(in, 12);
-      return IType(imm, rs1, 0b000, rd, kOpcodeJalr);
-
-    case Op::kBeq: case Op::kBne: case Op::kBlt: case Op::kBge:
-    case Op::kBltu: case Op::kBgeu: {
-      if (!FitsSigned(imm, 13) || (imm & 1)) return ImmRangeError(in, 13);
-      uint32_t funct3 = 0;
-      switch (in.op) {
-        case Op::kBeq: funct3 = 0b000; break;
-        case Op::kBne: funct3 = 0b001; break;
-        case Op::kBlt: funct3 = 0b100; break;
-        case Op::kBge: funct3 = 0b101; break;
-        case Op::kBltu: funct3 = 0b110; break;
-        default: funct3 = 0b111; break;
-      }
-      return BType(imm, rs2, rs1, funct3, kOpcodeBranch);
-    }
-
-    case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLd:
-    case Op::kLbu: case Op::kLhu: case Op::kLwu: {
-      if (!FitsSigned(imm, 12)) return ImmRangeError(in, 12);
-      uint32_t funct3 = 0;
-      switch (in.op) {
-        case Op::kLb: funct3 = 0b000; break;
-        case Op::kLh: funct3 = 0b001; break;
-        case Op::kLw: funct3 = 0b010; break;
-        case Op::kLd: funct3 = 0b011; break;
-        case Op::kLbu: funct3 = 0b100; break;
-        case Op::kLhu: funct3 = 0b101; break;
-        default: funct3 = 0b110; break;  // lwu
-      }
-      return IType(imm, rs1, funct3, rd, kOpcodeLoad);
-    }
-
-    case Op::kSb: case Op::kSh: case Op::kSw: case Op::kSd: {
-      if (!FitsSigned(imm, 12)) return ImmRangeError(in, 12);
-      uint32_t funct3 = 0;
-      switch (in.op) {
-        case Op::kSb: funct3 = 0b000; break;
-        case Op::kSh: funct3 = 0b001; break;
-        case Op::kSw: funct3 = 0b010; break;
-        default: funct3 = 0b011; break;  // sd
-      }
-      return SType(imm, rs2, rs1, funct3, kOpcodeStore);
-    }
-
-    case Op::kAddi: case Op::kSlti: case Op::kSltiu: case Op::kXori:
-    case Op::kOri: case Op::kAndi: {
-      if (!FitsSigned(imm, 12)) return ImmRangeError(in, 12);
-      uint32_t funct3 = 0;
-      switch (in.op) {
-        case Op::kAddi: funct3 = 0b000; break;
-        case Op::kSlti: funct3 = 0b010; break;
-        case Op::kSltiu: funct3 = 0b011; break;
-        case Op::kXori: funct3 = 0b100; break;
-        case Op::kOri: funct3 = 0b110; break;
-        default: funct3 = 0b111; break;  // andi
-      }
-      return IType(imm, rs1, funct3, rd, kOpcodeOpImm);
-    }
-
-    case Op::kSlli:
-      if (imm < 0 || imm > 63) return ImmRangeError(in, 6);
-      return IType(imm, rs1, 0b001, rd, kOpcodeOpImm);
-    case Op::kSrli:
-      if (imm < 0 || imm > 63) return ImmRangeError(in, 6);
-      return IType(imm, rs1, 0b101, rd, kOpcodeOpImm);
-    case Op::kSrai:
-      if (imm < 0 || imm > 63) return ImmRangeError(in, 6);
-      return IType(imm | 0x400, rs1, 0b101, rd, kOpcodeOpImm);
-
-    case Op::kAdd: return RType(0b0000000, rs2, rs1, 0b000, rd, kOpcodeOp);
-    case Op::kSub: return RType(0b0100000, rs2, rs1, 0b000, rd, kOpcodeOp);
-    case Op::kSll: return RType(0b0000000, rs2, rs1, 0b001, rd, kOpcodeOp);
-    case Op::kSlt: return RType(0b0000000, rs2, rs1, 0b010, rd, kOpcodeOp);
-    case Op::kSltu: return RType(0b0000000, rs2, rs1, 0b011, rd, kOpcodeOp);
-    case Op::kXor: return RType(0b0000000, rs2, rs1, 0b100, rd, kOpcodeOp);
-    case Op::kSrl: return RType(0b0000000, rs2, rs1, 0b101, rd, kOpcodeOp);
-    case Op::kSra: return RType(0b0100000, rs2, rs1, 0b101, rd, kOpcodeOp);
-    case Op::kOr: return RType(0b0000000, rs2, rs1, 0b110, rd, kOpcodeOp);
-    case Op::kAnd: return RType(0b0000000, rs2, rs1, 0b111, rd, kOpcodeOp);
-
-    case Op::kAddiw:
-      if (!FitsSigned(imm, 12)) return ImmRangeError(in, 12);
-      return IType(imm, rs1, 0b000, rd, kOpcodeOpImm32);
-    case Op::kSlliw:
-      if (imm < 0 || imm > 31) return ImmRangeError(in, 5);
-      return IType(imm, rs1, 0b001, rd, kOpcodeOpImm32);
-    case Op::kSrliw:
-      if (imm < 0 || imm > 31) return ImmRangeError(in, 5);
-      return IType(imm, rs1, 0b101, rd, kOpcodeOpImm32);
-    case Op::kSraiw:
-      if (imm < 0 || imm > 31) return ImmRangeError(in, 5);
-      return IType(imm | 0x400, rs1, 0b101, rd, kOpcodeOpImm32);
-
-    case Op::kAddw: return RType(0b0000000, rs2, rs1, 0b000, rd, kOpcodeOp32);
-    case Op::kSubw: return RType(0b0100000, rs2, rs1, 0b000, rd, kOpcodeOp32);
-    case Op::kSllw: return RType(0b0000000, rs2, rs1, 0b001, rd, kOpcodeOp32);
-    case Op::kSrlw: return RType(0b0000000, rs2, rs1, 0b101, rd, kOpcodeOp32);
-    case Op::kSraw: return RType(0b0100000, rs2, rs1, 0b101, rd, kOpcodeOp32);
-
-    case Op::kFence: return uint32_t{0x0FF0000F};
-    case Op::kEcall: return uint32_t{0x00000073};
-    case Op::kEbreak: return uint32_t{0x00100073};
-
-    case Op::kCsrrw: return IType(imm, rs1, 0b001, rd, kOpcodeSystem);
-    case Op::kCsrrs: return IType(imm, rs1, 0b010, rd, kOpcodeSystem);
-    case Op::kCsrrc: return IType(imm, rs1, 0b011, rd, kOpcodeSystem);
-    case Op::kCsrrwi: return IType(imm, rs1, 0b101, rd, kOpcodeSystem);
-    case Op::kCsrrsi: return IType(imm, rs1, 0b110, rd, kOpcodeSystem);
-    case Op::kCsrrci: return IType(imm, rs1, 0b111, rd, kOpcodeSystem);
-
-    case Op::kMul: return RType(0b0000001, rs2, rs1, 0b000, rd, kOpcodeOp);
-    case Op::kMulh: return RType(0b0000001, rs2, rs1, 0b001, rd, kOpcodeOp);
-    case Op::kMulhsu: return RType(0b0000001, rs2, rs1, 0b010, rd, kOpcodeOp);
-    case Op::kMulhu: return RType(0b0000001, rs2, rs1, 0b011, rd, kOpcodeOp);
-    case Op::kDiv: return RType(0b0000001, rs2, rs1, 0b100, rd, kOpcodeOp);
-    case Op::kDivu: return RType(0b0000001, rs2, rs1, 0b101, rd, kOpcodeOp);
-    case Op::kRem: return RType(0b0000001, rs2, rs1, 0b110, rd, kOpcodeOp);
-    case Op::kRemu: return RType(0b0000001, rs2, rs1, 0b111, rd, kOpcodeOp);
-    case Op::kLrW: case Op::kLrD: case Op::kScW: case Op::kScD:
-    case Op::kAmoSwapW: case Op::kAmoAddW: case Op::kAmoXorW:
-    case Op::kAmoAndW: case Op::kAmoOrW: case Op::kAmoMinW:
-    case Op::kAmoMaxW: case Op::kAmoMinuW: case Op::kAmoMaxuW:
-    case Op::kAmoSwapD: case Op::kAmoAddD: case Op::kAmoXorD:
-    case Op::kAmoAndD: case Op::kAmoOrD: case Op::kAmoMinD:
-    case Op::kAmoMaxD: case Op::kAmoMinuD: case Op::kAmoMaxuD: {
-      uint32_t funct3 = 0;
-      const int funct5 = AmoFunct5(in.op, &funct3);
-      if ((in.op == Op::kLrW || in.op == Op::kLrD) && rs2 != 0) {
+  switch (row.form) {
+    case Form::kLr:
+      if (rs2 != 0) {
         return Status(ErrorCode::kInvalidArgument, "lr requires rs2 == x0");
       }
-      return RType(static_cast<uint32_t>(funct5) << 2, rs2, rs1, funct3, rd,
-                   kOpcodeAmo);
-    }
-
-    case Op::kMulw: return RType(0b0000001, rs2, rs1, 0b000, rd, kOpcodeOp32);
-    case Op::kDivw: return RType(0b0000001, rs2, rs1, 0b100, rd, kOpcodeOp32);
-    case Op::kDivuw: return RType(0b0000001, rs2, rs1, 0b101, rd, kOpcodeOp32);
-    case Op::kRemw: return RType(0b0000001, rs2, rs1, 0b110, rd, kOpcodeOp32);
-    case Op::kRemuw: return RType(0b0000001, rs2, rs1, 0b111, rd, kOpcodeOp32);
+      [[fallthrough]];
+    case Form::kRegReg:
+    case Form::kAmo:
+      return row.match | RType(rs2, rs1, rd);
+    case Form::kRegImm:
+    case Form::kShift64:
+    case Form::kShiftW:
+    case Form::kLoad:
+    case Form::kJalr:
+    case Form::kCsr:
+      return row.match | IType(imm, rs1, rd);
+    case Form::kStore: return row.match | SType(imm, rs2, rs1);
+    case Form::kBranch: return row.match | BType(imm, rs2, rs1);
+    case Form::kUpper: return row.match | UType(imm, rd);
+    case Form::kJal: return row.match | JType(imm, rd);
+    case Form::kFixed: return row.match;
   }
-  return Status(ErrorCode::kInvalidArgument, "unknown op");
+  return Status(ErrorCode::kInvalidArgument, "unknown form");
 }
 
 namespace {

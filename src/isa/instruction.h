@@ -7,7 +7,9 @@
 // unsupported rather than silently mis-simulated).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 namespace eric::isa {
@@ -43,7 +45,7 @@ enum class Op : uint16_t {
   kAmoSwapW, kAmoAddW, kAmoXorW, kAmoAndW, kAmoOrW,
   kAmoMinW, kAmoMaxW, kAmoMinuW, kAmoMaxuW,
   kAmoSwapD, kAmoAddD, kAmoXorD, kAmoAndD, kAmoOrD,
-  kAmoMinD, kAmoMaxD, kAmoMinuD, kAmoMaxuD,
+  kAmoMinD, kAmoMaxD, kAmoMinuD, kAmoMaxuD,  // keep kAmoMaxuD last (kNumOps)
 };
 
 /// Broad functional class, used by the timing model and by partial
@@ -79,12 +81,60 @@ struct Instr {
   int SizeBytes() const { return compressed ? 2 : 4; }
 };
 
-/// Functional class of an operation.
-OpClass ClassOf(Op op);
+/// Bit layout of an operation's 32-bit encoding, which also fixes its
+/// assembly syntax.
+enum class Form : uint8_t {
+  kRegReg,   ///< R-type: "op rd, rs1, rs2"
+  kRegImm,   ///< I-type, signed 12-bit: "op rd, rs1, imm"
+  kShift64,  ///< I-type, 6-bit shamt: "op rd, rs1, shamt"
+  kShiftW,   ///< I-type, 5-bit shamt: "op rd, rs1, shamt"
+  kLoad,     ///< I-type: "op rd, imm(rs1)"
+  kStore,    ///< S-type: "op rs2, imm(rs1)"
+  kBranch,   ///< B-type, even 13-bit offset: "op rs1, rs2, offset"
+  kUpper,    ///< U-type, signed 20-bit: "op rd, imm"
+  kJal,      ///< J-type, even 21-bit offset: "jal rd, offset"
+  kJalr,     ///< I-type: "jalr rd, imm(rs1)"
+  kCsr,      ///< I-type, CSR number in [0, 4095]: "op rd, csr, rs1"
+  kAmo,      ///< R-type, aq/rl ignored: "op rd, rs2, (rs1)"
+  kLr,       ///< R-type with rs2 = x0: "op rd, (rs1)"
+  kFixed,    ///< no operands: the encoding is `match`
+};
 
-/// Mnemonic ("addi", "c-prefix is not added; compression is a width
-/// property, not an operation).
-std::string_view OpName(Op op);
+/// One row of the instruction table: everything the encoder, decoder,
+/// assembler, disassembler and ISA backends know about an operation.
+/// A 32-bit word is this operation iff `(raw & mask) == (match & mask)`;
+/// `match` is also the word Encode32 starts from (fence keeps its
+/// don't-care bits there).
+struct OpInfo {
+  Op op;
+  std::string_view mnemonic;
+  OpClass op_class;
+  Form form;
+  uint32_t match;
+  uint32_t mask;
+  bool rv32;  ///< exists in RV32I+Zicsr
+};
+
+/// Number of Op values; the table has one row per value, in enum order.
+inline constexpr size_t kNumOps = static_cast<size_t>(Op::kAmoMaxuD) + 1;
+
+/// The table row of `op` (the kInvalid row for values outside the enum).
+const OpInfo& InfoOf(Op op);
+
+/// The operation named `mnemonic`; Op::kInvalid if none.
+Op OpFromName(std::string_view mnemonic);
+
+/// The rows whose encodings have the 7-bit major opcode in the low bits
+/// of `opcode` (higher bits are ignored): the decoder's only candidates
+/// for a word.
+std::span<const OpInfo> RowsWithOpcode(uint32_t opcode);
+
+/// Functional class of an operation.
+inline OpClass ClassOf(Op op) { return InfoOf(op).op_class; }
+
+/// Mnemonic ("addi"). No c-prefix is added: compression is a width
+/// property, not an operation.
+inline std::string_view OpName(Op op) { return InfoOf(op).mnemonic; }
 
 /// True for loads and stores — the instructions whose immediate fields the
 /// paper's field-level encryption example targets ("only the pointer

@@ -28,66 +28,8 @@ class Rv64GcBackend final : public IsaBackend {
   }
 };
 
-/// True for operations that exist in RV32I (+Zicsr, which the simulator's
-/// cycle/instret CSR file needs). Everything 64-bit-only — ld/sd/lwu, the
-/// W forms — and every M/A operation is excluded.
-bool Rv32SupportsOp(Op op) {
-  switch (op) {
-    case Op::kLui:
-    case Op::kAuipc:
-    case Op::kJal:
-    case Op::kJalr:
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBlt:
-    case Op::kBge:
-    case Op::kBltu:
-    case Op::kBgeu:
-    case Op::kLb:
-    case Op::kLh:
-    case Op::kLw:
-    case Op::kLbu:
-    case Op::kLhu:
-    case Op::kSb:
-    case Op::kSh:
-    case Op::kSw:
-    case Op::kAddi:
-    case Op::kSlti:
-    case Op::kSltiu:
-    case Op::kXori:
-    case Op::kOri:
-    case Op::kAndi:
-    case Op::kSlli:
-    case Op::kSrli:
-    case Op::kSrai:
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kSll:
-    case Op::kSlt:
-    case Op::kSltu:
-    case Op::kXor:
-    case Op::kSrl:
-    case Op::kSra:
-    case Op::kOr:
-    case Op::kAnd:
-    case Op::kFence:
-    case Op::kEcall:
-    case Op::kEbreak:
-    case Op::kCsrrw:
-    case Op::kCsrrs:
-    case Op::kCsrrc:
-    case Op::kCsrrwi:
-    case Op::kCsrrsi:
-    case Op::kCsrrci:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsShiftImm(Op op) {
-  return op == Op::kSlli || op == Op::kSrli || op == Op::kSrai;
-}
+// The 6-bit RV64 shift-amount form; RV32 allows only 5 bits of it.
+bool IsShiftImm(Op op) { return InfoOf(op).form == Form::kShift64; }
 
 /// RV32I+Zicsr: no M, no A, no C; 5-bit shift amounts. The base-format
 /// bit layouts are shared with RV64, so encode/decode reuse the existing
@@ -100,10 +42,12 @@ class Rv32IBackend final : public IsaBackend {
   size_t word_bytes() const override { return 4; }
   bool supports_compressed() const override { return false; }
 
-  bool SupportsOp(Op op) const override { return Rv32SupportsOp(op); }
+  // RV32I (+Zicsr, which the simulator's cycle/instret CSR file needs):
+  // the table's rv32 column excludes ld/sd/lwu, the W forms and M/A.
+  bool SupportsOp(Op op) const override { return InfoOf(op).rv32; }
 
   Result<uint32_t> Encode(const Instr& instr) const override {
-    if (!Rv32SupportsOp(instr.op)) {
+    if (!SupportsOp(instr.op)) {
       return Status(ErrorCode::kInvalidArgument,
                     "rv32i: unsupported operation");
     }
@@ -123,7 +67,7 @@ class Rv32IBackend final : public IsaBackend {
     // A shamt with bit 25 set decodes as a 6-bit RV64 shift; on RV32 that
     // bit must be zero, so the whole encoding is illegal, not a mod-32
     // shift (fail closed, never a silently different result).
-    if (!Rv32SupportsOp(instr.op) ||
+    if (!SupportsOp(instr.op) ||
         (IsShiftImm(instr.op) && instr.imm > 31)) {
       Instr invalid;
       invalid.raw = raw;

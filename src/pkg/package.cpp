@@ -62,9 +62,8 @@ SizeBreakdown BreakdownOf(const Package& package) {
 }
 
 std::vector<uint8_t> Serialize(const Package& package) {
-  std::vector<uint8_t> out;
+  std::vector<uint8_t> out(kMagic, kMagic + 8);
   out.reserve(package.WireSize());
-  out.insert(out.end(), kMagic, kMagic + 8);
   PutU32(out, kVersion);
   // Byte 0: encryption mode; byte 1: target ISA. Old parsers reject
   // non-zero ISA bytes as "bad mode flags", so an RV32I package can

@@ -71,13 +71,13 @@ class RecordWriter {
   /// Appends a u32 length prefix followed by the string bytes.
   void Str(std::string_view text) {
     U32(static_cast<uint32_t>(text.size()));
-    out_.insert(out_.end(), text.begin(), text.end());
+    Append(text.data(), text.size());
   }
 
   /// Appends a u32 length prefix followed by the raw bytes.
   void Bytes(std::span<const uint8_t> bytes) {
     U32(static_cast<uint32_t>(bytes.size()));
-    out_.insert(out_.end(), bytes.begin(), bytes.end());
+    Append(bytes.data(), bytes.size());
   }
 
   /// The serialized record so far.
@@ -88,9 +88,21 @@ class RecordWriter {
 
  private:
   void AppendLe(uint64_t value, int width) {
+    uint8_t le[8] = {};
     for (int i = 0; i < width; ++i) {
-      out_.push_back(static_cast<uint8_t>(value >> (8 * i)));
+      le[i] = static_cast<uint8_t>(value >> (8 * i));
     }
+    Append(le, static_cast<size_t>(width));
+  }
+
+  // One resize + memcpy per field. (Per-byte push_back followed by a
+  // range insert makes GCC 12 report false -Wstringop-overflow writes
+  // once the writer is inlined into a caller.)
+  void Append(const void* data, size_t size) {
+    if (size == 0) return;
+    const size_t at = out_.size();
+    out_.resize(at + size);
+    std::memcpy(out_.data() + at, data, size);
   }
 
   std::vector<uint8_t> out_;

@@ -2,6 +2,10 @@
 // (32-bit and compressed), field extraction, assembler, disassembler.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
+#include "compiler/compiler.h"
 #include "isa/assembler.h"
 #include "isa/decoder.h"
 #include "isa/disassembler.h"
@@ -9,6 +13,7 @@
 #include "isa/isa_backend.h"
 #include "support/hex.h"
 #include "support/rng.h"
+#include "workloads/workloads.h"
 
 namespace eric::isa {
 namespace {
@@ -257,10 +262,30 @@ TEST(ClassTest, ControlFlowDetection) {
 }
 
 TEST(ClassTest, EveryOpHasNameAndClass) {
-  for (int op = 1; op <= static_cast<int>(Op::kRemuw); ++op) {
-    EXPECT_NE(OpName(static_cast<Op>(op)), "<invalid>");
-    EXPECT_NE(ClassOf(static_cast<Op>(op)), OpClass::kInvalid);
+  for (size_t i = 1; i < kNumOps; ++i) {
+    const Op op = static_cast<Op>(i);
+    EXPECT_NE(OpName(op), "<invalid>");
+    EXPECT_NE(ClassOf(op), OpClass::kInvalid);
+    EXPECT_EQ(OpFromName(OpName(op)), op);
   }
+  EXPECT_EQ(OpFromName("c.addi"), Op::kInvalid);
+  // Values outside the enum read the kInvalid row.
+  EXPECT_EQ(OpName(static_cast<Op>(kNumOps)), "<invalid>");
+  EXPECT_EQ(ClassOf(static_cast<Op>(kNumOps)), OpClass::kInvalid);
+}
+
+// Every row's own match word decodes back to it, and the decoder's
+// per-opcode index holds each real row exactly once, under its opcode.
+TEST(InstructionTableTest, RowsDecodeToThemselvesThroughTheOpcodeIndex) {
+  size_t indexed = 0;
+  for (uint32_t opcode = 0; opcode < 128; ++opcode) {
+    for (const OpInfo& row : RowsWithOpcode(opcode)) {
+      EXPECT_EQ(row.match & 0x7F, opcode) << row.mnemonic;
+      EXPECT_EQ(Decode32(row.match).op, row.op) << row.mnemonic;
+      ++indexed;
+    }
+  }
+  EXPECT_EQ(indexed, kNumOps - 1);
 }
 
 // --- Register names -----------------------------------------------------------
@@ -559,6 +584,277 @@ TEST(IsaBackendTest, Rv32SupportedOpsRoundtripThroughBackend) {
     EXPECT_EQ(out.rs1, in.rs1) << Disassemble(in);
     EXPECT_EQ(out.rs2, in.rs2) << Disassemble(in);
     EXPECT_EQ(out.imm, in.imm) << Disassemble(in);
+  }
+}
+
+// --- Assembler <-> disassembler agreement ---------------------------------------
+
+// Encodes `op` with the first operands the backend accepts: a negative
+// even immediate (valid for branch and jump offsets too), else a small
+// positive one (shift amounts, CSR numbers); rs2 = x0 for lr.
+std::optional<uint32_t> EncodeSample(const IsaBackend& backend, Op op,
+                                     Instr* out) {
+  for (uint8_t rs2 : {uint8_t{12}, uint8_t{0}}) {
+    for (int64_t imm : {int64_t{-8}, int64_t{3}}) {
+      Instr in;
+      in.op = op;
+      in.rd = 10;
+      in.rs1 = 11;
+      in.rs2 = rs2;
+      in.imm = imm;
+      if (const Result<uint32_t> word = backend.Encode(in); word.ok()) {
+        *out = in;
+        return *word;
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(AssemblerTest, AssemblesEveryDisassembledOp) {
+  for (IsaId isa : {IsaId::kRv64Gc, IsaId::kRv32I}) {
+    const IsaBackend& backend = BackendFor(isa);
+    for (int i = 1; i <= static_cast<int>(Op::kAmoMaxuD); ++i) {
+      const Op op = static_cast<Op>(i);
+      if (!backend.SupportsOp(op)) continue;
+      SCOPED_TRACE(testing::Message() << backend.name() << " " << OpName(op));
+      Instr sample;
+      const std::optional<uint32_t> word = EncodeSample(backend, op, &sample);
+      ASSERT_TRUE(word.has_value());
+      std::string text = Disassemble(backend.Decode(*word));
+      // Branches and jal take a label: the sample's -8 lands two
+      // instructions back.
+      if (ClassOf(op) == OpClass::kBranch || op == Op::kJal) {
+        const std::string offset = ", " + std::to_string(sample.imm);
+        ASSERT_TRUE(text.ends_with(offset)) << text;
+        text.replace(text.size() - offset.size(), offset.size(), ", back");
+      }
+      const auto assembled = Assemble("back:\n  nop\n  nop\n  " + text);
+      ASSERT_TRUE(assembled.ok()) << text << ": "
+                                  << assembled.status().ToString();
+      ASSERT_EQ(assembled->instructions.size(), 3u) << text;
+      const Result<uint32_t> again =
+          backend.Encode(assembled->instructions[2]);
+      ASSERT_TRUE(again.ok()) << text << ": " << again.status().ToString();
+      EXPECT_EQ(*again, *word) << text;
+    }
+  }
+}
+
+// --- CSR numbers ----------------------------------------------------------------
+
+TEST(Encode32Test, RejectsCsrNumbersOutsideTwelveBits) {
+  for (IsaId isa : {IsaId::kRv64Gc, IsaId::kRv32I}) {
+    const IsaBackend& backend = BackendFor(isa);
+    for (Op op : {Op::kCsrrw, Op::kCsrrs, Op::kCsrrc, Op::kCsrrwi,
+                  Op::kCsrrsi, Op::kCsrrci}) {
+      for (int64_t csr : {int64_t{-1}, int64_t{4096}, int64_t{5000}}) {
+        const Result<uint32_t> word = backend.Encode(MakeI(op, 10, 11, csr));
+        ASSERT_FALSE(word.ok()) << OpName(op) << " csr " << csr << " -> "
+                                << *word;
+        EXPECT_EQ(word.status().code(), ErrorCode::kInvalidArgument);
+      }
+      for (int64_t csr : {int64_t{0}, int64_t{0xC00}, int64_t{4095}}) {
+        const Result<uint32_t> word = backend.Encode(MakeI(op, 10, 11, csr));
+        ASSERT_TRUE(word.ok()) << OpName(op) << " csr " << csr;
+        EXPECT_EQ(backend.Decode(*word).imm, csr) << OpName(op);
+      }
+    }
+  }
+  // The assembler passes the number through unchanged; encoding rejects
+  // it.
+  const auto assembled = Assemble("csrrw a0, 5000, a1");
+  ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
+  EXPECT_FALSE(Encode32(assembled->instructions[0]).ok());
+}
+
+// --- Golden oracle ------------------------------------------------------------
+//
+// Pinned digests of the codec's observable behaviour on both backends,
+// captured from the switch-per-Op codec before it became one instruction
+// table. A digest moves only if some decoded field, encoded word, error
+// code or compiled kernel byte moves.
+
+// FNV-1a over little-endian 64-bit values.
+class Digest {
+ public:
+  void Add(uint64_t value) {
+    for (int b = 0; b < 8; ++b) {
+      hash_ ^= (value >> (8 * b)) & 0xFF;
+      hash_ *= 0x100000001B3ull;
+    }
+  }
+  void AddBytes(std::span<const uint8_t> bytes) {
+    Add(bytes.size());
+    for (uint8_t byte : bytes) Add(byte);
+  }
+  void AddDecoded(const Instr& in) {
+    Add(static_cast<uint64_t>(in.op));
+    Add(in.rd);
+    Add(in.rs1);
+    Add(in.rs2);
+    Add(static_cast<uint64_t>(in.imm));
+    Add(in.raw);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xCBF29CE484222325ull;
+};
+
+constexpr IsaId kBothIsas[] = {IsaId::kRv64Gc, IsaId::kRv32I};
+
+// Every (opcode, funct3, funct7) triple under four rd/rs1/rs2 fills; the
+// {0, 0, 1} fill reaches ebreak, the {0, 0, 0} fill ecall and lr.
+uint64_t DecodeSweepDigest(const IsaBackend& backend) {
+  constexpr uint32_t kFills[][3] = {{0, 0, 0}, {0, 0, 1}, {31, 31, 31},
+                                    {10, 21, 5}};
+  Digest digest;
+  for (uint32_t opcode = 0; opcode < 128; ++opcode) {
+    for (uint32_t funct3 = 0; funct3 < 8; ++funct3) {
+      for (uint32_t funct7 = 0; funct7 < 128; ++funct7) {
+        for (const auto& fill : kFills) {
+          const uint32_t raw = (funct7 << 25) | (fill[2] << 20) |
+                               (fill[1] << 15) | (funct3 << 12) |
+                               (fill[0] << 7) | opcode;
+          digest.AddDecoded(backend.Decode(raw));
+        }
+      }
+    }
+  }
+  return digest.value();
+}
+
+uint64_t DecodeRandomDigest(const IsaBackend& backend) {
+  Xoshiro256 rng(0xE41C);
+  Digest digest;
+  for (int i = 0; i < 200000; ++i) {
+    digest.AddDecoded(backend.Decode(static_cast<uint32_t>(rng.Next())));
+  }
+  return digest.value();
+}
+
+// Disassembly text of the same seeded sample: pins every form's syntax.
+uint64_t DisassembleRandomDigest(const IsaBackend& backend) {
+  Xoshiro256 rng(0xE41C);
+  Digest digest;
+  for (int i = 0; i < 200000; ++i) {
+    const std::string text =
+        Disassemble(backend.Decode(static_cast<uint32_t>(rng.Next())));
+    digest.AddBytes(std::span(reinterpret_cast<const uint8_t*>(text.data()),
+                              text.size()));
+  }
+  return digest.value();
+}
+
+// Every Op (kInvalid included) x boundary immediates of every form: the
+// 12-bit, 13-bit even, 20-bit, 21-bit even, 5/6-bit shift and CSR ranges,
+// one past each end, and odd branch/jump offsets. CSR numbers stay in
+// [0, 4095]; out-of-range CSRs have their own test.
+uint64_t EncodeSweepDigest(const IsaBackend& backend) {
+  constexpr int64_t kImms[] = {
+      0,        1,        -1,       2,       3,       -3,      31,
+      32,       63,       64,       2047,    2048,    -2048,   -2049,
+      4094,     4095,     4096,     -4096,   -4097,   -4095,   524287,
+      524288,   -524288,  -524289,  1048574, 1048575, 1048576, -1048576,
+      -1048577, -1048575, 2097150, 2097151};
+  constexpr uint8_t kRegs[][3] = {{10, 21, 5}, {31, 1, 0}};
+  Digest digest;
+  for (int op = 0; op <= static_cast<int>(Op::kAmoMaxuD); ++op) {
+    const bool is_csr = op >= static_cast<int>(Op::kCsrrw) &&
+                        op <= static_cast<int>(Op::kCsrrci);
+    for (const auto& regs : kRegs) {
+      for (int64_t imm : kImms) {
+        if (is_csr && (imm < 0 || imm > 4095)) continue;
+        Instr in;
+        in.op = static_cast<Op>(op);
+        in.rd = regs[0];
+        in.rs1 = regs[1];
+        in.rs2 = regs[2];
+        in.imm = imm;
+        const Result<uint32_t> word = backend.Encode(in);
+        digest.Add(static_cast<uint64_t>(op));
+        digest.Add(static_cast<uint64_t>(imm));
+        digest.Add(word.ok() ? *word
+                             : (uint64_t{1} << 32) |
+                                   static_cast<uint64_t>(word.status().code()));
+      }
+    }
+  }
+  return digest.value();
+}
+
+TEST(GoldenIsaTest, DecodeSweep) {
+  const uint64_t kPinned[] = {0x9498A40D9C10BB36ull,
+                              0x9CFBFEB70322A7EEull};
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(DecodeSweepDigest(BackendFor(kBothIsas[i])), kPinned[i])
+        << IsaName(kBothIsas[i]);
+  }
+}
+
+TEST(GoldenIsaTest, DecodeRandomSample) {
+  const uint64_t kPinned[] = {0x54DAC19E49D3A603ull,
+                              0x3928E7E19A8F862Dull};
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(DecodeRandomDigest(BackendFor(kBothIsas[i])), kPinned[i])
+        << IsaName(kBothIsas[i]);
+  }
+}
+
+TEST(GoldenIsaTest, DisassembleRandomSample) {
+  const uint64_t kPinned[] = {0x3F0601215EAE1134ull,
+                              0x576D830C2FC6BC4Cull};
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(DisassembleRandomDigest(BackendFor(kBothIsas[i])), kPinned[i])
+        << IsaName(kBothIsas[i]);
+  }
+}
+
+TEST(GoldenIsaTest, EncodeBoundarySweep) {
+  const uint64_t kPinned[] = {0xF3E6DB58F041F65Bull,
+                              0xD6F04868497DC813ull};
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(EncodeSweepDigest(BackendFor(kBothIsas[i])), kPinned[i])
+        << IsaName(kBothIsas[i]);
+  }
+}
+
+// The compiled image (text and data) of every MiBench kernel: rv64gc with
+// compressed forms, and rv32i.
+TEST(GoldenIsaTest, KernelImages) {
+  struct Pinned {
+    const char* kernel;
+    uint64_t rv64gc;
+    uint64_t rv32i;
+  };
+  const Pinned kPinned[] = {
+      {"bitcount", 0x2356053D0F0F764Dull, 0xBF60320492962FB3ull},
+      {"basicmath", 0x2E2CD132FBC042ACull, 0xC9B04BD741148026ull},
+      {"crc32", 0x6F6BD3160E4EF674ull, 0xA0D78DDB8A40E431ull},
+      {"sha", 0xC203647FF73F39FEull, 0x098C879972857C0Eull},
+      {"qsort", 0xC0461B6B2373FBD6ull, 0x0D5DB6253135F8E0ull},
+      {"stringsearch", 0x17750B945AD050B1ull, 0x50510626B6A16490ull},
+      {"dijkstra", 0x34107B41FD0743BEull, 0xCDCFF5D1B28D442Eull},
+      {"fft", 0x51134F004D31E8EAull, 0x0B84BA3C69D5E0B4ull},
+      {"adpcm", 0x4FCC9FE9BEDB0AB4ull, 0x68D94903FBC29E0Dull},
+  };
+  ASSERT_EQ(std::size(kPinned), workloads::AllWorkloads().size());
+  for (const Pinned& pinned : kPinned) {
+    const workloads::Workload* w = workloads::FindWorkload(pinned.kernel);
+    ASSERT_NE(w, nullptr) << pinned.kernel;
+    for (IsaId isa : kBothIsas) {
+      compiler::CompileOptions options;
+      options.isa = isa;
+      const auto compiled = compiler::Compile(w->source, options);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      Digest digest;
+      digest.Add(compiled->program.text_bytes);
+      digest.AddBytes(compiled->program.image);
+      EXPECT_EQ(digest.value(),
+                isa == IsaId::kRv64Gc ? pinned.rv64gc : pinned.rv32i)
+          << pinned.kernel << " " << IsaName(isa);
+    }
   }
 }
 
