@@ -157,35 +157,12 @@ Status UpdateAgent::Persist() {
 
   // Atomic replace, the snapshot discipline: a crash leaves either the
   // previous manifest or the new one, never a torn file.
-  const std::string tmp_path = manifest_path_ + ".tmp";
-  const int fd =
-      ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
+  Status written = store::WriteFileAtomic(manifest_path_, file_bytes);
+  if (!written.ok()) {
     counters_.persist_failures++;
     AgentMetrics::Get().persist_failures.Add(1);
-    return Status(ErrorCode::kInternal,
-                  "cannot create " + tmp_path + ": " + std::strerror(errno));
   }
-  Status wrote = store::WriteAll(fd, file_bytes.data(), file_bytes.size());
-  const bool synced = wrote.ok() && ::fsync(fd) == 0;
-  const int sync_errno = errno;
-  ::close(fd);
-  if (!wrote.ok() || !synced ||
-      ::rename(tmp_path.c_str(), manifest_path_.c_str()) != 0) {
-    const int fail_errno = errno;
-    ::unlink(tmp_path.c_str());
-    counters_.persist_failures++;
-    AgentMetrics::Get().persist_failures.Add(1);
-    if (!wrote.ok()) return wrote;
-    return Status(ErrorCode::kInternal,
-                  "slot manifest write failed: " + manifest_path_ + ": " +
-                      (!synced ? std::string("fsync: ") +
-                                     std::strerror(sync_errno)
-                               : std::string("rename: ") +
-                                     std::strerror(fail_errno)));
-  }
-  store::SyncParentDir(manifest_path_);
-  return Status::Ok();
+  return written;
 }
 
 Status UpdateAgent::LoadManifest() {
@@ -255,10 +232,14 @@ Status UpdateAgent::LoadManifest() {
     rec.Bytes(&images[slot]);
     slots[slot].present = present != 0;
     slots[slot].image_bytes = images[slot].size();
-    if (fingerprint.size() == slots[slot].key_fingerprint.size()) {
-      std::memcpy(slots[slot].key_fingerprint.data(), fingerprint.data(),
-                  fingerprint.size());
+    // A fingerprint of any other length (or none, after an overrun) is
+    // damage: loading it zeroed would misreport the slot's sealing key.
+    if (fingerprint.size() != slots[slot].key_fingerprint.size()) {
+      return Status(ErrorCode::kCorruptPackage,
+                    "slot key fingerprint damaged: " + manifest_path_);
     }
+    std::memcpy(slots[slot].key_fingerprint.data(), fingerprint.data(),
+                fingerprint.size());
     // A present slot whose bytes do not match their recorded CRC is torn
     // storage, not a recoverable apply: fail closed.
     if (slots[slot].present &&

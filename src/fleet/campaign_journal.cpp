@@ -87,8 +87,11 @@ Status CampaignJournal::Open(const std::string& state_dir,
                               "campaign rotation-begin record damaged");
               }
             }
+            // The count is untrusted: it must fit the payload before it
+            // sizes an allocation.
             uint64_t count = 0;
-            if (!rec.U64(&state.campaign_fingerprint) || !rec.U64(&count)) {
+            if (!rec.U64(&state.campaign_fingerprint) || !rec.U64(&count) ||
+                count > rec.remaining() / sizeof(uint64_t)) {
               return Status(ErrorCode::kCorruptPackage,
                             "campaign begin record damaged");
             }

@@ -339,12 +339,11 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
     last_health_failed = false;
     if (delivered.ok()) {
       DispatchMeta meta;
+      meta.delta = as_delta;
       meta.version = memo.target_version;
       meta.key_fingerprint = artifact_entry->key_fingerprint;
-      run = as_delta ? registry_.DispatchDelta(device, *delivered,
-                                               config.arg0, config.arg1, &meta)
-                     : registry_.Dispatch(device, *delivered, config.arg0,
-                                          config.arg1, &meta);
+      run = registry_.Dispatch(device, *delivered, config.arg0, config.arg1,
+                               &meta);
       outcome.rolled_back |= meta.rolled_back;
       outcome.health_failed |= meta.health_failed;
       last_health_failed = meta.health_failed;

@@ -43,6 +43,64 @@ std::string ShardWalPath(const std::string& dir, size_t shard) {
   return dir + "/shard-" + std::to_string(shard) + ".wal";
 }
 
+Status Damaged(const std::string& what) {
+  return Status(ErrorCode::kCorruptPackage, what + " damaged");
+}
+
+// The decoders below are shared by snapshot load and WAL replay: each
+// persisted fact has one reader, next to its one writer. A WAL record
+// decode additionally requires the reader exhausted — a CRC-valid record
+// with bytes left over is damage, never padding.
+
+/// The ISA byte of device and manifest entries. A byte that names no
+/// known backend refuses recovery: defaulting would dispatch wrong-ISA
+/// images forever.
+Status ReadIsa(store::RecordReader& rec, isa::IsaId* isa) {
+  uint8_t byte = 0;
+  if (!rec.U8(&byte)) return Damaged("isa byte");
+  const auto parsed = isa::IsaFromWire(byte);
+  if (!parsed) {
+    return Status(ErrorCode::kCorruptPackage, "record names an unknown isa");
+  }
+  *isa = *parsed;
+  return Status::Ok();
+}
+
+/// Enroll fields {u64 id, u64 seed, u64 group}.
+void WriteEnroll(store::RecordWriter& rec, const DeviceInfo& info) {
+  rec.U64(info.id);
+  rec.U64(info.device_seed);
+  rec.U64(info.group);
+}
+
+Status ReadEnroll(store::RecordReader& rec, DeviceInfo* info) {
+  if (!rec.U64(&info->id) || !rec.U64(&info->device_seed) ||
+      !rec.U64(&info->group)) {
+    return Damaged("enroll fields");
+  }
+  return Status::Ok();
+}
+
+/// Manifest fields {u64 version, bytes keyfp(32), u8 isa}; pre-ISA
+/// encodings (`with_isa` false) end at the fingerprint and mean kRv64Gc.
+void WriteManifest(store::RecordWriter& rec, const DeliveryManifest& manifest) {
+  rec.U64(manifest.version);
+  rec.Bytes(manifest.key_fingerprint);
+  rec.U8(static_cast<uint8_t>(manifest.isa));
+}
+
+Status ReadManifest(store::RecordReader& rec, bool with_isa,
+                    DeliveryManifest* manifest) {
+  std::vector<uint8_t> fingerprint;
+  if (!rec.U64(&manifest->version) || !rec.Bytes(&fingerprint) ||
+      fingerprint.size() != manifest->key_fingerprint.size()) {
+    return Damaged("manifest fields");
+  }
+  std::copy(fingerprint.begin(), fingerprint.end(),
+            manifest->key_fingerprint.begin());
+  return with_isa ? ReadIsa(rec, &manifest->isa) : Status::Ok();
+}
+
 }  // namespace
 
 /// Everything the persistence mode owns: the open WALs, the lock that
@@ -77,7 +135,7 @@ std::string_view DeviceStatusName(DeviceStatus status) {
 DeviceRegistry::~DeviceRegistry() = default;
 
 DeviceRegistry::DeviceRegistry(const RegistryConfig& config)
-    : config_(config), epochs_(config.key_config) {
+    : config_(config) {
   if (config_.shard_count == 0) config_.shard_count = 1;
   shards_.reserve(config_.shard_count);
   for (size_t i = 0; i < config_.shard_count; ++i) {
@@ -94,14 +152,29 @@ size_t DeviceRegistry::ShardIndex(DeviceId id) const {
   return SplitMix64(id).Next() % shards_.size();
 }
 
-crypto::Key256 DeviceRegistry::DeriveGroupKey(GroupId id,
-                                              uint64_t epoch) const {
+void DeviceRegistry::KeyGroupAt(GroupId id, uint64_t epoch,
+                                GroupState& state) const {
   // Two-stage derivation: a stable per-group key, then the epoch on top,
   // so bumping one group's epoch re-keys it without touching any other
   // group's chain.
   const crypto::Key256 per_group =
       crypto::DeriveKey(group_secret_, "eric.fleet.group", id);
-  return crypto::DeriveKey(per_group, "eric.fleet.group.epoch", epoch);
+  state.epoch = epoch;
+  state.key = crypto::DeriveKey(per_group, "eric.fleet.group.epoch", epoch);
+}
+
+SealingContext DeviceRegistry::GroupSealing(const GroupState& state) const {
+  SealingContext sealing;
+  sealing.key = state.key;
+  sealing.config = config_.key_config;
+  sealing.config.epoch = state.epoch;
+  return sealing;
+}
+
+void DeviceRegistry::AddGroupLocked(GroupId id, std::string label) {
+  GroupState& state = groups_[id];
+  state.label = std::move(label);
+  KeyGroupAt(id, config_.key_config.epoch, state);
 }
 
 GroupId DeviceRegistry::CreateGroup(std::string label) {
@@ -113,10 +186,7 @@ GroupId DeviceRegistry::CreateGroup(std::string label) {
   {
     std::lock_guard lock(group_mutex_);
     id = next_group_id_++;
-    GroupState state;
-    state.label = label;
-    state.key = DeriveGroupKey(id, epochs_.epoch(id));
-    groups_.emplace(id, std::move(state));
+    AddGroupLocked(id, label);
   }
   if (storage_ != nullptr) {
     store::RecordWriter rec;
@@ -136,70 +206,57 @@ GroupId DeviceRegistry::CreateGroup(std::string label) {
 void DeviceRegistry::ApplyGroupCreate(GroupId id, std::string label) {
   std::lock_guard lock(group_mutex_);
   next_group_id_ = std::max(next_group_id_, id + 1);
-  if (groups_.contains(id)) return;  // idempotent replay
-  GroupState state;
-  state.label = std::move(label);
-  state.key = DeriveGroupKey(id, epochs_.epoch(id));
-  groups_.emplace(id, std::move(state));
+  if (!groups_.contains(id)) AddGroupLocked(id, std::move(label));
 }
 
-Status DeviceRegistry::ApplyEnroll(DeviceId id, uint64_t device_seed,
-                                   GroupId group, DeviceStatus status,
-                                   isa::IsaId isa) {
+Status DeviceRegistry::ApplyEnroll(const DeviceInfo& enrolled) {
+  const DeviceId id = enrolled.id;
+  const GroupId group = enrolled.group;
   // A grouped device enrolls at its group's *current* epoch: key and
   // effective KDF config are read under one lock so a concurrent
   // rotation cannot hand out a new key with an old epoch (or vice
   // versa). Solo devices always enroll at the base epoch.
-  crypto::Key256 group_key{};
-  crypto::KeyConfig device_config = config_.key_config;
+  SealingContext sealing;
+  sealing.config = config_.key_config;
   if (group != kNoGroup) {
-    std::shared_lock lock(group_mutex_);
-    auto it = groups_.find(group);
-    if (it == groups_.end()) {
-      return Status(ErrorCode::kNotFound, "unknown group");
-    }
-    group_key = it->second.key;
-    device_config = epochs_.ConfigFor(group);
+    auto group_sealing = WithGroup(
+        group, [this](const GroupState& state) -> Result<SealingContext> {
+          return GroupSealing(state);
+        });
+    if (!group_sealing.ok()) return group_sealing.status();
+    sealing = *group_sealing;
   }
 
   // Idempotent replay: a crash between snapshot write and WAL compaction
   // leaves pre-snapshot records in the tail. An id already materialized
   // must simply match; a conflict means the state directory is damaged.
-  {
-    Shard& shard = ShardFor(id);
-    std::shared_lock lock(shard.mutex);
-    auto it = shard.records.find(id);
-    if (it != shard.records.end()) {
-      if (it->second->info.device_seed != device_seed ||
-          it->second->info.group != group ||
-          it->second->info.isa != isa) {
-        return Status(ErrorCode::kCorruptPackage,
-                      "replayed enrollment conflicts with existing device");
-      }
-      return Status::Ok();
+  Status existing = WithRecord(id, [&enrolled](DeviceRecord& record) {
+    if (record.info.device_seed != enrolled.device_seed ||
+        record.info.group != enrolled.group ||
+        record.info.isa != enrolled.isa) {
+      return Status(ErrorCode::kCorruptPackage,
+                    "replayed enrollment conflicts with existing device");
     }
-  }
+    return Status::Ok();
+  });
+  if (existing.code() != ErrorCode::kNotFound) return existing;
 
   // The expensive part — simulating the silicon and its PUF enrollment —
   // runs outside every lock.
   auto record = std::make_unique<DeviceRecord>();
   record->endpoint = std::make_unique<core::TrustedDevice>(
-      device_seed, device_config, config_.cipher, sim::CpuTiming{}, isa);
+      enrolled.device_seed, sealing.config, config_.cipher, sim::CpuTiming{},
+      enrolled.isa);
   const crypto::Key256 device_key = record->endpoint->Enroll();
 
-  record->info.id = id;
-  record->info.device_seed = device_seed;
-  record->info.group = group;
-  record->info.status = status;
-  record->info.isa = isa;
+  record->info = enrolled;
   if (group != kNoGroup) {
     record->info.conversion_mask =
-        core::ApplyConversionMask(device_key, group_key);
+        core::ApplyConversionMask(device_key, sealing.key);
     ERIC_RETURN_IF_ERROR(record->endpoint->hde().ProvisionConversionMask(
         record->info.conversion_mask));
-    record->deployment_key = group_key;
   } else {
-    record->deployment_key = device_key;
+    record->solo_key = device_key;
   }
 
   // The device's update agent. With storage attached its slot manifest
@@ -237,21 +294,18 @@ Status DeviceRegistry::ApplyEnroll(DeviceId id, uint64_t device_seed,
   // keeps WAL replays from double counting.
   static auto& registry_metrics = obs::MetricsRegistry::Global();
   registry_metrics.GetGauge("fleet_devices_enrolled").Add(1);
-  if (status == DeviceStatus::kRevoked) {
+  if (enrolled.status == DeviceStatus::kRevoked) {
     registry_metrics.GetGauge("fleet_devices_revoked").Add(1);
   }
   if (group != kNoGroup) {
     bool stale = false;
-    crypto::Key256 current_key{};
-    crypto::KeyConfig current_config;
     {
       std::lock_guard lock(group_mutex_);
-      auto& state = groups_.at(group);
+      GroupState& state = groups_.at(group);
       state.members.push_back(id);
-      current_config = epochs_.ConfigFor(group);
-      if (current_config.epoch != device_config.epoch) {
+      if (state.epoch != sealing.config.epoch) {
         stale = true;
-        current_key = state.key;
+        sealing = GroupSealing(state);
       }
     }
     if (stale) {
@@ -261,8 +315,8 @@ Status DeviceRegistry::ApplyEnroll(DeviceId id, uint64_t device_seed,
       // it. Bring it to the current epoch here; a rotation that lands
       // *after* the push_back sees us in the list and re-keys us itself
       // (RekeyMember is atomic per device, so the two cannot interleave
-      // into a torn endpoint/key pair).
-      ERIC_RETURN_IF_ERROR(RekeyMember(id, current_config, current_key));
+      // into a torn endpoint/mask pair).
+      ERIC_RETURN_IF_ERROR(RekeyMember(id, sealing));
     }
   }
   // Replay allocates ids from the log: keep the allocator ahead of every
@@ -280,14 +334,15 @@ Result<DeviceId> DeviceRegistry::Enroll(uint64_t device_seed, GroupId group,
   if (storage_ != nullptr) {
     storage_lock = std::shared_lock(storage_->mutation_mutex);
   }
-  const DeviceId id = next_device_id_.fetch_add(1, std::memory_order_relaxed);
-  ERIC_RETURN_IF_ERROR(ApplyEnroll(id, device_seed, group,
-                                   DeviceStatus::kEnrolled, isa));
+  DeviceInfo enrolled;
+  enrolled.id = next_device_id_.fetch_add(1, std::memory_order_relaxed);
+  enrolled.device_seed = device_seed;
+  enrolled.group = group;
+  enrolled.isa = isa;
+  ERIC_RETURN_IF_ERROR(ApplyEnroll(enrolled));
   if (storage_ != nullptr) {
     store::RecordWriter rec;
-    rec.U64(id);
-    rec.U64(device_seed);
-    rec.U64(group);
+    WriteEnroll(rec, enrolled);
     rec.U8(static_cast<uint8_t>(isa));
     // Write-ahead contract: the enrollment is only acknowledged (the id
     // returned) once its record is durable per the sync policy. A failed
@@ -301,42 +356,24 @@ Result<DeviceId> DeviceRegistry::Enroll(uint64_t device_seed, GroupId group,
     // and a crash may resurrect the enrollment at replay; that is the
     // standard lost-commit-ack ambiguity, and re-enrolling the seed
     // under a fresh id coexists with the ghost by design.)
-    Status logged = LogMutation(*storage_->shard_wals[ShardIndex(id)],
+    Status logged = LogMutation(*storage_->shard_wals[ShardIndex(enrolled.id)],
                                 kWalEnrollIsa, rec.bytes(), storage_lock);
     if (!logged.ok()) {
-      Shard& shard = ShardFor(id);
-      std::unique_lock lock(shard.mutex);
-      auto it = shard.records.find(id);
-      if (it != shard.records.end()) {
-        it->second->info.status = DeviceStatus::kRevoked;
-      }
+      (void)WithRecord<std::unique_lock<std::shared_mutex>>(
+          enrolled.id, [](DeviceRecord& record) {
+            record.info.status = DeviceStatus::kRevoked;
+            return Status::Ok();
+          });
       return logged;  // the burned id is never reused, as documented
     }
   }
-  return id;
+  return enrolled.id;
 }
 
 Result<DeviceInfo> DeviceRegistry::Lookup(DeviceId id) const {
-  const Shard& shard = ShardFor(id);
-  std::shared_lock lock(shard.mutex);
-  auto it = shard.records.find(id);
-  if (it == shard.records.end()) {
-    return Status(ErrorCode::kNotFound, "unknown device");
-  }
-  return it->second->info;
-}
-
-Status DeviceRegistry::ValidateRevocable(DeviceId id) const {
-  const Shard& shard = ShardFor(id);
-  std::shared_lock lock(shard.mutex);
-  auto it = shard.records.find(id);
-  if (it == shard.records.end()) {
-    return Status(ErrorCode::kNotFound, "unknown device");
-  }
-  if (it->second->info.status == DeviceStatus::kRevoked) {
-    return Status(ErrorCode::kFailedPrecondition, "device already revoked");
-  }
-  return Status::Ok();
+  return WithRecord(id, [](DeviceRecord& record) -> Result<DeviceInfo> {
+    return record.info;
+  });
 }
 
 Status DeviceRegistry::Revoke(DeviceId id) {
@@ -350,7 +387,12 @@ Status DeviceRegistry::Revoke(DeviceId id) {
   // after a failed append would un-revoke a device someone already saw
   // revoked. Two racers may both pass validation; both then log and
   // apply, which ApplyRevoke and replay absorb idempotently.
-  ERIC_RETURN_IF_ERROR(ValidateRevocable(id));
+  ERIC_RETURN_IF_ERROR(WithRecord(id, [](DeviceRecord& record) {
+    if (record.info.status == DeviceStatus::kRevoked) {
+      return Status(ErrorCode::kFailedPrecondition, "device already revoked");
+    }
+    return Status::Ok();
+  }));
   if (storage_ != nullptr) {
     store::RecordWriter rec;
     rec.U64(id);
@@ -365,72 +407,46 @@ Status DeviceRegistry::Revoke(DeviceId id) {
 }
 
 Status DeviceRegistry::ApplyRevoke(DeviceId id) {
-  Shard& shard = ShardFor(id);
-  std::unique_lock lock(shard.mutex);
-  auto it = shard.records.find(id);
-  if (it == shard.records.end()) {
-    return Status(ErrorCode::kCorruptPackage,
-                  "replayed revocation names an unknown device");
-  }
-  if (it->second->info.status != DeviceStatus::kRevoked) {
-    it->second->info.status = DeviceStatus::kRevoked;
-    obs::MetricsRegistry::Global().GetGauge("fleet_devices_revoked").Add(1);
-  }
-  return Status::Ok();
-}
-
-Result<crypto::Key256> DeviceRegistry::DeploymentKey(DeviceId id) const {
-  const Shard& shard = ShardFor(id);
-  std::shared_lock lock(shard.mutex);
-  auto it = shard.records.find(id);
-  if (it == shard.records.end()) {
-    return Status(ErrorCode::kNotFound, "unknown device");
-  }
-  return it->second->deployment_key;
+  return WithRecord<std::unique_lock<std::shared_mutex>>(
+      id, [](DeviceRecord& record) {
+        if (record.info.status != DeviceStatus::kRevoked) {
+          record.info.status = DeviceStatus::kRevoked;
+          obs::MetricsRegistry::Global()
+              .GetGauge("fleet_devices_revoked")
+              .Add(1);
+        }
+        return Status::Ok();
+      });
 }
 
 Result<crypto::Key256> DeviceRegistry::GroupKey(GroupId group) const {
-  std::shared_lock lock(group_mutex_);
-  auto it = groups_.find(group);
-  if (it == groups_.end()) {
-    return Status(ErrorCode::kNotFound, "unknown group");
-  }
-  return it->second.key;
+  return WithGroup(group,
+                   [](const GroupState& state) -> Result<crypto::Key256> {
+                     return state.key;
+                   });
 }
 
 Result<SealingContext> DeviceRegistry::SealingContextFor(DeviceId id) const {
-  GroupId group = kNoGroup;
-  SealingContext context;
-  context.config = config_.key_config;
-  {
-    const Shard& shard = ShardFor(id);
-    std::shared_lock lock(shard.mutex);
-    auto it = shard.records.find(id);
-    if (it == shard.records.end()) {
-      return Status(ErrorCode::kNotFound, "unknown device");
-    }
-    group = it->second->info.group;
-    context.key = it->second->deployment_key;
-  }
-  if (group != kNoGroup) {
-    // Re-read key and epoch together under the group lock: a rotation
-    // racing this call lands either wholly before or wholly after.
-    std::shared_lock lock(group_mutex_);
-    auto it = groups_.find(group);
-    if (it != groups_.end()) {
-      context.key = it->second.key;
-      context.config = epochs_.ConfigFor(group);
-    }
-  }
-  return context;
+  SealingContext solo;
+  solo.config = config_.key_config;
+  auto group = WithRecord(id, [&solo](DeviceRecord& record) -> Result<GroupId> {
+    solo.key = record.solo_key;
+    return record.info.group;
+  });
+  if (!group.ok()) return group.status();
+  if (*group == kNoGroup) return solo;
+  // Key and epoch are read together under the group lock: a rotation
+  // racing this call lands either wholly before or wholly after.
+  return WithGroup(*group,
+                   [this](const GroupState& state) -> Result<SealingContext> {
+                     return GroupSealing(state);
+                   });
 }
 
 Result<uint64_t> DeviceRegistry::GroupEpoch(GroupId group) const {
-  std::shared_lock lock(group_mutex_);
-  if (!groups_.contains(group)) {
-    return Status(ErrorCode::kNotFound, "unknown group");
-  }
-  return epochs_.epoch(group);
+  return WithGroup(group, [](const GroupState& state) -> Result<uint64_t> {
+    return state.epoch;
+  });
 }
 
 Result<GroupRotation> DeviceRegistry::RotateGroupEpoch(GroupId group) {
@@ -459,14 +475,9 @@ Result<GroupRotation> DeviceRegistry::RotateGroupEpochTo(
   // packages already sealed. An advance that turns out to be a no-op by
   // apply time (a racing rotator won) leaves a redundant record the
   // idempotent replay absorbs.
-  bool advances = false;
-  {
-    std::shared_lock lock(group_mutex_);
-    if (!groups_.contains(group)) {
-      return Status(ErrorCode::kNotFound, "unknown group");
-    }
-    advances = target_epoch > epochs_.epoch(group);
-  }
+  auto current = GroupEpoch(group);
+  if (!current.ok()) return current.status();
+  const bool advances = target_epoch > *current;
   if (storage_ != nullptr && advances) {
     store::RecordWriter rec;
     rec.U64(group);
@@ -486,33 +497,31 @@ Result<GroupRotation> DeviceRegistry::ApplyEpochBump(GroupId group,
   GroupRotation rotation;
   rotation.group = group;
   std::vector<DeviceId> members;
-  crypto::Key256 new_key{};
-  crypto::KeyConfig new_config;
+  SealingContext sealing;
   {
     std::lock_guard lock(group_mutex_);
     auto it = groups_.find(group);
     if (it == groups_.end()) {
       return Status(ErrorCode::kNotFound, "unknown group");
     }
-    rotation.old_epoch = epochs_.epoch(group);
-    if (target_epoch <= rotation.old_epoch) {
+    GroupState& state = it->second;
+    rotation.old_epoch = state.epoch;
+    if (target_epoch <= state.epoch) {
       // Idempotent no-op (resume replay). The retired-key fingerprint
       // stays zero: the original rotation may have jumped several
       // epochs, so target-1 is not necessarily the epoch it retired,
       // and its invalidation already ran when the rotation applied.
-      rotation.new_epoch = rotation.old_epoch;
+      rotation.new_epoch = state.epoch;
       return rotation;
     }
     rotation.rotated = true;
     rotation.new_epoch = target_epoch;
-    rotation.old_key_fingerprint = crypto::Sha256::Hash(it->second.key);
+    rotation.old_key_fingerprint = crypto::Sha256::Hash(state.key);
     // Publish the new key and epoch together; from here on every
     // SealingContextFor seals under the new epoch.
-    epochs_.AdvanceTo(group, target_epoch);
-    it->second.key = DeriveGroupKey(group, target_epoch);
-    new_key = it->second.key;
-    new_config = epochs_.ConfigFor(group);
-    members = it->second.members;
+    KeyGroupAt(group, target_epoch, state);
+    sealing = GroupSealing(state);
+    members = state.members;
   }
 
   // Re-provision every member outside the group lock: the KMU config
@@ -521,53 +530,38 @@ Result<GroupRotation> DeviceRegistry::ApplyEpochBump(GroupId group,
   // (endpoint mutex); its in-flight old-epoch package is then rejected
   // on the next delivery — exactly the invalidation the bump promises.
   for (DeviceId id : members) {
-    ERIC_RETURN_IF_ERROR(RekeyMember(id, new_config, new_key));
+    ERIC_RETURN_IF_ERROR(RekeyMember(id, sealing));
     ++rotation.members_rekeyed;
   }
   return rotation;
 }
 
-Status DeviceRegistry::RekeyMember(DeviceId id,
-                                   const crypto::KeyConfig& config,
-                                   const crypto::Key256& group_key) {
-  DeviceRecord* record = nullptr;
-  {
-    Shard& shard = ShardFor(id);
-    std::shared_lock lock(shard.mutex);
-    auto it = shard.records.find(id);
-    if (it == shard.records.end()) return Status::Ok();  // never erased
-    record = it->second.get();
-  }
-  // The endpoint mutex is held across the KMU update AND the record
-  // field update, so two racing rekeys (a rotation and an enroll's
-  // stale-epoch repair) serialize wholesale — the endpoint and the
-  // published deployment key can never come from different epochs.
-  // Taking the shard lock inside the endpoint lock cannot deadlock:
-  // no path waits on an endpoint mutex while holding a shard lock
-  // (Dispatch releases the shard lock before its endpoint wait).
-  std::lock_guard endpoint_lock(record->endpoint_mutex);
-  auto rotated_key = record->endpoint->hde().RotateKeyConfig(config);
-  if (!rotated_key.ok()) return rotated_key.status();
-  const crypto::Key256 mask =
-      core::ApplyConversionMask(*rotated_key, group_key);
-  ERIC_RETURN_IF_ERROR(record->endpoint->hde().ProvisionConversionMask(mask));
-  {
-    Shard& shard = ShardFor(id);
-    std::unique_lock lock(shard.mutex);
-    record->info.conversion_mask = mask;
-    record->deployment_key = group_key;
-  }
-  return Status::Ok();
+Status DeviceRegistry::RekeyMember(DeviceId id, const SealingContext& group) {
+  // The endpoint mutex is held across the KMU update AND the mask field
+  // update, so two racing rekeys (a rotation and an enroll's stale-epoch
+  // repair) serialize wholesale — the endpoint and the published
+  // conversion mask can never come from different epochs. Taking the
+  // shard lock inside the endpoint lock cannot deadlock: no path waits
+  // on an endpoint mutex while holding a shard lock (WithEndpoint
+  // releases the shard lock before its endpoint wait).
+  return WithEndpoint(id, [&](DeviceRecord& record) -> Status {
+    auto rotated_key = record.endpoint->hde().RotateKeyConfig(group.config);
+    if (!rotated_key.ok()) return rotated_key.status();
+    const crypto::Key256 mask =
+        core::ApplyConversionMask(*rotated_key, group.key);
+    ERIC_RETURN_IF_ERROR(record.endpoint->hde().ProvisionConversionMask(mask));
+    std::unique_lock lock(ShardFor(id).mutex);
+    record.info.conversion_mask = mask;
+    return Status::Ok();
+  });
 }
 
 Result<std::vector<DeviceId>> DeviceRegistry::GroupMembers(
     GroupId group) const {
-  std::shared_lock lock(group_mutex_);
-  auto it = groups_.find(group);
-  if (it == groups_.end()) {
-    return Status(ErrorCode::kNotFound, "unknown group");
-  }
-  return it->second.members;
+  return WithGroup(
+      group, [](const GroupState& state) -> Result<std::vector<DeviceId>> {
+        return state.members;
+      });
 }
 
 std::vector<DeviceId> DeviceRegistry::AllDevices() const {
@@ -581,42 +575,52 @@ std::vector<DeviceId> DeviceRegistry::AllDevices() const {
   return ids;
 }
 
-Result<DeviceRegistry::DeviceRecord*> DeviceRegistry::DispatchableRecord(
-    DeviceId id) {
+Result<core::TrustedRunResult> DeviceRegistry::Dispatch(
+    DeviceId id, std::span<const uint8_t> wire_bytes, uint64_t arg0,
+    uint64_t arg1, DispatchMeta* meta) {
   // Records are never erased (revocation is a soft delete), so the
   // pointer stays valid after the shard lock drops; only the endpoint
   // mutex is held for the (long) device run.
-  Shard& shard = ShardFor(id);
-  std::shared_lock lock(shard.mutex);
-  auto it = shard.records.find(id);
-  if (it == shard.records.end()) {
-    return Status(ErrorCode::kNotFound, "unknown device");
-  }
-  if (it->second->info.status == DeviceStatus::kRevoked) {
-    return Status(ErrorCode::kFailedPrecondition, "device revoked");
-  }
-  return it->second.get();
-}
-
-Result<DeviceRegistry::DeviceRecord*> DeviceRegistry::AnyRecord(DeviceId id) {
-  Shard& shard = ShardFor(id);
-  std::shared_lock lock(shard.mutex);
-  auto it = shard.records.find(id);
-  if (it == shard.records.end()) {
-    return Status(ErrorCode::kNotFound, "unknown device");
-  }
-  return it->second.get();
-}
-
-Result<core::TrustedRunResult> DeviceRegistry::AgentApplyLocked(
-    DeviceRecord& record, std::span<const uint8_t> image, uint64_t arg0,
-    uint64_t arg1, DispatchMeta* meta) {
+  auto found =
+      WithRecord(id, [](DeviceRecord& record) -> Result<DeviceRecord*> {
+        if (record.info.status == DeviceStatus::kRevoked) {
+          return Status(ErrorCode::kFailedPrecondition, "device revoked");
+        }
+        return &record;
+      });
+  if (!found.ok()) return found.status();
+  DeviceRecord& record = **found;
+  std::lock_guard endpoint_lock(record.endpoint_mutex);
   agent::UpdateAgent& agent = *record.agent;
-  const agent::AgentCounters before = agent.state().counters;
+
+  std::span<const uint8_t> image = wire_bytes;
+  std::vector<uint8_t> patched;
+  bool recovered_base = false;
+  if (meta != nullptr && meta->delta) {
+    // A crashed apply must roll back before the base is read, or the
+    // patch would target an unproven image the recovery is about to undo.
+    if (agent.NeedsRecovery()) {
+      ERIC_RETURN_IF_ERROR(agent.Recover());
+      recovered_base = true;
+    }
+    std::span<const uint8_t> base = agent.active_image();
+    if (base.empty()) {
+      // Same code as a corrupt patch: either way the device cannot turn
+      // this delta into a runnable image, and the sender must fall back
+      // to a full package.
+      return Status(ErrorCode::kCorruptPackage,
+                    "device retains no base image to patch");
+    }
+    auto applied = pkg::ApplyDelta(base, wire_bytes);
+    if (!applied.ok()) return applied.status();
+    patched = std::move(*applied);
+    image = patched;
+  }
 
   // The health check IS the delivery's run: HDE validation plus a short
   // sim execution of the just-flipped image. Its result is captured so
   // a healthy apply reports the run the caller expects.
+  const agent::AgentCounters before = agent.state().counters;
   Result<core::TrustedRunResult> run =
       Status(ErrorCode::kInternal, "health check never ran");
   const agent::UpdateAgent::HealthCheck health =
@@ -626,7 +630,6 @@ Result<core::TrustedRunResult> DeviceRegistry::AgentApplyLocked(
     run = std::move(executed);
     return Status::Ok();
   };
-
   Status applied =
       agent.Apply(image, meta != nullptr ? meta->version : 0,
                   meta != nullptr ? meta->key_fingerprint
@@ -636,95 +639,56 @@ Result<core::TrustedRunResult> DeviceRegistry::AgentApplyLocked(
     const agent::AgentCounters after = agent.state().counters;
     meta->rolled_back = after.rollbacks > before.rollbacks;
     meta->health_failed = after.health_failures > before.health_failures;
-    meta->crash_recovered = after.crash_recoveries > before.crash_recoveries;
+    meta->crash_recovered =
+        recovered_base || after.crash_recoveries > before.crash_recoveries;
   }
   if (!applied.ok()) return applied;
   return run;
 }
 
-Result<core::TrustedRunResult> DeviceRegistry::Dispatch(
-    DeviceId id, std::span<const uint8_t> wire_bytes, uint64_t arg0,
-    uint64_t arg1, DispatchMeta* meta) {
-  auto record = DispatchableRecord(id);
-  if (!record.ok()) return record.status();
-  std::lock_guard endpoint_lock((*record)->endpoint_mutex);
-  return AgentApplyLocked(**record, wire_bytes, arg0, arg1, meta);
-}
-
-Result<core::TrustedRunResult> DeviceRegistry::DispatchDelta(
-    DeviceId id, std::span<const uint8_t> delta_bytes, uint64_t arg0,
-    uint64_t arg1, DispatchMeta* meta) {
-  auto record = DispatchableRecord(id);
-  if (!record.ok()) return record.status();
-  std::lock_guard endpoint_lock((*record)->endpoint_mutex);
-  agent::UpdateAgent& agent = *(*record)->agent;
-  // A crashed apply must roll back before the base is read, or the
-  // patch would target an unproven image the recovery is about to undo.
-  if (agent.NeedsRecovery()) {
-    ERIC_RETURN_IF_ERROR(agent.Recover());
-    if (meta != nullptr) meta->crash_recovered = true;
-  }
-  std::span<const uint8_t> base = agent.active_image();
-  if (base.empty()) {
-    // Same code as a corrupt patch: either way the device cannot turn
-    // this delta into a runnable image, and the sender must fall back
-    // to a full package.
-    return Status(ErrorCode::kCorruptPackage,
-                  "device retains no base image to patch");
-  }
-  auto patched = pkg::ApplyDelta(base, delta_bytes);
-  if (!patched.ok()) return patched.status();
-  return AgentApplyLocked(**record, *patched, arg0, arg1, meta);
-}
-
 Result<AgentInspection> DeviceRegistry::InspectAgent(DeviceId id) {
-  auto record = AnyRecord(id);
-  if (!record.ok()) return record.status();
-  std::lock_guard endpoint_lock((*record)->endpoint_mutex);
-  AgentInspection inspection;
-  inspection.state = (*record)->agent->state();
-  inspection.active_crc_valid = (*record)->agent->ActiveCrcValid();
-  return inspection;
+  return WithEndpoint(id, [](DeviceRecord& record) -> Result<AgentInspection> {
+    AgentInspection inspection;
+    inspection.state = record.agent->state();
+    inspection.active_crc_valid = record.agent->ActiveCrcValid();
+    return inspection;
+  });
 }
 
 Status DeviceRegistry::RecoverAgent(DeviceId id) {
-  auto record = AnyRecord(id);
-  if (!record.ok()) return record.status();
-  std::lock_guard endpoint_lock((*record)->endpoint_mutex);
-  return (*record)->agent->Recover();
+  return WithEndpoint(
+      id, [](DeviceRecord& record) { return record.agent->Recover(); });
 }
 
 Result<core::TrustedRunResult> DeviceRegistry::RunActiveSlot(DeviceId id,
                                                              uint64_t arg0,
                                                              uint64_t arg1) {
-  auto record = AnyRecord(id);
-  if (!record.ok()) return record.status();
-  std::lock_guard endpoint_lock((*record)->endpoint_mutex);
-  agent::UpdateAgent& agent = *(*record)->agent;
-  if (agent.NeedsRecovery()) {
-    ERIC_RETURN_IF_ERROR(agent.Recover());
-  }
-  std::span<const uint8_t> image = agent.active_image();
-  if (image.empty()) {
-    return Status(ErrorCode::kFailedPrecondition, "no active slot");
-  }
-  return (*record)->endpoint->ReceiveAndRun(image, arg0, arg1);
+  return WithEndpoint(
+      id, [&](DeviceRecord& record) -> Result<core::TrustedRunResult> {
+        agent::UpdateAgent& agent = *record.agent;
+        if (agent.NeedsRecovery()) {
+          ERIC_RETURN_IF_ERROR(agent.Recover());
+        }
+        std::span<const uint8_t> image = agent.active_image();
+        if (image.empty()) {
+          return Status(ErrorCode::kFailedPrecondition, "no active slot");
+        }
+        return record.endpoint->ReceiveAndRun(image, arg0, arg1);
+      });
 }
 
 Status DeviceRegistry::ArmAgentHealthFailures(DeviceId id, uint32_t count) {
-  auto record = AnyRecord(id);
-  if (!record.ok()) return record.status();
-  std::lock_guard endpoint_lock((*record)->endpoint_mutex);
-  (*record)->agent->ArmHealthFailures(count);
-  return Status::Ok();
+  return WithEndpoint(id, [count](DeviceRecord& record) {
+    record.agent->ArmHealthFailures(count);
+    return Status::Ok();
+  });
 }
 
 Status DeviceRegistry::ArmAgentCrash(DeviceId id, agent::CrashPoint point) {
-  auto record = AnyRecord(id);
-  if (!record.ok()) return record.status();
-  std::lock_guard endpoint_lock((*record)->endpoint_mutex);
-  (*record)->agent->ArmCrash(point);
-  return Status::Ok();
+  return WithEndpoint(id, [point](DeviceRecord& record) {
+    record.agent->ArmCrash(point);
+    return Status::Ok();
+  });
 }
 
 void DeviceRegistry::SetAgentCrashInjection(double rate, uint64_t seed) {
@@ -747,34 +711,23 @@ void DeviceRegistry::SetAgentCrashInjection(double rate, uint64_t seed) {
 }
 
 Result<DeliveryManifest> DeviceRegistry::DeliveredVersion(DeviceId id) const {
-  const Shard& shard = ShardFor(id);
-  std::shared_lock lock(shard.mutex);
-  auto it = shard.records.find(id);
-  if (it == shard.records.end()) {
-    return Status(ErrorCode::kNotFound, "unknown device");
-  }
-  if (!it->second->has_manifest) {
-    return Status(ErrorCode::kFailedPrecondition,
-                  "no delivery recorded for device");
-  }
-  return it->second->manifest;
+  return WithRecord(id, [](DeviceRecord& record) -> Result<DeliveryManifest> {
+    if (!record.has_manifest) {
+      return Status(ErrorCode::kFailedPrecondition,
+                    "no delivery recorded for device");
+    }
+    return record.manifest;
+  });
 }
 
-Status DeviceRegistry::ApplyManifest(
-    DeviceId id, uint64_t version,
-    const crypto::Sha256Digest& key_fingerprint, isa::IsaId isa) {
-  Shard& shard = ShardFor(id);
-  std::unique_lock lock(shard.mutex);
-  auto it = shard.records.find(id);
-  if (it == shard.records.end()) {
-    return Status(ErrorCode::kNotFound,
-                  "manifest names an unknown device");
-  }
-  it->second->manifest.version = version;  // last write wins
-  it->second->manifest.key_fingerprint = key_fingerprint;
-  it->second->manifest.isa = isa;
-  it->second->has_manifest = true;
-  return Status::Ok();
+Status DeviceRegistry::ApplyManifest(DeviceId id,
+                                     const DeliveryManifest& manifest) {
+  return WithRecord<std::unique_lock<std::shared_mutex>>(
+      id, [&manifest](DeviceRecord& record) {
+        record.manifest = manifest;  // last write wins
+        record.has_manifest = true;
+        return Status::Ok();
+      });
 }
 
 Status DeviceRegistry::RecordDelivery(
@@ -784,15 +737,14 @@ Status DeviceRegistry::RecordDelivery(
   if (storage_ != nullptr) {
     storage_lock = std::shared_lock(storage_->mutation_mutex);
   }
-  {
-    // Validate before logging so a record for an unknown device never
-    // reaches the WAL.
-    const Shard& shard = ShardFor(id);
-    std::shared_lock lock(shard.mutex);
-    if (!shard.records.contains(id)) {
-      return Status(ErrorCode::kNotFound, "unknown device");
-    }
-  }
+  // Validate before logging so a record for an unknown device never
+  // reaches the WAL.
+  ERIC_RETURN_IF_ERROR(
+      WithRecord(id, [](DeviceRecord&) { return Status::Ok(); }));
+  DeliveryManifest manifest;
+  manifest.version = version;
+  manifest.key_fingerprint = key_fingerprint;
+  manifest.isa = isa;
   if (storage_ != nullptr) {
     // Log, then apply (the revoke discipline): a manifest visible to a
     // delta campaign must be durably true, or a crash could leave the
@@ -801,13 +753,11 @@ Status DeviceRegistry::RecordDelivery(
     // — only costs one full-package fallback.
     store::RecordWriter rec;
     rec.U64(id);
-    rec.U64(version);
-    rec.Bytes(key_fingerprint);
-    rec.U8(static_cast<uint8_t>(isa));
+    WriteManifest(rec, manifest);
     ERIC_RETURN_IF_ERROR(storage_->shard_wals[ShardIndex(id)]->Append(
         kWalManifestIsa, rec.bytes()));
   }
-  ERIC_RETURN_IF_ERROR(ApplyManifest(id, version, key_fingerprint, isa));
+  ERIC_RETURN_IF_ERROR(ApplyManifest(id, manifest));
   if (storage_ != nullptr) MaybeAutoSnapshot(storage_lock);
   return Status::Ok();
 }
@@ -912,89 +862,47 @@ Status DeviceRegistry::OpenStorage(const std::string& state_dir,
     uint64_t group_count = 0;
     if (!rec.U32(&version) || version < kSnapshotVersionNoEpochs ||
         version > kSnapshotVersion || !rec.U64(&group_count)) {
-      return Status(ErrorCode::kCorruptPackage, "snapshot schema damaged");
+      return Damaged("snapshot schema");
     }
     for (uint64_t i = 0; i < group_count; ++i) {
       uint64_t id = 0;
+      uint64_t epoch = config_.key_config.epoch;
       std::string label;
-      if (!rec.U64(&id) || !rec.Str(&label)) {
-        return Status(ErrorCode::kCorruptPackage, "snapshot group damaged");
+      if (!rec.U64(&id) || !rec.Str(&label) ||
+          (version >= kSnapshotVersionNoManifests && !rec.U64(&epoch))) {
+        return Damaged("snapshot group");
       }
-      if (version >= kSnapshotVersionNoManifests) {
-        uint64_t epoch = 0;
-        if (!rec.U64(&epoch)) {
-          return Status(ErrorCode::kCorruptPackage, "snapshot group damaged");
-        }
-        if (epoch > epochs_.base_epoch()) {
-          uint64_t& pending = pending_epochs[id];
-          pending = std::max(pending, epoch);
-        }
+      if (epoch > config_.key_config.epoch) {
+        uint64_t& pending = pending_epochs[id];
+        pending = std::max(pending, epoch);
       }
       ApplyGroupCreate(id, std::move(label));
     }
     uint64_t device_count = 0;
-    if (!rec.U64(&device_count)) {
-      return Status(ErrorCode::kCorruptPackage, "snapshot schema damaged");
-    }
+    if (!rec.U64(&device_count)) return Damaged("snapshot schema");
     for (uint64_t i = 0; i < device_count; ++i) {
-      uint64_t id = 0, seed = 0, group = 0;
+      // v4 adds the device and manifest ISA bytes (pre-ISA snapshots
+      // hold RV64GC fleets); v3 adds the optional manifest.
+      DeviceInfo enrolled;
       uint8_t status = 0;
-      if (!rec.U64(&id) || !rec.U64(&seed) || !rec.U64(&group) ||
-          !rec.U8(&status)) {
-        return Status(ErrorCode::kCorruptPackage, "snapshot device damaged");
-      }
-      // v4 adds the device ISA; pre-ISA snapshots hold RV64GC fleets.
-      isa::IsaId device_isa = isa::IsaId::kRv64Gc;
+      ERIC_RETURN_IF_ERROR(ReadEnroll(rec, &enrolled));
+      if (!rec.U8(&status)) return Damaged("snapshot device");
       if (version >= kSnapshotVersion) {
-        uint8_t isa_byte = 0;
-        if (!rec.U8(&isa_byte)) {
-          return Status(ErrorCode::kCorruptPackage, "snapshot device damaged");
-        }
-        const auto parsed_isa = isa::IsaFromWire(isa_byte);
-        if (!parsed_isa) {
-          return Status(ErrorCode::kCorruptPackage,
-                        "snapshot device names an unknown isa");
-        }
-        device_isa = *parsed_isa;
+        ERIC_RETURN_IF_ERROR(ReadIsa(rec, &enrolled.isa));
       }
-      ERIC_RETURN_IF_ERROR(
-          ApplyEnroll(id, seed, group,
-                      status == static_cast<uint8_t>(DeviceStatus::kRevoked)
-                          ? DeviceStatus::kRevoked
-                          : DeviceStatus::kEnrolled,
-                      device_isa));
-      if (version >= kSnapshotVersionNoIsa) {
-        uint8_t has_manifest = 0;
-        if (!rec.U8(&has_manifest)) {
-          return Status(ErrorCode::kCorruptPackage, "snapshot device damaged");
-        }
-        if (has_manifest != 0) {
-          uint64_t manifest_version = 0;
-          std::vector<uint8_t> fingerprint;
-          if (!rec.U64(&manifest_version) || !rec.Bytes(&fingerprint) ||
-              fingerprint.size() != crypto::Sha256Digest{}.size()) {
-            return Status(ErrorCode::kCorruptPackage,
-                          "snapshot manifest damaged");
-          }
-          isa::IsaId manifest_isa = isa::IsaId::kRv64Gc;
-          if (version >= kSnapshotVersion) {
-            uint8_t isa_byte = 0;
-            if (!rec.U8(&isa_byte)) {
-              return Status(ErrorCode::kCorruptPackage,
-                            "snapshot manifest damaged");
-            }
-            const auto parsed_isa = isa::IsaFromWire(isa_byte);
-            if (!parsed_isa) {
-              return Status(ErrorCode::kCorruptPackage,
-                            "snapshot manifest names an unknown isa");
-            }
-            manifest_isa = *parsed_isa;
-          }
-          crypto::Sha256Digest digest{};
-          std::copy(fingerprint.begin(), fingerprint.end(), digest.begin());
-          ERIC_RETURN_IF_ERROR(
-              ApplyManifest(id, manifest_version, digest, manifest_isa));
-        }
+      enrolled.status = status == static_cast<uint8_t>(DeviceStatus::kRevoked)
+                            ? DeviceStatus::kRevoked
+                            : DeviceStatus::kEnrolled;
+      ERIC_RETURN_IF_ERROR(ApplyEnroll(enrolled));
+      uint8_t has_manifest = 0;
+      if (version >= kSnapshotVersionNoIsa && !rec.U8(&has_manifest)) {
+        return Damaged("snapshot device");
+      }
+      if (has_manifest != 0) {
+        DeliveryManifest manifest;
+        ERIC_RETURN_IF_ERROR(
+            ReadManifest(rec, version >= kSnapshotVersion, &manifest));
+        ERIC_RETURN_IF_ERROR(ApplyManifest(enrolled.id, manifest));
       }
     }
     if (!rec.Exhausted()) {
@@ -1022,18 +930,16 @@ Status DeviceRegistry::OpenStorage(const std::string& state_dir,
           if (record.type == kWalGroupCreate) {
             uint64_t id = 0;
             std::string label;
-            if (!rec.U64(&id) || !rec.Str(&label)) {
-              return Status(ErrorCode::kCorruptPackage,
-                            "group-create record damaged");
+            if (!rec.U64(&id) || !rec.Str(&label) || !rec.Exhausted()) {
+              return Damaged("group-create record");
             }
             ApplyGroupCreate(id, std::move(label));
             return Status::Ok();
           }
           if (record.type == kWalEpochBump) {
             uint64_t group = 0, epoch = 0;
-            if (!rec.U64(&group) || !rec.U64(&epoch)) {
-              return Status(ErrorCode::kCorruptPackage,
-                            "epoch-bump record damaged");
+            if (!rec.U64(&group) || !rec.U64(&epoch) || !rec.Exhausted()) {
+              return Damaged("epoch-bump record");
             }
             ++info.epoch_bumps_replayed;
             uint64_t& pending = pending_epochs[group];
@@ -1055,13 +961,7 @@ Status DeviceRegistry::OpenStorage(const std::string& state_dir,
   // Manifest records replay in shard order after their device's enroll,
   // but a manifest whose enrollment was rolled back (soft-deleted) or
   // lives only in a lost snapshot region is deferred like a revoke.
-  struct DeferredManifest {
-    DeviceId id = 0;
-    uint64_t version = 0;
-    crypto::Sha256Digest key_fingerprint{};
-    isa::IsaId isa = isa::IsaId::kRv64Gc;
-  };
-  std::vector<DeferredManifest> deferred_manifests;
+  std::vector<std::pair<DeviceId, DeliveryManifest>> deferred_manifests;
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
     auto replayed = store::Wal::Replay(
         ShardWalPath(state_dir, shard),
@@ -1069,30 +969,16 @@ Status DeviceRegistry::OpenStorage(const std::string& state_dir,
          &deferred_manifests](const store::WalRecord& record) -> Status {
           store::RecordReader rec(record.payload);
           if (record.type == kWalEnroll || record.type == kWalEnrollIsa) {
-            uint64_t id = 0, seed = 0, group = 0;
-            if (!rec.U64(&id) || !rec.U64(&seed) || !rec.U64(&group)) {
-              return Status(ErrorCode::kCorruptPackage,
-                            "enroll record damaged");
-            }
             // Type-1 records predate heterogeneous fleets: RV64GC.
-            isa::IsaId isa = isa::IsaId::kRv64Gc;
+            DeviceInfo enrolled;
+            ERIC_RETURN_IF_ERROR(ReadEnroll(rec, &enrolled));
             if (record.type == kWalEnrollIsa) {
-              uint8_t isa_byte = 0;
-              if (!rec.U8(&isa_byte)) {
-                return Status(ErrorCode::kCorruptPackage,
-                              "enroll record damaged");
-              }
-              const auto parsed_isa = isa::IsaFromWire(isa_byte);
-              if (!parsed_isa) {
-                return Status(ErrorCode::kCorruptPackage,
-                              "enroll record names an unknown isa");
-              }
-              isa = *parsed_isa;
+              ERIC_RETURN_IF_ERROR(ReadIsa(rec, &enrolled.isa));
             }
-            Status applied = ApplyEnroll(id, seed, group,
-                                         DeviceStatus::kEnrolled, isa);
+            if (!rec.Exhausted()) return Damaged("enroll record");
+            Status applied = ApplyEnroll(enrolled);
             if (applied.code() == ErrorCode::kNotFound &&
-                group != kNoGroup) {
+                enrolled.group != kNoGroup) {
               // The enrollment outlived its group-create record (torn
               // groups.wal tail, or the group append failed while the
               // enroll append succeeded). Group keys derive from the
@@ -1100,56 +986,32 @@ Status DeviceRegistry::OpenStorage(const std::string& state_dir,
               // losslessly — only the display label is gone. Refusing
               // here would brick the whole state directory over a
               // cosmetic loss.
-              ApplyGroupCreate(group,
-                               "recovered-group-" + std::to_string(group));
-              applied =
-                  ApplyEnroll(id, seed, group, DeviceStatus::kEnrolled, isa);
+              ApplyGroupCreate(
+                  enrolled.group,
+                  "recovered-group-" + std::to_string(enrolled.group));
+              applied = ApplyEnroll(enrolled);
             }
             return applied;
           }
           if (record.type == kWalRevoke) {
             uint64_t id = 0;
-            if (!rec.U64(&id)) {
-              return Status(ErrorCode::kCorruptPackage,
-                            "revoke record damaged");
+            if (!rec.U64(&id) || !rec.Exhausted()) {
+              return Damaged("revoke record");
             }
-            Status applied = ApplyRevoke(id);
-            if (!applied.ok()) deferred_revokes.push_back(id);
+            if (!ApplyRevoke(id).ok()) deferred_revokes.push_back(id);
             return Status::Ok();
           }
           if (record.type == kWalManifest ||
               record.type == kWalManifestIsa) {
-            uint64_t id = 0, version = 0;
-            std::vector<uint8_t> fingerprint;
-            if (!rec.U64(&id) || !rec.U64(&version) ||
-                !rec.Bytes(&fingerprint) ||
-                fingerprint.size() != crypto::Sha256Digest{}.size()) {
-              return Status(ErrorCode::kCorruptPackage,
-                            "manifest record damaged");
-            }
-            DeferredManifest manifest;
-            if (record.type == kWalManifestIsa) {
-              uint8_t isa_byte = 0;
-              if (!rec.U8(&isa_byte)) {
-                return Status(ErrorCode::kCorruptPackage,
-                              "manifest record damaged");
-              }
-              const auto parsed_isa = isa::IsaFromWire(isa_byte);
-              if (!parsed_isa) {
-                return Status(ErrorCode::kCorruptPackage,
-                              "manifest record names an unknown isa");
-              }
-              manifest.isa = *parsed_isa;
-            }
+            uint64_t id = 0;
+            DeliveryManifest manifest;
+            if (!rec.U64(&id)) return Damaged("manifest record");
+            ERIC_RETURN_IF_ERROR(ReadManifest(
+                rec, record.type == kWalManifestIsa, &manifest));
+            if (!rec.Exhausted()) return Damaged("manifest record");
             ++info.manifest_records_replayed;
-            manifest.id = id;
-            manifest.version = version;
-            std::copy(fingerprint.begin(), fingerprint.end(),
-                      manifest.key_fingerprint.begin());
-            if (!ApplyManifest(id, version, manifest.key_fingerprint,
-                               manifest.isa)
-                     .ok()) {
-              deferred_manifests.push_back(manifest);
+            if (!ApplyManifest(id, manifest).ok()) {
+              deferred_manifests.emplace_back(id, manifest);
             }
             return Status::Ok();
           }
@@ -1171,12 +1033,8 @@ Status DeviceRegistry::OpenStorage(const std::string& state_dir,
   }
   // Same for manifests: one that still names an unknown device records a
   // delivery to an enrollment that never durably existed — a no-op.
-  for (const auto& manifest : deferred_manifests) {
-    if (!ApplyManifest(manifest.id, manifest.version, manifest.key_fingerprint,
-                       manifest.isa)
-             .ok()) {
-      ++info.orphan_manifests_dropped;
-    }
+  for (const auto& [id, manifest] : deferred_manifests) {
+    if (!ApplyManifest(id, manifest).ok()) ++info.orphan_manifests_dropped;
   }
 
   // Every enrollment and revocation is in: re-rotate each bumped group
@@ -1221,7 +1079,6 @@ Status DeviceRegistry::OpenStorage(const std::string& state_dir,
     }
     std::lock_guard lock(group_mutex_);
     groups_.clear();
-    epochs_.Reset();
     next_group_id_ = 1;
     next_device_id_.store(1, std::memory_order_relaxed);
     agent_dir_.clear();  // agents go memory-only until a retry succeeds
@@ -1249,7 +1106,7 @@ std::vector<uint8_t> DeviceRegistry::SerializeSnapshotLocked() const {
     for (const auto& [id, group] : groups_) {
       rec.U64(id);
       rec.Str(group.label);
-      rec.U64(epochs_.epoch(id));
+      rec.U64(group.epoch);
     }
   }
   // Count first, then emit: the exclusive mutation lock means the table
@@ -1263,17 +1120,11 @@ std::vector<uint8_t> DeviceRegistry::SerializeSnapshotLocked() const {
   for (const auto& shard : shards_) {
     std::shared_lock lock(shard->mutex);
     for (const auto& [id, record] : shard->records) {
-      rec.U64(id);
-      rec.U64(record->info.device_seed);
-      rec.U64(record->info.group);
+      WriteEnroll(rec, record->info);
       rec.U8(static_cast<uint8_t>(record->info.status));
       rec.U8(static_cast<uint8_t>(record->info.isa));
       rec.U8(record->has_manifest ? 1 : 0);
-      if (record->has_manifest) {
-        rec.U64(record->manifest.version);
-        rec.Bytes(record->manifest.key_fingerprint);
-        rec.U8(static_cast<uint8_t>(record->manifest.isa));
-      }
+      if (record->has_manifest) WriteManifest(rec, record->manifest);
     }
   }
   return rec.Take();

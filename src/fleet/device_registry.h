@@ -24,12 +24,12 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "agent/update_agent.h"
 #include "core/group_key.h"
 #include "core/trusted_execution.h"
-#include "crypto/epoch_manager.h"
 #include "crypto/kdf.h"
 #include "store/wal.h"
 #include "support/rng.h"
@@ -96,6 +96,9 @@ struct DeliveryManifest {
 /// fallback's retry-budget rule to post-delivery health failures.
 struct DispatchMeta {
   // -- in --
+  /// The wire bytes are a delta package against the agent's active slot
+  /// image rather than a full package.
+  bool delta = false;
   /// Program-version fingerprint of the delivered build (0 when the
   /// caller does not track versions; the slot still records the image).
   uint64_t version = 0;
@@ -253,11 +256,6 @@ class DeviceRegistry {
   /// kNotFound for unknown ids, kFailedPrecondition if already revoked.
   Status Revoke(DeviceId id);
 
-  /// The key a software source uses to build packages for this device:
-  /// the group key for grouped devices, the device's own PUF-based key
-  /// otherwise. This is the registry's copy of the handshake result.
-  Result<crypto::Key256> DeploymentKey(DeviceId id) const;
-
   /// The shared deployment key of `group`. kNotFound for unknown groups.
   Result<crypto::Key256> GroupKey(GroupId group) const;
 
@@ -304,26 +302,19 @@ class DeviceRegistry {
   /// with kFailedPrecondition for revoked devices. On success the
   /// active slot holds the delivered image — durably, when storage is
   /// attached — as the base for future delta deliveries.
+  ///
+  /// With `meta->delta` set the bytes are a delta package: the device
+  /// patches its active slot image first, then applies the result as
+  /// above. That fails closed with kCorruptPackage — no partial image,
+  /// nothing executed — when the agent holds no active slot (fresh
+  /// enrollment, or a device whose slot manifest was lost), when the
+  /// delta's base CRC does not match the active image, or when the
+  /// delta itself is corrupt.
   Result<core::TrustedRunResult> Dispatch(DeviceId id,
                                           std::span<const uint8_t> wire_bytes,
                                           uint64_t arg0 = 0,
                                           uint64_t arg1 = 0,
                                           DispatchMeta* meta = nullptr);
-
-  /// Delivers a delta package: the device applies `delta_bytes` to its
-  /// agent's active slot image, then stages/verifies/flips/health-checks
-  /// the patched image exactly as a full delivery. Fails closed with
-  /// kCorruptPackage — no partial image, nothing executed — when the
-  /// agent holds no active slot (fresh enrollment, or a device whose
-  /// slot manifest was lost), when the delta's base CRC does not match
-  /// the active image (the patch was computed against a different
-  /// version), or when the delta itself is corrupt. The active slot
-  /// advances only on a successful run; with storage attached it is
-  /// persisted in the slot manifest, so delta bases survive daemon
-  /// restarts.
-  Result<core::TrustedRunResult> DispatchDelta(
-      DeviceId id, std::span<const uint8_t> delta_bytes, uint64_t arg0 = 0,
-      uint64_t arg1 = 0, DispatchMeta* meta = nullptr);
 
   /// The device agent's slot state plus a fresh active-slot CRC check.
   /// Works on revoked devices too (an invariant sweep inspects the whole
@@ -405,7 +396,9 @@ class DeviceRegistry {
  private:
   struct DeviceRecord {
     DeviceInfo info;
-    crypto::Key256 deployment_key{};
+    /// A solo device's deployment key: its own PUF-based key. Grouped
+    /// records leave it zero — their key lives in GroupState.
+    crypto::Key256 solo_key{};
     /// Delivery manifest (guarded by the shard mutex with the rest of
     /// the record fields). `has_manifest` false until the first
     /// RecordDelivery / manifest replay.
@@ -428,61 +421,95 @@ class DeviceRegistry {
     std::unordered_map<DeviceId, std::unique_ptr<DeviceRecord>> records;
   };
 
+  /// One group's control-plane state. `epoch` and `key` only change
+  /// together (KeyGroupAt, under an exclusive group_mutex_), so a reader
+  /// holding group_mutex_ always sees a matching pair.
   struct GroupState {
     std::string label;
-    crypto::Key256 key{};
+    uint64_t epoch = 0;     ///< current KDF epoch
+    crypto::Key256 key{};   ///< group key derived under `epoch`
     std::vector<DeviceId> members;
   };
 
   /// Durable-state bundle, allocated by OpenStorage.
   struct Storage;
 
-  /// Looks up a live (non-revoked) record for dispatch. Records are
-  /// never erased, so the pointer survives the shard-lock drop.
-  Result<DeviceRecord*> DispatchableRecord(DeviceId id);
-  /// Looks up any record (revoked included) for agent inspection.
-  Result<DeviceRecord*> AnyRecord(DeviceId id);
-  /// Runs one staged agent apply on a record whose endpoint mutex the
-  /// caller holds: recovery of an interrupted apply, the agent state
-  /// machine, and the endpoint health run. Fills `meta` out-fields.
-  Result<core::TrustedRunResult> AgentApplyLocked(
-      DeviceRecord& record, std::span<const uint8_t> image, uint64_t arg0,
-      uint64_t arg1, DispatchMeta* meta);
+  /// Runs `fn(record)` under `id`'s shard lock — shared by default,
+  /// exclusive when `Lock` is std::unique_lock — and returns its Status
+  /// or Result. kNotFound for unknown ids.
+  template <typename Lock = std::shared_lock<std::shared_mutex>, typename Fn>
+  auto WithRecord(DeviceId id, Fn&& fn) const
+      -> decltype(fn(std::declval<DeviceRecord&>())) {
+    const Shard& shard = ShardFor(id);
+    Lock lock(shard.mutex);
+    auto it = shard.records.find(id);
+    if (it == shard.records.end()) {
+      return Status(ErrorCode::kNotFound, "unknown device");
+    }
+    return fn(*it->second);
+  }
+  /// Runs `fn(record)` holding only `id`'s endpoint mutex (revoked
+  /// records included). Records are never erased, so the record
+  /// outlives the shard-lock drop. kNotFound for unknown ids.
+  template <typename Fn>
+  auto WithEndpoint(DeviceId id, Fn&& fn)
+      -> decltype(fn(std::declval<DeviceRecord&>())) {
+    auto record =
+        WithRecord(id, [](DeviceRecord& found) -> Result<DeviceRecord*> {
+          return &found;
+        });
+    if (!record.ok()) return record.status();
+    std::lock_guard endpoint_lock((*record)->endpoint_mutex);
+    return fn(**record);
+  }
+  /// Runs `fn(state)` under a shared group_mutex_. kNotFound for unknown
+  /// groups.
+  template <typename Fn>
+  auto WithGroup(GroupId group, Fn&& fn) const
+      -> decltype(fn(std::declval<const GroupState&>())) {
+    std::shared_lock lock(group_mutex_);
+    auto it = groups_.find(group);
+    if (it == groups_.end()) {
+      return Status(ErrorCode::kNotFound, "unknown group");
+    }
+    return fn(it->second);
+  }
 
   Shard& ShardFor(DeviceId id) { return *shards_[ShardIndex(id)]; }
   const Shard& ShardFor(DeviceId id) const { return *shards_[ShardIndex(id)]; }
   size_t ShardIndex(DeviceId id) const;
 
-  /// Materializes one device record (endpoint simulation included) at a
-  /// fixed id — the shared body of Enroll and of recovery replay. Never
-  /// touches the WAL. Idempotent across replay: an id already present is
-  /// verified against (seed, group) and otherwise left alone.
-  Status ApplyEnroll(DeviceId id, uint64_t device_seed, GroupId group,
-                     DeviceStatus status, isa::IsaId isa);
+  /// Materializes one device record (endpoint simulation included) from
+  /// its enrollment fields (id, seed, group, status, isa) — the shared
+  /// body of Enroll and of recovery replay. Never touches the WAL.
+  /// Idempotent across replay: an id already present is verified against
+  /// (seed, group, isa) and otherwise left alone.
+  Status ApplyEnroll(const DeviceInfo& enrolled);
   /// Recreates a group at a fixed id (recovery replay). Idempotent.
   void ApplyGroupCreate(GroupId id, std::string label);
+  /// Adds group `id` at the base epoch. Caller holds group_mutex_
+  /// exclusively.
+  void AddGroupLocked(GroupId id, std::string label);
   /// Marks a device revoked (recovery replay; idempotent).
   Status ApplyRevoke(DeviceId id);
   /// Installs a delivery manifest on a device record (RecordDelivery
   /// body and recovery replay; idempotent, last write wins).
-  Status ApplyManifest(DeviceId id, uint64_t version,
-                       const crypto::Sha256Digest& key_fingerprint,
-                       isa::IsaId isa);
+  Status ApplyManifest(DeviceId id, const DeliveryManifest& manifest);
   /// Advances a group to `target_epoch` and re-provisions its members —
   /// the shared body of RotateGroupEpochTo and of recovery replay. Never
   /// touches the WAL. Idempotent: a target at or below the current epoch
   /// is a no-op.
   Result<GroupRotation> ApplyEpochBump(GroupId group, uint64_t target_epoch);
-  /// Re-provisions one member under `config`/`group_key`: KMU config
-  /// rotation, fresh conversion mask, and the record's deployment key.
-  /// Atomic against concurrent rekeys of the same device (the endpoint
-  /// mutex covers both the KMU update and the field update).
-  Status RekeyMember(DeviceId id, const crypto::KeyConfig& config,
-                     const crypto::Key256& group_key);
-  /// kNotFound / kFailedPrecondition when `id` cannot be revoked now.
-  Status ValidateRevocable(DeviceId id) const;
-  /// Derives the key for group `id` at `epoch` from the registry secret.
-  crypto::Key256 DeriveGroupKey(GroupId id, uint64_t epoch) const;
+  /// Re-provisions one member under its group's sealing context: KMU
+  /// config rotation and a fresh conversion mask. Atomic against
+  /// concurrent rekeys of the same device (the endpoint mutex covers both
+  /// the KMU update and the mask field update).
+  Status RekeyMember(DeviceId id, const SealingContext& group);
+  /// Moves `state` to `epoch` together with the group key derived under
+  /// it from the registry secret.
+  void KeyGroupAt(GroupId id, uint64_t epoch, GroupState& state) const;
+  /// The group's key plus the base KDF config at the group's epoch.
+  SealingContext GroupSealing(const GroupState& state) const;
   /// Fingerprint of everything recovery correctness depends on.
   uint64_t StorageFingerprint() const;
   /// Serializes groups + devices into a snapshot payload. Caller holds
@@ -506,10 +533,6 @@ class DeviceRegistry {
 
   RegistryConfig config_;
   crypto::Key256 group_secret_{};
-  /// Per-group key-epoch versioning over the base key_config. Epoch
-  /// advances and the matching GroupState.key update happen together
-  /// under group_mutex_, so readers holding it see a consistent pair.
-  crypto::EpochManager epochs_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   /// Readers (key/members/epoch lookups — once per target on the deploy

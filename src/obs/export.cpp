@@ -1,8 +1,5 @@
 #include "obs/export.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 
@@ -15,32 +12,9 @@
 
 namespace eric::obs {
 
-// tmp + fsync + rename: the snapshot file is always absent or a
-// complete document, whatever kills the writer.
 Status WriteFileAtomic(const std::string& path, const std::string& body) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status(ErrorCode::kInternal, "cannot open " + tmp);
-  }
-  Status status = store::WriteAll(
-      fd, reinterpret_cast<const uint8_t*>(body.data()), body.size());
-  if (status.ok() && ::fsync(fd) != 0) {
-    status = Status(ErrorCode::kInternal, "fsync failed on " + tmp);
-  }
-  if (::close(fd) != 0 && status.ok()) {
-    status = Status(ErrorCode::kInternal, "close failed on " + tmp);
-  }
-  if (!status.ok()) {
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return Status(ErrorCode::kInternal, "rename to " + path + " failed");
-  }
-  store::SyncParentDir(path);
-  return Status::Ok();
+  return store::WriteFileAtomic(
+      path, {reinterpret_cast<const uint8_t*>(body.data()), body.size()});
 }
 
 void WriteSnapshotJson(JsonWriter& json) {

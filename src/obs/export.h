@@ -22,9 +22,9 @@ class JsonWriter;
 
 namespace eric::obs {
 
-/// Atomically replaces `path` with `body` (tmp + fsync + rename +
-/// parent-dir fsync): readers see the old file or the new one, never a
-/// torn hybrid. Shared by the exporter and the flight recorder.
+/// Atomically replaces `path` with `body` (store::WriteFileAtomic):
+/// readers see the old file or the new one, never a torn hybrid. Shared
+/// by the exporter and the flight recorder.
 Status WriteFileAtomic(const std::string& path, const std::string& body);
 
 /// Most recent events included in a snapshot's `events` section (the

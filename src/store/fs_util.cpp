@@ -35,4 +35,34 @@ void SyncParentDir(const std::string& path) {
   SyncDir(slash == std::string::npos ? "." : path.substr(0, slash));
 }
 
+Status WriteFileAtomic(const std::string& path,
+                       std::span<const uint8_t> bytes) {
+  const std::string tmp = path + ".tmp";
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    return Status(ErrorCode::kInternal,
+                  "cannot create " + tmp + ": " + std::strerror(errno));
+  }
+  Status status = WriteAll(fd, bytes.data(), bytes.size());
+  if (status.ok() && ::fsync(fd) != 0) {
+    status = Status(ErrorCode::kInternal,
+                    "fsync failed on " + tmp + ": " + std::strerror(errno));
+  }
+  if (::close(fd) != 0 && status.ok()) {
+    status = Status(ErrorCode::kInternal,
+                    "close failed on " + tmp + ": " + std::strerror(errno));
+  }
+  if (status.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
+    status = Status(ErrorCode::kInternal,
+                    "rename to " + path + " failed: " + std::strerror(errno));
+  }
+  if (!status.ok()) {
+    ::unlink(tmp.c_str());
+    return status;
+  }
+  SyncParentDir(path);
+  return Status::Ok();
+}
+
 }  // namespace eric::store

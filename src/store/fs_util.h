@@ -1,10 +1,12 @@
-// POSIX file-durability helpers shared by the WAL and snapshot codecs:
-// full-write with EINTR retry, and the directory fsyncs that make
-// renames and truncations themselves crash-durable. Internal to
-// src/store/ — the public surface is wal.h / snapshot.h.
+// POSIX file-durability helpers shared by the WAL and snapshot codecs,
+// the update agent's slot manifests, and the telemetry exporter:
+// full-write with EINTR retry, the directory fsyncs that make renames
+// and truncations themselves crash-durable, and the one atomic
+// whole-file replace built from them.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "support/status.h"
@@ -20,5 +22,13 @@ void SyncDir(const std::string& dir);
 
 /// SyncDir on the directory containing file `path`.
 void SyncParentDir(const std::string& path);
+
+/// Atomically replaces `path` with `bytes`: writes `path`.tmp (opened
+/// O_CLOEXEC), fsyncs and closes it, renames it over `path`, then fsyncs
+/// the parent directory. A crash leaves the old file or the new one,
+/// never a torn hybrid; on failure the tmp file is removed and `path` is
+/// untouched.
+Status WriteFileAtomic(const std::string& path,
+                       std::span<const uint8_t> bytes);
 
 }  // namespace eric::store

@@ -156,6 +156,10 @@ class RecordReader {
 
   /// True while no accessor has overrun the payload.
   bool ok() const { return ok_; }
+  /// Payload bytes not yet consumed (0 once poisoned) — the bound a
+  /// decoder checks an untrusted element count against before it
+  /// allocates for it.
+  size_t remaining() const { return ok_ ? data_.size() - pos_ : 0; }
   /// True when every payload byte has been consumed (and no overrun).
   bool Exhausted() const { return ok_ && pos_ == data_.size(); }
 

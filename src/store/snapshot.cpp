@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <filesystem>
 
@@ -53,7 +52,6 @@ Status WriteSnapshot(const std::string& dir, const std::string& prefix,
                      uint64_t sequence, uint64_t fingerprint,
                      std::span<const uint8_t> payload) {
   const std::string final_path = dir + "/" + SnapshotName(prefix, sequence);
-  const std::string tmp_path = final_path + ".tmp";
 
   std::vector<uint8_t> file_bytes(kHeaderSize + payload.size());
   std::memcpy(file_bytes.data(), kMagic, sizeof(kMagic));
@@ -63,29 +61,7 @@ Status WriteSnapshot(const std::string& dir, const std::string& prefix,
   StoreLe32(static_cast<uint32_t>(payload.size()), file_bytes.data() + 28);
   std::copy(payload.begin(), payload.end(), file_bytes.begin() + kHeaderSize);
 
-  const int fd =
-      ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status(ErrorCode::kInternal,
-                  "cannot create " + tmp_path + ": " + std::strerror(errno));
-  }
-  Status wrote = WriteAll(fd, file_bytes.data(), file_bytes.size());
-  if (!wrote.ok()) {
-    ::close(fd);
-    ::unlink(tmp_path.c_str());
-    return wrote;
-  }
-  const bool synced = ::fsync(fd) == 0;
-  ::close(fd);
-  if (!synced) {
-    ::unlink(tmp_path.c_str());
-    return Status(ErrorCode::kInternal, "snapshot fsync failed");
-  }
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    ::unlink(tmp_path.c_str());
-    return Status(ErrorCode::kInternal, "snapshot rename failed");
-  }
-  SyncDir(dir);
+  ERIC_RETURN_IF_ERROR(WriteFileAtomic(final_path, file_bytes));
 
   // Retire older snapshots (and any stale .tmp): the newest valid file is
   // the only one recovery needs.

@@ -15,6 +15,7 @@
 
 #include "agent/update_agent.h"
 #include "crypto/sha256.h"
+#include "store/record_io.h"
 #include "store/wal.h"
 #include "support/rng.h"
 
@@ -317,6 +318,44 @@ TEST(UpdateAgentTest, ManifestCorruptionFailsClosed) {
     EXPECT_TRUE(agent.Recover().ok());
     EXPECT_TRUE(agent.ActiveCrcValid());
   }
+}
+
+TEST(UpdateAgentTest, ManifestWithShortKeyFingerprintFailsClosed) {
+  // A CRC-valid manifest whose slot fingerprint is not 32 bytes must not
+  // load with the fingerprint silently zeroed.
+  const std::string dir = MakeTempDir("short-fp");
+  const std::string manifest = dir + "/slots-9.bin";
+  const auto image = Image(9, 64);
+  store::RecordWriter payload;
+  payload.U32(1);  // schema
+  payload.U64(9);  // device id
+  payload.U8(0);   // active slot
+  payload.U8(0xFF);
+  payload.U8(0xFF);
+  payload.U8(0);   // idle
+  for (int counter = 0; counter < 5; ++counter) payload.U64(0);
+  for (int slot = 0; slot < 2; ++slot) {
+    payload.U8(slot == 0 ? 1 : 0);  // present
+    payload.U64(1);                 // version
+    payload.Bytes(std::vector<uint8_t>(16, 0xAB));  // 16-byte fingerprint
+    payload.U32(slot == 0 ? store::Crc32(image) : store::Crc32({}));
+    payload.Bytes(slot == 0 ? image : std::vector<uint8_t>{});
+  }
+  std::vector<uint8_t> file = {'E', 'R', 'I', 'C', 'S', 'L', 'T', '1'};
+  file.resize(24);
+  store::StoreLe64(9, file.data() + 8);
+  store::StoreLe32(store::Crc32(payload.bytes()), file.data() + 16);
+  store::StoreLe32(static_cast<uint32_t>(payload.bytes().size()),
+                   file.data() + 20);
+  file.insert(file.end(), payload.bytes().begin(), payload.bytes().end());
+  {
+    std::ofstream out(manifest, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(file.data()),
+              static_cast<std::streamsize>(file.size()));
+  }
+
+  UpdateAgent agent(9, manifest);
+  EXPECT_EQ(agent.Recover().code(), ErrorCode::kCorruptPackage);
 }
 
 // The soak invariant, distilled: across a seeded storm of applies where

@@ -56,17 +56,17 @@ TEST(DeviceRegistryTest, GroupedDeviceDeploysWithGroupKey) {
   auto id = registry.Enroll(0xD1, group);
   ASSERT_TRUE(id.ok());
   auto group_key = registry.GroupKey(group);
-  auto deploy_key = registry.DeploymentKey(*id);
+  auto deploy = registry.SealingContextFor(*id);
   ASSERT_TRUE(group_key.ok());
-  ASSERT_TRUE(deploy_key.ok());
-  EXPECT_EQ(*group_key, *deploy_key);
+  ASSERT_TRUE(deploy.ok());
+  EXPECT_EQ(*group_key, deploy->key);
 
   // Ungrouped devices get their own key.
   auto solo = registry.Enroll(0xD2);
   ASSERT_TRUE(solo.ok());
-  auto solo_key = registry.DeploymentKey(*solo);
-  ASSERT_TRUE(solo_key.ok());
-  EXPECT_FALSE(*solo_key == *group_key);
+  auto solo_deploy = registry.SealingContextFor(*solo);
+  ASSERT_TRUE(solo_deploy.ok());
+  EXPECT_FALSE(solo_deploy->key == *group_key);
 }
 
 TEST(DeviceRegistryTest, RevokeSemantics) {
@@ -322,14 +322,14 @@ TEST(PackageCacheTest, LruEvictsAtCapacity) {
   DeviceRegistry registry;
   auto id = registry.Enroll(0xE1);
   ASSERT_TRUE(id.ok());
-  auto key = registry.DeploymentKey(*id);
-  ASSERT_TRUE(key.ok());
+  auto sealing = registry.SealingContextFor(*id);
+  ASSERT_TRUE(sealing.ok());
 
   // Three distinct artifacts through a 2-slot shard.
   for (uint64_t epoch = 0; epoch < 3; ++epoch) {
     crypto::KeyConfig config_epoch = registry.key_config();
     config_epoch.epoch = epoch;
-    ASSERT_TRUE(cache.GetOrBuild(kTinyProgram, *key, config_epoch,
+    ASSERT_TRUE(cache.GetOrBuild(kTinyProgram, sealing->key, config_epoch,
                                  core::EncryptionPolicy::Full())
                     .ok());
   }
@@ -1503,8 +1503,9 @@ TEST(PackageCacheDeltaTest, DeltaEntriesCacheAndRotationInvalidates) {
   // Endpoints sealed under different keys cannot be delta'd.
   auto solo = fleet.registry.Enroll(0x5010);
   ASSERT_TRUE(solo.ok());
-  auto solo_key = fleet.registry.DeploymentKey(*solo);
-  auto other = fleet.cache.GetOrBuild(fleet.v2_source, *solo_key,
+  auto solo_deploy = fleet.registry.SealingContextFor(*solo);
+  ASSERT_TRUE(solo_deploy.ok());
+  auto other = fleet.cache.GetOrBuild(fleet.v2_source, solo_deploy->key,
                                       fleet.registry.key_config(), policy);
   ASSERT_TRUE(other.ok());
   EXPECT_EQ(fleet.cache.GetOrBuildDelta(**v1, **other).status().code(),

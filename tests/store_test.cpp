@@ -1220,5 +1220,70 @@ TEST(RegistryPersistenceTest, SnapshotNamingUnknownIsaFailsClosed) {
   EXPECT_EQ(recovered.OpenStorage(dir).code(), ErrorCode::kCorruptPackage);
 }
 
+TEST(CampaignJournalTest, BeginCountBeyondPayloadFailsClosed) {
+  // A CRC-valid begin record whose target count cannot fit its payload
+  // must be refused as damage, not trusted to size an allocation.
+  const std::string dir = MakeTempDir("journal-count");
+  {
+    store::Wal wal;
+    ASSERT_TRUE(wal.Open(dir + "/campaign.wal").ok());
+    store::RecordWriter begin;
+    begin.U64(0xB16);              // campaign fingerprint
+    begin.U64(uint64_t{1} << 61);  // target count
+    begin.U64(7);                  // the one target id actually present
+    ASSERT_TRUE(wal.Append(/*kRecBegin=*/1, begin.bytes()).ok());
+  }
+  fleet::CampaignJournal journal;
+  EXPECT_EQ(journal.Open(dir).code(), ErrorCode::kCorruptPackage);
+}
+
+TEST(RegistryPersistenceTest, WalRecordWithTrailingBytesFailsClosed) {
+  // Every registry WAL record decodes to exactly its payload: bytes left
+  // over after the last field are damage, whichever log carries them.
+  const fleet::RegistryConfig config = TestRegistryConfig();
+  store::RecordWriter fp;
+  fp.U64(config.shard_count);
+  fp.U64(config.secret_seed);
+  fp.U64(config.key_config.epoch);
+  fp.U64(config.key_config.environment_binding);
+  fp.Str(config.key_config.domain);
+  fp.U8(static_cast<uint8_t>(config.cipher));
+  const uint64_t fingerprint = store::Fnv1a64(fp.bytes());
+
+  store::RecordWriter group_create;  // groups.wal type 1: {id, label}
+  group_create.U64(2);
+  group_create.Str("padded");
+  group_create.U64(0);  // 8 trailing bytes
+  store::RecordWriter enroll;  // shard log type 4: {id, seed, group, isa}
+  enroll.U64(2);
+  enroll.U64(0x7A11);
+  enroll.U64(1);
+  enroll.U8(static_cast<uint8_t>(isa::IsaId::kRv64Gc));
+  enroll.U64(0);  // 8 trailing bytes
+  const struct {
+    const char* log;
+    uint8_t type;
+    const std::vector<uint8_t>& payload;
+  } cases[] = {{"groups.wal", 1, group_create.bytes()},
+               {"shard-0.wal", 4, enroll.bytes()}};
+
+  for (const auto& padded : cases) {
+    const std::string dir = MakeTempDir("reg-trailing");
+    {
+      fleet::DeviceRegistry registry(config);
+      ASSERT_TRUE(registry.OpenStorage(dir).ok());
+      ASSERT_TRUE(registry.Enroll(0x7A10, registry.CreateGroup("line")).ok());
+    }
+    {
+      store::Wal wal;
+      ASSERT_TRUE(wal.Open(dir + "/" + padded.log, {}, fingerprint).ok());
+      ASSERT_TRUE(wal.Append(padded.type, padded.payload).ok());
+    }
+    fleet::DeviceRegistry recovered(config);
+    EXPECT_EQ(recovered.OpenStorage(dir).code(), ErrorCode::kCorruptPackage)
+        << padded.log;
+  }
+}
+
 }  // namespace
 }  // namespace eric
