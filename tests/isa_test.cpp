@@ -820,6 +820,107 @@ TEST(GoldenIsaTest, EncodeBoundarySweep) {
   }
 }
 
+// Every 16-bit halfword, quadrant 3 (the 32-bit prefix) included.
+uint64_t CompressedDecodeDigest(const IsaBackend& backend) {
+  Digest digest;
+  for (uint32_t half = 0; half <= 0xFFFF; ++half) {
+    digest.AddDecoded(backend.DecodeCompressed(static_cast<uint16_t>(half)));
+  }
+  return digest.value();
+}
+
+// Calls `probe` on every Op under register fills covering the edges of the
+// compressed register classes (x0, ra, sp, x8, x15, x16, x31 for rd and
+// rs2; x0, sp, rd itself or another register for rs1) and immediates
+// -1100..1100 plus +-2^k+-1 for k = 11..21.
+template <typename Probe>
+void ForEachCompressProbe(Probe&& probe) {
+  constexpr uint8_t kRegs[] = {0, 1, 2, 8, 15, 16, 31};
+  std::vector<int64_t> imms;
+  for (int64_t imm = -1100; imm <= 1100; ++imm) imms.push_back(imm);
+  for (int k = 11; k <= 21; ++k) {
+    const int64_t p = int64_t{1} << k;
+    imms.insert(imms.end(), {p - 1, p + 1, -p - 1, -p + 1});
+  }
+  Instr in;
+  for (int op = 0; op <= static_cast<int>(Op::kAmoMaxuD); ++op) {
+    in.op = static_cast<Op>(op);
+    for (uint8_t rd : kRegs) {
+      in.rd = rd;
+      for (uint8_t rs1 : {uint8_t{0}, uint8_t{2}, rd, uint8_t{9}}) {
+        in.rs1 = rs1;
+        for (uint8_t rs2 : kRegs) {
+          in.rs2 = rs2;
+          for (int64_t imm : imms) {
+            in.imm = imm;
+            probe(in);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Only accepted probes are hashed, with their operands, so a probe that
+// flips between accepted and refused moves the digest as surely as a
+// changed halfword does.
+uint64_t CompressedEncodeDigest(const IsaBackend& backend) {
+  Digest digest;
+  uint64_t accepted = 0;
+  ForEachCompressProbe([&](const Instr& in) {
+    const std::optional<uint16_t> half = backend.EncodeCompressed(in);
+    if (!half) return;
+    ++accepted;
+    digest.Add(static_cast<uint64_t>(in.op));
+    digest.Add((uint64_t{in.rd} << 16) | (uint64_t{in.rs1} << 8) | in.rs2);
+    digest.Add(static_cast<uint64_t>(in.imm));
+    digest.Add(*half);
+  });
+  digest.Add(accepted);
+  return digest.value();
+}
+
+TEST(GoldenIsaTest, CompressedDecodeSweep) {
+  const uint64_t kPinned[] = {0x39331CE9E2754BCCull,
+                              0x235B2A854DB73325ull};
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(CompressedDecodeDigest(BackendFor(kBothIsas[i])), kPinned[i])
+        << IsaName(kBothIsas[i]);
+  }
+}
+
+// rv64gc only: rv32i has no compressed forms to encode.
+TEST(GoldenIsaTest, CompressedEncodeSweep) {
+  EXPECT_EQ(CompressedEncodeDigest(BackendFor(IsaId::kRv64Gc)),
+            0xB84B92D7B7EF9E74ull);
+}
+
+// Every accepted probe of the sweep decodes back to the instruction the
+// 32-bit codec sees: the same op, and the same operands wherever the op's
+// form has them (operands a form does not encode decode as zero on both
+// widths, so c.ebreak's ignored operands compare equal too).
+TEST(GoldenIsaTest, CompressedEncodeRoundTrips) {
+  uint64_t accepted = 0, mismatched = 0;
+  ForEachCompressProbe([&](const Instr& in) {
+    const std::optional<uint16_t> half = TryEncodeCompressed(in);
+    if (!half) return;
+    ++accepted;
+    const Instr got = DecodeCompressed(*half);
+    const Result<uint32_t> word = Encode32(in);
+    const Instr want = word.ok() ? Decode32(*word) : Instr{};
+    if (got.op != want.op || got.rd != want.rd || got.rs1 != want.rs1 ||
+        got.rs2 != want.rs2 || got.imm != want.imm || !got.compressed) {
+      if (++mismatched <= 5) {
+        ADD_FAILURE() << OpName(in.op) << " rd=" << int{in.rd}
+                      << " rs1=" << int{in.rs1} << " rs2=" << int{in.rs2}
+                      << " imm=" << in.imm << " -> " << Disassemble(got);
+      }
+    }
+  });
+  EXPECT_GT(accepted, 0u);
+  EXPECT_EQ(mismatched, 0u);
+}
+
 // The compiled image (text and data) of every MiBench kernel: rv64gc with
 // compressed forms, and rv32i.
 TEST(GoldenIsaTest, KernelImages) {
