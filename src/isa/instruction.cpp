@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "isa/forms.h"
+
 namespace eric::isa {
 
 namespace {
@@ -248,29 +250,10 @@ static_assert(TableIsWellFormed(),
               "row i must describe Op(i), and its mask cover the opcode");
 
 // The real rows regrouped by major opcode, so decoding a word scans only
-// the rows of its opcode.
-struct OpcodeIndex {
-  OpInfo rows[kNumOps - 1];
-  uint8_t begin[129];  // rows of opcode o: [begin[o], begin[o + 1])
-};
-static_assert(kNumOps <= 256, "OpcodeIndex::begin holds row counts");
-
-constexpr OpcodeIndex BuildOpcodeIndex() {
-  OpcodeIndex index{};
-  uint8_t next = 0;
-  for (uint32_t opcode = 0; opcode < 128; ++opcode) {
-    index.begin[opcode] = next;
-    for (size_t i = 1; i < kNumOps; ++i) {
-      if ((kTable[i].match & kOpcodeMask) == opcode) {
-        index.rows[next++] = kTable[i];
-      }
-    }
-  }
-  index.begin[128] = next;
-  return index;
-}
-
-constexpr OpcodeIndex kByOpcode = BuildOpcodeIndex();
+// the rows of its opcode (the kInvalid row gets no opcode).
+constexpr auto kByOpcode = BuildRowIndex<128>(kTable, [](const OpInfo& row) {
+  return row.op == Op::kInvalid ? 128 : row.match & kOpcodeMask;
+});
 
 constexpr std::array<std::string_view, 32> kAbiNames = {
     "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0",
@@ -292,9 +275,7 @@ Op OpFromName(std::string_view mnemonic) {
 }
 
 std::span<const OpInfo> RowsWithOpcode(uint32_t opcode) {
-  opcode &= kOpcodeMask;
-  return {kByOpcode.rows + kByOpcode.begin[opcode],
-          kByOpcode.rows + kByOpcode.begin[opcode + 1]};
+  return kByOpcode.at(opcode & kOpcodeMask);
 }
 
 std::string_view AbiRegName(uint8_t reg) {

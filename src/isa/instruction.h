@@ -97,7 +97,7 @@ enum class Form : uint8_t {
   kCsr,      ///< I-type, CSR number in [0, 4095]: "op rd, csr, rs1"
   kAmo,      ///< R-type, aq/rl ignored: "op rd, rs2, (rs1)"
   kLr,       ///< R-type with rs2 = x0: "op rd, (rs1)"
-  kFixed,    ///< no operands: the encoding is `match`
+  kFixed,    ///< no operands: the encoding is `match` (keep last)
 };
 
 /// One row of the instruction table: everything the encoder, decoder,

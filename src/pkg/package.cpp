@@ -121,21 +121,23 @@ Result<Package> Parse(std::span<const uint8_t> bytes) {
     return Corrupt("field specs present without field mode");
   }
 
+  // Every count below is bounded by the bytes left, in 64-bit arithmetic,
+  // before anything is sized from it.
   size_t offset = kHeaderBytes;
-  if (offset + text_size > bytes.size()) return Corrupt("truncated text");
+  if (text_size > bytes.size() - offset) return Corrupt("truncated text");
   p.text.assign(bytes.begin() + offset, bytes.begin() + offset + text_size);
   offset += text_size;
 
   if (p.mode == EncryptionMode::kPartial || p.mode == EncryptionMode::kField) {
-    const size_t map_bytes = (p.instr_count + 7) / 8;
-    if (offset + map_bytes > bytes.size()) return Corrupt("truncated map");
+    const uint64_t map_bytes = (uint64_t{p.instr_count} + 7) / 8;
+    if (map_bytes > bytes.size() - offset) return Corrupt("truncated map");
     p.encryption_map = BitVector::FromBytes(
         bytes.subspan(offset, map_bytes), p.instr_count);
     offset += map_bytes;
   }
 
   if (p.mode == EncryptionMode::kField) {
-    if (offset + field_spec_count * 3 > bytes.size()) {
+    if (uint64_t{field_spec_count} * 3 > bytes.size() - offset) {
       return Corrupt("truncated field specs");
     }
     p.field_specs.reserve(field_spec_count);

@@ -4,6 +4,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "compiler/compiler.h"
 #include "isa/assembler.h"
@@ -671,9 +672,10 @@ TEST(Encode32Test, RejectsCsrNumbersOutsideTwelveBits) {
 // --- Golden oracle ------------------------------------------------------------
 //
 // Pinned digests of the codec's observable behaviour on both backends,
-// captured from the switch-per-Op codec before it became one instruction
-// table. A digest moves only if some decoded field, encoded word, error
-// code or compiled kernel byte moves.
+// captured from the switch-per-Op codecs before they became tables (the
+// 32-bit one before the instruction table, the Compressed* ones before the
+// RVC row table). A digest moves only if some decoded field, encoded word,
+// error code or compiled kernel byte moves.
 
 // FNV-1a over little-endian 64-bit values.
 class Digest {

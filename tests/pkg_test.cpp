@@ -112,6 +112,39 @@ TEST(ParseTest, RejectsBadFieldSpecRange) {
   EXPECT_FALSE(Parse(Serialize(p)).ok());
 }
 
+void PutU32At(std::vector<uint8_t>& wire, size_t offset, uint32_t value) {
+  for (int b = 0; b < 4; ++b) {
+    wire[offset + static_cast<size_t>(b)] =
+        static_cast<uint8_t>(value >> (8 * b));
+  }
+}
+
+// (instr_count + 7) / 8 wraps to a 0-byte map in 32-bit arithmetic; the
+// map must instead be found ~512 MiB longer than the package.
+TEST(ParseTest, RejectsInstrCountThatWrapsTheMapSize) {
+  for (EncryptionMode mode :
+       {EncryptionMode::kPartial, EncryptionMode::kField}) {
+    auto wire = Serialize(SamplePackage(mode));
+    ASSERT_LT(wire.size(), 128u);
+    PutU32At(wire, 20, 0xFFFFFFF9u);
+    EXPECT_EQ(Parse(wire).status().code(), ErrorCode::kCorruptPackage)
+        << EncryptionModeName(mode);
+  }
+}
+
+// field_spec_count * 3 wraps to 2 in 32-bit arithmetic; the count must be
+// refused before any allocation is sized from it. A zero signature reads
+// as valid {0, 0, 0} specs, so nothing stops a reader that trusts the
+// count short of the end of the buffer.
+TEST(ParseTest, RejectsFieldSpecCountThatWrapsTheSpecSize) {
+  Package p = SamplePackage(EncryptionMode::kField);
+  p.signature.fill(0);
+  auto wire = Serialize(p);
+  ASSERT_LT(wire.size(), 128u);
+  PutU32At(wire, 24, 0x55555556u);
+  EXPECT_EQ(Parse(wire).status().code(), ErrorCode::kCorruptPackage);
+}
+
 TEST(ParseTest, FuzzNeverCrashes) {
   // Random buffers and mutated valid packages must never crash Parse.
   Xoshiro256 rng(99);
