@@ -32,6 +32,128 @@ constexpr const char* kTinyProgram = R"(
   }
 )";
 
+// --- Campaign accounting oracle -------------------------------------------------
+
+/// The never-dispatched bucket of a campaign or scheduled report.
+template <typename Report>
+uint64_t NeverDispatched(const Report& report) {
+  if constexpr (requires { report.never_dispatched; }) {
+    return report.never_dispatched;
+  } else {
+    return report.skipped;
+  }
+}
+
+/// Accounting identities every campaign report must satisfy: the outcome
+/// buckets partition the targets, deliveries decompose by package kind
+/// and equal the per-target attempts, wire bytes equal the per-target
+/// bytes, and the per-ISA slices sum to the totals.
+void ExpectTalliesAddUp(const CampaignReport& report) {
+  EXPECT_EQ(report.succeeded + report.failed + report.revoked +
+                NeverDispatched(report),
+            report.targets);
+  EXPECT_EQ(report.outcomes.size(), report.targets);
+  EXPECT_EQ(report.delta_deliveries + report.full_deliveries,
+            report.deliveries);
+  uint64_t attempts = 0, bytes = 0;
+  for (const auto& outcome : report.outcomes) {
+    attempts += outcome.attempts;
+    bytes += outcome.bytes_shipped;
+  }
+  EXPECT_EQ(report.deliveries, attempts);
+  EXPECT_EQ(report.bytes_shipped, bytes);
+  CampaignIsaStats sum;
+  for (const auto& slice : report.by_isa) {
+    sum.targets += slice.targets;
+    sum.succeeded += slice.succeeded;
+    sum.deliveries += slice.deliveries;
+    sum.bytes_shipped += slice.bytes_shipped;
+    sum.seal_builds += slice.seal_builds;
+    sum.compile_builds += slice.compile_builds;
+  }
+  EXPECT_EQ(sum.targets, report.targets);
+  EXPECT_EQ(sum.succeeded, report.succeeded);
+  EXPECT_EQ(sum.deliveries, report.deliveries);
+  EXPECT_EQ(sum.bytes_shipped, report.bytes_shipped);
+  EXPECT_EQ(sum.seal_builds, report.cache_artifact_misses);
+  EXPECT_EQ(sum.compile_builds, report.cache_compile_misses);
+}
+
+/// A scheduled report: every wave adds up on its own, and every counter
+/// is the sum over its waves, with the targets of waves that never
+/// launched counted as never dispatched.
+void ExpectTalliesAddUp(const ScheduledReport& report) {
+  CampaignReport sum;
+  uint64_t never_dispatched = 0;
+  for (const auto& wave : report.waves) {
+    SCOPED_TRACE("wave " + std::to_string(wave.wave_index));
+    ExpectTalliesAddUp(wave.report);
+    const CampaignReport& w = wave.report;
+    sum.targets += w.targets;
+    sum.succeeded += w.succeeded;
+    sum.failed += w.failed;
+    sum.revoked += w.revoked;
+    never_dispatched += NeverDispatched(w);
+    sum.deliveries += w.deliveries;
+    sum.retries += w.retries;
+    sum.delta_deliveries += w.delta_deliveries;
+    sum.full_deliveries += w.full_deliveries;
+    sum.delta_fallbacks += w.delta_fallbacks;
+    sum.bytes_shipped += w.bytes_shipped;
+    sum.bytes_full_equivalent += w.bytes_full_equivalent;
+    sum.manifest_update_failures += w.manifest_update_failures;
+    sum.rollbacks += w.rollbacks;
+    sum.health_failures += w.health_failures;
+    sum.cache_artifact_hits += w.cache_artifact_hits;
+    sum.cache_artifact_misses += w.cache_artifact_misses;
+    sum.cache_compile_misses += w.cache_compile_misses;
+    for (size_t i = 0; i < isa::kNumIsaIds; ++i) {
+      sum.by_isa[i].targets += w.by_isa[i].targets;
+      sum.by_isa[i].succeeded += w.by_isa[i].succeeded;
+      sum.by_isa[i].deliveries += w.by_isa[i].deliveries;
+      sum.by_isa[i].bytes_shipped += w.by_isa[i].bytes_shipped;
+      sum.by_isa[i].seal_builds += w.by_isa[i].seal_builds;
+      sum.by_isa[i].compile_builds += w.by_isa[i].compile_builds;
+    }
+  }
+  ASSERT_LE(sum.targets, report.targets);
+  const uint64_t never_launched = report.targets - sum.targets;
+  EXPECT_EQ(report.succeeded + report.failed + report.revoked +
+                NeverDispatched(report),
+            report.targets);
+  EXPECT_EQ(NeverDispatched(report), never_dispatched + never_launched);
+  EXPECT_EQ(report.succeeded, sum.succeeded);
+  EXPECT_EQ(report.failed, sum.failed);
+  EXPECT_EQ(report.revoked, sum.revoked);
+  EXPECT_EQ(report.deliveries, sum.deliveries);
+  EXPECT_EQ(report.retries, sum.retries);
+  EXPECT_EQ(report.delta_deliveries, sum.delta_deliveries);
+  EXPECT_EQ(report.full_deliveries, sum.full_deliveries);
+  EXPECT_EQ(report.delta_deliveries + report.full_deliveries,
+            report.deliveries);
+  EXPECT_EQ(report.delta_fallbacks, sum.delta_fallbacks);
+  EXPECT_EQ(report.bytes_shipped, sum.bytes_shipped);
+  EXPECT_EQ(report.bytes_full_equivalent, sum.bytes_full_equivalent);
+  EXPECT_EQ(report.manifest_update_failures, sum.manifest_update_failures);
+  EXPECT_EQ(report.rollbacks, sum.rollbacks);
+  EXPECT_EQ(report.health_failures, sum.health_failures);
+  EXPECT_EQ(report.cache_artifact_hits, sum.cache_artifact_hits);
+  EXPECT_EQ(report.cache_artifact_misses, sum.cache_artifact_misses);
+  EXPECT_EQ(report.cache_compile_misses, sum.cache_compile_misses);
+  uint64_t isa_targets = 0;
+  for (size_t i = 0; i < isa::kNumIsaIds; ++i) {
+    const CampaignIsaStats& slice = report.by_isa[i];
+    EXPECT_EQ(slice.targets, sum.by_isa[i].targets);
+    EXPECT_EQ(slice.succeeded, sum.by_isa[i].succeeded);
+    EXPECT_EQ(slice.deliveries, sum.by_isa[i].deliveries);
+    EXPECT_EQ(slice.bytes_shipped, sum.by_isa[i].bytes_shipped);
+    EXPECT_EQ(slice.seal_builds, sum.by_isa[i].seal_builds);
+    EXPECT_EQ(slice.compile_builds, sum.by_isa[i].compile_builds);
+    isa_targets += slice.targets;
+  }
+  EXPECT_EQ(isa_targets + never_launched, report.targets);
+}
+
 // --- DeviceRegistry -----------------------------------------------------------
 
 TEST(DeviceRegistryTest, EnrollLookupRoundTrip) {
@@ -697,6 +819,7 @@ TEST(RotationTest, RotationCampaignInvalidatesTargetedAndRedeploys) {
   ASSERT_TRUE(cold.ok());
   ASSERT_EQ(cold->succeeded, all.size());
   ASSERT_EQ(cold->cache_artifact_misses, 2u);  // one seal per group
+  ExpectTalliesAddUp(*cold);
 
   RotationConfig rotation_config;
   rotation_config.group = rotating;
@@ -716,6 +839,7 @@ TEST(RotationTest, RotationCampaignInvalidatesTargetedAndRedeploys) {
   EXPECT_EQ(report->rollout.targets, 4u);
   EXPECT_EQ(report->rollout.succeeded, 4u);
   EXPECT_EQ(report->rollout.waves.size(), 3u);  // canary(1) + 2 + 1
+  ExpectTalliesAddUp(report->rollout);
 
   // The steady group's artifact stayed hot: redeploying it is all hits.
   CampaignConfig steady_campaign = campaign;
@@ -725,12 +849,14 @@ TEST(RotationTest, RotationCampaignInvalidatesTargetedAndRedeploys) {
   ASSERT_TRUE(steady_report.ok());
   EXPECT_EQ(steady_report->succeeded, 4u);
   EXPECT_EQ(steady_report->cache_artifact_misses, 0u);
+  ExpectTalliesAddUp(*steady_report);
 
   // Rotating again goes to epoch 2 and re-seals again.
   auto again = rotation.Run(rotation_config);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->new_epoch, 2u);
   EXPECT_EQ(again->rollout.succeeded, 4u);
+  ExpectTalliesAddUp(again->rollout);
 }
 
 TEST(RotationTest, BumpAloneRotatesAndInvalidatesWithoutRedeploying) {
@@ -769,6 +895,7 @@ TEST(RotationTest, BumpAloneRotatesAndInvalidatesWithoutRedeploying) {
   ASSERT_TRUE(redeploy.ok());
   EXPECT_EQ(redeploy->succeeded, 3u);
   EXPECT_EQ(redeploy->cache_artifact_misses, 1u);
+  ExpectTalliesAddUp(*redeploy);
 }
 
 // --- DeploymentEngine ---------------------------------------------------------
@@ -810,6 +937,7 @@ TEST(DeploymentEngineTest, CleanCampaignSealsOnceAndRunsEverywhere) {
   EXPECT_EQ(report->cache_artifact_misses, 1u);
   EXPECT_EQ(report->cache_artifact_hits, 5u);
   EXPECT_EQ(report->cache_compile_misses, 1u);
+  ExpectTalliesAddUp(*report);
 }
 
 TEST(DeploymentEngineTest, RevokedDevicesAreSkippedNotRetried) {
@@ -837,6 +965,7 @@ TEST(DeploymentEngineTest, RevokedDevicesAreSkippedNotRetried) {
   }
   // Only the three live devices consumed deliveries.
   EXPECT_EQ(report->deliveries, 3u);
+  ExpectTalliesAddUp(*report);
 }
 
 TEST(DeploymentEngineTest, EmptyCampaignIsAnError) {
@@ -885,6 +1014,7 @@ TEST_P(CampaignFaultTest, RetriesUntilCleanDelivery) {
     // certain (p(none) = 0.5^8), and every retry stems from a rejection.
     EXPECT_GT(report->retries, 0u) << net::ChannelFaultName(GetParam());
   }
+  ExpectTalliesAddUp(*report);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -958,6 +1088,7 @@ TEST(CampaignSchedulerTest, RollingWavesPartitionAndCompleteExactlyOnce) {
   EXPECT_EQ(rv64.seal_builds, 1u);
   EXPECT_EQ(rv64.compile_builds, 1u);
   EXPECT_EQ(rv64.bytes_shipped, report->bytes_shipped);
+  ExpectTalliesAddUp(*report);
 }
 
 // The acceptance scenario: a 1000-device campaign whose fault rate is
@@ -994,6 +1125,7 @@ TEST(CampaignSchedulerTest, BadCanaryAbortsThousandDeviceCampaign) {
   EXPECT_EQ(report->failed, 20u);
   EXPECT_EQ(report->deliveries, 20u);
   EXPECT_EQ(report->never_dispatched, 980u);
+  ExpectTalliesAddUp(*report);
 }
 
 TEST(CampaignSchedulerTest, HealthyCanaryPromotesThroughGate) {
@@ -1021,6 +1153,7 @@ TEST(CampaignSchedulerTest, HealthyCanaryPromotesThroughGate) {
   EXPECT_EQ(report->outcome, CampaignOutcome::kCompleted);
   EXPECT_EQ(report->succeeded, 12u);
   EXPECT_EQ(report->never_dispatched, 0u);
+  ExpectTalliesAddUp(*report);
 }
 
 TEST(CampaignSchedulerTest, PauseResumeDeliversEveryTargetExactlyOnce) {
@@ -1083,6 +1216,7 @@ TEST(CampaignSchedulerTest, PauseResumeDeliversEveryTargetExactlyOnce) {
   const auto final_progress = control.progress();
   EXPECT_EQ(final_progress.targets_completed, 24u);
   EXPECT_EQ(final_progress.waves_completed, 4u);  // 4 + 8 + 8 + 4
+  ExpectTalliesAddUp(*report);
 }
 
 TEST(CampaignSchedulerTest, TokenBucketRateLimitIsHonored) {
@@ -1140,6 +1274,7 @@ TEST(CampaignSchedulerTest, GroupConcurrencyBudgetCapsInFlight) {
   // 2 no matter how many workers raced.
   EXPECT_GT(report->peak_in_flight, 0u);
   EXPECT_LE(report->peak_in_flight, 2u);
+  ExpectTalliesAddUp(*report);
 }
 
 TEST(DispatchGovernorTest, PauseAndCancelWakeBudgetParkedWorkers) {
@@ -1201,6 +1336,7 @@ TEST(CampaignSchedulerTest, CancelSkipsRemainingWaves) {
   EXPECT_EQ(report->deliveries, 0u);
   EXPECT_EQ(report->never_dispatched, 9u);
   EXPECT_TRUE(report->waves.empty());
+  ExpectTalliesAddUp(*report);
 }
 
 TEST(CampaignSchedulerTest, ShuffledCanarySamplesDeterministically) {
@@ -1312,6 +1448,7 @@ TEST(DeltaCampaignTest, ShipsDeltasToCurrentDevicesAndAdvancesManifests) {
     ASSERT_TRUE(manifest.ok());
     EXPECT_EQ(manifest->version, v2_version);
   }
+  ExpectTalliesAddUp(*second);
 }
 
 TEST(DeltaCampaignTest, FreshDevicesWithoutManifestsGetFullPackages) {
@@ -1436,6 +1573,7 @@ TEST(DeltaCampaignTest, CorruptedDeltaFailsClosedAndFallsBackToFull) {
   // The counterfactual counts the attempt's full size once: a fallback
   // target honestly costs MORE wire than never attempting the delta.
   EXPECT_GT(report->bytes_shipped, report->bytes_full_equivalent);
+  ExpectTalliesAddUp(*report);
 }
 
 TEST(DeltaCampaignTest, WrongRetainedBaseFallsBackToFull) {
@@ -1466,6 +1604,7 @@ TEST(DeltaCampaignTest, WrongRetainedBaseFallsBackToFull) {
   }
   EXPECT_EQ(fallbacks, 1u);
   EXPECT_EQ(deltas, 1u);  // the untouched device still got its patch
+  ExpectTalliesAddUp(*report);
 }
 
 TEST(PackageCacheDeltaTest, DeltaEntriesCacheAndRotationInvalidates) {
@@ -1608,6 +1747,7 @@ TEST(AgentFleetTest, CrashMidApplyRecoversOnRetry) {
   EXPECT_EQ(outcome.attempts, 2u);  // crash burned one delivery
   EXPECT_TRUE(outcome.rolled_back);
   EXPECT_EQ(report->rollbacks, 1u);
+  ExpectTalliesAddUp(*report);
   auto inspection = fleet.registry.InspectAgent(fleet.devices[0]);
   ASSERT_TRUE(inspection.ok());
   EXPECT_EQ(inspection->state.counters.crash_recoveries, 1u);
@@ -1669,6 +1809,7 @@ TEST(AgentFleetTest, HealthFailureOnDeltaDoesNotConsumeRetryBudget) {
   // `retries` counts wire deliveries beyond the first (the fallback IS a
   // second delivery); the budget proof is attempts==2 under max_attempts=1.
   EXPECT_EQ(report->retries, 1u);
+  ExpectTalliesAddUp(*report);
 
   // The rollback and the fallback both held: the device runs v2 now.
   auto inspection = fleet.registry.InspectAgent(fleet.devices[0]);
@@ -1838,6 +1979,7 @@ TEST(DeploymentEngineTest, MixedIsaCampaignCompilesPerIsaAndRunsEverywhere) {
   EXPECT_EQ(report->cache_compile_misses, 2u);
   EXPECT_EQ(report->cache_artifact_misses, 2u);
   EXPECT_EQ(report->cache_artifact_hits, 4u);
+  ExpectTalliesAddUp(*report);
   // Each manifest records the ISA of the image that actually landed.
   for (DeviceId id : rv32_devices) {
     auto manifest = registry.DeliveredVersion(id);
