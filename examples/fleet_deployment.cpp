@@ -164,7 +164,7 @@ int main() {
               std::string(fleet::CampaignOutcomeName(bad_push->outcome))
                   .c_str(),
               bad_push->waves.front().failure_rate,
-              static_cast<unsigned long long>(bad_push->never_dispatched),
+              static_cast<unsigned long long>(bad_push->skipped),
               static_cast<unsigned long long>(bad_push->targets));
 
   // Push 2: the fixed build rolls out canary-first, then in waves of 8.
@@ -179,7 +179,7 @@ int main() {
 
   const bool act2_ok =
       bad_push->outcome == fleet::CampaignOutcome::kAbortedByGate &&
-      bad_push->never_dispatched == 20 && bad_push->succeeded == 0 &&
+      bad_push->skipped == 20 && bad_push->succeeded == 0 &&
       good_push->outcome == fleet::CampaignOutcome::kCompleted &&
       good_push->succeeded == 24;
 

@@ -68,9 +68,17 @@ Status CampaignJournal::Open(const std::string& state_dir,
   const std::string path = state_dir + "/" + kJournalName;
 
   recovered_ = CampaignResumeState{};
+  // Replay is as strict as the registry's decoders: a CRC-valid record
+  // with bytes left over, or naming an outcome kind, delivery form or
+  // watchdog action this journal never writes, is damage — guessing
+  // would miscount a checkpoint or resume the wrong way.
+  const auto damaged = [](const char* what) {
+    return Status(ErrorCode::kCorruptPackage,
+                  std::string("campaign ") + what + " record damaged");
+  };
   auto replayed = store::Wal::Replay(
       path,
-      [this](const store::WalRecord& record) -> Status {
+      [&](const store::WalRecord& record) -> Status {
         store::RecordReader rec(record.payload);
         switch (record.type) {
           case kRecBegin:
@@ -83,8 +91,7 @@ Status CampaignJournal::Open(const std::string& state_dir,
               state.rotation = true;
               if (!rec.U64(&state.rotation_group) ||
                   !rec.U64(&state.rotation_epoch)) {
-                return Status(ErrorCode::kCorruptPackage,
-                              "campaign rotation-begin record damaged");
+                return damaged("rotation-begin");
               }
             }
             // The count is untrusted: it must fit the payload before it
@@ -92,21 +99,17 @@ Status CampaignJournal::Open(const std::string& state_dir,
             uint64_t count = 0;
             if (!rec.U64(&state.campaign_fingerprint) || !rec.U64(&count) ||
                 count > rec.remaining() / sizeof(uint64_t)) {
-              return Status(ErrorCode::kCorruptPackage,
-                            "campaign begin record damaged");
+              return damaged("begin");
             }
             state.targets.reserve(count);
             for (uint64_t i = 0; i < count; ++i) {
               uint64_t id = 0;
-              if (!rec.U64(&id)) {
-                return Status(ErrorCode::kCorruptPackage,
-                              "campaign begin record damaged");
-              }
+              if (!rec.U64(&id)) return damaged("begin");
               state.targets.push_back(id);
             }
             state.active = true;
             recovered_ = std::move(state);
-            return Status::Ok();
+            break;
           }
           case kRecOutcome:
           case kRecOutcomeForm: {
@@ -115,9 +118,10 @@ Status CampaignJournal::Open(const std::string& state_dir,
             uint32_t attempts = 0;
             uint8_t form = kFormFull;
             if (!rec.U64(&device) || !rec.U8(&kind) || !rec.U32(&attempts) ||
-                (record.type == kRecOutcomeForm && !rec.U8(&form))) {
-              return Status(ErrorCode::kCorruptPackage,
-                            "campaign outcome record damaged");
+                (record.type == kRecOutcomeForm && !rec.U8(&form)) ||
+                kind < kKindDelivered || kind > kKindRevoked ||
+                (form != kFormFull && form != kFormDelta)) {
+              return damaged("outcome");
             }
             if (recovered_.completed.insert(device).second) {
               if (kind == kKindDelivered) {
@@ -129,7 +133,7 @@ Status CampaignJournal::Open(const std::string& state_dir,
                 ++recovered_.failed;
               }
             }
-            return Status::Ok();
+            break;
           }
           case kRecWatchdog: {
             uint8_t action = 0;
@@ -138,9 +142,9 @@ Status CampaignJournal::Open(const std::string& state_dir,
             uint64_t burn = 0;
             std::string slo;
             if (!rec.U8(&action) || !rec.U64(&observed) ||
-                !rec.U64(&threshold) || !rec.U64(&burn) || !rec.Str(&slo)) {
-              return Status(ErrorCode::kCorruptPackage,
-                            "campaign watchdog record damaged");
+                !rec.U64(&threshold) || !rec.U64(&burn) || !rec.Str(&slo) ||
+                (action != kActionPause && action != kActionAbort)) {
+              return damaged("watchdog");
             }
             recovered_.watchdog = true;
             recovered_.watchdog_abort = (action == kActionAbort);
@@ -148,18 +152,23 @@ Status CampaignJournal::Open(const std::string& state_dir,
             recovered_.watchdog_observed = std::bit_cast<double>(observed);
             recovered_.watchdog_threshold = std::bit_cast<double>(threshold);
             recovered_.watchdog_burn = std::bit_cast<double>(burn);
-            return Status::Ok();
+            break;
           }
           case kRecEnd:
             recovered_.active = false;
             recovered_.watchdog = false;
             recovered_.watchdog_abort = false;
             recovered_.watchdog_slo.clear();
-            return Status::Ok();
+            break;
           default:
             return Status(ErrorCode::kCorruptPackage,
                           "unknown campaign journal record type");
         }
+        if (!rec.Exhausted()) {
+          return Status(ErrorCode::kCorruptPackage,
+                        "campaign journal record has trailing bytes");
+        }
+        return Status::Ok();
       });
   if (!replayed.ok()) return replayed.status();
 

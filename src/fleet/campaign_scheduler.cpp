@@ -69,7 +69,6 @@ Result<ScheduledReport> CampaignScheduler::Run(const CampaignConfig& config,
 
   const auto start = std::chrono::steady_clock::now();
   ScheduledReport scheduled;
-  scheduled.targets = targets.size();
 
   size_t next_wave = 0;
   for (; next_wave < plan.size(); ++next_wave) {
@@ -99,34 +98,7 @@ Result<ScheduledReport> CampaignScheduler::Run(const CampaignConfig& config,
     wave.failure_rate = WaveFailureRate(*report);
     wave.report = std::move(*report);
 
-    scheduled.dispatched += wave.report.targets - wave.report.skipped;
-    scheduled.succeeded += wave.report.succeeded;
-    scheduled.failed += wave.report.failed;
-    scheduled.revoked += wave.report.revoked;
-    scheduled.never_dispatched += wave.report.skipped;
-    scheduled.deliveries += wave.report.deliveries;
-    scheduled.retries += wave.report.retries;
-    scheduled.delta_deliveries += wave.report.delta_deliveries;
-    scheduled.full_deliveries += wave.report.full_deliveries;
-    scheduled.delta_fallbacks += wave.report.delta_fallbacks;
-    scheduled.bytes_shipped += wave.report.bytes_shipped;
-    scheduled.bytes_full_equivalent += wave.report.bytes_full_equivalent;
-    scheduled.manifest_update_failures += wave.report.manifest_update_failures;
-    scheduled.rollbacks += wave.report.rollbacks;
-    scheduled.health_failures += wave.report.health_failures;
-    scheduled.cache_artifact_hits += wave.report.cache_artifact_hits;
-    scheduled.cache_artifact_misses += wave.report.cache_artifact_misses;
-    scheduled.cache_compile_misses += wave.report.cache_compile_misses;
-    for (size_t i = 0; i < isa::kNumIsaIds; ++i) {
-      CampaignIsaStats& sum = scheduled.by_isa[i];
-      const CampaignIsaStats& slice = wave.report.by_isa[i];
-      sum.targets += slice.targets;
-      sum.succeeded += slice.succeeded;
-      sum.deliveries += slice.deliveries;
-      sum.bytes_shipped += slice.bytes_shipped;
-      sum.seal_builds += slice.seal_builds;
-      sum.compile_builds += slice.compile_builds;
-    }
+    scheduled += wave.report;
     if (control != nullptr) control->NoteWaveCompleted();
 
     // A cancel observed by the engine surfaces as skipped targets; stop
@@ -154,7 +126,8 @@ Result<ScheduledReport> CampaignScheduler::Run(const CampaignConfig& config,
 
   // Targets in waves that never launched.
   for (size_t w = next_wave; w < plan.size(); ++w) {
-    scheduled.never_dispatched += plan[w].second;
+    scheduled.targets += plan[w].second;
+    scheduled.skipped += plan[w].second;
   }
 
   scheduled.wall_ms = MillisecondsSince(start);

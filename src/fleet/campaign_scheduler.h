@@ -26,7 +26,6 @@
 // cancelled).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -76,51 +75,15 @@ struct WaveReport {
   CampaignReport report;     ///< full engine report for the wave's slice
 };
 
-/// Aggregate result of a scheduled campaign.
-struct ScheduledReport {
+/// Aggregate result of a scheduled campaign: the totals summed over its
+/// waves, with the targets of waves that never launched (after a gate
+/// abort or a cancel) counted as `skipped`. The gate's whole point is
+/// making that number large on a bad build. `wall_ms` includes gate
+/// evaluation; `peak_in_flight` spans every wave.
+struct ScheduledReport : CampaignTotals {
   /// How the rollout ended.
   CampaignOutcome outcome = CampaignOutcome::kCompleted;
   std::vector<WaveReport> waves;  ///< per-wave checkpointed progress
-
-  // Counts are uint64_t (not size_t) for the same reason as
-  // CampaignReport: they flow into the metrics registry and the JSON
-  // reporters, whose integer widths must not vary by platform.
-  uint64_t targets = 0;     ///< total devices in the campaign
-  uint64_t dispatched = 0;  ///< devices that reached a wave before any abort
-  uint64_t succeeded = 0;   ///< devices that ran the program
-  uint64_t failed = 0;      ///< dispatched devices that never succeeded
-  uint64_t revoked = 0;     ///< devices skipped as revoked
-  /// Devices never dispatched: after a gate abort, after a cancel, or
-  /// both. The gate's whole point is making this number large on a bad
-  /// build.
-  uint64_t never_dispatched = 0;
-
-  uint64_t deliveries = 0;  ///< channel deliveries across all waves
-  uint64_t retries = 0;     ///< deliveries beyond the first per device
-  uint64_t delta_deliveries = 0;  ///< deliveries that shipped a delta
-  uint64_t full_deliveries = 0;   ///< deliveries that shipped a full package
-  /// Targets whose delta delivery failed closed and fell back to full.
-  uint64_t delta_fallbacks = 0;
-  uint64_t bytes_shipped = 0;  ///< wire bytes shipped across all waves
-  /// What a plain full-package campaign would have shipped for the same
-  /// retry attempts (a delta-plus-fallback pair counts once).
-  uint64_t bytes_full_equivalent = 0;
-  /// Successful deliveries whose manifest update could not be made
-  /// durable (summed across waves; the devices mis-diff next campaign).
-  uint64_t manifest_update_failures = 0;
-  /// Targets whose device agent rolled back at least one flip.
-  uint64_t rollbacks = 0;
-  /// Targets that saw at least one post-apply health-check rejection.
-  uint64_t health_failures = 0;
-  uint64_t cache_artifact_hits = 0;    ///< sealed artifacts served from cache
-  uint64_t cache_artifact_misses = 0;  ///< seal operations performed
-  uint64_t cache_compile_misses = 0;   ///< compilations performed
-  double wall_ms = 0;       ///< wall time including gate evaluation
-  /// Peak simultaneously in-flight deliveries across the campaign.
-  uint64_t peak_in_flight = 0;
-  /// Per-ISA slices summed across waves (wave boundaries are a rollout
-  /// policy, not an ISA property).
-  std::array<CampaignIsaStats, isa::kNumIsaIds> by_isa{};
 };
 
 /// Runs engine campaigns wave by wave under a rollout policy.

@@ -1,8 +1,11 @@
 #include "fleet/daemon_config.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <type_traits>
 
 #include "store/record_io.h"
@@ -24,12 +27,13 @@ bool ParseUnsigned(const std::string& text, uint64_t* out) {
   return errno == 0 && *end == '\0';
 }
 
+/// Whole-string finite real; nan and inf are refused.
 bool ParseReal(const std::string& text, double* out) {
   if (text.empty()) return false;
   char* end = nullptr;
   errno = 0;
   *out = std::strtod(text.c_str(), &end);
-  return errno == 0 && *end == '\0';
+  return errno == 0 && *end == '\0' && std::isfinite(*out);
 }
 
 bool ParseFault(const std::string& name, net::ChannelFault* fault) {
@@ -70,11 +74,12 @@ const char* DaemonUsage() {
 
 Result<DaemonConfig> ParseDaemonConfig(const std::vector<std::string>& args) {
   DaemonConfig config;
-  // Modifier flags whose defaults depend on other flags: negative means
-  // "not given" until the rules below resolve them.
-  double fault_rate = -1.0, metrics_interval = -1.0, slo_interval = -1.0;
-  double canary_threshold = -1.0, burst = -1.0;
-  int64_t pause_for_ms = -1, listen_port = -1;
+  // Modifier flags whose defaults depend on other flags: empty until
+  // the rules below resolve them.
+  std::optional<double> fault_rate, metrics_interval, slo_interval;
+  std::optional<double> canary_threshold, burst;
+  std::optional<uint32_t> pause_for_ms;
+  std::optional<uint64_t> listen_port;
   std::vector<std::string> slo_texts;
   std::string soak_profile;
   bool soak = false;
@@ -98,59 +103,68 @@ Result<DaemonConfig> ParseDaemonConfig(const std::vector<std::string>& args) {
       return Invalid("unknown flag or missing value: " + flag);
     }
     const std::string& value = args[++i];
-    uint64_t n = 0;
-    double x = 0;
+    // Numbers are refused, never rewritten: a count must fit its field,
+    // a real must be finite and non-negative (no flag takes a negative).
+    const char* refused = nullptr;
     const auto count = [&](auto* field) {
-      if (!ParseUnsigned(value, &n)) return false;
-      *field = static_cast<std::remove_pointer_t<decltype(field)>>(n);
-      return true;
+      using Field = std::remove_pointer_t<decltype(field)>;
+      uint64_t n = 0;
+      if (!ParseUnsigned(value, &n)) {
+        refused = "not a number";
+      } else if (n > std::numeric_limits<Field>::max()) {
+        refused = "out of range";
+      } else {
+        *field = static_cast<Field>(n);
+      }
     };
     const auto real = [&](double* field) {
-      if (!ParseReal(value, &x)) return false;
-      *field = x;
-      return true;
+      if (!ParseReal(value, field)) {
+        refused = "not a number";
+      } else if (*field < 0) {
+        refused = "out of range";
+      }
     };
-    bool parsed = true;
-    if (flag == "--devices") parsed = count(&config.devices);
-    else if (flag == "--groups") parsed = count(&config.groups);
-    else if (flag == "--workers") parsed = count(&config.workers);
-    else if (flag == "--attempts") parsed = count(&config.attempts);
-    else if (flag == "--latency-us") parsed = count(&config.latency_us);
-    else if (flag == "--revoke") parsed = count(&config.revoke_every);
-    else if (flag == "--rv32-every") parsed = count(&config.rv32_every);
+    if (flag == "--devices") count(&config.devices);
+    else if (flag == "--groups") count(&config.groups);
+    else if (flag == "--workers") count(&config.workers);
+    else if (flag == "--attempts") count(&config.attempts);
+    else if (flag == "--latency-us") count(&config.latency_us);
+    else if (flag == "--revoke") count(&config.revoke_every);
+    else if (flag == "--rv32-every") count(&config.rv32_every);
     else if (flag == "--fault") config.fault_name = value;
-    else if (flag == "--fault-rate") parsed = real(&fault_rate);
+    else if (flag == "--fault-rate") real(&fault_rate.emplace());
     else if (flag == "--mode") config.mode = value;
-    else if (flag == "--fraction") parsed = real(&config.fraction);
+    else if (flag == "--fraction") real(&config.fraction);
     else if (flag == "--source") config.source_path = value;
     else if (flag == "--workload") config.workload_name = value;
     else if (flag == "--base-source") config.base_source_path = value;
     else if (flag == "--base-workload") config.base_workload_name = value;
-    else if (flag == "--canary") parsed = count(&config.rollout.canary_size);
-    else if (flag == "--canary-threshold") parsed = real(&canary_threshold);
-    else if (flag == "--wave-size") parsed = count(&config.rollout.wave_size);
-    else if (flag == "--rate")
-      parsed = real(&config.rollout.limits.dispatch_rate);
-    else if (flag == "--burst") parsed = real(&burst);
+    else if (flag == "--canary") count(&config.rollout.canary_size);
+    else if (flag == "--canary-threshold") real(&canary_threshold.emplace());
+    else if (flag == "--wave-size") count(&config.rollout.wave_size);
+    else if (flag == "--rate") real(&config.rollout.limits.dispatch_rate);
+    else if (flag == "--burst") real(&burst.emplace());
     else if (flag == "--group-concurrency")
-      parsed = count(&config.rollout.limits.group_concurrency);
-    else if (flag == "--pause-after") parsed = count(&config.pause_after_ms);
-    else if (flag == "--pause-for") parsed = count(&pause_for_ms);
+      count(&config.rollout.limits.group_concurrency);
+    else if (flag == "--pause-after") count(&config.pause_after_ms);
+    else if (flag == "--pause-for") count(&pause_for_ms.emplace());
     else if (flag == "--state-dir") config.state_dir = value;
-    else if (flag == "--snapshot-every") parsed = count(&config.snapshot_every);
-    else if (flag == "--rotate-epoch") parsed = count(&config.rotate_group);
+    else if (flag == "--snapshot-every") count(&config.snapshot_every);
+    else if (flag == "--rotate-epoch") count(&config.rotate_group);
     else if (flag == "--metrics-out") config.metrics_out = value;
-    else if (flag == "--metrics-interval") parsed = real(&metrics_interval);
+    else if (flag == "--metrics-interval") real(&metrics_interval.emplace());
     else if (flag == "--trace-out") config.trace_out = value;
     else if (flag == "--slo") slo_texts.push_back(value);
-    else if (flag == "--slo-interval") parsed = real(&slo_interval);
+    else if (flag == "--slo-interval") real(&slo_interval.emplace());
     else if (flag == "--soak-profile") soak_profile = value;
-    else if (flag == "--soak-seed") parsed = count(&config.soak_seed);
-    else if (flag == "--listen") parsed = count(&listen_port);
-    else if (flag == "--sim-clients") parsed = count(&config.sim_clients);
+    else if (flag == "--soak-seed") count(&config.soak_seed);
+    else if (flag == "--listen") count(&listen_port.emplace());
+    else if (flag == "--sim-clients") count(&config.sim_clients);
     else if (flag == "--json") config.json_path = value;
     else return Invalid("unknown flag: " + flag);
-    if (!parsed) return Invalid(flag + ": not a number: " + value);
+    if (refused != nullptr) {
+      return Invalid(flag + ": " + refused + ": " + value);
+    }
   }
 
   if (soak) {
@@ -175,7 +189,7 @@ Result<DaemonConfig> ParseDaemonConfig(const std::vector<std::string>& args) {
     if (!slo_texts.empty()) {
       return Invalid("--slo cannot be combined with --soak");
     }
-    if (listen_port >= 0) {
+    if (listen_port) {
       return Invalid("--listen cannot be combined with --soak");
     }
     // --devices/--groups still override the profile's fleet size.
@@ -227,17 +241,17 @@ Result<DaemonConfig> ParseDaemonConfig(const std::vector<std::string>& args) {
     return Invalid("--fault must be none, bitflips, bytepatch, truncate, "
                    "instrpatch, or dup");
   }
-  config.fault_rate = fault_rate >= 0 ? fault_rate
-                      : config.fault == net::ChannelFault::kNone ? 0.0
-                                                                  : 1.0;
+  if (fault_rate > 1.0) return Invalid("--fault-rate must be in [0, 1]");
+  config.fault_rate = fault_rate.value_or(
+      config.fault == net::ChannelFault::kNone ? 0.0 : 1.0);
 
   // Telemetry and watchdog modifiers without their activating flag would
   // silently measure nothing; a malformed spec fails with the parser's
   // diagnosis instead of arming a watchdog that watches nothing.
-  if (config.metrics_out.empty() && metrics_interval >= 0) {
+  if (config.metrics_out.empty() && metrics_interval) {
     return Invalid("--metrics-interval requires --metrics-out FILE");
   }
-  if (metrics_interval >= 0) config.metrics_interval = metrics_interval;
+  if (metrics_interval) config.metrics_interval = *metrics_interval;
   for (const auto& text : slo_texts) {
     auto parsed = obs::ParseSloSpec(text);
     if (!parsed.ok()) {
@@ -245,29 +259,27 @@ Result<DaemonConfig> ParseDaemonConfig(const std::vector<std::string>& args) {
     }
     config.slos.push_back(std::move(*parsed));
   }
-  if (config.slos.empty() && slo_interval >= 0) {
+  if (config.slos.empty() && slo_interval) {
     return Invalid("--slo-interval requires at least one --slo SPEC");
   }
-  if (slo_interval >= 0) config.slo_interval = slo_interval;
+  if (slo_interval) config.slo_interval = *slo_interval;
 
   if (listen_port > 65535) {
     return Invalid("--listen PORT must be 0..65535 (0 = ephemeral)");
   }
-  if (listen_port >= 0) {
-    config.listen_port = static_cast<uint16_t>(listen_port);
-  }
+  if (listen_port) config.listen_port = static_cast<uint16_t>(*listen_port);
   if (config.sim_clients > 0 && !config.listen_port) {
     return Invalid("--sim-clients requires --listen PORT");
   }
 
   // Rollout modifiers. Each takes effect only next to the flag it
   // modifies; alone it is accepted with a warning.
-  config.rollout.canary_failure_threshold =
-      canary_threshold >= 0 ? canary_threshold : 0.1;
-  config.rollout.limits.dispatch_burst = burst >= 0 ? burst : 1.0;
-  if (pause_for_ms >= 0) {
-    config.pause_for_ms = static_cast<uint32_t>(pause_for_ms);
+  if (canary_threshold > 1.0) {
+    return Invalid("--canary-threshold must be in [0, 1]");
   }
+  config.rollout.canary_failure_threshold = canary_threshold.value_or(0.1);
+  config.rollout.limits.dispatch_burst = burst.value_or(1.0);
+  config.pause_for_ms = pause_for_ms.value_or(config.pause_for_ms);
   const auto unused = [&](bool given, bool activated, const char* modifier,
                           const char* activator) {
     if (given && !activated) {
@@ -275,11 +287,11 @@ Result<DaemonConfig> ParseDaemonConfig(const std::vector<std::string>& args) {
                                 " has no effect without " + activator);
     }
   };
-  unused(canary_threshold >= 0, config.rollout.canary_size > 0,
+  unused(canary_threshold.has_value(), config.rollout.canary_size > 0,
          "--canary-threshold", "--canary");
-  unused(burst >= 0, config.rollout.limits.dispatch_rate > 0, "--burst",
-         "--rate");
-  unused(pause_for_ms >= 0, config.pause_after_ms > 0, "--pause-for",
+  unused(burst.has_value(), config.rollout.limits.dispatch_rate > 0,
+         "--burst", "--rate");
+  unused(pause_for_ms.has_value(), config.pause_after_ms > 0, "--pause-for",
          "--pause-after");
   return config;
 }

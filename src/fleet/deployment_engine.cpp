@@ -96,22 +96,17 @@ struct DeploymentEngine::ArtifactMemo {
   /// what the delta path requires a manifest to match.
   uint64_t target_version = 0;
   uint64_t base_version = 0;  ///< meaningful only for delta campaigns
-  /// Campaign-local cache attribution. Memo reuse counts as artifact
-  /// hits (the memo only short-circuits the address computation, not the
-  /// reuse); the rest comes from GetOrBuild's per-call stats. Global
-  /// Stats() deltas would cross-contaminate concurrent campaigns.
+  /// Campaign-local cache attribution: per build, not per target, so it
+  /// lives here rather than on the outcomes. Memo reuse counts as
+  /// artifact hits (the memo only short-circuits the address
+  /// computation, not the reuse); the rest comes from GetOrBuild's
+  /// per-call stats. Global Stats() deltas would cross-contaminate
+  /// concurrent campaigns.
   std::atomic<uint64_t> artifact_hits{0};
   std::atomic<uint64_t> artifact_misses{0};
   std::atomic<uint64_t> compile_misses{0};
-  /// Per-delivery wire accounting (the delta path's headline numbers).
-  std::atomic<uint64_t> delta_deliveries{0};
-  std::atomic<uint64_t> full_deliveries{0};
-  std::atomic<uint64_t> bytes_shipped{0};
-  std::atomic<uint64_t> bytes_full_equivalent{0};
-  std::atomic<uint64_t> manifest_failures{0};
   /// Per-ISA build attribution (indexed by IsaId): how many seal and
-  /// compile runs each ISA cost this campaign. Delivery/byte slices come
-  /// from the outcomes instead — they are per target, not per build.
+  /// compile runs each ISA cost this campaign.
   std::array<std::atomic<uint64_t>, isa::kNumIsaIds> seal_builds{};
   std::array<std::atomic<uint64_t>, isa::kNumIsaIds> compile_builds{};
 };
@@ -329,11 +324,8 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
           std::chrono::microseconds(config.delivery_latency_us));
     }
     ++outcome.attempts;
+    if (as_delta) ++outcome.delta_attempts;
     outcome.bytes_shipped += payload.wire.size();
-    memo.bytes_shipped.fetch_add(payload.wire.size(),
-                                 std::memory_order_relaxed);
-    (as_delta ? memo.delta_deliveries : memo.full_deliveries)
-        .fetch_add(1, std::memory_order_relaxed);
     Result<core::TrustedRunResult> run = Status(
         ErrorCode::kUnavailable, "delivery never reached the device");
     last_health_failed = false;
@@ -382,8 +374,7 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
     // bytes_shipped ABOVE bytes_full_equivalent (it cost more wire than
     // never attempting deltas), instead of hiding the waste behind a
     // doubled denominator.
-    memo.bytes_full_equivalent.fetch_add(artifact_entry->wire.size(),
-                                         std::memory_order_relaxed);
+    outcome.bytes_full_equivalent += artifact_entry->wire.size();
     auto run = deliver_once(use_delta ? *delta_entry : *artifact_entry,
                             use_delta);
     bool fallback_refused = false;
@@ -433,9 +424,7 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
       Status recorded = registry_.RecordDelivery(
           device, memo.target_version, artifact_entry->key_fingerprint,
           info->isa);
-      if (!recorded.ok()) {
-        memo.manifest_failures.fetch_add(1, std::memory_order_relaxed);
-      }
+      outcome.manifest_update_failed = !recorded.ok();
       break;
     }
     outcome.last_status = run.status();
@@ -449,11 +438,71 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
   }
   outcome.latency_us = MicrosecondsSince(start);
   if (outcome.attempts > 0) {
-    // Same population as the report's mean/max: devices that saw at
-    // least one delivery (revoked/unknown targets would skew p50 low).
+    // Only devices that saw at least one delivery (revoked/unknown
+    // targets would skew p50 low).
     EngineMetrics::Get().target_latency_us.Record(outcome.latency_us);
   }
   return outcome;
+}
+
+void CampaignTotals::Add(const DeviceOutcome& outcome) {
+  ++targets;
+  if (outcome.ok) {
+    ++succeeded;
+  } else if (outcome.revoked) {
+    ++revoked;
+  } else if (outcome.skipped) {
+    ++skipped;
+  } else {
+    ++failed;
+  }
+  deliveries += outcome.attempts;
+  retries += outcome.attempts > 0 ? outcome.attempts - 1 : 0;
+  delta_deliveries += outcome.delta_attempts;
+  full_deliveries += outcome.attempts - outcome.delta_attempts;
+  bytes_shipped += outcome.bytes_shipped;
+  bytes_full_equivalent += outcome.bytes_full_equivalent;
+  if (outcome.delta_fallback) ++delta_fallbacks;
+  if (outcome.manifest_update_failed) ++manifest_update_failures;
+  if (outcome.rolled_back) ++rollbacks;
+  if (outcome.health_failed) ++health_failures;
+  CampaignIsaStats& slice = by_isa[static_cast<size_t>(outcome.isa)];
+  ++slice.targets;
+  if (outcome.ok) ++slice.succeeded;
+  slice.deliveries += outcome.attempts;
+  slice.bytes_shipped += outcome.bytes_shipped;
+}
+
+CampaignTotals& CampaignTotals::operator+=(const CampaignTotals& other) {
+  targets += other.targets;
+  succeeded += other.succeeded;
+  failed += other.failed;
+  revoked += other.revoked;
+  skipped += other.skipped;
+  deliveries += other.deliveries;
+  retries += other.retries;
+  delta_deliveries += other.delta_deliveries;
+  full_deliveries += other.full_deliveries;
+  delta_fallbacks += other.delta_fallbacks;
+  bytes_shipped += other.bytes_shipped;
+  bytes_full_equivalent += other.bytes_full_equivalent;
+  manifest_update_failures += other.manifest_update_failures;
+  rollbacks += other.rollbacks;
+  health_failures += other.health_failures;
+  cache_artifact_hits += other.cache_artifact_hits;
+  cache_artifact_misses += other.cache_artifact_misses;
+  cache_compile_misses += other.cache_compile_misses;
+  for (size_t i = 0; i < isa::kNumIsaIds; ++i) {
+    CampaignIsaStats& slice = by_isa[i];
+    const CampaignIsaStats& add = other.by_isa[i];
+    slice.targets += add.targets;
+    slice.succeeded += add.succeeded;
+    slice.deliveries += add.deliveries;
+    slice.bytes_shipped += add.bytes_shipped;
+    slice.seal_builds += add.seal_builds;
+    slice.compile_builds += add.compile_builds;
+  }
+  return *this;
 }
 
 Result<std::vector<DeviceId>> ResolveCampaignTargets(
@@ -501,7 +550,6 @@ Result<CampaignReport> DeploymentEngine::Run(const CampaignConfig& config) {
 
   CampaignReport report;
   report.trace_id = trace_id;
-  report.targets = targets.size();
   report.outcomes.resize(targets.size());
 
   obs::EmitEvent(obs::EventSeverity::kInfo, "engine",
@@ -577,58 +625,13 @@ Result<CampaignReport> DeploymentEngine::Run(const CampaignConfig& config) {
   }
 
   report.wall_ms = MillisecondsSince(start);
-  size_t delivered_to = 0;  // devices that saw at least one delivery
-  for (const auto& outcome : report.outcomes) {
-    CampaignIsaStats& slice = report.by_isa[static_cast<size_t>(outcome.isa)];
-    ++slice.targets;
-    if (outcome.ok) ++slice.succeeded;
-    slice.deliveries += outcome.attempts;
-    slice.bytes_shipped += outcome.bytes_shipped;
-    if (outcome.ok) {
-      ++report.succeeded;
-    } else if (outcome.revoked) {
-      ++report.revoked;
-    } else if (outcome.skipped) {
-      ++report.skipped;
-    } else {
-      ++report.failed;
-    }
-    report.deliveries += outcome.attempts;
-    report.retries += outcome.attempts > 0 ? outcome.attempts - 1 : 0;
-    report.total_device_cycles += outcome.device_cycles;
-    if (outcome.delta_fallback) ++report.delta_fallbacks;
-    if (outcome.rolled_back) ++report.rollbacks;
-    if (outcome.health_failed) ++report.health_failures;
-    if (outcome.attempts > 0) {
-      ++delivered_to;
-      report.mean_latency_us += outcome.latency_us;
-      report.max_latency_us = std::max(report.max_latency_us,
-                                       outcome.latency_us);
-    }
-  }
-  if (delivered_to > 0) {
-    report.mean_latency_us /= static_cast<double>(delivered_to);
-  }
-  if (report.wall_ms > 0) {
-    report.devices_per_second =
-        static_cast<double>(report.targets) / (report.wall_ms / 1000.0);
-  }
-
+  for (const auto& outcome : report.outcomes) report.Add(outcome);
   report.cache_artifact_hits =
       memo.artifact_hits.load(std::memory_order_relaxed);
   report.cache_artifact_misses =
       memo.artifact_misses.load(std::memory_order_relaxed);
   report.cache_compile_misses =
       memo.compile_misses.load(std::memory_order_relaxed);
-  report.delta_deliveries =
-      memo.delta_deliveries.load(std::memory_order_relaxed);
-  report.full_deliveries =
-      memo.full_deliveries.load(std::memory_order_relaxed);
-  report.bytes_shipped = memo.bytes_shipped.load(std::memory_order_relaxed);
-  report.bytes_full_equivalent =
-      memo.bytes_full_equivalent.load(std::memory_order_relaxed);
-  report.manifest_update_failures =
-      memo.manifest_failures.load(std::memory_order_relaxed);
   for (size_t i = 0; i < isa::kNumIsaIds; ++i) {
     report.by_isa[i].seal_builds =
         memo.seal_builds[i].load(std::memory_order_relaxed);

@@ -108,6 +108,9 @@ struct DeviceOutcome {
   /// exhausted, so checkpoint sinks must leave the target resumable.
   bool cancelled = false;
   uint32_t attempts = 0;     ///< deliveries performed
+  /// Of `attempts`, the deliveries that shipped a delta package; the
+  /// rest shipped the full package.
+  uint32_t delta_attempts = 0;
   /// The successful delivery was a delta package (false for a full
   /// package, and for failed targets).
   bool delta = false;
@@ -125,6 +128,15 @@ struct DeviceOutcome {
   /// Wire bytes put on the channel for this target, summed over
   /// attempts (pre-fault sizes; what the delta path is minimizing).
   uint64_t bytes_shipped = 0;
+  /// What full packages would have cost for the same retry attempts —
+  /// the honest denominator of the bytes-on-the-wire win. A
+  /// delta-plus-fallback pair counts its attempt's full size once, so a
+  /// fallback target reports more bytes shipped than this.
+  uint64_t bytes_full_equivalent = 0;
+  /// The target was delivered but its manifest update could not be
+  /// made durable (the delivery stands; the device simply gets a full
+  /// package next campaign).
+  bool manifest_update_failed = false;
   Status last_status;        ///< final failure (ok() when delivered)
   int64_t exit_code = 0;     ///< program exit code when `ok`
   uint64_t device_cycles = 0;  ///< HDE + execution cycles on the device
@@ -151,20 +163,23 @@ struct CampaignIsaStats {
   uint64_t compile_builds = 0;  ///< compilations performed for this ISA
 };
 
-/// Campaign-level aggregates. Every count is uint64_t (not size_t) so
-/// the report's fields export through the metrics registry and the JSON
-/// reporters without per-platform width surprises.
-struct CampaignReport {
-  std::vector<DeviceOutcome> outcomes;  ///< one entry per target, in order
-
-  /// Trace id of this campaign's span tree, 0 when tracing was off.
-  uint64_t trace_id = 0;
-
+/// The totals of one campaign, or of several folded together: a
+/// scheduled rollout's totals are the sum of its waves'. Every count is
+/// uint64_t (not size_t) so the totals export through the metrics
+/// registry and the JSON reporters without per-platform width surprises.
+///
+/// Per-target numbers come only from Add(DeviceOutcome); the cache
+/// counters and the per-ISA build counts are per build, and the engine
+/// attributes them itself.
+struct CampaignTotals {
   uint64_t targets = 0;    ///< devices in the campaign's target set
   uint64_t succeeded = 0;  ///< devices that ran the program
   uint64_t failed = 0;     ///< devices whose retry budget never delivered
   uint64_t revoked = 0;    ///< devices skipped as revoked
-  uint64_t skipped = 0;    ///< devices never dispatched (cancelled campaign)
+  /// Devices never dispatched: the campaign was cancelled first, or (in
+  /// a scheduled rollout) their wave never launched after a gate abort
+  /// or a cancel.
+  uint64_t skipped = 0;
   uint64_t deliveries = 0;   ///< total channel deliveries (incl. retries)
   uint64_t retries = 0;      ///< deliveries beyond the first per device
   uint64_t delta_deliveries = 0;  ///< deliveries that shipped a delta
@@ -174,28 +189,16 @@ struct CampaignReport {
   uint64_t delta_fallbacks = 0;
   /// Wire bytes shipped across all deliveries (pre-fault sizes).
   uint64_t bytes_shipped = 0;
-  /// What a plain full-package campaign would have shipped for the same
-  /// retry attempts — the honest denominator of the bytes-on-the-wire
-  /// win. A delta-plus-fallback pair counts its attempt's full size
-  /// once, so fallback-heavy campaigns report a ratio above 1.
+  /// Sum of DeviceOutcome::bytes_full_equivalent: fallback-heavy
+  /// campaigns report bytes_shipped above it.
   uint64_t bytes_full_equivalent = 0;
-  /// Successful deliveries whose manifest update could not be made
-  /// durable (the delivery itself stands; the device simply gets a full
-  /// package next campaign).
+  /// Delivered targets whose manifest update could not be made durable.
   uint64_t manifest_update_failures = 0;
   /// Targets whose device agent rolled back at least one flip (health
   /// failure or crash-recovered apply).
   uint64_t rollbacks = 0;
   /// Targets that saw at least one post-apply health-check rejection.
   uint64_t health_failures = 0;
-
-  double wall_ms = 0;             ///< campaign wall time
-  double devices_per_second = 0;  ///< targets / wall time
-  /// Latency statistics over devices that saw at least one delivery
-  /// (revoked/unknown devices are excluded, not averaged in as zeros).
-  double mean_latency_us = 0;
-  double max_latency_us = 0;   ///< slowest device's delivery wall time
-  uint64_t total_device_cycles = 0;  ///< HDE + execution cycles, summed
 
   /// Cache activity attributable to this campaign (tracked per call, so
   /// concurrent campaigns sharing one cache do not contaminate each
@@ -204,15 +207,32 @@ struct CampaignReport {
   uint64_t cache_artifact_misses = 0;  ///< seal operations performed
   uint64_t cache_compile_misses = 0;   ///< compilations performed
 
+  /// Wall time, measured by whoever ran the campaign (for a scheduled
+  /// rollout: every wave plus gate evaluation). Set, never summed.
+  double wall_ms = 0;
   /// Peak simultaneously in-flight deliveries, as observed by the
   /// campaign's governor (0 when the campaign ran ungoverned). A governor
-  /// shared across waves reports its lifetime peak.
+  /// shared across waves reports its lifetime peak. Set, never summed.
   uint64_t peak_in_flight = 0;
 
   /// Per-ISA breakdown, indexed by IsaId. Homogeneous campaigns leave
   /// every slice but one zero; mixed campaigns show each ISA's share of
   /// targets, wire bytes, and (crucially) compile/seal builds.
   std::array<CampaignIsaStats, isa::kNumIsaIds> by_isa{};
+
+  /// Counts one target's outcome into the totals and its ISA's slice.
+  void Add(const DeviceOutcome& outcome);
+  /// Sums `other`'s counters and per-ISA slices into these totals;
+  /// `wall_ms` and `peak_in_flight` are left alone.
+  CampaignTotals& operator+=(const CampaignTotals& other);
+};
+
+/// One engine campaign: its totals plus one outcome per target.
+struct CampaignReport : CampaignTotals {
+  std::vector<DeviceOutcome> outcomes;  ///< one entry per target, in order
+
+  /// Trace id of this campaign's span tree, 0 when tracing was off.
+  uint64_t trace_id = 0;
 };
 
 /// Resolves a campaign's target list: `config.devices` verbatim when

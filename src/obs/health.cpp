@@ -45,13 +45,14 @@ Status ParseError(std::string_view text, const std::string& what) {
 std::mutex g_monitor_mutex;
 HealthMonitor* g_monitor = nullptr;
 
-// Parses a double out of `token` entirely; false on trailing garbage.
+// Parses a finite double out of `token` entirely; false on trailing
+// garbage, nan and inf (a NaN threshold could never breach).
 bool ParseDouble(std::string_view token, double* out) {
   if (token.empty()) return false;
   const std::string copy(token);
   char* end = nullptr;
   *out = std::strtod(copy.c_str(), &end);
-  return end == copy.c_str() + copy.size();
+  return end == copy.c_str() + copy.size() && std::isfinite(*out);
 }
 
 }  // namespace
@@ -185,9 +186,10 @@ Result<SloSpec> ParseSloSpec(std::string_view text) {
                                   "\" (expected ;min=N)");
     }
     double min_count = 0.0;
+    // 2^64 is the first double past uint64_t; the cast below would be UB.
     if (!ParseDouble(rest.substr(5), &min_count) || min_count < 1.0 ||
-        min_count != std::floor(min_count)) {
-      return ParseError(text, "min must be an integer >= 1");
+        min_count != std::floor(min_count) || min_count >= 0x1p64) {
+      return ParseError(text, "min must be an integer in [1, 2^64)");
     }
     spec.min_count = static_cast<uint64_t>(min_count);
   }

@@ -137,6 +137,21 @@ TEST(DaemonConfigTest, ModifiersWithoutTheirFlagWarn) {
   EXPECT_NE(config.warnings[2].find("--pause-after"), std::string::npos);
 }
 
+TEST(DaemonConfigTest, NumbersAtTheirFieldsLimitsAreKept) {
+  const DaemonConfig config =
+      Parse({"--devices", "4", "--attempts", "4294967295", "--pause-after",
+             "1", "--pause-for", "4294967295", "--listen", "65535", "--fault",
+             "bitflips", "--fault-rate", "0", "--canary", "1",
+             "--canary-threshold", "1"});
+  EXPECT_EQ(config.attempts, 4294967295u);
+  EXPECT_EQ(config.pause_for_ms, 4294967295u);
+  ASSERT_TRUE(config.listen_port.has_value());
+  EXPECT_EQ(*config.listen_port, 65535u);
+  // A given 0 is kept, not replaced by the named fault's default of 1.
+  EXPECT_EQ(config.fault_rate, 0.0);
+  EXPECT_EQ(config.rollout.canary_failure_threshold, 1.0);
+}
+
 /// One refused invocation and a fragment of the refusal message.
 struct Conflict {
   Args args;
@@ -181,6 +196,24 @@ const Conflict kConflicts[] = {
     {{"--devices", "4", "--slo-interval", "1"},
      "--slo-interval requires at least one --slo"},
     {{"--devices", "4", "--listen", "65536"}, "--listen PORT must be"},
+    // Numbers a field cannot hold are refused, never wrapped or defaulted.
+    {{"--devices", "4", "--attempts", "4294967297"},
+     "--attempts: out of range"},
+    {{"--devices", "4", "--pause-after", "5", "--pause-for",
+      "18446744073709551615"},
+     "--pause-for: out of range"},
+    {{"--devices", "4", "--listen", "18446744073709551615"},
+     "--listen PORT must be"},
+    {{"--devices", "18446744073709551616"}, "--devices: not a number"},
+    {{"--devices", "4", "--fault-rate", "nan"}, "--fault-rate: not a number"},
+    {{"--devices", "4", "--fault-rate", "inf"}, "--fault-rate: not a number"},
+    {{"--devices", "4", "--fault-rate", "-0.5"}, "--fault-rate: out of range"},
+    {{"--devices", "4", "--fault-rate", "7"}, "--fault-rate must be in [0, 1]"},
+    {{"--devices", "4", "--canary", "2", "--canary-threshold", "1.5"},
+     "--canary-threshold must be in [0, 1]"},
+    {{"--devices", "4", "--rate", "-inf"}, "--rate: not a number"},
+    {{"--devices", "4", "--metrics-out", "m", "--metrics-interval", "-1"},
+     "--metrics-interval: out of range"},
     {{"--devices", "4", "--sim-clients", "10"},
      "--sim-clients requires --listen"},
     {{"--soak"}, "--soak requires --state-dir"},

@@ -1066,7 +1066,7 @@ TEST(CampaignSchedulerTest, RollingWavesPartitionAndCompleteExactlyOnce) {
   // Exactly once: every target delivered, no duplicate dispatch anywhere.
   EXPECT_EQ(report->targets, 10u);
   EXPECT_EQ(report->succeeded, 10u);
-  EXPECT_EQ(report->never_dispatched, 0u);
+  EXPECT_EQ(report->skipped, 0u);
   EXPECT_EQ(report->deliveries, 10u);
   // Encrypt-once survives wave slicing: the cache sealed a single time.
   uint64_t misses = 0;
@@ -1124,7 +1124,7 @@ TEST(CampaignSchedulerTest, BadCanaryAbortsThousandDeviceCampaign) {
   EXPECT_EQ(report->succeeded, 0u);
   EXPECT_EQ(report->failed, 20u);
   EXPECT_EQ(report->deliveries, 20u);
-  EXPECT_EQ(report->never_dispatched, 980u);
+  EXPECT_EQ(report->skipped, 980u);
   ExpectTalliesAddUp(*report);
 }
 
@@ -1152,7 +1152,7 @@ TEST(CampaignSchedulerTest, HealthyCanaryPromotesThroughGate) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->outcome, CampaignOutcome::kCompleted);
   EXPECT_EQ(report->succeeded, 12u);
-  EXPECT_EQ(report->never_dispatched, 0u);
+  EXPECT_EQ(report->skipped, 0u);
   ExpectTalliesAddUp(*report);
 }
 
@@ -1212,7 +1212,7 @@ TEST(CampaignSchedulerTest, PauseResumeDeliversEveryTargetExactlyOnce) {
   // Exactly once: 24 deliveries for 24 targets, nothing skipped and
   // nothing double-dispatched across the pause boundary.
   EXPECT_EQ(report->deliveries, 24u);
-  EXPECT_EQ(report->never_dispatched, 0u);
+  EXPECT_EQ(report->skipped, 0u);
   const auto final_progress = control.progress();
   EXPECT_EQ(final_progress.targets_completed, 24u);
   EXPECT_EQ(final_progress.waves_completed, 4u);  // 4 + 8 + 8 + 4
@@ -1334,7 +1334,7 @@ TEST(CampaignSchedulerTest, CancelSkipsRemainingWaves) {
   EXPECT_EQ(report->outcome, CampaignOutcome::kCancelled);
   EXPECT_EQ(report->succeeded, 0u);
   EXPECT_EQ(report->deliveries, 0u);
-  EXPECT_EQ(report->never_dispatched, 9u);
+  EXPECT_EQ(report->skipped, 9u);
   EXPECT_TRUE(report->waves.empty());
   ExpectTalliesAddUp(*report);
 }

@@ -728,6 +728,13 @@ TEST(SloSpecTest, RejectsMalformedSpecs) {
       "rate(a)<1@30sXtrailing",                // trailing garbage
       "rate(bad name!)<1@30s",                 // invalid metric name
       "=rate(a)<1@30s",                        // empty name
+      "ratio(a,b)<nan@30s",                    // a NaN threshold never breaches
+      "ratio(a,b)<inf@30s",                    // threshold must be finite
+      "ratio(a,b)<0.1@nans",                   // window must be finite
+      "ratio(a,b)<0.1@infs",                   // window must be finite
+      "pnan(h)<5@10s",                         // quantile must be finite
+      "rate(a)<1@1s;min=1e30",                 // min must fit uint64_t
+      "rate(a)<1@1s;min=inf",                  // min must be finite
   };
   for (const char* text : bad) {
     EXPECT_FALSE(ParseSloSpec(text).ok()) << "accepted: " << text;
@@ -748,6 +755,16 @@ TEST(SloSpecTest, FormatRoundTripsThroughParse) {
   EXPECT_DOUBLE_EQ(reparsed->window_seconds, original->window_seconds);
   EXPECT_EQ(reparsed->policy, original->policy);
   EXPECT_EQ(reparsed->min_count, original->min_count);
+}
+
+TEST(SloSpecTest, LargestMinCountRoundTrips) {
+  // The largest double below 2^64 still fits uint64_t exactly.
+  auto spec = ParseSloSpec("rate(a)<1@1s;min=18446744073709549568");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ(spec->min_count, 18446744073709549568ull);
+  auto reparsed = ParseSloSpec(FormatSloSpec(*spec));
+  ASSERT_TRUE(reparsed.ok()) << FormatSloSpec(*spec);
+  EXPECT_EQ(reparsed->min_count, spec->min_count);
 }
 
 // --- Windowed burn-rate math (hand-computed oracles) --------------------------

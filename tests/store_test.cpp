@@ -1237,6 +1237,92 @@ TEST(CampaignJournalTest, BeginCountBeyondPayloadFailsClosed) {
   EXPECT_EQ(journal.Open(dir).code(), ErrorCode::kCorruptPackage);
 }
 
+TEST(CampaignJournalTest, CraftedRecordsFailClosed) {
+  // CRC-valid records the journal never writes: unknown outcome kinds,
+  // delivery forms and watchdog actions, and trailing bytes after any
+  // record's last field. Each must refuse recovery, not be guessed at.
+  struct Crafted {
+    const char* what;
+    uint8_t type;
+    std::vector<uint8_t> payload;
+  };
+  const auto outcome = [](uint8_t kind, uint8_t form, size_t trailing) {
+    store::RecordWriter rec;  // type 5: {device, kind, attempts, form}
+    rec.U64(7);
+    rec.U8(kind);
+    rec.U32(1);
+    rec.U8(form);
+    for (size_t i = 0; i < trailing; ++i) rec.U8(0);
+    return rec.bytes();
+  };
+  const auto watchdog = [](uint8_t action) {
+    store::RecordWriter rec;  // type 6: {action, 3 x double bits, slo}
+    rec.U8(action);
+    rec.U64(0);
+    rec.U64(0);
+    rec.U64(0);
+    rec.Str("slo");
+    return rec.bytes();
+  };
+  store::RecordWriter padded_begin;  // type 1: {fingerprint, n, n ids}
+  padded_begin.U64(0xB16);
+  padded_begin.U64(1);
+  padded_begin.U64(7);
+  padded_begin.U32(0);
+  store::RecordWriter legacy_outcome;  // type 2: {device, kind, attempts}
+  legacy_outcome.U64(7);
+  legacy_outcome.U8(1);
+  legacy_outcome.U32(1);
+  legacy_outcome.U8(0);
+  const Crafted crafted[] = {
+      {"outcome kind 9", 5, outcome(9, 0, 0)},
+      {"outcome kind 0", 5, outcome(0, 0, 0)},
+      {"outcome form 7", 5, outcome(1, 7, 0)},
+      {"outcome form 7 + 8 trailing bytes", 5, outcome(1, 7, 8)},
+      {"outcome + 8 trailing bytes", 5, outcome(1, 0, 8)},
+      {"legacy outcome + trailing byte", 2, legacy_outcome.bytes()},
+      {"watchdog action 42", 6, watchdog(42)},
+      {"begin + trailing bytes", 1, padded_begin.bytes()},
+      {"end with a payload", 3, {0}},
+  };
+  for (const Crafted& c : crafted) {
+    SCOPED_TRACE(c.what);
+    const std::string dir = MakeTempDir("journal-crafted");
+    {
+      store::Wal wal;
+      ASSERT_TRUE(wal.Open(dir + "/campaign.wal").ok());
+      if (c.type != 1) {
+        store::RecordWriter begin;
+        begin.U64(0xB16);
+        begin.U64(1);
+        begin.U64(7);
+        ASSERT_TRUE(wal.Append(/*kRecBegin=*/1, begin.bytes()).ok());
+      }
+      ASSERT_TRUE(wal.Append(c.type, c.payload).ok());
+    }
+    fleet::CampaignJournal journal;
+    EXPECT_EQ(journal.Open(dir).code(), ErrorCode::kCorruptPackage);
+  }
+
+  // The same records as the journal writes them still replay.
+  const std::string dir = MakeTempDir("journal-crafted-ok");
+  {
+    store::Wal wal;
+    ASSERT_TRUE(wal.Open(dir + "/campaign.wal").ok());
+    store::RecordWriter begin;
+    begin.U64(0xB16);
+    begin.U64(1);
+    begin.U64(7);
+    ASSERT_TRUE(wal.Append(1, begin.bytes()).ok());
+    ASSERT_TRUE(wal.Append(5, outcome(1, 1, 0)).ok());
+    ASSERT_TRUE(wal.Append(6, watchdog(2)).ok());
+  }
+  fleet::CampaignJournal journal;
+  ASSERT_TRUE(journal.Open(dir).ok());
+  EXPECT_EQ(journal.recovered().delta_delivered, 1u);
+  EXPECT_TRUE(journal.recovered().watchdog_abort);
+}
+
 TEST(RegistryPersistenceTest, WalRecordWithTrailingBytesFailsClosed) {
   // Every registry WAL record decodes to exactly its payload: bytes left
   // over after the last field are damage, whichever log carries them.

@@ -25,13 +25,15 @@
 // every K-th device before the campaign to show revocation handling in
 // the report.
 //
-// Every campaign runs through one pipeline: the CampaignScheduler over
-// the engine. With no rollout flags it is a single wave. --canary N puts
-// a canary cohort first, gated on --canary-threshold; --wave-size splits
-// the rest into rolling waves; --rate/--burst and --group-concurrency
-// throttle dispatch; --shuffle samples the canary across the fleet; and
-// --pause-after MS pauses the rollout that long into the campaign, holds
-// it for --pause-for MS, then resumes.
+// Every campaign — plain, staged, rotation, and each --soak round —
+// runs through one pipeline: the CampaignScheduler over the engine, and
+// every report reads the scheduler's CampaignTotals. With no rollout
+// flags it is a single wave. --canary N puts a canary cohort first,
+// gated on --canary-threshold; --wave-size splits the rest into rolling
+// waves; --rate/--burst and --group-concurrency throttle dispatch;
+// --shuffle samples the canary across the fleet; and --pause-after MS
+// pauses the rollout that long into the campaign, holds it for
+// --pause-for MS, then resumes.
 //
 // --state-dir DIR makes the fleet durable: enrollments and revocations
 // are write-ahead logged (and snapshotted) under DIR, and every target's
@@ -208,7 +210,7 @@ struct SoakRound {
   bool delta = false;
   fleet::GroupId rotated_group = fleet::kNoGroup;
   uint64_t enrolled = 0, revoked_now = 0;
-  fleet::CampaignReport deploy;
+  fleet::CampaignTotals deploy;
   bool rotation_ran = false;
   uint64_t rotation_succeeded = 0, rotation_failed = 0;
   uint64_t rotation_new_epoch = 0;
@@ -330,6 +332,7 @@ int RunSoak(fleet::DeviceRegistry& registry, const SoakProfile& profile,
 
   fleet::PackageCache cache;
   fleet::DeploymentEngine engine(registry, cache);
+  fleet::CampaignScheduler scheduler(engine, registry);
   std::vector<std::string> violations;
   std::vector<SoakRound> rounds;
   uint64_t enrolled_total = 0, revoked_total = 0;
@@ -428,7 +431,7 @@ int RunSoak(fleet::DeviceRegistry& registry, const SoakProfile& profile,
       }
     });
 
-    auto report = engine.Run(campaign);
+    auto report = scheduler.Run(campaign, fleet::SchedulerConfig{});
     churner.join();
     if (rotator.joinable()) rotator.join();
     enrolled_total += summary.enrolled;
@@ -439,7 +442,7 @@ int RunSoak(fleet::DeviceRegistry& registry, const SoakProfile& profile,
                                       round,
                                       report.status().ToString().c_str()));
     } else {
-      summary.deploy = std::move(*report);
+      summary.deploy = *report;
       const auto& r = summary.deploy;
       // Accounting identities: every target lands in exactly one bucket,
       // and the wire totals decompose by package kind.
@@ -618,7 +621,7 @@ struct ReportContext {
   size_t fleet_devices = 0;
 };
 
-double DevicesPerSecond(const fleet::ScheduledReport& report) {
+double DevicesPerSecond(const fleet::CampaignTotals& report) {
   return report.wall_ms > 0
              ? static_cast<double>(report.targets) / (report.wall_ms / 1000.0)
              : 0.0;
@@ -663,7 +666,7 @@ void PrintReport(const fleet::ScheduledReport& report,
               static_cast<unsigned long long>(report.succeeded),
               static_cast<unsigned long long>(report.failed),
               static_cast<unsigned long long>(report.revoked),
-              static_cast<unsigned long long>(report.never_dispatched),
+              static_cast<unsigned long long>(report.skipped),
               static_cast<unsigned long long>(report.targets));
   std::printf("wire:   %llu deliveries (%llu retries), peak %llu in flight\n",
               static_cast<unsigned long long>(report.deliveries),
@@ -744,7 +747,7 @@ bool WriteReportJson(const std::string& path, const ReportContext& context,
   json.Field("succeeded", report.succeeded);
   json.Field("failed", report.failed);
   json.Field("revoked", report.revoked);
-  json.Field("never_dispatched", report.never_dispatched);
+  json.Field("never_dispatched", report.skipped);
   json.Field("deliveries", report.deliveries);
   json.Field("retries", report.retries);
   json.Field("delta", config.delta);
