@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <thread>
 
 #include "fleet/dispatch_governor.h"
@@ -69,48 +68,6 @@ struct EngineMetrics {
 
 }  // namespace
 
-struct DeploymentEngine::ArtifactMemo {
-  /// One slot per deployment key. The first worker to claim a key builds
-  /// while holding the slot mutex; racing workers block on it instead of
-  /// double-building (which would double-count cache misses and compile
-  /// the same program twice).
-  struct Slot {
-    std::mutex mutex;
-    std::shared_ptr<const CachedArtifact> artifact;  ///< set when built
-    Status error;                                    ///< set on build failure
-    /// Delta phase, evaluated lazily (under `mutex`) by the first worker
-    /// whose device manifest matches the campaign base. Stays null —
-    /// ship full — when the base fails to build, the codec finds too
-    /// little in common (size fraction), or the campaign is not delta.
-    bool delta_evaluated = false;
-    std::shared_ptr<const CachedArtifact> delta;
-  };
-  std::mutex mutex;
-  /// Keyed by (deployment key, target ISA): a mixed group shares one
-  /// deployment key but needs one sealed artifact per ISA, so the key
-  /// alone no longer identifies the build.
-  std::map<std::pair<crypto::Key256, isa::IsaId>, std::shared_ptr<Slot>>
-      by_key;
-  /// Key-independent version identities, fixed by Run before workers
-  /// start: what successful deliveries record in device manifests and
-  /// what the delta path requires a manifest to match.
-  uint64_t target_version = 0;
-  uint64_t base_version = 0;  ///< meaningful only for delta campaigns
-  /// Campaign-local cache attribution: per build, not per target, so it
-  /// lives here rather than on the outcomes. Memo reuse counts as
-  /// artifact hits (the memo only short-circuits the address
-  /// computation, not the reuse); the rest comes from GetOrBuild's
-  /// per-call stats. Global Stats() deltas would cross-contaminate
-  /// concurrent campaigns.
-  std::atomic<uint64_t> artifact_hits{0};
-  std::atomic<uint64_t> artifact_misses{0};
-  std::atomic<uint64_t> compile_misses{0};
-  /// Per-ISA build attribution (indexed by IsaId): how many seal and
-  /// compile runs each ISA cost this campaign.
-  std::array<std::atomic<uint64_t>, isa::kNumIsaIds> seal_builds{};
-  std::array<std::atomic<uint64_t>, isa::kNumIsaIds> compile_builds{};
-};
-
 uint64_t DeliverySeed(uint64_t campaign_seed, DeviceId device,
                       uint32_t delivery_index) {
   // Mixes campaign seed, device, and the delivery ordinal into an
@@ -144,7 +101,8 @@ uint64_t ProgramVersionFingerprint(std::string_view source,
 
 DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
                                           DeviceId device,
-                                          ArtifactMemo& memo) {
+                                          uint64_t target_version,
+                                          uint64_t base_version) {
   DeviceOutcome outcome;
   outcome.device = device;
 
@@ -170,67 +128,32 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
   compiler::CompileOptions compile_options = config.compile_options;
   compile_options.isa = info->isa;
 
-  // Seal (or fetch) the artifact for this device's deployment key and
-  // its effective KDF config — per device, not registry-wide, because a
-  // key-epoch rotation moves one group's epoch while every other group
-  // seals on at its own. Group members share a key, so across a campaign
-  // this is exactly one build plus memo hits.
-  auto sealing = registry_.SealingContextFor(device);
-  if (!sealing.ok()) {
-    outcome.last_status = sealing.status();
+  // Seals (or fetches) `source` for this device's current deployment key
+  // and its effective KDF config — per device, not registry-wide,
+  // because a key-epoch rotation moves one group's epoch while every
+  // other group seals on at its own. Group members share a key, so
+  // across a campaign the cache builds once and serves the rest as hits.
+  SealingContext sealing;
+  const auto fetch = [&](std::string_view source)
+      -> Result<std::shared_ptr<const CachedArtifact>> {
+    return cache_.GetOrBuild(source, sealing.key, sealing.config,
+                             config.policy, registry_.cipher(),
+                             compile_options, &outcome.cache);
+  };
+  // Re-reads the sealing context and fetches the full package for it.
+  const auto fetch_current = [&]()
+      -> Result<std::shared_ptr<const CachedArtifact>> {
+    auto current = registry_.SealingContextFor(device);
+    if (!current.ok()) return current.status();
+    sealing = *current;
+    return fetch(config.source);
+  };
+  auto fetched = fetch_current();
+  if (!fetched.ok()) {
+    outcome.last_status = fetched.status();
     return outcome;
   }
-  std::shared_ptr<ArtifactMemo::Slot> slot;
-  std::unique_lock<std::mutex> build_lock;
-  {
-    std::lock_guard lock(memo.mutex);
-    auto& entry = memo.by_key[{sealing->key, info->isa}];
-    if (entry == nullptr) {
-      entry = std::make_shared<ArtifactMemo::Slot>();
-      // Claim the build while still holding the map lock so racers can
-      // only ever block on the slot, never build.
-      build_lock = std::unique_lock(entry->mutex);
-    }
-    slot = entry;
-  }
-  const bool builder = build_lock.owns_lock();
-  if (builder) {
-    PackageCacheStats call_stats;
-    auto artifact = cache_.GetOrBuild(config.source, sealing->key,
-                                      sealing->config, config.policy,
-                                      registry_.cipher(),
-                                      compile_options, &call_stats);
-    memo.artifact_hits.fetch_add(call_stats.artifact_hits,
-                                 std::memory_order_relaxed);
-    memo.artifact_misses.fetch_add(call_stats.artifact_misses,
-                                   std::memory_order_relaxed);
-    memo.compile_misses.fetch_add(call_stats.compile_misses,
-                                  std::memory_order_relaxed);
-    const auto isa_index = static_cast<size_t>(info->isa);
-    memo.seal_builds[isa_index].fetch_add(call_stats.artifact_misses,
-                                          std::memory_order_relaxed);
-    memo.compile_builds[isa_index].fetch_add(call_stats.compile_misses,
-                                             std::memory_order_relaxed);
-    if (artifact.ok()) {
-      slot->artifact = *artifact;
-    } else {
-      slot->error = artifact.status();
-    }
-    build_lock.unlock();
-  }
-  std::shared_ptr<const CachedArtifact> artifact_entry;
-  {
-    std::lock_guard lock(slot->mutex);  // waits out an in-flight build
-    if (slot->artifact == nullptr) {
-      outcome.last_status = slot->error;
-      return outcome;
-    }
-    artifact_entry = slot->artifact;
-    // Memo reuse counts as a hit only once an artifact actually exists.
-    if (!builder) {
-      memo.artifact_hits.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  std::shared_ptr<const CachedArtifact> full = std::move(*fetched);
 
   // Delta eligibility: the device's durable manifest must name exactly
   // the campaign's base version AND the key the campaign seals under
@@ -241,46 +164,24 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
   // for a foreign ISA can never patch into this device's target (the
   // version fingerprint is deliberately ISA-independent, so the version
   // check alone cannot catch this), and the mismatch forces a full
-  // delivery fail-closed.
-  std::shared_ptr<const CachedArtifact> delta_entry;
+  // delivery fail-closed. A base that fails to build, or a delta above
+  // `delta_max_fraction` of the full package, ships full.
+  std::shared_ptr<const CachedArtifact> delta;
   if (config.delta) {
     auto manifest = registry_.DeliveredVersion(device);
-    if (manifest.ok() && manifest->version == memo.base_version &&
-        manifest->key_fingerprint == artifact_entry->key_fingerprint &&
+    if (manifest.ok() && manifest->version == base_version &&
+        manifest->key_fingerprint == full->key_fingerprint &&
         manifest->isa == info->isa) {
-      std::lock_guard lock(slot->mutex);
-      if (!slot->delta_evaluated) {
-        slot->delta_evaluated = true;
-        PackageCacheStats delta_stats;
-        auto base = cache_.GetOrBuild(config.delta_base_source, sealing->key,
-                                      sealing->config, config.policy,
-                                      registry_.cipher(),
-                                      compile_options, &delta_stats);
-        if (base.ok()) {
-          auto delta = cache_.GetOrBuildDelta(**base, *artifact_entry,
-                                              &delta_stats);
-          if (delta.ok() &&
-              static_cast<double>((*delta)->wire.size()) <=
-                  config.delta_max_fraction *
-                      static_cast<double>(artifact_entry->wire.size())) {
-            slot->delta = *delta;
-          }
-          // An unusable delta (build failure or too big) leaves the slot
-          // null: every matching device of this key ships full.
+      auto base = fetch(config.delta_base_source);
+      if (base.ok()) {
+        auto encoded = cache_.GetOrBuildDelta(**base, *full, &outcome.cache);
+        if (encoded.ok() &&
+            static_cast<double>((*encoded)->wire.size()) <=
+                config.delta_max_fraction *
+                    static_cast<double>(full->wire.size())) {
+          delta = std::move(*encoded);
         }
-        memo.artifact_hits.fetch_add(delta_stats.artifact_hits,
-                                     std::memory_order_relaxed);
-        memo.artifact_misses.fetch_add(delta_stats.artifact_misses,
-                                       std::memory_order_relaxed);
-        memo.compile_misses.fetch_add(delta_stats.compile_misses,
-                                      std::memory_order_relaxed);
-        const auto isa_index = static_cast<size_t>(info->isa);
-        memo.seal_builds[isa_index].fetch_add(delta_stats.artifact_misses,
-                                              std::memory_order_relaxed);
-        memo.compile_builds[isa_index].fetch_add(delta_stats.compile_misses,
-                                                 std::memory_order_relaxed);
       }
-      delta_entry = slot->delta;
     }
   }
 
@@ -332,8 +233,8 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
     if (delivered.ok()) {
       DispatchMeta meta;
       meta.delta = as_delta;
-      meta.version = memo.target_version;
-      meta.key_fingerprint = artifact_entry->key_fingerprint;
+      meta.version = target_version;
+      meta.key_fingerprint = full->key_fingerprint;
       run = registry_.Dispatch(device, *delivered, config.arg0, config.arg1,
                                &meta);
       outcome.rolled_back |= meta.rolled_back;
@@ -354,8 +255,24 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
 
   const auto start = std::chrono::steady_clock::now();
   const uint32_t max_attempts = std::max<uint32_t>(config.max_attempts, 1);
-  bool use_delta = delta_entry != nullptr;
+  bool use_delta = delta != nullptr;
   for (uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
+    // A retry re-reads the sealing context: if the device's group rotated
+    // since the last attempt, resending the old artifact is a package its
+    // HDE must refuse. The re-fetch is a cache hit unless the key moved;
+    // then the target re-seals and drops to full packages (its retained
+    // base is sealed under the retired key).
+    if (attempt > 0) {
+      auto current = fetch_current();
+      if (!current.ok()) {
+        outcome.last_status = current.status();
+        break;
+      }
+      if ((*current)->key_fingerprint != full->key_fingerprint) {
+        use_delta = false;
+      }
+      full = std::move(*current);
+    }
     // Governed campaigns gate every delivery: the governor blocks for
     // pause, rate tokens, and the per-group budget, and refuses admission
     // once the campaign is cancelled.
@@ -374,9 +291,8 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
     // bytes_shipped ABOVE bytes_full_equivalent (it cost more wire than
     // never attempting deltas), instead of hiding the waste behind a
     // doubled denominator.
-    outcome.bytes_full_equivalent += artifact_entry->wire.size();
-    auto run = deliver_once(use_delta ? *delta_entry : *artifact_entry,
-                            use_delta);
+    outcome.bytes_full_equivalent += full->wire.size();
+    auto run = deliver_once(use_delta ? *delta : *full, use_delta);
     bool fallback_refused = false;
     if (use_delta && !run.ok() &&
         (run.status().code() == ErrorCode::kCorruptPackage ||
@@ -405,7 +321,7 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
           fallback_refused = true;
         }
       }
-      if (!fallback_refused) run = deliver_once(*artifact_entry, false);
+      if (!fallback_refused) run = deliver_once(*full, false);
     }
     if (fallback_refused) break;  // admission already released above
     if (config.governor != nullptr) {
@@ -422,8 +338,7 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
       // a checkpointed target with a stale manifest. A failed update
       // only costs that device a full package next time.
       Status recorded = registry_.RecordDelivery(
-          device, memo.target_version, artifact_entry->key_fingerprint,
-          info->isa);
+          device, target_version, full->key_fingerprint, info->isa);
       outcome.manifest_update_failed = !recorded.ok();
       break;
     }
@@ -466,11 +381,16 @@ void CampaignTotals::Add(const DeviceOutcome& outcome) {
   if (outcome.manifest_update_failed) ++manifest_update_failures;
   if (outcome.rolled_back) ++rollbacks;
   if (outcome.health_failed) ++health_failures;
+  cache_artifact_hits += outcome.cache.artifact_hits;
+  cache_artifact_misses += outcome.cache.artifact_misses;
+  cache_compile_misses += outcome.cache.compile_misses;
   CampaignIsaStats& slice = by_isa[static_cast<size_t>(outcome.isa)];
   ++slice.targets;
   if (outcome.ok) ++slice.succeeded;
   slice.deliveries += outcome.attempts;
   slice.bytes_shipped += outcome.bytes_shipped;
+  slice.seal_builds += outcome.cache.artifact_misses;
+  slice.compile_builds += outcome.cache.compile_misses;
 }
 
 CampaignTotals& CampaignTotals::operator+=(const CampaignTotals& other) {
@@ -560,13 +480,16 @@ Result<CampaignReport> DeploymentEngine::Run(const CampaignConfig& config) {
   // Work-stealing by atomic cursor: each worker claims the next target.
   // Outcomes land at the target's own index, so no result lock is needed.
   std::atomic<size_t> cursor{0};
-  ArtifactMemo memo;
-  memo.target_version = ProgramVersionFingerprint(config.source, config.policy,
-                                                  config.compile_options);
-  if (config.delta) {
-    memo.base_version = ProgramVersionFingerprint(
-        config.delta_base_source, config.policy, config.compile_options);
-  }
+  // Key-independent version identities: what successful deliveries
+  // record in device manifests, and what the delta path requires a
+  // manifest to match.
+  const uint64_t target_version = ProgramVersionFingerprint(
+      config.source, config.policy, config.compile_options);
+  const uint64_t base_version =
+      config.delta ? ProgramVersionFingerprint(config.delta_base_source,
+                                               config.policy,
+                                               config.compile_options)
+                   : 0;
   auto worker_body = [&] {
     // Pin the campaign's trace onto this worker thread; every span the
     // layers below open (seal, deliver, wal_append, ...) nests under
@@ -578,7 +501,8 @@ Result<CampaignReport> DeploymentEngine::Run(const CampaignConfig& config) {
       DeviceOutcome& outcome = report.outcomes[i];
       {
         obs::ScopedSpan target_span("target", targets[i]);
-        outcome = DeployOne(config, targets[i], memo);
+        outcome = DeployOne(config, targets[i], target_version,
+                            base_version);
         // Revoked/skipped targets are policy outcomes, not failures.
         target_span.set_ok(outcome.ok || outcome.revoked ||
                            outcome.skipped || outcome.cancelled);
@@ -626,18 +550,6 @@ Result<CampaignReport> DeploymentEngine::Run(const CampaignConfig& config) {
 
   report.wall_ms = MillisecondsSince(start);
   for (const auto& outcome : report.outcomes) report.Add(outcome);
-  report.cache_artifact_hits =
-      memo.artifact_hits.load(std::memory_order_relaxed);
-  report.cache_artifact_misses =
-      memo.artifact_misses.load(std::memory_order_relaxed);
-  report.cache_compile_misses =
-      memo.compile_misses.load(std::memory_order_relaxed);
-  for (size_t i = 0; i < isa::kNumIsaIds; ++i) {
-    report.by_isa[i].seal_builds =
-        memo.seal_builds[i].load(std::memory_order_relaxed);
-    report.by_isa[i].compile_builds =
-        memo.compile_builds[i].load(std::memory_order_relaxed);
-  }
   if (config.governor != nullptr) {
     report.peak_in_flight = config.governor->peak_in_flight();
   }

@@ -140,13 +140,20 @@ struct DeviceOutcome {
   Status last_status;        ///< final failure (ok() when delivered)
   int64_t exit_code = 0;     ///< program exit code when `ok`
   uint64_t device_cycles = 0;  ///< HDE + execution cycles on the device
-  /// Wall time across delivery attempts (excludes artifact build/fetch,
-  /// so the first device of a fresh campaign is not an outlier).
+  /// Wall time across delivery attempts (excludes the first artifact
+  /// build/fetch, so the first device of a fresh campaign is not an
+  /// outlier).
   double latency_us = 0;
   /// The target's ISA, as enrolled in the registry. Targets whose
   /// registry lookup failed keep the default (there is no record to
   /// read an ISA from).
   isa::IsaId isa = isa::IsaId::kRv64Gc;
+  /// The cache events of this target's own fetches (the `call_stats` of
+  /// its GetOrBuild/GetOrBuildDelta calls): a miss (plus a compile miss
+  /// when the program was cold) for the target that built an artifact, a
+  /// hit for every target served it. A delta-eligible target's base
+  /// fetch and a retry's re-fetch count too.
+  PackageCacheStats cache;
 };
 
 /// One ISA's slice of a campaign. A heterogeneous campaign compiles and
@@ -168,9 +175,9 @@ struct CampaignIsaStats {
 /// uint64_t (not size_t) so the totals export through the metrics
 /// registry and the JSON reporters without per-platform width surprises.
 ///
-/// Per-target numbers come only from Add(DeviceOutcome); the cache
-/// counters and the per-ISA build counts are per build, and the engine
-/// attributes them itself.
+/// Every counter comes from Add(DeviceOutcome) or +=; the cache counters
+/// and the per-ISA build counts included, folded from
+/// DeviceOutcome::cache.
 struct CampaignTotals {
   uint64_t targets = 0;    ///< devices in the campaign's target set
   uint64_t succeeded = 0;  ///< devices that ran the program
@@ -200,8 +207,8 @@ struct CampaignTotals {
   /// Targets that saw at least one post-apply health-check rejection.
   uint64_t health_failures = 0;
 
-  /// Cache activity attributable to this campaign (tracked per call, so
-  /// concurrent campaigns sharing one cache do not contaminate each
+  /// Cache activity attributable to this campaign (tracked per target,
+  /// so concurrent campaigns sharing one cache do not contaminate each
   /// other's counts).
   uint64_t cache_artifact_hits = 0;    ///< sealed artifacts served from cache
   uint64_t cache_artifact_misses = 0;  ///< seal operations performed
@@ -274,13 +281,12 @@ class DeploymentEngine {
   Result<CampaignReport> Run(const CampaignConfig& config);
 
  private:
-  /// Per-campaign memo: deployment key -> sealed artifact. Group members
-  /// share a key, so this collapses the cache-address computation (SHA-256
-  /// over the source per device) to once per distinct key per campaign.
-  struct ArtifactMemo;
-
+  /// Deploys to one target, fetching its artifacts from the cache (which
+  /// builds each address once, however many targets race on it).
+  /// `target_version` and `base_version` are the campaign's
+  /// ProgramVersionFingerprint of `source` and `delta_base_source`.
   DeviceOutcome DeployOne(const CampaignConfig& config, DeviceId device,
-                          ArtifactMemo& memo);
+                          uint64_t target_version, uint64_t base_version);
 
   DeviceRegistry& registry_;
   PackageCache& cache_;

@@ -48,6 +48,16 @@ struct CacheMetrics {
   }
 };
 
+// Counts one cache event on the caller's own stats (when given), on the
+// instance counter behind Stats(), and on the process-wide mirror.
+void CountEvent(uint64_t PackageCacheStats::*field,
+                PackageCacheStats* call_stats, obs::Counter& instance,
+                obs::Counter& global) {
+  if (call_stats != nullptr) ++(call_stats->*field);
+  instance.Add();
+  global.Add();
+}
+
 }  // namespace
 
 crypto::Sha256Digest FingerprintKey(const crypto::Key256& key) {
@@ -99,37 +109,43 @@ size_t PackageCache::ShardIndex(const Digest& digest) const {
   return index % config_.shard_count;
 }
 
-template <typename Entry>
-std::shared_ptr<const Entry> PackageCache::Find(Shard<Entry>& shard,
-                                                const Digest& digest) {
-  std::lock_guard lock(shard.mutex);
-  auto it = shard.map.find(digest);
-  if (it == shard.map.end()) return nullptr;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-  return it->second.entry;
-}
+template <typename Entry, typename Build>
+Result<std::shared_ptr<const Entry>> PackageCache::Lookup(
+    Shard<Entry>& shard, const Digest& digest, size_t capacity, bool* built,
+    Build&& build) {
+  using Built = Result<std::shared_ptr<const Entry>>;
+  std::unique_lock lock(shard.mutex);
+  if (auto it = shard.map.find(digest); it != shard.map.end()) {
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+    return it->second.entry;
+  }
+  if (auto it = shard.flights.find(digest); it != shard.flights.end()) {
+    const typename Shard<Entry>::Flight flight = it->second;
+    lock.unlock();
+    return flight.get();
+  }
+  std::promise<Built> promise;
+  shard.flights.emplace(digest, promise.get_future().share());
+  lock.unlock();
 
-template <typename Entry>
-void PackageCache::Insert(Shard<Entry>& shard, const Digest& digest,
-                          std::shared_ptr<const Entry> entry,
-                          size_t capacity) {
-  std::lock_guard lock(shard.mutex);
-  auto it = shard.map.find(digest);
-  if (it != shard.map.end()) {
-    // Lost a build race; keep the incumbent (identical by construction).
-    return;
+  *built = true;
+  Built result = build();
+  lock.lock();
+  shard.flights.erase(digest);
+  if (result.ok()) {
+    shard.lru.push_front(digest);
+    shard.map.emplace(digest,
+                      typename Shard<Entry>::Slot{*result, shard.lru.begin()});
+    while (shard.map.size() > capacity) {
+      shard.map.erase(shard.lru.back());
+      shard.lru.pop_back();
+      counters_.evictions.Add();
+      CacheMetrics::Get().evictions.Add();
+    }
   }
-  shard.lru.push_front(digest);
-  shard.map.emplace(digest,
-                    typename Shard<Entry>::Slot{std::move(entry),
-                                                shard.lru.begin()});
-  while (shard.map.size() > capacity && !shard.lru.empty()) {
-    const Digest victim = shard.lru.back();
-    shard.lru.pop_back();
-    shard.map.erase(victim);
-    counters_.evictions.Add();
-    CacheMetrics::Get().evictions.Add();
-  }
+  lock.unlock();
+  promise.set_value(result);
+  return result;
 }
 
 Result<std::shared_ptr<const CachedArtifact>> PackageCache::GetOrBuild(
@@ -164,71 +180,68 @@ Result<std::shared_ptr<const CachedArtifact>> PackageCache::GetOrBuild(
   const Digest artifact_digest = artifact_hasher.Finish();
 
   CacheMetrics& metrics = CacheMetrics::Get();
-  auto& artifact_shard = *artifact_shards_[ShardIndex(artifact_digest)];
-  if (auto hit = Find(artifact_shard, artifact_digest)) {
-    if (call_stats != nullptr) ++call_stats->artifact_hits;
-    counters_.artifact_hits.Add();
-    metrics.artifact_hits.Add();
-    return hit;
-  }
-
   // Artifact miss: get the compiled program (level 1), then seal.
-  auto& program_shard = *program_shards_[ShardIndex(program_digest)];
-  std::shared_ptr<const CachedProgram> program = Find(program_shard,
-                                                      program_digest);
-  double compile_us = 0;
-  if (program == nullptr) {
-    obs::ScopedSpan span("compile");
-    const auto start = std::chrono::steady_clock::now();
-    auto compiled = compiler::Compile(source, options);
-    if (!compiled.ok()) {
-      span.set_ok(false);
-      return compiled.status();
+  const auto seal = [&]() -> Result<std::shared_ptr<const CachedArtifact>> {
+    bool compiled = false;
+    auto program = Lookup(
+        *program_shards_[ShardIndex(program_digest)], program_digest,
+        config_.max_programs_per_shard, &compiled,
+        [&]() -> Result<std::shared_ptr<const CachedProgram>> {
+          obs::ScopedSpan span("compile");
+          const auto start = std::chrono::steady_clock::now();
+          auto result = compiler::Compile(source, options);
+          if (!result.ok()) {
+            span.set_ok(false);
+            return result.status();
+          }
+          auto fresh = std::make_shared<CachedProgram>();
+          fresh->compile_microseconds = MicrosecondsSince(start);
+          metrics.compile_us.Record(fresh->compile_microseconds);
+          fresh->program = std::move(result->program);
+          return std::shared_ptr<const CachedProgram>(std::move(fresh));
+        });
+    if (!program.ok()) return program.status();
+    if (compiled) {
+      CountEvent(&PackageCacheStats::compile_misses, call_stats,
+                 counters_.compile_misses, metrics.compile_misses);
+    } else {
+      CountEvent(&PackageCacheStats::compile_hits, call_stats,
+                 counters_.compile_hits, metrics.compile_hits);
     }
-    compile_us = MicrosecondsSince(start);
-    metrics.compile_us.Record(compile_us);
-    auto fresh = std::make_shared<CachedProgram>();
-    fresh->program = std::move(compiled->program);
-    fresh->compile_microseconds = compile_us;
-    program = fresh;
-    Insert(program_shard, program_digest,
-           std::shared_ptr<const CachedProgram>(std::move(fresh)),
-           config_.max_programs_per_shard);
-    if (call_stats != nullptr) ++call_stats->compile_misses;
-    counters_.compile_misses.Add();
-    metrics.compile_misses.Add();
+
+    obs::ScopedSpan seal_span("seal");
+    const auto seal_start = std::chrono::steady_clock::now();
+    core::SoftwareSource sealer(key, key_config, cipher);
+    auto packaged = sealer.BuildPackage((*program)->program, policy);
+    if (!packaged.ok()) {
+      seal_span.set_ok(false);
+      return packaged.status();
+    }
+    auto artifact = std::make_shared<CachedArtifact>();
+    artifact->wire = pkg::Serialize(packaged->package);
+    artifact->instr_count = packaged->package.instr_count;
+    artifact->compile_microseconds =
+        compiled ? (*program)->compile_microseconds : 0;
+    artifact->seal_microseconds = MicrosecondsSince(seal_start);
+    artifact->key_fingerprint = key_fingerprint;
+    artifact->isa = options.isa;
+    metrics.seal_us.Record(artifact->seal_microseconds);
+    return std::shared_ptr<const CachedArtifact>(std::move(artifact));
+  };
+
+  bool sealed = false;
+  auto artifact = Lookup(*artifact_shards_[ShardIndex(artifact_digest)],
+                         artifact_digest, config_.max_artifacts_per_shard,
+                         &sealed, seal);
+  if (!artifact.ok()) return artifact.status();
+  if (sealed) {
+    CountEvent(&PackageCacheStats::artifact_misses, call_stats,
+               counters_.artifact_misses, metrics.artifact_misses);
   } else {
-    if (call_stats != nullptr) ++call_stats->compile_hits;
-    counters_.compile_hits.Add();
-    metrics.compile_hits.Add();
+    CountEvent(&PackageCacheStats::artifact_hits, call_stats,
+               counters_.artifact_hits, metrics.artifact_hits);
   }
-
-  obs::ScopedSpan seal_span("seal");
-  const auto seal_start = std::chrono::steady_clock::now();
-  core::SoftwareSource sealer(key, key_config, cipher);
-  auto packaged = sealer.BuildPackage(program->program, policy);
-  if (!packaged.ok()) {
-    seal_span.set_ok(false);
-    return packaged.status();
-  }
-
-  auto artifact = std::make_shared<CachedArtifact>();
-  artifact->wire = pkg::Serialize(packaged->package);
-  artifact->instr_count = packaged->package.instr_count;
-  artifact->compile_microseconds = compile_us;
-  artifact->seal_microseconds = MicrosecondsSince(seal_start);
-  artifact->key_fingerprint = key_fingerprint;
-  artifact->isa = options.isa;
-  metrics.seal_us.Record(artifact->seal_microseconds);
-
-  if (call_stats != nullptr) ++call_stats->artifact_misses;
-  counters_.artifact_misses.Add();
-  metrics.artifact_misses.Add();
-  std::shared_ptr<const CachedArtifact> result = artifact;
-  Insert(artifact_shard, artifact_digest,
-         std::shared_ptr<const CachedArtifact>(std::move(artifact)),
-         config_.max_artifacts_per_shard);
-  return result;
+  return artifact;
 }
 
 Result<std::shared_ptr<const CachedArtifact>> PackageCache::GetOrBuildDelta(
@@ -256,31 +269,30 @@ Result<std::shared_ptr<const CachedArtifact>> PackageCache::GetOrBuildDelta(
   const Digest digest = hasher.Finish();
 
   CacheMetrics& metrics = CacheMetrics::Get();
-  auto& shard = *artifact_shards_[ShardIndex(digest)];
-  if (auto hit = Find(shard, digest)) {
-    if (call_stats != nullptr) ++call_stats->delta_hits;
-    counters_.delta_hits.Add();
-    metrics.delta_hits.Add();
-    return hit;
+  bool encoded = false;
+  auto delta = Lookup(
+      *artifact_shards_[ShardIndex(digest)], digest,
+      config_.max_artifacts_per_shard, &encoded,
+      [&]() -> Result<std::shared_ptr<const CachedArtifact>> {
+        obs::ScopedSpan span("delta_encode");
+        const auto start = std::chrono::steady_clock::now();
+        auto entry = std::make_shared<CachedArtifact>();
+        entry->wire = pkg::EncodeDelta(base.wire, target.wire);
+        entry->instr_count = target.instr_count;
+        entry->seal_microseconds = MicrosecondsSince(start);
+        entry->key_fingerprint = target.key_fingerprint;
+        entry->isa = target.isa;
+        metrics.delta_encode_us.Record(entry->seal_microseconds);
+        return std::shared_ptr<const CachedArtifact>(std::move(entry));
+      });
+  if (encoded) {
+    CountEvent(&PackageCacheStats::delta_misses, call_stats,
+               counters_.delta_misses, metrics.delta_misses);
+  } else {
+    CountEvent(&PackageCacheStats::delta_hits, call_stats,
+               counters_.delta_hits, metrics.delta_hits);
   }
-
-  obs::ScopedSpan span("delta_encode");
-  const auto start = std::chrono::steady_clock::now();
-  auto entry = std::make_shared<CachedArtifact>();
-  entry->wire = pkg::EncodeDelta(base.wire, target.wire);
-  entry->instr_count = target.instr_count;
-  entry->seal_microseconds = MicrosecondsSince(start);
-  entry->key_fingerprint = target.key_fingerprint;
-  entry->isa = target.isa;
-  metrics.delta_encode_us.Record(entry->seal_microseconds);
-
-  if (call_stats != nullptr) ++call_stats->delta_misses;
-  counters_.delta_misses.Add();
-  metrics.delta_misses.Add();
-  std::shared_ptr<const CachedArtifact> result = entry;
-  Insert(shard, digest, std::shared_ptr<const CachedArtifact>(std::move(entry)),
-         config_.max_artifacts_per_shard);
-  return result;
+  return delta;
 }
 
 PackageCacheStats PackageCache::Stats() const {

@@ -21,16 +21,18 @@
 // fingerprint, so the cache leaks nothing an attacker with cache access
 // could use.
 //
-// Concurrency: lock-striped LRU shards. On a miss the build runs outside
-// the shard lock; two racing builders for one digest both build (and both
-// count a miss), the first insert is kept — harmless, the artifact is
-// deterministic. Callers that want exactly-once builds serialize per key,
-// as DeploymentEngine's campaign memo does.
+// Concurrency: lock-striped LRU shards, single-flight per address at both
+// levels. The first caller of a cold address builds it outside the shard
+// lock; concurrent callers of the same address wait for that build and
+// count a hit. A failed build reaches every waiter of its flight and is
+// not cached, so the next call builds again. An address is therefore
+// built once for as long as it stays resident, whoever the callers are.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -107,7 +109,8 @@ class PackageCache {
 
   /// Returns the wire bytes for `source` sealed under `key` with `policy`,
   /// building (compile and/or seal) only on miss. The returned pointer is
-  /// immutable and safe to hold across evictions.
+  /// immutable and safe to hold across evictions. A caller that waited
+  /// out another caller's build of the same address counts a hit.
   ///
   /// When `call_stats` is non-null, this call's own hit/miss events are
   /// accumulated into it — the per-caller attribution that the global
@@ -168,9 +171,12 @@ class PackageCache {
   };
 
   /// One LRU-evicted map stripe. `Entry` is shared_ptr so readers keep
-  /// artifacts alive after eviction.
+  /// artifacts alive after eviction. `flights` holds the builds in
+  /// progress: an address is in `map` or `flights` from the moment its
+  /// first caller claims it, so no second build of it can start.
   template <typename Entry>
   struct Shard {
+    using Flight = std::shared_future<Result<std::shared_ptr<const Entry>>>;
     std::mutex mutex;
     std::list<Digest> lru;  ///< front = most recent
     struct Slot {
@@ -178,6 +184,7 @@ class PackageCache {
       std::list<Digest>::iterator lru_it;
     };
     std::unordered_map<Digest, Slot, DigestHash> map;
+    std::unordered_map<Digest, Flight, DigestHash> flights;
   };
 
   struct CachedProgram {
@@ -185,11 +192,15 @@ class PackageCache {
     double compile_microseconds = 0;
   };
 
-  template <typename Entry>
-  std::shared_ptr<const Entry> Find(Shard<Entry>& shard, const Digest& digest);
-  template <typename Entry>
-  void Insert(Shard<Entry>& shard, const Digest& digest,
-              std::shared_ptr<const Entry> entry, size_t capacity);
+  /// Returns the entry at `digest`: resident, awaited from an in-flight
+  /// build, or built here by `build` (then `*built` is set). A successful
+  /// build is inserted LRU-first; a failed one is handed to its waiters
+  /// and forgotten.
+  template <typename Entry, typename Build>
+  Result<std::shared_ptr<const Entry>> Lookup(Shard<Entry>& shard,
+                                              const Digest& digest,
+                                              size_t capacity, bool* built,
+                                              Build&& build);
 
   size_t ShardIndex(const Digest& digest) const;
 

@@ -137,19 +137,7 @@ std::vector<uint8_t> Channel::Deliver(std::vector<uint8_t> bytes) {
   metrics.bytes_in.Add(record.bytes_in);
   metrics.bytes_out.Add(record.bytes_out);
   metrics.rtt_us.Record(MicrosecondsSince(wire_start));
-  totals_.deliveries += 1;
-  if (record.mutations > 0) totals_.faulted += 1;
-  totals_.bytes_in += record.bytes_in;
-  totals_.bytes_out += record.bytes_out;
-  totals_.mutations += record.mutations;
-  if (log_.size() == kLogCapacity) {
-    // Bounded ring: evict the oldest record (the cap is small, so the
-    // erase is a trivial memmove) instead of growing for the lifetime
-    // of a long-lived daemon. totals_ keeps the evicted accounting.
-    log_.erase(log_.begin());
-    ++dropped_records_;
-  }
-  log_.push_back(record);
+  last_delivery_ = record;
   return bytes;
 }
 

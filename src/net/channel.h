@@ -40,33 +40,19 @@ struct ChannelConfig {
   uint64_t seed = 0xC4A77E1;    ///< RNG stream for fault placement
 };
 
-/// Delivery log entry for observability in tests/benches.
+/// What one delivery did to the wire bytes.
 struct DeliveryRecord {
-  ChannelFault fault;       ///< fault applied to this delivery
+  ChannelFault fault = ChannelFault::kNone;  ///< fault applied
   size_t bytes_in = 0;      ///< wire bytes entering the channel
   size_t bytes_out = 0;     ///< wire bytes delivered
   uint64_t mutations = 0;   ///< number of bytes/bits changed
 };
 
-/// Aggregate delivery counters, maintained across the whole channel
-/// lifetime — unlike the per-delivery log, these never drop history.
-struct ChannelTotals {
-  uint64_t deliveries = 0;  ///< Deliver() calls
-  uint64_t faulted = 0;     ///< deliveries with mutations > 0
-  uint64_t bytes_in = 0;    ///< total wire bytes entering the channel
-  uint64_t bytes_out = 0;   ///< total wire bytes delivered
-  uint64_t mutations = 0;   ///< total bytes/bits changed in flight
-};
-
-/// The channel. Stateless per delivery apart from the RNG stream.
+/// The channel. Stateless per delivery apart from the RNG stream; every
+/// production channel carries exactly one delivery, so it keeps no
+/// history beyond the last delivery's record.
 class Channel {
  public:
-  /// Most recent deliveries retained in log(). The log is a bounded
-  /// ring: a long-lived channel (soak runs, the listen-mode daemon)
-  /// drops the oldest records past this cap instead of growing without
-  /// bound; dropped_records() and totals() keep the full accounting.
-  static constexpr size_t kLogCapacity = 256;
-
   /// Builds a channel with `config`'s fault process and RNG seed.
   explicit Channel(const ChannelConfig& config = {})
       : config_(config), rng_(config.seed) {}
@@ -74,22 +60,13 @@ class Channel {
   /// Applies the configured fault process and returns the delivered bytes.
   std::vector<uint8_t> Deliver(std::vector<uint8_t> wire_bytes);
 
-  /// The most recent (up to kLogCapacity) per-delivery records, in
-  /// delivery order — back() is always the newest delivery.
-  const std::vector<DeliveryRecord>& log() const { return log_; }
-
-  /// Records evicted from log() once it reached kLogCapacity.
-  uint64_t dropped_records() const { return dropped_records_; }
-
-  /// Lifetime aggregate counters (never truncated by the log cap).
-  const ChannelTotals& totals() const { return totals_; }
+  /// The most recent delivery's record (all zero before the first).
+  const DeliveryRecord& last_delivery() const { return last_delivery_; }
 
  private:
   ChannelConfig config_;
   Xoshiro256 rng_;
-  std::vector<DeliveryRecord> log_;
-  uint64_t dropped_records_ = 0;
-  ChannelTotals totals_;
+  DeliveryRecord last_delivery_;
 };
 
 }  // namespace eric::net

@@ -15,6 +15,8 @@
 #include "fleet/deployment_engine.h"
 #include "fleet/rotation_campaign.h"
 #include "net/channel.h"
+#include "net/transport.h"
+#include "obs/trace.h"
 #include "pkg/delta.h"
 #include "workloads/workloads.h"
 
@@ -520,9 +522,8 @@ TEST(PackageCacheTest, ClearUnderConcurrentGetOrBuildIsSafeAndFresh) {
 }
 
 // The documented contract: hit/miss/eviction/invalidation counters are
-// monotonic and every GetOrBuild counts exactly one hit or one miss —
-// including the racing-builders case where both build and both count a
-// miss — no matter how Clear() interleaves.
+// monotonic, every GetOrBuild counts exactly one hit or one miss, and
+// racing builders share one build — no matter how Clear() interleaves.
 TEST(PackageCacheTest, StatsMonotonicUnderRacingGetOrBuildAndClear) {
   DeviceRegistry registry;
   const GroupId group = registry.CreateGroup("g");
@@ -550,9 +551,11 @@ TEST(PackageCacheTest, StatsMonotonicUnderRacingGetOrBuildAndClear) {
       }
     });
   }
+  std::atomic<uint64_t> clears{0};
   std::thread clearer([&] {
     while (!stop.load()) {
       cache.Clear();
+      ++clears;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
@@ -581,11 +584,145 @@ TEST(PackageCacheTest, StatsMonotonicUnderRacingGetOrBuildAndClear) {
   EXPECT_EQ(errors.load(), 0);
   EXPECT_TRUE(monotonic.load());
 
-  // Exactly one hit or miss per call — double-builds both count misses,
-  // so the identity holds with or without build races.
+  // Exactly one hit or miss per call, and one miss per address: an
+  // address stays resident or in flight from its first build on, so only
+  // a Clear() in between can make it cold again.
   const auto stats = cache.Stats();
   EXPECT_EQ(stats.artifact_hits + stats.artifact_misses,
             static_cast<uint64_t>(kThreads) * kIterations);
+  constexpr uint64_t kAddresses = 2;  // two epochs
+  EXPECT_LE(stats.artifact_misses, kAddresses * (clears.load() + 1));
+  EXPECT_LE(stats.compile_misses, clears.load() + 1);
+}
+
+/// Runs `call` on `threads` threads released together, so they race on
+/// whatever cache address `call` names.
+template <typename Call>
+void RaceThreads(int threads, Call call) {
+  std::atomic<int> ready{0};
+  std::vector<std::thread> racers;
+  for (int t = 0; t < threads; ++t) {
+    racers.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < threads) std::this_thread::yield();
+      call(t);
+    });
+  }
+  for (auto& racer : racers) racer.join();
+}
+
+TEST(PackageCacheTest, RacingCallersOfOneColdAddressShareOneBuild) {
+  DeviceRegistry registry;
+  const GroupId group = registry.CreateGroup("g");
+  ASSERT_TRUE(registry.Enroll(0x51F1, group).ok());
+  auto key = registry.GroupKey(group);
+  ASSERT_TRUE(key.ok());
+  const std::string source = workloads::MakeSyntheticRelease(3);
+
+  PackageCache cache;
+  constexpr int kThreads = 8;
+  std::vector<const CachedArtifact*> seen(kThreads, nullptr);
+  std::vector<PackageCacheStats> per_call(kThreads);
+  RaceThreads(kThreads, [&](int t) {
+    auto artifact = cache.GetOrBuild(source, *key, registry.key_config(),
+                                     core::EncryptionPolicy::Full(),
+                                     core::CipherKind::kXor, {}, &per_call[t]);
+    if (artifact.ok()) seen[t] = artifact->get();
+  });
+
+  const auto stats = cache.Stats();
+  EXPECT_EQ(stats.compile_misses, 1u);
+  EXPECT_EQ(stats.compile_hits, 0u);  // waiters never reach level 1
+  EXPECT_EQ(stats.artifact_misses, 1u);
+  EXPECT_EQ(stats.artifact_hits, kThreads - 1u);
+  uint64_t call_misses = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_NE(seen[t], nullptr) << "caller " << t;
+    EXPECT_EQ(seen[t], seen[0]) << "caller " << t;
+    EXPECT_EQ(per_call[t].artifact_hits + per_call[t].artifact_misses, 1u);
+    call_misses += per_call[t].artifact_misses;
+  }
+  EXPECT_EQ(call_misses, 1u);  // the per-call stats agree on the builder
+}
+
+TEST(PackageCacheTest, TwoKeysRacingOnOneProgramCompileOnce) {
+  DeviceRegistry registry;
+  const GroupId first = registry.CreateGroup("first");
+  const GroupId second = registry.CreateGroup("second");
+  ASSERT_TRUE(registry.Enroll(0x2C01, first).ok());
+  ASSERT_TRUE(registry.Enroll(0x2C02, second).ok());
+  const std::array<Result<crypto::Key256>, 2> keys = {
+      registry.GroupKey(first), registry.GroupKey(second)};
+  ASSERT_TRUE(keys[0].ok() && keys[1].ok());
+  const std::string source = workloads::MakeSyntheticRelease(3);
+
+  PackageCache cache;
+  std::atomic<int> errors{0};
+  RaceThreads(2, [&](int t) {
+    if (!cache.GetOrBuild(source, *keys[t], registry.key_config(),
+                          core::EncryptionPolicy::Full())
+             .ok()) {
+      ++errors;
+    }
+  });
+  EXPECT_EQ(errors.load(), 0);
+  const auto stats = cache.Stats();
+  EXPECT_EQ(stats.compile_misses, 1u);
+  EXPECT_EQ(stats.compile_hits, 1u);
+  EXPECT_EQ(stats.artifact_misses, 2u);  // one seal per key
+}
+
+TEST(PackageCacheTest, FailedBuildReachesEveryWaiterAndIsNotCached) {
+  DeviceRegistry registry;
+  const GroupId group = registry.CreateGroup("g");
+  ASSERT_TRUE(registry.Enroll(0xBADC, group).ok());
+  auto key = registry.GroupKey(group);
+  ASSERT_TRUE(key.ok());
+  const std::string broken =
+      workloads::MakeSyntheticRelease(3) + "\nfn broken( {";
+  PackageCache cache;
+  const auto build = [&] {
+    return cache.GetOrBuild(broken, *key, registry.key_config(),
+                            core::EncryptionPolicy::Full());
+  };
+  // Every compile attempt, failed or not, closes one "compile" span.
+  obs::TraceCollector& tracer = obs::TraceCollector::Global();
+  tracer.Enable();
+  (void)tracer.Drain();
+  const uint64_t trace = tracer.BeginTrace();
+  const auto compile_attempts = [&] {
+    size_t attempts = 0;
+    for (const auto& span : tracer.Drain()) {
+      if (span.name == "compile") ++attempts;
+    }
+    return attempts;
+  };
+
+  constexpr int kThreads = 6;
+  std::vector<Status> statuses(kThreads);
+  RaceThreads(kThreads, [&](int t) {
+    obs::TraceScope scope(trace, 0);
+    statuses[t] = build().status();
+  });
+  const size_t raced = compile_attempts();
+  EXPECT_GE(raced, 1u);
+  EXPECT_LE(raced, static_cast<size_t>(kThreads));
+  for (const Status& status : statuses) {
+    EXPECT_EQ(status.code(), ErrorCode::kParseError) << status.ToString();
+    EXPECT_EQ(status.ToString(), statuses[0].ToString());
+  }
+
+  // The failure was not cached: the next call compiles (and fails) anew.
+  {
+    obs::TraceScope scope(trace, 0);
+    EXPECT_EQ(build().status().code(), ErrorCode::kParseError);
+  }
+  EXPECT_EQ(compile_attempts(), 1u);
+  tracer.Disable();
+  const auto stats = cache.Stats();
+  EXPECT_EQ(stats.artifact_entries, 0u);
+  EXPECT_EQ(stats.artifact_hits + stats.artifact_misses, 0u);
+  EXPECT_EQ(stats.compile_hits + stats.compile_misses, 0u);
 }
 
 TEST(PackageCacheTest, TargetedInvalidationLeavesOtherKeysHot) {
@@ -975,6 +1112,59 @@ TEST(DeploymentEngineTest, EmptyCampaignIsAnError) {
   CampaignConfig campaign;
   campaign.source = kTinyProgram;
   EXPECT_EQ(engine.Run(campaign).status().code(), ErrorCode::kInvalidArgument);
+}
+
+/// A transport that rotates `group`'s key epoch during its first delivery
+/// and otherwise delivers faithfully: the race a soak hits when a key
+/// rotation lands between a target's seal and its delivery.
+class RotateOnFirstDelivery : public net::DeliveryTransport {
+ public:
+  RotateOnFirstDelivery(DeviceRegistry& registry, GroupId group)
+      : registry_(registry), group_(group) {}
+
+  Result<std::vector<uint8_t>> Deliver(
+      uint64_t, std::span<const uint8_t> wire_bytes,
+      const net::ChannelConfig&) override {
+    if (!rotated_.exchange(true)) {
+      EXPECT_TRUE(registry_.RotateGroupEpoch(group_).ok());
+    }
+    return std::vector<uint8_t>(wire_bytes.begin(), wire_bytes.end());
+  }
+
+ private:
+  DeviceRegistry& registry_;
+  GroupId group_;
+  std::atomic<bool> rotated_{false};
+};
+
+TEST(DeploymentEngineTest, RetryReSealsAfterARacedKeyRotation) {
+  GroupId group;
+  FleetFixture fleet(1, &group);
+  DeploymentEngine engine(fleet.registry, fleet.cache);
+  RotateOnFirstDelivery transport(fleet.registry, group);
+
+  CampaignConfig campaign;
+  campaign.source = kTinyProgram;
+  campaign.group = group;
+  campaign.max_attempts = 3;
+  campaign.transport = &transport;
+  auto report = engine.Run(campaign);
+  ASSERT_TRUE(report.ok());
+  const DeviceOutcome& outcome = report->outcomes[0];
+  // The first delivery carried the retired epoch's package and was
+  // refused; the retry re-read the sealing context and shipped a fresh
+  // seal under the new epoch.
+  EXPECT_TRUE(outcome.ok) << outcome.last_status.ToString();
+  EXPECT_EQ(outcome.attempts, 2u);
+  EXPECT_EQ(outcome.exit_code, kTinyProgramResult);
+  EXPECT_EQ(report->cache_artifact_misses, 2u);  // one seal per epoch
+  EXPECT_EQ(report->cache_compile_misses, 1u);
+  auto group_key = fleet.registry.GroupKey(group);
+  ASSERT_TRUE(group_key.ok());
+  auto manifest = fleet.registry.DeliveredVersion(outcome.device);
+  ASSERT_TRUE(manifest.ok());
+  EXPECT_EQ(manifest->key_fingerprint, FingerprintKey(*group_key));
+  ExpectTalliesAddUp(*report);
 }
 
 // Retry behaviour under every channel fault: with a 50 % fault rate and a
@@ -1505,6 +1695,26 @@ TEST(DeltaCampaignTest, EpochRotationForcesFullPackagesViaKeyFingerprint) {
   auto next = fleet.engine.Run(v3);
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next->delta_deliveries, 4u);
+}
+
+TEST(DeltaCampaignTest, RacedKeyRotationDropsTheRetryToFullPackages) {
+  DeltaFleet fleet(1);
+  ASSERT_TRUE(fleet.engine.Run(fleet.V1Campaign()).ok());
+  RotateOnFirstDelivery transport(fleet.registry, fleet.group);
+  CampaignConfig v2 = fleet.V2DeltaCampaign();
+  v2.max_attempts = 3;
+  v2.transport = &transport;
+  auto report = fleet.engine.Run(v2);
+  ASSERT_TRUE(report.ok());
+  const DeviceOutcome& outcome = report->outcomes[0];
+  // The first delivery was a delta under the retired key; once the key
+  // moved, the device's retained base is undecryptable, so the target
+  // finishes on a full package sealed under the new epoch.
+  EXPECT_TRUE(outcome.ok) << outcome.last_status.ToString();
+  EXPECT_FALSE(outcome.delta);
+  EXPECT_EQ(outcome.delta_attempts, 1u);
+  EXPECT_GE(outcome.attempts, 2u);
+  ExpectTalliesAddUp(*report);
 }
 
 /// Finds (campaign_seed, fault_rate) such that the target's first
