@@ -1,9 +1,17 @@
 // Tests for the arbiter-PUF model, PUF key generator, and quality metrics.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "crypto/sha256.h"
 #include "puf/arbiter_puf.h"
 #include "puf/puf_key_generator.h"
 #include "puf/puf_metrics.h"
+#include "support/hex.h"
 
 namespace eric::puf {
 namespace {
@@ -192,6 +200,146 @@ TEST(PkgTest, TableIConfiguration) {
   EXPECT_EQ(pkg.config().instances, 32);
   EXPECT_EQ(pkg.config().challenge_bits, 8);
   EXPECT_EQ(pkg.config().instances * pkg.config().bits_per_instance, 256);
+}
+
+// --- Bit-exact measurement ---------------------------------------------------
+// Every key bit and every RNG draw of a measurement is part of the model's
+// contract: the fleet's recorded enrollments and the seeded benches replay
+// them. The goldens below were captured from the plain per-vote loop;
+// any speed-up of the measurement path must leave them unchanged.
+
+// SHA-256 over one device's enrollment, three regenerations and a raw
+// majority key, each followed by the measurement RNG's next word.
+std::string MeasurementDigest(uint64_t device_seed,
+                              const PkgConfig& config = {}) {
+  const PufKeyGenerator pkg(device_seed, config);
+  Xoshiro256 rng(device_seed ^ 0x5EEDF00Dull);
+  crypto::Sha256 hash;
+  const auto absorb_next_word = [&] {
+    const uint64_t word = rng.Next();
+    uint8_t bytes[8];
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<uint8_t>(word >> (8 * i));
+    }
+    hash.Update(bytes);
+  };
+  const auto enrollment = pkg.Enroll(rng);
+  hash.Update(enrollment.key);
+  hash.Update(enrollment.helper.mask);
+  absorb_next_word();
+  for (int powerup = 0; powerup < 3; ++powerup) {
+    hash.Update(pkg.RegenerateKey(enrollment.helper, rng));
+    absorb_next_word();
+  }
+  hash.Update(pkg.GenerateKey(rng));
+  absorb_next_word();
+  const crypto::Sha256Digest digest = hash.Finish();
+  return HexEncode(digest);
+}
+
+TEST(PufGoldenTest, MeasurementDigestsAreUnchanged) {
+  const struct {
+    uint64_t device_seed;
+    const char* digest;
+  } kGoldens[] = {
+      {0,
+       "251a88a06844256219a8db715b0ab219d2dbfc2896515e5bf7a2380c487f6f26"},
+      {1,
+       "44f73b109c6018a1787f6921c8b888f256d58c7c5646eb7a1075654962555bdd"},
+      {7,
+       "a8a22adefa18b04363e2af77db4a1e417254c30079d24afe1818b876f379b99d"},
+      {42,
+       "11955939897d7b13ab4cd7ff09ffc0cde25ffc189d264b3fb252e0a18bffa0a6"},
+      {0xC0FFEE,
+       "9dd8911cce29b3376bf4915ae72393e4169162b9b23b9d9910943539b4c67ee8"},
+      {0xDEADBEEF,
+       "14b6b8bb1ef1c2389177302a547771e323564b4e9a95069175be7bf10594b519"},
+      {0x123456789ABCDEF0ull,
+       "2185479541028b9169ae56c013190595b0dff7040f28f3831bad7bf59687870e"},
+      {~0ull,
+       "8df402e0c3733a25054b8ea0e5419744a69ab0bcc17ac7f31234a9115cd591f5"},
+  };
+  for (const auto& golden : kGoldens) {
+    EXPECT_EQ(MeasurementDigest(golden.device_seed), golden.digest)
+        << "device seed " << golden.device_seed;
+  }
+}
+
+TEST(PufGoldenTest, NoisySiliconDigestsAreUnchanged) {
+  // Loud silicon sends most votes down the full noise computation.
+  PkgConfig loud;
+  loud.process.noise_sigma = 0.3;
+  EXPECT_EQ(MeasurementDigest(3, loud),
+            "4f0548e8e694ef3b87041415be5abfc58fe9258070ce65a47ba6bf2c9e0da056");
+  EXPECT_EQ(MeasurementDigest(0xC0FFEE, loud),
+            "18e4c310eb143f076f66cabf56f0cbf98b8f8552d14a60324ab4c8c06252dac9");
+}
+
+// The reference stabilizer: a majority over the public one-shot
+// measurement, which draws exactly one Gaussian per vote.
+bool ReferenceStabilized(const ArbiterPuf& puf, uint64_t challenge,
+                         Xoshiro256& rng, int votes) {
+  int ones = 0;
+  for (int i = 0; i < votes; ++i) ones += puf.EvaluateNoisy(challenge, rng);
+  return ones * 2 > votes;
+}
+
+// Runs EvaluateStabilized and the reference from equal RNG states over
+// `challenges`; counts results and post-call RNG words that differ.
+struct Mismatches {
+  int results = 0;
+  int rng_words = 0;
+};
+void Compare(const ArbiterPuf& puf, const std::vector<uint64_t>& challenges,
+             uint64_t rng_seed, int votes, Mismatches& out) {
+  Xoshiro256 fast(rng_seed), reference(rng_seed);
+  for (uint64_t challenge : challenges) {
+    out.results += puf.EvaluateStabilized(challenge, fast, votes) !=
+                   ReferenceStabilized(puf, challenge, reference, votes);
+    out.rng_words += fast.Next() != reference.Next();
+  }
+}
+
+TEST(PufDifferentialTest, StabilizedMatchesPerVoteReference) {
+  const double kSigmas[] = {0.0,  0.06, 0.3, 2.0, -0.06,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()};
+  std::vector<uint64_t> all_challenges(256);
+  for (uint64_t c = 0; c < 256; ++c) all_challenges[c] = c;
+  Mismatches mismatches;
+  for (double sigma : kSigmas) {
+    PufProcessModel model;
+    model.noise_sigma = sigma;
+    for (uint64_t device = 0; device < 24; ++device) {
+      const ArbiterPuf puf(8, device, device % 3, model);
+      for (int votes : {1, 11}) {
+        Compare(puf, all_challenges, device * 131 + votes, votes, mismatches);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches.results, 0);
+  EXPECT_EQ(mismatches.rng_words, 0);
+}
+
+TEST(PufDifferentialTest, ChallengesAtTheNoiseBoundMatchReference) {
+  // Scale the noise so that a challenge's delay difference sits within 1%
+  // of the noise bound, once just above it and once just below it.
+  constexpr double kNoiseBound = 8.6;
+  Mismatches mismatches;
+  for (uint64_t device = 0; device < 16; ++device) {
+    const ArbiterPuf silicon(8, device, 0);
+    for (uint64_t challenge = 0; challenge < 256; challenge += 17) {
+      const double margin = std::abs(silicon.DelayDifference(challenge));
+      for (double ratio : {0.991, 0.999, 1.001, 1.009}) {
+        PufProcessModel model;
+        model.noise_sigma = margin / (kNoiseBound * ratio);
+        const ArbiterPuf puf(8, device, 0, model);
+        Compare(puf, {challenge}, device ^ challenge, 11, mismatches);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches.results, 0);
+  EXPECT_EQ(mismatches.rng_words, 0);
 }
 
 // --- Metrics ----------------------------------------------------------------
