@@ -1,14 +1,12 @@
 #include "fleet/daemon_config.h"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <optional>
 #include <type_traits>
 
 #include "store/record_io.h"
+#include "support/parse_number.h"
 
 namespace eric::fleet {
 
@@ -16,24 +14,6 @@ namespace {
 
 Status Invalid(std::string message) {
   return Status(ErrorCode::kInvalidArgument, std::move(message));
-}
-
-/// Whole-string unsigned integer (decimal, 0x hex, or 0 octal).
-bool ParseUnsigned(const std::string& text, uint64_t* out) {
-  if (text.empty() || text[0] == '-' || text[0] == '+') return false;
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtoull(text.c_str(), &end, 0);
-  return errno == 0 && *end == '\0';
-}
-
-/// Whole-string finite real; nan and inf are refused.
-bool ParseReal(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtod(text.c_str(), &end);
-  return errno == 0 && *end == '\0' && std::isfinite(*out);
 }
 
 bool ParseFault(const std::string& name, net::ChannelFault* fault) {

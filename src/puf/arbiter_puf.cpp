@@ -1,6 +1,7 @@
 #include "puf/arbiter_puf.h"
 
 #include <cassert>
+#include <cmath>
 
 namespace eric::puf {
 
@@ -45,18 +46,35 @@ bool ArbiterPuf::EvaluateIdeal(uint64_t challenge) const {
   return DelayDifference(challenge) > 0.0;
 }
 
+namespace {
+
+// One physical measurement of a known delay difference.
+bool MeasureOnce(double diff, double noise_sigma, Xoshiro256& rng) {
+  return diff + rng.NextGaussian() * noise_sigma > 0.0;
+}
+
+}  // namespace
+
 bool ArbiterPuf::EvaluateNoisy(uint64_t challenge, Xoshiro256& rng) const {
-  const double noisy =
-      DelayDifference(challenge) + rng.NextGaussian() * noise_sigma_;
-  return noisy > 0.0;
+  return MeasureOnce(DelayDifference(challenge), noise_sigma_, rng);
 }
 
 bool ArbiterPuf::EvaluateStabilized(uint64_t challenge, Xoshiro256& rng,
                                     int votes) const {
   assert(votes > 0 && votes % 2 == 1 && "temporal majority needs odd votes");
+  const double diff = DelayDifference(challenge);
+  // No noise draw exceeds kMaxAbsGaussian sigmas, so a margin beyond that
+  // decides every vote: advance the RNG as the votes would and skip the
+  // noise math. Bit-exact with the loop below. A NaN or infinite sigma
+  // fails the comparison and takes the loop.
+  const double bound = std::abs(noise_sigma_) * kMaxAbsGaussian;
+  if (std::abs(diff) > bound) {
+    for (int i = 0; i < votes; ++i) rng.SkipGaussian();
+    return diff > 0.0;
+  }
   int ones = 0;
   for (int i = 0; i < votes; ++i) {
-    ones += EvaluateNoisy(challenge, rng) ? 1 : 0;
+    ones += MeasureOnce(diff, noise_sigma_, rng) ? 1 : 0;
   }
   return ones * 2 > votes;
 }

@@ -49,7 +49,9 @@ class ArbiterPuf {
   bool EvaluateNoisy(uint64_t challenge, Xoshiro256& rng) const;
 
   /// Majority vote over `votes` noisy measurements (temporal majority
-  /// voting, the standard cheap stabilizer). `votes` must be odd.
+  /// voting, the standard cheap stabilizer). `votes` must be odd. Equals
+  /// a majority over `votes` EvaluateNoisy calls, result and RNG draws
+  /// alike; it skips the noise math when the noise cannot flip a vote.
   bool EvaluateStabilized(uint64_t challenge, Xoshiro256& rng,
                           int votes = 11) const;
 

@@ -80,6 +80,11 @@ class Xoshiro256 {
   /// Standard-normal variate (Box–Muller, one value per call).
   double NextGaussian();
 
+  /// Advances the state exactly as NextGaussian() would, without the
+  /// transcendental math: for callers that know the variate cannot
+  /// matter (see kMaxAbsGaussian).
+  void SkipGaussian() { NextBoxMullerUniforms(); }
+
   bool NextBool() { return (Next() >> 63) != 0; }
 
  private:
@@ -87,15 +92,34 @@ class Xoshiro256 {
     return (x << k) | (x >> (64 - k));
   }
 
+  struct BoxMullerUniforms {
+    double u1;  ///< in (0, 1): the radius draw, redrawn while zero
+    double u2;  ///< in [0, 1): the angle draw
+  };
+  /// The uniform draws behind one NextGaussian(), in its order.
+  BoxMullerUniforms NextBoxMullerUniforms();
+
   uint64_t state_[4];
 };
+
+/// Upper bound on |NextGaussian()|. NextDouble() returns k * 2^-53 and
+/// u1 is redrawn while zero, so u1 >= 2^-53 and
+/// |g| = sqrt(-2 ln u1) * |cos(.)| <= sqrt(106 ln 2) ~= 8.5717. The 0.3%
+/// margin covers libm and rounding error. A measurement whose noise-free
+/// margin exceeds this many noise sigmas cannot be flipped by the noise.
+inline constexpr double kMaxAbsGaussian = 8.6;
+
+inline Xoshiro256::BoxMullerUniforms Xoshiro256::NextBoxMullerUniforms() {
+  double u1 = NextDouble();
+  const double u2 = NextDouble();
+  while (u1 <= 0.0) u1 = NextDouble();
+  return {u1, u2};
+}
 
 inline double Xoshiro256::NextGaussian() {
   // Box–Muller on two fresh uniforms; discards the second variate for
   // statelessness (PUF models draw millions of these; simplicity wins).
-  double u1 = NextDouble();
-  double u2 = NextDouble();
-  while (u1 <= 0.0) u1 = NextDouble();
+  const auto [u1, u2] = NextBoxMullerUniforms();
   constexpr double kTwoPi = 6.283185307179586476925286766559;
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(kTwoPi * u2);
 }

@@ -285,18 +285,22 @@ bool ReferenceStabilized(const ArbiterPuf& puf, uint64_t challenge,
 }
 
 // Runs EvaluateStabilized and the reference from equal RNG states over
-// `challenges`; counts results and post-call RNG words that differ.
+// `challenges`; counts results and post-call RNG words that differ, and
+// reference results the noise flipped away from the ideal bit.
 struct Mismatches {
   int results = 0;
   int rng_words = 0;
+  int reference_flips = 0;
 };
 void Compare(const ArbiterPuf& puf, const std::vector<uint64_t>& challenges,
              uint64_t rng_seed, int votes, Mismatches& out) {
   Xoshiro256 fast(rng_seed), reference(rng_seed);
   for (uint64_t challenge : challenges) {
-    out.results += puf.EvaluateStabilized(challenge, fast, votes) !=
-                   ReferenceStabilized(puf, challenge, reference, votes);
+    const bool expected =
+        ReferenceStabilized(puf, challenge, reference, votes);
+    out.results += puf.EvaluateStabilized(challenge, fast, votes) != expected;
     out.rng_words += fast.Next() != reference.Next();
+    out.reference_flips += expected != puf.EvaluateIdeal(challenge);
   }
 }
 
@@ -324,7 +328,6 @@ TEST(PufDifferentialTest, StabilizedMatchesPerVoteReference) {
 TEST(PufDifferentialTest, ChallengesAtTheNoiseBoundMatchReference) {
   // Scale the noise so that a challenge's delay difference sits within 1%
   // of the noise bound, once just above it and once just below it.
-  constexpr double kNoiseBound = 8.6;
   Mismatches mismatches;
   for (uint64_t device = 0; device < 16; ++device) {
     const ArbiterPuf silicon(8, device, 0);
@@ -332,12 +335,34 @@ TEST(PufDifferentialTest, ChallengesAtTheNoiseBoundMatchReference) {
       const double margin = std::abs(silicon.DelayDifference(challenge));
       for (double ratio : {0.991, 0.999, 1.001, 1.009}) {
         PufProcessModel model;
-        model.noise_sigma = margin / (kNoiseBound * ratio);
+        model.noise_sigma = margin / (kMaxAbsGaussian * ratio);
         const ArbiterPuf puf(8, device, 0, model);
         Compare(puf, {challenge}, device ^ challenge, 11, mismatches);
       }
     }
   }
+  EXPECT_EQ(mismatches.results, 0);
+  EXPECT_EQ(mismatches.rng_words, 0);
+}
+
+TEST(PufDifferentialTest, SingleVotesAcrossTheNoiseTailMatchReference) {
+  // Margins from 2 to 9 noise sigmas, one vote each: the reference's
+  // rare tail flips must all reappear, so a bound set too tight would
+  // show up here as result mismatches.
+  const ArbiterPuf silicon(8, 5, 0);
+  const uint64_t challenge = 0x3C;
+  const double margin = std::abs(silicon.DelayDifference(challenge));
+  ASSERT_GT(margin, 0.0);
+  const std::vector<uint64_t> repeated(5000, challenge);
+  Mismatches mismatches;
+  for (int step = 0; step <= 70; ++step) {
+    const double sigmas = 2.0 + 0.1 * step;
+    PufProcessModel model;
+    model.noise_sigma = margin / sigmas;
+    const ArbiterPuf puf(8, 5, 0, model);
+    Compare(puf, repeated, static_cast<uint64_t>(step), 1, mismatches);
+  }
+  EXPECT_GT(mismatches.reference_flips, 0);
   EXPECT_EQ(mismatches.results, 0);
   EXPECT_EQ(mismatches.rng_words, 0);
 }

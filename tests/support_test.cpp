@@ -2,12 +2,14 @@
 // and the shared JSON string escaper.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "support/bench_json.h"
 #include "support/bitvector.h"
 #include "support/hex.h"
 #include "support/json_escape.h"
+#include "support/parse_number.h"
 #include "support/rng.h"
 #include "support/status.h"
 
@@ -175,6 +177,69 @@ TEST(RngTest, GaussianMomentsReasonable) {
   const double var = sq / n - mean * mean;
   EXPECT_NEAR(mean, 0.0, 0.05);
   EXPECT_NEAR(var, 1.0, 0.05);
+}
+
+TEST(RngTest, GaussianBoundCoversTheSmallestRadiusDraw) {
+  // u1 >= 2^-53 is the largest radius Box–Muller can produce.
+  EXPECT_LT(std::sqrt(-2 * std::log(0x1p-53)), kMaxAbsGaussian);
+  Xoshiro256 rng(17);
+  for (int i = 0; i < 100000; ++i) {
+    EXPECT_LE(std::abs(rng.NextGaussian()), kMaxAbsGaussian);
+  }
+}
+
+TEST(RngTest, SkipGaussianDrawsLikeNextGaussian) {
+  for (uint64_t seed = 0; seed < 64; ++seed) {
+    Xoshiro256 drawn(seed), skipped(seed);
+    for (int i = 0; i < 100; ++i) {
+      drawn.NextGaussian();
+      skipped.SkipGaussian();
+    }
+    EXPECT_EQ(drawn.Next(), skipped.Next()) << "seed " << seed;
+  }
+}
+
+TEST(ParseNumberTest, UnsignedAcceptsDecimalHexAndOctal) {
+  uint64_t n = 0;
+  EXPECT_TRUE(ParseUnsigned("42", &n));
+  EXPECT_EQ(n, 42u);
+  EXPECT_TRUE(ParseUnsigned("0xC0FFEE", &n));
+  EXPECT_EQ(n, 0xC0FFEEu);
+  EXPECT_TRUE(ParseUnsigned("017", &n));
+  EXPECT_EQ(n, 15u);
+  EXPECT_TRUE(ParseUnsigned("18446744073709551615", &n));
+  EXPECT_EQ(n, ~0ull);
+}
+
+TEST(ParseNumberTest, UnsignedRefusesAnythingButAWholeNumber) {
+  uint64_t n = 0;
+  for (const char* text :
+       {"", "banana", "-1", "+1", " 1", " -1", "1 ", "0xC0FFEEZZ", "12abc",
+        "1.5", "0x", "18446744073709551616", "99999999999999999999999",
+        "nan", "inf"}) {
+    EXPECT_FALSE(ParseUnsigned(text, &n)) << '"' << text << '"';
+  }
+}
+
+TEST(ParseNumberTest, RealAcceptsFiniteNumbers) {
+  double x = 0;
+  EXPECT_TRUE(ParseReal("0.5", &x));
+  EXPECT_EQ(x, 0.5);
+  EXPECT_TRUE(ParseReal("-2", &x));
+  EXPECT_EQ(x, -2.0);
+  EXPECT_TRUE(ParseReal("+1e3", &x));
+  EXPECT_EQ(x, 1000.0);
+  EXPECT_TRUE(ParseReal(".25", &x));
+  EXPECT_EQ(x, 0.25);
+}
+
+TEST(ParseNumberTest, RealRefusesJunkOverflowAndNonFinite) {
+  double x = 0;
+  for (const char* text :
+       {"", "banana", " 0.5", "0.5 ", "0.5x", "1e999", "-1e999", "nan",
+        "NAN", "-nan", "inf", "-inf", "infinity", "-"}) {
+    EXPECT_FALSE(ParseReal(text, &x)) << '"' << text << '"';
+  }
 }
 
 TEST(JsonEscapeTest, PlainTextPassesThrough) {

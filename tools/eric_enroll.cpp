@@ -5,12 +5,12 @@
 //
 //   eric_enroll --device-seed 0xC0FFEE [--epoch N] [--domain NAME]
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "core/trusted_execution.h"
 #include "support/hex.h"
+#include "support/parse_number.h"
 
 namespace {
 
@@ -29,15 +29,26 @@ int main(int argc, char** argv) {
   static std::string domain;  // keeps the string_view in config alive
 
   for (int i = 1; i < argc; ++i) {
+    // A malformed number is refused, never truncated or wrapped.
+    bool parsed = true;
+    const auto number = [&](uint64_t* field) {
+      parsed = eric::ParseUnsigned(argv[++i], field);
+      if (!parsed) {
+        std::fprintf(stderr, "%s: not a number: %s\n", argv[i - 1], argv[i]);
+      }
+    };
     if (std::strcmp(argv[i], "--device-seed") == 0 && i + 1 < argc) {
-      device_seed = std::strtoull(argv[++i], nullptr, 0);
+      number(&device_seed);
       have_seed = true;
     } else if (std::strcmp(argv[i], "--epoch") == 0 && i + 1 < argc) {
-      config.epoch = std::strtoull(argv[++i], nullptr, 0);
+      number(&config.epoch);
     } else if (std::strcmp(argv[i], "--domain") == 0 && i + 1 < argc) {
       domain = argv[++i];
       config.domain = domain;
     } else {
+      parsed = false;
+    }
+    if (!parsed) {
       Usage();
       return 2;
     }

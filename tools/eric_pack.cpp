@@ -14,6 +14,7 @@
 #include "core/encryption_policy.h"
 #include "core/software_source.h"
 #include "support/hex.h"
+#include "support/parse_number.h"
 
 namespace {
 
@@ -37,6 +38,13 @@ int main(int argc, char** argv) {
     auto arg = [&](const char* name) {
       return std::strcmp(argv[i], name) == 0 && i + 1 < argc;
     };
+    // A malformed number is refused, never truncated or wrapped; a
+    // fraction outside [0, 1] would silently select all or nothing.
+    bool parsed = true;
+    const auto refuse = [&](const char* why) {
+      std::fprintf(stderr, "%s: %s: %s\n", argv[i - 1], why, argv[i]);
+      parsed = false;
+    };
     if (arg("--source")) {
       source_path = argv[++i];
     } else if (arg("--key")) {
@@ -46,12 +54,21 @@ int main(int argc, char** argv) {
     } else if (arg("--mode")) {
       mode = argv[++i];
     } else if (arg("--fraction")) {
-      fraction = std::atof(argv[++i]);
+      if (!eric::ParseReal(argv[++i], &fraction)) {
+        refuse("not a number");
+      } else if (fraction < 0.0 || fraction > 1.0) {
+        refuse("out of range [0, 1]");
+      }
     } else if (arg("--epoch")) {
-      config.epoch = std::strtoull(argv[++i], nullptr, 0);
+      if (!eric::ParseUnsigned(argv[++i], &config.epoch)) {
+        refuse("not a number");
+      }
     } else if (std::strcmp(argv[i], "--no-compress") == 0) {
       options.compress = false;
     } else {
+      parsed = false;
+    }
+    if (!parsed) {
       Usage();
       return 2;
     }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/trusted_execution.h"
+#include "support/parse_number.h"
 
 namespace {
 
@@ -33,20 +34,31 @@ int main(int argc, char** argv) {
     auto arg = [&](const char* name) {
       return std::strcmp(argv[i], name) == 0 && i + 1 < argc;
     };
+    // A malformed number is refused, never truncated or wrapped.
+    bool parsed = true;
+    const auto number = [&](uint64_t* field) {
+      parsed = eric::ParseUnsigned(argv[++i], field);
+      if (!parsed) {
+        std::fprintf(stderr, "%s: not a number: %s\n", argv[i - 1], argv[i]);
+      }
+    };
     if (arg("--package")) {
       package_path = argv[++i];
     } else if (arg("--device-seed")) {
-      device_seed = std::strtoull(argv[++i], nullptr, 0);
+      number(&device_seed);
       have_seed = true;
     } else if (arg("--epoch")) {
-      config.epoch = std::strtoull(argv[++i], nullptr, 0);
+      number(&config.epoch);
     } else if (arg("--arg0")) {
-      arg0 = std::strtoull(argv[++i], nullptr, 0);
+      number(&arg0);
     } else if (arg("--arg1")) {
-      arg1 = std::strtoull(argv[++i], nullptr, 0);
+      number(&arg1);
     } else if (arg("--max-instructions")) {
-      limits.max_instructions = std::strtoull(argv[++i], nullptr, 0);
+      number(&limits.max_instructions);
     } else {
+      parsed = false;
+    }
+    if (!parsed) {
       Usage();
       return 2;
     }
