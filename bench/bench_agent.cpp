@@ -12,6 +12,11 @@
 //                             tightly gated: the manifest must stay a
 //                             thin frame around the images, not a second
 //                             copy of them.
+//   apply.durable_writes      durable-write requests (store_durable_writes)
+//   rollback.durable_writes   per successful Apply (2: flip, commit) and
+//                             per crash-rollback Recover() (1). Fully
+//                             deterministic, tightly gated: the count is
+//                             what sets the storage cost on any host.
 //   rollback.vs_apply_ratio   mean crash-rollback Recover() wall time vs
 //                             mean successful Apply wall time. Both sides
 //                             persist the manifest, so the ratio is
@@ -35,6 +40,7 @@
 #include "agent/update_agent.h"
 #include "fleet/deployment_engine.h"
 #include "fleet/package_cache.h"
+#include "obs/metrics.h"
 #include "support/bench_json.h"
 #include "support/stopwatch.h"
 #include "workloads/workloads.h"
@@ -98,13 +104,18 @@ int main(int argc, char** argv) {
   const std::string manifest = (work_dir / "slots-bench.bin").string();
   agent::UpdateAgent agent(1, manifest);
   const auto healthy = [](std::span<const uint8_t>) { return Status::Ok(); };
+  const obs::Counter& durable_writes =
+      obs::MetricsRegistry::Global().GetCounter("store_durable_writes");
+  uint64_t apply_writes = 0;
   double apply_total_us = 0;
   for (size_t i = 0; i < apply_iters; ++i) {
     const auto& wire =
         i % 2 == 0 ? (*v1_artifact)->wire : (*v2_artifact)->wire;
+    const uint64_t writes_before = durable_writes.value();
     const auto start = std::chrono::steady_clock::now();
     Status applied = agent.Apply(wire, 1 + i % 2, key_fp, healthy);
     apply_total_us += MicrosecondsSince(start);
+    apply_writes += durable_writes.value() - writes_before;
     if (!applied.ok()) {
       std::fprintf(stderr, "apply failed: %s\n",
                    applied.ToString().c_str());
@@ -124,6 +135,7 @@ int main(int argc, char** argv) {
                              static_cast<double>(image_bytes);
 
   // --- rollback latency: crash-after-flip, then the recovery path -----
+  uint64_t rollback_writes = 0;
   double rollback_total_us = 0;
   for (size_t i = 0; i < apply_iters; ++i) {
     agent.ArmCrash(agent::CrashPoint::kAfterFlip);
@@ -133,9 +145,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "armed crash did not fire\n");
       return 1;
     }
+    const uint64_t writes_before = durable_writes.value();
     const auto start = std::chrono::steady_clock::now();
     Status recovered = agent.Recover();
     rollback_total_us += MicrosecondsSince(start);
+    rollback_writes += durable_writes.value() - writes_before;
     if (!recovered.ok()) {
       std::fprintf(stderr, "recover failed: %s\n",
                    recovered.ToString().c_str());
@@ -143,6 +157,10 @@ int main(int argc, char** argv) {
     }
   }
   const double rollback_us = rollback_total_us / apply_iters;
+  const double apply_durable_writes =
+      static_cast<double>(apply_writes) / apply_iters;
+  const double rollback_durable_writes =
+      static_cast<double>(rollback_writes) / apply_iters;
   const double rollback_vs_apply =
       apply_us == 0 ? 0.0 : rollback_us / apply_us;
 
@@ -193,10 +211,12 @@ int main(int argc, char** argv) {
                     soak_succeeded == soak_targets;
 
   std::printf("apply: %.1f us mean over %zu staged cycles (image %zu "
-              "bytes)\n",
-              apply_us, apply_iters, (*v1_artifact)->wire.size());
-  std::printf("rollback: %.1f us mean crash-recovery (%.3fx apply)\n",
-              rollback_us, rollback_vs_apply);
+              "bytes), %.2f durable writes each\n",
+              apply_us, apply_iters, (*v1_artifact)->wire.size(),
+              apply_durable_writes);
+  std::printf("rollback: %.1f us mean crash-recovery (%.3fx apply), %.2f "
+              "durable writes each\n",
+              rollback_us, rollback_vs_apply, rollback_durable_writes);
   std::printf("manifest: %llu bytes over %llu image bytes (%.3fx)\n",
               static_cast<unsigned long long>(manifest_bytes),
               static_cast<unsigned long long>(image_bytes), overhead_ratio);
@@ -216,11 +236,13 @@ int main(int argc, char** argv) {
   json.BeginObject();
   json.Field("mean_us", apply_us);
   json.Field("image_bytes", (*v1_artifact)->wire.size());
+  json.Field("durable_writes", apply_durable_writes);
   json.EndObject();
   json.Key("rollback");
   json.BeginObject();
   json.Field("mean_us", rollback_us);
   json.Field("vs_apply_ratio", rollback_vs_apply);
+  json.Field("durable_writes", rollback_durable_writes);
   json.EndObject();
   json.Key("manifest");
   json.BeginObject();

@@ -15,11 +15,24 @@
 //              concurrency budget; peak in-flight must collapse to the
 //              budget.
 //
+// The gated number prices one wave barrier, not the whole campaign: a
+// barrier idles the workers that finish a wave early, a cost fixed per
+// wave, so "waved over flat" as a share of the campaign moved whenever
+// per-delivery work got cheaper. per_wave.overhead_rounds is the waved
+// run's extra wall time per barrier in units of one flat delivery round
+// (flat wall / ceil(devices / workers)). Both sides scale with the
+// per-delivery time, so the ratio is machine-portable. Flat and waved run
+// as paired, interleaved repetitions after a warm-up (the first campaign
+// pays compile and seal); the median pair is the metric and half the
+// interquartile range of the pairs is reported as its noise floor.
+//
 // Emits BENCH_campaign_sched.json for the perf-trajectory tooling.
 //
 //   bench_campaign_sched [--quick] [--devices N] [--out FILE]
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "fleet/campaign_scheduler.h"
 #include "support/bench_json.h"
@@ -37,6 +50,12 @@ struct ModeResult {
   uint64_t deliveries = 0;
   size_t waves = 0;
 };
+
+/// Value at quantile `q` (nearest rank) of `values`.
+double Quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  return values[static_cast<size_t>(q * (values.size() - 1) + 0.5)];
+}
 
 }  // namespace
 
@@ -71,6 +90,7 @@ int main(int argc, char** argv) {
   constexpr uint32_t kLatencyUs = 2000;
   constexpr size_t kWorkers = 8;
   constexpr size_t kGroupBudget = 4;
+  constexpr size_t kRepetitions = 7;
   const double throttle_rate = static_cast<double>(devices) * 2.5;
 
   fleet::RegistryConfig registry_config;
@@ -119,34 +139,71 @@ int main(int argc, char** argv) {
     return result;
   };
 
-  std::printf("campaign: %zu devices, %zu workers, %u us delivery latency\n",
-              devices, kWorkers, kLatencyUs);
+  std::printf("campaign: %zu devices, %zu workers, %u us delivery latency, "
+              "%zu paired flat/waved repetitions\n",
+              devices, kWorkers, kLatencyUs, kRepetitions);
 
   fleet::SchedulerConfig flat_policy;  // one wave, observation only
-  const ModeResult flat = run_mode("flat", flat_policy);
-
   fleet::SchedulerConfig waved_policy;
   waved_policy.canary_size = devices / 25;
   waved_policy.canary_failure_threshold = 0.1;
   waved_policy.wave_size = devices / 8;
   waved_policy.wave_failure_threshold = 0.1;
-  const ModeResult waved = run_mode("waved", waved_policy);
+
+  (void)run_mode("warm-up", flat_policy);
+  const double rounds =
+      static_cast<double>((devices + kWorkers - 1) / kWorkers);
+  ModeResult flat, waved;
+  bool paired_ok = true;
+  std::vector<double> flat_walls, waved_walls, overhead_rounds;
+  for (size_t rep = 0; rep < kRepetitions; ++rep) {
+    // Alternate which mode runs first so slow host drift cancels.
+    if (rep % 2 == 0) {
+      flat = run_mode("flat", flat_policy);
+      waved = run_mode("waved", waved_policy);
+    } else {
+      waved = run_mode("waved", waved_policy);
+      flat = run_mode("flat", flat_policy);
+    }
+    if (flat.succeeded != devices || waved.succeeded != devices ||
+        waved.waves < 2) {
+      paired_ok = false;
+      break;
+    }
+    const double round_ms = flat.wall_ms / rounds;
+    flat_walls.push_back(flat.wall_ms);
+    waved_walls.push_back(waved.wall_ms);
+    overhead_rounds.push_back((waved.wall_ms - flat.wall_ms) /
+                              static_cast<double>(waved.waves - 1) /
+                              round_ms);
+  }
 
   fleet::SchedulerConfig throttled_policy = waved_policy;
   throttled_policy.limits.dispatch_rate = throttle_rate;
   throttled_policy.limits.dispatch_burst = 8.0;
   throttled_policy.limits.group_concurrency = kGroupBudget;
-  const ModeResult throttled = run_mode("throttled", throttled_policy);
+  ModeResult throttled = run_mode("throttled", throttled_policy);
 
-  const double overhead_pct =
-      flat.wall_ms > 0 ? (waved.wall_ms - flat.wall_ms) / flat.wall_ms * 100.0
-                       : 0.0;
-  std::printf("\nwave overhead over flat: %+.1f%%\n", overhead_pct);
+  const size_t barriers = waved.waves > 0 ? waved.waves - 1 : 0;
+  double per_wave_rounds = 0, per_wave_noise = 0, overhead_pct = 0;
+  double flat_median_ms = 0, waved_median_ms = 0;
+  if (paired_ok) {
+    per_wave_rounds = Quantile(overhead_rounds, 0.5);
+    per_wave_noise = (Quantile(overhead_rounds, 0.75) -
+                      Quantile(overhead_rounds, 0.25)) / 2;
+    flat_median_ms = Quantile(flat_walls, 0.5);
+    waved_median_ms = Quantile(waved_walls, 0.5);
+    overhead_pct = (waved_median_ms - flat_median_ms) / flat_median_ms * 100;
+  }
+  std::printf("\nper wave barrier: %+.3f flat delivery rounds "
+              "(noise +/- %.3f; %zu barriers)\n",
+              per_wave_rounds, per_wave_noise, barriers);
+  std::printf("wave overhead over flat: %+.1f%% (medians %.1f vs %.1f ms)\n",
+              overhead_pct, waved_median_ms, flat_median_ms);
   std::printf("throttled peak in flight: %zu (budget %zu)\n",
               throttled.peak_in_flight, kGroupBudget);
 
-  const bool pass = flat.succeeded == devices && waved.succeeded == devices &&
-                    throttled.succeeded == devices &&
+  const bool pass = paired_ok && throttled.succeeded == devices &&
                     throttled.peak_in_flight <= kGroupBudget;
   std::printf("result: %s\n", pass ? "PASS" : "FAIL");
 
@@ -169,6 +226,13 @@ int main(int argc, char** argv) {
     json.EndObject();
   }
   json.EndArray();
+  json.Field("repetitions", kRepetitions);
+  json.Key("per_wave");
+  json.BeginObject();
+  json.Field("barriers", barriers);
+  json.Field("overhead_rounds", per_wave_rounds);
+  json.Field("noise_rounds", per_wave_noise);
+  json.EndObject();
   json.Field("wave_overhead_pct", overhead_pct);
   json.Field("throttle_rate_per_s", throttle_rate);
   json.Field("group_concurrency_budget", kGroupBudget);

@@ -34,7 +34,6 @@ constexpr size_t kHeaderSize = sizeof(kMagic) + 8 + 4 + 4;
 constexpr uint32_t kManifestSchema = 1;
 
 constexpr uint8_t kNoSlot = 0xFF;
-constexpr std::string_view kInjectedCrashPrefix = "agent crashed mid-apply";
 
 uint8_t EncodeSlot(int slot) {
   return slot < 0 ? kNoSlot : static_cast<uint8_t>(slot);
@@ -93,12 +92,6 @@ void UpdateAgent::SetCrashInjection(double rate, uint64_t seed) {
   // Per-device stream: two agents armed with the same soak seed must not
   // crash in lockstep.
   crash_rng_state_ = seed ^ (device_id_ * 0x9E3779B97F4A7C15ull);
-}
-
-bool UpdateAgent::IsInjectedCrash(const Status& status) {
-  return !status.ok() &&
-         status.message().compare(0, kInjectedCrashPrefix.size(),
-                                  kInjectedCrashPrefix) == 0;
 }
 
 CrashPoint UpdateAgent::DrawCrash() {
@@ -293,7 +286,9 @@ bool UpdateAgent::RecoverLocked() {
                    device_id_, obs::CurrentTraceId());
   } else if (staged_slot_ >= 0) {
     // Stage or verify never completed: discard the half-applied image;
-    // the active slot was never touched.
+    // the active slot was never touched. Only an in-memory agent or a
+    // manifest written by an older build (which persisted stage and
+    // verify) can be in this phase; Apply's first write is the flip.
     slots_[staged_slot_].present = false;
   }
   previous_slot_ = -1;
@@ -332,8 +327,14 @@ Status UpdateAgent::Apply(std::span<const uint8_t> image, uint64_t version,
     }
   }
   const CrashPoint crash = DrawCrash();
+  const auto crashed = [&](const char* where) {
+    span.set_ok(false);
+    return Status(ErrorCode::kInjectedCrash,
+                  std::string("agent crashed mid-apply (") + where + ")");
+  };
 
-  // --- stage: write the image into the inactive slot ---
+  // --- stage: write the image into the inactive slot (in memory; the
+  // flip write below makes it durable) ---
   const int target = active_slot_ == 0 ? 1 : 0;
   slots_[target].present = true;
   slots_[target].version = version;
@@ -343,52 +344,40 @@ Status UpdateAgent::Apply(std::span<const uint8_t> image, uint64_t version,
   images_[target].assign(image.begin(), image.end());
   staged_slot_ = target;
   phase_ = ApplyPhase::kStaged;
-  Status persisted = Persist();
-  if (!persisted.ok()) {
-    // Nothing flipped: forget the stage and report the device unable to
-    // make the update durable.
+  // Drops an apply that made nothing durable: the manifest on disk still
+  // names the old image, so there is nothing left to recover.
+  const auto abandon = [&](Status status) {
     slots_[target].present = false;
     staged_slot_ = -1;
     phase_ = ApplyPhase::kIdle;
     span.set_ok(false);
-    return persisted;
-  }
-  if (crash == CrashPoint::kAfterStage) {
-    span.set_ok(false);
-    return Status(ErrorCode::kInternal,
-                  std::string(kInjectedCrashPrefix) + " (after stage)");
-  }
+    return status;
+  };
+  if (crash == CrashPoint::kAfterStage) return crashed("after stage");
 
   // --- verify: the staged bytes must read back CRC-clean ---
   if (store::Crc32(images_[target]) != slots_[target].image_crc) {
-    slots_[target].present = false;
-    staged_slot_ = -1;
-    phase_ = ApplyPhase::kIdle;
-    (void)Persist();
-    span.set_ok(false);
-    return Status(ErrorCode::kCorruptPackage,
-                  "staged image failed CRC verification");
+    return abandon(Status(ErrorCode::kCorruptPackage,
+                          "staged image failed CRC verification"));
   }
   phase_ = ApplyPhase::kVerified;
-  ERIC_RETURN_IF_ERROR(Persist());
-  if (crash == CrashPoint::kAfterVerify) {
-    span.set_ok(false);
-    return Status(ErrorCode::kInternal,
-                  std::string(kInjectedCrashPrefix) + " (after verify)");
-  }
+  if (crash == CrashPoint::kAfterVerify) return crashed("after verify");
 
-  // --- flip: the staged slot becomes the boot slot ---
+  // --- flip: the staged slot becomes the boot slot. The first durable
+  // write of the apply: staged image and flip intent land together ---
   previous_slot_ = active_slot_;
   active_slot_ = target;
   phase_ = ApplyPhase::kFlipped;
-  ERIC_RETURN_IF_ERROR(Persist());
-  if (crash == CrashPoint::kAfterFlip || crash == CrashPoint::kDuringHealth) {
-    span.set_ok(false);
-    return Status(ErrorCode::kInternal,
-                  std::string(kInjectedCrashPrefix) +
-                      (crash == CrashPoint::kAfterFlip ? " (after flip)"
-                                                       : " (during health)"));
+  Status persisted = Persist();
+  if (!persisted.ok()) {
+    // Undo the flip too and report the device unable to make the update
+    // durable.
+    active_slot_ = previous_slot_;
+    previous_slot_ = -1;
+    return abandon(persisted);
   }
+  if (crash == CrashPoint::kAfterFlip) return crashed("after flip");
+  if (crash == CrashPoint::kDuringHealth) return crashed("during health");
 
   // --- health: a short sim execution proves the new image boots ---
   Status healthy = Status::Ok();

@@ -14,18 +14,22 @@
 //   └─────────┘    └───────────┘   └───────────┘   └──────┬──────┘
 //        │               │               │                │ failure
 //        └── crash ──────┴── crash ──────┴─── crash ──────┤
-//            discard staged, keep old    rollback to      ▼
-//            active slot                 previous slot   rollback
+//            nothing durable yet:        rollback to      ▼
+//            old manifest stands         previous slot   rollback
 //
-// Every arrow persists the slot manifest first (write-ahead, like the
-// registry's revoke discipline): the manifest is serialized with
-// store::RecordWriter, CRC32-framed like a snapshot, and written
-// atomically (tmp + fsync + rename + dir fsync), so a crash at ANY point
-// leaves a manifest that Recover() turns back into a runnable state —
-// an apply interrupted before the flip is discarded, one interrupted
-// after the flip is rolled back to the previous slot. The active slot
-// therefore always holds a CRC-valid image that passed its health check
-// (or the device has no image at all, never a torn one).
+// An apply makes two durable writes of the slot manifest, the way A/B
+// boot control does: the FLIP write carries the staged image and the
+// flip intent in one atomic replace, and the COMMIT write records the
+// healthy result (idle). Stage and verify stay in memory — a crash
+// before the flip leaves the pre-apply manifest on disk, which is
+// exactly the state recovery would restore anyway. The manifest is
+// serialized with store::RecordWriter, CRC32-framed like a snapshot, and
+// written atomically (tmp + fsync + rename + dir fsync), so a crash at
+// ANY point leaves a manifest that Recover() turns back into a runnable
+// state — an apply interrupted after the flip is rolled back to the
+// previous slot. The active slot therefore always holds a CRC-valid
+// image that passed its health check (or the device has no image at
+// all, never a torn one).
 //
 // The durable active slot is also the device's delta base: a daemon
 // restart re-opens the manifest and the next delta campaign patches
@@ -48,7 +52,8 @@
 
 namespace eric::agent {
 
-/// Where an in-flight apply currently stands (persisted in the manifest).
+/// Where an in-flight apply currently stands (persisted in the manifest;
+/// kStaged and kVerified reach disk only from older builds).
 enum class ApplyPhase : uint8_t {
   kIdle = 0,     ///< no apply in flight; active slot (if any) is healthy
   kStaged = 1,   ///< image written into the inactive slot
@@ -60,13 +65,13 @@ enum class ApplyPhase : uint8_t {
 std::string_view ApplyPhaseName(ApplyPhase phase);
 
 /// Crash-injection points for tests and the chaos soak: the agent stops
-/// mid-apply *after* the named step's manifest persist, exactly as a
-/// power cut there would.
+/// mid-apply *after* the named step, exactly as a power cut there would.
+/// The failed Apply returns ErrorCode::kInjectedCrash.
 enum class CrashPoint : uint8_t {
   kNone = 0,     ///< no injected crash
 
-  kAfterStage,   ///< manifest says kStaged; staged bytes durable
-  kAfterVerify,  ///< manifest says kVerified
+  kAfterStage,   ///< staged in memory only; the pre-apply manifest stands
+  kAfterVerify,  ///< verified in memory only; the pre-apply manifest stands
   kAfterFlip,    ///< manifest says kFlipped; health never ran
   kDuringHealth, ///< health check started but its verdict was lost
 };
@@ -120,10 +125,12 @@ class UpdateAgent {
   /// agent (or replaying recovery repeatedly) is a no-op.
   Status Recover();
 
-  /// One full staged apply: stage -> verify -> flip -> health check.
-  /// On health failure the flip is undone (previous slot active again)
-  /// and the health check's own status is returned. An apply left
-  /// in flight by a crash is recovered first.
+  /// One full staged apply: stage -> verify -> flip -> health check,
+  /// with two durable manifest writes (flip, commit). On health failure
+  /// the flip is undone (previous slot active again) and the health
+  /// check's own status is returned; a failed flip write leaves the old
+  /// image active and nothing to recover. An apply left in flight by a
+  /// crash is recovered first.
   Status Apply(std::span<const uint8_t> image, uint64_t version,
                const crypto::Sha256Digest& key_fingerprint,
                const HealthCheck& health);
@@ -154,10 +161,6 @@ class UpdateAgent {
   /// a crash point (or none) from `rate` under a per-device stream of
   /// `seed`. Rate 0 disables.
   void SetCrashInjection(double rate, uint64_t seed);
-
-  /// True when the last Apply/Recover failure was an injected crash
-  /// (so callers can distinguish chaos from real faults in reports).
-  static bool IsInjectedCrash(const Status& status);
 
  private:
   Status Persist();

@@ -6,6 +6,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "obs/metrics.h"
+
 namespace eric::store {
 
 Status WriteAll(int fd, const uint8_t* data, size_t size) {
@@ -35,8 +37,15 @@ void SyncParentDir(const std::string& path) {
   SyncDir(slash == std::string::npos ? "." : path.substr(0, slash));
 }
 
+void CountDurableWrite() {
+  static obs::Counter& writes =
+      obs::MetricsRegistry::Global().GetCounter("store_durable_writes");
+  writes.Add();
+}
+
 Status WriteFileAtomic(const std::string& path,
                        std::span<const uint8_t> bytes) {
+  CountDurableWrite();
   const std::string tmp = path + ".tmp";
   const int fd =
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);

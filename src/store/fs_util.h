@@ -23,6 +23,12 @@ void SyncDir(const std::string& dir);
 /// SyncDir on the directory containing file `path`.
 void SyncParentDir(const std::string& path);
 
+/// Counts one durable-write request in the `store_durable_writes`
+/// counter: every WriteFileAtomic call and every Wal::Append under a
+/// syncing mode. It counts requests, not fsyncs, so group commit does not
+/// make the number depend on thread timing.
+void CountDurableWrite();
+
 /// Atomically replaces `path` with `bytes`: writes `path`.tmp (opened
 /// O_CLOEXEC), fsyncs and closes it, renames it over `path`, then fsyncs
 /// the parent directory. A crash leaves the old file or the new one,

@@ -211,6 +211,7 @@ Status Wal::Append(uint8_t type, std::span<const uint8_t> payload) {
   }
 
   Status result = Status::Ok();
+  if (options_.sync != SyncMode::kNever) CountDurableWrite();
   switch (options_.sync) {
     case SyncMode::kNever:
       break;

@@ -18,6 +18,7 @@ std::string_view ErrorCodeName(ErrorCode code) {
     case ErrorCode::kTimeout: return "TIMEOUT";
     case ErrorCode::kUnavailable: return "UNAVAILABLE";
     case ErrorCode::kInternal: return "INTERNAL";
+    case ErrorCode::kInjectedCrash: return "INJECTED_CRASH";
   }
   return "UNKNOWN";
 }

@@ -28,6 +28,7 @@ enum class ErrorCode {
   kTimeout,            ///< Operation did not complete within its deadline.
   kUnavailable,        ///< Peer unreachable / connection lost; retryable.
   kInternal,           ///< Invariant violation inside the library.
+  kInjectedCrash,      ///< A test/soak-injected crash stopped the operation.
 };
 
 /// Human-readable name of an ErrorCode (stable, for logs and tests).

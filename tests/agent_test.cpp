@@ -15,6 +15,7 @@
 
 #include "agent/update_agent.h"
 #include "crypto/sha256.h"
+#include "obs/metrics.h"
 #include "store/record_io.h"
 #include "store/wal.h"
 #include "support/rng.h"
@@ -104,11 +105,64 @@ TEST(UpdateAgentTest, SecondApplyUsesOtherSlotAndKeepsPreviousImage) {
   EXPECT_EQ(state.counters.applies, 2u);
 }
 
+std::vector<char> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+}
+
+uint64_t DurableWrites() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("store_durable_writes")
+      .value();
+}
+
+/// One slot of a hand-built manifest.
+struct RawSlot {
+  bool present = false;
+  std::vector<uint8_t> key_fingerprint = std::vector<uint8_t>(32, 0xAB);
+  std::vector<uint8_t> image;
+};
+
+/// Writes an ERICSLT1 manifest byte by byte, for files the agent itself
+/// would not write: damaged ones, or ones from older builds.
+void WriteRawManifest(const std::string& path, uint64_t device,
+                      uint8_t active, uint8_t staged, ApplyPhase phase,
+                      const RawSlot (&slots)[2]) {
+  store::RecordWriter payload;
+  payload.U32(1);  // schema
+  payload.U64(device);
+  payload.U8(active);
+  payload.U8(0xFF);  // previous slot
+  payload.U8(staged);
+  payload.U8(static_cast<uint8_t>(phase));
+  for (int counter = 0; counter < 5; ++counter) payload.U64(0);
+  for (const RawSlot& slot : slots) {
+    payload.U8(slot.present ? 1 : 0);
+    payload.U64(1);  // version
+    payload.Bytes(slot.key_fingerprint);
+    payload.U32(store::Crc32(slot.image));
+    payload.Bytes(slot.image);
+  }
+  std::vector<uint8_t> file = {'E', 'R', 'I', 'C', 'S', 'L', 'T', '1'};
+  file.resize(24);
+  store::StoreLe64(device, file.data() + 8);
+  store::StoreLe32(store::Crc32(payload.bytes()), file.data() + 16);
+  store::StoreLe32(static_cast<uint32_t>(payload.bytes().size()),
+                   file.data() + 20);
+  file.insert(file.end(), payload.bytes().begin(), payload.bytes().end());
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(file.data()),
+            static_cast<std::streamsize>(file.size()));
+}
+
 // Crash injection at every apply phase, starting from BOTH slot
 // parities: an interrupted apply must never cost the device its running
-// image. Pre-flip crashes discard the staged slot; post-flip crashes
-// roll back to the previous slot. Either way a fresh agent (the reboot)
-// recovers to the same healthy image that was active before the apply.
+// image. A pre-flip crash has written nothing: the pre-apply manifest
+// stands byte for byte and a reboot finds nothing to recover. A
+// post-flip crash rolls back to the previous slot. Either way a fresh
+// agent (the reboot) recovers to the same healthy image that was active
+// before the apply.
 TEST(UpdateAgentTest, CrashAtEveryPhaseBothSlotsRecoversOldImage) {
   const CrashPoint kPoints[] = {CrashPoint::kAfterStage,
                                 CrashPoint::kAfterVerify,
@@ -118,6 +172,8 @@ TEST(UpdateAgentTest, CrashAtEveryPhaseBothSlotsRecoversOldImage) {
     for (int parity = 0; parity < 2; ++parity) {
       SCOPED_TRACE("point=" + std::to_string(static_cast<int>(point)) +
                    " parity=" + std::to_string(parity));
+      const bool flipped = point == CrashPoint::kAfterFlip ||
+                           point == CrashPoint::kDuringHealth;
       const std::string dir = MakeTempDir("crash");
       const std::string manifest = dir + "/slots-1.bin";
       const auto good = Image(100 + parity, 800);
@@ -138,11 +194,14 @@ TEST(UpdateAgentTest, CrashAtEveryPhaseBothSlotsRecoversOldImage) {
           ASSERT_EQ(agent.state().active_slot, 0);
         }
 
+        const std::vector<char> pre_apply = ReadFileBytes(manifest);
         agent.ArmCrash(point);
         Status crashed = agent.Apply(next, 9, KeyFp(3), HealthyCheck);
         ASSERT_FALSE(crashed.ok());
-        EXPECT_TRUE(UpdateAgent::IsInjectedCrash(crashed)) << crashed.message();
+        EXPECT_EQ(crashed.code(), ErrorCode::kInjectedCrash)
+            << crashed.message();
         EXPECT_TRUE(agent.NeedsRecovery());
+        EXPECT_EQ(ReadFileBytes(manifest) == pre_apply, !flipped);
       }  // the "device" dies here; only the manifest survives
 
       UpdateAgent rebooted(1, manifest);
@@ -151,9 +210,7 @@ TEST(UpdateAgentTest, CrashAtEveryPhaseBothSlotsRecoversOldImage) {
       const AgentState state = rebooted.state();
       EXPECT_EQ(state.active_slot, parity);
       EXPECT_EQ(state.slots[parity].version, good_version);
-      EXPECT_EQ(state.counters.crash_recoveries, 1u);
-      const bool flipped = point == CrashPoint::kAfterFlip ||
-                           point == CrashPoint::kDuringHealth;
+      EXPECT_EQ(state.counters.crash_recoveries, flipped ? 1u : 0u);
       EXPECT_EQ(state.counters.rollbacks, flipped ? 1u : 0u);
 
       // The recovered device is fully serviceable: the next apply lands.
@@ -180,6 +237,94 @@ TEST(UpdateAgentTest, CrashOnFirstApplyRecoversToNoImage) {
   EXPECT_EQ(rebooted.state().active_slot, -1);
   EXPECT_TRUE(rebooted.ActiveCrcValid());
   EXPECT_EQ(rebooted.state().phase, ApplyPhase::kIdle);
+}
+
+// An apply costs two durable writes (flip, commit); a crash before the
+// flip costs none and leaves nothing to recover; rolling back a
+// post-flip crash costs one.
+TEST(UpdateAgentTest, ApplyMakesTwoDurableWritesAndRollbackOne) {
+  const std::string dir = MakeTempDir("writes");
+  UpdateAgent agent(12, dir + "/slots-12.bin");
+  uint64_t before = DurableWrites();
+  ASSERT_TRUE(agent.Apply(Image(1, 400), 1, KeyFp(1), HealthyCheck).ok());
+  EXPECT_EQ(DurableWrites() - before, 2u);
+
+  for (const CrashPoint point :
+       {CrashPoint::kAfterStage, CrashPoint::kAfterVerify}) {
+    agent.ArmCrash(point);
+    before = DurableWrites();
+    ASSERT_FALSE(agent.Apply(Image(2, 400), 2, KeyFp(1), HealthyCheck).ok());
+    ASSERT_TRUE(agent.Recover().ok());
+    EXPECT_EQ(DurableWrites() - before, 0u);
+  }
+  EXPECT_EQ(agent.state().counters.crash_recoveries, 0u);
+
+  agent.ArmCrash(CrashPoint::kAfterFlip);
+  ASSERT_FALSE(agent.Apply(Image(3, 400), 3, KeyFp(1), HealthyCheck).ok());
+  before = DurableWrites();
+  ASSERT_TRUE(agent.Recover().ok());
+  EXPECT_EQ(DurableWrites() - before, 1u);
+  EXPECT_EQ(agent.state().counters.crash_recoveries, 1u);
+  ExpectHealthyActive(agent, Image(1, 400));
+}
+
+// The flip write is the apply's first durable write. When it fails the
+// manifest on disk still names the old image, so the agent must not be
+// left mid-apply: the old image stays active and there is nothing to
+// recover.
+TEST(UpdateAgentTest, FlipWriteFailureKeepsOldImageActive) {
+  const std::string dir = MakeTempDir("flip-fail") + "/state";
+  fs::create_directories(dir);
+  UpdateAgent agent(13, dir + "/slots-13.bin");
+  const auto good = Image(1, 500);
+  const auto next = Image(2, 520);
+  ASSERT_TRUE(agent.Apply(good, 1, KeyFp(1), HealthyCheck).ok());
+
+  fs::remove_all(dir);
+  Status failed = agent.Apply(next, 2, KeyFp(1), HealthyCheck);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_FALSE(agent.NeedsRecovery());
+  ExpectHealthyActive(agent, good);
+  const AgentState state = agent.state();
+  EXPECT_EQ(state.previous_slot, -1);
+  EXPECT_EQ(state.counters.persist_failures, 1u);
+  EXPECT_EQ(state.counters.applies, 1u);
+  EXPECT_EQ(state.counters.rollbacks, 0u);
+
+  fs::create_directories(dir);
+  ASSERT_TRUE(agent.Apply(next, 2, KeyFp(1), HealthyCheck).ok());
+  ExpectHealthyActive(agent, next);
+  UpdateAgent rebooted(13, dir + "/slots-13.bin");
+  ASSERT_TRUE(rebooted.Recover().ok());
+  ExpectHealthyActive(rebooted, next);
+}
+
+// Older builds persisted the stage and verify steps. A manifest they
+// left mid-apply in kStaged or kVerified must still recover to its
+// active slot, with the staged slot discarded, exactly once.
+TEST(UpdateAgentTest, OlderBuildStagedManifestRecoversToActiveSlot) {
+  for (const ApplyPhase phase : {ApplyPhase::kStaged, ApplyPhase::kVerified}) {
+    SCOPED_TRACE(std::string(ApplyPhaseName(phase)));
+    const std::string manifest = MakeTempDir("older") + "/slots-14.bin";
+    const auto active = Image(1, 300);
+    RawSlot slots[2];
+    slots[0].present = true;
+    slots[0].image = active;
+    slots[1].present = true;
+    slots[1].image = Image(2, 310);
+    WriteRawManifest(manifest, 14, /*active=*/0, /*staged=*/1, phase, slots);
+
+    for (int reboot = 0; reboot < 2; ++reboot) {
+      UpdateAgent agent(14, manifest);
+      ASSERT_TRUE(agent.Recover().ok());
+      ExpectHealthyActive(agent, active);
+      const AgentState state = agent.state();
+      EXPECT_EQ(state.active_slot, 0);
+      EXPECT_FALSE(state.slots[1].present);
+      EXPECT_EQ(state.counters.crash_recoveries, 1u);
+      EXPECT_EQ(state.counters.rollbacks, 0u);
+    }
+  }
 }
 
 TEST(UpdateAgentTest, HealthFailureRollsBackAndReturnsVerdict) {
@@ -279,11 +424,7 @@ TEST(UpdateAgentTest, ManifestCorruptionFailsClosed) {
     UpdateAgent agent(6, manifest);
     ASSERT_TRUE(agent.Apply(Image(1, 2048), 1, KeyFp(1), HealthyCheck).ok());
   }
-  const auto pristine = [&] {
-    std::ifstream in(manifest, std::ios::binary);
-    return std::vector<char>((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  }();
+  const std::vector<char> pristine = ReadFileBytes(manifest);
   ASSERT_GT(pristine.size(), 600u);
 
   const auto rewrite = [&](std::vector<char> bytes) {
@@ -325,34 +466,14 @@ TEST(UpdateAgentTest, ManifestWithShortKeyFingerprintFailsClosed) {
   // load with the fingerprint silently zeroed.
   const std::string dir = MakeTempDir("short-fp");
   const std::string manifest = dir + "/slots-9.bin";
-  const auto image = Image(9, 64);
-  store::RecordWriter payload;
-  payload.U32(1);  // schema
-  payload.U64(9);  // device id
-  payload.U8(0);   // active slot
-  payload.U8(0xFF);
-  payload.U8(0xFF);
-  payload.U8(0);   // idle
-  for (int counter = 0; counter < 5; ++counter) payload.U64(0);
-  for (int slot = 0; slot < 2; ++slot) {
-    payload.U8(slot == 0 ? 1 : 0);  // present
-    payload.U64(1);                 // version
-    payload.Bytes(std::vector<uint8_t>(16, 0xAB));  // 16-byte fingerprint
-    payload.U32(slot == 0 ? store::Crc32(image) : store::Crc32({}));
-    payload.Bytes(slot == 0 ? image : std::vector<uint8_t>{});
+  RawSlot slots[2];
+  slots[0].present = true;
+  slots[0].image = Image(9, 64);
+  for (RawSlot& slot : slots) {
+    slot.key_fingerprint.assign(16, 0xAB);  // 16-byte fingerprint
   }
-  std::vector<uint8_t> file = {'E', 'R', 'I', 'C', 'S', 'L', 'T', '1'};
-  file.resize(24);
-  store::StoreLe64(9, file.data() + 8);
-  store::StoreLe32(store::Crc32(payload.bytes()), file.data() + 16);
-  store::StoreLe32(static_cast<uint32_t>(payload.bytes().size()),
-                   file.data() + 20);
-  file.insert(file.end(), payload.bytes().begin(), payload.bytes().end());
-  {
-    std::ofstream out(manifest, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(file.data()),
-              static_cast<std::streamsize>(file.size()));
-  }
+  WriteRawManifest(manifest, 9, /*active=*/0, /*staged=*/0xFF,
+                   ApplyPhase::kIdle, slots);
 
   UpdateAgent agent(9, manifest);
   EXPECT_EQ(agent.Recover().code(), ErrorCode::kCorruptPackage);
@@ -419,7 +540,8 @@ TEST(UpdateAgentTest, ProbabilisticCrashInjectionIsSeededAndRecoverable) {
       Status status =
           agent.Apply(Image(i, 300), 1 + i, KeyFp(1), HealthyCheck);
       if (!status.ok()) {
-        ASSERT_TRUE(UpdateAgent::IsInjectedCrash(status)) << status.message();
+        ASSERT_EQ(status.code(), ErrorCode::kInjectedCrash)
+            << status.message();
         ++crashes;
         ASSERT_TRUE(agent.Recover().ok());
       }

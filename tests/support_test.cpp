@@ -32,7 +32,7 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
 }
 
 TEST(StatusTest, AllCodesHaveNames) {
-  for (int c = 0; c <= static_cast<int>(ErrorCode::kInternal); ++c) {
+  for (int c = 0; c <= static_cast<int>(ErrorCode::kInjectedCrash); ++c) {
     EXPECT_NE(ErrorCodeName(static_cast<ErrorCode>(c)), "UNKNOWN");
   }
 }

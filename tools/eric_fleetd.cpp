@@ -358,14 +358,21 @@ int RunSoak(fleet::DeviceRegistry& registry, const SoakProfile& profile,
     }
     if (live.empty()) break;
 
-    // Deterministic chaos arming: one device power-cuts mid-apply at a
-    // random phase, another fails its next post-flip self-test. This
-    // guarantees every soak run exercises crash recovery and rollback
-    // even if the probabilistic injection draws unluckily.
+    // Deterministic chaos arming: one device power-cuts mid-apply,
+    // another fails its next post-flip self-test. Even rounds cut power
+    // after the flip (kAfterFlip/kDuringHealth: a rollback to recover),
+    // odd rounds before it (kAfterStage/kAfterVerify: nothing durable
+    // yet, so nothing to recover). Every soak run therefore exercises
+    // both kinds of crash, crash recovery and rollback, even if the
+    // probabilistic injection draws unluckily.
+    constexpr agent::CrashPoint kPostFlip[] = {
+        agent::CrashPoint::kAfterFlip, agent::CrashPoint::kDuringHealth};
+    constexpr agent::CrashPoint kPreFlip[] = {
+        agent::CrashPoint::kAfterStage, agent::CrashPoint::kAfterVerify};
     const auto crash_victim = live[rng.NextBounded(live.size())];
     (void)registry.ArmAgentCrash(
         crash_victim,
-        static_cast<agent::CrashPoint>(1 + rng.NextBounded(4)));
+        (round % 2 == 0 ? kPostFlip : kPreFlip)[rng.NextBounded(2)]);
     const auto health_victim = live[rng.NextBounded(live.size())];
     (void)registry.ArmAgentHealthFailures(health_victim, 1);
 
