@@ -21,6 +21,7 @@
 //     search would.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -78,6 +79,19 @@ class Memory {
 
   /// Number of resident pages (footprint metric).
   size_t ResidentPages() const { return pages_.size(); }
+
+  /// Calls `fn(page_base, bytes)` for every resident page in address
+  /// order (tests digest whole memories with it).
+  template <typename Fn>
+  void ForEachPage(Fn&& fn) const {
+    std::vector<uint64_t> indices;
+    indices.reserve(pages_.size());
+    for (const auto& [index, page] : pages_) indices.push_back(index);
+    std::sort(indices.begin(), indices.end());
+    for (uint64_t index : indices) {
+      fn(index * kPageBytes, std::span<const uint8_t>(pages_.at(index)));
+    }
+  }
 
  private:
   using Page = std::vector<uint8_t>;
