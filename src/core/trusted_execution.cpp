@@ -1,6 +1,23 @@
 #include "core/trusted_execution.h"
 
+#include "obs/metrics.h"
+
 namespace eric::core {
+
+namespace {
+
+/// Folds one simulated run into the process-wide `sim_instructions` and
+/// `sim_cycles` counters, so a metrics snapshot shows simulated work.
+void CountSimulatedRun(const sim::ExecStats& exec) {
+  static obs::Counter& instructions =
+      obs::MetricsRegistry::Global().GetCounter("sim_instructions");
+  static obs::Counter& cycles =
+      obs::MetricsRegistry::Global().GetCounter("sim_cycles");
+  instructions.Add(exec.instructions);
+  cycles.Add(exec.cycles);
+}
+
+}  // namespace
 
 TrustedDevice::TrustedDevice(uint64_t device_seed,
                              const crypto::KeyConfig& key_config,
@@ -22,6 +39,7 @@ Result<TrustedRunResult> TrustedDevice::ReceiveAndRun(
   TrustedRunResult out;
   out.hde_cycles = validated->cycles;
   out.exec = soc.Run(sim::kRamBase, arg0, arg1, limits);
+  CountSimulatedRun(out.exec);
   out.console_output = soc.console_output();
   return out;
 }
@@ -33,6 +51,7 @@ TrustedRunResult TrustedDevice::RunPlaintext(std::span<const uint8_t> image,
   soc.LoadProgram(image);
   TrustedRunResult out;
   out.exec = soc.Run(sim::kRamBase, arg0, arg1, limits);
+  CountSimulatedRun(out.exec);
   out.console_output = soc.console_output();
   return out;
 }

@@ -57,6 +57,16 @@ class Cache {
     return Lookup(line_addr);
   }
 
+  /// Records `n` more hits on the line accessed last, exactly as `n`
+  /// Access calls to an address on it would; the caller charges their
+  /// hit cycles. Valid only while no other access came in between.
+  void RepeatLastHit(uint64_t n) {
+    if (n == 0) return;
+    use_counter_ += n;
+    lines_[last_line_].lru = use_counter_;
+    stats_.hits += n;
+  }
+
   /// Invalidates all lines (program reload). Counters are kept.
   void Flush();
 

@@ -1,10 +1,11 @@
 #include "sim/cpu.h"
 
+#include <algorithm>
+
 namespace eric::sim {
 
 using isa::Instr;
 using isa::Op;
-using isa::OpClass;
 
 namespace {
 
@@ -14,82 +15,22 @@ inline uint64_t SignExtend32(uint64_t value) {
       static_cast<int32_t>(static_cast<uint32_t>(value))));
 }
 
-}  // namespace
-
-Cpu::Cpu(Memory& memory, const CpuTiming& timing, isa::IsaId isa)
-    : memory_(memory),
-      timing_(timing),
-      backend_(isa::BackendFor(isa)),
-      rv32_(backend_.xlen() == 32),
-      decode_shift_(backend_.supports_compressed() ? 1 : 2),
-      icache_(timing.icache),
-      dcache_(timing.dcache) {}
-
-void Cpu::Reset(uint64_t entry_pc, uint64_t stack_pointer) {
-  regs_.fill(0);
-  regs_[2] = rv32_ ? SignExtend32(stack_pointer) : stack_pointer;
-  pc_ = rv32_ ? (entry_pc & 0xFFFFFFFF) : entry_pc;
-  halt_ = HaltReason::kNone;
-  exit_code_ = 0;
-  icache_.Flush();
-  dcache_.Flush();
-  icache_.ResetStats();
-  dcache_.ResetStats();
-}
-
-void Cpu::CacheDecodes(uint64_t base, uint64_t bytes) {
-  decode_base_ = base;
-  decode_table_.assign((bytes >> decode_shift_) + 1, DecodedInstr{});
-}
-
-Instr Cpu::DecodeWord(uint32_t word) const {
-  const auto half = static_cast<uint16_t>(word);
-  // On ISAs without the C extension DecodeCompressed yields kInvalid: a
-  // compressed encoding halts the core instead of executing as something
-  // else.
-  return isa::IsWide(half) ? backend_.Decode(word)
-                           : backend_.DecodeCompressed(half);
-}
-
-inline Instr Cpu::Decode(uint32_t word) {
-  const uint64_t slot = (pc_ - decode_base_) >> decode_shift_;
-  if (slot >= decode_table_.size()) return DecodeWord(word);
-  DecodedInstr& entry = decode_table_[slot];
-  if (entry.word != word || entry.in.op == Op::kInvalid) {
-    entry.word = word;
-    entry.in = DecodeWord(word);
-  }
-  return entry.in;
-}
-
-namespace {
-
-int LoadSize(Op op) {
+/// The instruction ends its block: control transfers and halts.
+bool EndsBlock(Op op) {
   switch (op) {
-    case Op::kLb: case Op::kLbu: return 1;
-    case Op::kLh: case Op::kLhu: return 2;
-    case Op::kLw: case Op::kLwu: return 4;
-    default: return 8;  // ld
+    case Op::kJal: case Op::kJalr:
+    case Op::kBeq: case Op::kBne: case Op::kBlt: case Op::kBge:
+    case Op::kBltu: case Op::kBgeu:
+    case Op::kEcall: case Op::kEbreak: case Op::kInvalid:
+      return true;
+    default:
+      return false;
   }
 }
 
-int StoreSize(Op op) {
-  switch (op) {
-    case Op::kSb: return 1;
-    case Op::kSh: return 2;
-    case Op::kSw: return 4;
-    default: return 8;  // sd
-  }
-}
-
-uint64_t SignExtendLoad(uint64_t value, Op op) {
-  switch (op) {
-    case Op::kLb: return static_cast<uint64_t>(static_cast<int8_t>(value));
-    case Op::kLh: return static_cast<uint64_t>(static_cast<int16_t>(value));
-    case Op::kLw: return static_cast<uint64_t>(static_cast<int32_t>(value));
-    default: return value;  // lbu/lhu/lwu/ld already zero-extended
-  }
-}
+/// Longest block decoded at once; a longer straight-line run continues
+/// in the next block.
+constexpr uint32_t kMaxBlockEntries = 64;
 
 int64_t SignedMulHigh(int64_t a, int64_t b) {
   return static_cast<int64_t>(
@@ -111,452 +52,554 @@ int64_t SignedUnsignedMulHigh(int64_t a, uint64_t b) {
 
 }  // namespace
 
-bool Cpu::Step(ExecStats& stats) {
-  // Fetch (I-cache) and decode.
-  stats.cycles += icache_.Access(pc_);
-  const Instr in = Decode(static_cast<uint32_t>(memory_.Read(pc_, 4)));
+Cpu::Cpu(Memory& memory, const CpuTiming& timing, isa::IsaId isa)
+    : memory_(memory),
+      timing_(timing),
+      backend_(isa::BackendFor(isa)),
+      rv32_(backend_.xlen() == 32),
+      slot_shift_(backend_.supports_compressed() ? 1 : 2),
+      icache_(timing.icache),
+      dcache_(timing.dcache),
+      entries_(1) {}
 
-  if (in.op == Op::kInvalid) {
-    halt_ = HaltReason::kInvalidInstruction;
-    return false;
-  }
+void Cpu::Reset(uint64_t entry_pc, uint64_t stack_pointer) {
+  regs_.fill(0);
+  regs_[2] = rv32_ ? SignExtend32(stack_pointer) : stack_pointer;
+  pc_ = rv32_ ? (entry_pc & 0xFFFFFFFF) : entry_pc;
+  halt_ = HaltReason::kNone;
+  exit_code_ = 0;
+  reservation_addr_ = 0;
+  reservation_valid_ = false;
+  icache_.Flush();
+  dcache_.Flush();
+  icache_.ResetStats();
+  dcache_.ResetStats();
+  DropBlocks();
+}
 
-  ++stats.instructions;
-  stats.cycles += 1;  // base CPI
+void Cpu::SetImage(uint64_t base, uint64_t bytes) {
+  image_base_ = base;
+  image_end_ = base + bytes;
+  const uint64_t stride = uint64_t{1} << slot_shift_;
+  blocks_.assign((bytes + stride - 1) >> slot_shift_, Block{});
+  DropBlocks();
+}
 
-  const uint64_t next_pc = pc_ + static_cast<uint64_t>(in.SizeBytes());
-  uint64_t redirect = 0;
-  bool redirected = false;
+void Cpu::DropBlocks() {
+  std::fill(blocks_.begin(), blocks_.end(), Block{});
+  entries_.resize(1);
+  code_begin_ = ~uint64_t{0};
+  code_end_ = 0;
+}
 
-  auto rs1 = [&] { return regs_[in.rs1]; };
-  auto rs2 = [&] { return regs_[in.rs2]; };
-  // RV32 writebacks re-canonicalize to the sign-extended-32 invariant:
-  // 64-bit arithmetic then truncation is exactly arithmetic mod 2^32, and
-  // sign-extended operands preserve both signed and unsigned ordering, so
-  // the comparison ops need no special casing.
-  auto wb = [&](uint64_t value) {
-    if (rv32_) value = SignExtend32(value);
-    if (in.rd != 0) regs_[in.rd] = value;
-  };
-  // Effective data address (RV32: 32-bit address space).
-  auto ea = [&](uint64_t addr) {
-    return rv32_ ? (addr & 0xFFFFFFFF) : addr;
-  };
-
+Cpu::Entry Cpu::DecodeAt(uint64_t pc, bool fetch) const {
+  const auto word = static_cast<uint32_t>(memory_.Read(pc, 4));
+  const auto half = static_cast<uint16_t>(word);
+  // On ISAs without the C extension DecodeCompressed yields kInvalid: a
+  // compressed encoding halts the core instead of executing as something
+  // else.
+  const Instr in = isa::IsWide(half) ? backend_.Decode(word)
+                                     : backend_.DecodeCompressed(half);
+  Entry e;
+  e.op = in.op;
+  e.rd = in.rd;
+  e.rs1 = in.rs1;
+  e.rs2 = in.rs2;
+  e.size = static_cast<uint8_t>(in.SizeBytes());
+  e.fetch = fetch;
+  e.imm = static_cast<uint64_t>(in.imm);
+  // RV32: redirect targets are 32-bit addresses, and register values are
+  // sign-extended 32-bit.
+  const uint64_t pc_mask = rv32_ ? 0xFFFFFFFF : ~uint64_t{0};
   switch (in.op) {
-    case Op::kLui: wb(static_cast<uint64_t>(in.imm << 12)); break;
-    case Op::kAuipc: wb(pc_ + static_cast<uint64_t>(in.imm << 12)); break;
+    case Op::kLui: case Op::kAuipc: {
+      const uint64_t value = (in.op == Op::kAuipc ? pc : 0) +
+                             static_cast<uint64_t>(in.imm << 12);
+      e.imm = rv32_ ? SignExtend32(value) : value;
+      break;
+    }
     case Op::kJal:
-      wb(next_pc);
-      redirect = pc_ + static_cast<uint64_t>(in.imm);
-      redirected = true;
-      break;
-    case Op::kJalr: {
-      const uint64_t target =
-          (rs1() + static_cast<uint64_t>(in.imm)) & ~uint64_t{1};
-      wb(next_pc);
-      redirect = target;
-      redirected = true;
-      break;
-    }
     case Op::kBeq: case Op::kBne: case Op::kBlt: case Op::kBge:
-    case Op::kBltu: case Op::kBgeu: {
-      ++stats.branches;
-      bool taken = false;
-      switch (in.op) {
-        case Op::kBeq: taken = rs1() == rs2(); break;
-        case Op::kBne: taken = rs1() != rs2(); break;
-        case Op::kBlt:
-          taken = static_cast<int64_t>(rs1()) < static_cast<int64_t>(rs2());
+    case Op::kBltu: case Op::kBgeu:
+      e.imm = (pc + static_cast<uint64_t>(in.imm)) & pc_mask;
+      break;
+    case Op::kSlli: case Op::kSrli: case Op::kSrai:
+      e.imm &= rv32_ ? 31 : 63;
+      break;
+    case Op::kSlliw: case Op::kSrliw: case Op::kSraiw:
+      e.imm &= 31;
+      break;
+    default:
+      break;
+  }
+  return e;
+}
+
+Cpu::Block Cpu::DecodeBlock(uint64_t pc) {
+  const auto first = static_cast<uint32_t>(entries_.size());
+  const uint64_t line_bytes = icache_.config().line_bytes;
+  uint64_t at = pc;
+  uint64_t prev_line = ~uint64_t{0};
+  uint32_t count = 0;
+  while (count < kMaxBlockEntries) {
+    // An instruction on the previous one's I-cache line is a last-line
+    // hit: nothing can touch the I-cache between the two fetches.
+    const uint64_t line = at / line_bytes;
+    const Entry e = DecodeAt(at, /*fetch=*/count == 0 || line != prev_line);
+    prev_line = line;
+    // Only instructions wholly inside the image are cached: a store
+    // outside it never changes a cached block.
+    if (at + e.size > image_end_) break;
+    entries_.push_back(e);
+    ++count;
+    at += e.size;
+    if (EndsBlock(e.op)) break;
+  }
+  if (count == 0) {
+    entries_[0] = DecodeAt(pc, /*fetch=*/true);
+    return Block{0, 1};
+  }
+  code_begin_ = std::min(code_begin_, pc);
+  code_end_ = std::max(code_end_, at);
+  const Block block{first, count};
+  blocks_[(pc - image_base_) >> slot_shift_] = block;
+  return block;
+}
+
+inline Cpu::Block Cpu::BlockAt(uint64_t pc) {
+  const uint64_t offset = pc - image_base_;
+  const uint64_t slot = offset >> slot_shift_;
+  const uint64_t misaligned = offset & ((uint64_t{1} << slot_shift_) - 1);
+  if (slot < blocks_.size() && misaligned == 0) {
+    const Block block = blocks_[slot];
+    return block.count != 0 ? block : DecodeBlock(pc);
+  }
+  entries_[0] = DecodeAt(pc, /*fetch=*/true);
+  return Block{0, 1};
+}
+
+template <bool kRv32>
+void Cpu::Execute(uint64_t max_instructions, ExecStats& stats) {
+  uint64_t* const x = regs_.data();
+  const uint64_t fetch_hit_cycles = icache_.config().hit_cycles;
+  const uint64_t device_cycles = timing_.dcache.miss_cycles;
+  const uint64_t mul_cycles = timing_.mul_extra_cycles;
+  const uint64_t div_cycles = timing_.div_extra_cycles;
+  const uint64_t redirect_cycles = timing_.taken_branch_penalty;
+  uint64_t instructions = 0, cycles = 0, loads = 0, stores = 0;
+  uint64_t branches = 0, taken_branches = 0;
+  // Last-line I-cache hits not yet recorded in icache_. Their cycles are
+  // charged as they happen, so CSR reads see exact counts.
+  uint64_t pending_hits = 0;
+  // Set when a store to the exit device halted the core.
+  bool device_halt = false;
+  uint64_t pc = pc_;
+
+  while (instructions < max_instructions) {
+    const Block block = BlockAt(pc);
+    const Entry* e = entries_.data() + block.first;
+    const Entry* const end =
+        e + std::min<uint64_t>(block.count, max_instructions - instructions);
+    for (; e != end; ++e) {
+      if (e->fetch) {
+        icache_.RepeatLastHit(pending_hits);
+        pending_hits = 0;
+        cycles += icache_.Access(pc);
+      } else {
+        ++pending_hits;
+        cycles += fetch_hit_cycles;
+      }
+      ++instructions;
+      cycles += 1;  // base CPI
+      uint64_t next = pc + e->size;
+
+      const uint64_t rs1 = x[e->rs1];
+      const uint64_t rs2 = x[e->rs2];
+      // RV32 writebacks re-canonicalize to the sign-extended-32
+      // invariant: 64-bit arithmetic then truncation is exactly
+      // arithmetic mod 2^32, and sign-extended operands preserve both
+      // signed and unsigned ordering, so the comparison ops need no
+      // special casing. x0 is re-zeroed instead of tested.
+      const auto set = [&](uint64_t value) {
+        x[e->rd] = kRv32 ? SignExtend32(value) : value;
+        x[0] = 0;
+      };
+      // Helpers that update the counters are forced inline: an
+      // out-of-line call would pin the counters to memory.
+      // Effective data address (RV32: 32-bit address space).
+      const auto ea = [&](uint64_t addr) {
+        return kRv32 ? (addr & 0xFFFFFFFF) : addr;
+      };
+      const auto load = [&](int size) __attribute__((always_inline)) {
+        ++loads;
+        const uint64_t addr = ea(rs1 + e->imm);
+        uint64_t value = 0;
+        if (mmio_.Covers(addr) && mmio_.load &&
+            mmio_.load(addr, &value, size)) {
+          cycles += device_cycles;  // device access: uncached
+        } else {
+          cycles += dcache_.Access(addr);
+          value = memory_.Read(addr, size);
+        }
+        return value;
+      };
+      // Returns true when the block must end after this store: the exit
+      // device halted the core, or the store rewrote cached code.
+      const auto store = [&](int size) __attribute__((always_inline)) {
+        ++stores;
+        const uint64_t addr = ea(rs1 + e->imm);
+        if (mmio_.Covers(addr) && mmio_.store &&
+            mmio_.store(addr, rs2, size)) {
+          cycles += device_cycles;
+          device_halt = halt_ != HaltReason::kNone;
+          return device_halt;
+        }
+        cycles += dcache_.Access(addr);
+        memory_.Write(addr, rs2, size);
+        return InvalidatesCode(addr, static_cast<uint64_t>(size));
+      };
+      const auto branch = [&](bool taken) __attribute__((always_inline)) {
+        ++branches;
+        if (taken) {
+          ++taken_branches;
+          cycles += redirect_cycles;
+          next = e->imm;
+        }
+      };
+      // Read-modify-write of `size` bytes at rs1; `op(old, rs2)` is the
+      // value written back, where `old` is the loaded value
+      // (sign-extended for words). Returns true if it rewrote cached code.
+      const auto amo = [&](int size, auto op) __attribute__((always_inline)) {
+        ++loads;
+        ++stores;
+        const uint64_t addr = rs1;
+        cycles += dcache_.Access(addr) + 1;  // read-modify-write beat
+        uint64_t old = memory_.Read(addr, size);
+        if (size == 4) old = static_cast<uint64_t>(static_cast<int32_t>(old));
+        memory_.Write(addr, op(old, rs2), size);
+        set(old);
+        return InvalidatesCode(addr, static_cast<uint64_t>(size));
+      };
+      const auto sc = [&](int size) __attribute__((always_inline)) {
+        ++stores;
+        const uint64_t addr = rs1;
+        cycles += dcache_.Access(addr);
+        const bool success = reservation_valid_ && reservation_addr_ == addr;
+        reservation_valid_ = false;
+        set(success ? 0 : 1);
+        if (!success) return false;
+        memory_.Write(addr, rs2, size);
+        return InvalidatesCode(addr, static_cast<uint64_t>(size));
+      };
+      const auto lr = [&](int size) __attribute__((always_inline)) {
+        ++loads;
+        const uint64_t addr = rs1;
+        cycles += dcache_.Access(addr);
+        uint64_t value = memory_.Read(addr, size);
+        if (size == 4) value = static_cast<uint64_t>(static_cast<int32_t>(value));
+        set(value);
+        reservation_addr_ = addr;
+        reservation_valid_ = true;
+      };
+      // 32-bit shifts: the one ALU family where 64-bit arithmetic plus
+      // truncation is NOT mod-2^32 correct (bits shift in from above).
+      const auto sll32 = [](uint64_t a, uint64_t n) {
+        return static_cast<uint64_t>(static_cast<int32_t>(
+            static_cast<uint32_t>(a) << (n & 31)));
+      };
+      const auto srl32 = [](uint64_t a, uint64_t n) {
+        return static_cast<uint64_t>(static_cast<int32_t>(
+            static_cast<uint32_t>(a) >> (n & 31)));
+      };
+      const auto sra32 = [](uint64_t a, uint64_t n) {
+        return static_cast<uint64_t>(static_cast<int32_t>(a) >> (n & 31));
+      };
+      const auto sll = [&](uint64_t a, uint64_t n) {
+        return kRv32 ? sll32(a, n) : a << (n & 63);
+      };
+      const auto srl = [&](uint64_t a, uint64_t n) {
+        return kRv32 ? srl32(a, n) : a >> (n & 63);
+      };
+      const auto sra = [&](uint64_t a, uint64_t n) {
+        return kRv32 ? sra32(a, n)
+                     : static_cast<uint64_t>(static_cast<int64_t>(a) >>
+                                             (n & 63));
+      };
+      const auto w = [](uint64_t value) {
+        return static_cast<uint64_t>(static_cast<int32_t>(value));
+      };
+      const int64_t srs1 = static_cast<int64_t>(rs1);
+      const int64_t srs2 = static_cast<int64_t>(rs2);
+
+      switch (e->op) {
+        case Op::kLui: case Op::kAuipc: x[e->rd] = e->imm; x[0] = 0; break;
+        case Op::kJal:
+          set(next);
+          next = e->imm;
+          cycles += redirect_cycles;
           break;
-        case Op::kBge:
-          taken = static_cast<int64_t>(rs1()) >= static_cast<int64_t>(rs2());
+        case Op::kJalr: {
+          // RV32: jalr targets come from sign-extended registers; masking
+          // recovers the true 32-bit address.
+          const uint64_t target = ea((rs1 + e->imm) & ~uint64_t{1});
+          set(next);
+          next = target;
+          cycles += redirect_cycles;
           break;
-        case Op::kBltu: taken = rs1() < rs2(); break;
-        default: taken = rs1() >= rs2(); break;
-      }
-      if (taken) {
-        ++stats.taken_branches;
-        redirect = pc_ + static_cast<uint64_t>(in.imm);
-        redirected = true;
-      }
-      break;
-    }
+        }
+        case Op::kBeq: branch(rs1 == rs2); break;
+        case Op::kBne: branch(rs1 != rs2); break;
+        case Op::kBlt: branch(srs1 < srs2); break;
+        case Op::kBge: branch(srs1 >= srs2); break;
+        case Op::kBltu: branch(rs1 < rs2); break;
+        case Op::kBgeu: branch(rs1 >= rs2); break;
 
-    case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLd:
-    case Op::kLbu: case Op::kLhu: case Op::kLwu: {
-      ++stats.loads;
-      const uint64_t addr = ea(rs1() + static_cast<uint64_t>(in.imm));
-      const int size = LoadSize(in.op);
-      uint64_t value = 0;
-      if (mmio_.Covers(addr) && mmio_.load &&
-          mmio_.load(addr, &value, size)) {
-        // Device access: uncached, constant latency.
-        stats.cycles += timing_.dcache.miss_cycles;
-      } else {
-        stats.cycles += dcache_.Access(addr);
-        value = memory_.Read(addr, size);
-      }
-      wb(SignExtendLoad(value, in.op));
-      break;
-    }
-    case Op::kSb: case Op::kSh: case Op::kSw: case Op::kSd: {
-      ++stats.stores;
-      const uint64_t addr = ea(rs1() + static_cast<uint64_t>(in.imm));
-      const int size = StoreSize(in.op);
-      if (mmio_.Covers(addr) && mmio_.store &&
-          mmio_.store(addr, rs2(), size)) {
-        stats.cycles += timing_.dcache.miss_cycles;
-        if (halt_ != HaltReason::kNone) return false;  // exit device
-      } else {
-        stats.cycles += dcache_.Access(addr);
-        memory_.Write(addr, rs2(), size);
-      }
-      break;
-    }
+        case Op::kLb: set(static_cast<uint64_t>(static_cast<int8_t>(load(1)))); break;
+        case Op::kLh: set(static_cast<uint64_t>(static_cast<int16_t>(load(2)))); break;
+        case Op::kLw: set(w(load(4))); break;
+        case Op::kLd: set(load(8)); break;
+        case Op::kLbu: set(load(1)); break;
+        case Op::kLhu: set(load(2)); break;
+        case Op::kLwu: set(load(4)); break;
+        case Op::kSb: if (store(1)) goto leave; break;
+        case Op::kSh: if (store(2)) goto leave; break;
+        case Op::kSw: if (store(4)) goto leave; break;
+        case Op::kSd: if (store(8)) goto leave; break;
 
-    case Op::kAddi: wb(rs1() + static_cast<uint64_t>(in.imm)); break;
-    case Op::kSlti:
-      wb(static_cast<int64_t>(rs1()) < in.imm ? 1 : 0);
-      break;
-    case Op::kSltiu: wb(rs1() < static_cast<uint64_t>(in.imm) ? 1 : 0); break;
-    case Op::kXori: wb(rs1() ^ static_cast<uint64_t>(in.imm)); break;
-    case Op::kOri: wb(rs1() | static_cast<uint64_t>(in.imm)); break;
-    case Op::kAndi: wb(rs1() & static_cast<uint64_t>(in.imm)); break;
-    // Shifts are the one ALU family where 64-bit arithmetic plus
-    // truncation is NOT mod-2^32 correct (bits shift in from above), so
-    // RV32 takes explicit 32-bit paths with 5-bit shift amounts.
-    case Op::kSlli:
-      if (rv32_) {
-        wb(static_cast<uint64_t>(static_cast<uint32_t>(rs1())
-                                 << (in.imm & 31)));
-      } else {
-        wb(rs1() << (in.imm & 63));
-      }
-      break;
-    case Op::kSrli:
-      if (rv32_) {
-        wb(static_cast<uint64_t>(static_cast<uint32_t>(rs1()) >>
-                                 (in.imm & 31)));
-      } else {
-        wb(rs1() >> (in.imm & 63));
-      }
-      break;
-    case Op::kSrai:
-      if (rv32_) {
-        wb(static_cast<uint64_t>(
-            static_cast<int32_t>(static_cast<uint32_t>(rs1())) >>
-            (in.imm & 31)));
-      } else {
-        wb(static_cast<uint64_t>(static_cast<int64_t>(rs1()) >>
-                                 (in.imm & 63)));
-      }
-      break;
+        case Op::kAddi: set(rs1 + e->imm); break;
+        case Op::kSlti: set(srs1 < static_cast<int64_t>(e->imm) ? 1 : 0); break;
+        case Op::kSltiu: set(rs1 < e->imm ? 1 : 0); break;
+        case Op::kXori: set(rs1 ^ e->imm); break;
+        case Op::kOri: set(rs1 | e->imm); break;
+        case Op::kAndi: set(rs1 & e->imm); break;
+        case Op::kSlli: set(sll(rs1, e->imm)); break;
+        case Op::kSrli: set(srl(rs1, e->imm)); break;
+        case Op::kSrai: set(sra(rs1, e->imm)); break;
 
-    case Op::kAdd: wb(rs1() + rs2()); break;
-    case Op::kSub: wb(rs1() - rs2()); break;
-    case Op::kSll:
-      if (rv32_) {
-        wb(static_cast<uint64_t>(static_cast<uint32_t>(rs1())
-                                 << (rs2() & 31)));
-      } else {
-        wb(rs1() << (rs2() & 63));
-      }
-      break;
-    case Op::kSlt:
-      wb(static_cast<int64_t>(rs1()) < static_cast<int64_t>(rs2()) ? 1 : 0);
-      break;
-    case Op::kSltu: wb(rs1() < rs2() ? 1 : 0); break;
-    case Op::kXor: wb(rs1() ^ rs2()); break;
-    case Op::kSrl:
-      if (rv32_) {
-        wb(static_cast<uint64_t>(static_cast<uint32_t>(rs1()) >>
-                                 (rs2() & 31)));
-      } else {
-        wb(rs1() >> (rs2() & 63));
-      }
-      break;
-    case Op::kSra:
-      if (rv32_) {
-        wb(static_cast<uint64_t>(
-            static_cast<int32_t>(static_cast<uint32_t>(rs1())) >>
-            (rs2() & 31)));
-      } else {
-        wb(static_cast<uint64_t>(static_cast<int64_t>(rs1()) >>
-                                 (rs2() & 63)));
-      }
-      break;
-    case Op::kOr: wb(rs1() | rs2()); break;
-    case Op::kAnd: wb(rs1() & rs2()); break;
+        case Op::kAdd: set(rs1 + rs2); break;
+        case Op::kSub: set(rs1 - rs2); break;
+        case Op::kSll: set(sll(rs1, rs2)); break;
+        case Op::kSlt: set(srs1 < srs2 ? 1 : 0); break;
+        case Op::kSltu: set(rs1 < rs2 ? 1 : 0); break;
+        case Op::kXor: set(rs1 ^ rs2); break;
+        case Op::kSrl: set(srl(rs1, rs2)); break;
+        case Op::kSra: set(sra(rs1, rs2)); break;
+        case Op::kOr: set(rs1 | rs2); break;
+        case Op::kAnd: set(rs1 & rs2); break;
 
-    case Op::kAddiw:
-      wb(static_cast<uint64_t>(static_cast<int32_t>(
-          static_cast<uint32_t>(rs1()) + static_cast<uint32_t>(in.imm))));
-      break;
-    case Op::kSlliw:
-      wb(static_cast<uint64_t>(static_cast<int32_t>(
-          static_cast<uint32_t>(rs1()) << (in.imm & 31))));
-      break;
-    case Op::kSrliw:
-      wb(static_cast<uint64_t>(static_cast<int32_t>(
-          static_cast<uint32_t>(rs1()) >> (in.imm & 31))));
-      break;
-    case Op::kSraiw:
-      wb(static_cast<uint64_t>(
-          static_cast<int32_t>(rs1()) >> (in.imm & 31)));
-      break;
-    case Op::kAddw:
-      wb(static_cast<uint64_t>(static_cast<int32_t>(
-          static_cast<uint32_t>(rs1()) + static_cast<uint32_t>(rs2()))));
-      break;
-    case Op::kSubw:
-      wb(static_cast<uint64_t>(static_cast<int32_t>(
-          static_cast<uint32_t>(rs1()) - static_cast<uint32_t>(rs2()))));
-      break;
-    case Op::kSllw:
-      wb(static_cast<uint64_t>(static_cast<int32_t>(
-          static_cast<uint32_t>(rs1()) << (rs2() & 31))));
-      break;
-    case Op::kSrlw:
-      wb(static_cast<uint64_t>(static_cast<int32_t>(
-          static_cast<uint32_t>(rs1()) >> (rs2() & 31))));
-      break;
-    case Op::kSraw:
-      wb(static_cast<uint64_t>(
-          static_cast<int32_t>(rs1()) >> (rs2() & 31)));
-      break;
+        case Op::kAddiw: set(w(rs1 + e->imm)); break;
+        case Op::kSlliw: set(sll32(rs1, e->imm)); break;
+        case Op::kSrliw: set(srl32(rs1, e->imm)); break;
+        case Op::kSraiw: set(sra32(rs1, e->imm)); break;
+        case Op::kAddw: set(w(rs1 + rs2)); break;
+        case Op::kSubw: set(w(rs1 - rs2)); break;
+        case Op::kSllw: set(sll32(rs1, rs2)); break;
+        case Op::kSrlw: set(srl32(rs1, rs2)); break;
+        case Op::kSraw: set(sra32(rs1, rs2)); break;
 
-    case Op::kMul:
-      stats.cycles += timing_.mul_extra_cycles;
-      wb(rs1() * rs2());
-      break;
-    case Op::kMulh:
-      stats.cycles += timing_.mul_extra_cycles;
-      wb(static_cast<uint64_t>(SignedMulHigh(static_cast<int64_t>(rs1()),
-                                             static_cast<int64_t>(rs2()))));
-      break;
-    case Op::kMulhsu:
-      stats.cycles += timing_.mul_extra_cycles;
-      wb(static_cast<uint64_t>(
-          SignedUnsignedMulHigh(static_cast<int64_t>(rs1()), rs2())));
-      break;
-    case Op::kMulhu:
-      stats.cycles += timing_.mul_extra_cycles;
-      wb(UnsignedMulHigh(rs1(), rs2()));
-      break;
-    case Op::kDiv: {
-      stats.cycles += timing_.div_extra_cycles;
-      const int64_t a = static_cast<int64_t>(rs1());
-      const int64_t b = static_cast<int64_t>(rs2());
-      if (b == 0) {
-        wb(~uint64_t{0});
-      } else if (a == INT64_MIN && b == -1) {
-        wb(static_cast<uint64_t>(a));
-      } else {
-        wb(static_cast<uint64_t>(a / b));
-      }
-      break;
-    }
-    case Op::kDivu:
-      stats.cycles += timing_.div_extra_cycles;
-      wb(rs2() == 0 ? ~uint64_t{0} : rs1() / rs2());
-      break;
-    case Op::kRem: {
-      stats.cycles += timing_.div_extra_cycles;
-      const int64_t a = static_cast<int64_t>(rs1());
-      const int64_t b = static_cast<int64_t>(rs2());
-      if (b == 0) {
-        wb(static_cast<uint64_t>(a));
-      } else if (a == INT64_MIN && b == -1) {
-        wb(0);
-      } else {
-        wb(static_cast<uint64_t>(a % b));
-      }
-      break;
-    }
-    case Op::kRemu:
-      stats.cycles += timing_.div_extra_cycles;
-      wb(rs2() == 0 ? rs1() : rs1() % rs2());
-      break;
-    case Op::kMulw:
-      stats.cycles += timing_.mul_extra_cycles;
-      wb(static_cast<uint64_t>(static_cast<int32_t>(
-          static_cast<uint32_t>(rs1()) * static_cast<uint32_t>(rs2()))));
-      break;
-    case Op::kDivw: {
-      stats.cycles += timing_.div_extra_cycles;
-      const int32_t a = static_cast<int32_t>(rs1());
-      const int32_t b = static_cast<int32_t>(rs2());
-      int32_t r;
-      if (b == 0) {
-        r = -1;
-      } else if (a == INT32_MIN && b == -1) {
-        r = a;
-      } else {
-        r = a / b;
-      }
-      wb(static_cast<uint64_t>(static_cast<int64_t>(r)));
-      break;
-    }
-    case Op::kDivuw: {
-      stats.cycles += timing_.div_extra_cycles;
-      const uint32_t a = static_cast<uint32_t>(rs1());
-      const uint32_t b = static_cast<uint32_t>(rs2());
-      const uint32_t r = (b == 0) ? ~uint32_t{0} : a / b;
-      wb(static_cast<uint64_t>(static_cast<int64_t>(static_cast<int32_t>(r))));
-      break;
-    }
-    case Op::kRemw: {
-      stats.cycles += timing_.div_extra_cycles;
-      const int32_t a = static_cast<int32_t>(rs1());
-      const int32_t b = static_cast<int32_t>(rs2());
-      int32_t r;
-      if (b == 0) {
-        r = a;
-      } else if (a == INT32_MIN && b == -1) {
-        r = 0;
-      } else {
-        r = a % b;
-      }
-      wb(static_cast<uint64_t>(static_cast<int64_t>(r)));
-      break;
-    }
-    case Op::kRemuw: {
-      stats.cycles += timing_.div_extra_cycles;
-      const uint32_t a = static_cast<uint32_t>(rs1());
-      const uint32_t b = static_cast<uint32_t>(rs2());
-      const uint32_t r = (b == 0) ? a : a % b;
-      wb(static_cast<uint64_t>(static_cast<int64_t>(static_cast<int32_t>(r))));
-      break;
-    }
-
-    case Op::kLrW:
-    case Op::kLrD: {
-      ++stats.loads;
-      const uint64_t addr = rs1();
-      stats.cycles += dcache_.Access(addr);
-      const int size = (in.op == Op::kLrW) ? 4 : 8;
-      uint64_t value = memory_.Read(addr, size);
-      if (in.op == Op::kLrW) {
-        value = static_cast<uint64_t>(static_cast<int32_t>(value));
-      }
-      wb(value);
-      reservation_addr_ = addr;
-      reservation_valid_ = true;
-      break;
-    }
-    case Op::kScW:
-    case Op::kScD: {
-      ++stats.stores;
-      const uint64_t addr = rs1();
-      stats.cycles += dcache_.Access(addr);
-      if (reservation_valid_ && reservation_addr_ == addr) {
-        memory_.Write(addr, rs2(), in.op == Op::kScW ? 4 : 8);
-        wb(0);  // success
-      } else {
-        wb(1);  // failure
-      }
-      reservation_valid_ = false;
-      break;
-    }
-    case Op::kAmoSwapW: case Op::kAmoAddW: case Op::kAmoXorW:
-    case Op::kAmoAndW: case Op::kAmoOrW: case Op::kAmoMinW:
-    case Op::kAmoMaxW: case Op::kAmoMinuW: case Op::kAmoMaxuW:
-    case Op::kAmoSwapD: case Op::kAmoAddD: case Op::kAmoXorD:
-    case Op::kAmoAndD: case Op::kAmoOrD: case Op::kAmoMinD:
-    case Op::kAmoMaxD: case Op::kAmoMinuD: case Op::kAmoMaxuD: {
-      ++stats.loads;
-      ++stats.stores;
-      const uint64_t addr = rs1();
-      stats.cycles += dcache_.Access(addr) + 1;  // read-modify-write beat
-      const bool is_w =
-          in.op >= Op::kAmoSwapW && in.op <= Op::kAmoMaxuW;
-      const int size = is_w ? 4 : 8;
-      uint64_t old_raw = memory_.Read(addr, size);
-      if (is_w) {
-        old_raw = static_cast<uint64_t>(static_cast<int32_t>(old_raw));
-      }
-      const uint64_t src = rs2();
-      const int64_t old_s = static_cast<int64_t>(old_raw);
-      const int64_t src_s = static_cast<int64_t>(
-          is_w ? static_cast<uint64_t>(static_cast<int32_t>(src)) : src);
-      uint64_t result = 0;
-      switch (in.op) {
-        case Op::kAmoSwapW: case Op::kAmoSwapD: result = src; break;
-        case Op::kAmoAddW: case Op::kAmoAddD: result = old_raw + src; break;
-        case Op::kAmoXorW: case Op::kAmoXorD: result = old_raw ^ src; break;
-        case Op::kAmoAndW: case Op::kAmoAndD: result = old_raw & src; break;
-        case Op::kAmoOrW: case Op::kAmoOrD: result = old_raw | src; break;
-        case Op::kAmoMinW: case Op::kAmoMinD:
-          result = old_s < src_s ? old_raw : src;
+        case Op::kMul: cycles += mul_cycles; set(rs1 * rs2); break;
+        case Op::kMulh:
+          cycles += mul_cycles;
+          set(static_cast<uint64_t>(SignedMulHigh(srs1, srs2)));
           break;
-        case Op::kAmoMaxW: case Op::kAmoMaxD:
-          result = old_s > src_s ? old_raw : src;
+        case Op::kMulhsu:
+          cycles += mul_cycles;
+          set(static_cast<uint64_t>(SignedUnsignedMulHigh(srs1, rs2)));
+          break;
+        case Op::kMulhu: cycles += mul_cycles; set(UnsignedMulHigh(rs1, rs2)); break;
+        case Op::kDiv:
+          cycles += div_cycles;
+          set(srs2 == 0 ? ~uint64_t{0}
+              : (srs1 == INT64_MIN && srs2 == -1)
+                  ? rs1
+                  : static_cast<uint64_t>(srs1 / srs2));
+          break;
+        case Op::kDivu:
+          cycles += div_cycles;
+          set(rs2 == 0 ? ~uint64_t{0} : rs1 / rs2);
+          break;
+        case Op::kRem:
+          cycles += div_cycles;
+          set(srs2 == 0 ? rs1
+              : (srs1 == INT64_MIN && srs2 == -1)
+                  ? 0
+                  : static_cast<uint64_t>(srs1 % srs2));
+          break;
+        case Op::kRemu:
+          cycles += div_cycles;
+          set(rs2 == 0 ? rs1 : rs1 % rs2);
+          break;
+        case Op::kMulw: cycles += mul_cycles; set(w(rs1 * rs2)); break;
+        case Op::kDivw: {
+          cycles += div_cycles;
+          const auto a = static_cast<int32_t>(rs1);
+          const auto b = static_cast<int32_t>(rs2);
+          set(w(static_cast<uint64_t>(
+              b == 0 ? -1 : (a == INT32_MIN && b == -1) ? a : a / b)));
+          break;
+        }
+        case Op::kDivuw: {
+          cycles += div_cycles;
+          const auto a = static_cast<uint32_t>(rs1);
+          const auto b = static_cast<uint32_t>(rs2);
+          set(w(b == 0 ? ~uint32_t{0} : a / b));
+          break;
+        }
+        case Op::kRemw: {
+          cycles += div_cycles;
+          const auto a = static_cast<int32_t>(rs1);
+          const auto b = static_cast<int32_t>(rs2);
+          set(w(static_cast<uint64_t>(
+              b == 0 ? a : (a == INT32_MIN && b == -1) ? 0 : a % b)));
+          break;
+        }
+        case Op::kRemuw: {
+          cycles += div_cycles;
+          const auto a = static_cast<uint32_t>(rs1);
+          const auto b = static_cast<uint32_t>(rs2);
+          set(w(b == 0 ? a : a % b));
+          break;
+        }
+
+        case Op::kLrW: lr(4); break;
+        case Op::kLrD: lr(8); break;
+        case Op::kScW: if (sc(4)) goto leave; break;
+        case Op::kScD: if (sc(8)) goto leave; break;
+        // Word AMOs compare as 32-bit values: `old` is sign-extended,
+        // and the source's low 32 bits are what the memory sees.
+        case Op::kAmoSwapW:
+          if (amo(4, [](uint64_t, uint64_t s) { return s; })) goto leave;
+          break;
+        case Op::kAmoAddW:
+          if (amo(4, [](uint64_t o, uint64_t s) { return o + s; })) goto leave;
+          break;
+        case Op::kAmoXorW:
+          if (amo(4, [](uint64_t o, uint64_t s) { return o ^ s; })) goto leave;
+          break;
+        case Op::kAmoAndW:
+          if (amo(4, [](uint64_t o, uint64_t s) { return o & s; })) goto leave;
+          break;
+        case Op::kAmoOrW:
+          if (amo(4, [](uint64_t o, uint64_t s) { return o | s; })) goto leave;
+          break;
+        case Op::kAmoMinW:
+          if (amo(4, [](uint64_t o, uint64_t s) {
+                return static_cast<int32_t>(o) < static_cast<int32_t>(s) ? o : s;
+              }))
+            goto leave;
+          break;
+        case Op::kAmoMaxW:
+          if (amo(4, [](uint64_t o, uint64_t s) {
+                return static_cast<int32_t>(o) > static_cast<int32_t>(s) ? o : s;
+              }))
+            goto leave;
           break;
         case Op::kAmoMinuW:
-          result = static_cast<uint32_t>(old_raw) <
-                           static_cast<uint32_t>(src)
-                       ? old_raw
-                       : src;
+          if (amo(4, [](uint64_t o, uint64_t s) {
+                return static_cast<uint32_t>(o) < static_cast<uint32_t>(s) ? o : s;
+              }))
+            goto leave;
           break;
-        case Op::kAmoMinuD: result = old_raw < src ? old_raw : src; break;
         case Op::kAmoMaxuW:
-          result = static_cast<uint32_t>(old_raw) >
-                           static_cast<uint32_t>(src)
-                       ? old_raw
-                       : src;
+          if (amo(4, [](uint64_t o, uint64_t s) {
+                return static_cast<uint32_t>(o) > static_cast<uint32_t>(s) ? o : s;
+              }))
+            goto leave;
           break;
-        case Op::kAmoMaxuD: result = old_raw > src ? old_raw : src; break;
-        default: break;
+        case Op::kAmoSwapD:
+          if (amo(8, [](uint64_t, uint64_t s) { return s; })) goto leave;
+          break;
+        case Op::kAmoAddD:
+          if (amo(8, [](uint64_t o, uint64_t s) { return o + s; })) goto leave;
+          break;
+        case Op::kAmoXorD:
+          if (amo(8, [](uint64_t o, uint64_t s) { return o ^ s; })) goto leave;
+          break;
+        case Op::kAmoAndD:
+          if (amo(8, [](uint64_t o, uint64_t s) { return o & s; })) goto leave;
+          break;
+        case Op::kAmoOrD:
+          if (amo(8, [](uint64_t o, uint64_t s) { return o | s; })) goto leave;
+          break;
+        case Op::kAmoMinD:
+          if (amo(8, [](uint64_t o, uint64_t s) {
+                return static_cast<int64_t>(o) < static_cast<int64_t>(s) ? o : s;
+              }))
+            goto leave;
+          break;
+        case Op::kAmoMaxD:
+          if (amo(8, [](uint64_t o, uint64_t s) {
+                return static_cast<int64_t>(o) > static_cast<int64_t>(s) ? o : s;
+              }))
+            goto leave;
+          break;
+        case Op::kAmoMinuD:
+          if (amo(8, [](uint64_t o, uint64_t s) { return o < s ? o : s; }))
+            goto leave;
+          break;
+        case Op::kAmoMaxuD:
+          if (amo(8, [](uint64_t o, uint64_t s) { return o > s ? o : s; }))
+            goto leave;
+          break;
+
+        case Op::kFence: break;  // single hart: no-op
+        case Op::kCsrrw: case Op::kCsrrs: case Op::kCsrrc:
+        case Op::kCsrrwi: case Op::kCsrrsi: case Op::kCsrrci:
+          // Minimal CSR file: cycle (0xC00) and instret (0xC02) reads;
+          // writes are ignored (machine-mode configuration is out of
+          // scope). instret counts *retired* instructions, which excludes
+          // the reader itself.
+          set(e->imm == 0xC00   ? cycles
+              : e->imm == 0xC02 ? instructions - 1
+                                : 0);
+          break;
+        case Op::kEcall:
+          // Convention: a7=93 is exit(a0) (Linux-like); any other ecall
+          // also halts — the bare-metal workloads only use exit.
+          halt_ = HaltReason::kExit;
+          exit_code_ = static_cast<int64_t>(x[10]);
+          goto stop;
+        case Op::kEbreak:
+          halt_ = HaltReason::kEbreak;
+          goto stop;
+        case Op::kInvalid:
+          // An undecodable word retires nothing: take back the count and
+          // base cycle charged above (its fetch stays charged).
+          --instructions;
+          --cycles;
+          halt_ = HaltReason::kInvalidInstruction;
+          goto stop;
       }
-      memory_.Write(addr, result, size);
-      wb(old_raw);
+      pc = next;
+      continue;
+    leave:
+      // Halted by the exit device (pc stays at the store), or the store
+      // rewrote cached code: resume at the next instruction, decoded
+      // from the bytes as they are now.
+      if (device_halt) goto stop;
+      pc = next;
       break;
     }
-
-    case Op::kFence: break;  // single hart: no-op
-    case Op::kEcall:
-      // Convention: a7=93 is exit(a0) (Linux-like); any other ecall also
-      // halts — the bare-metal workloads only use exit.
-      halt_ = HaltReason::kExit;
-      exit_code_ = static_cast<int64_t>(regs_[10]);
-      return false;
-    case Op::kEbreak:
-      halt_ = HaltReason::kEbreak;
-      return false;
-
-    case Op::kCsrrw: case Op::kCsrrs: case Op::kCsrrc:
-    case Op::kCsrrwi: case Op::kCsrrsi: case Op::kCsrrci: {
-      // Minimal CSR file: cycle (0xC00) and instret (0xC02) reads; writes
-      // are ignored (machine-mode configuration is out of scope). instret
-      // counts *retired* instructions, which excludes the reader itself.
-      uint64_t value = 0;
-      if (in.imm == 0xC00) value = stats.cycles;
-      if (in.imm == 0xC02) value = stats.instructions - 1;
-      wb(value);
-      break;
-    }
-
-    case Op::kInvalid:
-      halt_ = HaltReason::kInvalidInstruction;
-      return false;
+    icache_.RepeatLastHit(pending_hits);
+    pending_hits = 0;
   }
-
-  if (redirected) {
-    stats.cycles += timing_.taken_branch_penalty;
-    // RV32: jalr targets come from sign-extended registers; masking
-    // recovers the true 32-bit address.
-    pc_ = rv32_ ? (redirect & 0xFFFFFFFF) : redirect;
-  } else {
-    pc_ = next_pc;
-  }
-  return true;
+stop:
+  icache_.RepeatLastHit(pending_hits);
+  pc_ = pc;
+  stats.instructions = instructions;
+  stats.cycles = cycles;
+  stats.loads = loads;
+  stats.stores = stores;
+  stats.branches = branches;
+  stats.taken_branches = taken_branches;
 }
 
 ExecStats Cpu::Run(const ExecLimits& limits) {
   ExecStats stats;
-  while (stats.instructions < limits.max_instructions) {
-    if (!Step(stats)) break;
+  if (rv32_) {
+    Execute<true>(limits.max_instructions, stats);
+  } else {
+    Execute<false>(limits.max_instructions, stats);
   }
   if (halt_ == HaltReason::kNone) halt_ = HaltReason::kInstructionLimit;
   stats.halt_reason = halt_;

@@ -91,6 +91,24 @@ struct MmioHandlers {
 /// addresses and the pc are truncated to 32 bits, shift amounts are
 /// 5-bit, and compressed or RV64-only encodings halt the core with
 /// kInvalidInstruction instead of silently executing.
+///
+/// Execution is block-at-a-time. On first entry to a pc inside the loaded
+/// image the core decodes the straight-line run from there up to and
+/// including the next jal, jalr or branch (or halting instruction) into
+/// entries of pre-extracted operands, caches the block under that pc, and
+/// runs it in a loop built separately for RV32 and RV64. Code outside the
+/// image is decoded every time it executes. Modelled timing is exact:
+/// every I-cache and D-cache access and every ExecStats count happens as
+/// if each instruction were fetched and decoded on its own. An
+/// instruction on the same I-cache line as the previous one of its block
+/// records a pending last-line hit (Cache::RepeatLastHit) instead of
+/// searching the cache, and CSR reads, MMIO exits and instruction limits
+/// see exact counts mid-block.
+///
+/// Invalidation: a store, AMO or SC that writes into the span of cached
+/// code drops every block and ends the running block after itself, so the
+/// next instruction is decoded from the bytes as written. Reset and
+/// SetImage drop every block too.
 class Cpu {
  public:
   Cpu(Memory& memory, const CpuTiming& timing = {},
@@ -99,13 +117,14 @@ class Cpu {
   /// Installs device handlers (optional).
   void set_mmio(MmioHandlers handlers) { mmio_ = std::move(handlers); }
 
-  /// Resets architectural state and the run's cache counters; sets pc
-  /// and sp.
+  /// Resets architectural state (registers, pc, sp, the LR/SC
+  /// reservation), the cache tags and the run's cache counters, and drops
+  /// every cached block.
   void Reset(uint64_t entry_pc, uint64_t stack_pointer);
 
-  /// Sizes the decode table to cover `bytes` of code at `base` (the loaded
-  /// image). Fetches outside it decode every time.
-  void CacheDecodes(uint64_t base, uint64_t bytes);
+  /// Declares `bytes` of code at `base` (the loaded image) as cacheable
+  /// in blocks. Code fetched outside it decodes every time.
+  void SetImage(uint64_t base, uint64_t bytes);
 
   /// Runs until halt or limit. Registers/pc retain final state.
   ExecStats Run(const ExecLimits& limits = {});
@@ -125,40 +144,67 @@ class Cpu {
   }
 
  private:
-  /// Executes one instruction; returns false on halt.
-  bool Step(ExecStats& stats);
-
-  /// Decodes the 4 bytes fetched at pc_ (a compressed instruction uses the
-  /// low half), through the decode table when pc_ is inside it.
-  isa::Instr Decode(uint32_t word);
-  isa::Instr DecodeWord(uint32_t word) const;
-
-  // One slot per instruction-alignment unit of the cached image (2 bytes
-  // with the C extension, else 4). A slot is used only while its raw word
-  // equals the fetched bytes, so self-modifying stores need no
-  // invalidation, and a misaligned pc sharing a slot still decodes its
-  // own word; zero-initialized slots (kInvalid) never match.
-  struct DecodedInstr {
-    uint32_t word = 0;
-    isa::Instr in;
+  /// One pre-decoded instruction. `imm` is pre-extracted per operation:
+  /// the final value for lui/auipc, the target for jal and branches, the
+  /// masked amount for immediate shifts, else the decoded immediate.
+  struct Entry {
+    isa::Op op = isa::Op::kInvalid;
+    uint8_t rd = 0;
+    uint8_t rs1 = 0;
+    uint8_t rs2 = 0;
+    uint8_t size = 4;    ///< bytes in the instruction stream (2 or 4)
+    bool fetch = true;   ///< I-cache Access; false: a last-line hit
+    uint64_t imm = 0;
   };
+  /// A run of `count` entries from entries_[first]; count 0: not decoded.
+  struct Block {
+    uint32_t first = 0;
+    uint32_t count = 0;
+  };
+
+  template <bool kRv32>
+  void Execute(uint64_t max_instructions, ExecStats& stats);
+
+  /// The block starting at `pc`, decoding it on first entry. Outside the
+  /// image it is a fresh one-entry block in entries_[0].
+  Block BlockAt(uint64_t pc);
+  Block DecodeBlock(uint64_t pc);
+  /// Fetches and decodes the instruction at `pc`.
+  Entry DecodeAt(uint64_t pc, bool fetch) const;
+  /// True if [addr, addr + size) overlaps cached code; drops every block
+  /// if so.
+  bool InvalidatesCode(uint64_t addr, uint64_t size) {
+    if (addr >= code_end_ || addr + size <= code_begin_) return false;
+    DropBlocks();
+    return true;
+  }
+  void DropBlocks();
 
   Memory& memory_;
   CpuTiming timing_;
   const isa::IsaBackend& backend_;
   const bool rv32_;
-  const int decode_shift_;  // log2 of the decode table's slot stride
+  const int slot_shift_;  // log2 of the block table's slot stride
   Cache icache_;
   Cache dcache_;
   MmioHandlers mmio_;
-  uint64_t decode_base_ = 0;
-  std::vector<DecodedInstr> decode_table_;
+
+  // Block cache. blocks_ has one slot per instruction-alignment unit of
+  // the image (2 bytes with the C extension, else 4); entries_[0] is the
+  // scratch entry for code outside it. [code_begin_, code_end_) spans
+  // every byte of cached code.
+  uint64_t image_base_ = 0;
+  uint64_t image_end_ = 0;
+  std::vector<Block> blocks_;
+  std::vector<Entry> entries_;
+  uint64_t code_begin_ = ~uint64_t{0};
+  uint64_t code_end_ = 0;
 
   std::array<uint64_t, 32> regs_{};
   uint64_t pc_ = 0;
   HaltReason halt_ = HaltReason::kNone;
   int64_t exit_code_ = 0;
-  // LR/SC reservation (single hart: invalidated only by SC).
+  // LR/SC reservation (single hart: invalidated only by SC and Reset).
   uint64_t reservation_addr_ = 0;
   bool reservation_valid_ = false;
 };

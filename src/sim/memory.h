@@ -6,19 +6,26 @@
 //
 // The simulator keeps three host-side caches on its hot path. They buy host
 // speed only: every I-cache/D-cache access and every ExecStats increment
-// happens in the same order as without them, so modelled timing is
-// unchanged (tests/sim_test.cpp pins every counter of every kernel).
+// comes out exactly as if each instruction were fetched and decoded on its
+// own, so modelled timing is unchanged (tests/sim_test.cpp pins every
+// counter of every kernel; tests/sim_diff_test.cpp compares whole runs
+// with a one-instruction-per-step reference interpreter).
 //   * Page TLB (here): a small direct-mapped table from page index to page
 //     data, in front of the page map. Only resident pages are entered, so
 //     a read of an unmapped page is never remembered, and pages are never
 //     freed, so an entry cannot dangle. Accesses inside one page are a
 //     single word-wide copy; only page-straddling ones go byte by byte.
-//   * Decode table (Cpu): one decoded instruction per instruction slot of
-//     the loaded image, used only while its stored raw word equals the
-//     bytes just fetched, so a store into text needs no invalidation.
+//   * Block cache (Cpu): the straight-line run from a pc inside the loaded
+//     image up to its next jal/jalr/branch, decoded once into entries of
+//     pre-extracted operands. A store, AMO or SC that writes into cached
+//     code drops every block and ends the running block, so the next
+//     instruction is decoded from the bytes as written; code outside the
+//     image is decoded every time it runs.
 //   * Last-line cache (Cache): an access to the line touched last skips
 //     the set search but updates LRU state and hit counts exactly as the
-//     search would.
+//     search would. Within a block, fetches on the previous instruction's
+//     line are recorded in bulk (Cache::RepeatLastHit) before the next
+//     real access and when the block exits.
 #pragma once
 
 #include <algorithm>

@@ -32,7 +32,7 @@ Soc::Soc(const CpuTiming& timing, isa::IsaId isa)
 
 void Soc::LoadProgram(std::span<const uint8_t> image, uint64_t address) {
   memory_.WriteBlock(address, image);
-  cpu_.CacheDecodes(address, image.size());
+  cpu_.SetImage(address, image.size());
 }
 
 ExecStats Soc::Run(uint64_t entry, uint64_t arg0, uint64_t arg1,

@@ -41,14 +41,15 @@ def write(dirname, name, payload):
     return path
 
 
-def case(script, name, baseline_doc, current_doc, want_exit, want_text):
+def case(script, name, baseline_doc, current_doc, want_exit, want_text,
+         bench="BENCH_store.json"):
     with tempfile.TemporaryDirectory(prefix="eric-bench-compare-") as work:
         baseline_dir = os.path.join(work, "baseline")
         current_dir = os.path.join(work, "current")
         os.makedirs(baseline_dir)
         os.makedirs(current_dir)
-        write(baseline_dir, "BENCH_store.json", baseline_doc)
-        write(current_dir, "BENCH_store.json", current_doc)
+        write(baseline_dir, bench, baseline_doc)
+        write(current_dir, bench, current_doc)
         result = run_compare(script, baseline_dir, current_dir)
     ok = result.returncode == want_exit
     if "Traceback" in result.stdout:
@@ -65,6 +66,19 @@ def case(script, name, baseline_doc, current_doc, want_exit, want_text):
         return False
     print("ok   %s" % name)
     return True
+
+
+def fig7_doc(script, drift=0):
+    """A BENCH_fig7_exec.json with the committed baseline's shape and
+    numbers, sha's plain_cycles moved by `drift` cycles."""
+    baseline = os.path.join(os.path.dirname(os.path.abspath(script)), "..",
+                            "bench", "baselines", "BENCH_fig7_exec.json")
+    with open(baseline) as f:
+        doc = json.load(f)
+    for workload in doc["workloads"]:
+        if workload["name"] == "sha":
+            workload["plain_cycles"] += drift
+    return doc
 
 
 def main():
@@ -108,6 +122,26 @@ def main():
         case(script, "summary reports sub-threshold movement", GOOD_STORE,
              dict(GOOD_STORE, recovery_max_ratio=1.2), 0,
              "worst regression +20.0%"),
+        # Simulator cycle counts are gated exactly, per kernel, through
+        # list entries matched by name: one cycle either way fails.
+        case(script, "unchanged kernel cycles pass", fig7_doc(script),
+             fig7_doc(script), 0, "workloads.sha.plain_cycles: baseline "
+             "195128 -> current 195128", bench="BENCH_fig7_exec.json"),
+        case(script, "one-cycle drift up fails", fig7_doc(script),
+             fig7_doc(script, drift=1), 1,
+             "workloads.sha.plain_cycles: 195128 -> 195129",
+             bench="BENCH_fig7_exec.json"),
+        case(script, "one-cycle drift down fails", fig7_doc(script),
+             fig7_doc(script, drift=-1), 1,
+             "workloads.sha.plain_cycles: 195128 -> 195127",
+             bench="BENCH_fig7_exec.json"),
+        case(script, "kernel row missing from fresh output",
+             fig7_doc(script),
+             dict(fig7_doc(script), workloads=[
+                 w for w in fig7_doc(script)["workloads"]
+                 if w["name"] != "sha"]), 1,
+             "workloads.sha.plain_cycles vanished from fresh output",
+             bench="BENCH_fig7_exec.json"),
     ]
     if all(results):
         print("PASS: %d bench_compare self-test cases" % len(results))

@@ -10,6 +10,7 @@
 #include "core/trusted_execution.h"
 #include "isa/decoder.h"
 #include "isa/encoder.h"
+#include "obs/metrics.h"
 
 namespace eric::core {
 namespace {
@@ -124,6 +125,41 @@ TEST(EndToEndTest, EncryptedAndPlainExecutionIdentical) {
   EXPECT_EQ(secure->exec.instructions, plain.exec.instructions);
   EXPECT_EQ(secure->exec.cycles, plain.exec.cycles);
   EXPECT_GT(secure->total_cycles(), plain.total_cycles());
+}
+
+TEST(EndToEndTest, SimulatedRunsFeedTheSimCounters) {
+  // Each run adds exactly its own ExecStats to sim_instructions and
+  // sim_cycles (the HDE's load-path cycles are not simulated work); a
+  // package the HDE refuses never runs, so it adds nothing.
+  TestRig rig;
+  auto built =
+      rig.source.CompileAndPackage(kProgram, EncryptionPolicy::Full());
+  ASSERT_TRUE(built.ok());
+  auto wire = pkg::Serialize(built->packaging.package);
+  obs::Counter& instructions =
+      obs::MetricsRegistry::Global().GetCounter("sim_instructions");
+  obs::Counter& cycles =
+      obs::MetricsRegistry::Global().GetCounter("sim_cycles");
+
+  uint64_t instructions_before = instructions.value();
+  uint64_t cycles_before = cycles.value();
+  auto secure = rig.device.ReceiveAndRun(wire);
+  ASSERT_TRUE(secure.ok());
+  EXPECT_EQ(instructions.value() - instructions_before,
+            secure->exec.instructions);
+  EXPECT_EQ(cycles.value() - cycles_before, secure->exec.cycles);
+
+  instructions_before = instructions.value();
+  cycles_before = cycles.value();
+  const auto plain = rig.device.RunPlaintext(built->compile.program.image);
+  EXPECT_EQ(instructions.value() - instructions_before,
+            plain.exec.instructions);
+  EXPECT_EQ(cycles.value() - cycles_before, plain.exec.cycles);
+
+  instructions_before = instructions.value();
+  wire[wire.size() / 2] ^= 0x10;
+  EXPECT_FALSE(rig.device.ReceiveAndRun(wire).ok());
+  EXPECT_EQ(instructions.value(), instructions_before);
 }
 
 // --- Threat model (Sec. II.C) ----------------------------------------------

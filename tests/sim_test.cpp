@@ -595,6 +595,32 @@ TEST(SocTest, BackToBackRunsReportIdenticalStats) {
   EXPECT_EQ(first.exit_code, qsort->reference());
 }
 
+TEST(SocTest, ResetDropsTheLrScReservation) {
+  // Run 1 takes a reservation with lr.w and exits. Run 2 on the same Soc
+  // tries sc.w without an lr.w of its own: it must fail (rd = 1) and
+  // leave memory alone, exactly as on a fresh Soc.
+  const std::vector<uint8_t> bytes = Encode(R"(
+    li t0, 0x20000
+    bnez a0, second
+    lr.w t1, (t0)
+    ecall
+  second:
+    sc.w a0, a1, (t0)
+    ecall
+  )", /*compress=*/false);
+  Soc soc;
+  soc.LoadProgram(bytes);
+  EXPECT_EQ(soc.Run(kRamBase, 0, 0).halt_reason, HaltReason::kExit);
+  const ExecStats reused = soc.Run(kRamBase, 1, 7);
+  EXPECT_EQ(reused.halt_reason, HaltReason::kExit);
+  EXPECT_EQ(reused.exit_code, 1);
+  EXPECT_EQ(soc.memory().Read(0x20000, 4), 0u);
+
+  Soc fresh;
+  fresh.LoadProgram(bytes);
+  EXPECT_EQ(fresh.Run(kRamBase, 1, 7).exit_code, 1);
+}
+
 // --- Golden ExecStats: the cycle-exact oracle ---------------------------------
 
 // Every ExecStats field of every workload kernel, captured from the

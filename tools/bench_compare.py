@@ -20,8 +20,18 @@ import json
 import os
 import sys
 
+# Kernels with a row in BENCH_fig7_exec.json and BENCH_isa.json's rv64gc
+# table, and the 32-bit-clean subset in its rv32i table.
+RV64_KERNELS = ["bitcount", "basicmath", "crc32", "sha", "qsort",
+                "stringsearch", "dijkstra", "fft", "adpcm"]
+RV32_KERNELS = ["bitcount", "basicmath", "qsort", "stringsearch",
+                "dijkstra", "fft"]
+
 # (file, dotted metric path, direction, allowed regression %).
-# Directions: "higher" = bigger is better, "lower" = smaller is better.
+# Directions: "higher" = bigger is better, "lower" = smaller is better,
+# "exact" = any move either way counts against the threshold. A path part
+# that meets a list matches the entry whose "name" equals it
+# ("workloads.sha.plain_cycles").
 # Thresholds are generous where the metric depends on host fsync/thread
 # timing, tight where it is deterministic (simulator cycle counts).
 METRICS = [
@@ -95,15 +105,39 @@ METRICS = [
     # second, so the bound is about trend, not hot-path cost).
     ("BENCH_obs.json", "health.eval_vs_record_ratio", "lower", 100.0),
 ]
+# Every modelled cycle of every kernel, program and HDE load path, on
+# both tables: the simulator's timing model must not move by one cycle
+# either way.
+METRICS += [
+    (name, "%s.%s.%s" % (table, kernel, field), "exact", 0.0)
+    for name, table, kernels in [
+        ("BENCH_fig7_exec.json", "workloads", RV64_KERNELS),
+        ("BENCH_isa.json", "rv64gc.workloads", RV64_KERNELS),
+        ("BENCH_isa.json", "rv32i.workloads", RV32_KERNELS)]
+    for kernel in kernels
+    for field in ("plain_cycles", "hde_cycles")
+]
 
 
 def lookup(doc, dotted):
     node = doc
     for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
+        if isinstance(node, list):
+            named = [entry for entry in node
+                     if isinstance(entry, dict) and entry.get("name") == part]
+            if len(named) != 1:
+                return None
+            node = named[0]
+        elif isinstance(node, dict) and part in node:
+            node = node[part]
+        else:
             return None
-        node = node[part]
     return node
+
+
+def show(value):
+    """Integers (cycle counts) in full, so a one-cycle move is visible."""
+    return str(value) if isinstance(value, int) else "%.4g" % value
 
 
 def numeric(value):
@@ -190,21 +224,24 @@ def main():
             # a negative baseline would flip the verdict.
             if direction == "higher":
                 change_pct = (base_value - cur_value) / abs(base_value) * 100.0
+            elif direction == "exact":
+                change_pct = abs(cur_value - base_value) / abs(base_value) * 100.0
             else:
                 change_pct = (cur_value - base_value) / abs(base_value) * 100.0
             if change_pct > worst_pct:
                 worst_pct = change_pct
                 worst_metric = "%s %s" % (name, path)
             verdict = "REGRESSION" if change_pct > threshold else "ok"
-            print("  %-10s %s %s: baseline %.4g -> current %.4g "
+            print("  %-10s %s %s: baseline %s -> current %s "
                   "(%+.1f%% worse, threshold %.0f%%)" %
-                  (verdict, name, path, base_value, cur_value,
+                  (verdict, name, path, show(base_value), show(cur_value),
                    max(change_pct, 0.0), threshold))
             if change_pct > threshold:
                 failures.append(
-                    "%s %s: %.4g -> %.4g is %.1f%% worse than baseline "
+                    "%s %s: %s -> %s is %.1f%% worse than baseline "
                     "(threshold %.0f%%)" %
-                    (name, path, base_value, cur_value, change_pct, threshold))
+                    (name, path, show(base_value), show(cur_value),
+                     change_pct, threshold))
 
     # One scannable line whatever the verdict: how much was compared and
     # how close the worst metric came to (or past) its threshold.
