@@ -108,26 +108,17 @@ Cpu::Entry Cpu::DecodeAt(uint64_t pc, bool fetch) const {
   e.size = static_cast<uint8_t>(in.SizeBytes());
   e.fetch = fetch;
   e.imm = static_cast<uint64_t>(in.imm);
-  // RV32: redirect targets are 32-bit addresses, and register values are
-  // sign-extended 32-bit.
+  // RV32: redirect targets are 32-bit addresses.
   const uint64_t pc_mask = rv32_ ? 0xFFFFFFFF : ~uint64_t{0};
   switch (in.op) {
-    case Op::kLui: case Op::kAuipc: {
-      const uint64_t value = (in.op == Op::kAuipc ? pc : 0) +
-                             static_cast<uint64_t>(in.imm << 12);
-      e.imm = rv32_ ? SignExtend32(value) : value;
+    case Op::kLui: case Op::kAuipc:
+      e.imm = (in.op == Op::kAuipc ? pc : 0) +
+              static_cast<uint64_t>(in.imm << 12);
       break;
-    }
     case Op::kJal:
     case Op::kBeq: case Op::kBne: case Op::kBlt: case Op::kBge:
     case Op::kBltu: case Op::kBgeu:
       e.imm = (pc + static_cast<uint64_t>(in.imm)) & pc_mask;
-      break;
-    case Op::kSlli: case Op::kSrli: case Op::kSrai:
-      e.imm &= rv32_ ? 31 : 63;
-      break;
-    case Op::kSlliw: case Op::kSrliw: case Op::kSraiw:
-      e.imm &= 31;
       break;
     default:
       break;
@@ -155,15 +146,11 @@ Cpu::Block Cpu::DecodeBlock(uint64_t pc) {
     at += e.size;
     if (EndsBlock(e.op)) break;
   }
-  if (count == 0) {
-    entries_[0] = DecodeAt(pc, /*fetch=*/true);
-    return Block{0, 1};
+  if (count != 0) {
+    code_begin_ = std::min(code_begin_, pc);
+    code_end_ = std::max(code_end_, at);
   }
-  code_begin_ = std::min(code_begin_, pc);
-  code_end_ = std::max(code_end_, at);
-  const Block block{first, count};
-  blocks_[(pc - image_base_) >> slot_shift_] = block;
-  return block;
+  return Block{first, count};
 }
 
 inline Cpu::Block Cpu::BlockAt(uint64_t pc) {
@@ -171,8 +158,9 @@ inline Cpu::Block Cpu::BlockAt(uint64_t pc) {
   const uint64_t slot = offset >> slot_shift_;
   const uint64_t misaligned = offset & ((uint64_t{1} << slot_shift_) - 1);
   if (slot < blocks_.size() && misaligned == 0) {
-    const Block block = blocks_[slot];
-    return block.count != 0 ? block : DecodeBlock(pc);
+    Block& block = blocks_[slot];
+    if (block.count == 0) block = DecodeBlock(pc);
+    if (block.count != 0) return block;
   }
   entries_[0] = DecodeAt(pc, /*fetch=*/true);
   return Block{0, 1};
@@ -224,12 +212,12 @@ void Cpu::Execute(uint64_t max_instructions, ExecStats& stats) {
         x[e->rd] = kRv32 ? SignExtend32(value) : value;
         x[0] = 0;
       };
-      // Helpers that update the counters are forced inline: an
-      // out-of-line call would pin the counters to memory.
       // Effective data address (RV32: 32-bit address space).
       const auto ea = [&](uint64_t addr) {
         return kRv32 ? (addr & 0xFFFFFFFF) : addr;
       };
+      // The helpers that update counters are forced inline: an
+      // out-of-line call would pin the counters to memory.
       const auto load = [&](int size) __attribute__((always_inline)) {
         ++loads;
         const uint64_t addr = ea(rs1 + e->imm);
@@ -266,20 +254,39 @@ void Cpu::Execute(uint64_t max_instructions, ExecStats& stats) {
           next = e->imm;
         }
       };
-      // Read-modify-write of `size` bytes at rs1; `op(old, rs2)` is the
-      // value written back, where `old` is the loaded value
-      // (sign-extended for words). Returns true if it rewrote cached code.
+      // Read-modify-write of `size` bytes at rs1: writes back the low
+      // bytes of `op(old, src)` and returns `old` in rd. For words both
+      // operands are sign-extended 32-bit values, which keeps signed and
+      // unsigned ordering, so one `op` serves both widths. Returns true
+      // if it rewrote cached code.
       const auto amo = [&](int size, auto op) __attribute__((always_inline)) {
         ++loads;
         ++stores;
         const uint64_t addr = rs1;
         cycles += dcache_.Access(addr) + 1;  // read-modify-write beat
         uint64_t old = memory_.Read(addr, size);
-        if (size == 4) old = static_cast<uint64_t>(static_cast<int32_t>(old));
-        memory_.Write(addr, op(old, rs2), size);
+        uint64_t src = rs2;
+        if (size == 4) {
+          old = static_cast<uint64_t>(static_cast<int32_t>(old));
+          src = static_cast<uint64_t>(static_cast<int32_t>(src));
+        }
+        memory_.Write(addr, op(old, src), size);
         set(old);
         return InvalidatesCode(addr, static_cast<uint64_t>(size));
       };
+      const auto swap = [](uint64_t, uint64_t src) { return src; };
+      const auto add = [](uint64_t a, uint64_t b) { return a + b; };
+      const auto bit_xor = [](uint64_t a, uint64_t b) { return a ^ b; };
+      const auto bit_and = [](uint64_t a, uint64_t b) { return a & b; };
+      const auto bit_or = [](uint64_t a, uint64_t b) { return a | b; };
+      const auto min = [](uint64_t a, uint64_t b) {
+        return static_cast<int64_t>(a) < static_cast<int64_t>(b) ? a : b;
+      };
+      const auto max = [](uint64_t a, uint64_t b) {
+        return static_cast<int64_t>(a) > static_cast<int64_t>(b) ? a : b;
+      };
+      const auto minu = [](uint64_t a, uint64_t b) { return a < b ? a : b; };
+      const auto maxu = [](uint64_t a, uint64_t b) { return a > b ? a : b; };
       const auto sc = [&](int size) __attribute__((always_inline)) {
         ++stores;
         const uint64_t addr = rs1;
@@ -325,6 +332,7 @@ void Cpu::Execute(uint64_t max_instructions, ExecStats& stats) {
                      : static_cast<uint64_t>(static_cast<int64_t>(a) >>
                                              (n & 63));
       };
+      // Sign-extends the low 32 bits (RV64 W-form results).
       const auto w = [](uint64_t value) {
         return static_cast<uint64_t>(static_cast<int32_t>(value));
       };
@@ -332,7 +340,7 @@ void Cpu::Execute(uint64_t max_instructions, ExecStats& stats) {
       const int64_t srs2 = static_cast<int64_t>(rs2);
 
       switch (e->op) {
-        case Op::kLui: case Op::kAuipc: x[e->rd] = e->imm; x[0] = 0; break;
+        case Op::kLui: case Op::kAuipc: set(e->imm); break;
         case Op::kJal:
           set(next);
           next = e->imm;
@@ -465,82 +473,24 @@ void Cpu::Execute(uint64_t max_instructions, ExecStats& stats) {
         case Op::kLrD: lr(8); break;
         case Op::kScW: if (sc(4)) goto leave; break;
         case Op::kScD: if (sc(8)) goto leave; break;
-        // Word AMOs compare as 32-bit values: `old` is sign-extended,
-        // and the source's low 32 bits are what the memory sees.
-        case Op::kAmoSwapW:
-          if (amo(4, [](uint64_t, uint64_t s) { return s; })) goto leave;
-          break;
-        case Op::kAmoAddW:
-          if (amo(4, [](uint64_t o, uint64_t s) { return o + s; })) goto leave;
-          break;
-        case Op::kAmoXorW:
-          if (amo(4, [](uint64_t o, uint64_t s) { return o ^ s; })) goto leave;
-          break;
-        case Op::kAmoAndW:
-          if (amo(4, [](uint64_t o, uint64_t s) { return o & s; })) goto leave;
-          break;
-        case Op::kAmoOrW:
-          if (amo(4, [](uint64_t o, uint64_t s) { return o | s; })) goto leave;
-          break;
-        case Op::kAmoMinW:
-          if (amo(4, [](uint64_t o, uint64_t s) {
-                return static_cast<int32_t>(o) < static_cast<int32_t>(s) ? o : s;
-              }))
-            goto leave;
-          break;
-        case Op::kAmoMaxW:
-          if (amo(4, [](uint64_t o, uint64_t s) {
-                return static_cast<int32_t>(o) > static_cast<int32_t>(s) ? o : s;
-              }))
-            goto leave;
-          break;
-        case Op::kAmoMinuW:
-          if (amo(4, [](uint64_t o, uint64_t s) {
-                return static_cast<uint32_t>(o) < static_cast<uint32_t>(s) ? o : s;
-              }))
-            goto leave;
-          break;
-        case Op::kAmoMaxuW:
-          if (amo(4, [](uint64_t o, uint64_t s) {
-                return static_cast<uint32_t>(o) > static_cast<uint32_t>(s) ? o : s;
-              }))
-            goto leave;
-          break;
-        case Op::kAmoSwapD:
-          if (amo(8, [](uint64_t, uint64_t s) { return s; })) goto leave;
-          break;
-        case Op::kAmoAddD:
-          if (amo(8, [](uint64_t o, uint64_t s) { return o + s; })) goto leave;
-          break;
-        case Op::kAmoXorD:
-          if (amo(8, [](uint64_t o, uint64_t s) { return o ^ s; })) goto leave;
-          break;
-        case Op::kAmoAndD:
-          if (amo(8, [](uint64_t o, uint64_t s) { return o & s; })) goto leave;
-          break;
-        case Op::kAmoOrD:
-          if (amo(8, [](uint64_t o, uint64_t s) { return o | s; })) goto leave;
-          break;
-        case Op::kAmoMinD:
-          if (amo(8, [](uint64_t o, uint64_t s) {
-                return static_cast<int64_t>(o) < static_cast<int64_t>(s) ? o : s;
-              }))
-            goto leave;
-          break;
-        case Op::kAmoMaxD:
-          if (amo(8, [](uint64_t o, uint64_t s) {
-                return static_cast<int64_t>(o) > static_cast<int64_t>(s) ? o : s;
-              }))
-            goto leave;
-          break;
-        case Op::kAmoMinuD:
-          if (amo(8, [](uint64_t o, uint64_t s) { return o < s ? o : s; }))
-            goto leave;
-          break;
-        case Op::kAmoMaxuD:
-          if (amo(8, [](uint64_t o, uint64_t s) { return o > s ? o : s; }))
-            goto leave;
-          break;
+        case Op::kAmoSwapW: if (amo(4, swap)) goto leave; break;
+        case Op::kAmoSwapD: if (amo(8, swap)) goto leave; break;
+        case Op::kAmoAddW: if (amo(4, add)) goto leave; break;
+        case Op::kAmoAddD: if (amo(8, add)) goto leave; break;
+        case Op::kAmoXorW: if (amo(4, bit_xor)) goto leave; break;
+        case Op::kAmoXorD: if (amo(8, bit_xor)) goto leave; break;
+        case Op::kAmoAndW: if (amo(4, bit_and)) goto leave; break;
+        case Op::kAmoAndD: if (amo(8, bit_and)) goto leave; break;
+        case Op::kAmoOrW: if (amo(4, bit_or)) goto leave; break;
+        case Op::kAmoOrD: if (amo(8, bit_or)) goto leave; break;
+        case Op::kAmoMinW: if (amo(4, min)) goto leave; break;
+        case Op::kAmoMinD: if (amo(8, min)) goto leave; break;
+        case Op::kAmoMaxW: if (amo(4, max)) goto leave; break;
+        case Op::kAmoMaxD: if (amo(8, max)) goto leave; break;
+        case Op::kAmoMinuW: if (amo(4, minu)) goto leave; break;
+        case Op::kAmoMinuD: if (amo(8, minu)) goto leave; break;
+        case Op::kAmoMaxuW: if (amo(4, maxu)) goto leave; break;
+        case Op::kAmoMaxuD: if (amo(8, maxu)) goto leave; break;
 
         case Op::kFence: break;  // single hart: no-op
         case Op::kCsrrw: case Op::kCsrrs: case Op::kCsrrc:

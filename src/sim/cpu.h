@@ -145,8 +145,8 @@ class Cpu {
 
  private:
   /// One pre-decoded instruction. `imm` is pre-extracted per operation:
-  /// the final value for lui/auipc, the target for jal and branches, the
-  /// masked amount for immediate shifts, else the decoded immediate.
+  /// the value written for lui/auipc, the target for jal and branches,
+  /// else the decoded immediate.
   struct Entry {
     isa::Op op = isa::Op::kInvalid;
     uint8_t rd = 0;
@@ -168,6 +168,8 @@ class Cpu {
   /// The block starting at `pc`, decoding it on first entry. Outside the
   /// image it is a fresh one-entry block in entries_[0].
   Block BlockAt(uint64_t pc);
+  /// Appends the block at `pc` to entries_; its count is 0 if not even
+  /// the first instruction lies wholly inside the image.
   Block DecodeBlock(uint64_t pc);
   /// Fetches and decodes the instruction at `pc`.
   Entry DecodeAt(uint64_t pc, bool fetch) const;

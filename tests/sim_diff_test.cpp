@@ -272,6 +272,37 @@ TEST(SimDiffTest, CycleAndInstretReadsMidBlock) {
   }
 }
 
+TEST(SimDiffTest, EveryAmoAtBothWidthsOnMixedSignOperands) {
+  // Each AMO gets its own memory slot holding a0 and applies a1 to it;
+  // the old values are folded into a4. The operand pairs cross the sign
+  // bit at both 32 and 64 bits.
+  std::string source = "li t0, 0x20000\n";
+  int slot = 0;
+  for (const char* op : {"amoswap", "amoadd", "amoxor", "amoand", "amoor",
+                         "amomin", "amomax", "amominu", "amomaxu"}) {
+    for (const char* width : {".w", ".d"}) {
+      const std::string offset = std::to_string(8 * slot++);
+      source += "sd a0, " + offset + "(t0)\n" + "addi t1, t0, " + offset +
+                "\n" + op + width + " a2, a1, (t1)\n" + "xor a4, a4, a2\n";
+    }
+  }
+  source += "ecall\n";
+  const std::vector<uint8_t> image = Encode(source);
+  const std::pair<uint64_t, uint64_t> operands[] = {
+      {0x80000000ull, 0x7FFFFFFFull},
+      {static_cast<uint64_t>(-5), 3},
+      {0xFFFFFFFF00000001ull, 0x00000000FFFFFFFEull},
+      {1, ~uint64_t{0}},
+      {0x123456789ABCDEF0ull, 0x0FEDCBA987654321ull},
+  };
+  for (const auto& [a, b] : operands) {
+    SCOPED_TRACE(testing::Message() << std::hex << a << " " << b);
+    const Outcome out = ExpectMatchesReference(
+        image, isa::IsaId::kRv64Gc, TightTiming(), ExecLimits{}, a, b);
+    EXPECT_EQ(out.stats.halt_reason, HaltReason::kExit);
+  }
+}
+
 // Runs the patch loop twice. `store` is two instructions (offsets 16 and
 // 20) that rewrite the instruction at offset 24, later in the same
 // straight-line run, from `addi a0, a0, 1` to the word in a1
