@@ -6,15 +6,16 @@ namespace eric::core {
 
 namespace {
 
-/// Folds one simulated run into the process-wide `sim_instructions` and
-/// `sim_cycles` counters, so a metrics snapshot shows simulated work.
+// Simulated work, process-wide. Registered when the program starts, so
+// every metrics snapshot carries them, even one taken before any run.
+obs::Counter& sim_instructions =
+    obs::MetricsRegistry::Global().GetCounter("sim_instructions");
+obs::Counter& sim_cycles =
+    obs::MetricsRegistry::Global().GetCounter("sim_cycles");
+
 void CountSimulatedRun(const sim::ExecStats& exec) {
-  static obs::Counter& instructions =
-      obs::MetricsRegistry::Global().GetCounter("sim_instructions");
-  static obs::Counter& cycles =
-      obs::MetricsRegistry::Global().GetCounter("sim_cycles");
-  instructions.Add(exec.instructions);
-  cycles.Add(exec.cycles);
+  sim_instructions.Add(exec.instructions);
+  sim_cycles.Add(exec.cycles);
 }
 
 }  // namespace

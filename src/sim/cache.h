@@ -59,13 +59,10 @@ class Cache {
 
   /// Records `n` more hits on the line accessed last, exactly as `n`
   /// Access calls to an address on it would; the caller charges their
-  /// hit cycles. Valid only while no other access came in between.
-  void RepeatLastHit(uint64_t n) {
-    if (n == 0) return;
-    use_counter_ += n;
-    lines_[last_line_].lru = use_counter_;
-    stats_.hits += n;
-  }
+  /// hit cycles. Valid only while no other access came in between. That
+  /// line already holds the newest LRU stamp, so more hits on it cannot
+  /// change the replacement order: only the hit count moves.
+  void RepeatLastHit(uint64_t n) { stats_.hits += n; }
 
   /// Invalidates all lines (program reload). Counters are kept.
   void Flush();

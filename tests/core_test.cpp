@@ -128,9 +128,12 @@ TEST(EndToEndTest, EncryptedAndPlainExecutionIdentical) {
 }
 
 TEST(EndToEndTest, SimulatedRunsFeedTheSimCounters) {
-  // Each run adds exactly its own ExecStats to sim_instructions and
-  // sim_cycles (the HDE's load-path cycles are not simulated work); a
-  // package the HDE refuses never runs, so it adds nothing.
+  // Both counters are exported before any run. Each run adds exactly its
+  // own ExecStats to them (the HDE's load-path cycles are not simulated
+  // work); a package the HDE refuses never runs, so it adds nothing.
+  const std::string exported = obs::MetricsRegistry::Global().PrometheusText();
+  EXPECT_NE(exported.find("sim_instructions"), std::string::npos);
+  EXPECT_NE(exported.find("sim_cycles"), std::string::npos);
   TestRig rig;
   auto built =
       rig.source.CompileAndPackage(kProgram, EncryptionPolicy::Full());

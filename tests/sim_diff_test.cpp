@@ -169,10 +169,10 @@ TEST(SimDiffTest, KernelsUnderTightCachesAndCostlyHits) {
 }
 
 TEST(SimDiffTest, InstructionLimitAtEveryOffsetWithinABlock) {
-  // A loop body of straight-line ALU, load, store and multiply work: every
-  // limit from 0 through three iterations stops at a different offset of
-  // the body (and of the prologue), and the run must stop at exactly the
-  // limit with the pc of the next instruction.
+  // A loop body of straight-line ALU, load, store and multiply work run
+  // three times: each limit from 0 to one past the whole run stops at a
+  // different offset of the prologue or the body, and the run must stop
+  // at exactly the limit with the pc of the next instruction.
   const std::vector<uint8_t> image = Encode(R"(
     li t0, 3
     li t1, 0x20000

@@ -163,6 +163,33 @@ TEST(CacheTest, NonPowerOfTwoSetCountIndexesByModulo) {
   EXPECT_EQ(c.stats().hits, 2u);
 }
 
+TEST(CacheTest, RepeatLastHitMatchesRepeatedAccesses) {
+  // n last-line hits recorded in bulk must leave the same counters and
+  // the same LRU order as n Access calls: after the repeats, a run of
+  // conflicting lines evicts exactly the same ways from both caches.
+  CacheConfig cfg;
+  cfg.size_bytes = 4 * 64;  // one set of four ways
+  Cache stepped(cfg);
+  Cache batched(cfg);
+  for (uint64_t line : {0, 1, 2, 3}) {
+    stepped.Access(line * 64);
+    batched.Access(line * 64);
+  }
+  stepped.Access(64);
+  batched.Access(64);
+  for (int i = 0; i < 5; ++i) stepped.Access(64 + 4);
+  batched.RepeatLastHit(5);
+  batched.RepeatLastHit(0);  // no-op
+  EXPECT_EQ(batched.stats().hits, stepped.stats().hits);
+  EXPECT_EQ(batched.stats().misses, stepped.stats().misses);
+  for (uint64_t line : {4, 0, 5, 1, 6, 2, 3}) {
+    EXPECT_EQ(batched.Access(line * 64), stepped.Access(line * 64))
+        << "line " << line;
+  }
+  EXPECT_EQ(batched.stats().hits, stepped.stats().hits);
+  EXPECT_EQ(batched.stats().misses, stepped.stats().misses);
+}
+
 TEST(CacheTest, FlushInvalidatesAll) {
   Cache c;
   c.Access(0x2000);
