@@ -20,33 +20,6 @@ Instr DecodeWord(const isa::IsaBackend& backend, uint32_t word) {
                            : backend.DecodeCompressed(half);
 }
 
-}  // namespace
-
-ReferenceCpu::ReferenceCpu(Memory& memory, const CpuTiming& timing,
-                           isa::IsaId isa)
-    : memory_(memory),
-      timing_(timing),
-      backend_(isa::BackendFor(isa)),
-      rv32_(backend_.xlen() == 32),
-      icache_(timing.icache),
-      dcache_(timing.dcache) {}
-
-void ReferenceCpu::Reset(uint64_t entry_pc, uint64_t stack_pointer) {
-  regs_.fill(0);
-  regs_[2] = rv32_ ? SignExtend32(stack_pointer) : stack_pointer;
-  pc_ = rv32_ ? (entry_pc & 0xFFFFFFFF) : entry_pc;
-  halt_ = HaltReason::kNone;
-  exit_code_ = 0;
-  reservation_addr_ = 0;
-  reservation_valid_ = false;
-  icache_.Flush();
-  dcache_.Flush();
-  icache_.ResetStats();
-  dcache_.ResetStats();
-}
-
-namespace {
-
 int LoadSize(Op op) {
   switch (op) {
     case Op::kLb: case Op::kLbu: return 1;
@@ -93,6 +66,29 @@ int64_t SignedUnsignedMulHigh(int64_t a, uint64_t b) {
 }
 
 }  // namespace
+
+ReferenceCpu::ReferenceCpu(Memory& memory, const CpuTiming& timing,
+                           isa::IsaId isa)
+    : memory_(memory),
+      timing_(timing),
+      backend_(isa::BackendFor(isa)),
+      rv32_(backend_.xlen() == 32),
+      icache_(timing.icache),
+      dcache_(timing.dcache) {}
+
+void ReferenceCpu::Reset(uint64_t entry_pc, uint64_t stack_pointer) {
+  regs_.fill(0);
+  regs_[2] = rv32_ ? SignExtend32(stack_pointer) : stack_pointer;
+  pc_ = rv32_ ? (entry_pc & 0xFFFFFFFF) : entry_pc;
+  halt_ = HaltReason::kNone;
+  exit_code_ = 0;
+  reservation_addr_ = 0;
+  reservation_valid_ = false;
+  icache_.Flush();
+  dcache_.Flush();
+  icache_.ResetStats();
+  dcache_.ResetStats();
+}
 
 bool ReferenceCpu::Step(ExecStats& stats) {
   // Fetch (I-cache), then decode the word at pc afresh.

@@ -1,12 +1,12 @@
 // Reference interpreter for the simulated core: the differential oracle.
 //
 // ReferenceCpu executes one instruction per step, fetching and decoding
-// the word at pc every time, with the same timing model, cache accesses
-// and counters as sim::Cpu. It has no host-side caches at all (no block
-// or decode cache, no batched cache hits), so it is slow and obviously
-// right; tests/sim_diff_test.cpp runs the same programs through both and
-// requires every ExecStats field, every register, the final pc and the
-// resident memory to agree.
+// the word at pc every time and making every cache access through
+// Cache::Access, with the same timing model and counters as sim::Cpu.
+// It keeps no decoded code and batches nothing, so it is slow and
+// obviously right; tests/sim_diff_test.cpp runs the same programs through
+// both and requires every ExecStats field, every register, the final pc
+// and the resident memory to agree.
 //
 // ReferenceSoc mirrors sim::Soc: the same memory map and MMIO devices
 // around a ReferenceCpu.
