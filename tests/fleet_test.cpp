@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <thread>
 
@@ -16,6 +17,7 @@
 #include "fleet/rotation_campaign.h"
 #include "net/channel.h"
 #include "net/transport.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pkg/delta.h"
 #include "workloads/workloads.h"
@@ -1964,6 +1966,63 @@ TEST(AgentFleetTest, CrashMidApplyRecoversOnRetry) {
   EXPECT_EQ(inspection->state.counters.rollbacks, 1u);
   EXPECT_TRUE(inspection->active_crc_valid);
   EXPECT_TRUE(fleet.registry.RunActiveSlot(fleet.devices[0]).ok());
+}
+
+// A device that lost power right after flipping to an unproven image
+// still runs v1: recovery will boot the previous slot. The next v1 -> v2
+// delta campaign must patch that recovered base (no full package, no
+// fallback), and the agent must count the crash recovery and rollback.
+TEST(AgentFleetTest, CrashAfterFlipStillPatchesTheRecoveredBase) {
+  DeltaFleet fleet(2);
+  const CampaignConfig v1 = fleet.V1Campaign();
+  ASSERT_TRUE(fleet.engine.Run(v1).ok());
+
+  // The crashed image is v2 and labelled v2, so a delta check that read
+  // the flipped slot instead of the one recovery leaves active would
+  // see no v1 base and ship a full package.
+  const DeviceId crashed = fleet.devices[0];
+  auto sealing = fleet.registry.SealingContextFor(crashed);
+  ASSERT_TRUE(sealing.ok());
+  auto v2_artifact =
+      fleet.cache.GetOrBuild(fleet.v2_source, sealing->key, sealing->config,
+                             core::EncryptionPolicy::Full());
+  ASSERT_TRUE(v2_artifact.ok());
+  ASSERT_TRUE(
+      fleet.registry.ArmAgentCrash(crashed, agent::CrashPoint::kAfterFlip)
+          .ok());
+  DispatchMeta crashing;
+  crashing.version = ProgramVersionFingerprint(fleet.v2_source, v1.policy,
+                                               v1.compile_options);
+  crashing.key_fingerprint = (*v2_artifact)->key_fingerprint;
+  EXPECT_EQ(fleet.registry
+                .Dispatch(crashed, (*v2_artifact)->wire, 0, 0, &crashing)
+                .status()
+                .code(),
+            ErrorCode::kInjectedCrash);
+
+  auto report = fleet.engine.Run(fleet.V2DeltaCampaign());
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->succeeded, 2u);
+  EXPECT_EQ(report->delta_deliveries, 2u);
+  EXPECT_EQ(report->full_deliveries, 0u);
+  EXPECT_EQ(report->delta_fallbacks, 0u);
+  for (const auto& outcome : report->outcomes) {
+    EXPECT_TRUE(outcome.ok) << outcome.last_status.ToString();
+    EXPECT_TRUE(outcome.delta);
+    EXPECT_FALSE(outcome.delta_fallback);
+    EXPECT_EQ(outcome.attempts, 1u);
+    // The rollback ran in the recovery before the patch was applied, so
+    // the apply itself rolled nothing back.
+    EXPECT_FALSE(outcome.rolled_back);
+  }
+  ExpectTalliesAddUp(*report);
+  auto inspection = fleet.registry.InspectAgent(crashed);
+  ASSERT_TRUE(inspection.ok());
+  EXPECT_EQ(inspection->state.phase, agent::ApplyPhase::kIdle);
+  EXPECT_EQ(inspection->state.counters.crash_recoveries, 1u);
+  EXPECT_EQ(inspection->state.counters.rollbacks, 1u);
+  EXPECT_EQ(inspection->state.counters.applies, 2u);
+  EXPECT_TRUE(fleet.registry.RunActiveSlot(crashed).ok());
 }
 
 // Health-check failures on the delta path are vetoes, not wire faults:
