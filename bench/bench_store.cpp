@@ -16,6 +16,12 @@
 // value is compaction, not CPU — and the honest headline is the
 // recovery/enroll ratio, which should sit near 1.
 //
+// Part 3 — durable writes per delivered target. A durable fleet runs one
+// journaled campaign (the eric_fleetd --state-dir pipeline) and counts
+// the store_durable_writes it makes per delivered target, leaving out
+// the journal's begin and end records, which are per campaign. The count
+// is deterministic, so unlike the timings above it travels across hosts.
+//
 // Emits BENCH_store.json for the perf-trajectory tooling.
 //
 //   bench_store [--quick] [--out FILE]
@@ -30,7 +36,11 @@
 #include <unistd.h>
 #include <vector>
 
+#include "fleet/campaign_journal.h"
+#include "fleet/campaign_scheduler.h"
+#include "fleet/deployment_engine.h"
 #include "fleet/device_registry.h"
+#include "obs/metrics.h"
 #include "store/record_io.h"
 #include "store/wal.h"
 #include "support/bench_json.h"
@@ -120,6 +130,57 @@ AppendPoint BenchAppends(const std::string& mode_name,
                  replayed == point.records;
   fs::remove_all(dir);
   return point;
+}
+
+/// Durable-write requests per delivered target of one journaled campaign
+/// over a fresh durable fleet of `devices`; negative when any step fails
+/// or a target is not delivered.
+double DurableWritesPerDelivery(const fleet::RegistryConfig& config,
+                                size_t devices, int index) {
+  const std::string dir = FreshDir("campaign", index);
+  double per_delivery = -1;
+  [&] {
+    fleet::DeviceRegistry registry(config);
+    if (!registry.OpenStorage(dir).ok()) return;
+    const fleet::GroupId group = registry.CreateGroup("bench");
+    fleet::CampaignConfig campaign;
+    campaign.source = "fn main() { return 42; }";
+    campaign.workers = 2;
+    for (size_t i = 0; i < devices; ++i) {
+      auto id = registry.Enroll(0xD3B1E000 + i, group);
+      if (!id.ok()) return;
+      campaign.devices.push_back(*id);
+    }
+    fleet::PackageCache cache;
+    fleet::DeploymentEngine engine(registry, cache);
+    fleet::CampaignJournal journal;
+    if (!journal.Open(dir).ok()) return;
+    const obs::Counter& writes =
+        obs::MetricsRegistry::Global().GetCounter("store_durable_writes");
+    const uint64_t before = writes.value();
+    if (!journal
+             .Begin(fleet::ProgramVersionFingerprint(campaign.source,
+                                                     campaign.policy,
+                                                     campaign.compile_options),
+                    campaign.devices)
+             .ok()) {
+      return;
+    }
+    fleet::CampaignControl control;
+    control.AttachCheckpointSink(&journal);
+    journal.CancelCampaignOnError(&control);
+    fleet::CampaignScheduler scheduler(engine, registry);
+    auto report = scheduler.Run(campaign, fleet::SchedulerConfig{}, &control);
+    if (!report.ok() || !journal.Complete().ok() ||
+        report->succeeded != devices) {
+      return;
+    }
+    constexpr uint64_t kBeginAndEnd = 2;
+    per_delivery = static_cast<double>(writes.value() - before - kBeginAndEnd) /
+                   static_cast<double>(report->succeeded);
+  }();
+  fs::remove_all(dir);
+  return per_delivery;
 }
 
 }  // namespace
@@ -238,8 +299,18 @@ int main(int argc, char** argv) {
   std::printf("  worst recovery/enroll ratio: %.2f %s\n\n", max_ratio,
               recovery_pass ? "PASS" : "FAIL");
 
+  // --- Part 3: durable writes per delivered target --------------------------
+  constexpr size_t kCampaignDevices = 16;
+  const double writes_per_delivery =
+      DurableWritesPerDelivery(config, kCampaignDevices, index++);
+  const bool campaign_pass = writes_per_delivery >= 0;
+  std::printf("PART 3: journaled campaign over %zu durable devices\n"
+              "  %.2f durable writes per delivered target %s\n\n",
+              kCampaignDevices, writes_per_delivery,
+              campaign_pass ? "PASS" : "FAIL");
+
   // --- JSON -----------------------------------------------------------------
-  const bool pass = all_intact && recovery_pass;
+  const bool pass = all_intact && recovery_pass && campaign_pass;
   JsonWriter json;
   json.BeginObject();
   json.Field("bench", "store");
@@ -271,6 +342,11 @@ int main(int argc, char** argv) {
   }
   json.EndArray();
   json.Field("recovery_max_ratio", max_ratio);
+  json.Key("campaign");
+  json.BeginObject();
+  json.Field("devices", kCampaignDevices);
+  json.Field("durable_writes_per_delivery", writes_per_delivery);
+  json.EndObject();
   json.Field("pass", pass);
   json.EndObject();
   if (!json.WriteFile(out_path)) {

@@ -48,6 +48,10 @@ METRICS = [
     # noise, so this one gets the generous threshold.
     ("BENCH_store.json", "recovery_max_ratio", "lower", 60.0),
     ("BENCH_store.json", "group_commit_speedup", "higher", 60.0),
+    # Durable-write requests per delivered target of a journaled durable
+    # campaign: a deterministic count, gated exactly like the agent's.
+    ("BENCH_store.json", "campaign.durable_writes_per_delivery", "lower",
+     0.0),
     # Rotation: the targeted-invalidation fraction is deterministic
     # (rotated group's artifacts / resident artifacts); the re-seal
     # ratio compares the rotated group's redeploy against the cold
