@@ -39,7 +39,6 @@ struct EngineMetrics {
   obs::Counter& targets_failed;
   obs::Counter& targets_revoked;
   obs::Counter& bytes_shipped;
-  obs::Counter& manifest_update_failures;
   obs::Histogram& delivery_us;
   obs::Histogram& target_latency_us;
 
@@ -58,7 +57,6 @@ struct EngineMetrics {
         registry.GetCounter("fleet_targets_failed"),
         registry.GetCounter("fleet_targets_revoked"),
         registry.GetCounter("fleet_bytes_shipped"),
-        registry.GetCounter("fleet_manifest_update_failures"),
         registry.GetHistogram("fleet_delivery_us"),
         registry.GetHistogram("fleet_target_latency_us"),
     };
@@ -155,23 +153,20 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
   }
   std::shared_ptr<const CachedArtifact> full = std::move(*fetched);
 
-  // Delta eligibility: the device's durable manifest must name exactly
-  // the campaign's base version AND the key the campaign seals under
-  // right now — a key-epoch rotation since the base was delivered makes
-  // the retained image undecryptable, so the fingerprint mismatch
-  // forces a full package before any wire bytes are wasted. The
-  // manifest must also name the device's own ISA: a base image encoded
-  // for a foreign ISA can never patch into this device's target (the
-  // version fingerprint is deliberately ISA-independent, so the version
-  // check alone cannot catch this), and the mismatch forces a full
-  // delivery fail-closed. A base that fails to build, or a delta above
-  // `delta_max_fraction` of the full package, ships full.
+  // Delta eligibility: the image the device runs must be exactly the
+  // campaign's base version AND sealed under the key the campaign seals
+  // under right now — a key-epoch rotation since the base was delivered
+  // makes the retained image undecryptable, so the fingerprint mismatch
+  // forces a full package before any wire bytes are wasted. The ISA
+  // needs no check: an image of a foreign ISA fails the device's health
+  // check and is rolled back, so it never becomes what a device runs. A
+  // base that fails to build, or a delta above `delta_max_fraction` of
+  // the full package, ships full.
   std::shared_ptr<const CachedArtifact> delta;
   if (config.delta) {
-    auto manifest = registry_.DeliveredVersion(device);
-    if (manifest.ok() && manifest->version == base_version &&
-        manifest->key_fingerprint == full->key_fingerprint &&
-        manifest->isa == info->isa) {
+    auto running = registry_.DeliveredVersion(device);
+    if (running.ok() && running->version == base_version &&
+        running->key_fingerprint == full->key_fingerprint) {
       auto base = fetch(config.delta_base_source);
       if (base.ok()) {
         auto encoded = cache_.GetOrBuildDelta(**base, *full, &outcome.cache);
@@ -298,7 +293,7 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
         (run.status().code() == ErrorCode::kCorruptPackage ||
          last_health_failed)) {
       // The patch failed closed (corrupted in flight, or the device's
-      // retained base is not what the manifest promised — the wrong-base
+      // retained base is not what its slot promised — the wrong-base
       // CRC catches both), OR it applied cleanly and the device's
       // post-apply health check vetoed it (the agent already rolled back
       // to the previous slot). Either way the delta is a dead end for
@@ -333,13 +328,6 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
       outcome.last_status = Status::Ok();
       outcome.exit_code = run->exec.exit_code;
       outcome.device_cycles = run->total_cycles();
-      // The manifest is the next campaign's diff base: record it before
-      // this target is checkpointed complete, so a crash can never leave
-      // a checkpointed target with a stale manifest. A failed update
-      // only costs that device a full package next time.
-      Status recorded = registry_.RecordDelivery(
-          device, target_version, full->key_fingerprint, info->isa);
-      outcome.manifest_update_failed = !recorded.ok();
       break;
     }
     outcome.last_status = run.status();
@@ -378,7 +366,6 @@ void CampaignTotals::Add(const DeviceOutcome& outcome) {
   bytes_shipped += outcome.bytes_shipped;
   bytes_full_equivalent += outcome.bytes_full_equivalent;
   if (outcome.delta_fallback) ++delta_fallbacks;
-  if (outcome.manifest_update_failed) ++manifest_update_failures;
   if (outcome.rolled_back) ++rollbacks;
   if (outcome.health_failed) ++health_failures;
   cache_artifact_hits += outcome.cache.artifact_hits;
@@ -406,7 +393,6 @@ CampaignTotals& CampaignTotals::operator+=(const CampaignTotals& other) {
   delta_fallbacks += other.delta_fallbacks;
   bytes_shipped += other.bytes_shipped;
   bytes_full_equivalent += other.bytes_full_equivalent;
-  manifest_update_failures += other.manifest_update_failures;
   rollbacks += other.rollbacks;
   health_failures += other.health_failures;
   cache_artifact_hits += other.cache_artifact_hits;
@@ -481,8 +467,8 @@ Result<CampaignReport> DeploymentEngine::Run(const CampaignConfig& config) {
   // Outcomes land at the target's own index, so no result lock is needed.
   std::atomic<size_t> cursor{0};
   // Key-independent version identities: what successful deliveries
-  // record in device manifests, and what the delta path requires a
-  // manifest to match.
+  // label the device's slot with, and what the delta path requires the
+  // slot the device runs to match.
   const uint64_t target_version = ProgramVersionFingerprint(
       config.source, config.policy, config.compile_options);
   const uint64_t base_version =
@@ -567,7 +553,6 @@ Result<CampaignReport> DeploymentEngine::Run(const CampaignConfig& config) {
   metrics.targets_failed.Add(report.failed);
   metrics.targets_revoked.Add(report.revoked);
   metrics.bytes_shipped.Add(report.bytes_shipped);
-  metrics.manifest_update_failures.Add(report.manifest_update_failures);
   // Per-ISA counters are registered by name on first use rather than
   // captured in EngineMetrics: only ISAs a campaign actually targeted
   // ever appear in the registry, so a homogeneous fleet's export stays

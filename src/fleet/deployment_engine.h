@@ -77,10 +77,10 @@ struct CampaignConfig {
   /// must outlive the campaign.
   net::DeliveryTransport* transport = nullptr;
 
-  /// Deliver deltas where possible: a device whose delivery manifest
-  /// matches `delta_base_source`'s version under its current sealing
-  /// key receives EncodeDelta(base wire, target wire) instead of the
-  /// full package. Every other device — no manifest, different version,
+  /// Deliver deltas where possible: a device whose active slot holds
+  /// `delta_base_source`'s version under its current sealing key
+  /// receives EncodeDelta(base wire, target wire) instead of the full
+  /// package. Every other device — no image, different version,
   /// rotated key, oversized delta, or a patch the device rejects — gets
   /// the full package (see docs/fleet.md for the decision flow).
   bool delta = false;
@@ -133,10 +133,6 @@ struct DeviceOutcome {
   /// delta-plus-fallback pair counts its attempt's full size once, so a
   /// fallback target reports more bytes shipped than this.
   uint64_t bytes_full_equivalent = 0;
-  /// The target was delivered but its manifest update could not be
-  /// made durable (the delivery stands; the device simply gets a full
-  /// package next campaign).
-  bool manifest_update_failed = false;
   Status last_status;        ///< final failure (ok() when delivered)
   int64_t exit_code = 0;     ///< program exit code when `ok`
   uint64_t device_cycles = 0;  ///< HDE + execution cycles on the device
@@ -199,8 +195,6 @@ struct CampaignTotals {
   /// Sum of DeviceOutcome::bytes_full_equivalent: fallback-heavy
   /// campaigns report bytes_shipped above it.
   uint64_t bytes_full_equivalent = 0;
-  /// Delivered targets whose manifest update could not be made durable.
-  uint64_t manifest_update_failures = 0;
   /// Targets whose device agent rolled back at least one flip (health
   /// failure or crash-recovered apply).
   uint64_t rollbacks = 0;
@@ -252,7 +246,7 @@ Result<std::vector<DeviceId>> ResolveCampaignTargets(
 
 /// Key-independent fingerprint of a deployable program version: SHA-256
 /// over source, encryption policy, and compile options, folded to 64
-/// bits. This is what delivery manifests record and what the delta path
+/// bits. This is what a device's slot records and what the delta path
 /// compares against its base — two devices in different groups run the
 /// same "version" even though their sealed bytes differ.
 uint64_t ProgramVersionFingerprint(std::string_view source,

@@ -19,20 +19,24 @@ constexpr uint8_t kWalEpochBump = 2;    ///< {u64 group, u64 epoch}
 // Per-shard mutation log:
 constexpr uint8_t kWalEnroll = 1;    ///< {u64 id, u64 seed, u64 group}
 constexpr uint8_t kWalRevoke = 2;    ///< {u64 id}
-constexpr uint8_t kWalManifest = 3;  ///< {u64 id, u64 version, bytes keyfp}
 /// {u64 id, u64 seed, u64 group, u8 isa}. Written for every new
 /// enrollment; type-1 records (pre-ISA logs) replay as kRv64Gc.
 constexpr uint8_t kWalEnrollIsa = 4;
-/// {u64 id, u64 version, bytes keyfp, u8 isa}. Written for every new
-/// delivery; type-3 records replay as kRv64Gc.
+/// Legacy delivery-manifest records, no longer written: {u64 id, u64
+/// version, bytes keyfp} and the same plus {u8 isa}. What a device runs
+/// is its agent's active slot, so replay checks them for damage and
+/// drops them.
+constexpr uint8_t kWalManifest = 3;
 constexpr uint8_t kWalManifestIsa = 5;
 
 // Snapshot schema: v2 adds a per-group key epoch after the label; v3
 // adds an optional delivery manifest per device; v4 adds the device and
-// manifest ISA bytes. Older files load with the fields they lack
-// defaulted — v1 groups sit at the base epoch, v2 devices carry no
-// manifest, v3 devices are kRv64Gc — which is exactly what they were.
-constexpr uint32_t kSnapshotVersion = 4;
+// manifest ISA bytes; v5 drops the manifest again. Older files load with
+// the fields they lack defaulted — v1 groups sit at the base epoch, v3
+// devices are kRv64Gc — which is exactly what they were; v3 and v4
+// manifests are checked for damage and dropped.
+constexpr uint32_t kSnapshotVersion = 5;
+constexpr uint32_t kSnapshotVersionManifestIsa = 4;
 constexpr uint32_t kSnapshotVersionNoIsa = 3;
 constexpr uint32_t kSnapshotVersionNoManifests = 2;
 constexpr uint32_t kSnapshotVersionNoEpochs = 1;
@@ -52,7 +56,7 @@ Status Damaged(const std::string& what) {
 // decode additionally requires the reader exhausted — a CRC-valid record
 // with bytes left over is damage, never padding.
 
-/// The ISA byte of device and manifest entries. A byte that names no
+/// The ISA byte of device and legacy manifest entries. A byte that names no
 /// known backend refuses recovery: defaulting would dispatch wrong-ISA
 /// images forever.
 Status ReadIsa(store::RecordReader& rec, isa::IsaId* isa) {
@@ -81,24 +85,17 @@ Status ReadEnroll(store::RecordReader& rec, DeviceInfo* info) {
   return Status::Ok();
 }
 
-/// Manifest fields {u64 version, bytes keyfp(32), u8 isa}; pre-ISA
-/// encodings (`with_isa` false) end at the fingerprint and mean kRv64Gc.
-void WriteManifest(store::RecordWriter& rec, const DeliveryManifest& manifest) {
-  rec.U64(manifest.version);
-  rec.Bytes(manifest.key_fingerprint);
-  rec.U8(static_cast<uint8_t>(manifest.isa));
-}
-
-Status ReadManifest(store::RecordReader& rec, bool with_isa,
-                    DeliveryManifest* manifest) {
+/// Legacy manifest fields {u64 version, bytes keyfp(32)[, u8 isa]}: read
+/// to check them for damage, then dropped.
+Status SkipLegacyManifest(store::RecordReader& rec, bool with_isa) {
+  uint64_t version = 0;
   std::vector<uint8_t> fingerprint;
-  if (!rec.U64(&manifest->version) || !rec.Bytes(&fingerprint) ||
-      fingerprint.size() != manifest->key_fingerprint.size()) {
+  if (!rec.U64(&version) || !rec.Bytes(&fingerprint) ||
+      fingerprint.size() != std::tuple_size_v<crypto::Sha256Digest>) {
     return Damaged("manifest fields");
   }
-  std::copy(fingerprint.begin(), fingerprint.end(),
-            manifest->key_fingerprint.begin());
-  return with_isa ? ReadIsa(rec, &manifest->isa) : Status::Ok();
+  isa::IsaId isa = isa::IsaId::kRv64Gc;
+  return with_isa ? ReadIsa(rec, &isa) : Status::Ok();
 }
 
 }  // namespace
@@ -710,56 +707,19 @@ void DeviceRegistry::SetAgentCrashInjection(double rate, uint64_t seed) {
   }
 }
 
-Result<DeliveryManifest> DeviceRegistry::DeliveredVersion(DeviceId id) const {
-  return WithRecord(id, [](DeviceRecord& record) -> Result<DeliveryManifest> {
-    if (!record.has_manifest) {
-      return Status(ErrorCode::kFailedPrecondition,
-                    "no delivery recorded for device");
+Result<agent::SlotInfo> DeviceRegistry::DeliveredVersion(DeviceId id) const {
+  return WithEndpoint(id, [](DeviceRecord& record) -> Result<agent::SlotInfo> {
+    // A flipped apply never proved itself: recovery boots the previous
+    // slot, so that is what the device runs.
+    const agent::AgentState state = record.agent->state();
+    const int slot = state.phase == agent::ApplyPhase::kFlipped
+                         ? state.previous_slot
+                         : state.active_slot;
+    if (slot < 0 || !state.slots[slot].present) {
+      return Status(ErrorCode::kFailedPrecondition, "device holds no image");
     }
-    return record.manifest;
+    return state.slots[slot];
   });
-}
-
-Status DeviceRegistry::ApplyManifest(DeviceId id,
-                                     const DeliveryManifest& manifest) {
-  return WithRecord<std::unique_lock<std::shared_mutex>>(
-      id, [&manifest](DeviceRecord& record) {
-        record.manifest = manifest;  // last write wins
-        record.has_manifest = true;
-        return Status::Ok();
-      });
-}
-
-Status DeviceRegistry::RecordDelivery(
-    DeviceId id, uint64_t version,
-    const crypto::Sha256Digest& key_fingerprint, isa::IsaId isa) {
-  std::shared_lock<std::shared_mutex> storage_lock;
-  if (storage_ != nullptr) {
-    storage_lock = std::shared_lock(storage_->mutation_mutex);
-  }
-  // Validate before logging so a record for an unknown device never
-  // reaches the WAL.
-  ERIC_RETURN_IF_ERROR(
-      WithRecord(id, [](DeviceRecord&) { return Status::Ok(); }));
-  DeliveryManifest manifest;
-  manifest.version = version;
-  manifest.key_fingerprint = key_fingerprint;
-  manifest.isa = isa;
-  if (storage_ != nullptr) {
-    // Log, then apply (the revoke discipline): a manifest visible to a
-    // delta campaign must be durably true, or a crash could leave the
-    // next campaign diffing against a version the recovered registry
-    // has never heard of. The reverse window — durable but not applied
-    // — only costs one full-package fallback.
-    store::RecordWriter rec;
-    rec.U64(id);
-    WriteManifest(rec, manifest);
-    ERIC_RETURN_IF_ERROR(storage_->shard_wals[ShardIndex(id)]->Append(
-        kWalManifestIsa, rec.bytes()));
-  }
-  ERIC_RETURN_IF_ERROR(ApplyManifest(id, manifest));
-  if (storage_ != nullptr) MaybeAutoSnapshot(storage_lock);
-  return Status::Ok();
 }
 
 RegistryStats DeviceRegistry::Stats() const {
@@ -881,28 +841,28 @@ Status DeviceRegistry::OpenStorage(const std::string& state_dir,
     uint64_t device_count = 0;
     if (!rec.U64(&device_count)) return Damaged("snapshot schema");
     for (uint64_t i = 0; i < device_count; ++i) {
-      // v4 adds the device and manifest ISA bytes (pre-ISA snapshots
-      // hold RV64GC fleets); v3 adds the optional manifest.
+      // v4 adds the device ISA byte (pre-ISA snapshots hold RV64GC
+      // fleets); v3 and v4 end with an optional legacy manifest.
       DeviceInfo enrolled;
       uint8_t status = 0;
       ERIC_RETURN_IF_ERROR(ReadEnroll(rec, &enrolled));
       if (!rec.U8(&status)) return Damaged("snapshot device");
-      if (version >= kSnapshotVersion) {
+      if (version >= kSnapshotVersionManifestIsa) {
         ERIC_RETURN_IF_ERROR(ReadIsa(rec, &enrolled.isa));
       }
       enrolled.status = status == static_cast<uint8_t>(DeviceStatus::kRevoked)
                             ? DeviceStatus::kRevoked
                             : DeviceStatus::kEnrolled;
       ERIC_RETURN_IF_ERROR(ApplyEnroll(enrolled));
+      const bool legacy_manifest = version == kSnapshotVersionNoIsa ||
+                                   version == kSnapshotVersionManifestIsa;
       uint8_t has_manifest = 0;
-      if (version >= kSnapshotVersionNoIsa && !rec.U8(&has_manifest)) {
+      if (legacy_manifest && !rec.U8(&has_manifest)) {
         return Damaged("snapshot device");
       }
       if (has_manifest != 0) {
-        DeliveryManifest manifest;
-        ERIC_RETURN_IF_ERROR(
-            ReadManifest(rec, version >= kSnapshotVersion, &manifest));
-        ERIC_RETURN_IF_ERROR(ApplyManifest(enrolled.id, manifest));
+        ERIC_RETURN_IF_ERROR(SkipLegacyManifest(
+            rec, version == kSnapshotVersionManifestIsa));
       }
     }
     if (!rec.Exhausted()) {
@@ -958,15 +918,10 @@ Status DeviceRegistry::OpenStorage(const std::string& state_dir,
   // tail of an enrollment can land in the log first; the revoke is
   // deferred and applied once every enrollment has replayed.
   std::vector<DeviceId> deferred_revokes;
-  // Manifest records replay in shard order after their device's enroll,
-  // but a manifest whose enrollment was rolled back (soft-deleted) or
-  // lives only in a lost snapshot region is deferred like a revoke.
-  std::vector<std::pair<DeviceId, DeliveryManifest>> deferred_manifests;
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
     auto replayed = store::Wal::Replay(
         ShardWalPath(state_dir, shard),
-        [this, &info, &deferred_revokes,
-         &deferred_manifests](const store::WalRecord& record) -> Status {
+        [this, &deferred_revokes](const store::WalRecord& record) -> Status {
           store::RecordReader rec(record.payload);
           if (record.type == kWalEnroll || record.type == kWalEnrollIsa) {
             // Type-1 records predate heterogeneous fleets: RV64GC.
@@ -1004,15 +959,10 @@ Status DeviceRegistry::OpenStorage(const std::string& state_dir,
           if (record.type == kWalManifest ||
               record.type == kWalManifestIsa) {
             uint64_t id = 0;
-            DeliveryManifest manifest;
             if (!rec.U64(&id)) return Damaged("manifest record");
-            ERIC_RETURN_IF_ERROR(ReadManifest(
-                rec, record.type == kWalManifestIsa, &manifest));
+            ERIC_RETURN_IF_ERROR(
+                SkipLegacyManifest(rec, record.type == kWalManifestIsa));
             if (!rec.Exhausted()) return Damaged("manifest record");
-            ++info.manifest_records_replayed;
-            if (!ApplyManifest(id, manifest).ok()) {
-              deferred_manifests.emplace_back(id, manifest);
-            }
             return Status::Ok();
           }
           return Status(ErrorCode::kCorruptPackage,
@@ -1030,11 +980,6 @@ Status DeviceRegistry::OpenStorage(const std::string& state_dir,
   // bricked fleet. Counted, not hidden.
   for (DeviceId id : deferred_revokes) {
     if (!ApplyRevoke(id).ok()) ++info.orphan_revokes_dropped;
-  }
-  // Same for manifests: one that still names an unknown device records a
-  // delivery to an enrollment that never durably existed — a no-op.
-  for (const auto& [id, manifest] : deferred_manifests) {
-    if (!ApplyManifest(id, manifest).ok()) ++info.orphan_manifests_dropped;
   }
 
   // Every enrollment and revocation is in: re-rotate each bumped group
@@ -1123,8 +1068,6 @@ std::vector<uint8_t> DeviceRegistry::SerializeSnapshotLocked() const {
       WriteEnroll(rec, record->info);
       rec.U8(static_cast<uint8_t>(record->info.status));
       rec.U8(static_cast<uint8_t>(record->info.isa));
-      rec.U8(record->has_manifest ? 1 : 0);
-      if (record->has_manifest) WriteManifest(rec, record->manifest);
     }
   }
   return rec.Take();

@@ -69,26 +69,6 @@ struct DeviceInfo {
   crypto::Key256 conversion_mask{};
 };
 
-/// Per-device delivery manifest: what the distribution service last
-/// delivered to (and successfully ran on) a device. The delta-deployment
-/// path diffs against exactly this record — a campaign ships a patch
-/// only to devices whose manifest matches the campaign's base version
-/// AND whose key fingerprint still matches the device's current sealing
-/// key (a key-epoch rotation invalidates the retained image, so the
-/// fingerprint mismatch forces a full package).
-struct DeliveryManifest {
-  /// Program-version fingerprint of the last delivered build
-  /// (ProgramVersionFingerprint over source + policy + options).
-  uint64_t version = 0;
-  /// SHA-256 fingerprint of the deployment key the build was sealed
-  /// under when it was delivered.
-  crypto::Sha256Digest key_fingerprint{};
-  /// ISA the delivered image was encoded for. A delta base is only
-  /// usable by a device of the same ISA; manifests recorded before the
-  /// field existed recover as kRv64Gc.
-  isa::IsaId isa = isa::IsaId::kRv64Gc;
-};
-
 /// Per-dispatch metadata between the deployment engine and the device's
 /// update agent. The in-fields label the delivered image in the agent's
 /// slot manifest; the out-fields report what the agent's state machine
@@ -201,13 +181,6 @@ struct RegistryStorageInfo {
   /// (its enrollment's append failed or was torn off): dropped as
   /// no-ops rather than refusing recovery.
   uint64_t orphan_revokes_dropped = 0;
-  /// Delivery-manifest records replayed from the shard logs (last write
-  /// per device wins, so this counts history length, not devices).
-  uint64_t manifest_records_replayed = 0;
-  /// Manifest records replayed for a device that never durably enrolled
-  /// (enrollment rolled back or torn off): dropped as no-ops rather
-  /// than refusing recovery.
-  uint64_t orphan_manifests_dropped = 0;
   /// kEpochBump records replayed from the group log (each re-rotates the
   /// named group's epoch; counted before dedup, so this is the journal's
   /// bump history length, not the number of distinct rotated groups).
@@ -347,19 +320,13 @@ class DeviceRegistry {
   /// deterministically from `seed` and the device id.
   void SetAgentCrashInjection(double rate, uint64_t seed);
 
-  /// The device's delivery manifest. kNotFound for unknown ids;
-  /// kFailedPrecondition when nothing was ever recorded for the device.
-  Result<DeliveryManifest> DeliveredVersion(DeviceId id) const;
-
-  /// Records that `version`, sealed under the key whose SHA-256 is
-  /// `key_fingerprint` and encoded for `isa`, was delivered to and ran
-  /// on `id`. When storage is attached the manifest is write-ahead
-  /// logged before it becomes visible (the revoke discipline), so a
-  /// recovered fleet diffs against manifests that were durably true.
-  /// Last write wins.
-  Status RecordDelivery(DeviceId id, uint64_t version,
-                        const crypto::Sha256Digest& key_fingerprint,
-                        isa::IsaId isa = isa::IsaId::kRv64Gc);
+  /// What the device runs: the slot entry (version and key
+  /// fingerprint) of the image its agent's recovery would leave active —
+  /// the previous slot while a crashed apply sits flipped but unproven,
+  /// the active slot otherwise. This is the base a delta delivery
+  /// patches. Reads the agent without recovering it. kNotFound for
+  /// unknown ids; kFailedPrecondition when the device holds no image.
+  Result<agent::SlotInfo> DeliveredVersion(DeviceId id) const;
 
   /// Aggregate counters (devices, revocations, stripe balance).
   RegistryStats Stats() const;
@@ -399,11 +366,6 @@ class DeviceRegistry {
     /// A solo device's deployment key: its own PUF-based key. Grouped
     /// records leave it zero — their key lives in GroupState.
     crypto::Key256 solo_key{};
-    /// Delivery manifest (guarded by the shard mutex with the rest of
-    /// the record fields). `has_manifest` false until the first
-    /// RecordDelivery / manifest replay.
-    DeliveryManifest manifest;
-    bool has_manifest = false;
     /// Serializes runs on the simulated endpoint (a physical device only
     /// processes one package at a time).
     std::mutex endpoint_mutex;
@@ -452,7 +414,7 @@ class DeviceRegistry {
   /// records included). Records are never erased, so the record
   /// outlives the shard-lock drop. kNotFound for unknown ids.
   template <typename Fn>
-  auto WithEndpoint(DeviceId id, Fn&& fn)
+  auto WithEndpoint(DeviceId id, Fn&& fn) const
       -> decltype(fn(std::declval<DeviceRecord&>())) {
     auto record =
         WithRecord(id, [](DeviceRecord& found) -> Result<DeviceRecord*> {
@@ -492,9 +454,6 @@ class DeviceRegistry {
   void AddGroupLocked(GroupId id, std::string label);
   /// Marks a device revoked (recovery replay; idempotent).
   Status ApplyRevoke(DeviceId id);
-  /// Installs a delivery manifest on a device record (RecordDelivery
-  /// body and recovery replay; idempotent, last write wins).
-  Status ApplyManifest(DeviceId id, const DeliveryManifest& manifest);
   /// Advances a group to `target_epoch` and re-provisions its members —
   /// the shared body of RotateGroupEpochTo and of recovery replay. Never
   /// touches the WAL. Idempotent: a target at or below the current epoch

@@ -105,7 +105,6 @@ void ExpectTalliesAddUp(const ScheduledReport& report) {
     sum.delta_fallbacks += w.delta_fallbacks;
     sum.bytes_shipped += w.bytes_shipped;
     sum.bytes_full_equivalent += w.bytes_full_equivalent;
-    sum.manifest_update_failures += w.manifest_update_failures;
     sum.rollbacks += w.rollbacks;
     sum.health_failures += w.health_failures;
     sum.cache_artifact_hits += w.cache_artifact_hits;
@@ -138,7 +137,6 @@ void ExpectTalliesAddUp(const ScheduledReport& report) {
   EXPECT_EQ(report.delta_fallbacks, sum.delta_fallbacks);
   EXPECT_EQ(report.bytes_shipped, sum.bytes_shipped);
   EXPECT_EQ(report.bytes_full_equivalent, sum.bytes_full_equivalent);
-  EXPECT_EQ(report.manifest_update_failures, sum.manifest_update_failures);
   EXPECT_EQ(report.rollbacks, sum.rollbacks);
   EXPECT_EQ(report.health_failures, sum.health_failures);
   EXPECT_EQ(report.cache_artifact_hits, sum.cache_artifact_hits);
@@ -1792,17 +1790,25 @@ TEST(DeltaCampaignTest, WrongRetainedBaseFallsBackToFull) {
   DeltaFleet fleet(2);
   ASSERT_TRUE(fleet.engine.Run(fleet.V1Campaign()).ok());
 
-  // Behind the engine's back, hand one device the v2 image directly: its
-  // retained base is now v2 while its manifest still says v1 — exactly
-  // the state a crash between dispatch and manifest append leaves.
+  // Behind the engine's back, hand one device the v2 image labelled as
+  // v1: its slot says v1, so the campaign diffs against v1, but the
+  // retained bytes are v2. Only the delta's base CRC stands between this
+  // device and a corrupting patch.
+  const CampaignConfig v1 = fleet.V1Campaign();
   auto sealing = fleet.registry.SealingContextFor(fleet.devices[0]);
   ASSERT_TRUE(sealing.ok());
   auto v2_artifact = fleet.cache.GetOrBuild(
       fleet.v2_source, sealing->key, sealing->config,
       core::EncryptionPolicy::Full());
   ASSERT_TRUE(v2_artifact.ok());
-  ASSERT_TRUE(
-      fleet.registry.Dispatch(fleet.devices[0], (*v2_artifact)->wire).ok());
+  DispatchMeta mislabelled;
+  mislabelled.version = ProgramVersionFingerprint(fleet.v1_source, v1.policy,
+                                                  v1.compile_options);
+  mislabelled.key_fingerprint = (*v2_artifact)->key_fingerprint;
+  ASSERT_TRUE(fleet.registry
+                  .Dispatch(fleet.devices[0], (*v2_artifact)->wire, 0, 0,
+                            &mislabelled)
+                  .ok());
 
   auto report = fleet.engine.Run(fleet.V2DeltaCampaign());
   ASSERT_TRUE(report.ok());
@@ -1938,6 +1944,80 @@ TEST(AgentFleetTest, DeltaBasesSurviveDaemonRestart) {
   const double ratio = static_cast<double>(report->bytes_shipped) /
                        static_cast<double>(report->bytes_full_equivalent);
   EXPECT_LE(ratio, 0.35) << "restarted fleet lost its delta win";
+}
+
+// A device whose slot manifest is damaged restarts with no image at
+// all. The next delta campaign must know that before it ships anything:
+// one full package, no delta attempt, no fallback.
+TEST(AgentFleetTest, DeviceWithResetSlotsGetsOneFullPackage) {
+  const std::string dir = MakeAgentTempDir("reset-slots");
+  const std::string v1 = workloads::MakeSyntheticRelease(3);
+  const std::string v2 = workloads::MakeSyntheticRelease(5);
+  std::vector<DeviceId> devices;
+  {
+    DeviceRegistry registry;
+    ASSERT_TRUE(registry.OpenStorage(dir).ok());
+    const GroupId group = registry.CreateGroup("reset-slots");
+    for (uint64_t i = 0; i < 3; ++i) {
+      auto id = registry.Enroll(0x4E57B000 + i, group);
+      ASSERT_TRUE(id.ok());
+      devices.push_back(*id);
+    }
+    PackageCache cache;
+    DeploymentEngine engine(registry, cache);
+    CampaignConfig first;
+    first.source = v1;
+    first.devices = devices;
+    first.workers = 2;
+    auto report = engine.Run(first);
+    ASSERT_TRUE(report.ok());
+    ASSERT_EQ(report->succeeded, devices.size());
+  }
+
+  // Flip one byte in the middle of device 0's slot file: its CRC no
+  // longer matches, so the restarted agent abandons the file.
+  const DeviceId reset = devices[0];
+  const fs::path slots =
+      fs::path(dir) / "agent" / ("slots-" + std::to_string(reset) + ".bin");
+  {
+    std::fstream file(slots, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.is_open());
+    const auto middle = static_cast<std::streamoff>(fs::file_size(slots) / 2);
+    file.seekg(middle);
+    char byte = 0;
+    file.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x5A);
+    file.seekp(middle);
+    file.write(&byte, 1);
+  }
+  const obs::Counter& resets =
+      obs::MetricsRegistry::Global().GetCounter("agent_manifest_resets");
+  const uint64_t resets_before = resets.value();
+  DeviceRegistry recovered;
+  ASSERT_TRUE(recovered.OpenStorage(dir).ok());
+  EXPECT_EQ(resets.value(), resets_before + 1);
+
+  PackageCache cache;
+  DeploymentEngine engine(recovered, cache);
+  CampaignConfig second;
+  second.source = v2;
+  second.delta = true;
+  second.delta_base_source = v1;
+  second.devices = devices;
+  second.workers = 2;
+  auto report = engine.Run(second);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->succeeded, devices.size());
+  EXPECT_EQ(report->delta_deliveries, devices.size() - 1);
+  EXPECT_EQ(report->full_deliveries, 1u);
+  EXPECT_EQ(report->delta_fallbacks, 0u);
+  for (const auto& outcome : report->outcomes) {
+    EXPECT_TRUE(outcome.ok) << outcome.last_status.ToString();
+    EXPECT_EQ(outcome.attempts, 1u);
+    EXPECT_FALSE(outcome.delta_fallback);
+    EXPECT_EQ(outcome.delta_attempts, outcome.device == reset ? 0u : 1u);
+  }
+  ExpectTalliesAddUp(*report);
 }
 
 // A crash-interrupted apply surfaces as a retryable failure; the next
@@ -2249,16 +2329,20 @@ TEST(DeploymentEngineTest, MixedIsaCampaignCompilesPerIsaAndRunsEverywhere) {
   EXPECT_EQ(report->cache_artifact_misses, 2u);
   EXPECT_EQ(report->cache_artifact_hits, 4u);
   ExpectTalliesAddUp(*report);
-  // Each manifest records the ISA of the image that actually landed.
-  for (DeviceId id : rv32_devices) {
-    auto manifest = registry.DeliveredVersion(id);
-    ASSERT_TRUE(manifest.ok());
-    EXPECT_EQ(manifest->isa, isa::IsaId::kRv32I);
-  }
-  for (DeviceId id : rv64_devices) {
-    auto manifest = registry.DeliveredVersion(id);
-    ASSERT_TRUE(manifest.ok());
-    EXPECT_EQ(manifest->isa, isa::IsaId::kRv64Gc);
+  // Each device now runs the campaign's version from an image of its own
+  // ISA: its slot names the version, and re-running the slot through the
+  // device's HDE, which refuses foreign-ISA images, gives the answer.
+  const uint64_t version = ProgramVersionFingerprint(
+      campaign.source, campaign.policy, campaign.compile_options);
+  for (const auto* ids : {&rv64_devices, &rv32_devices}) {
+    for (DeviceId id : *ids) {
+      auto running = registry.DeliveredVersion(id);
+      ASSERT_TRUE(running.ok());
+      EXPECT_EQ(running->version, version);
+      auto rerun = registry.RunActiveSlot(id);
+      ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+      EXPECT_EQ(rerun->exec.exit_code, kTinyProgramResult);
+    }
   }
 }
 
@@ -2288,7 +2372,7 @@ TEST(DeltaCampaignTest, PerIsaDeltasInAMixedFleet) {
   }
 }
 
-TEST(DeltaCampaignTest, CrossIsaManifestBaseFallsBackToFullDelivery) {
+TEST(DeltaCampaignTest, ForeignIsaImageNeverBecomesTheDeltaBase) {
   DeltaFleet fleet;
   auto rv32 = fleet.registry.Enroll(0xDE17A321, fleet.group,
                                     isa::IsaId::kRv32I);
@@ -2299,45 +2383,52 @@ TEST(DeltaCampaignTest, CrossIsaManifestBaseFallsBackToFullDelivery) {
   auto first = fleet.engine.Run(v1);
   ASSERT_TRUE(first.ok());
   ASSERT_EQ(first->succeeded, fleet.devices.size());
+  auto before = fleet.registry.InspectAgent(*rv32);
+  ASSERT_TRUE(before.ok());
 
-  // Rewrite the rv32 device's manifest to claim its retained image is
-  // rv64-encoded (a control plane that predates per-device ISAs would
-  // have recorded exactly this). Version and key fingerprint still
-  // match, so only the ISA check stands between this device and a
-  // corrupting patch.
-  const uint64_t v1_version =
-      ProgramVersionFingerprint(fleet.v1_source, v1.policy,
-                                v1.compile_options);
-  const crypto::Sha256Digest key_fp =
-      FingerprintKey(*fleet.registry.GroupKey(fleet.group));
-  ASSERT_TRUE(fleet.registry
-                  .RecordDelivery(*rv32, v1_version, key_fp,
-                                  isa::IsaId::kRv64Gc)
-                  .ok());
+  // Hand the rv32 device the rv64 encoding of v2, labelled v2 under the
+  // group key. Its HDE refuses the image in the health check, the agent
+  // rolls back, and the slot that stays active is the rv32 v1 image.
+  auto sealing = fleet.registry.SealingContextFor(*rv32);
+  ASSERT_TRUE(sealing.ok());
+  auto rv64_v2 = fleet.cache.GetOrBuild(fleet.v2_source, sealing->key,
+                                        sealing->config, v1.policy,
+                                        fleet.registry.cipher(),
+                                        v1.compile_options);
+  ASSERT_TRUE(rv64_v2.ok());
+  DispatchMeta foreign;
+  foreign.version = ProgramVersionFingerprint(fleet.v2_source, v1.policy,
+                                              v1.compile_options);
+  foreign.key_fingerprint = (*rv64_v2)->key_fingerprint;
+  EXPECT_FALSE(
+      fleet.registry.Dispatch(*rv32, (*rv64_v2)->wire, 0, 0, &foreign).ok());
+  EXPECT_TRUE(foreign.health_failed);
+  EXPECT_TRUE(foreign.rolled_back);
+  auto after = fleet.registry.InspectAgent(*rv32);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->state.phase, agent::ApplyPhase::kIdle);
+  EXPECT_EQ(after->state.active_slot, before->state.active_slot);
+  const int active = after->state.active_slot;
+  ASSERT_GE(active, 0);
+  EXPECT_EQ(after->state.slots[active].version,
+            before->state.slots[active].version);
+  EXPECT_EQ(after->state.slots[active].image_crc,
+            before->state.slots[active].image_crc);
 
+  // So the next delta campaign patches every device, the rv32 one
+  // against its own ISA's v1 image.
   auto second = fleet.engine.Run(fleet.V2DeltaCampaign());
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->succeeded, fleet.devices.size());
-  // The mismatched device silently gets a full package on the first
-  // attempt — fail-closed, not a fallback after a failed delta, so no
-  // retry budget is consumed.
-  EXPECT_EQ(second->full_deliveries, 1u);
-  EXPECT_EQ(second->delta_deliveries, fleet.devices.size() - 1);
+  EXPECT_EQ(second->delta_deliveries, fleet.devices.size());
+  EXPECT_EQ(second->full_deliveries, 0u);
   EXPECT_EQ(second->delta_fallbacks, 0u);
   for (const auto& outcome : second->outcomes) {
     EXPECT_TRUE(outcome.ok);
+    EXPECT_TRUE(outcome.delta);
     EXPECT_EQ(outcome.attempts, 1u);
-    if (outcome.device == *rv32) {
-      EXPECT_FALSE(outcome.delta);
-      EXPECT_FALSE(outcome.delta_fallback);
-    } else {
-      EXPECT_TRUE(outcome.delta);
-    }
   }
-  // After the full delivery the manifest is honest again: rv32-encoded.
-  auto manifest = fleet.registry.DeliveredVersion(*rv32);
-  ASSERT_TRUE(manifest.ok());
-  EXPECT_EQ(manifest->isa, isa::IsaId::kRv32I);
+  ExpectTalliesAddUp(*second);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -360,6 +361,31 @@ fleet::RegistryConfig TestRegistryConfig() {
   config.key_config.domain = "store.test.v1";
   config.shard_count = 4;
   return config;
+}
+
+/// The registry's storage fingerprint, reproduced field-for-field: it
+/// binds snapshot and WAL files to a configuration. The schema version
+/// is deliberately NOT part of it, or old files could never load.
+uint64_t RegistryStorageFingerprint(const fleet::RegistryConfig& config) {
+  store::RecordWriter fp;
+  fp.U64(config.shard_count);
+  fp.U64(config.secret_seed);
+  fp.U64(config.key_config.epoch);
+  fp.U64(config.key_config.environment_binding);
+  fp.Str(config.key_config.domain);
+  fp.U8(static_cast<uint8_t>(config.cipher));
+  return store::Fnv1a64(fp.bytes());
+}
+
+/// A legacy delivery-manifest body {u64 version, bytes keyfp[, u8 isa]},
+/// as WAL types 3/5 and v3/v4 snapshots carried it.
+void WriteLegacyManifest(store::RecordWriter& rec, uint64_t version,
+                         std::optional<uint8_t> isa) {
+  crypto::Sha256Digest keyfp{};
+  keyfp[9] = 0x99;
+  rec.U64(version);
+  rec.Bytes(std::vector<uint8_t>(keyfp.begin(), keyfp.end()));
+  if (isa) rec.U8(*isa);
 }
 
 TEST(RegistryPersistenceTest, FleetSurvivesRestart) {
@@ -915,67 +941,146 @@ TEST(CampaignJournalTest, EngineCrashResumeDeliversExactlyOnce) {
   }
 }
 
-// --- Delivery manifests -------------------------------------------------------
+// --- Legacy delivery manifests ----------------------------------------------
 
-TEST(RegistryPersistenceTest, DeliveryManifestSurvivesRestartViaWalReplay) {
-  const std::string dir = MakeTempDir("reg-manifest");
-  fleet::DeviceId with_manifest = 0, without_manifest = 0;
-  crypto::Sha256Digest fingerprint{};
-  fingerprint[0] = 0xAB;
-  fingerprint[31] = 0xCD;
+// Older registries logged "device D runs build B" as shard-WAL records of
+// types 3 (no ISA) and 5 (with ISA). A device's own slot records that
+// now, so replay checks such records for damage and drops them.
+TEST(RegistryPersistenceTest, LegacyManifestWalRecordsAreDropped) {
+  const std::string dir = MakeTempDir("reg-legacy-manifest");
+  const fleet::RegistryConfig config = TestRegistryConfig();
+  fleet::DeviceId device = 0;
   {
-    fleet::DeviceRegistry registry(TestRegistryConfig());
+    fleet::DeviceRegistry registry(config);
     ASSERT_TRUE(registry.OpenStorage(dir).ok());
-    const auto group = registry.CreateGroup("g");
-    with_manifest = *registry.Enroll(0x3A61F, group);
-    without_manifest = *registry.Enroll(0x3A620, group);
-    // Unknown devices are refused before anything reaches the WAL.
-    EXPECT_EQ(registry.RecordDelivery(9999, 1, fingerprint).code(),
-              ErrorCode::kNotFound);
-    // Two records for one device: last write wins across the restart.
-    ASSERT_TRUE(registry.RecordDelivery(with_manifest, 0x11, {}).ok());
-    ASSERT_TRUE(
-        registry.RecordDelivery(with_manifest, 0x22, fingerprint).ok());
-  }  // daemon dies
+    device = *registry.Enroll(0x3A61F, registry.CreateGroup("g"));
+  }
+  {
+    // Append one record of each legacy type to every shard log: one of
+    // them is the device's own shard, the others name no local device.
+    for (size_t shard = 0; shard < config.shard_count; ++shard) {
+      store::Wal wal;
+      ASSERT_TRUE(wal.Open(dir + "/shard-" + std::to_string(shard) + ".wal",
+                           {}, RegistryStorageFingerprint(config))
+                      .ok());
+      store::RecordWriter type3;
+      type3.U64(device);
+      WriteLegacyManifest(type3, 0x11, std::nullopt);
+      ASSERT_TRUE(wal.Append(3, type3.bytes()).ok());
+      store::RecordWriter type5;
+      type5.U64(device + 100);  // never enrolled
+      WriteLegacyManifest(type5, 0x22,
+                          static_cast<uint8_t>(isa::IsaId::kRv32I));
+      ASSERT_TRUE(wal.Append(5, type5.bytes()).ok());
+    }
+  }
 
-  fleet::DeviceRegistry recovered(TestRegistryConfig());
+  fleet::DeviceRegistry recovered(config);
   ASSERT_TRUE(recovered.OpenStorage(dir).ok());
   const auto info = recovered.storage_info();
-  EXPECT_EQ(info.manifest_records_replayed, 2u);
-  EXPECT_EQ(info.orphan_manifests_dropped, 0u);
-  auto manifest = recovered.DeliveredVersion(with_manifest);
-  ASSERT_TRUE(manifest.ok());
-  EXPECT_EQ(manifest->version, 0x22u);
-  EXPECT_EQ(manifest->key_fingerprint, fingerprint);
-  EXPECT_EQ(recovered.DeliveredVersion(without_manifest).status().code(),
+  EXPECT_EQ(info.devices_recovered, 1u);
+  // The group create, the enrollment and every legacy record.
+  EXPECT_EQ(info.wal_records_replayed, 2 + 2 * config.shard_count);
+  EXPECT_EQ(info.corrupt_tails, 0u);
+  // The device never ran an image; a dropped manifest does not make it.
+  EXPECT_EQ(recovered.DeliveredVersion(device).status().code(),
             ErrorCode::kFailedPrecondition);
-  EXPECT_EQ(recovered.DeliveredVersion(9999).status().code(),
+  EXPECT_EQ(recovered.DeliveredVersion(device + 100).status().code(),
             ErrorCode::kNotFound);
 }
 
-TEST(RegistryPersistenceTest, DeliveryManifestSurvivesSnapshotCompaction) {
-  const std::string dir = MakeTempDir("reg-manifest-snap");
-  fleet::DeviceId device = 0;
-  crypto::Sha256Digest fingerprint{};
-  fingerprint[7] = 0x77;
-  {
-    fleet::DeviceRegistry registry(TestRegistryConfig());
-    ASSERT_TRUE(registry.OpenStorage(dir).ok());
-    device = *registry.Enroll(0x3A630);
-    ASSERT_TRUE(registry.RecordDelivery(device, 0x33, fingerprint).ok());
-    // Compaction truncates the WALs: the manifest must ride the
-    // snapshot's v3 device fields.
-    ASSERT_TRUE(registry.Snapshot().ok());
+TEST(RegistryPersistenceTest, DamagedLegacyManifestRecordRefusesRecovery) {
+  // A CRC-valid type-5 record with a bad body is damage, as it always
+  // was: a short fingerprint, an unknown ISA byte, or trailing bytes.
+  const fleet::RegistryConfig config = TestRegistryConfig();
+  struct Damaged {
+    const char* what;
+    std::vector<uint8_t> body;
+  };
+  store::RecordWriter short_fp;
+  short_fp.U64(1);
+  short_fp.U64(0x22);
+  short_fp.Bytes(std::vector<uint8_t>(31, 0));
+  short_fp.U8(static_cast<uint8_t>(isa::IsaId::kRv64Gc));
+  store::RecordWriter unknown_isa;
+  unknown_isa.U64(1);
+  WriteLegacyManifest(unknown_isa, 0x22, 9);
+  store::RecordWriter trailing;
+  trailing.U64(1);
+  WriteLegacyManifest(trailing, 0x22, static_cast<uint8_t>(isa::IsaId::kRv64Gc));
+  trailing.U8(0);
+  const Damaged damaged[] = {
+      {"31-byte fingerprint", short_fp.bytes()},
+      {"unknown isa byte", unknown_isa.bytes()},
+      {"trailing byte", trailing.bytes()},
+  };
+  for (const Damaged& d : damaged) {
+    SCOPED_TRACE(d.what);
+    const std::string dir = MakeTempDir("reg-legacy-damaged");
+    {
+      fleet::DeviceRegistry registry(config);
+      ASSERT_TRUE(registry.OpenStorage(dir).ok());
+      ASSERT_TRUE(registry.Enroll(0x3A620).ok());
+    }
+    {
+      store::Wal wal;
+      ASSERT_TRUE(wal.Open(dir + "/shard-0.wal", {},
+                           RegistryStorageFingerprint(config))
+                      .ok());
+      ASSERT_TRUE(wal.Append(5, d.body).ok());
+    }
+    fleet::DeviceRegistry recovered(config);
+    EXPECT_EQ(recovered.OpenStorage(dir).code(), ErrorCode::kCorruptPackage);
   }
-  fleet::DeviceRegistry recovered(TestRegistryConfig());
+}
+
+TEST(RegistryPersistenceTest, SnapshotV4WithManifestsStillLoads) {
+  // Back-compat: a v4 snapshot (device ISA byte, then an optional
+  // manifest with its own ISA byte) loads with its devices intact and
+  // its manifests dropped, and the next snapshot is written as v5.
+  const std::string dir = MakeTempDir("reg-snap-v4");
+  const fleet::RegistryConfig config = TestRegistryConfig();
+
+  store::RecordWriter snap;
+  snap.U32(4);  // schema version: ISAs and manifests
+  snap.U64(1);  // group count
+  snap.U64(1);
+  snap.Str("line-a");
+  snap.U64(1);  // group epoch
+  snap.U64(2);  // device count
+  snap.U64(1);
+  snap.U64(0x5EED1);
+  snap.U64(1);  // group 1
+  snap.U8(0);   // enrolled
+  snap.U8(static_cast<uint8_t>(isa::IsaId::kRv64Gc));
+  snap.U8(0);   // no manifest
+  snap.U64(2);
+  snap.U64(0x5EED2);
+  snap.U64(1);
+  snap.U8(0);
+  snap.U8(static_cast<uint8_t>(isa::IsaId::kRv32I));
+  snap.U8(1);  // has manifest
+  WriteLegacyManifest(snap, 0x77, static_cast<uint8_t>(isa::IsaId::kRv32I));
+  ASSERT_TRUE(store::WriteSnapshot(dir, "registry", 1,
+                                   RegistryStorageFingerprint(config),
+                                   snap.bytes())
+                  .ok());
+
+  fleet::DeviceRegistry recovered(config);
   ASSERT_TRUE(recovered.OpenStorage(dir).ok());
-  const auto info = recovered.storage_info();
-  EXPECT_TRUE(info.snapshot_loaded);
-  EXPECT_EQ(info.manifest_records_replayed, 0u);  // the WAL was compacted
-  auto manifest = recovered.DeliveredVersion(device);
-  ASSERT_TRUE(manifest.ok());
-  EXPECT_EQ(manifest->version, 0x33u);
-  EXPECT_EQ(manifest->key_fingerprint, fingerprint);
+  EXPECT_TRUE(recovered.storage_info().snapshot_loaded);
+  EXPECT_EQ(recovered.Stats().devices, 2u);
+  EXPECT_EQ(recovered.Lookup(1)->isa, isa::IsaId::kRv64Gc);
+  EXPECT_EQ(recovered.Lookup(2)->isa, isa::IsaId::kRv32I);
+  EXPECT_EQ(recovered.DeliveredVersion(2).status().code(),
+            ErrorCode::kFailedPrecondition);
+
+  ASSERT_TRUE(recovered.Snapshot().ok());
+  fleet::DeviceRegistry again(config);
+  ASSERT_TRUE(again.OpenStorage(dir).ok());
+  EXPECT_EQ(again.Stats().devices, 2u);
+  EXPECT_EQ(again.Lookup(2)->isa, isa::IsaId::kRv32I);
+  EXPECT_EQ(*again.GroupMembers(1), (std::vector<fleet::DeviceId>{1, 2}));
 }
 
 TEST(RegistryPersistenceTest, SnapshotV2WithoutManifestsStillLoads) {
@@ -984,18 +1089,7 @@ TEST(RegistryPersistenceTest, SnapshotV2WithoutManifestsStillLoads) {
   // with every device simply manifest-less.
   const std::string dir = MakeTempDir("reg-snap-v2");
   const fleet::RegistryConfig config = TestRegistryConfig();
-
-  // The registry's storage fingerprint, reproduced field-for-field (it
-  // is what binds snapshot files to a configuration; the schema version
-  // is deliberately NOT part of it, or old snapshots could never load).
-  store::RecordWriter fp;
-  fp.U64(config.shard_count);
-  fp.U64(config.secret_seed);
-  fp.U64(config.key_config.epoch);
-  fp.U64(config.key_config.environment_binding);
-  fp.Str(config.key_config.domain);
-  fp.U8(static_cast<uint8_t>(config.cipher));
-  const uint64_t fingerprint = store::Fnv1a64(fp.bytes());
+  const uint64_t fingerprint = RegistryStorageFingerprint(config);
 
   // A v2 snapshot: one group at epoch 2, two devices (one revoked).
   store::RecordWriter snap;
@@ -1028,13 +1122,13 @@ TEST(RegistryPersistenceTest, SnapshotV2WithoutManifestsStillLoads) {
   EXPECT_EQ(recovered.DeliveredVersion(2).status().code(),
             ErrorCode::kFailedPrecondition);
 
-  // And the first delivery recorded on the recovered fleet round-trips
-  // through the new v3 snapshot.
-  ASSERT_TRUE(recovered.RecordDelivery(1, 0x99, {}).ok());
+  // And the recovered fleet round-trips through the current snapshot.
   ASSERT_TRUE(recovered.Snapshot().ok());
   fleet::DeviceRegistry again(config);
   ASSERT_TRUE(again.OpenStorage(dir).ok());
-  EXPECT_EQ(again.DeliveredVersion(1)->version, 0x99u);
+  EXPECT_EQ(again.Stats().devices, 2u);
+  EXPECT_EQ(again.Stats().revoked, 1u);
+  EXPECT_EQ(*again.GroupEpoch(1), 2u);
 }
 
 TEST(CampaignJournalTest, OutcomeFormSurvivesReplay) {
@@ -1073,28 +1167,19 @@ TEST(CampaignJournalTest, OutcomeFormSurvivesReplay) {
 TEST(RegistryPersistenceTest, DeviceIsaSurvivesRestartViaWalReplay) {
   const std::string dir = MakeTempDir("reg-isa-wal");
   fleet::DeviceId rv64 = 0, rv32 = 0;
-  crypto::Sha256Digest fingerprint{};
-  fingerprint[3] = 0x32;
   {
     fleet::DeviceRegistry registry(TestRegistryConfig());
     ASSERT_TRUE(registry.OpenStorage(dir).ok());
     const auto group = registry.CreateGroup("mixed");
     rv64 = *registry.Enroll(0x15AA64, group);
     rv32 = *registry.Enroll(0x15AA32, group, isa::IsaId::kRv32I);
-    ASSERT_TRUE(registry
-                    .RecordDelivery(rv32, 0x44, fingerprint,
-                                    isa::IsaId::kRv32I)
-                    .ok());
   }  // daemon dies before any snapshot: recovery is pure WAL replay
 
   fleet::DeviceRegistry recovered(TestRegistryConfig());
   ASSERT_TRUE(recovered.OpenStorage(dir).ok());
+  EXPECT_EQ(recovered.storage_info().wal_records_replayed, 3u);
   EXPECT_EQ(recovered.Lookup(rv64)->isa, isa::IsaId::kRv64Gc);
   EXPECT_EQ(recovered.Lookup(rv32)->isa, isa::IsaId::kRv32I);
-  auto manifest = recovered.DeliveredVersion(rv32);
-  ASSERT_TRUE(manifest.ok());
-  EXPECT_EQ(manifest->version, 0x44u);
-  EXPECT_EQ(manifest->isa, isa::IsaId::kRv32I);
 }
 
 TEST(RegistryPersistenceTest, DeviceIsaSurvivesSnapshotCompaction) {
@@ -1104,20 +1189,16 @@ TEST(RegistryPersistenceTest, DeviceIsaSurvivesSnapshotCompaction) {
     fleet::DeviceRegistry registry(TestRegistryConfig());
     ASSERT_TRUE(registry.OpenStorage(dir).ok());
     rv32 = *registry.Enroll(0x15AB32, fleet::kNoGroup, isa::IsaId::kRv32I);
-    ASSERT_TRUE(registry
-                    .RecordDelivery(rv32, 0x55, {}, isa::IsaId::kRv32I)
-                    .ok());
     // Compaction truncates the WALs: the ISA must ride the snapshot's
-    // v4 device and manifest fields.
+    // device fields.
     ASSERT_TRUE(registry.Snapshot().ok());
   }
   fleet::DeviceRegistry recovered(TestRegistryConfig());
   ASSERT_TRUE(recovered.OpenStorage(dir).ok());
   const auto info = recovered.storage_info();
   EXPECT_TRUE(info.snapshot_loaded);
-  EXPECT_EQ(info.manifest_records_replayed, 0u);  // the WAL was compacted
+  EXPECT_EQ(info.wal_records_replayed, 0u);  // the WAL was compacted
   EXPECT_EQ(recovered.Lookup(rv32)->isa, isa::IsaId::kRv32I);
-  EXPECT_EQ(recovered.DeliveredVersion(rv32)->isa, isa::IsaId::kRv32I);
 }
 
 TEST(RegistryPersistenceTest, SnapshotV3WithoutIsaStillLoads) {
@@ -1126,20 +1207,10 @@ TEST(RegistryPersistenceTest, SnapshotV3WithoutIsaStillLoads) {
   // as an all-RV64GC fleet — that is the only ISA that existed then.
   const std::string dir = MakeTempDir("reg-snap-v3");
   const fleet::RegistryConfig config = TestRegistryConfig();
-
-  store::RecordWriter fp;
-  fp.U64(config.shard_count);
-  fp.U64(config.secret_seed);
-  fp.U64(config.key_config.epoch);
-  fp.U64(config.key_config.environment_binding);
-  fp.Str(config.key_config.domain);
-  fp.U8(static_cast<uint8_t>(config.cipher));
-  const uint64_t fingerprint = store::Fnv1a64(fp.bytes());
+  const uint64_t fingerprint = RegistryStorageFingerprint(config);
 
   // A v3 snapshot: one group, one manifest-less device, one device with
-  // a delivery manifest.
-  crypto::Sha256Digest keyfp{};
-  keyfp[9] = 0x99;
+  // a delivery manifest (checked for damage, then dropped).
   store::RecordWriter snap;
   snap.U32(3);  // schema version: manifests yes, ISAs no
   snap.U64(1);  // group count
@@ -1157,8 +1228,7 @@ TEST(RegistryPersistenceTest, SnapshotV3WithoutIsaStillLoads) {
   snap.U64(1);
   snap.U8(0);
   snap.U8(1);  // has manifest
-  snap.U64(0x77);
-  snap.Bytes(std::vector<uint8_t>(keyfp.begin(), keyfp.end()));
+  WriteLegacyManifest(snap, 0x77, std::nullopt);
   ASSERT_TRUE(
       store::WriteSnapshot(dir, "registry", 1, fingerprint, snap.bytes())
           .ok());
@@ -1169,14 +1239,11 @@ TEST(RegistryPersistenceTest, SnapshotV3WithoutIsaStillLoads) {
   EXPECT_EQ(recovered.Stats().devices, 2u);
   EXPECT_EQ(recovered.Lookup(1)->isa, isa::IsaId::kRv64Gc);
   EXPECT_EQ(recovered.Lookup(2)->isa, isa::IsaId::kRv64Gc);
-  auto manifest = recovered.DeliveredVersion(2);
-  ASSERT_TRUE(manifest.ok());
-  EXPECT_EQ(manifest->version, 0x77u);
-  EXPECT_EQ(manifest->key_fingerprint, keyfp);
-  EXPECT_EQ(manifest->isa, isa::IsaId::kRv64Gc);
+  EXPECT_EQ(recovered.DeliveredVersion(2).status().code(),
+            ErrorCode::kFailedPrecondition);
 
   // A fresh rv32 enrollment on the recovered fleet round-trips through
-  // the new v4 snapshot alongside the migrated devices.
+  // the current snapshot alongside the migrated devices.
   const auto rv32 = recovered.Enroll(0x5EED3, 1, isa::IsaId::kRv32I);
   ASSERT_TRUE(rv32.ok());
   ASSERT_TRUE(recovered.Snapshot().ok());
@@ -1184,7 +1251,6 @@ TEST(RegistryPersistenceTest, SnapshotV3WithoutIsaStillLoads) {
   ASSERT_TRUE(again.OpenStorage(dir).ok());
   EXPECT_EQ(again.Lookup(*rv32)->isa, isa::IsaId::kRv32I);
   EXPECT_EQ(again.Lookup(1)->isa, isa::IsaId::kRv64Gc);
-  EXPECT_EQ(again.DeliveredVersion(2)->version, 0x77u);
 }
 
 TEST(RegistryPersistenceTest, SnapshotNamingUnknownIsaFailsClosed) {
@@ -1192,18 +1258,10 @@ TEST(RegistryPersistenceTest, SnapshotNamingUnknownIsaFailsClosed) {
   // refuse to load — defaulting would dispatch wrong-ISA images forever.
   const std::string dir = MakeTempDir("reg-snap-bad-isa");
   const fleet::RegistryConfig config = TestRegistryConfig();
-
-  store::RecordWriter fp;
-  fp.U64(config.shard_count);
-  fp.U64(config.secret_seed);
-  fp.U64(config.key_config.epoch);
-  fp.U64(config.key_config.environment_binding);
-  fp.Str(config.key_config.domain);
-  fp.U8(static_cast<uint8_t>(config.cipher));
-  const uint64_t fingerprint = store::Fnv1a64(fp.bytes());
+  const uint64_t fingerprint = RegistryStorageFingerprint(config);
 
   store::RecordWriter snap;
-  snap.U32(4);  // current schema
+  snap.U32(4);  // a schema with device ISA bytes
   snap.U64(0);  // no groups
   snap.U64(1);  // one device
   snap.U64(1);

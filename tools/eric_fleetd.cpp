@@ -44,15 +44,14 @@
 // delivered twice, nothing is lost. --snapshot-every N compacts the
 // registry WALs after every N logged mutations.
 //
-// --delta ships patch packages: a device whose durable delivery manifest
-// says it runs the base release (--base-source/--base-workload) under its
-// current key receives EncodeDelta(base wire, target wire) instead of
-// the full sealed image; everything else — fresh devices, rotated keys,
+// --delta ships patch packages: a device whose active slot holds the
+// base release (--base-source/--base-workload) under its current key
+// receives EncodeDelta(base wire, target wire) instead of the full
+// sealed image; everything else — fresh devices, rotated keys,
 // oversized deltas, corrupted patches — falls back to the full package
-// automatically. Manifests persist through --state-dir, so a restarted
-// daemon still knows what every device runs (the devices' own retained
-// images are not simulated across restarts: a resumed delta campaign
-// ships full packages to its remaining targets, exactly once).
+// automatically. Device agents persist their slots under --state-dir, so
+// a restarted daemon's devices still hold their images and a resumed
+// delta campaign patches its remaining targets, exactly once.
 //
 // --rotate-epoch GROUP makes the campaign a key-epoch rotation: the named
 // group's key epoch is bumped (durably journaled under --state-dir), the
@@ -168,7 +167,7 @@ bool LoadProgram(const std::string& path, const std::string& workload,
   return true;
 }
 
-/// Devices in `targets` whose manifest says they now run `version` —
+/// Devices in `targets` whose active slot says they now run `version` —
 /// what the crash-resume test asserts campaign completion on.
 size_t CountManifestsAt(const fleet::DeviceRegistry& registry,
                         const std::vector<fleet::DeviceId>& targets,
@@ -763,7 +762,6 @@ bool WriteReportJson(const std::string& path, const ReportContext& context,
   json.Field("delta_fallbacks", report.delta_fallbacks);
   json.Field("bytes_shipped", report.bytes_shipped);
   json.Field("bytes_full_equivalent", report.bytes_full_equivalent);
-  json.Field("manifest_update_failures", report.manifest_update_failures);
   json.Field("rollbacks", report.rollbacks);
   json.Field("health_failures", report.health_failures);
   json.Field("cache_hits", report.cache_artifact_hits);
@@ -1081,7 +1079,7 @@ int RunCampaign(const fleet::DaemonConfig& config, const Program& program,
   campaign.delta_base_source = base.source;
   campaign.transport = transport;
 
-  // Version identities: what manifests record, what resume matches on.
+  // Version identities: what device slots record, what resume matches on.
   const uint64_t target_version = fleet::ProgramVersionFingerprint(
       program.source, config.policy, config.compile_options);
   const uint64_t base_version =
@@ -1361,15 +1359,6 @@ int RunCampaign(const fleet::DaemonConfig& config, const Program& program,
   }
 
   PrintReport(scheduled, config);
-  if (scheduled.manifest_update_failures > 0) {
-    // The deliveries stand; the affected devices simply mis-diff (and
-    // get full packages) next campaign.
-    std::fprintf(stderr,
-                 "warning: %llu delivered manifest update(s) could not be "
-                 "made durable\n",
-                 static_cast<unsigned long long>(
-                     scheduled.manifest_update_failures));
-  }
   if (!config.json_path.empty() &&
       !WriteReportJson(config.json_path, context, config, scheduled,
                        rotated ? &*rotated : nullptr,
