@@ -425,22 +425,26 @@ uint64_t Word(const std::vector<uint8_t>& bytes) {
 }
 
 // Runs the patch loop below twice with `original` as the 4 bytes at
-// offset 8. The first pass executes them, then overwrites them with the
+// offset 12. The first pass executes them, then overwrites them with the
 // word in a1 (`addi a0, a0, 100`); the second pass must execute the new
 // bytes, so a stale decode of the old ones shows up in the exit code.
+// The `j` makes `loop` a block entry of its own, decoded and run before
+// the store: the second pass re-enters that block, so only invalidating
+// it on the store makes the new bytes run.
 ExecStats RunSelfModifying(const std::vector<uint8_t>& original) {
   std::vector<uint8_t> bytes = Encode(R"(
     auipc t0, 0
     li t1, 2
+    j loop
   loop:
     addi a0, a0, 1
-    sw a1, 8(t0)
+    sw a1, 12(t0)
     addi t1, t1, -1
     bnez t1, loop
     ecall
   )", /*compress=*/false);
   EXPECT_EQ(original.size(), 4u);
-  std::copy(original.begin(), original.end(), bytes.begin() + 8);
+  std::copy(original.begin(), original.end(), bytes.begin() + 12);
   Soc soc;
   soc.LoadProgram(bytes);
   return soc.Run(kRamBase, 0, Word(Encode("addi a0, a0, 100\n", false)));
@@ -451,7 +455,7 @@ TEST(CpuTest, SelfModifyingStoreReplacesWideInstruction) {
       RunSelfModifying(Encode("addi a0, a0, 1\n", /*compress=*/false));
   EXPECT_EQ(stats.halt_reason, HaltReason::kExit);
   EXPECT_EQ(stats.exit_code, 101);
-  EXPECT_EQ(stats.instructions, 2u + 2 * 4 + 1);
+  EXPECT_EQ(stats.instructions, 3u + 2 * 4 + 1);
 }
 
 TEST(CpuTest, SelfModifyingStoreReplacesCompressedPair) {
@@ -462,7 +466,7 @@ TEST(CpuTest, SelfModifyingStoreReplacesCompressedPair) {
   const ExecStats stats = RunSelfModifying(pair);
   EXPECT_EQ(stats.halt_reason, HaltReason::kExit);
   EXPECT_EQ(stats.exit_code, 101);
-  EXPECT_EQ(stats.instructions, 2u + 5 + 4 + 1);
+  EXPECT_EQ(stats.instructions, 3u + 5 + 4 + 1);
 }
 
 TEST(CpuTest, PageStraddlingLoadsAndStoresOfEveryWidth) {
