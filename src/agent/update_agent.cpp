@@ -413,9 +413,9 @@ Status UpdateAgent::Apply(std::span<const uint8_t> image, uint64_t version,
   staged_slot_ = -1;
   phase_ = ApplyPhase::kIdle;
   counters_.applies++;
-  // Best effort, like the registry's manifest counter: the update IS
-  // applied and healthy on-device; a failed final persist only costs a
-  // conservative rollback if the device crashes before the next one.
+  // Best effort: the update IS applied and healthy on-device; a failed
+  // final persist only costs a conservative rollback if the device
+  // crashes before the next one.
   (void)Persist();
   AgentMetrics::Get().applies.Add(1);
   AgentMetrics::Get().apply_us.Record(MicrosecondsSince(start));

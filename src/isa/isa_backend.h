@@ -32,7 +32,8 @@
 namespace eric::isa {
 
 /// Wire-stable ISA identifier. Persisted in package flags, registry WAL
-/// records, snapshots, and delivery manifests — never renumber.
+/// records and snapshots (legacy delivery manifests included) — never
+/// renumber.
 enum class IsaId : uint8_t {
   kRv64Gc = 0,  ///< RV64I+M+A+Zicsr+C subset (the original target)
   kRv32I = 1,   ///< RV32I+Zicsr, uncompressed only

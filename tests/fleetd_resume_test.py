@@ -22,15 +22,15 @@ Key-epoch rotation:
      the journal considered the first rotation over
 
 Delta campaign:
-  1. deploy release v1 to a durable fleet (manifests land at v1)
+  1. deploy release v1 to a durable fleet (every active slot holds v1)
   2. start the v2 --delta campaign, kill -9 mid-campaign
   3. restart with --resume --delta and assert exactly-once completion
-     and that EVERY device's manifest reads v2 (manifest_current in the
-     JSON). Device base images live in durable slot manifests, so the
-     restarted daemon patches remaining targets with REAL deltas: at
-     most one device (the one in the kill window whose manifest had
-     already advanced to v2) ships a full package instead, and at most
-     one rolls through the delta fallback — never the whole fleet.
+     and that EVERY device's active slot reads v2 (manifest_current in
+     the JSON). Device base images live in durable slot manifests, so
+     the restarted daemon patches remaining targets with REAL deltas: at
+     most one device (the one in the kill window whose slot had already
+     advanced to v2) ships a full package instead, and at most one rolls
+     through the delta fallback — never the whole fleet.
 
 Listen-mode campaign:
   1. start a --listen campaign: the daemon serves dispatches over real
@@ -605,7 +605,7 @@ def delta_attempt(fleetd, workdir, attempt):
     if not report["delta"]:
         fail("delta resume lost the --delta flag in its report")
     # THE manifest property: after the resume, every device's durable
-    # manifest reads v2 — the fleet agrees with itself about what runs
+    # active slot reads v2 — the fleet agrees with itself about what runs
     # where, which is what the next delta campaign will diff against.
     if report["manifest_current"] != DEVICES:
         fail("delta resume left %d of %d manifests at v2" %
@@ -613,10 +613,10 @@ def delta_attempt(fleetd, workdir, attempt):
     # Delta bases are durable (agent slot manifests): the restarted
     # daemon patches the remaining targets with real deltas. The killed
     # run had one worker, so at most ONE device sits in the kill window
-    # with its delivery manifest already at v2 (RecordDelivery lands
-    # before the outcome checkpoint) — that device ships one full
-    # package without attempting a patch; and at most one device whose
-    # apply the kill interrupted can roll back through the fallback.
+    # with its active slot already at v2 (the agent commits before the
+    # outcome checkpoint) — that device ships one full package without
+    # attempting a patch; and at most one device whose apply the kill
+    # interrupted can roll back through the fallback.
     if report["delta_fallbacks"] > 1:
         fail("delta resume: %d fallbacks; durable bases should patch "
              "cleanly" % report["delta_fallbacks"])
