@@ -1162,6 +1162,202 @@ TEST(CampaignJournalTest, OutcomeFormSurvivesReplay) {
             (std::vector<fleet::DeviceId>{33}));
 }
 
+// --- Legacy sharded layout ----------------------------------------------------
+
+/// Asserts that two registries hold the same fleet: every device's
+/// enrollment fields, status, conversion mask and sealing context, and
+/// every group's epoch, key and member order.
+void ExpectSameFleet(const fleet::DeviceRegistry& expected,
+                     const fleet::DeviceRegistry& actual) {
+  EXPECT_EQ(actual.Stats().devices, expected.Stats().devices);
+  EXPECT_EQ(actual.Stats().revoked, expected.Stats().revoked);
+  EXPECT_EQ(actual.Stats().groups, expected.Stats().groups);
+  ASSERT_EQ(actual.AllDevices(), expected.AllDevices());
+  for (fleet::DeviceId id : expected.AllDevices()) {
+    SCOPED_TRACE("device " + std::to_string(id));
+    const auto want = expected.Lookup(id);
+    const auto got = actual.Lookup(id);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->device_seed, want->device_seed);
+    EXPECT_EQ(got->group, want->group);
+    EXPECT_EQ(got->status, want->status);
+    EXPECT_EQ(got->isa, want->isa);
+    EXPECT_EQ(got->conversion_mask, want->conversion_mask);
+    const auto want_sealing = expected.SealingContextFor(id);
+    const auto got_sealing = actual.SealingContextFor(id);
+    ASSERT_TRUE(want_sealing.ok());
+    ASSERT_TRUE(got_sealing.ok());
+    EXPECT_EQ(got_sealing->key, want_sealing->key);
+    EXPECT_EQ(got_sealing->config.epoch, want_sealing->config.epoch);
+  }
+  for (fleet::GroupId group = 1; group <= expected.Stats().groups; ++group) {
+    SCOPED_TRACE("group " + std::to_string(group));
+    EXPECT_EQ(*actual.GroupEpoch(group), *expected.GroupEpoch(group));
+    EXPECT_EQ(*actual.GroupKey(group), *expected.GroupKey(group));
+    EXPECT_EQ(*actual.GroupMembers(group), *expected.GroupMembers(group));
+  }
+}
+
+// Older registries kept a groups.wal (1 = group create, 2 = epoch bump)
+// and sixteen shard-K.wal logs, each device's records in shard
+// SplitMix64(id) % 16. A directory in that layout, written here by hand
+// on top of a v5 snapshot, must recover the fleet an in-memory registry
+// builds from the same history.
+TEST(RegistryPersistenceTest, LegacyShardedLayoutRecovers) {
+  const std::string dir = MakeTempDir("reg-legacy-layout");
+  fleet::RegistryConfig config;
+  config.key_config.domain = "store.test.legacy";
+  const uint64_t fingerprint = RegistryStorageFingerprint(config);
+  constexpr uint8_t kRv64 = static_cast<uint8_t>(isa::IsaId::kRv64Gc);
+  constexpr uint8_t kRv32 = static_cast<uint8_t>(isa::IsaId::kRv32I);
+
+  // The snapshot: groups 1 (epoch 0) and 2 (epoch 2); devices 1 and 2,
+  // and a revoked solo device 3.
+  store::RecordWriter snap;
+  snap.U32(5);
+  snap.U64(2);
+  snap.U64(1);
+  snap.Str("line-a");
+  snap.U64(0);
+  snap.U64(2);
+  snap.Str("line-b");
+  snap.U64(2);
+  snap.U64(3);
+  const struct {
+    uint64_t id, seed, group;
+    uint8_t status, isa;
+  } snapped[] = {{1, 0x1E6A1, 1, 0, kRv64},
+                 {2, 0x1E6A2, 2, 0, kRv32},
+                 {3, 0x1E6A3, fleet::kNoGroup, 1, kRv64}};
+  for (const auto& d : snapped) {
+    snap.U64(d.id);
+    snap.U64(d.seed);
+    snap.U64(d.group);
+    snap.U8(d.status);
+    snap.U8(d.isa);
+  }
+  ASSERT_TRUE(
+      store::WriteSnapshot(dir, "registry", 1, fingerprint, snap.bytes())
+          .ok());
+
+  {
+    // The group log: group 3 is created, group 1 bumps to epoch 1.
+    store::Wal groups;
+    ASSERT_TRUE(groups.Open(dir + "/groups.wal", {}, fingerprint).ok());
+    store::RecordWriter create;
+    create.U64(3);
+    create.Str("line-c");
+    ASSERT_TRUE(groups.Append(1, create.bytes()).ok());
+    store::RecordWriter bump;
+    bump.U64(1);
+    bump.U64(1);
+    ASSERT_TRUE(groups.Append(2, bump.bytes()).ok());
+  }
+  {
+    // The shard logs, each record in its device's shard: enrollments of
+    // devices 4 and 5 (type 4), a pre-ISA enrollment of device 6 (type
+    // 1), legacy manifests (types 3 and 5), and revokes of 2 and 6.
+    std::vector<std::unique_ptr<store::Wal>> shards;
+    for (size_t shard = 0; shard < 16; ++shard) {
+      shards.push_back(std::make_unique<store::Wal>());
+      ASSERT_TRUE(shards.back()
+                      ->Open(dir + "/shard-" + std::to_string(shard) + ".wal",
+                             {}, fingerprint)
+                      .ok());
+    }
+    const auto append = [&shards](fleet::DeviceId id, uint8_t type,
+                                  const store::RecordWriter& rec) {
+      ASSERT_TRUE(
+          shards[SplitMix64(id).Next() % 16]->Append(type, rec.bytes()).ok());
+    };
+    store::RecordWriter enroll4;
+    enroll4.U64(4);
+    enroll4.U64(0x1E6A4);
+    enroll4.U64(3);
+    enroll4.U8(kRv32);
+    append(4, 4, enroll4);
+    store::RecordWriter manifest4;
+    manifest4.U64(4);
+    WriteLegacyManifest(manifest4, 0x44, kRv32);
+    append(4, 5, manifest4);
+    store::RecordWriter enroll5;
+    enroll5.U64(5);
+    enroll5.U64(0x1E6A5);
+    enroll5.U64(1);
+    enroll5.U8(kRv64);
+    append(5, 4, enroll5);
+    store::RecordWriter manifest5;
+    manifest5.U64(5);
+    WriteLegacyManifest(manifest5, 0x55, std::nullopt);
+    append(5, 3, manifest5);
+    store::RecordWriter enroll6;
+    enroll6.U64(6);
+    enroll6.U64(0x1E6A6);
+    enroll6.U64(fleet::kNoGroup);
+    append(6, 1, enroll6);
+    for (fleet::DeviceId id : {fleet::DeviceId{2}, fleet::DeviceId{6}}) {
+      store::RecordWriter revoke;
+      revoke.U64(id);
+      append(id, 2, revoke);
+    }
+  }
+
+  // The same history, built in memory.
+  fleet::DeviceRegistry reference(config);
+  ASSERT_EQ(reference.CreateGroup("line-a"), 1u);
+  ASSERT_EQ(reference.CreateGroup("line-b"), 2u);
+  ASSERT_EQ(reference.CreateGroup("line-c"), 3u);
+  ASSERT_EQ(*reference.Enroll(0x1E6A1, 1), 1u);
+  ASSERT_EQ(*reference.Enroll(0x1E6A2, 2, isa::IsaId::kRv32I), 2u);
+  ASSERT_EQ(*reference.Enroll(0x1E6A3), 3u);
+  ASSERT_EQ(*reference.Enroll(0x1E6A4, 3, isa::IsaId::kRv32I), 4u);
+  ASSERT_EQ(*reference.Enroll(0x1E6A5, 1), 5u);
+  ASSERT_EQ(*reference.Enroll(0x1E6A6), 6u);
+  ASSERT_TRUE(reference.RotateGroupEpochTo(1, 1).ok());
+  ASSERT_TRUE(reference.RotateGroupEpochTo(2, 2).ok());
+  for (fleet::DeviceId id : {2, 3, 6}) {
+    ASSERT_TRUE(reference.Revoke(id).ok());
+  }
+
+  {
+    fleet::DeviceRegistry recovered(config);
+    ASSERT_TRUE(recovered.OpenStorage(dir).ok());
+    const auto info = recovered.storage_info();
+    EXPECT_TRUE(info.snapshot_loaded);
+    EXPECT_EQ(info.snapshot_sequence, 1u);
+    EXPECT_EQ(info.wal_records_replayed, 9u);
+    EXPECT_EQ(info.epoch_bumps_replayed, 1u);
+    EXPECT_EQ(info.corrupt_tails, 0u);
+    EXPECT_EQ(info.orphan_revokes_dropped, 0u);
+    ExpectSameFleet(reference, recovered);
+
+    // The recovered endpoints took the replayed epoch bump: a package
+    // sealed under device 5's context runs on it.
+    const auto sealing = recovered.SealingContextFor(5);
+    ASSERT_TRUE(sealing.ok());
+    ASSERT_EQ(sealing->config.epoch, 1u);
+    fleet::PackageCache cache;
+    auto artifact = cache.GetOrBuild(kTinyProgram, sealing->key,
+                                     sealing->config,
+                                     core::EncryptionPolicy::Full());
+    ASSERT_TRUE(artifact.ok());
+    auto run = recovered.Dispatch(5, (*artifact)->wire);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run->exec.exit_code, kTinyProgramResult);
+
+    // Mutations after the reopen are logged and survive the next one.
+    ASSERT_EQ(*recovered.Enroll(0x1E6A7, 3), 7u);
+    ASSERT_TRUE(recovered.Revoke(4).ok());
+  }
+  ASSERT_EQ(*reference.Enroll(0x1E6A7, 3), 7u);
+  ASSERT_TRUE(reference.Revoke(4).ok());
+
+  fleet::DeviceRegistry again(config);
+  ASSERT_TRUE(again.OpenStorage(dir).ok());
+  ExpectSameFleet(reference, again);
+}
+
 // --- Per-device ISA persistence ----------------------------------------------
 
 TEST(RegistryPersistenceTest, DeviceIsaSurvivesRestartViaWalReplay) {
