@@ -2,7 +2,7 @@
 //
 // The paper's scaling story (Sec. III.1 group keys — "programs can be
 // created to run on multiple hardware of their own with a single compile
-// step") run through the production-shaped stack: a sharded DeviceRegistry
+// step") run through the production-shaped stack: the DeviceRegistry
 // enrolls the fleet, the PackageCache compiles + seals ONCE for the whole
 // group, and the DeploymentEngine pushes the campaign over a lossy channel
 // with retries — while a grey-market clone outside the group stays locked

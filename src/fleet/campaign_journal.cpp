@@ -54,8 +54,7 @@ std::vector<DeviceId> CampaignResumeState::RemainingTargets() const {
   return remaining;
 }
 
-Status CampaignJournal::Open(const std::string& state_dir,
-                             const store::WalOptions& options) {
+Status CampaignJournal::Open(const std::string& state_dir) {
   if (wal_.is_open()) {
     return Status(ErrorCode::kFailedPrecondition, "journal already open");
   }
@@ -172,7 +171,7 @@ Status CampaignJournal::Open(const std::string& state_dir,
       });
   if (!replayed.ok()) return replayed.status();
 
-  ERIC_RETURN_IF_ERROR(wal_.Open(path, options));
+  ERIC_RETURN_IF_ERROR(wal_.Open(path));
   campaign_open_ = recovered_.active;
   return Status::Ok();
 }

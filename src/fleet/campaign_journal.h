@@ -96,8 +96,7 @@ class CampaignJournal : public CampaignCheckpointSink {
   /// Opens `state_dir`/campaign.wal (creating the directory if needed),
   /// replays it, and exposes any interrupted campaign via recovered().
   /// A torn or corrupt log tail is truncated, never applied.
-  Status Open(const std::string& state_dir,
-              const store::WalOptions& options = {});
+  Status Open(const std::string& state_dir);
 
   /// The replay result: whether a campaign is waiting to be resumed,
   /// and what it already completed. Valid after Open().

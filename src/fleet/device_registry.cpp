@@ -7,27 +7,28 @@
 #include "pkg/delta.h"
 #include "store/record_io.h"
 #include "store/snapshot.h"
+#include "store/wal.h"
 #include "support/stopwatch.h"
 
 namespace eric::fleet {
 
 namespace {
 
-// Registry WAL record types. Group-directory log:
-constexpr uint8_t kWalGroupCreate = 1;  ///< {u64 id, str label}
-constexpr uint8_t kWalEpochBump = 2;    ///< {u64 group, u64 epoch}
-// Per-shard mutation log:
+// Registry log record types. Types 1-5 keep their numbers from the older
+// per-shard logs; 6 and 7 were types 1 and 2 of the older groups.wal.
 constexpr uint8_t kWalEnroll = 1;    ///< {u64 id, u64 seed, u64 group}
 constexpr uint8_t kWalRevoke = 2;    ///< {u64 id}
-/// {u64 id, u64 seed, u64 group, u8 isa}. Written for every new
-/// enrollment; type-1 records (pre-ISA logs) replay as kRv64Gc.
-constexpr uint8_t kWalEnrollIsa = 4;
 /// Legacy delivery-manifest records, no longer written: {u64 id, u64
 /// version, bytes keyfp} and the same plus {u8 isa}. What a device runs
 /// is its agent's active slot, so replay checks them for damage and
 /// drops them.
 constexpr uint8_t kWalManifest = 3;
+/// {u64 id, u64 seed, u64 group, u8 isa}. Written for every new
+/// enrollment; type-1 records (pre-ISA logs) replay as kRv64Gc.
+constexpr uint8_t kWalEnrollIsa = 4;
 constexpr uint8_t kWalManifestIsa = 5;
+constexpr uint8_t kWalGroupCreate = 6;  ///< {u64 id, str label}
+constexpr uint8_t kWalEpochBump = 7;    ///< {u64 group, u64 epoch}
 
 // Snapshot schema: v2 adds a per-group key epoch after the label; v3
 // adds an optional delivery manifest per device; v4 adds the device and
@@ -41,11 +42,10 @@ constexpr uint32_t kSnapshotVersionNoIsa = 3;
 constexpr uint32_t kSnapshotVersionNoManifests = 2;
 constexpr uint32_t kSnapshotVersionNoEpochs = 1;
 constexpr const char* kSnapshotPrefix = "registry";
-constexpr const char* kGroupWalName = "groups.wal";
-
-std::string ShardWalPath(const std::string& dir, size_t shard) {
-  return dir + "/shard-" + std::to_string(shard) + ".wal";
-}
+constexpr const char* kWalName = "registry.wal";
+/// The older layout: groups.wal, then one shard-K.wal per lock stripe of
+/// a table that was striped this many ways.
+constexpr uint64_t kLegacyShardLogs = 16;
 
 Status Damaged(const std::string& what) {
   return Status(ErrorCode::kCorruptPackage, what + " damaged");
@@ -100,15 +100,14 @@ Status SkipLegacyManifest(store::RecordReader& rec, bool with_isa) {
 
 }  // namespace
 
-/// Everything the persistence mode owns: the open WALs, the lock that
+/// Everything the persistence mode owns: the open log, the lock that
 /// orders mutations against snapshots, and the recovery/report counters.
 struct DeviceRegistry::Storage {
   std::string dir;
   RegistryStorageOptions options;
   uint64_t fingerprint = 0;
 
-  store::Wal group_wal;
-  std::vector<std::unique_ptr<store::Wal>> shard_wals;
+  store::Wal wal;
 
   /// Mutators (enroll/revoke/group-create) hold this shared for the span
   /// of {table mutation, WAL append} so a snapshot (exclusive) can never
@@ -133,20 +132,9 @@ DeviceRegistry::~DeviceRegistry() = default;
 
 DeviceRegistry::DeviceRegistry(const RegistryConfig& config)
     : config_(config) {
-  if (config_.shard_count == 0) config_.shard_count = 1;
-  shards_.reserve(config_.shard_count);
-  for (size_t i = 0; i < config_.shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
   // The registry's root secret, from which every group key is derived.
   Xoshiro256 rng(config_.secret_seed);
   for (auto& byte : group_secret_) byte = static_cast<uint8_t>(rng.Next());
-}
-
-size_t DeviceRegistry::ShardIndex(DeviceId id) const {
-  // Ids are sequential; SplitMix the id so stripes stay balanced even if
-  // callers enroll in bursts.
-  return SplitMix64(id).Next() % shards_.size();
 }
 
 void DeviceRegistry::KeyGroupAt(GroupId id, uint64_t epoch,
@@ -194,8 +182,7 @@ GroupId DeviceRegistry::CreateGroup(std::string label) {
     // snapshot repairs durability. Until then only the label is at risk:
     // recovery rebuilds a group (key and all, both derive from the id)
     // from any enrollment that references it.
-    (void)LogMutation(storage_->group_wal, kWalGroupCreate, rec.bytes(),
-                      storage_lock);
+    (void)LogMutation(kWalGroupCreate, rec.bytes(), storage_lock);
   }
   return id;
 }
@@ -282,9 +269,8 @@ Status DeviceRegistry::ApplyEnroll(const DeviceInfo& enrolled) {
   }
 
   {
-    Shard& shard = ShardFor(id);
-    std::unique_lock lock(shard.mutex);
-    shard.records.emplace(id, std::move(record));
+    std::unique_lock lock(table_mutex_);
+    records_.emplace(id, std::move(record));
   }
   // Process-aggregate fleet size (summed across registries when a
   // process runs several); the replay-idempotence early return above
@@ -345,7 +331,7 @@ Result<DeviceId> DeviceRegistry::Enroll(uint64_t device_seed, GroupId group,
     // returned) once its record is durable per the sync policy. A failed
     // append rolls the enrollment back by parking the record revoked —
     // NOT by erasing it: records are never erased (Dispatch holds raw
-    // DeviceRecord pointers across the shard lock), and revoked records
+    // DeviceRecord pointers across the table lock), and revoked records
     // refuse dispatch and are skipped by campaigns, so the un-logged
     // device can never be served. A later snapshot persists it as a
     // revoked (dead) id, which is what it is. (After an fsync failure
@@ -353,8 +339,7 @@ Result<DeviceId> DeviceRegistry::Enroll(uint64_t device_seed, GroupId group,
     // and a crash may resurrect the enrollment at replay; that is the
     // standard lost-commit-ack ambiguity, and re-enrolling the seed
     // under a fresh id coexists with the ghost by design.)
-    Status logged = LogMutation(*storage_->shard_wals[ShardIndex(enrolled.id)],
-                                kWalEnrollIsa, rec.bytes(), storage_lock);
+    Status logged = LogMutation(kWalEnrollIsa, rec.bytes(), storage_lock);
     if (!logged.ok()) {
       (void)WithRecord<std::unique_lock<std::shared_mutex>>(
           enrolled.id, [](DeviceRecord& record) {
@@ -393,8 +378,7 @@ Status DeviceRegistry::Revoke(DeviceId id) {
   if (storage_ != nullptr) {
     store::RecordWriter rec;
     rec.U64(id);
-    ERIC_RETURN_IF_ERROR(
-        storage_->shard_wals[ShardIndex(id)]->Append(kWalRevoke, rec.bytes()));
+    ERIC_RETURN_IF_ERROR(storage_->wal.Append(kWalRevoke, rec.bytes()));
   }
   ERIC_RETURN_IF_ERROR(ApplyRevoke(id));
   // Only after the revoke is both durable and applied may an
@@ -479,8 +463,7 @@ Result<GroupRotation> DeviceRegistry::RotateGroupEpochTo(
     store::RecordWriter rec;
     rec.U64(group);
     rec.U64(target_epoch);
-    ERIC_RETURN_IF_ERROR(
-        storage_->group_wal.Append(kWalEpochBump, rec.bytes()));
+    ERIC_RETURN_IF_ERROR(storage_->wal.Append(kWalEpochBump, rec.bytes()));
   }
   auto rotation = ApplyEpochBump(group, target_epoch);
   if (storage_ != nullptr && advances && rotation.ok()) {
@@ -538,16 +521,16 @@ Status DeviceRegistry::RekeyMember(DeviceId id, const SealingContext& group) {
   // update, so two racing rekeys (a rotation and an enroll's stale-epoch
   // repair) serialize wholesale — the endpoint and the published
   // conversion mask can never come from different epochs. Taking the
-  // shard lock inside the endpoint lock cannot deadlock: no path waits
-  // on an endpoint mutex while holding a shard lock (WithEndpoint
-  // releases the shard lock before its endpoint wait).
+  // table lock inside the endpoint lock cannot deadlock: no path waits
+  // on an endpoint mutex while holding the table lock (WithEndpoint
+  // releases the table lock before its endpoint wait).
   return WithEndpoint(id, [&](DeviceRecord& record) -> Status {
     auto rotated_key = record.endpoint->hde().RotateKeyConfig(group.config);
     if (!rotated_key.ok()) return rotated_key.status();
     const crypto::Key256 mask =
         core::ApplyConversionMask(*rotated_key, group.key);
     ERIC_RETURN_IF_ERROR(record.endpoint->hde().ProvisionConversionMask(mask));
-    std::unique_lock lock(ShardFor(id).mutex);
+    std::unique_lock lock(table_mutex_);
     record.info.conversion_mask = mask;
     return Status::Ok();
   });
@@ -563,10 +546,10 @@ Result<std::vector<DeviceId>> DeviceRegistry::GroupMembers(
 
 std::vector<DeviceId> DeviceRegistry::AllDevices() const {
   std::vector<DeviceId> ids;
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mutex);
-    ids.reserve(ids.size() + shard->records.size());
-    for (const auto& [id, record] : shard->records) ids.push_back(id);
+  {
+    std::shared_lock lock(table_mutex_);
+    ids.reserve(records_.size());
+    for (const auto& [id, record] : records_) ids.push_back(id);
   }
   std::sort(ids.begin(), ids.end());
   return ids;
@@ -576,7 +559,7 @@ Result<core::TrustedRunResult> DeviceRegistry::Dispatch(
     DeviceId id, std::span<const uint8_t> wire_bytes, uint64_t arg0,
     uint64_t arg1, DispatchMeta* meta) {
   // Records are never erased (revocation is a soft delete), so the
-  // pointer stays valid after the shard lock drops; only the endpoint
+  // pointer stays valid after the table lock drops; only the endpoint
   // mutex is held for the (long) device run.
   auto found =
       WithRecord(id, [](DeviceRecord& record) -> Result<DeviceRecord*> {
@@ -589,35 +572,13 @@ Result<core::TrustedRunResult> DeviceRegistry::Dispatch(
   DeviceRecord& record = **found;
   std::lock_guard endpoint_lock(record.endpoint_mutex);
   agent::UpdateAgent& agent = *record.agent;
-
-  std::span<const uint8_t> image = wire_bytes;
-  std::vector<uint8_t> patched;
-  bool recovered_base = false;
-  if (meta != nullptr && meta->delta) {
-    // A crashed apply must roll back before the base is read, or the
-    // patch would target an unproven image the recovery is about to undo.
-    if (agent.NeedsRecovery()) {
-      ERIC_RETURN_IF_ERROR(agent.Recover());
-      recovered_base = true;
-    }
-    std::span<const uint8_t> base = agent.active_image();
-    if (base.empty()) {
-      // Same code as a corrupt patch: either way the device cannot turn
-      // this delta into a runnable image, and the sender must fall back
-      // to a full package.
-      return Status(ErrorCode::kCorruptPackage,
-                    "device retains no base image to patch");
-    }
-    auto applied = pkg::ApplyDelta(base, wire_bytes);
-    if (!applied.ok()) return applied.status();
-    patched = std::move(*applied);
-    image = patched;
-  }
+  // Taken before either path recovers a crashed apply, so a rollback that
+  // recovery performs is reported whichever path ran it.
+  const agent::AgentCounters before = agent.state().counters;
 
   // The health check IS the delivery's run: HDE validation plus a short
   // sim execution of the just-flipped image. Its result is captured so
   // a healthy apply reports the run the caller expects.
-  const agent::AgentCounters before = agent.state().counters;
   Result<core::TrustedRunResult> run =
       Status(ErrorCode::kInternal, "health check never ran");
   const agent::UpdateAgent::HealthCheck health =
@@ -627,17 +588,32 @@ Result<core::TrustedRunResult> DeviceRegistry::Dispatch(
     run = std::move(executed);
     return Status::Ok();
   };
-  Status applied =
-      agent.Apply(image, meta != nullptr ? meta->version : 0,
-                  meta != nullptr ? meta->key_fingerprint
-                                  : crypto::Sha256Digest{},
-                  health);
+  const Status applied = [&]() -> Status {
+    if (meta == nullptr || !meta->delta) {
+      return agent.Apply(wire_bytes, meta != nullptr ? meta->version : 0,
+                         meta != nullptr ? meta->key_fingerprint
+                                         : crypto::Sha256Digest{},
+                         health);
+    }
+    // A crashed apply must roll back before the base is read, or the
+    // patch would target an unproven image the recovery is about to undo.
+    if (agent.NeedsRecovery()) ERIC_RETURN_IF_ERROR(agent.Recover());
+    std::span<const uint8_t> base = agent.active_image();
+    if (base.empty()) {
+      // Same code as a corrupt patch: either way the device cannot turn
+      // this delta into a runnable image, and the sender must fall back
+      // to a full package.
+      return Status(ErrorCode::kCorruptPackage,
+                    "device retains no base image to patch");
+    }
+    auto patched = pkg::ApplyDelta(base, wire_bytes);
+    if (!patched.ok()) return patched.status();
+    return agent.Apply(*patched, meta->version, meta->key_fingerprint, health);
+  }();
   if (meta != nullptr) {
     const agent::AgentCounters after = agent.state().counters;
     meta->rolled_back = after.rollbacks > before.rollbacks;
     meta->health_failed = after.health_failures > before.health_failures;
-    meta->crash_recovered =
-        recovered_base || after.crash_recoveries > before.crash_recoveries;
   }
   if (!applied.ok()) return applied;
   return run;
@@ -691,19 +667,15 @@ Status DeviceRegistry::ArmAgentCrash(DeviceId id, agent::CrashPoint point) {
 void DeviceRegistry::SetAgentCrashInjection(double rate, uint64_t seed) {
   agent_crash_rate_.store(rate, std::memory_order_relaxed);
   agent_crash_seed_.store(seed, std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    std::vector<DeviceRecord*> records;
-    {
-      std::shared_lock lock(shard->mutex);
-      records.reserve(shard->records.size());
-      for (const auto& [id, record] : shard->records) {
-        records.push_back(record.get());
-      }
-    }
-    for (DeviceRecord* record : records) {
-      std::lock_guard endpoint_lock(record->endpoint_mutex);
-      record->agent->SetCrashInjection(rate, seed);
-    }
+  std::vector<DeviceRecord*> records;
+  {
+    std::shared_lock lock(table_mutex_);
+    records.reserve(records_.size());
+    for (const auto& [id, record] : records_) records.push_back(record.get());
+  }
+  for (DeviceRecord* record : records) {
+    std::lock_guard endpoint_lock(record->endpoint_mutex);
+    record->agent->SetCrashInjection(rate, seed);
   }
 }
 
@@ -724,18 +696,13 @@ Result<agent::SlotInfo> DeviceRegistry::DeliveredVersion(DeviceId id) const {
 
 RegistryStats DeviceRegistry::Stats() const {
   RegistryStats stats;
-  stats.shards = shards_.size();
-  stats.min_shard = ~size_t{0};
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mutex);
-    stats.devices += shard->records.size();
-    for (const auto& [id, record] : shard->records) {
+  {
+    std::shared_lock lock(table_mutex_);
+    stats.devices = records_.size();
+    for (const auto& [id, record] : records_) {
       if (record->info.status == DeviceStatus::kRevoked) ++stats.revoked;
     }
-    stats.max_shard = std::max(stats.max_shard, shard->records.size());
-    stats.min_shard = std::min(stats.min_shard, shard->records.size());
   }
-  if (stats.devices == 0) stats.min_shard = 0;
   {
     std::shared_lock lock(group_mutex_);
     stats.groups = groups_.size();
@@ -747,10 +714,11 @@ RegistryStats DeviceRegistry::Stats() const {
 
 uint64_t DeviceRegistry::StorageFingerprint() const {
   // FNV-1a over every configuration field recovery correctness depends
-  // on: key derivation (secret seed, KDF domain/epoch/binding, cipher)
-  // and record placement (shard count routes mutations to WAL files).
+  // on: key derivation (secret seed, KDF domain/epoch/binding, cipher).
+  // The leading field once held the shard count; it keeps that count's
+  // old default so directories written under it still open.
   store::RecordWriter rec;
-  rec.U64(config_.shard_count);
+  rec.U64(kLegacyShardLogs);
   rec.U64(config_.secret_seed);
   rec.U64(config_.key_config.epoch);
   rec.U64(config_.key_config.environment_binding);
@@ -791,17 +759,19 @@ Status DeviceRegistry::OpenStorage(const std::string& state_dir,
                                             state_dir + ": " + ec.message());
   }
 
-  auto storage = std::make_unique<Storage>();
-  storage->dir = state_dir;
-  storage->options = options;
-  storage->fingerprint = StorageFingerprint();
-
-  const auto start = std::chrono::steady_clock::now();
-  RegistryStorageInfo info;
+  // Attached up front: the legacy-layout migration below snapshots
+  // through it. Replay itself applies records without logging them.
+  storage_ = std::make_unique<Storage>();
+  storage_->dir = state_dir;
+  storage_->options = options;
+  storage_->fingerprint = StorageFingerprint();
+  const uint64_t fingerprint = storage_->fingerprint;
+  RegistryStorageInfo& info = storage_->info;
   info.attached = true;
+  const auto start = std::chrono::steady_clock::now();
 
   // The whole recovery pass runs inside one fallible block so a failure
-  // partway (damaged snapshot schema, one bad WAL, an open error) can
+  // partway (damaged snapshot schema, a bad log, an open error) can
   // unwind every table it half-populated — the caller may repair the
   // directory and retry OpenStorage on this same object, and must never
   // be left serving a partial fleet with no log attached.
@@ -813,8 +783,8 @@ Status DeviceRegistry::OpenStorage(const std::string& state_dir,
   std::unordered_map<GroupId, uint64_t> pending_epochs;
   Status recovery = [&]() -> Status {
   // 1. Newest valid snapshot seeds the table.
-  auto snapshot = store::LoadLatestSnapshot(state_dir, kSnapshotPrefix,
-                                            storage->fingerprint);
+  auto snapshot =
+      store::LoadLatestSnapshot(state_dir, kSnapshotPrefix, fingerprint);
   if (!snapshot.ok()) return snapshot.status();
   if (snapshot->found) {
     store::RecordReader rec(snapshot->payload);
@@ -870,108 +840,112 @@ Status DeviceRegistry::OpenStorage(const std::string& state_dir,
     }
     info.snapshot_loaded = true;
     info.snapshot_sequence = snapshot->sequence;
-    storage->snapshot_sequence = snapshot->sequence;
+    storage_->snapshot_sequence = snapshot->sequence;
   }
 
-  // 2. WAL tails on top: group directory first (enrollments reference
-  // groups), then each shard in any order (records for one device always
-  // share its shard's log, so per-device ordering is preserved).
-  auto absorb = [&info](const store::WalRecoveryInfo& recovered) {
-    info.wal_records_replayed += recovered.records;
-    info.tail_bytes_truncated += recovered.bytes_truncated;
-    if (recovered.tail_corrupted) ++info.corrupt_tails;
-  };
-  {
-    auto replayed = store::Wal::Replay(
-        state_dir + "/" + kGroupWalName,
-        [this, &info, &pending_epochs](
-            const store::WalRecord& record) -> Status {
-          store::RecordReader rec(record.payload);
-          if (record.type == kWalGroupCreate) {
-            uint64_t id = 0;
-            std::string label;
-            if (!rec.U64(&id) || !rec.Str(&label) || !rec.Exhausted()) {
-              return Damaged("group-create record");
-            }
-            ApplyGroupCreate(id, std::move(label));
-            return Status::Ok();
-          }
-          if (record.type == kWalEpochBump) {
-            uint64_t group = 0, epoch = 0;
-            if (!rec.U64(&group) || !rec.U64(&epoch) || !rec.Exhausted()) {
-              return Damaged("epoch-bump record");
-            }
-            ++info.epoch_bumps_replayed;
-            uint64_t& pending = pending_epochs[group];
-            pending = std::max(pending, epoch);
-            return Status::Ok();
-          }
-          return Status(ErrorCode::kCorruptPackage,
-                        "unknown group-log record type");
-        },
-        storage->fingerprint);
-    if (!replayed.ok()) return replayed.status();
-    absorb(*replayed);
-  }
-  // Revocations whose device is not yet materialized. Enroll publishes
-  // the record to readers before its WAL append, so a revoke racing the
-  // tail of an enrollment can land in the log first; the revoke is
-  // deferred and applied once every enrollment has replayed.
+  // 2. The logs on top. One decoder serves registry.wal and the older
+  // layout's logs. Revocations whose device is not yet materialized are
+  // deferred until every enrollment has replayed: Enroll publishes the
+  // record to readers before its append, so a revoke racing the tail of
+  // an enrollment can land in the log first.
   std::vector<DeviceId> deferred_revokes;
-  for (size_t shard = 0; shard < shards_.size(); ++shard) {
+  const auto apply_record = [&](uint8_t type,
+                                const std::vector<uint8_t>& payload) -> Status {
+    store::RecordReader rec(payload);
+    if (type == kWalEnroll || type == kWalEnrollIsa) {
+      // Type-1 records predate heterogeneous fleets: RV64GC.
+      DeviceInfo enrolled;
+      ERIC_RETURN_IF_ERROR(ReadEnroll(rec, &enrolled));
+      if (type == kWalEnrollIsa) {
+        ERIC_RETURN_IF_ERROR(ReadIsa(rec, &enrolled.isa));
+      }
+      if (!rec.Exhausted()) return Damaged("enroll record");
+      Status applied = ApplyEnroll(enrolled);
+      if (applied.code() == ErrorCode::kNotFound &&
+          enrolled.group != kNoGroup) {
+        // The enrollment outlived its group-create record (a torn log
+        // tail, or the group append failed while the enroll append
+        // succeeded). Group keys derive from the group *id*, not the
+        // label, so the group can be rebuilt losslessly — only the
+        // display label is gone. Refusing here would brick the whole
+        // state directory over a cosmetic loss.
+        ApplyGroupCreate(enrolled.group,
+                         "recovered-group-" + std::to_string(enrolled.group));
+        applied = ApplyEnroll(enrolled);
+      }
+      return applied;
+    }
+    if (type == kWalRevoke) {
+      uint64_t id = 0;
+      if (!rec.U64(&id) || !rec.Exhausted()) return Damaged("revoke record");
+      if (!ApplyRevoke(id).ok()) deferred_revokes.push_back(id);
+      return Status::Ok();
+    }
+    if (type == kWalManifest || type == kWalManifestIsa) {
+      uint64_t id = 0;
+      if (!rec.U64(&id)) return Damaged("manifest record");
+      ERIC_RETURN_IF_ERROR(SkipLegacyManifest(rec, type == kWalManifestIsa));
+      if (!rec.Exhausted()) return Damaged("manifest record");
+      return Status::Ok();
+    }
+    if (type == kWalGroupCreate) {
+      uint64_t id = 0;
+      std::string label;
+      if (!rec.U64(&id) || !rec.Str(&label) || !rec.Exhausted()) {
+        return Damaged("group-create record");
+      }
+      ApplyGroupCreate(id, std::move(label));
+      return Status::Ok();
+    }
+    if (type == kWalEpochBump) {
+      uint64_t group = 0, epoch = 0;
+      if (!rec.U64(&group) || !rec.U64(&epoch) || !rec.Exhausted()) {
+        return Damaged("epoch-bump record");
+      }
+      ++info.epoch_bumps_replayed;
+      uint64_t& pending = pending_epochs[group];
+      pending = std::max(pending, epoch);
+      return Status::Ok();
+    }
+    return Status(ErrorCode::kCorruptPackage,
+                  "unknown registry-log record type");
+  };
+  // `group_log` marks the older groups.wal, which numbered its group
+  // create and epoch bump 1 and 2.
+  const auto replay_log = [&](const std::string& path,
+                              bool group_log) -> Status {
     auto replayed = store::Wal::Replay(
-        ShardWalPath(state_dir, shard),
-        [this, &deferred_revokes](const store::WalRecord& record) -> Status {
-          store::RecordReader rec(record.payload);
-          if (record.type == kWalEnroll || record.type == kWalEnrollIsa) {
-            // Type-1 records predate heterogeneous fleets: RV64GC.
-            DeviceInfo enrolled;
-            ERIC_RETURN_IF_ERROR(ReadEnroll(rec, &enrolled));
-            if (record.type == kWalEnrollIsa) {
-              ERIC_RETURN_IF_ERROR(ReadIsa(rec, &enrolled.isa));
-            }
-            if (!rec.Exhausted()) return Damaged("enroll record");
-            Status applied = ApplyEnroll(enrolled);
-            if (applied.code() == ErrorCode::kNotFound &&
-                enrolled.group != kNoGroup) {
-              // The enrollment outlived its group-create record (torn
-              // groups.wal tail, or the group append failed while the
-              // enroll append succeeded). Group keys derive from the
-              // group *id*, not the label, so the group can be rebuilt
-              // losslessly — only the display label is gone. Refusing
-              // here would brick the whole state directory over a
-              // cosmetic loss.
-              ApplyGroupCreate(
-                  enrolled.group,
-                  "recovered-group-" + std::to_string(enrolled.group));
-              applied = ApplyEnroll(enrolled);
-            }
-            return applied;
+        path,
+        [&](const store::WalRecord& record) -> Status {
+          uint8_t type = record.type;
+          if (group_log) {
+            type = type == 1 ? kWalGroupCreate
+                 : type == 2 ? kWalEpochBump
+                             : 0;
           }
-          if (record.type == kWalRevoke) {
-            uint64_t id = 0;
-            if (!rec.U64(&id) || !rec.Exhausted()) {
-              return Damaged("revoke record");
-            }
-            if (!ApplyRevoke(id).ok()) deferred_revokes.push_back(id);
-            return Status::Ok();
-          }
-          if (record.type == kWalManifest ||
-              record.type == kWalManifestIsa) {
-            uint64_t id = 0;
-            if (!rec.U64(&id)) return Damaged("manifest record");
-            ERIC_RETURN_IF_ERROR(
-                SkipLegacyManifest(rec, record.type == kWalManifestIsa));
-            if (!rec.Exhausted()) return Damaged("manifest record");
-            return Status::Ok();
-          }
-          return Status(ErrorCode::kCorruptPackage,
-                        "unknown shard-log record type");
+          return apply_record(type, record.payload);
         },
-        storage->fingerprint);
+        fingerprint);
     if (!replayed.ok()) return replayed.status();
-    absorb(*replayed);
+    info.wal_records_replayed += replayed->records;
+    info.tail_bytes_truncated += replayed->bytes_truncated;
+    if (replayed->tail_corrupted) ++info.corrupt_tails;
+    return Status::Ok();
+  };
+  // The older layout replays first: groups.wal (enrollments reference
+  // groups), then the shard logs in index order.
+  std::vector<std::string> legacy_logs = {state_dir + "/groups.wal"};
+  for (uint64_t shard = 0; shard < kLegacyShardLogs; ++shard) {
+    legacy_logs.push_back(state_dir + "/shard-" + std::to_string(shard) +
+                          ".wal");
   }
+  bool legacy_layout = false;
+  for (const std::string& path : legacy_logs) {
+    legacy_layout = std::filesystem::exists(path, ec) || legacy_layout;
+    ERIC_RETURN_IF_ERROR(replay_log(path, path == legacy_logs.front()));
+  }
+  const std::string wal_path = state_dir + "/" + kWalName;
+  ERIC_RETURN_IF_ERROR(replay_log(wal_path, false));
   // Every enrollment is in. A deferred revoke that still names an
   // unknown device is an orphan: its enrollment's append failed and was
   // rolled back (or lost to a torn tail), so the device never durably
@@ -996,8 +970,10 @@ Status DeviceRegistry::OpenStorage(const std::string& state_dir,
     if (!bumped.ok()) return bumped.status();
   }
 
-  // Shard-parallel replay loses the global enrollment order; ids are
-  // allocated sequentially, so id order restores it.
+  // Members join in replay order, which is not enrollment order: a
+  // snapshot lists devices in table order, and concurrent enrollments can
+  // append out of id order. Ids are allocated sequentially, so id order
+  // restores enrollment order.
   {
     std::lock_guard lock(group_mutex_);
     for (auto& [id, group] : groups_) {
@@ -1005,28 +981,36 @@ Status DeviceRegistry::OpenStorage(const std::string& state_dir,
     }
   }
 
-  // 3. Open the logs for appending; every future mutation is logged.
-  ERIC_RETURN_IF_ERROR(storage->group_wal.Open(
-      state_dir + "/" + kGroupWalName, options.wal, storage->fingerprint));
-  storage->shard_wals.reserve(shards_.size());
-  for (size_t shard = 0; shard < shards_.size(); ++shard) {
-    auto wal = std::make_unique<store::Wal>();
-    ERIC_RETURN_IF_ERROR(wal->Open(ShardWalPath(state_dir, shard),
-                                   options.wal, storage->fingerprint));
-    storage->shard_wals.push_back(std::move(wal));
+  // 3. Open the log for appending; every future mutation is logged.
+  ERIC_RETURN_IF_ERROR(storage_->wal.Open(wal_path, {}, fingerprint));
+
+  // 4. An older layout is folded into one snapshot, then its logs are
+  // removed. A crash in between leaves logs whose every record the
+  // snapshot already holds: replay absorbs them idempotently, and the
+  // next open folds them again.
+  if (legacy_layout) {
+    ERIC_RETURN_IF_ERROR(Snapshot());
+    for (const std::string& path : legacy_logs) {
+      std::filesystem::remove(path, ec);
+      if (ec) {
+        return Status(ErrorCode::kInternal,
+                      "cannot remove " + path + ": " + ec.message());
+      }
+    }
   }
   return Status::Ok();
   }();
   if (!recovery.ok()) {
-    for (auto& shard : shards_) {
-      std::unique_lock lock(shard->mutex);
-      shard->records.clear();
+    {
+      std::unique_lock lock(table_mutex_);
+      records_.clear();
     }
     std::lock_guard lock(group_mutex_);
     groups_.clear();
     next_group_id_ = 1;
     next_device_id_.store(1, std::memory_order_relaxed);
     agent_dir_.clear();  // agents go memory-only until a retry succeeds
+    storage_.reset();
     return recovery;
   }
 
@@ -1034,11 +1018,6 @@ Status DeviceRegistry::OpenStorage(const std::string& state_dir,
   info.devices_recovered = stats.devices;
   info.groups_recovered = stats.groups;
   info.recovery_ms = MillisecondsSince(start);
-  {
-    std::lock_guard lock(storage->info_mutex);
-    storage->info = info;
-  }
-  storage_ = std::move(storage);
   return Status::Ok();
 }
 
@@ -1054,17 +1033,10 @@ std::vector<uint8_t> DeviceRegistry::SerializeSnapshotLocked() const {
       rec.U64(group.epoch);
     }
   }
-  // Count first, then emit: the exclusive mutation lock means the table
-  // cannot change between the two passes.
-  uint64_t device_count = 0;
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mutex);
-    device_count += shard->records.size();
-  }
-  rec.U64(device_count);
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mutex);
-    for (const auto& [id, record] : shard->records) {
+  {
+    std::shared_lock lock(table_mutex_);
+    rec.U64(records_.size());
+    for (const auto& [id, record] : records_) {
       WriteEnroll(rec, record->info);
       rec.U8(static_cast<uint8_t>(record->info.status));
       rec.U8(static_cast<uint8_t>(record->info.isa));
@@ -1080,12 +1052,9 @@ Status DeviceRegistry::SnapshotLocked() {
                                             sequence, storage_->fingerprint,
                                             payload));
   // Compaction: every logged mutation is now covered by the snapshot.
-  // (A crash before these truncates leaves stale records in the tails;
+  // (A crash before this truncate leaves stale records in the tail;
   // replay is idempotent against exactly that.)
-  ERIC_RETURN_IF_ERROR(storage_->group_wal.TruncateAll());
-  for (auto& wal : storage_->shard_wals) {
-    ERIC_RETURN_IF_ERROR(wal->TruncateAll());
-  }
+  ERIC_RETURN_IF_ERROR(storage_->wal.TruncateAll());
   storage_->mutations_since_snapshot.store(0, std::memory_order_relaxed);
   {
     std::lock_guard lock(storage_->info_mutex);
@@ -1103,9 +1072,9 @@ Status DeviceRegistry::Snapshot() {
 }
 
 Status DeviceRegistry::LogMutation(
-    store::Wal& wal, uint8_t type, std::span<const uint8_t> payload,
+    uint8_t type, std::span<const uint8_t> payload,
     std::shared_lock<std::shared_mutex>& storage_lock) {
-  ERIC_RETURN_IF_ERROR(wal.Append(type, payload));
+  ERIC_RETURN_IF_ERROR(storage_->wal.Append(type, payload));
   MaybeAutoSnapshot(storage_lock);
   return Status::Ok();
 }

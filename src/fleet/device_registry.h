@@ -8,12 +8,11 @@
 // conversion-mask mechanism, so one compile serves a whole fleet), and a
 // revocation bit.
 //
-// Concurrency model: the record table is lock-striped across shards so
-// enroll/lookup/revoke from many threads contend only per shard. Each
-// record additionally owns the *simulated* device endpoint (the HDE + SoC
-// that would sit on the far side of the network) behind its own mutex, so
-// concurrent campaigns can dispatch to distinct devices fully in parallel
-// while the shard locks are held only for table lookups.
+// Concurrency model: one record table under one reader-writer lock, held
+// only for table lookups and inserts. Each record additionally owns the
+// *simulated* device endpoint (the HDE + SoC that would sit on the far
+// side of the network) behind its own mutex, so concurrent campaigns can
+// dispatch to distinct devices fully in parallel.
 #pragma once
 
 #include <atomic>
@@ -31,7 +30,6 @@
 #include "core/group_key.h"
 #include "core/trusted_execution.h"
 #include "crypto/kdf.h"
-#include "store/wal.h"
 #include "support/rng.h"
 #include "support/status.h"
 
@@ -85,15 +83,13 @@ struct DispatchMeta {
   /// SHA-256 fingerprint of the sealing key the image was built under.
   crypto::Sha256Digest key_fingerprint{};
   // -- out --
-  /// The agent undid a flip (post-apply health failure, or a crashed
-  /// apply rolled back during recovery).
+  /// The agent undid a flip during this dispatch: a post-apply health
+  /// failure, or the recovery of an earlier crashed apply (on the delta
+  /// path as on the full one).
   bool rolled_back = false;
   /// The post-apply health check rejected the image after a clean
   /// stage/verify/flip — the delivery itself succeeded.
   bool health_failed = false;
-  /// An apply interrupted by an (injected or real) crash was recovered
-  /// before this dispatch proceeded.
-  bool crash_recovered = false;
 };
 
 /// One device's agent state plus the recomputed active-slot CRC verdict —
@@ -144,25 +140,19 @@ struct RegistryStats {
   size_t devices = 0;  ///< total enrolled devices (incl. revoked)
   size_t revoked = 0;  ///< devices in the revoked state
   size_t groups = 0;   ///< groups created
-  size_t shards = 0;   ///< lock stripes in the record table
-  size_t max_shard = 0;  ///< largest shard population (stripe balance)
-  size_t min_shard = 0;  ///< smallest shard population (stripe balance)
 };
 
 /// Registry construction parameters.
 struct RegistryConfig {
   crypto::KeyConfig key_config;  ///< KDF domain/epoch for device keys
   core::CipherKind cipher = core::CipherKind::kXor;  ///< fleet-wide cipher
-  size_t shard_count = 16;       ///< lock stripes in the record table
   /// Seeds the registry's group-key secret (deterministic for tests).
   uint64_t secret_seed = 0x5ECB007;
 };
 
 /// Durability knobs for a registry state directory.
 struct RegistryStorageOptions {
-  /// Sync policy for the per-shard mutation WALs.
-  store::WalOptions wal;
-  /// Auto-snapshot (and compact the WALs) after this many mutations;
+  /// Auto-snapshot (and compact the log) after this many mutations;
   /// 0 = snapshot only when Snapshot() is called explicitly.
   uint64_t snapshot_every = 0;
 };
@@ -176,12 +166,12 @@ struct RegistryStorageInfo {
   uint64_t groups_recovered = 0;    ///< groups rebuilt from disk
   uint64_t wal_records_replayed = 0;  ///< WAL records applied on top
   uint64_t tail_bytes_truncated = 0;  ///< torn/corrupt WAL tail dropped
-  uint64_t corrupt_tails = 0;    ///< WAL files that needed tail repair
+  uint64_t corrupt_tails = 0;    ///< logs that needed tail repair
   /// Revocations replayed for a device that never durably enrolled
   /// (its enrollment's append failed or was torn off): dropped as
   /// no-ops rather than refusing recovery.
   uint64_t orphan_revokes_dropped = 0;
-  /// kEpochBump records replayed from the group log (each re-rotates the
+  /// kEpochBump records replayed from the log (each re-rotates the
   /// named group's epoch; counted before dedup, so this is the journal's
   /// bump history length, not the number of distinct rotated groups).
   uint64_t epoch_bumps_replayed = 0;
@@ -191,20 +181,21 @@ struct RegistryStorageInfo {
   uint64_t orphan_epoch_bumps_dropped = 0;
   uint64_t snapshots_written = 0;  ///< snapshots written since open
   /// Auto-snapshots that failed. The triggering mutation itself is
-  /// durable and reported successful — the WALs simply stay uncompacted
+  /// durable and reported successful — the log simply stays uncompacted
   /// until the next snapshot succeeds.
   uint64_t snapshot_failures = 0;
   Status last_snapshot_error;    ///< most recent auto-snapshot failure
   double recovery_ms = 0;        ///< wall time of the recovery pass
 };
 
-/// The sharded device registry.
+/// The device registry.
 ///
-/// Thread-safe: all public methods may be called concurrently.
+/// Thread-safe: all public methods except OpenStorage may be called
+/// concurrently.
 class DeviceRegistry {
  public:
-  /// Builds an empty registry; `config` fixes key derivation, cipher,
-  /// and shard count for the registry's lifetime.
+  /// Builds an empty registry; `config` fixes key derivation and cipher
+  /// for the registry's lifetime.
   explicit DeviceRegistry(const RegistryConfig& config = {});
 
   /// Closes the attached storage (final sync included), if any.
@@ -328,26 +319,31 @@ class DeviceRegistry {
   /// unknown ids; kFailedPrecondition when the device holds no image.
   Result<agent::SlotInfo> DeliveredVersion(DeviceId id) const;
 
-  /// Aggregate counters (devices, revocations, stripe balance).
+  /// Aggregate counters (devices, revocations, groups).
   RegistryStats Stats() const;
 
   /// Attaches durable state under `state_dir` (created if missing) and
   /// recovers whatever a previous process left there: the newest valid
-  /// snapshot is loaded, then each WAL tail is replayed on top (torn or
-  /// corrupt tails are truncated, never applied). Must be called on an
-  /// empty registry; after it returns, every enroll/revoke/group mutation
-  /// is write-ahead logged per shard before it is acknowledged.
+  /// snapshot is loaded, then the registry.wal tail is replayed on top
+  /// (a torn or corrupt tail is truncated, never applied). Must be called
+  /// on an empty registry, with no other call in flight; after it
+  /// returns, every enroll/revoke/group mutation is write-ahead logged
+  /// before it is acknowledged.
+  ///
+  /// A directory in the older layout (groups.wal plus sixteen
+  /// shard-K.wal logs) replays those logs before registry.wal, then is
+  /// folded into one snapshot and the older logs are removed.
   ///
   /// The state directory stores no key material: keys re-derive from
   /// this registry's RegistryConfig plus the logged enrollment seeds, and
   /// a fingerprint in every file refuses recovery under a configuration
-  /// (shard count, KDF domain/epoch, cipher, secret seed) that would
-  /// derive different keys or scatter records across different shards.
+  /// (KDF domain/epoch, cipher, secret seed) that would derive different
+  /// keys.
   Status OpenStorage(const std::string& state_dir,
                      const RegistryStorageOptions& options = {});
 
   /// Serializes the full table to a new snapshot and compacts (truncates)
-  /// every WAL. Blocks mutations for the duration. kFailedPrecondition
+  /// the log. Blocks mutations for the duration. kFailedPrecondition
   /// when storage is not attached.
   Status Snapshot();
 
@@ -378,11 +374,6 @@ class DeviceRegistry {
     std::unique_ptr<agent::UpdateAgent> agent;
   };
 
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<DeviceId, std::unique_ptr<DeviceRecord>> records;
-  };
-
   /// One group's control-plane state. `epoch` and `key` only change
   /// together (KeyGroupAt, under an exclusive group_mutex_), so a reader
   /// holding group_mutex_ always sees a matching pair.
@@ -396,23 +387,22 @@ class DeviceRegistry {
   /// Durable-state bundle, allocated by OpenStorage.
   struct Storage;
 
-  /// Runs `fn(record)` under `id`'s shard lock — shared by default,
+  /// Runs `fn(record)` under the table lock — shared by default,
   /// exclusive when `Lock` is std::unique_lock — and returns its Status
   /// or Result. kNotFound for unknown ids.
   template <typename Lock = std::shared_lock<std::shared_mutex>, typename Fn>
   auto WithRecord(DeviceId id, Fn&& fn) const
       -> decltype(fn(std::declval<DeviceRecord&>())) {
-    const Shard& shard = ShardFor(id);
-    Lock lock(shard.mutex);
-    auto it = shard.records.find(id);
-    if (it == shard.records.end()) {
+    Lock lock(table_mutex_);
+    auto it = records_.find(id);
+    if (it == records_.end()) {
       return Status(ErrorCode::kNotFound, "unknown device");
     }
     return fn(*it->second);
   }
   /// Runs `fn(record)` holding only `id`'s endpoint mutex (revoked
   /// records included). Records are never erased, so the record
-  /// outlives the shard-lock drop. kNotFound for unknown ids.
+  /// outlives the table-lock drop. kNotFound for unknown ids.
   template <typename Fn>
   auto WithEndpoint(DeviceId id, Fn&& fn) const
       -> decltype(fn(std::declval<DeviceRecord&>())) {
@@ -436,10 +426,6 @@ class DeviceRegistry {
     }
     return fn(it->second);
   }
-
-  Shard& ShardFor(DeviceId id) { return *shards_[ShardIndex(id)]; }
-  const Shard& ShardFor(DeviceId id) const { return *shards_[ShardIndex(id)]; }
-  size_t ShardIndex(DeviceId id) const;
 
   /// Materializes one device record (endpoint simulation included) from
   /// its enrollment fields (id, seed, group, status, isa) — the shared
@@ -474,7 +460,7 @@ class DeviceRegistry {
   /// Serializes groups + devices into a snapshot payload. Caller holds
   /// the exclusive storage lock.
   std::vector<uint8_t> SerializeSnapshotLocked() const;
-  /// Writes the snapshot and truncates the WALs. Caller holds the
+  /// Writes the snapshot and truncates the log. Caller holds the
   /// exclusive storage lock.
   Status SnapshotLocked();
   /// Appends a mutation record and auto-snapshots when due. Caller holds
@@ -482,8 +468,7 @@ class DeviceRegistry {
   /// triggers. Call only after the mutation is applied to the table —
   /// the snapshot serializes whatever the table holds, then truncates
   /// the record.
-  Status LogMutation(store::Wal& wal, uint8_t type,
-                     std::span<const uint8_t> payload,
+  Status LogMutation(uint8_t type, std::span<const uint8_t> payload,
                      std::shared_lock<std::shared_mutex>& storage_lock);
   /// The counter/auto-snapshot half of LogMutation, for the (revoke)
   /// path that must append and apply itself before any snapshot may
@@ -492,7 +477,11 @@ class DeviceRegistry {
 
   RegistryConfig config_;
   crypto::Key256 group_secret_{};
-  std::vector<std::unique_ptr<Shard>> shards_;
+
+  /// Readers (one lookup per call, several per delivery) take this
+  /// shared; inserts and status/mask updates take it exclusive.
+  mutable std::shared_mutex table_mutex_;
+  std::unordered_map<DeviceId, std::unique_ptr<DeviceRecord>> records_;
 
   /// Readers (key/members/epoch lookups — once per target on the deploy
   /// hot path) take this shared; the rare writers (group create,

@@ -61,12 +61,25 @@ std::vector<uint8_t> Channel::Deliver(std::vector<uint8_t> bytes) {
     case ChannelFault::kNone:
       break;
     case ChannelFault::kRandomBitFlips: {
-      for (uint32_t i = 0; i < config_.bit_flips && !bytes.empty(); ++i) {
-        const size_t byte = rng_.NextBounded(bytes.size());
-        const uint8_t bit = static_cast<uint8_t>(1u << rng_.NextBounded(8));
-        bytes[byte] ^= bit;
-        ++record.mutations;
+      // Distinct positions: two flips of one bit would cancel, and the
+      // body would arrive intact from a delivery counted as faulted. A
+      // repeated draw is drawn again, so deliveries without a repeat
+      // consume the same draws as independent flips would.
+      const uint64_t flips =
+          std::min<uint64_t>(config_.bit_flips, uint64_t{8} * bytes.size());
+      std::vector<uint64_t> flipped;  // byte * 8 + bit
+      flipped.reserve(flips);
+      while (flipped.size() < flips) {
+        const uint64_t byte = rng_.NextBounded(bytes.size());
+        const uint64_t bit = rng_.NextBounded(8);
+        if (std::find(flipped.begin(), flipped.end(), byte * 8 + bit) !=
+            flipped.end()) {
+          continue;
+        }
+        flipped.push_back(byte * 8 + bit);
+        bytes[byte] ^= static_cast<uint8_t>(1u << bit);
       }
+      record.mutations = flips;
       break;
     }
     case ChannelFault::kBytePatch: {

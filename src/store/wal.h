@@ -1,7 +1,7 @@
 // Append-only write-ahead log with CRC32-framed records.
 //
-// The durability primitive under every piece of fleet state: registry
-// shards, group directory, and campaign checkpoints each own one of
+// The durability primitive under every piece of fleet state: the
+// registry's mutations and the campaign checkpoints each own one of
 // these. The contract is the classic WAL one —
 //
 //   append    a record is appended and, per the sync policy, made
@@ -27,7 +27,7 @@
 //   record   u32 payload_len | u8 type | u32 crc32(type || payload) | payload
 //
 // The fingerprint binds a log to the configuration that wrote it (e.g.
-// the registry's shard count and key-derivation parameters); opening with
+// the registry's key-derivation parameters); opening with
 // a different fingerprint fails instead of replaying records into a
 // registry that would derive different keys.
 #pragma once

@@ -39,9 +39,39 @@ TEST(ChannelTest, BitFlipsChangeExactlyNBits) {
   for (size_t i = 0; i < original.size(); ++i) {
     flipped += std::popcount(static_cast<unsigned>(original[i] ^ delivered[i]));
   }
-  // Flips can collide on the same bit (flip back); 3 flips => 1 or 3 bits.
-  EXPECT_GE(flipped, 1);
-  EXPECT_LE(flipped, 3);
+  EXPECT_EQ(flipped, 3);
+}
+
+// Flips land on distinct bits, so none can cancel another: the delivered
+// body differs from the sent one in exactly `bit_flips` bits, on every
+// seed. Small bodies make colliding draws common.
+TEST(ChannelTest, BitFlipsNeverCancel) {
+  const std::vector<uint8_t> original = {0x00, 0xFF, 0x5A, 0xA5,
+                                         0x0F, 0xF0, 0x33, 0xCC};
+  for (uint64_t seed = 0; seed < 10000; ++seed) {
+    ChannelConfig config;
+    config.fault = ChannelFault::kRandomBitFlips;
+    config.bit_flips = 4;
+    config.seed = seed;
+    Channel channel(config);
+    const auto delivered = channel.Deliver(original);
+    ASSERT_EQ(delivered.size(), original.size());
+    int flipped = 0;
+    for (size_t i = 0; i < original.size(); ++i) {
+      flipped +=
+          std::popcount(static_cast<unsigned>(original[i] ^ delivered[i]));
+    }
+    ASSERT_EQ(flipped, 4) << "seed " << seed;
+    ASSERT_EQ(channel.last_delivery().mutations, 4u) << "seed " << seed;
+  }
+  // More flips than the body has bits flip every bit once.
+  ChannelConfig config;
+  config.fault = ChannelFault::kRandomBitFlips;
+  config.bit_flips = 100;
+  Channel channel(config);
+  EXPECT_EQ(channel.Deliver({0x00, 0x00}),
+            (std::vector<uint8_t>{0xFF, 0xFF}));
+  EXPECT_EQ(channel.last_delivery().mutations, 16u);
 }
 
 TEST(ChannelTest, BytePatchWritesRange) {

@@ -359,16 +359,17 @@ constexpr int64_t kTinyProgramResult = 385;
 fleet::RegistryConfig TestRegistryConfig() {
   fleet::RegistryConfig config;
   config.key_config.domain = "store.test.v1";
-  config.shard_count = 4;
   return config;
 }
 
 /// The registry's storage fingerprint, reproduced field-for-field: it
 /// binds snapshot and WAL files to a configuration. The schema version
-/// is deliberately NOT part of it, or old files could never load.
+/// is deliberately NOT part of it, or old files could never load. The
+/// leading 16 is the shard count the older sharded layout was written
+/// under.
 uint64_t RegistryStorageFingerprint(const fleet::RegistryConfig& config) {
   store::RecordWriter fp;
-  fp.U64(config.shard_count);
+  fp.U64(16);
   fp.U64(config.secret_seed);
   fp.U64(config.key_config.epoch);
   fp.U64(config.key_config.environment_binding);
@@ -453,6 +454,31 @@ TEST(RegistryPersistenceTest, FleetSurvivesRestart) {
   EXPECT_EQ(recovered.Dispatch(revoked, (*artifact)->wire).status().code(),
             ErrorCode::kFailedPrecondition);
   EXPECT_EQ(recovered.GroupMembers(group_b)->size(), 5u);
+}
+
+TEST(RegistryPersistenceTest, FreshStateDirHoldsOneRegistryLog) {
+  const std::string dir = MakeTempDir("reg-one-log");
+  {
+    fleet::DeviceRegistry registry(TestRegistryConfig());
+    ASSERT_TRUE(registry.OpenStorage(dir).ok());
+    const auto group = registry.CreateGroup("g");
+    for (uint64_t i = 0; i < 20; ++i) {
+      ASSERT_TRUE(registry.Enroll(0x0E106 + i, group).ok());
+    }
+    ASSERT_TRUE(registry.RotateGroupEpoch(group).ok());
+  }
+  std::vector<std::string> logs;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".wal") {
+      logs.push_back(entry.path().filename().string());
+    }
+  }
+  EXPECT_EQ(logs, std::vector<std::string>{"registry.wal"});
+  fleet::DeviceRegistry recovered(TestRegistryConfig());
+  ASSERT_TRUE(recovered.OpenStorage(dir).ok());
+  // The group create, 20 enrollments and the epoch bump, in one log.
+  EXPECT_EQ(recovered.storage_info().wal_records_replayed, 22u);
+  EXPECT_EQ(recovered.storage_info().snapshots_written, 0u);
 }
 
 TEST(RegistryPersistenceTest, SnapshotCompactsWalAndRecoversWithTail) {
@@ -643,17 +669,9 @@ TEST(RegistryPersistenceTest, CorruptWalTailLosesOnlyUnackedRecords) {
       ASSERT_TRUE(registry.Enroll(0xBAD000 + i).ok());
     }
   }
-  // Corrupt the FINAL record of one populated shard log (a torn write of
-  // the last acknowledged mutation, as a dying disk would leave it).
-  std::string victim;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("shard-", 0) == 0 && fs::file_size(entry.path()) > 16) {
-      victim = entry.path().string();
-      break;
-    }
-  }
-  ASSERT_FALSE(victim.empty());
+  // Corrupt the FINAL record of the log (a torn write of the last
+  // acknowledged mutation, as a dying disk would leave it).
+  const std::string victim = dir + "/registry.wal";
   FlipByteAt(victim, fs::file_size(victim) - 1);
 
   fleet::DeviceRegistry recovered(TestRegistryConfig());
@@ -667,22 +685,28 @@ TEST(RegistryPersistenceTest, CorruptWalTailLosesOnlyUnackedRecords) {
 
 TEST(RegistryPersistenceTest, LostGroupRecordIsRebuiltFromItsEnrollments) {
   const std::string dir = MakeTempDir("reg-lostgroup");
-  fleet::GroupId group = 0;
-  crypto::Key256 group_key{};
+  const fleet::RegistryConfig config = TestRegistryConfig();
+  fleet::DeviceRegistry reference(config);
+  const fleet::GroupId group = reference.CreateGroup("line-x");
+  const crypto::Key256 group_key = *reference.GroupKey(group);
   {
-    fleet::DeviceRegistry registry(TestRegistryConfig());
-    ASSERT_TRUE(registry.OpenStorage(dir).ok());
-    group = registry.CreateGroup("line-x");
-    group_key = *registry.GroupKey(group);
+    // A log holding the group's enrollments but not its create record
+    // (CreateGroup ignores a failed append).
+    store::Wal wal;
+    ASSERT_TRUE(wal.Open(dir + "/registry.wal", {},
+                         RegistryStorageFingerprint(config))
+                    .ok());
     for (uint64_t i = 0; i < 4; ++i) {
-      ASSERT_TRUE(registry.Enroll(0x10057 + i, group).ok());
+      store::RecordWriter enroll;
+      enroll.U64(i + 1);
+      enroll.U64(0x10057 + i);
+      enroll.U64(group);
+      enroll.U8(static_cast<uint8_t>(isa::IsaId::kRv64Gc));
+      ASSERT_TRUE(wal.Append(4, enroll.bytes()).ok());
     }
   }
-  // The group-create record dies (torn groups.wal tail) while the
-  // enrollments that reference it survive in the shard logs.
-  FlipByteAt(dir + "/groups.wal", fs::file_size(dir + "/groups.wal") - 1);
 
-  fleet::DeviceRegistry recovered(TestRegistryConfig());
+  fleet::DeviceRegistry recovered(config);
   ASSERT_TRUE(recovered.OpenStorage(dir).ok());
   // All four devices came back, the group was rebuilt from its id, and
   // the key matches (keys derive from the id, only the label is lost).
@@ -705,12 +729,6 @@ TEST(RegistryPersistenceTest, ConfigFingerprintGuardsRecovery) {
   other.key_config.domain = "store.test.v2";
   fleet::DeviceRegistry mismatched(other);
   EXPECT_EQ(mismatched.OpenStorage(dir).code(),
-            ErrorCode::kFailedPrecondition);
-  // A different shard count would scatter records across files: refused.
-  fleet::RegistryConfig resharded = TestRegistryConfig();
-  resharded.shard_count = 8;
-  fleet::DeviceRegistry resharded_registry(resharded);
-  EXPECT_EQ(resharded_registry.OpenStorage(dir).code(),
             ErrorCode::kFailedPrecondition);
 }
 
@@ -956,9 +974,9 @@ TEST(RegistryPersistenceTest, LegacyManifestWalRecordsAreDropped) {
     device = *registry.Enroll(0x3A61F, registry.CreateGroup("g"));
   }
   {
-    // Append one record of each legacy type to every shard log: one of
-    // them is the device's own shard, the others name no local device.
-    for (size_t shard = 0; shard < config.shard_count; ++shard) {
+    // Append one record of each legacy type to each of the older
+    // layout's 16 shard logs: one names the device, the other none.
+    for (size_t shard = 0; shard < 16; ++shard) {
       store::Wal wal;
       ASSERT_TRUE(wal.Open(dir + "/shard-" + std::to_string(shard) + ".wal",
                            {}, RegistryStorageFingerprint(config))
@@ -980,7 +998,7 @@ TEST(RegistryPersistenceTest, LegacyManifestWalRecordsAreDropped) {
   const auto info = recovered.storage_info();
   EXPECT_EQ(info.devices_recovered, 1u);
   // The group create, the enrollment and every legacy record.
-  EXPECT_EQ(info.wal_records_replayed, 2 + 2 * config.shard_count);
+  EXPECT_EQ(info.wal_records_replayed, 2u + 2 * 16);
   EXPECT_EQ(info.corrupt_tails, 0u);
   // The device never ran an image; a dropped manifest does not make it.
   EXPECT_EQ(recovered.DeliveredVersion(device).status().code(),
@@ -1323,9 +1341,17 @@ TEST(RegistryPersistenceTest, LegacyShardedLayoutRecovers) {
   {
     fleet::DeviceRegistry recovered(config);
     ASSERT_TRUE(recovered.OpenStorage(dir).ok());
+    // The older logs were folded into a snapshot and removed.
+    EXPECT_FALSE(fs::exists(dir + "/groups.wal"));
+    for (size_t shard = 0; shard < 16; ++shard) {
+      EXPECT_FALSE(
+          fs::exists(dir + "/shard-" + std::to_string(shard) + ".wal"));
+    }
+    EXPECT_TRUE(fs::exists(dir + "/registry.wal"));
     const auto info = recovered.storage_info();
     EXPECT_TRUE(info.snapshot_loaded);
     EXPECT_EQ(info.snapshot_sequence, 1u);
+    EXPECT_EQ(info.snapshots_written, 1u);
     EXPECT_EQ(info.wal_records_replayed, 9u);
     EXPECT_EQ(info.epoch_bumps_replayed, 1u);
     EXPECT_EQ(info.corrupt_tails, 0u);
@@ -1355,6 +1381,9 @@ TEST(RegistryPersistenceTest, LegacyShardedLayoutRecovers) {
 
   fleet::DeviceRegistry again(config);
   ASSERT_TRUE(again.OpenStorage(dir).ok());
+  EXPECT_EQ(again.storage_info().snapshot_sequence, 2u);
+  EXPECT_EQ(again.storage_info().wal_records_replayed, 2u);
+  EXPECT_EQ(again.storage_info().snapshots_written, 0u);
   ExpectSameFleet(reference, again);
 }
 
@@ -1581,20 +1610,13 @@ TEST(RegistryPersistenceTest, WalRecordWithTrailingBytesFailsClosed) {
   // Every registry WAL record decodes to exactly its payload: bytes left
   // over after the last field are damage, whichever log carries them.
   const fleet::RegistryConfig config = TestRegistryConfig();
-  store::RecordWriter fp;
-  fp.U64(config.shard_count);
-  fp.U64(config.secret_seed);
-  fp.U64(config.key_config.epoch);
-  fp.U64(config.key_config.environment_binding);
-  fp.Str(config.key_config.domain);
-  fp.U8(static_cast<uint8_t>(config.cipher));
-  const uint64_t fingerprint = store::Fnv1a64(fp.bytes());
+  const uint64_t fingerprint = RegistryStorageFingerprint(config);
 
-  store::RecordWriter group_create;  // groups.wal type 1: {id, label}
+  store::RecordWriter group_create;  // group create: {id, label}
   group_create.U64(2);
   group_create.Str("padded");
   group_create.U64(0);  // 8 trailing bytes
-  store::RecordWriter enroll;  // shard log type 4: {id, seed, group, isa}
+  store::RecordWriter enroll;  // type 4: {id, seed, group, isa}
   enroll.U64(2);
   enroll.U64(0x7A11);
   enroll.U64(1);
@@ -1604,7 +1626,9 @@ TEST(RegistryPersistenceTest, WalRecordWithTrailingBytesFailsClosed) {
     const char* log;
     uint8_t type;
     const std::vector<uint8_t>& payload;
-  } cases[] = {{"groups.wal", 1, group_create.bytes()},
+  } cases[] = {{"registry.wal", 6, group_create.bytes()},
+               {"registry.wal", 4, enroll.bytes()},
+               {"groups.wal", 1, group_create.bytes()},
                {"shard-0.wal", 4, enroll.bytes()}};
 
   for (const auto& padded : cases) {

@@ -946,10 +946,8 @@ Result<std::vector<fleet::DeviceId>> StandUpFleet(
   }
 
   const auto stats = registry.Stats();
-  std::printf("fleet: %zu devices / %zu groups / %zu shards "
-              "(stripe balance %zu..%zu), %zu revoked\n",
-              stats.devices, stats.groups, stats.shards, stats.min_shard,
-              stats.max_shard, revoked);
+  std::printf("fleet: %zu devices / %zu groups, %zu revoked\n",
+              stats.devices, stats.groups, revoked);
   // Per-ISA composition, printed only for heterogeneous fleets so
   // homogeneous runs keep their exact output.
   std::array<size_t, isa::kNumIsaIds> isa_counts{};
