@@ -270,7 +270,7 @@ int main(int argc, char** argv) {
       if (!registry.Snapshot().ok()) return 1;  // compact for cold start 2
     }
     {
-      // Cold start 2: load the snapshot (WALs are now empty).
+      // Cold start 2: load the snapshot (the log is now empty).
       fleet::DeviceRegistry registry(config);
       if (!registry.OpenStorage(dir).ok()) return 1;
       const auto info = registry.storage_info();

@@ -72,8 +72,7 @@ std::vector<uint8_t> Channel::Deliver(std::vector<uint8_t> bytes) {
       while (flipped.size() < flips) {
         const uint64_t byte = rng_.NextBounded(bytes.size());
         const uint64_t bit = rng_.NextBounded(8);
-        if (std::find(flipped.begin(), flipped.end(), byte * 8 + bit) !=
-            flipped.end()) {
+        if (std::ranges::find(flipped, byte * 8 + bit) != flipped.end()) {
           continue;
         }
         flipped.push_back(byte * 8 + bit);

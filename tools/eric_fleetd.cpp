@@ -42,7 +42,7 @@
 // whole fleet intact; add --resume to continue the interrupted campaign
 // over exactly the targets that had no durable outcome — nothing is
 // delivered twice, nothing is lost. --snapshot-every N compacts the
-// registry WALs after every N logged mutations.
+// registry log after every N logged mutations.
 //
 // --delta ships patch packages: a device whose active slot holds the
 // base release (--base-source/--base-workload) under its current key
@@ -886,7 +886,6 @@ Result<std::vector<fleet::DeviceId>> StandUpFleet(
   }
 
   std::vector<fleet::DeviceId> devices;
-  size_t revoked = 0;
   const auto storage = registry.storage_info();
   if (storage.devices_recovered > 0) {
     // The durable fleet is authoritative; the --devices/--groups/--revoke
@@ -935,7 +934,7 @@ Result<std::vector<fleet::DeviceId>> StandUpFleet(
     for (size_t i = config.revoke_every - 1;
          config.revoke_every > 0 && i < devices.size();
          i += config.revoke_every) {
-      if (registry.Revoke(devices[i]).ok()) ++revoked;
+      (void)registry.Revoke(devices[i]);
     }
     if (!config.state_dir.empty()) {
       // One snapshot after initial enrollment: cold restarts recover from
@@ -947,7 +946,7 @@ Result<std::vector<fleet::DeviceId>> StandUpFleet(
 
   const auto stats = registry.Stats();
   std::printf("fleet: %zu devices / %zu groups, %zu revoked\n",
-              stats.devices, stats.groups, revoked);
+              stats.devices, stats.groups, stats.revoked);
   // Per-ISA composition, printed only for heterogeneous fleets so
   // homogeneous runs keep their exact output.
   std::array<size_t, isa::kNumIsaIds> isa_counts{};
