@@ -17,6 +17,12 @@
 //                             per crash-rollback Recover() (1). Fully
 //                             deterministic, tightly gated: the count is
 //                             what sets the storage cost on any host.
+//   apply.fsyncs              fsync/fdatasync syscalls (store_fsyncs) per
+//   rollback.fsyncs           successful Apply and per crash-rollback
+//                             Recover(), measured after two warm-up
+//                             applies have created the slot file and
+//                             filled both slots. Deterministic and gated
+//                             exactly: a sync is what a write costs.
 //   rollback.vs_apply_ratio   mean crash-rollback Recover() wall time vs
 //                             mean successful Apply wall time. Both sides
 //                             persist the manifest, so the ratio is
@@ -106,16 +112,27 @@ int main(int argc, char** argv) {
   const auto healthy = [](std::span<const uint8_t>) { return Status::Ok(); };
   const obs::Counter& durable_writes =
       obs::MetricsRegistry::Global().GetCounter("store_durable_writes");
-  uint64_t apply_writes = 0;
+  const obs::Counter& fsyncs =
+      obs::MetricsRegistry::Global().GetCounter("store_fsyncs");
+  // Warm-up: the first apply creates the slot file and the second fills
+  // the other slot, so every measured apply is the steady state.
+  if (!agent.Apply((*v2_artifact)->wire, 2, key_fp, healthy).ok() ||
+      !agent.Apply((*v1_artifact)->wire, 1, key_fp, healthy).ok()) {
+    std::fprintf(stderr, "warm-up apply failed\n");
+    return 1;
+  }
+  uint64_t apply_writes = 0, apply_syncs = 0;
   double apply_total_us = 0;
   for (size_t i = 0; i < apply_iters; ++i) {
     const auto& wire =
         i % 2 == 0 ? (*v1_artifact)->wire : (*v2_artifact)->wire;
     const uint64_t writes_before = durable_writes.value();
+    const uint64_t syncs_before = fsyncs.value();
     const auto start = std::chrono::steady_clock::now();
     Status applied = agent.Apply(wire, 1 + i % 2, key_fp, healthy);
     apply_total_us += MicrosecondsSince(start);
     apply_writes += durable_writes.value() - writes_before;
+    apply_syncs += fsyncs.value() - syncs_before;
     if (!applied.ok()) {
       std::fprintf(stderr, "apply failed: %s\n",
                    applied.ToString().c_str());
@@ -135,7 +152,7 @@ int main(int argc, char** argv) {
                              static_cast<double>(image_bytes);
 
   // --- rollback latency: crash-after-flip, then the recovery path -----
-  uint64_t rollback_writes = 0;
+  uint64_t rollback_writes = 0, rollback_syncs = 0;
   double rollback_total_us = 0;
   for (size_t i = 0; i < apply_iters; ++i) {
     agent.ArmCrash(agent::CrashPoint::kAfterFlip);
@@ -146,10 +163,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     const uint64_t writes_before = durable_writes.value();
+    const uint64_t syncs_before = fsyncs.value();
     const auto start = std::chrono::steady_clock::now();
     Status recovered = agent.Recover();
     rollback_total_us += MicrosecondsSince(start);
     rollback_writes += durable_writes.value() - writes_before;
+    rollback_syncs += fsyncs.value() - syncs_before;
     if (!recovered.ok()) {
       std::fprintf(stderr, "recover failed: %s\n",
                    recovered.ToString().c_str());
@@ -161,6 +180,9 @@ int main(int argc, char** argv) {
       static_cast<double>(apply_writes) / apply_iters;
   const double rollback_durable_writes =
       static_cast<double>(rollback_writes) / apply_iters;
+  const double apply_fsyncs = static_cast<double>(apply_syncs) / apply_iters;
+  const double rollback_fsyncs =
+      static_cast<double>(rollback_syncs) / apply_iters;
   const double rollback_vs_apply =
       apply_us == 0 ? 0.0 : rollback_us / apply_us;
 
@@ -211,12 +233,13 @@ int main(int argc, char** argv) {
                     soak_succeeded == soak_targets;
 
   std::printf("apply: %.1f us mean over %zu staged cycles (image %zu "
-              "bytes), %.2f durable writes each\n",
+              "bytes), %.2f durable writes and %.2f fsyncs each\n",
               apply_us, apply_iters, (*v1_artifact)->wire.size(),
-              apply_durable_writes);
+              apply_durable_writes, apply_fsyncs);
   std::printf("rollback: %.1f us mean crash-recovery (%.3fx apply), %.2f "
-              "durable writes each\n",
-              rollback_us, rollback_vs_apply, rollback_durable_writes);
+              "durable writes and %.2f fsyncs each\n",
+              rollback_us, rollback_vs_apply, rollback_durable_writes,
+              rollback_fsyncs);
   std::printf("manifest: %llu bytes over %llu image bytes (%.3fx)\n",
               static_cast<unsigned long long>(manifest_bytes),
               static_cast<unsigned long long>(image_bytes), overhead_ratio);
@@ -237,12 +260,14 @@ int main(int argc, char** argv) {
   json.Field("mean_us", apply_us);
   json.Field("image_bytes", (*v1_artifact)->wire.size());
   json.Field("durable_writes", apply_durable_writes);
+  json.Field("fsyncs", apply_fsyncs);
   json.EndObject();
   json.Key("rollback");
   json.BeginObject();
   json.Field("mean_us", rollback_us);
   json.Field("vs_apply_ratio", rollback_vs_apply);
   json.Field("durable_writes", rollback_durable_writes);
+  json.Field("fsyncs", rollback_fsyncs);
   json.EndObject();
   json.Key("manifest");
   json.BeginObject();

@@ -24,10 +24,17 @@ Status WriteAll(int fd, const uint8_t* data, size_t size) {
   return Status::Ok();
 }
 
+int SyncFd(int fd, bool data_only) {
+  static obs::Counter& syncs =
+      obs::MetricsRegistry::Global().GetCounter("store_fsyncs");
+  syncs.Add();
+  return data_only ? ::fdatasync(fd) : ::fsync(fd);
+}
+
 void SyncDir(const std::string& dir) {
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd >= 0) {
-    ::fsync(fd);
+    SyncFd(fd);
     ::close(fd);
   }
 }
@@ -54,7 +61,7 @@ Status WriteFileAtomic(const std::string& path,
                   "cannot create " + tmp + ": " + std::strerror(errno));
   }
   Status status = WriteAll(fd, bytes.data(), bytes.size());
-  if (status.ok() && ::fsync(fd) != 0) {
+  if (status.ok() && SyncFd(fd) != 0) {
     status = Status(ErrorCode::kInternal,
                     "fsync failed on " + tmp + ": " + std::strerror(errno));
   }

@@ -16,6 +16,12 @@ namespace eric::store {
 /// Writes all `size` bytes to `fd`, retrying short writes and EINTR.
 Status WriteAll(int fd, const uint8_t* data, size_t size);
 
+/// fsync(2) of `fd` — fdatasync(2) with `data_only` — counted in the
+/// `store_fsyncs` counter. Every file and directory sync in src/store
+/// goes through here, so the counter is the number of sync syscalls a
+/// workload paid. Returns the syscall's result (errno is preserved).
+int SyncFd(int fd, bool data_only = false);
+
 /// Best-effort fsync of directory `dir`, so completed renames and
 /// truncations inside it survive a metadata crash.
 void SyncDir(const std::string& dir);

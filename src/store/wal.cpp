@@ -61,7 +61,7 @@ struct WalMetrics {
 int TimedFsync(int fd) {
   WalMetrics& metrics = WalMetrics::Get();
   const auto start = std::chrono::steady_clock::now();
-  const int rc = ::fsync(fd);
+  const int rc = SyncFd(fd);
   metrics.fsync_us.Record(MicrosecondsSince(start));
   metrics.fsyncs.Add();
   if (rc != 0) metrics.fsync_failures.Add();
@@ -136,7 +136,7 @@ Status Wal::Open(const std::string& path, const WalOptions& options,
       ::close(fd);
       return wrote;
     }
-    ::fsync(fd);
+    SyncFd(fd);
     SyncParentDir(path);
   } else {
     uint8_t header[kHeaderSize];
@@ -338,7 +338,7 @@ Status Wal::TruncateAll() {
   if (::lseek(fd_, 0, SEEK_END) < 0) {
     return Status(ErrorCode::kInternal, "wal seek failed");
   }
-  if (::fsync(fd_) != 0) {
+  if (SyncFd(fd_) != 0) {
     return Status(ErrorCode::kInternal, "wal fsync failed");
   }
   end_offset_ = kHeaderSize;
@@ -348,7 +348,7 @@ Status Wal::TruncateAll() {
 
 void Wal::Close() {
   if (fd_ < 0) return;
-  ::fsync(fd_);
+  SyncFd(fd_);
   ::close(fd_);
   fd_ = -1;
 }
@@ -382,7 +382,7 @@ Result<WalRecoveryInfo> Wal::Replay(
     if (file_size > 0) {
       info.tail_corrupted = true;
       info.bytes_truncated = file_size;
-      if (::ftruncate(fd, 0) != 0 || ::fsync(fd) != 0) {
+      if (::ftruncate(fd, 0) != 0 || SyncFd(fd) != 0) {
         // The damage could not be removed: refuse recovery rather than
         // let Open() append acknowledged records after surviving
         // garbage the next replay would truncate away.
@@ -448,7 +448,7 @@ Result<WalRecoveryInfo> Wal::Replay(
     info.tail_corrupted = true;
     info.bytes_truncated = file_size - offset;
     if (::ftruncate(fd, static_cast<off_t>(offset)) != 0 ||
-        ::fsync(fd) != 0) {
+        SyncFd(fd) != 0) {
       // Same fail-closed rule as the header repair: a tail that cannot
       // be removed must not have new records appended after it.
       ::close(fd);

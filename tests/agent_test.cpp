@@ -5,11 +5,14 @@
 // CRC-valid, epoch-current image, and replaying recovery is idempotent
 // (a crash loop counts one interrupted apply exactly once).
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -477,6 +480,232 @@ TEST(UpdateAgentTest, ManifestWithShortKeyFingerprintFailsClosed) {
 
   UpdateAgent agent(9, manifest);
   EXPECT_EQ(agent.Recover().code(), ErrorCode::kCorruptPackage);
+}
+
+// --- Crash-state oracle for the slot file --------------------------------
+//
+// The crash tests above stop only between whole writes. This oracle
+// enumerates the on-disk states a crash INSIDE one slot-file write could
+// leave, under the model in docs/persistence.md (ALICE-style, Pillai et
+// al., OSDI 2014), and reboots a fresh agent on each:
+//   - a write that changed the file's inode is an atomic replace (tmp +
+//     fsync + rename + directory fsync): the crash leaves the old file or
+//     the new one;
+//   - a write that kept the inode and the size is in place: any 512-byte
+//     sector it changed may hold the old bytes or the new ones, in every
+//     combination.
+
+/// A slot file as one crash state sees it (`exists` false: no file).
+struct FileState {
+  bool exists = false;
+  ino_t inode = 0;
+  std::vector<uint8_t> bytes;
+};
+
+FileState CaptureFile(const std::string& path) {
+  FileState state;
+  struct stat st{};
+  if (::stat(path.c_str(), &st) != 0) return state;
+  state.exists = true;
+  state.inode = st.st_ino;
+  const std::vector<char> bytes = ReadFileBytes(path);
+  state.bytes.assign(bytes.begin(), bytes.end());
+  return state;
+}
+
+constexpr size_t kSectorBytes = 512;
+constexpr size_t kMaxTornSectors = 16;
+constexpr uint64_t kNoImage = ~0ull;
+
+/// Calls `visit` with every file a crash inside the write that turned
+/// `before` into `after` could leave behind.
+void ForEachCrashState(const FileState& before, const FileState& after,
+                       const std::function<void(const FileState&)>& visit) {
+  if (!before.exists || !after.exists || before.inode != after.inode) {
+    visit(before);
+    visit(after);
+    return;
+  }
+  ASSERT_EQ(before.bytes.size(), after.bytes.size())
+      << "an in-place write changed the slot file's size";
+  std::vector<size_t> torn;  // offsets of the sectors the write changed
+  for (size_t offset = 0; offset < after.bytes.size();
+       offset += kSectorBytes) {
+    const size_t end = std::min(offset + kSectorBytes, after.bytes.size());
+    if (!std::equal(before.bytes.begin() + offset, before.bytes.begin() + end,
+                    after.bytes.begin() + offset)) {
+      torn.push_back(offset);
+    }
+  }
+  ASSERT_LE(torn.size(), kMaxTornSectors)
+      << "an in-place write changed " << torn.size()
+      << " sectors; the oracle enumerates at most " << kMaxTornSectors;
+  for (uint32_t mask = 0; mask < (1u << torn.size()); ++mask) {
+    FileState mixed = before;
+    for (size_t i = 0; i < torn.size(); ++i) {
+      if ((mask >> i & 1u) == 0) continue;
+      const size_t end =
+          std::min(torn[i] + kSectorBytes, after.bytes.size());
+      std::copy(after.bytes.begin() + torn[i], after.bytes.begin() + end,
+                mixed.bytes.begin() + torn[i]);
+    }
+    visit(mixed);
+  }
+}
+
+/// Boots a fresh agent on `state` (copied to `probe_path`) and checks
+/// what every reboot must find: recovery succeeds and leaves an idle
+/// agent whose active image is CRC-valid. `*version` is the active
+/// slot's version, kNoImage when there is none.
+void RebootOn(uint64_t device, const std::string& probe_path,
+              const FileState& state, uint64_t* version) {
+  fs::remove(probe_path);
+  if (state.exists) {
+    std::ofstream out(probe_path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(state.bytes.data()),
+              static_cast<std::streamsize>(state.bytes.size()));
+  }
+  UpdateAgent rebooted(device, probe_path);
+  const Status recovered = rebooted.Recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+  const AgentState after = rebooted.state();
+  EXPECT_EQ(after.phase, ApplyPhase::kIdle);
+  EXPECT_EQ(after.staged_slot, -1);
+  EXPECT_TRUE(rebooted.ActiveCrcValid());
+  *version = after.active_slot < 0 ? kNoImage
+                                   : after.slots[after.active_slot].version;
+}
+
+/// Drives one device through every kind of slot-file write and reboots
+/// on each crash state of each write: a crash may leave the version the
+/// before-file recovers to or the one the after-file recovers to, never
+/// a third one.
+class SlotFileCrashOracle {
+ public:
+  SlotFileCrashOracle(uint64_t device, const std::string& dir)
+      : device_(device),
+        path_(dir + "/slots-" + std::to_string(device) + ".bin"),
+        probe_path_(dir + "/probe/slots-" + std::to_string(device) +
+                    ".bin") {
+    fs::create_directories(dir + "/probe");
+  }
+
+  const std::string& path() const { return path_; }
+
+  /// Snapshots the live file; CheckWrite compares consecutive marks.
+  FileState Mark() const { return CaptureFile(path_); }
+
+  /// Every crash state of the one write that turned `before` into
+  /// `after` recovers to the before- or the after-version.
+  void CheckWrite(const FileState& before, const FileState& after) {
+    uint64_t before_version = 0, after_version = 0;
+    ASSERT_NO_FATAL_FAILURE(
+        RebootOn(device_, probe_path_, before, &before_version));
+    ASSERT_NO_FATAL_FAILURE(
+        RebootOn(device_, probe_path_, after, &after_version));
+    ++writes_;
+    if (before.exists && after.exists && before.inode == after.inode &&
+        before.bytes != after.bytes) {
+      ++in_place_writes_;
+    }
+    ForEachCrashState(before, after, [&](const FileState& state) {
+      uint64_t version = 0;
+      RebootOn(device_, probe_path_, state, &version);
+      EXPECT_TRUE(version == before_version || version == after_version)
+          << "a crash state recovered version " << version
+          << ", neither the before-version " << before_version
+          << " nor the after-version " << after_version;
+      ++states_;
+    });
+  }
+
+  /// One Apply, checked write by write: the health check runs between
+  /// the flip write and the commit (or rollback) write, so it marks the
+  /// file in between. `healthy` false makes the health check veto it.
+  Status Apply(UpdateAgent& agent, const std::vector<uint8_t>& image,
+               uint64_t version, bool healthy) {
+    const FileState before = Mark();
+    FileState flipped;
+    bool health_ran = false;
+    const Status status = agent.Apply(
+        image, version, KeyFp(1), [&](std::span<const uint8_t>) {
+          flipped = Mark();
+          health_ran = true;
+          return healthy ? Status::Ok()
+                         : Status(ErrorCode::kVerificationFailed,
+                                  "oracle health veto");
+        });
+    const FileState after = Mark();
+    if (health_ran) {
+      CheckWrite(before, flipped);
+      CheckWrite(flipped, after);
+    } else {
+      CheckWrite(before, after);
+    }
+    return status;
+  }
+
+  /// One Recover(), checked as one write.
+  Status Recover(UpdateAgent& agent) {
+    const FileState before = Mark();
+    const Status status = agent.Recover();
+    CheckWrite(before, Mark());
+    return status;
+  }
+
+  size_t writes() const { return writes_; }
+  size_t in_place_writes() const { return in_place_writes_; }
+  size_t states() const { return states_; }
+
+ private:
+  uint64_t device_;
+  std::string path_;
+  std::string probe_path_;
+  size_t writes_ = 0;
+  size_t in_place_writes_ = 0;
+  size_t states_ = 0;
+};
+
+TEST(SlotFileCrashOracleTest, EveryCrashStateRecoversBeforeOrAfter) {
+  constexpr uint64_t kDevice = 31;
+  SlotFileCrashOracle oracle(kDevice, MakeTempDir("oracle"));
+  UpdateAgent agent(kDevice, oracle.path());
+
+  // First apply: the file is created.
+  ASSERT_TRUE(oracle.Apply(agent, Image(1, 300), 1, true).ok());
+  // Two more applies, alternating slots.
+  ASSERT_TRUE(oracle.Apply(agent, Image(2, 320), 2, true).ok());
+  ASSERT_TRUE(oracle.Apply(agent, Image(3, 340), 3, true).ok());
+  // A health-failure rollback: flip write, then rollback write.
+  ASSERT_FALSE(oracle.Apply(agent, Image(4, 360), 4, false).ok());
+  ASSERT_EQ(agent.state().slots[agent.state().active_slot].version, 3u);
+  // A crash after the flip, then the reboot's rollback write.
+  agent.ArmCrash(CrashPoint::kAfterFlip);
+  ASSERT_EQ(oracle.Apply(agent, Image(5, 380), 5, true).code(),
+            ErrorCode::kInjectedCrash);
+  ASSERT_TRUE(oracle.Recover(agent).ok());
+  ASSERT_EQ(agent.state().slots[agent.state().active_slot].version, 3u);
+  // An image several times the size of the ones before: the record
+  // outgrows whatever room the file was created with.
+  ASSERT_TRUE(oracle.Apply(agent, Image(6, 3600), 6, true).ok());
+  ASSERT_TRUE(oracle.Apply(agent, Image(7, 400), 7, true).ok());
+
+  // A file an older build wrote, then the writes that migrate it.
+  RawSlot slots[2];
+  slots[0].present = true;
+  slots[0].image = Image(8, 300);
+  WriteRawManifest(oracle.path(), kDevice, /*active=*/0, /*staged=*/0xFF,
+                   ApplyPhase::kIdle, slots);
+  UpdateAgent migrated(kDevice, oracle.path());
+  ASSERT_TRUE(oracle.Recover(migrated).ok());
+  ASSERT_TRUE(oracle.Apply(migrated, Image(9, 310), 9, true).ok());
+  ASSERT_TRUE(oracle.Apply(migrated, Image(10, 320), 10, true).ok());
+
+  // 18 writes, plus the migrating reboot's Recover(), which finds an
+  // idle file and writes nothing (one crash state: the file as it was).
+  EXPECT_EQ(oracle.writes(), 19u);
+  EXPECT_GE(oracle.states(), 2 * oracle.writes() - 1);
+  ::testing::Test::RecordProperty("crash_states", oracle.states());
 }
 
 // The soak invariant, distilled: across a seeded storm of applies where

@@ -68,12 +68,15 @@ METRICS = [
     # Update agent: the manifest is record framing around the stored
     # images — deterministic bytes, tight gate. The durable-write counts
     # per apply (flip + commit) and per crash rollback are exact request
-    # counts, so any extra write fails. The rollback/apply wall ratio is
+    # counts, so any extra write fails; so are the fsync/fdatasync
+    # syscalls each costs (store_fsyncs). The rollback/apply wall ratio is
     # machine-portable (both sides fsync a manifest) but timing-noisy, so
     # it gets the generous threshold.
     ("BENCH_agent.json", "manifest.overhead_ratio", "lower", 10.0),
     ("BENCH_agent.json", "apply.durable_writes", "lower", 0.0),
     ("BENCH_agent.json", "rollback.durable_writes", "lower", 0.0),
+    ("BENCH_agent.json", "apply.fsyncs", "lower", 0.0),
+    ("BENCH_agent.json", "rollback.fsyncs", "lower", 0.0),
     ("BENCH_agent.json", "rollback.vs_apply_ratio", "lower", 60.0),
     # Per-ISA table: simulator cycle counts and image byte counts are
     # fully deterministic (same sources, same backends on every host),
