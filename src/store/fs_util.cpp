@@ -31,17 +31,25 @@ int SyncFd(int fd, bool data_only) {
   return data_only ? ::fdatasync(fd) : ::fsync(fd);
 }
 
-void SyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd >= 0) {
-    SyncFd(fd);
-    ::close(fd);
+Status SyncDir(const std::string& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status(ErrorCode::kInternal, "cannot open directory " + dir +
+                                            ": " + std::strerror(errno));
   }
+  Status status = Status::Ok();
+  if (SyncFd(fd) != 0) {
+    status = Status(ErrorCode::kInternal, "fsync failed on directory " +
+                                              dir + ": " +
+                                              std::strerror(errno));
+  }
+  ::close(fd);
+  return status;
 }
 
-void SyncParentDir(const std::string& path) {
+Status SyncParentDir(const std::string& path) {
   const auto slash = path.find_last_of('/');
-  SyncDir(slash == std::string::npos ? "." : path.substr(0, slash));
+  return SyncDir(slash == std::string::npos ? "." : path.substr(0, slash));
 }
 
 void CountDurableWrite() {
@@ -77,8 +85,7 @@ Status WriteFileAtomic(const std::string& path,
     ::unlink(tmp.c_str());
     return status;
   }
-  SyncParentDir(path);
-  return Status::Ok();
+  return SyncParentDir(path);
 }
 
 }  // namespace eric::store

@@ -22,12 +22,13 @@ Status WriteAll(int fd, const uint8_t* data, size_t size);
 /// workload paid. Returns the syscall's result (errno is preserved).
 int SyncFd(int fd, bool data_only = false);
 
-/// Best-effort fsync of directory `dir`, so completed renames and
-/// truncations inside it survive a metadata crash.
-void SyncDir(const std::string& dir);
+/// fsync of directory `dir`, so completed renames and truncations
+/// inside it survive a metadata crash. Fails when the directory cannot
+/// be opened or its fsync fails: the entries it holds may not be durable.
+Status SyncDir(const std::string& dir);
 
 /// SyncDir on the directory containing file `path`.
-void SyncParentDir(const std::string& path);
+Status SyncParentDir(const std::string& path);
 
 /// Counts one durable-write request in the `store_durable_writes`
 /// counter: every WriteFileAtomic call and every Wal::Append under a
@@ -38,8 +39,10 @@ void CountDurableWrite();
 /// Atomically replaces `path` with `bytes`: writes `path`.tmp (opened
 /// O_CLOEXEC), fsyncs and closes it, renames it over `path`, then fsyncs
 /// the parent directory. A crash leaves the old file or the new one,
-/// never a torn hybrid; on failure the tmp file is removed and `path` is
-/// untouched.
+/// never a torn hybrid. When the write, fsync or rename fails, the tmp
+/// file is removed and `path` is untouched; when only the directory fsync
+/// fails, the new file is in place but its rename may not survive a crash,
+/// and the error is returned.
 Status WriteFileAtomic(const std::string& path,
                        std::span<const uint8_t> bytes);
 

@@ -132,12 +132,19 @@ Status Wal::Open(const std::string& path, const WalOptions& options,
     std::memcpy(header, kMagic, sizeof(kMagic));
     StoreLe64(fingerprint, header + sizeof(kMagic));
     Status wrote = WriteAll(fd, header, sizeof(header));
+    if (wrote.ok() && SyncFd(fd) != 0) {
+      wrote = Status(ErrorCode::kInternal, "wal header fsync failed on " +
+                                               path + ": " +
+                                               std::strerror(errno));
+    }
+    if (wrote.ok()) wrote = SyncParentDir(path);
     if (!wrote.ok()) {
+      // Back to empty, so the next Open writes and syncs the header again
+      // instead of trusting one that may never have become durable.
+      (void)::ftruncate(fd, 0);
       ::close(fd);
       return wrote;
     }
-    SyncFd(fd);
-    SyncParentDir(path);
   } else {
     uint8_t header[kHeaderSize];
     const ssize_t got = ::pread(fd, header, sizeof(header), 0);
@@ -392,7 +399,7 @@ Result<WalRecoveryInfo> Wal::Replay(
       }
     }
     ::close(fd);
-    SyncParentDir(path);
+    ERIC_RETURN_IF_ERROR(SyncParentDir(path));
     return info;
   }
   if (LoadLe64(header + sizeof(kMagic)) != fingerprint) {
@@ -455,7 +462,11 @@ Result<WalRecoveryInfo> Wal::Replay(
       return Status(ErrorCode::kInternal,
                     "cannot truncate corrupt wal tail: " + path);
     }
-    SyncParentDir(path);
+    const Status synced = SyncParentDir(path);
+    if (!synced.ok()) {
+      ::close(fd);
+      return synced;
+    }
   }
   ::close(fd);
   return info;

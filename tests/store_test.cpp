@@ -15,6 +15,8 @@
 
 #include "fleet/campaign_journal.h"
 #include "fleet/deployment_engine.h"
+#include "obs/metrics.h"
+#include "store/fs_util.h"
 #include "store/record_io.h"
 #include "store/snapshot.h"
 #include "store/wal.h"
@@ -127,6 +129,32 @@ TEST(Crc32Test, KnownVectorAndSensitivity) {
 }
 
 // --- Wal ----------------------------------------------------------------------
+
+// A directory fsync that could not run is an error, not a silent
+// success: the entries it should have made durable may not be.
+TEST(FsUtilTest, SyncDirOnMissingDirectoryFails) {
+  const std::string dir = MakeTempDir("syncdir");
+  EXPECT_TRUE(store::SyncDir(dir).ok());
+  EXPECT_TRUE(store::SyncParentDir(dir + "/file").ok());
+
+  const Status missing = store::SyncDir(dir + "/missing");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.code(), ErrorCode::kInternal);
+  EXPECT_NE(missing.message().find("missing"), std::string::npos);
+  EXPECT_FALSE(store::SyncParentDir(dir + "/missing/file").ok());
+}
+
+// An atomic replace pays two syncs, the file's and its directory's, and
+// store_fsyncs counts both.
+TEST(FsUtilTest, WriteFileAtomicCountsFileAndDirectorySync) {
+  const std::string dir = MakeTempDir("fsyncs");
+  const obs::Counter& fsyncs =
+      obs::MetricsRegistry::Global().GetCounter("store_fsyncs");
+  const uint64_t before = fsyncs.value();
+  const std::vector<uint8_t> bytes = Payload({1, 2, 3});
+  ASSERT_TRUE(store::WriteFileAtomic(dir + "/file", bytes).ok());
+  EXPECT_EQ(fsyncs.value() - before, 2u);
+}
 
 TEST(WalTest, AppendReplayRoundTrip) {
   const std::string dir = MakeTempDir("wal-roundtrip");
