@@ -1,17 +1,23 @@
 // Device-side update-agent economics: what a staged A/B apply costs,
-// what a rollback costs, what the durable slot manifest adds on top of
-// the image bytes, and how fast the chaos-soak's campaign loop turns
-// over when every apply is a full stage/verify/flip/health cycle with
-// crash injection in the mix.
+// what a rollback costs, what the durable slot file adds on top of the
+// image bytes, and how fast the chaos-soak's campaign loop turns over
+// when every apply is a full stage/verify/flip/health cycle with crash
+// injection in the mix.
 //
 // Headline metrics:
 //
-//   manifest.overhead_ratio   slot manifest file bytes / stored image
-//                             bytes. Deterministic (same sources, keys,
-//                             and record framing on every host) and
-//                             tightly gated: the manifest must stay a
-//                             thin frame around the images, not a second
-//                             copy of them.
+//   manifest.overhead_ratio   bytes of one slot record copy (header +
+//                             payload) / stored image bytes.
+//                             Deterministic (same sources, keys, and
+//                             record framing on every host) and tightly
+//                             gated: a record must stay a thin frame
+//                             around the images, not a second copy of
+//                             them.
+//   manifest.file_vs_record_ratio
+//                             slot file bytes / one record copy. The file
+//                             holds two preallocated copies, so this is
+//                             above 2 by design; deterministic and gated
+//                             exactly, so the footprint cannot creep.
 //   apply.durable_writes      durable-write requests (store_durable_writes)
 //   rollback.durable_writes   per successful Apply (2: flip, commit) and
 //                             per crash-rollback Recover() (1). Fully
@@ -145,11 +151,17 @@ int main(int argc, char** argv) {
   const auto state = agent.state();
   const uint64_t image_bytes =
       state.slots[0].image_bytes + state.slots[1].image_bytes;
-  const uint64_t manifest_bytes = fs::file_size(manifest, ec);
+  const uint64_t record_bytes = agent.record_bytes();
+  const uint64_t capacity_bytes = agent.copy_capacity();
+  const uint64_t file_bytes = fs::file_size(manifest, ec);
   const double overhead_ratio =
       image_bytes == 0 ? 0.0
-                       : static_cast<double>(manifest_bytes) /
+                       : static_cast<double>(record_bytes) /
                              static_cast<double>(image_bytes);
+  const double file_vs_record_ratio =
+      record_bytes == 0 ? 0.0
+                        : static_cast<double>(file_bytes) /
+                              static_cast<double>(record_bytes);
 
   // --- rollback latency: crash-after-flip, then the recovery path -----
   uint64_t rollback_writes = 0, rollback_syncs = 0;
@@ -240,9 +252,13 @@ int main(int argc, char** argv) {
               "durable writes and %.2f fsyncs each\n",
               rollback_us, rollback_vs_apply, rollback_durable_writes,
               rollback_fsyncs);
-  std::printf("manifest: %llu bytes over %llu image bytes (%.3fx)\n",
-              static_cast<unsigned long long>(manifest_bytes),
-              static_cast<unsigned long long>(image_bytes), overhead_ratio);
+  std::printf("manifest: %llu-byte record over %llu image bytes (%.3fx); "
+              "file %llu bytes, two %llu-byte copies (%.3fx the record)\n",
+              static_cast<unsigned long long>(record_bytes),
+              static_cast<unsigned long long>(image_bytes), overhead_ratio,
+              static_cast<unsigned long long>(file_bytes),
+              static_cast<unsigned long long>(capacity_bytes),
+              file_vs_record_ratio);
   std::printf("soak loop: %zu rounds x %zu devices in %.2f s (%.2f "
               "campaigns/s; %llu crash recoveries, %llu rollbacks)\n",
               soak_rounds, devices, soak_wall_s, campaigns_per_second,
@@ -271,9 +287,12 @@ int main(int argc, char** argv) {
   json.EndObject();
   json.Key("manifest");
   json.BeginObject();
-  json.Field("file_bytes", manifest_bytes);
+  json.Field("record_bytes", record_bytes);
+  json.Field("capacity_bytes", capacity_bytes);
+  json.Field("file_bytes", file_bytes);
   json.Field("image_bytes", image_bytes);
   json.Field("overhead_ratio", overhead_ratio);
+  json.Field("file_vs_record_ratio", file_vs_record_ratio);
   json.EndObject();
   json.Key("soak");
   json.BeginObject();

@@ -22,15 +22,34 @@ namespace eric::agent {
 
 namespace {
 
-// Slot-manifest file layout (parsed by tests/fleetd_resume_test.py too,
-// keep docs/agent.md in sync):
-//   magic "ERICSLT1" | u64 device_id | u32 crc32(payload) | u32 payload_len
+// Slot-file layout (parsed by tests/fleetd_resume_test.py too, keep
+// docs/agent.md in sync). The file holds two copies of the record: copy
+// 0 at offset 0 and copy 1 at offset `capacity`, so it is 2 x capacity
+// bytes long. Each copy is
+//   magic "ERICSLT2" | u32 crc32 | u64 device_id | u64 sequence
+//   | u32 capacity | u32 payload_len | payload
+// with the CRC over every header field after it and the payload. A write
+// overwrites the copy that does not hold the last acknowledged record;
+// a load takes the CRC-valid copy with the highest sequence.
 //   payload: u32 schema | u64 device_id | u8 active | u8 previous
 //            | u8 staged | u8 phase | 5x u64 counters
 //            | 2x slot: u8 present | u64 version | bytes key_fp(32)
 //                       | u32 image_crc | bytes image
-constexpr char kMagic[8] = {'E', 'R', 'I', 'C', 'S', 'L', 'T', '1'};
-constexpr size_t kHeaderSize = sizeof(kMagic) + 8 + 4 + 4;
+// Files from older builds hold one record, loaded but never written:
+//   magic "ERICSLT1" | u64 device_id | u32 crc32(payload) | u32 payload_len
+//   | payload
+constexpr char kMagic[8] = {'E', 'R', 'I', 'C', 'S', 'L', 'T', '2'};
+constexpr size_t kCrcOffset = sizeof(kMagic);
+constexpr size_t kDeviceOffset = kCrcOffset + 4;
+constexpr size_t kSequenceOffset = kDeviceOffset + 8;
+constexpr size_t kCapacityOffset = kSequenceOffset + 8;
+constexpr size_t kLengthOffset = kCapacityOffset + 4;
+constexpr size_t kHeaderSize = kLengthOffset + 4;
+/// Copies are whole 4 KiB blocks, so a copy never shares a block with the
+/// other and in-place writes stay sector-aligned.
+constexpr uint64_t kCapacityAlign = 4096;
+constexpr char kLegacyMagic[8] = {'E', 'R', 'I', 'C', 'S', 'L', 'T', '1'};
+constexpr size_t kLegacyHeaderSize = sizeof(kLegacyMagic) + 8 + 4 + 4;
 constexpr uint32_t kManifestSchema = 1;
 
 constexpr uint8_t kNoSlot = 0xFF;
@@ -39,6 +58,97 @@ uint8_t EncodeSlot(int slot) {
   return slot < 0 ? kNoSlot : static_cast<uint8_t>(slot);
 }
 int DecodeSlot(uint8_t value) { return value == kNoSlot ? -1 : value; }
+
+/// Writes one record copy (header and payload) into `out`.
+void EncodeCopy(uint64_t device_id, uint64_t sequence, uint64_t capacity,
+                std::span<const uint8_t> payload, uint8_t* out) {
+  std::memcpy(out, kMagic, sizeof(kMagic));
+  store::StoreLe64(device_id, out + kDeviceOffset);
+  store::StoreLe64(sequence, out + kSequenceOffset);
+  store::StoreLe32(static_cast<uint32_t>(capacity), out + kCapacityOffset);
+  store::StoreLe32(static_cast<uint32_t>(payload.size()),
+                   out + kLengthOffset);
+  std::copy(payload.begin(), payload.end(), out + kHeaderSize);
+  store::StoreLe32(
+      store::Crc32({out + kDeviceOffset,
+                    kHeaderSize - kDeviceOffset + payload.size()}),
+      out + kCrcOffset);
+}
+
+/// The record a slot file holds, and where its write state stands.
+struct StoredRecord {
+  std::span<const uint8_t> payload;
+  uint64_t capacity = 0;  ///< 0: a legacy one-record file
+  uint64_t sequence = 0;
+  int copy = 0;
+};
+
+/// Finds the record of an ERICSLT2 file: the CRC-valid copy with the
+/// highest sequence. A torn copy fails its CRC and the other one stands;
+/// with neither intact the file is damage.
+Status FindNewestCopy(std::span<const uint8_t> bytes, uint64_t device_id,
+                      const std::string& path, StoredRecord* out) {
+  // The file is created at exactly two copies and never resized, so its
+  // size fixes the capacity each copy's header must repeat.
+  const uint64_t capacity = bytes.size() / 2;
+  const int copies = bytes.size() % 2 == 0 && capacity >= kHeaderSize ? 2 : 0;
+  int newest = -1;
+  for (int copy = 0; copy < copies; ++copy) {
+    const uint8_t* base = bytes.data() + copy * capacity;
+    if (std::memcmp(base, kMagic, sizeof(kMagic)) != 0 ||
+        store::LoadLe32(base + kCapacityOffset) != capacity) {
+      continue;
+    }
+    const uint32_t length = store::LoadLe32(base + kLengthOffset);
+    if (length > capacity - kHeaderSize ||
+        store::Crc32({base + kDeviceOffset,
+                      kHeaderSize - kDeviceOffset + length}) !=
+            store::LoadLe32(base + kCrcOffset)) {
+      continue;
+    }
+    const uint64_t sequence = store::LoadLe64(base + kSequenceOffset);
+    if (newest >= 0 && sequence <= out->sequence) continue;
+    newest = copy;
+    out->payload = {base + kHeaderSize, length};
+    out->capacity = capacity;
+    out->sequence = sequence;
+    out->copy = copy;
+  }
+  if (newest < 0) {
+    return Status(ErrorCode::kCorruptPackage,
+                  "slot file holds no intact record copy: " + path);
+  }
+  if (store::LoadLe64(bytes.data() + newest * capacity + kDeviceOffset) !=
+      device_id) {
+    return Status(ErrorCode::kFailedPrecondition,
+                  "slot file belongs to a different device: " + path);
+  }
+  return Status::Ok();
+}
+
+/// Finds the record of a legacy ERICSLT1 file (one record, CRC-framed).
+Status FindLegacyRecord(std::span<const uint8_t> bytes, uint64_t device_id,
+                        const std::string& path, StoredRecord* out) {
+  if (bytes.size() < kLegacyHeaderSize) {
+    return Status(ErrorCode::kCorruptPackage,
+                  "slot manifest truncated: " + path);
+  }
+  if (store::LoadLe64(bytes.data() + 8) != device_id) {
+    return Status(ErrorCode::kFailedPrecondition,
+                  "slot manifest belongs to a different device: " + path);
+  }
+  const uint32_t payload_len = store::LoadLe32(bytes.data() + 20);
+  if (bytes.size() != kLegacyHeaderSize + payload_len) {
+    return Status(ErrorCode::kCorruptPackage,
+                  "slot manifest length mismatch: " + path);
+  }
+  out->payload = bytes.subspan(kLegacyHeaderSize);
+  if (store::Crc32(out->payload) != store::LoadLe32(bytes.data() + 16)) {
+    return Status(ErrorCode::kCorruptPackage,
+                  "slot manifest CRC mismatch: " + path);
+  }
+  return Status::Ok();
+}
 
 double MicrosecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::micro>(
@@ -139,36 +249,58 @@ Status UpdateAgent::Persist() {
   if (manifest_path_.empty()) return Status::Ok();  // memory-only mode
 
   const std::vector<uint8_t> payload = SerializeManifest();
-  std::vector<uint8_t> file_bytes(kHeaderSize + payload.size());
-  std::memcpy(file_bytes.data(), kMagic, sizeof(kMagic));
-  store::StoreLe64(device_id_, file_bytes.data() + 8);
-  store::StoreLe32(store::Crc32(payload), file_bytes.data() + 16);
-  store::StoreLe32(static_cast<uint32_t>(payload.size()),
-                   file_bytes.data() + 20);
-  std::copy(payload.begin(), payload.end(),
-            file_bytes.begin() + kHeaderSize);
-
-  // Atomic replace, the snapshot discipline: a crash leaves either the
-  // previous manifest or the new one, never a torn file.
-  Status written = store::WriteFileAtomic(manifest_path_, file_bytes);
+  const uint64_t record_bytes = kHeaderSize + payload.size();
+  const uint64_t sequence = ++sequence_;
+  Status written = Status::Ok();
+  if (capacity_ == 0 || record_bytes > capacity_) {
+    // Create or grow: one atomic replace of the whole file. The record
+    // goes in copy 0 and copy 1 is written as zeros, so its blocks are
+    // really allocated and later in-place writes change no metadata.
+    const uint64_t capacity =
+        (2 * record_bytes + kCapacityAlign - 1) / kCapacityAlign *
+        kCapacityAlign;
+    std::vector<uint8_t> file_bytes(2 * capacity);
+    EncodeCopy(device_id_, sequence, capacity, payload, file_bytes.data());
+    written = store::WriteFileAtomic(manifest_path_, file_bytes);
+    if (written.ok()) {
+      capacity_ = capacity;
+      acked_copy_ = 0;
+    }
+  } else {
+    // In place: overwrite the copy that does NOT hold the last
+    // acknowledged record, so a torn write costs only itself.
+    const int copy = 1 - acked_copy_;
+    std::vector<uint8_t> record(record_bytes);
+    EncodeCopy(device_id_, sequence, capacity_, payload, record.data());
+    written = store::OverwriteInPlace(manifest_path_, copy * capacity_,
+                                      record);
+    if (written.ok()) acked_copy_ = copy;
+  }
   if (!written.ok()) {
+    // The file's state is unknown now: the next persist replaces it whole.
+    capacity_ = 0;
     counters_.persist_failures++;
     AgentMetrics::Get().persist_failures.Add(1);
+    return written;
   }
-  return written;
+  record_bytes_ = record_bytes;
+  return Status::Ok();
 }
 
 Status UpdateAgent::LoadManifest() {
   const int fd = ::open(manifest_path_.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
-    if (errno == ENOENT) return Status::Ok();  // fresh device
+    if (errno == ENOENT) {  // fresh device: the first persist creates it
+      capacity_ = 0;
+      return Status::Ok();
+    }
     return Status(ErrorCode::kInternal, "cannot open slot manifest " +
                                             manifest_path_ + ": " +
                                             std::strerror(errno));
   }
   struct stat st{};
   if (::fstat(fd, &st) != 0 ||
-      static_cast<size_t>(st.st_size) < kHeaderSize) {
+      static_cast<size_t>(st.st_size) < sizeof(kMagic)) {
     ::close(fd);
     return Status(ErrorCode::kCorruptPackage,
                   "slot manifest truncated: " + manifest_path_);
@@ -176,26 +308,19 @@ Status UpdateAgent::LoadManifest() {
   std::vector<uint8_t> bytes(static_cast<size_t>(st.st_size));
   const ssize_t got = ::pread(fd, bytes.data(), bytes.size(), 0);
   ::close(fd);
-  if (got != static_cast<ssize_t>(bytes.size()) ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+  if (got != static_cast<ssize_t>(bytes.size())) {
     return Status(ErrorCode::kCorruptPackage,
                   "slot manifest unreadable: " + manifest_path_);
   }
-  if (store::LoadLe64(bytes.data() + 8) != device_id_) {
-    return Status(ErrorCode::kFailedPrecondition,
-                  "slot manifest belongs to a different device: " +
-                      manifest_path_);
+  StoredRecord stored;
+  if (std::memcmp(bytes.data(), kLegacyMagic, sizeof(kLegacyMagic)) == 0) {
+    ERIC_RETURN_IF_ERROR(
+        FindLegacyRecord(bytes, device_id_, manifest_path_, &stored));
+  } else {
+    ERIC_RETURN_IF_ERROR(
+        FindNewestCopy(bytes, device_id_, manifest_path_, &stored));
   }
-  const uint32_t payload_len = store::LoadLe32(bytes.data() + 20);
-  if (bytes.size() != kHeaderSize + payload_len) {
-    return Status(ErrorCode::kCorruptPackage,
-                  "slot manifest length mismatch: " + manifest_path_);
-  }
-  std::span<const uint8_t> payload(bytes.data() + kHeaderSize, payload_len);
-  if (store::Crc32(payload) != store::LoadLe32(bytes.data() + 16)) {
-    return Status(ErrorCode::kCorruptPackage,
-                  "slot manifest CRC mismatch: " + manifest_path_);
-  }
+  const std::span<const uint8_t> payload = stored.payload;
 
   store::RecordReader rec(payload);
   uint32_t schema = 0;
@@ -264,6 +389,12 @@ Status UpdateAgent::LoadManifest() {
   std::memcpy(slots_, slots, sizeof(slots_));
   images_[0] = std::move(images[0]);
   images_[1] = std::move(images[1]);
+  // A legacy file loads with capacity 0: the next persist migrates it by
+  // replacing it whole.
+  capacity_ = stored.capacity;
+  sequence_ = stored.sequence;
+  acked_copy_ = stored.copy;
+  record_bytes_ = stored.capacity == 0 ? 0 : kHeaderSize + payload.size();
   return Status::Ok();
 }
 

@@ -19,17 +19,23 @@
 //
 // An apply makes two durable writes of the slot manifest, the way A/B
 // boot control does: the FLIP write carries the staged image and the
-// flip intent in one atomic replace, and the COMMIT write records the
-// healthy result (idle). Stage and verify stay in memory — a crash
-// before the flip leaves the pre-apply manifest on disk, which is
-// exactly the state recovery would restore anyway. The manifest is
-// serialized with store::RecordWriter, CRC32-framed like a snapshot, and
-// written atomically (tmp + fsync + rename + dir fsync), so a crash at
-// ANY point leaves a manifest that Recover() turns back into a runnable
-// state — an apply interrupted after the flip is rolled back to the
-// previous slot. The active slot therefore always holds a CRC-valid
-// image that passed its health check (or the device has no image at
-// all, never a torn one).
+// flip intent in one record, and the COMMIT write records the healthy
+// result (idle). Stage and verify stay in memory — a crash before the
+// flip leaves the pre-apply manifest on disk, which is exactly the state
+// recovery would restore anyway.
+//
+// The manifest record is serialized with store::RecordWriter and kept
+// in a slot file that holds two CRC-framed copies of it, like U-Boot's
+// redundant environment. A write overwrites the copy that does NOT hold
+// the last acknowledged record in place (pwrite + fdatasync: one sync,
+// no rename); a load takes the CRC-valid copy with the highest write
+// sequence, so a torn write costs only itself. Creating the file, or
+// growing it for a record that no longer fits, is one atomic replace of
+// the whole file. Either way a crash at ANY point leaves a manifest that
+// Recover() turns back into a runnable state — an apply interrupted
+// after the flip is rolled back to the previous slot. The active slot
+// therefore always holds a CRC-valid image that passed its health check
+// (or the device has no image at all, never a torn one).
 //
 // The durable active slot is also the device's delta base: a daemon
 // restart re-opens the manifest and the next delta campaign patches
@@ -162,6 +168,14 @@ class UpdateAgent {
   /// `seed`. Rate 0 disables.
   void SetCrashInjection(double rate, uint64_t seed);
 
+  /// Bytes of one record copy (header + payload) as last persisted or
+  /// loaded; 0 before the first, for a legacy file, or memory-only.
+  uint64_t record_bytes() const { return record_bytes_; }
+
+  /// Bytes each of the slot file's two copies holds (the file is twice
+  /// this); 0 when the next persist replaces the whole file.
+  uint64_t copy_capacity() const { return capacity_; }
+
  private:
   Status Persist();
   Status LoadManifest();
@@ -185,6 +199,13 @@ class UpdateAgent {
   SlotInfo slots_[2];
   std::vector<uint8_t> images_[2];
   AgentCounters counters_;
+
+  // Slot-file write state: copy `acked_copy_` holds the last
+  // acknowledged record, written under `sequence_`.
+  uint64_t capacity_ = 0;
+  uint64_t sequence_ = 0;
+  int acked_copy_ = 0;
+  uint64_t record_bytes_ = 0;
 
   CrashPoint armed_crash_ = CrashPoint::kNone;
   uint32_t forced_health_failures_ = 0;

@@ -88,4 +88,37 @@ Status WriteFileAtomic(const std::string& path,
   return SyncParentDir(path);
 }
 
+Status OverwriteInPlace(const std::string& path, uint64_t offset,
+                        std::span<const uint8_t> bytes) {
+  CountDurableWrite();
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status(ErrorCode::kInternal,
+                  "cannot open " + path + ": " + std::strerror(errno));
+  }
+  Status status = Status::Ok();
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t wrote =
+        ::pwrite(fd, bytes.data() + done, bytes.size() - done,
+                 static_cast<off_t>(offset + done));
+    if (wrote < 0 && errno == EINTR) continue;
+    if (wrote <= 0) {
+      status = Status(ErrorCode::kInternal, "pwrite failed on " + path +
+                                                ": " + std::strerror(errno));
+      break;
+    }
+    done += static_cast<size_t>(wrote);
+  }
+  if (status.ok() && SyncFd(fd, /*data_only=*/true) != 0) {
+    status = Status(ErrorCode::kInternal, "fdatasync failed on " + path +
+                                              ": " + std::strerror(errno));
+  }
+  if (::close(fd) != 0 && status.ok()) {
+    status = Status(ErrorCode::kInternal,
+                    "close failed on " + path + ": " + std::strerror(errno));
+  }
+  return status;
+}
+
 }  // namespace eric::store

@@ -1,8 +1,9 @@
 // POSIX file-durability helpers shared by the WAL and snapshot codecs,
-// the update agent's slot manifests, and the telemetry exporter:
-// full-write with EINTR retry, the directory fsyncs that make renames
-// and truncations themselves crash-durable, and the one atomic
-// whole-file replace built from them.
+// the update agent's slot files, and the telemetry exporter: full-write
+// with EINTR retry, the one counted sync every fsync/fdatasync goes
+// through, the directory fsyncs that make renames and truncations
+// themselves crash-durable, the atomic whole-file replace built from
+// them, and the in-place overwrite the slot file's double buffer uses.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +32,8 @@ Status SyncDir(const std::string& dir);
 Status SyncParentDir(const std::string& path);
 
 /// Counts one durable-write request in the `store_durable_writes`
-/// counter: every WriteFileAtomic call and every Wal::Append under a
-/// syncing mode. It counts requests, not fsyncs, so group commit does not
+/// counter: every WriteFileAtomic and OverwriteInPlace call and every
+/// Wal::Append under a syncing mode. It counts requests, not fsyncs, so group commit does not
 /// make the number depend on thread timing.
 void CountDurableWrite();
 
@@ -45,5 +46,15 @@ void CountDurableWrite();
 /// and the error is returned.
 Status WriteFileAtomic(const std::string& path,
                        std::span<const uint8_t> bytes);
+
+/// Overwrites the range of the existing file `path` that starts at
+/// `offset` with `bytes`, then fdatasyncs it: one sync, no tmp file, no
+/// rename, no directory fsync. Never creates the file. The caller keeps
+/// the range inside the file, so the write changes no metadata. NOT
+/// atomic: a crash may leave any mix of old and new 512-byte sectors in
+/// the range, so the caller must make a torn range detectable and never
+/// overwrite the only copy of what it last acknowledged.
+Status OverwriteInPlace(const std::string& path, uint64_t offset,
+                        std::span<const uint8_t> bytes);
 
 }  // namespace eric::store

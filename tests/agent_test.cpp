@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -271,6 +272,44 @@ TEST(UpdateAgentTest, ApplyMakesTwoDurableWritesAndRollbackOne) {
   ExpectHealthyActive(agent, Image(1, 400));
 }
 
+uint64_t Fsyncs() {
+  return obs::MetricsRegistry::Global().GetCounter("store_fsyncs").value();
+}
+
+// Syncs, not writes, are what an apply pays for. Creating the slot file
+// is an atomic replace (file fsync + directory fsync); after that every
+// write overwrites one record copy in place under one fdatasync.
+TEST(UpdateAgentTest, InPlaceWritesPayOneSyncEach) {
+  const std::string dir = MakeTempDir("syncs");
+  UpdateAgent agent(15, dir + "/slots-15.bin");
+  uint64_t before = Fsyncs();
+  ASSERT_TRUE(agent.Apply(Image(1, 400), 1, KeyFp(1), HealthyCheck).ok());
+  EXPECT_EQ(Fsyncs() - before, 3u);  // create (2) + commit in place (1)
+
+  before = Fsyncs();
+  ASSERT_TRUE(agent.Apply(Image(2, 400), 2, KeyFp(1), HealthyCheck).ok());
+  EXPECT_EQ(Fsyncs() - before, 2u);  // flip + commit
+
+  agent.ArmHealthFailures(1);
+  before = Fsyncs();
+  ASSERT_FALSE(agent.Apply(Image(3, 400), 3, KeyFp(1), HealthyCheck).ok());
+  EXPECT_EQ(Fsyncs() - before, 2u);  // flip + rollback
+
+  agent.ArmCrash(CrashPoint::kAfterFlip);
+  ASSERT_FALSE(agent.Apply(Image(4, 400), 4, KeyFp(1), HealthyCheck).ok());
+  before = Fsyncs();
+  ASSERT_TRUE(agent.Recover().ok());
+  EXPECT_EQ(Fsyncs() - before, 1u);  // the rollback
+
+  // A record that outgrows its copy replaces the file once more.
+  before = Fsyncs();
+  ASSERT_TRUE(agent.Apply(Image(5, 4000), 5, KeyFp(1), HealthyCheck).ok());
+  EXPECT_EQ(Fsyncs() - before, 3u);
+  UpdateAgent rebooted(15, dir + "/slots-15.bin");
+  ASSERT_TRUE(rebooted.Recover().ok());
+  ExpectHealthyActive(rebooted, Image(5, 4000));
+}
+
 // The flip write is the apply's first durable write. When it fails the
 // manifest on disk still names the old image, so the agent must not be
 // left mid-apply: the old image stays active and there is nothing to
@@ -423,28 +462,37 @@ TEST(UpdateAgentTest, ManifestRoundTripPreservesStateAndCounters) {
 TEST(UpdateAgentTest, ManifestCorruptionFailsClosed) {
   const std::string dir = MakeTempDir("corrupt");
   const std::string manifest = dir + "/slots-6.bin";
+  uint64_t capacity = 0, record_bytes = 0;
   {
     UpdateAgent agent(6, manifest);
     ASSERT_TRUE(agent.Apply(Image(1, 2048), 1, KeyFp(1), HealthyCheck).ok());
+    capacity = agent.copy_capacity();
+    record_bytes = agent.record_bytes();
   }
   const std::vector<char> pristine = ReadFileBytes(manifest);
   ASSERT_GT(pristine.size(), 600u);
+  // The flip and the commit record are the same size, one per copy.
+  ASSERT_EQ(pristine.size(), 2 * capacity);
+  ASSERT_GT(record_bytes, 600u);
 
   const auto rewrite = [&](std::vector<char> bytes) {
     std::ofstream out(manifest, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   };
 
-  {  // flipped bit deep in the image region -> payload CRC rejects it
+  {  // flipped bit deep in the image region of BOTH record copies ->
+     // each copy's CRC rejects it, and no intact copy is left
     auto damaged = pristine;
-    damaged[damaged.size() - 100] ^= 0x40;
+    for (uint64_t copy = 0; copy < 2; ++copy) {
+      damaged[copy * capacity + record_bytes - 100] ^= 0x40;
+    }
     rewrite(damaged);
     UpdateAgent agent(6, manifest);
     Status status = agent.Recover();
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.code(), ErrorCode::kCorruptPackage) << status.message();
   }
-  {  // truncated mid-payload
+  {  // truncated mid-payload (the size no longer matches either copy)
     auto damaged = pristine;
     damaged.resize(damaged.size() / 2);
     rewrite(damaged);
@@ -517,6 +565,28 @@ constexpr size_t kSectorBytes = 512;
 constexpr size_t kMaxTornSectors = 16;
 constexpr uint64_t kNoImage = ~0ull;
 
+/// Offsets of the 512-byte sectors in which two equal-sized files differ.
+std::vector<size_t> ChangedSectors(const std::vector<uint8_t>& before,
+                                   const std::vector<uint8_t>& after) {
+  std::vector<size_t> changed;
+  for (size_t offset = 0; offset < after.size(); offset += kSectorBytes) {
+    const size_t end = std::min(offset + kSectorBytes, after.size());
+    if (!std::equal(before.begin() + offset, before.begin() + end,
+                    after.begin() + offset)) {
+      changed.push_back(offset);
+    }
+  }
+  return changed;
+}
+
+/// Copies sector `offset` of `from` over the same sector of `to`.
+void CopySector(const std::vector<uint8_t>& from, size_t offset,
+                std::vector<uint8_t>* to) {
+  const size_t end = std::min(offset + kSectorBytes, from.size());
+  std::copy(from.begin() + offset, from.begin() + end,
+            to->begin() + offset);
+}
+
 /// Calls `visit` with every file a crash inside the write that turned
 /// `before` into `after` could leave behind.
 void ForEachCrashState(const FileState& before, const FileState& after,
@@ -528,26 +598,14 @@ void ForEachCrashState(const FileState& before, const FileState& after,
   }
   ASSERT_EQ(before.bytes.size(), after.bytes.size())
       << "an in-place write changed the slot file's size";
-  std::vector<size_t> torn;  // offsets of the sectors the write changed
-  for (size_t offset = 0; offset < after.bytes.size();
-       offset += kSectorBytes) {
-    const size_t end = std::min(offset + kSectorBytes, after.bytes.size());
-    if (!std::equal(before.bytes.begin() + offset, before.bytes.begin() + end,
-                    after.bytes.begin() + offset)) {
-      torn.push_back(offset);
-    }
-  }
+  const std::vector<size_t> torn = ChangedSectors(before.bytes, after.bytes);
   ASSERT_LE(torn.size(), kMaxTornSectors)
       << "an in-place write changed " << torn.size()
       << " sectors; the oracle enumerates at most " << kMaxTornSectors;
   for (uint32_t mask = 0; mask < (1u << torn.size()); ++mask) {
     FileState mixed = before;
     for (size_t i = 0; i < torn.size(); ++i) {
-      if ((mask >> i & 1u) == 0) continue;
-      const size_t end =
-          std::min(torn[i] + kSectorBytes, after.bytes.size());
-      std::copy(after.bytes.begin() + torn[i], after.bytes.begin() + end,
-                mixed.bytes.begin() + torn[i]);
+      if ((mask >> i & 1u) != 0) CopySector(after.bytes, torn[i], &mixed.bytes);
     }
     visit(mixed);
   }
@@ -703,9 +761,69 @@ TEST(SlotFileCrashOracleTest, EveryCrashStateRecoversBeforeOrAfter) {
 
   // 18 writes, plus the migrating reboot's Recover(), which finds an
   // idle file and writes nothing (one crash state: the file as it was).
+  // Three writes replace the whole file: the one that creates it, the
+  // one that grows it and the one that migrates the legacy file. The
+  // other 15 overwrite one record copy in place.
   EXPECT_EQ(oracle.writes(), 19u);
+  EXPECT_EQ(oracle.in_place_writes(), 15u);
   EXPECT_GE(oracle.states(), 2 * oracle.writes() - 1);
-  ::testing::Test::RecordProperty("crash_states", oracle.states());
+  std::printf("slot-file crash oracle: %zu writes, %zu in place, %zu crash "
+              "states rebooted\n",
+              oracle.writes(), oracle.in_place_writes(), oracle.states());
+}
+
+// A power cut halfway through an in-place write leaves the newer record
+// copy half written: its CRC fails, and the older copy, the last record
+// the agent acknowledged, loads as if the write never began.
+TEST(UpdateAgentTest, HalfWrittenNewerCopyLoadsTheOlderCopy) {
+  const std::string manifest = MakeTempDir("half-written") + "/slots-21.bin";
+  const auto v1 = Image(1, 700);
+  const auto v2 = Image(2, 720);
+  const auto v3 = Image(3, 740);
+  FileState before, after;
+  {
+    UpdateAgent agent(21, manifest);
+    ASSERT_TRUE(agent.Apply(v1, 1, KeyFp(1), HealthyCheck).ok());
+    ASSERT_TRUE(agent.Apply(v2, 2, KeyFp(1), HealthyCheck).ok());
+    before = CaptureFile(manifest);
+    agent.ArmCrash(CrashPoint::kAfterFlip);
+    ASSERT_EQ(agent.Apply(v3, 3, KeyFp(1), HealthyCheck).code(),
+              ErrorCode::kInjectedCrash);
+    after = CaptureFile(manifest);
+  }
+  ASSERT_EQ(before.inode, after.inode);  // the flip wrote in place
+  const std::vector<size_t> written =
+      ChangedSectors(before.bytes, after.bytes);
+  ASSERT_GE(written.size(), 2u);
+  FileState half = after;
+  for (size_t i = written.size() / 2; i < written.size(); ++i) {
+    CopySector(before.bytes, written[i], &half.bytes);
+  }
+
+  uint64_t version = 0;
+  const std::string probe = manifest + ".probe";
+  // Whole, the newer copy is the flip of v3: the reboot rolls it back.
+  {
+    ASSERT_NO_FATAL_FAILURE(RebootOn(21, probe, after, &version));
+    UpdateAgent rebooted(21, probe);
+    ASSERT_TRUE(rebooted.Recover().ok());
+    EXPECT_EQ(rebooted.state().counters.crash_recoveries, 1u);
+  }
+  // Half written, it is ignored: the older copy (v2 committed, idle)
+  // loads and there is nothing to roll back.
+  ASSERT_NO_FATAL_FAILURE(RebootOn(21, probe, half, &version));
+  EXPECT_EQ(version, 2u);
+  UpdateAgent rebooted(21, probe);
+  ASSERT_TRUE(rebooted.Recover().ok());
+  ExpectHealthyActive(rebooted, v2);
+  EXPECT_EQ(rebooted.state().counters.crash_recoveries, 0u);
+  EXPECT_EQ(rebooted.state().counters.rollbacks, 0u);
+
+  // The next write goes over the torn copy, never the intact one.
+  ASSERT_TRUE(rebooted.Apply(v3, 3, KeyFp(1), HealthyCheck).ok());
+  UpdateAgent again(21, probe);
+  ASSERT_TRUE(again.Recover().ok());
+  ExpectHealthyActive(again, v3);
 }
 
 // The soak invariant, distilled: across a seeded storm of applies where

@@ -1942,6 +1942,90 @@ TEST(AgentFleetTest, DeltaBasesSurviveDaemonRestart) {
   EXPECT_LE(ratio, 0.35) << "restarted fleet lost its delta win";
 }
 
+// XORs one byte of `path` at `offset`.
+void DamageByte(const fs::path& path, uint64_t offset) {
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(file.is_open());
+  file.seekg(static_cast<std::streamoff>(offset));
+  char byte = 0;
+  file.read(&byte, 1);
+  byte = static_cast<char>(byte ^ 0x5A);
+  file.seekp(static_cast<std::streamoff>(offset));
+  file.write(&byte, 1);
+}
+
+// Damage to the newer of a slot file's two record copies costs only that
+// record: the older copy loads and no reset is counted. Every apply writes
+// its flip into copy 0 and its commit into copy 1, so after a v1 and a v2
+// campaign copy 0 holds the v2 flip. With copy 1 damaged the restart loads
+// that flip and rolls it back to the v1 slot, which is still a delta base.
+TEST(AgentFleetTest, DamagedNewerSlotCopyLoadsTheOlderRecord) {
+  const std::string dir = MakeAgentTempDir("newer-copy");
+  const std::string v1 = workloads::MakeSyntheticRelease(3);
+  const std::string v2 = workloads::MakeSyntheticRelease(5);
+  std::vector<DeviceId> devices;
+  {
+    DeviceRegistry registry;
+    ASSERT_TRUE(registry.OpenStorage(dir).ok());
+    const GroupId group = registry.CreateGroup("newer-copy");
+    for (uint64_t i = 0; i < 2; ++i) {
+      auto id = registry.Enroll(0x4E57C000 + i, group);
+      ASSERT_TRUE(id.ok());
+      devices.push_back(*id);
+    }
+    PackageCache cache;
+    DeploymentEngine engine(registry, cache);
+    for (const std::string* source : {&v1, &v2}) {
+      CampaignConfig campaign;
+      campaign.source = *source;
+      campaign.devices = devices;
+      campaign.workers = 2;
+      auto report = engine.Run(campaign);
+      ASSERT_TRUE(report.ok());
+      ASSERT_EQ(report->succeeded, devices.size());
+    }
+  }
+
+  const DeviceId damaged = devices[0];
+  const fs::path slots =
+      fs::path(dir) / "agent" / ("slots-" + std::to_string(damaged) + ".bin");
+  DamageByte(slots, fs::file_size(slots) / 2 + 100);
+  const obs::Counter& resets =
+      obs::MetricsRegistry::Global().GetCounter("agent_manifest_resets");
+  const uint64_t resets_before = resets.value();
+  DeviceRegistry recovered;
+  ASSERT_TRUE(recovered.OpenStorage(dir).ok());
+  EXPECT_EQ(resets.value(), resets_before);
+
+  auto inspection = recovered.InspectAgent(damaged);
+  ASSERT_TRUE(inspection.ok());
+  EXPECT_TRUE(inspection->active_crc_valid);
+  const agent::AgentState& state = inspection->state;
+  EXPECT_EQ(state.phase, agent::ApplyPhase::kIdle);
+  EXPECT_EQ(state.counters.applies, 1u);  // the v2 commit never loaded
+  EXPECT_EQ(state.counters.crash_recoveries, 1u);
+  ASSERT_GE(state.active_slot, 0);
+  auto intact = recovered.InspectAgent(devices[1]);
+  ASSERT_TRUE(intact.ok());
+  EXPECT_EQ(intact->state.counters.applies, 2u);
+  EXPECT_EQ(intact->state.counters.crash_recoveries, 0u);
+
+  // The rolled-back device still holds v1, so v1 -> v2 is a delta.
+  PackageCache cache;
+  DeploymentEngine engine(recovered, cache);
+  CampaignConfig again;
+  again.source = v2;
+  again.delta = true;
+  again.delta_base_source = v1;
+  again.devices = {damaged};
+  auto report = engine.Run(again);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->succeeded, 1u);
+  EXPECT_EQ(report->delta_deliveries, 1u);
+  EXPECT_EQ(report->full_deliveries, 0u);
+  EXPECT_EQ(report->delta_fallbacks, 0u);
+}
+
 // A device whose slot manifest is damaged restarts with no image at
 // all. The next delta campaign must know that before it ships anything:
 // one full package, no delta attempt, no fallback.
@@ -1970,22 +2054,15 @@ TEST(AgentFleetTest, DeviceWithResetSlotsGetsOneFullPackage) {
     ASSERT_EQ(report->succeeded, devices.size());
   }
 
-  // Flip one byte in the middle of device 0's slot file: its CRC no
-  // longer matches, so the restarted agent abandons the file.
+  // Flip one byte inside each of the two record copies of device 0's
+  // slot file: neither CRC matches any more, so the restarted agent
+  // abandons the file.
   const DeviceId reset = devices[0];
   const fs::path slots =
       fs::path(dir) / "agent" / ("slots-" + std::to_string(reset) + ".bin");
-  {
-    std::fstream file(slots, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(file.is_open());
-    const auto middle = static_cast<std::streamoff>(fs::file_size(slots) / 2);
-    file.seekg(middle);
-    char byte = 0;
-    file.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x5A);
-    file.seekp(middle);
-    file.write(&byte, 1);
-  }
+  const uint64_t copy_bytes = fs::file_size(slots) / 2;
+  DamageByte(slots, 100);
+  DamageByte(slots, copy_bytes + 100);
   const obs::Counter& resets =
       obs::MetricsRegistry::Global().GetCounter("agent_manifest_resets");
   const uint64_t resets_before = resets.value();

@@ -743,16 +743,61 @@ def watchdog_attempt(fleetd, workdir, attempt):
     return prior
 
 
-# Agent slot-manifest framing (src/agent/update_agent.cpp): 24-byte
-# header "ERICSLT1" | u64 device | u32 crc32(payload) | u32 payload_len,
-# then a RecordWriter payload. 0xFF encodes "no slot".
-SLOT_MAGIC = b"ERICSLT1"
-SLOT_HEADER = 24
+# Agent slot-file framing (src/agent/update_agent.cpp). The file holds
+# two copies of the record, copy 0 at offset 0 and copy 1 at offset
+# `capacity` (half the file); each is a 36-byte header
+#   "ERICSLT2" | u32 crc32 | u64 device | u64 sequence | u32 capacity
+#   | u32 payload_len
+# with the CRC over every header field after it and the payload, then the
+# RecordWriter payload. The CRC-valid copy with the highest sequence is
+# the record. Files from older builds hold one record behind a 24-byte
+# header "ERICSLT1" | u64 device | u32 crc32(payload) | u32 payload_len.
+# 0xFF encodes "no slot".
+SLOT_MAGIC = b"ERICSLT2"
+SLOT_HEADER = 36
+LEGACY_SLOT_MAGIC = b"ERICSLT1"
+LEGACY_SLOT_HEADER = 24
 NO_SLOT = 0xFF
 # Device count of the short soak profile (kSoakShort in
 # src/fleet/daemon_config.h): the kill waits until every one of them has a
 # durable slot manifest.
 SOAK_SHORT_DEVICES = 10
+
+
+def newest_slot_record(data, label):
+    """Returns (device, payload) of the record a slot file holds: the
+    CRC-valid copy with the highest sequence, or a legacy file's one
+    record. Fails the test when there is none."""
+    if data[:8] == LEGACY_SLOT_MAGIC and len(data) >= LEGACY_SLOT_HEADER:
+        (device,) = struct.unpack_from("<Q", data, 8)
+        crc, payload_len = struct.unpack_from("<II", data, 16)
+        payload = data[LEGACY_SLOT_HEADER:]
+        if len(payload) != payload_len:
+            fail("%s: payload is %d bytes, header says %d" %
+                 (label, len(payload), payload_len))
+        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+            fail("%s: payload CRC mismatch (torn manifest survived?)" % label)
+        return device, payload
+    capacity = len(data) // 2
+    best = None
+    for copy in range(2 if len(data) % 2 == 0 and capacity >= SLOT_HEADER
+                      else 0):
+        base = copy * capacity
+        if data[base:base + 8] != SLOT_MAGIC:
+            continue
+        crc, device, sequence, copy_capacity, payload_len = \
+            struct.unpack_from("<IQQII", data, base + 8)
+        end = base + SLOT_HEADER + payload_len
+        if copy_capacity != capacity or payload_len > capacity - SLOT_HEADER:
+            continue
+        if zlib.crc32(data[base + 12:end]) & 0xFFFFFFFF != crc:
+            continue  # a torn copy: the other one stands
+        if best is None or sequence > best[0]:
+            best = (sequence, device, data[base + SLOT_HEADER:end])
+    if best is None:
+        fail("%s: no intact record copy (%d bytes; torn file survived?)" %
+             (label, len(data)))
+    return best[1], best[2]
 
 
 def check_slot_manifest(path, device_id):
@@ -763,16 +808,7 @@ def check_slot_manifest(path, device_id):
     with open(path, "rb") as f:
         data = f.read()
     label = os.path.basename(path)
-    if len(data) < SLOT_HEADER or data[:8] != SLOT_MAGIC:
-        fail("%s: bad magic/size (%d bytes)" % (label, len(data)))
-    (header_dev,) = struct.unpack_from("<Q", data, 8)
-    crc, payload_len = struct.unpack_from("<II", data, 16)
-    payload = data[SLOT_HEADER:]
-    if len(payload) != payload_len:
-        fail("%s: payload is %d bytes, header says %d" %
-             (label, len(payload), payload_len))
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        fail("%s: payload CRC mismatch (torn manifest survived?)" % label)
+    header_dev, payload = newest_slot_record(data, label)
     if header_dev != device_id:
         fail("%s: header names device %d" % (label, header_dev))
 

@@ -65,14 +65,17 @@ METRICS = [
     ("BENCH_delta.json", "wire.delta_vs_full_ratio", "lower", 25.0),
     ("BENCH_delta.json", "campaign.bytes_ratio", "lower", 25.0),
     ("BENCH_delta.json", "campaign.delta_fraction", "higher", 25.0),
-    # Update agent: the manifest is record framing around the stored
-    # images — deterministic bytes, tight gate. The durable-write counts
-    # per apply (flip + commit) and per crash rollback are exact request
-    # counts, so any extra write fails; so are the fsync/fdatasync
-    # syscalls each costs (store_fsyncs). The rollback/apply wall ratio is
-    # machine-portable (both sides fsync a manifest) but timing-noisy, so
-    # it gets the generous threshold.
+    # Update agent: a slot record is framing around the stored images —
+    # deterministic bytes, tight gate — and the slot file holds two
+    # preallocated copies of it, a deterministic ratio gated exactly so
+    # the footprint cannot creep. The durable-write counts per apply
+    # (flip + commit) and per crash rollback are exact request counts, so
+    # any extra write fails; so are the fsync/fdatasync syscalls each
+    # costs (store_fsyncs). The rollback/apply wall ratio is
+    # machine-portable (both sides sync the slot file) but timing-noisy,
+    # so it gets the generous threshold.
     ("BENCH_agent.json", "manifest.overhead_ratio", "lower", 10.0),
+    ("BENCH_agent.json", "manifest.file_vs_record_ratio", "lower", 0.0),
     ("BENCH_agent.json", "apply.durable_writes", "lower", 0.0),
     ("BENCH_agent.json", "rollback.durable_writes", "lower", 0.0),
     ("BENCH_agent.json", "apply.fsyncs", "lower", 0.0),
