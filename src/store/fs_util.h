@@ -33,8 +33,8 @@ Status SyncParentDir(const std::string& path);
 
 /// Counts one durable-write request in the `store_durable_writes`
 /// counter: every WriteFileAtomic and OverwriteInPlace call and every
-/// Wal::Append under a syncing mode. It counts requests, not fsyncs, so group commit does not
-/// make the number depend on thread timing.
+/// Wal::Append under a syncing mode. It counts requests, not fsyncs, so
+/// group commit does not make the number depend on thread timing.
 void CountDurableWrite();
 
 /// Atomically replaces `path` with `bytes`: writes `path`.tmp (opened

@@ -462,13 +462,9 @@ Result<WalRecoveryInfo> Wal::Replay(
       return Status(ErrorCode::kInternal,
                     "cannot truncate corrupt wal tail: " + path);
     }
-    const Status synced = SyncParentDir(path);
-    if (!synced.ok()) {
-      ::close(fd);
-      return synced;
-    }
   }
   ::close(fd);
+  if (info.tail_corrupted) ERIC_RETURN_IF_ERROR(SyncParentDir(path));
   return info;
 }
 
