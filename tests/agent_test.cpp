@@ -3,7 +3,9 @@
 // (reload == reboot), fail-closed behaviour on every manifest corruption,
 // and the soak's core invariant — the active slot always holds a
 // CRC-valid, epoch-current image, and replaying recovery is idempotent
-// (a crash loop counts one interrupted apply exactly once).
+// (a crash loop counts one interrupted apply exactly once). A crash-state
+// oracle reboots on every state a crash inside a slot-file write could
+// leave (docs/persistence.md, "Crash model").
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
