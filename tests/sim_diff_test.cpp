@@ -6,6 +6,10 @@
 // drift: instruction limits inside straight-line code, MMIO exits and CSR
 // reads mid-run, stores that rewrite code about to execute, and code the
 // program writes outside its loaded image.
+//
+// CacheDiffTest drives sim::Cache and the reference's stamp-LRU cache with
+// the same random access streams and requires every access to agree on
+// hit or miss.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,8 +20,10 @@
 #include "crypto/sha256.h"
 #include "isa/assembler.h"
 #include "isa/encoder.h"
+#include "sim/cache.h"
 #include "sim/soc.h"
 #include "sim_reference.h"
+#include "support/rng.h"
 #include "workloads/workloads.h"
 
 namespace eric::sim {
@@ -396,6 +402,92 @@ TEST(SimDiffTest, CodeWrittenOutsideTheImageAndReachedByJalr) {
     EXPECT_EQ(out.stats.halt_reason, HaltReason::kExit);
     EXPECT_EQ(out.stats.exit_code, 12);
   }
+}
+
+/// Runs `steps` random operations against sim::Cache and ReferenceCache
+/// built from `config`: accesses over a pool of three lines per way of
+/// the cache (so sets fill, hit and evict), biased toward the last few
+/// addresses; a Flush every few hundred steps; and, right after an
+/// access, RepeatLastHit(n) on sim::Cache against n more accesses to the
+/// same address on the reference. Every access must return the same
+/// latency and the counters must agree after every step.
+void ExpectCacheMatchesReference(const CacheConfig& config, uint64_t seed,
+                                 int steps) {
+  Cache cache(config);
+  ReferenceCache ref(config);
+  Xoshiro256 rng(seed);
+  const uint64_t lines =
+      3 * static_cast<uint64_t>(config.size_bytes / config.line_bytes);
+  std::array<uint64_t, 4> recent{};
+  bool after_access = false;
+  for (int step = 0; step < steps; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    const uint64_t roll = rng.NextBounded(1000);
+    if (roll < 3) {
+      cache.Flush();
+      ref.Flush();
+      after_access = false;
+    } else if (roll < 100 && after_access) {
+      const uint64_t n = rng.NextBounded(5);
+      cache.RepeatLastHit(n);
+      for (uint64_t i = 0; i < n; ++i) ref.Access(recent[0]);
+    } else {
+      const uint64_t addr =
+          roll < 400 ? recent[rng.NextBounded(recent.size())]
+                     : rng.NextBounded(lines) * config.line_bytes +
+                           rng.NextBounded(config.line_bytes);
+      ASSERT_EQ(cache.Access(addr), ref.Access(addr)) << "addr " << addr;
+      std::copy_backward(recent.begin(), recent.end() - 1, recent.end());
+      recent[0] = addr;
+      after_access = true;
+    }
+    ASSERT_EQ(cache.stats().hits, ref.stats().hits);
+    ASSERT_EQ(cache.stats().misses, ref.stats().misses);
+  }
+}
+
+TEST(CacheDiffTest, RandomStreamsOnEveryWayCount) {
+  for (uint32_t ways : {1u, 2u, 4u, 8u}) {
+    for (uint32_t line_bytes : {16u, 64u}) {
+      SCOPED_TRACE(testing::Message() << ways << " ways, " << line_bytes
+                                      << "-byte lines");
+      CacheConfig config;
+      config.ways = ways;
+      config.line_bytes = line_bytes;
+      config.size_bytes = 8 * ways * line_bytes;  // 8 sets
+      config.hit_cycles = 1;
+      config.miss_cycles = 20;
+      ExpectCacheMatchesReference(config, 0xCAC4E + ways * 131 + line_bytes,
+                                  20000);
+    }
+  }
+}
+
+TEST(CacheDiffTest, NonPowerOfTwoSetsAndLines) {
+  // 3 and 5 sets index by modulo; a 24-byte line divides addresses.
+  for (uint32_t ways : {1u, 2u, 4u, 8u}) {
+    for (uint32_t sets : {3u, 5u}) {
+      for (uint32_t line_bytes : {24u, 32u}) {
+        SCOPED_TRACE(testing::Message() << ways << " ways, " << sets
+                                        << " sets, " << line_bytes
+                                        << "-byte lines");
+        CacheConfig config;
+        config.ways = ways;
+        config.line_bytes = line_bytes;
+        config.size_bytes = sets * ways * line_bytes;
+        config.hit_cycles = 2;
+        config.miss_cycles = 7;
+        ExpectCacheMatchesReference(config, 0x5E7 + ways * 17 + sets,
+                                    20000);
+      }
+    }
+  }
+}
+
+TEST(CacheDiffTest, DefaultGeometryWithFlushesAndRepeatedHits) {
+  // The core's L1 shape (16 KiB, 4 ways, 64-byte lines, pipelined hits).
+  CpuTiming timing;
+  ExpectCacheMatchesReference(timing.icache, 0xD00D, 100000);
 }
 
 }  // namespace
