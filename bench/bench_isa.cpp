@@ -13,7 +13,18 @@
 // Workloads that are not 32-bit clean (their result needs 64-bit
 // arithmetic, e.g. crc32's shifted constants) are skipped on RV32I and
 // listed in the JSON, so the covered set is explicit rather than
-// silently truncated. Emits BENCH_isa.json; gated by bench_compare.py.
+// silently truncated.
+//
+// A third number is host speed: the simulator's CPU time per simulated
+// instruction over every compiled kernel on both ISAs, untraced. Raw
+// nanoseconds do not travel between hosts, so each pass over the kernels
+// is bracketed by fixed-work spin probes (as in bench_obs) and divided by
+// their mean, which cancels the host's clock rate and slow drifts in it;
+// the gated value is the median of those calibrated passes.
+//
+// Emits BENCH_isa.json; gated by bench_compare.py.
+#include <ctime>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -23,6 +34,7 @@
 #include "core/software_source.h"
 #include "core/trusted_execution.h"
 #include "isa/isa_backend.h"
+#include "sim/soc.h"
 #include "support/bench_json.h"
 #include "workloads/workloads.h"
 
@@ -46,6 +58,87 @@ struct IsaRuns {
   double max_overhead_pct = 0.0;
   uint64_t total_image_bytes = 0;
 };
+
+// A compiled kernel the speed passes run.
+struct KernelImage {
+  isa::IsaId isa;
+  std::vector<uint8_t> bytes;
+};
+
+struct SpeedResult {
+  double ns_per_instr = 0.0;             ///< median over passes, raw
+  double probe_ms = 0.0;                 ///< median spin-probe CPU time
+  double calibrated_ns_per_instr = 0.0;  ///< median of ns / probe ms
+  uint64_t instructions_per_pass = 0;
+};
+
+// Calibrated passes; the median of an odd count is one real pass.
+constexpr int kSpeedPasses = 7;
+
+// Keeps the compiler from dropping the spin probe's loop.
+volatile uint64_t g_sink = 0;
+
+double ProcessCpuMs() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return ts.tv_sec * 1e3 + ts.tv_nsec * 1e-6;
+}
+
+// Fixed-work calibration probe (bench_obs's): its CPU time tracks the
+// host's effective clock rate.
+double SpinProbeCpuMs() {
+  constexpr size_t kIters = 20'000'000;
+  const double before = ProcessCpuMs();
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (size_t i = 0; i < kIters; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  g_sink = x;
+  return ProcessCpuMs() - before;
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+// Runs every image once on a fresh SoC; returns the CPU nanoseconds
+// Soc::Run took per simulated instruction.
+double NsPerInstruction(const std::vector<KernelImage>& images,
+                        uint64_t* instructions) {
+  double cpu_ms = 0.0;
+  *instructions = 0;
+  for (const KernelImage& image : images) {
+    sim::Soc soc({}, image.isa);
+    soc.LoadProgram(image.bytes);
+    const double before = ProcessCpuMs();
+    const sim::ExecStats stats = soc.Run();
+    cpu_ms += ProcessCpuMs() - before;
+    *instructions += stats.instructions;
+  }
+  return cpu_ms * 1e6 / static_cast<double>(*instructions);
+}
+
+SpeedResult MeasureSpeed(const std::vector<KernelImage>& images) {
+  std::vector<double> raw, probes, calibrated;
+  SpeedResult result;
+  double probe_before = SpinProbeCpuMs();
+  for (int pass = 0; pass < kSpeedPasses; ++pass) {
+    const double ns = NsPerInstruction(images, &result.instructions_per_pass);
+    const double probe_after = SpinProbeCpuMs();
+    const double probe = (probe_before + probe_after) / 2;
+    raw.push_back(ns);
+    probes.push_back(probe);
+    calibrated.push_back(ns / probe);
+    probe_before = probe_after;
+  }
+  result.ns_per_instr = Median(raw);
+  result.probe_ms = Median(probes);
+  result.calibrated_ns_per_instr = Median(calibrated);
+  return result;
+}
 
 const WorkloadRun* FindRun(const IsaRuns& table, const std::string& name) {
   for (const auto& r : table.runs) {
@@ -110,6 +203,7 @@ int main(int argc, char** argv) {
               "execution, per backend\n");
 
   IsaRuns tables[isa::kNumIsaIds];
+  std::vector<KernelImage> images;
   for (uint8_t raw = 0; raw < isa::kNumIsaIds; ++raw) {
     const auto isa_id = static_cast<isa::IsaId>(raw);
     // One device per silicon flavor; a distinct seed per ISA keeps the
@@ -140,6 +234,7 @@ int main(int argc, char** argv) {
         std::printf("%-14s FAILED compile\n", w.name.c_str());
         return 1;
       }
+      images.push_back({isa_id, built->compile.program.image});
       const auto plain = device.RunPlaintext(built->compile.program.image);
       if (isa_id != isa::IsaId::kRv64Gc) {
         const WorkloadRun* rv64 = FindRun(tables[0], w.name);
@@ -207,6 +302,13 @@ int main(int argc, char** argv) {
               "the common %zu-workload subset\n", "code size", size_pct,
               rv32.runs.size());
 
+  const SpeedResult speed = MeasureSpeed(images);
+  std::printf("%-14s %.2f ns per simulated instruction over %zu kernels "
+              "(%llu instructions), %.2f ms spin probe: %.4f calibrated\n",
+              "sim speed", speed.ns_per_instr, images.size(),
+              static_cast<unsigned long long>(speed.instructions_per_pass),
+              speed.probe_ms, speed.calibrated_ns_per_instr);
+
   JsonWriter json;
   json.BeginObject();
   json.Field("bench", "isa");
@@ -216,6 +318,15 @@ int main(int argc, char** argv) {
   json.Key("rv32i");
   WriteIsaJson(json, rv32);
   json.Field("rv32_image_bytes_vs_rv64gc_pct", size_pct);
+  json.Key("speed");
+  json.BeginObject();
+  json.Field("kernels", static_cast<uint64_t>(images.size()));
+  json.Field("instructions_per_pass", speed.instructions_per_pass);
+  json.Field("passes", static_cast<uint64_t>(kSpeedPasses));
+  json.Field("ns_per_instr", speed.ns_per_instr);
+  json.Field("probe_ms", speed.probe_ms);
+  json.Field("calibrated_ns_per_instr", speed.calibrated_ns_per_instr);
+  json.EndObject();
   json.Field("pass", pass);
   json.EndObject();
   if (!json.WriteFile(out_path)) {

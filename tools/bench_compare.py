@@ -90,6 +90,14 @@ METRICS = [
     ("BENCH_isa.json", "rv64gc.average_overhead_pct", "lower", 25.0),
     ("BENCH_isa.json", "rv32i.average_overhead_pct", "lower", 25.0),
     ("BENCH_isa.json", "rv32_image_bytes_vs_rv64gc_pct", "lower", 10.0),
+    # Simulator speed: CPU ns per simulated instruction over every kernel
+    # on both ISAs, divided by a spin probe's CPU ms (machine-portable,
+    # unlike raw ns). Ten runs on one shared 4-vCPU host spread 0.138 to
+    # 0.212 around a 0.207 median: co-tenant load slows the simulator's
+    # branchy loop more or less than the probe's arithmetic. The
+    # threshold covers that max/min of 1.54 and still fails a simulator
+    # that runs twice as slow.
+    ("BENCH_isa.json", "speed.calibrated_ns_per_instr", "lower", 60.0),
     # Observability: absolute ns/op varies per host, but the ratio of a
     # histogram record to a counter add is machine-portable (~3x: same
     # memory system, a few extra arithmetic ops). The end-to-end
