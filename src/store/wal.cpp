@@ -103,7 +103,9 @@ std::string_view SyncModeName(SyncMode mode) {
   return "unknown";
 }
 
-Wal::~Wal() { Close(); }
+// A destructor cannot report the final sync's failure; a caller that
+// needs it calls Close() first, after which this is a no-op.
+Wal::~Wal() { (void)Close(); }
 
 Status Wal::Open(const std::string& path, const WalOptions& options,
                  uint64_t fingerprint) {
@@ -353,11 +355,13 @@ Status Wal::TruncateAll() {
   return Status::Ok();
 }
 
-void Wal::Close() {
-  if (fd_ < 0) return;
-  SyncFd(fd_);
+Status Wal::Close() {
+  if (fd_ < 0) return Status::Ok();
+  const bool synced = SyncFd(fd_) == 0;
   ::close(fd_);
   fd_ = -1;
+  if (!synced) return Status(ErrorCode::kInternal, "wal fsync at close failed");
+  return Status::Ok();
 }
 
 Result<WalRecoveryInfo> Wal::Replay(

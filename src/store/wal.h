@@ -93,7 +93,7 @@ class Wal {
  public:
   /// Constructs a closed log; Open() attaches it to a file.
   Wal() = default;
-  /// Closes the log (final sync included).
+  /// Closes the log (final sync included; its result is dropped).
   ~Wal();
   /// Non-copyable: the object owns an fd and sync state.
   Wal(const Wal&) = delete;
@@ -118,8 +118,9 @@ class Wal {
   /// the file header and syncs.
   Status TruncateAll();
 
-  /// Closes the file (final sync included). Open() may be called again.
-  void Close();
+  /// Syncs and closes the file; kInternal if that last sync failed (the
+  /// file is closed either way). Open() may be called again.
+  Status Close();
 
   /// True while the log is open for appending.
   bool is_open() const { return fd_ >= 0; }

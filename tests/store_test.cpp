@@ -156,6 +156,25 @@ TEST(FsUtilTest, WriteFileAtomicCountsFileAndDirectorySync) {
   EXPECT_EQ(fsyncs.value() - before, 2u);
 }
 
+// Close makes the tail durable with one sync and says whether it worked;
+// a second Close has nothing left to sync.
+TEST(WalTest, CloseSyncsOnceAndReportsIt) {
+  const std::string path = MakeTempDir("wal-close") + "/test.wal";
+  store::WalOptions options;
+  options.sync = store::SyncMode::kNever;
+  store::Wal wal;
+  ASSERT_TRUE(wal.Open(path, options).ok());
+  ASSERT_TRUE(wal.Append(1, Payload({1})).ok());
+  const obs::Counter& fsyncs =
+      obs::MetricsRegistry::Global().GetCounter("store_fsyncs");
+  const uint64_t before = fsyncs.value();
+  ASSERT_TRUE(wal.Close().ok());
+  EXPECT_EQ(fsyncs.value() - before, 1u);
+  EXPECT_FALSE(wal.is_open());
+  EXPECT_TRUE(wal.Close().ok());
+  EXPECT_EQ(fsyncs.value() - before, 1u);
+}
+
 TEST(WalTest, AppendReplayRoundTrip) {
   const std::string dir = MakeTempDir("wal-roundtrip");
   const std::string path = dir + "/test.wal";
@@ -311,7 +330,7 @@ TEST(WalTest, TruncateAllCompacts) {
   ASSERT_TRUE(wal.Append(2, Payload({2})).ok());
   ASSERT_TRUE(wal.TruncateAll().ok());
   ASSERT_TRUE(wal.Append(3, Payload({3})).ok());
-  wal.Close();
+  ASSERT_TRUE(wal.Close().ok());
   auto records = ReplayAll(path);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 1u);
