@@ -131,8 +131,14 @@ Result<Package> Parse(std::span<const uint8_t> bytes) {
   if (p.mode == EncryptionMode::kPartial || p.mode == EncryptionMode::kField) {
     const uint64_t map_bytes = (uint64_t{p.instr_count} + 7) / 8;
     if (map_bytes > bytes.size() - offset) return Corrupt("truncated map");
-    p.encryption_map = BitVector::FromBytes(
-        bytes.subspan(offset, map_bytes), p.instr_count);
+    const auto map = bytes.subspan(offset, map_bytes);
+    // Bits past instr_count would be masked off and the package would not
+    // re-serialise to the bytes it came from.
+    const unsigned used_bits = p.instr_count % 8;
+    if (used_bits != 0 && (map.back() >> used_bits) != 0) {
+      return Corrupt("non-zero padding bits in encryption map");
+    }
+    p.encryption_map = BitVector::FromBytes(map, p.instr_count);
     offset += map_bytes;
   }
 

@@ -145,6 +145,34 @@ TEST(ParseTest, RejectsFieldSpecCountThatWrapsTheSpecSize) {
   EXPECT_EQ(Parse(wire).status().code(), ErrorCode::kCorruptPackage);
 }
 
+// The sample's 10-entry map takes two bytes; bits 2..7 of the second are
+// padding. A set padding bit is refused, since parsing would mask it and
+// the package would not re-serialise to its wire bytes; a flipped map bit
+// inside the count still parses and round-trips.
+TEST(ParseTest, RejectsNonZeroEncryptionMapPadding) {
+  for (EncryptionMode mode :
+       {EncryptionMode::kPartial, EncryptionMode::kField}) {
+    SCOPED_TRACE(EncryptionModeName(mode));
+    const Package p = SamplePackage(mode);
+    const auto wire = Serialize(p);
+    // The map follows the 36-byte header and the text.
+    const size_t last_map_byte = 36 + p.text.size() + 1;
+    ASSERT_EQ(wire[last_map_byte], 0x02);  // entry 9 set
+    for (int bit = 2; bit < 8; ++bit) {
+      auto flipped = wire;
+      flipped[last_map_byte] ^= static_cast<uint8_t>(1u << bit);
+      EXPECT_EQ(Parse(flipped).status().code(), ErrorCode::kCorruptPackage)
+          << "padding bit " << bit;
+    }
+    auto inside = wire;
+    inside[last_map_byte] ^= 0x01;  // entry 8
+    auto parsed = Parse(inside);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_TRUE(parsed->encryption_map.Get(8));
+    EXPECT_EQ(Serialize(*parsed), inside);
+  }
+}
+
 TEST(ParseTest, FuzzNeverCrashes) {
   // Random buffers and mutated valid packages must never crash Parse.
   Xoshiro256 rng(99);
