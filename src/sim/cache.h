@@ -6,6 +6,13 @@
 // right latency. Replacement is LRU. Write policy is write-allocate /
 // write-back (Rocket's L1D), which for a tag-only model reduces to
 // allocate-on-write.
+//
+// Each set keeps its line addresses in recency order, most recent first,
+// with kInvalid in the ways not filled yet (they always sit at the tail).
+// A hit on the set's most recent line is one compare and writes nothing; a
+// hit further back rotates that line to the front; a miss shifts the least
+// recent line out. Invalid ways therefore fill before any line is evicted.
+// tests/sim_reference.h keeps a stamp-LRU cache as this one's oracle.
 #pragma once
 
 #include <cstddef>
@@ -43,25 +50,21 @@ class Cache {
   /// Performs one access; returns cycles charged (hit or miss latency) and
   /// updates tag state + stats.
   uint32_t Access(uint64_t addr) {
-    const uint64_t line_addr =
+    const uint64_t line =
         pow2_ ? addr >> line_shift_ : addr / config_.line_bytes;
-    ++use_counter_;
-    // Same line as the last access: exactly the hit the set search below
-    // would find (that line cannot have been evicted since).
-    Line& last = lines_[last_line_];
-    if (line_addr == last_line_addr_ && last.valid) {
-      last.lru = use_counter_;
+    const uint64_t set = pow2_ ? line & set_mask_ : line % num_sets_;
+    uint64_t* const ways = &lines_[set * config_.ways];
+    if (ways[0] == line) {
       ++stats_.hits;
       return config_.hit_cycles;
     }
-    return Lookup(line_addr);
+    return Lookup(ways, line);
   }
 
-  /// Records `n` more hits on the line accessed last, exactly as `n`
-  /// Access calls to an address on it would; the caller charges their
-  /// hit cycles. Valid only while no other access came in between. That
-  /// line already holds the newest LRU stamp, so more hits on it cannot
-  /// change the replacement order: only the hit count moves.
+  /// Records `n` more hits without touching tag state, as `n` Access
+  /// calls would that each find its set's most recent line; the caller
+  /// charges their hit cycles. A fetch on the line its set touched last
+  /// is such a hit whenever it is counted.
   void RepeatLastHit(uint64_t n) { stats_.hits += n; }
 
   /// Invalidates all lines (program reload). Counters are kept.
@@ -74,26 +77,21 @@ class Cache {
   const CacheConfig& config() const { return config_; }
 
  private:
-  struct Line {
-    uint64_t tag = 0;
-    uint64_t lru = 0;  // last-use stamp
-    bool valid = false;
-  };
+  /// An unfilled way; no access maps to this line address.
+  static constexpr uint64_t kInvalid = ~uint64_t{0};
 
-  /// Set search for `line_addr` (use_counter_ already bumped).
-  uint32_t Lookup(uint64_t line_addr);
+  /// Access to a set whose most recent line is not `line`.
+  uint32_t Lookup(uint64_t* ways, uint64_t line);
 
   CacheConfig config_;
-  uint32_t num_sets_;
+  uint64_t num_sets_;
   // Line size and set count both powers of two: index by shift and mask.
   bool pow2_ = false;
   int line_shift_ = 0;
-  int set_shift_ = 0;
-  std::vector<Line> lines_;  // num_sets * ways, row-major by set
-  uint64_t use_counter_ = 0;
-  // Line index and line address of the last access.
-  size_t last_line_ = 0;
-  uint64_t last_line_addr_ = 0;
+  uint64_t set_mask_ = 0;
+  // Line addresses, num_sets * ways, row-major by set, each set most
+  // recent first.
+  std::vector<uint64_t> lines_;
   CacheStats stats_;
 };
 

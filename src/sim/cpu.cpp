@@ -132,12 +132,15 @@ Cpu::Block Cpu::DecodeBlock(uint64_t pc) {
   uint64_t at = pc;
   uint64_t prev_line = ~uint64_t{0};
   uint32_t count = 0;
+  uint8_t line_hits = 0;
   while (count < kMaxBlockEntries) {
-    // An instruction on the previous one's I-cache line is a last-line
+    // An instruction on the previous one's I-cache line is a same-line
     // hit: nothing can touch the I-cache between the two fetches.
     const uint64_t line = at / line_bytes;
-    const Entry e = DecodeAt(at, /*fetch=*/count == 0 || line != prev_line);
+    Entry e = DecodeAt(at, /*fetch=*/count == 0 || line != prev_line);
     prev_line = line;
+    line_hits += e.fetch ? 0 : 1;
+    e.line_hits = line_hits;
     // Only instructions wholly inside the image are cached: a store
     // outside it never changes a cached block.
     if (at + e.size > image_end_) break;
@@ -176,9 +179,9 @@ void Cpu::Execute(uint64_t max_instructions, ExecStats& stats) {
   const uint64_t redirect_cycles = timing_.taken_branch_penalty;
   uint64_t instructions = 0, cycles = 0, loads = 0, stores = 0;
   uint64_t branches = 0, taken_branches = 0;
-  // Last-line I-cache hits not yet recorded in icache_. Their cycles are
-  // charged as they happen, so CSR reads see exact counts.
-  uint64_t pending_hits = 0;
+  // Same-line I-cache hits charged so far; they join icache_'s count when
+  // the run stops.
+  uint64_t line_hits = 0;
   // Set when a store to the exit device halted the core.
   bool device_halt = false;
   uint64_t pc = pc_;
@@ -186,19 +189,25 @@ void Cpu::Execute(uint64_t max_instructions, ExecStats& stats) {
   while (instructions < max_instructions) {
     const Block block = BlockAt(pc);
     const Entry* e = entries_.data() + block.first;
-    const Entry* const end =
-        e + std::min<uint64_t>(block.count, max_instructions - instructions);
-    for (; e != end; ++e) {
-      if (e->fetch) {
-        icache_.RepeatLastHit(pending_hits);
-        pending_hits = 0;
-        cycles += icache_.Access(pc);
-      } else {
-        ++pending_hits;
-        cycles += fetch_hit_cycles;
-      }
-      ++instructions;
-      cycles += 1;  // base CPI
+    const Entry* const last =
+        e + std::min<uint64_t>(block.count, max_instructions - instructions) -
+        1;
+    // The static work of every entry through `last` (its count, its base
+    // CPI cycle and, for a same-line fetch, the hit) is charged up front.
+    // Whatever reads the counters mid-block subtracts the charge of the
+    // entries after `e`: later() of them, later_hits() of them same-line.
+    const auto later = [&] { return static_cast<uint64_t>(last - e); };
+    const auto later_hits = [&] {
+      return static_cast<uint64_t>(last->line_hits - e->line_hits);
+    };
+    const auto later_cycles = [&] {
+      return later() + later_hits() * fetch_hit_cycles;
+    };
+    instructions += later() + 1;
+    cycles += later_cycles() + 1;
+    line_hits += later_hits();
+    for (; e <= last; ++e) {
+      if (e->fetch) cycles += icache_.Access(pc);
       uint64_t next = pc + e->size;
 
       const uint64_t rs1 = x[e->rs1];
@@ -244,7 +253,7 @@ void Cpu::Execute(uint64_t max_instructions, ExecStats& stats) {
         }
         cycles += dcache_.Access(addr);
         memory_.Write(addr, rs2, size);
-        return InvalidatesCode(addr, static_cast<uint64_t>(size));
+        return WritesCode(addr, static_cast<uint64_t>(size));
       };
       const auto branch = [&](bool taken) __attribute__((always_inline)) {
         ++branches;
@@ -272,7 +281,7 @@ void Cpu::Execute(uint64_t max_instructions, ExecStats& stats) {
         }
         memory_.Write(addr, op(old, src), size);
         set(old);
-        return InvalidatesCode(addr, static_cast<uint64_t>(size));
+        return WritesCode(addr, static_cast<uint64_t>(size));
       };
       const auto swap = [](uint64_t, uint64_t src) { return src; };
       const auto add = [](uint64_t a, uint64_t b) { return a + b; };
@@ -296,7 +305,7 @@ void Cpu::Execute(uint64_t max_instructions, ExecStats& stats) {
         set(success ? 0 : 1);
         if (!success) return false;
         memory_.Write(addr, rs2, size);
-        return InvalidatesCode(addr, static_cast<uint64_t>(size));
+        return WritesCode(addr, static_cast<uint64_t>(size));
       };
       const auto lr = [&](int size) __attribute__((always_inline)) {
         ++loads;
@@ -499,8 +508,8 @@ void Cpu::Execute(uint64_t max_instructions, ExecStats& stats) {
           // writes are ignored (machine-mode configuration is out of
           // scope). instret counts *retired* instructions, which excludes
           // the reader itself.
-          set(e->imm == 0xC00   ? cycles
-              : e->imm == 0xC02 ? instructions - 1
+          set(e->imm == 0xC00   ? cycles - later_cycles()
+              : e->imm == 0xC02 ? instructions - later() - 1
                                 : 0);
           break;
         case Op::kEcall:
@@ -513,8 +522,9 @@ void Cpu::Execute(uint64_t max_instructions, ExecStats& stats) {
           halt_ = HaltReason::kEbreak;
           goto stop;
         case Op::kInvalid:
-          // An undecodable word retires nothing: take back the count and
-          // base cycle charged above (its fetch stays charged).
+          // An undecodable word retires nothing: take back its count and
+          // base cycle (its fetch stays charged). It ends its block, so no
+          // entry after it was charged.
           --instructions;
           --cycles;
           halt_ = HaltReason::kInvalidInstruction;
@@ -524,17 +534,20 @@ void Cpu::Execute(uint64_t max_instructions, ExecStats& stats) {
       continue;
     leave:
       // Halted by the exit device (pc stays at the store), or the store
-      // rewrote cached code: resume at the next instruction, decoded
-      // from the bytes as they are now.
+      // rewrote cached code: the entries after this one do not run now,
+      // so their charge is taken back. After a code write, resume at the
+      // next instruction, decoded from the bytes as they are now.
+      instructions -= later();
+      cycles -= later_cycles();
+      line_hits -= later_hits();
       if (device_halt) goto stop;
+      DropBlocks();
       pc = next;
       break;
     }
-    icache_.RepeatLastHit(pending_hits);
-    pending_hits = 0;
   }
 stop:
-  icache_.RepeatLastHit(pending_hits);
+  icache_.RepeatLastHit(line_hits);
   pc_ = pc;
   stats.instructions = instructions;
   stats.cycles = cycles;

@@ -98,12 +98,18 @@ struct MmioHandlers {
 /// entries of pre-extracted operands, caches the block under that pc, and
 /// runs it in a loop built separately for RV32 and RV64. Code outside the
 /// image is decoded every time it executes. Modelled timing is exact:
-/// every I-cache and D-cache access and every ExecStats count happens as
-/// if each instruction were fetched and decoded on its own. An
-/// instruction on the same I-cache line as the previous one of its block
-/// records a pending last-line hit (Cache::RepeatLastHit) instead of
-/// searching the cache, and CSR reads, MMIO exits and instruction limits
-/// see exact counts mid-block.
+/// every I-cache and D-cache access and every ExecStats count comes out
+/// as if each instruction were fetched and decoded on its own.
+///
+/// Per-block charges: an instruction on the same I-cache line as the
+/// previous one of its block is a hit on its set's most recent line, so
+/// it needs no cache access. What does not depend on the data (the
+/// instruction count, the base-CPI cycles, the same-line hits and their
+/// cycles) is charged once when a block is entered, for the entries the
+/// instruction limit lets run; each entry carries the count of same-line
+/// hits in its block up to itself. A CSR cycle/instret read subtracts
+/// the charge of the entries after it, and an exit part-way (an
+/// exit-device store, or a write to cached code) takes that charge back.
 ///
 /// Invalidation: a store, AMO or SC that writes into the span of cached
 /// code drops every block and ends the running block after itself, so the
@@ -153,9 +159,13 @@ class Cpu {
     uint8_t rs1 = 0;
     uint8_t rs2 = 0;
     uint8_t size = 4;    ///< bytes in the instruction stream (2 or 4)
-    bool fetch = true;   ///< I-cache Access; false: a last-line hit
+    bool fetch = true;   ///< I-cache Access; false: a same-line hit
+    /// Same-line hits (entries with `fetch` false) in its block up to and
+    /// including this entry.
+    uint8_t line_hits = 0;
     uint64_t imm = 0;
   };
+  static_assert(sizeof(Entry) == 16);
   /// A run of `count` entries from entries_[first]; count 0: not decoded.
   struct Block {
     uint32_t first = 0;
@@ -173,12 +183,9 @@ class Cpu {
   Block DecodeBlock(uint64_t pc);
   /// Fetches and decodes the instruction at `pc`.
   Entry DecodeAt(uint64_t pc, bool fetch) const;
-  /// True if [addr, addr + size) overlaps cached code; drops every block
-  /// if so.
-  bool InvalidatesCode(uint64_t addr, uint64_t size) {
-    if (addr >= code_end_ || addr + size <= code_begin_) return false;
-    DropBlocks();
-    return true;
+  /// True if [addr, addr + size) overlaps cached code.
+  bool WritesCode(uint64_t addr, uint64_t size) const {
+    return addr < code_end_ && addr + size > code_begin_;
   }
   void DropBlocks();
 

@@ -4,12 +4,13 @@
 // costs only what the workload touches. All accesses are little-endian,
 // matching RISC-V.
 //
-// The simulator keeps three host-side caches on its hot path. They buy host
-// speed only: every I-cache/D-cache access and every ExecStats increment
+// The simulator keeps three host-side shortcuts on its hot path. They buy
+// host speed only: every I-cache/D-cache access and every ExecStats count
 // comes out exactly as if each instruction were fetched and decoded on its
 // own, so modelled timing is unchanged (tests/sim_test.cpp pins every
 // counter of every kernel; tests/sim_diff_test.cpp compares whole runs
-// with a one-instruction-per-step reference interpreter).
+// with a one-instruction-per-step reference interpreter and its own
+// stamp-LRU cache).
 //   * Page TLB (here): a small direct-mapped table from page index to page
 //     data, in front of the page map. Only resident pages are entered, so
 //     a read of an unmapped page is never remembered, and pages are never
@@ -17,15 +18,15 @@
 //     single word-wide copy; only page-straddling ones go byte by byte.
 //   * Block cache (Cpu): the straight-line run from a pc inside the loaded
 //     image up to its next jal/jalr/branch, decoded once into entries of
-//     pre-extracted operands. A store, AMO or SC that writes into cached
-//     code drops every block and ends the running block, so the next
-//     instruction is decoded from the bytes as written; code outside the
-//     image is decoded every time it runs.
-//   * Last-line cache (Cache): an access to the line touched last skips
-//     the set search but updates LRU state and hit counts exactly as the
-//     search would. Within a block, fetches on the previous instruction's
-//     line are recorded in bulk (Cache::RepeatLastHit) before the next
-//     real access and when the block exits.
+//     pre-extracted operands. Its static work (instruction count, base
+//     CPI, same-line fetch hits) is charged once per block entry. A store,
+//     AMO or SC that writes into cached code drops every block and ends
+//     the running block, so the next instruction is decoded from the
+//     bytes as written; code outside the image is decoded every time.
+//   * MRU-ordered sets (Cache): each set lists its lines most recent
+//     first, so a hit on the line the set touched last is one compare and
+//     no write. A fetch on the previous instruction's line is such a hit
+//     and is only counted (Cache::RepeatLastHit), never looked up.
 #pragma once
 
 #include <algorithm>
