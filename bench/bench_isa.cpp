@@ -23,8 +23,6 @@
 // the gated value is the median of those calibrated passes.
 //
 // Emits BENCH_isa.json; gated by bench_compare.py.
-#include <ctime>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -37,6 +35,7 @@
 #include "sim/soc.h"
 #include "support/bench_json.h"
 #include "workloads/workloads.h"
+#include "cpu_probe.h"
 
 using namespace eric;
 
@@ -75,34 +74,9 @@ struct SpeedResult {
 // Calibrated passes; the median of an odd count is one real pass.
 constexpr int kSpeedPasses = 7;
 
-// Keeps the compiler from dropping the spin probe's loop.
-volatile uint64_t g_sink = 0;
-
-double ProcessCpuMs() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return ts.tv_sec * 1e3 + ts.tv_nsec * 1e-6;
-}
-
-// Fixed-work calibration probe (bench_obs's): its CPU time tracks the
-// host's effective clock rate.
-double SpinProbeCpuMs() {
-  constexpr size_t kIters = 20'000'000;
-  const double before = ProcessCpuMs();
-  uint64_t x = 0x9E3779B97F4A7C15ull;
-  for (size_t i = 0; i < kIters; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-  }
-  g_sink = x;
-  return ProcessCpuMs() - before;
-}
-
-double Median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
+using bench::Median;
+using bench::ProcessCpuMs;
+using bench::SpinProbeCpuMs;
 
 // Runs every image once on a fresh SoC; returns the CPU nanoseconds
 // Soc::Run took per simulated instruction.

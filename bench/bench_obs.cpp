@@ -49,8 +49,6 @@
 // Emits BENCH_obs.json for the perf-trajectory tooling.
 //
 //   bench_obs [--quick] [--out FILE]
-#include <ctime>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -66,6 +64,7 @@
 #include "obs/trace.h"
 #include "support/bench_json.h"
 #include "support/stopwatch.h"
+#include "cpu_probe.h"
 
 using namespace eric;
 
@@ -78,40 +77,16 @@ double NsPerOp(double total_us, size_t ops) {
   return total_us * 1000.0 / static_cast<double>(ops);
 }
 
-double Median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
-
-// Process CPU time in milliseconds: the sum over all threads, so
-// exporter-thread work counts against the telemetry arm as it should.
-double ProcessCpuMs() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return ts.tv_sec * 1e3 + ts.tv_nsec * 1e-6;
-}
+using bench::Median;
+// Process CPU time sums all threads, so exporter-thread work counts
+// against the telemetry arm as it should.
+using bench::ProcessCpuMs;
+using bench::SpinProbeCpuMs;
 
 struct CampaignCost {
   double wall_ms = -1.0;
   double cpu_ms = -1.0;
 };
-
-// Fixed-work calibration probe: the CPU time this loop takes tracks
-// the host's effective clock rate, so dividing a campaign's CPU time
-// by the bracketing probes' cancels rate epochs. ~10 ms per probe —
-// long enough that timer quantization is < 0.1% of the reading.
-double SpinProbeCpuMs() {
-  constexpr size_t kIters = 20'000'000;
-  const double before = ProcessCpuMs();
-  uint64_t x = 0x9E3779B97F4A7C15ull;
-  for (size_t i = 0; i < kIters; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-  }
-  g_sink = x;
-  return ProcessCpuMs() - before;
-}
 
 constexpr const char* kCampaignProgram = R"(
   fn main() {
