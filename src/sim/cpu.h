@@ -101,15 +101,13 @@ struct MmioHandlers {
 /// every I-cache and D-cache access and every ExecStats count comes out
 /// as if each instruction were fetched and decoded on its own.
 ///
-/// Per-block charges: an instruction on the same I-cache line as the
-/// previous one of its block is a hit on its set's most recent line, so
-/// it needs no cache access. What does not depend on the data (the
-/// instruction count, the base-CPI cycles, the same-line hits and their
-/// cycles) is charged once when a block is entered, for the entries the
-/// instruction limit lets run; each entry carries the count of same-line
-/// hits in its block up to itself. A CSR cycle/instret read subtracts
-/// the charge of the entries after it, and an exit part-way (an
-/// exit-device store, or a write to cached code) takes that charge back.
+/// Per-block charges: an instruction on the previous one's I-cache line
+/// is a hit on its set's most recent line and needs no lookup. The work
+/// that does not depend on data (instruction count, base-CPI cycles,
+/// same-line hits and their cycles) is charged once on block entry, for
+/// the entries the instruction limit lets run. A CSR cycle/instret read
+/// subtracts the charge of the entries after it; an exit part-way (an
+/// exit-device store, a write to cached code) takes that charge back.
 ///
 /// Invalidation: a store, AMO or SC that writes into the span of cached
 /// code drops every block and ends the running block after itself, so the

@@ -164,9 +164,10 @@ TEST(CacheTest, NonPowerOfTwoSetCountIndexesByModulo) {
 }
 
 TEST(CacheTest, RepeatLastHitMatchesRepeatedAccesses) {
-  // n last-line hits recorded in bulk must leave the same counters and
-  // the same LRU order as n Access calls: after the repeats, a run of
-  // conflicting lines evicts exactly the same ways from both caches.
+  // n hits on the line accessed last, recorded in bulk, must leave the
+  // same counters and the same LRU order as n Access calls: after the
+  // repeats, a run of conflicting lines evicts exactly the same ways from
+  // both caches.
   CacheConfig cfg;
   cfg.size_bytes = 4 * 64;  // one set of four ways
   Cache stepped(cfg);
@@ -656,10 +657,10 @@ TEST(SocTest, ResetDropsTheLrScReservation) {
 
 // Every ExecStats field of every workload kernel, captured from the
 // byte-at-a-time interpreter that predates the host-side fast paths (page
-// TLB, decode table, last-line cache). Those paths must reproduce every
-// number exactly: any drift means a modelled cycle moved. RV32I rows are
-// the kernels bench_isa runs on that ISA (crc32 and sha are not 32-bit
-// clean there).
+// TLB, block cache, per-block charges, MRU-ordered cache sets). Those
+// paths must reproduce every number exactly: any drift means a modelled
+// cycle moved. RV32I rows are the kernels bench_isa runs on that ISA
+// (crc32 and sha are not 32-bit clean there).
 struct GoldenRun {
   isa::IsaId isa;
   const char* kernel;
