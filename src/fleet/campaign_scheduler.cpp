@@ -1,6 +1,7 @@
 #include "fleet/campaign_scheduler.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "support/stopwatch.h"
 
@@ -38,11 +39,24 @@ Result<ScheduledReport> CampaignScheduler::Run(const CampaignConfig& config,
   auto resolved = ResolveCampaignTargets(registry_, config);
   if (!resolved.ok()) return resolved.status();
   std::vector<DeviceId> targets = std::move(*resolved);
-  if (policy.canary_failure_threshold < 0 ||
-      policy.canary_failure_threshold > 1) {
+  // Written so that NaN fails every test: a NaN threshold would never
+  // breach, silently disabling its gate.
+  if (!(policy.canary_failure_threshold >= 0 &&
+        policy.canary_failure_threshold <= 1)) {
     return Status(ErrorCode::kInvalidArgument,
                   "canary failure threshold must be in [0, 1]");
   }
+  if (std::isnan(policy.wave_failure_threshold)) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "wave failure threshold must be a number");
+  }
+  if (!std::isfinite(policy.limits.dispatch_rate) ||
+      !std::isfinite(policy.limits.dispatch_burst)) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "dispatch rate and burst must be finite");
+  }
+  CampaignControl local_control;
+  if (control == nullptr) control = &local_control;
 
   if (policy.shuffle_targets) {
     // Deterministic Fisher-Yates so a canary cohort samples the fleet
@@ -74,7 +88,7 @@ Result<ScheduledReport> CampaignScheduler::Run(const CampaignConfig& config,
   for (; next_wave < plan.size(); ++next_wave) {
     // Between-wave checkpoint: honor pause here too, so a campaign paused
     // during gate evaluation does not leak the next wave.
-    if (control != nullptr && !control->AwaitRunnable()) {
+    if (!control->AwaitRunnable()) {
       scheduled.outcome = CampaignOutcome::kCancelled;
       break;
     }
@@ -87,7 +101,7 @@ Result<ScheduledReport> CampaignScheduler::Run(const CampaignConfig& config,
                                    static_cast<long>(offset + length));
     wave_config.governor = &governor;
 
-    if (control != nullptr) control->NoteWaveStarted();
+    control->NoteWaveStarted();
     auto report = engine_.Run(wave_config);
     if (!report.ok()) return report.status();
 
@@ -99,11 +113,11 @@ Result<ScheduledReport> CampaignScheduler::Run(const CampaignConfig& config,
     wave.report = std::move(*report);
 
     scheduled += wave.report;
-    if (control != nullptr) control->NoteWaveCompleted();
+    control->NoteWaveCompleted();
 
     // A cancel observed by the engine surfaces as skipped targets; stop
     // scheduling further waves.
-    if (control != nullptr && control->cancelled()) {
+    if (control->cancelled()) {
       scheduled.waves.push_back(std::move(wave));
       scheduled.outcome = CampaignOutcome::kCancelled;
       ++next_wave;

@@ -39,19 +39,20 @@ struct SchedulerConfig {
   /// Devices in the canary cohort (wave 0). 0 disables the canary.
   size_t canary_size = 0;
   /// Abort when the canary wave's failure rate (failed / dispatched,
-  /// revoked devices excluded) exceeds this fraction.
+  /// revoked devices excluded) exceeds this fraction, in [0, 1].
   double canary_failure_threshold = 0.0;
   /// Devices per rolling wave after the canary. 0 puts every remaining
   /// target into a single wave.
   size_t wave_size = 0;
   /// Promotion gate applied after every non-canary wave; negative
-  /// disables gating beyond the canary.
+  /// disables gating beyond the canary. NaN is refused.
   double wave_failure_threshold = -1.0;
   /// Deterministically shuffles the target order (seeded by the campaign
   /// seed) before slicing waves, so the canary samples the whole fleet
   /// instead of the oldest enrollments.
   bool shuffle_targets = false;
-  /// Throttle limits applied across all waves.
+  /// Throttle limits applied across all waves; a non-finite rate or
+  /// burst is refused.
   DispatchGovernor::Limits limits;
 };
 
@@ -98,8 +99,10 @@ class CampaignScheduler {
       : engine_(engine), registry_(registry) {}
 
   /// Runs `config`'s campaign under `policy`. `control` may be null (no
-  /// external pause/cancel). Fails fast only on configuration errors;
-  /// gate aborts and cancellations are reported, not errors.
+  /// external pause/cancel; the run then uses a control of its own).
+  /// Fails fast only on configuration errors (kInvalidArgument for a
+  /// policy value out of range); gate aborts and cancellations are
+  /// reported, not errors.
   Result<ScheduledReport> Run(const CampaignConfig& config,
                               const SchedulerConfig& policy,
                               CampaignControl* control = nullptr);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -13,16 +12,10 @@ namespace eric::fleet {
 // --- CampaignControl ---------------------------------------------------------
 
 void CampaignControl::Pause() {
-  {
-    std::lock_guard lock(mutex_);
-    paused_.store(true, std::memory_order_release);
-  }
-  // AwaitRunnable waiters only need waking on Resume/Cancel, but
-  // external wait points (the governor's group-budget cv) park on
-  // predicates that must observe a pause promptly — without this, a
-  // worker waiting on a full budget sits until an unrelated delivery
-  // completes before it notices the campaign was paused.
-  NotifyWakeups();
+  // Nobody waits for a pause to begin, so there is no one to wake: a
+  // parked worker re-checks the flag whenever it wakes for a slot or a
+  // token, and parks again.
+  paused_.store(true, std::memory_order_release);
 }
 
 void CampaignControl::Resume() {
@@ -31,7 +24,6 @@ void CampaignControl::Resume() {
     paused_.store(false, std::memory_order_release);
   }
   cv_.notify_all();
-  NotifyWakeups();
 }
 
 void CampaignControl::Cancel() {
@@ -40,32 +32,6 @@ void CampaignControl::Cancel() {
     cancelled_.store(true, std::memory_order_release);
   }
   cv_.notify_all();
-  NotifyWakeups();
-}
-
-void CampaignControl::RegisterWakeup(std::mutex* mutex,
-                                     std::condition_variable* cv) {
-  std::lock_guard lock(wakeups_mutex_);
-  wakeups_.emplace_back(mutex, cv);
-}
-
-void CampaignControl::UnregisterWakeup(const std::condition_variable* cv) {
-  std::lock_guard lock(wakeups_mutex_);
-  std::erase_if(wakeups_, [cv](const auto& entry) {
-    return entry.second == cv;
-  });
-}
-
-void CampaignControl::NotifyWakeups() {
-  std::lock_guard lock(wakeups_mutex_);
-  for (const auto& [mutex, cv] : wakeups_) {
-    // Take (and immediately drop) the waiter's mutex before notifying:
-    // a waiter that checked its predicate but has not yet parked is
-    // inside this critical section, so the notify cannot slip between
-    // its check and its wait.
-    { std::lock_guard waiter_lock(*mutex); }
-    cv->notify_all();
-  }
 }
 
 bool CampaignControl::AwaitRunnable() const {
@@ -102,61 +68,15 @@ void CampaignControl::NoteTargetCompleted(const TargetCheckpoint& checkpoint) {
   }
 }
 
-// --- TokenBucket -------------------------------------------------------------
-
-TokenBucket::TokenBucket(double rate, double burst)
-    : rate_(rate),
-      burst_(std::max(burst, 1.0)),
-      tokens_(burst_),
-      last_refill_(std::chrono::steady_clock::now()) {}
-
-bool TokenBucket::Acquire(const CampaignControl* control) {
-  if (rate_ <= 0) return true;
-  for (;;) {
-    // Interrupted waits return without consuming: cancelled campaigns
-    // stop, paused ones re-park on AwaitRunnable instead of draining
-    // tokens mid-pause.
-    if (control != nullptr && (control->cancelled() || control->paused())) {
-      return false;
-    }
-    double wait_seconds;
-    {
-      std::lock_guard lock(mutex_);
-      const auto now = std::chrono::steady_clock::now();
-      tokens_ = std::min(
-          burst_,
-          tokens_ + rate_ * std::chrono::duration<double>(now - last_refill_)
-                                .count());
-      last_refill_ = now;
-      if (tokens_ >= 1.0) {
-        tokens_ -= 1.0;
-        return true;
-      }
-      wait_seconds = (1.0 - tokens_) / rate_;
-    }
-    // Sleep in short slices so Cancel/Pause mid-wait is honored promptly
-    // even at very low rates.
-    std::this_thread::sleep_for(std::chrono::duration<double>(
-        std::min(wait_seconds, 0.005)));
-  }
-}
-
 // --- DispatchGovernor --------------------------------------------------------
 
 DispatchGovernor::DispatchGovernor(const Limits& limits,
                                    CampaignControl* control)
-    : control_(control),
+    : control_(*control),
       limits_(limits),
-      bucket_(limits.dispatch_rate, limits.dispatch_burst) {
-  if (control_ != nullptr) {
-    control_->RegisterWakeup(&group_mutex_, &group_cv_);
-  }
-}
-
-DispatchGovernor::~DispatchGovernor() {
-  if (control_ != nullptr) {
-    control_->UnregisterWakeup(&group_cv_);
-  }
+      last_refill_(std::chrono::steady_clock::now()) {
+  limits_.dispatch_burst = std::max(limits_.dispatch_burst, 1.0);
+  tokens_ = limits_.dispatch_burst;
 }
 
 bool DispatchGovernor::AdmitDelivery(GroupId group) {
@@ -172,36 +92,42 @@ bool DispatchGovernor::AdmitDelivery(GroupId group) {
     return admitted;
   };
 
-  // Order matters: park on pause/cancel first, then take a group slot,
-  // then a rate token — so a worker blocked on the budget is not sitting
-  // on a token it cannot spend. A pause arriving during either wait
-  // unwinds (releasing the slot) and loops back to AwaitRunnable, so no
-  // delivery is ever admitted mid-pause.
-  for (;;) {
-    if (control_ != nullptr && !control_->AwaitRunnable()) {
-      return finish(false);
-    }
-
-    if (limits_.group_concurrency > 0) {
-      std::unique_lock lock(group_mutex_);
-      group_cv_.wait(lock, [&] {
-        if (control_ != nullptr &&
-            (control_->cancelled() || control_->paused())) {
-          return true;
+  const bool budgeted = limits_.group_concurrency > 0;
+  const bool rated = limits_.dispatch_rate > 0;
+  if (!budgeted && !rated) {
+    if (!control_.AwaitRunnable()) return finish(false);
+  } else {
+    // The slot and the token are taken together, under the lock that
+    // Resume and Cancel take, so a waiter holds neither and cannot miss
+    // a transition between its check and its wait.
+    std::unique_lock lock(control_.mutex_);
+    for (;;) {
+      if (control_.cancelled()) return finish(false);
+      if (control_.paused() ||
+          (budgeted && group_in_flight_[group] >= limits_.group_concurrency)) {
+        control_.cv_.wait(lock);
+        continue;
+      }
+      if (rated) {
+        const auto now = std::chrono::steady_clock::now();
+        const double elapsed_s =
+            std::chrono::duration<double>(now - last_refill_).count();
+        tokens_ = std::min(limits_.dispatch_burst,
+                           tokens_ + limits_.dispatch_rate * elapsed_s);
+        last_refill_ = now;
+        if (tokens_ < 1.0) {
+          // Sleep until the next token is due; the cap only keeps the
+          // deadline of a near-zero rate representable.
+          const double due_s = (1.0 - tokens_) / limits_.dispatch_rate;
+          control_.cv_.wait_for(
+              lock, std::chrono::duration<double>(std::min(due_s, 3600.0)));
+          continue;
         }
-        return group_in_flight_[group] < limits_.group_concurrency;
-      });
-      if (control_ != nullptr && control_->cancelled()) return finish(false);
-      if (control_ != nullptr && control_->paused()) continue;
-      ++group_in_flight_[group];
+        tokens_ -= 1.0;
+      }
+      if (budgeted) ++group_in_flight_[group];
+      break;
     }
-
-    if (!bucket_.Acquire(control_)) {
-      ReleaseGroupSlot(group);
-      if (control_ != nullptr && control_->cancelled()) return finish(false);
-      continue;  // paused while rate-waiting: re-park, then retry
-    }
-    break;
   }
 
   const size_t now_in_flight =
@@ -214,24 +140,19 @@ bool DispatchGovernor::AdmitDelivery(GroupId group) {
   return finish(true);
 }
 
-void DispatchGovernor::ReleaseGroupSlot(GroupId group) {
-  if (limits_.group_concurrency == 0) return;
-  {
-    std::lock_guard lock(group_mutex_);
-    auto it = group_in_flight_.find(group);
-    if (it != group_in_flight_.end() && it->second > 0) --it->second;
-  }
-  group_cv_.notify_all();
-}
-
 void DispatchGovernor::CompleteDelivery(GroupId group) {
   in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-  if (control_ != nullptr) control_->NoteDelivery();
-  ReleaseGroupSlot(group);
+  control_.NoteDelivery();
+  if (limits_.group_concurrency == 0) return;
+  {
+    std::lock_guard lock(control_.mutex_);
+    --group_in_flight_[group];
+  }
+  control_.cv_.notify_all();
 }
 
 void DispatchGovernor::NoteTargetCompleted(const TargetCheckpoint& checkpoint) {
-  if (control_ != nullptr) control_->NoteTargetCompleted(checkpoint);
+  control_.NoteTargetCompleted(checkpoint);
 }
 
 }  // namespace eric::fleet

@@ -1,14 +1,15 @@
 // Dispatch control plane shared by the engine and the scheduler.
 //
-// Three small concurrency primitives that govern when a campaign worker
-// may put bytes on the wire:
+// Two pieces govern when a campaign worker may put bytes on the wire:
 //
-//   CampaignControl    atomic pause/resume/cancel block with checkpointed
+//   CampaignControl    pause/resume/cancel block with checkpointed
 //                      progress counters, shared with operator threads.
-//   TokenBucket        deliveries-per-second rate limiter.
-//   DispatchGovernor   composes both plus a per-group concurrency budget;
-//                      workers bracket every delivery with
-//                      AdmitDelivery / CompleteDelivery.
+//                      Its mutex and condition variable are the one wait
+//                      point of the dispatch path.
+//   DispatchGovernor   adds a per-group concurrency budget and a
+//                      deliveries-per-second token bucket, both guarded
+//                      by the control's mutex; workers bracket every
+//                      delivery with AdmitDelivery / CompleteDelivery.
 //
 // This header sits *below* both deployment_engine.h (whose CampaignConfig
 // carries a non-owning governor pointer) and campaign_scheduler.h (which
@@ -21,8 +22,6 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "fleet/device_registry.h"
 
@@ -66,10 +65,11 @@ class CampaignCheckpointSink {
 ///
 /// The campaign side polls through AwaitRunnable() at every dispatch
 /// boundary (before each delivery and before each wave); the operator
-/// side flips the atomic flags. Pause takes effect at the next boundary —
-/// an in-flight delivery is never torn down mid-wire, so pausing cannot
-/// break the exactly-once property. Cancel is sticky and wins over
-/// pause.
+/// side flips the flags, and Resume and Cancel wake every worker parked
+/// on the control's condition variable. Pause takes effect at the next
+/// boundary — an in-flight delivery is never torn down mid-wire, so
+/// pausing cannot break the exactly-once property. Cancel is sticky and
+/// wins over pause.
 ///
 /// The block also carries the campaign's checkpointed progress: wave and
 /// delivery counters updated atomically by the scheduler/engine, safe to
@@ -123,21 +123,8 @@ class CampaignControl {
     checkpoint_sink_ = sink;
   }
 
-  /// Registers an external wait point to be notified on every Pause /
-  /// Resume / Cancel transition: `cv` is notified with `mutex` briefly
-  /// held, so a waiter whose predicate re-checks the control flags can
-  /// never miss the transition. Used by DispatchGovernor so workers
-  /// parked on a full group-concurrency budget observe a pause or
-  /// cancel immediately instead of waiting for an unrelated delivery to
-  /// complete. Both pointers are non-owning; the caller must
-  /// UnregisterWakeup before the mutex/cv are destroyed.
-  void RegisterWakeup(std::mutex* mutex, std::condition_variable* cv);
-  /// Removes a wait point registered with RegisterWakeup.
-  void UnregisterWakeup(const std::condition_variable* cv);
-
  private:
-  /// Notifies every registered external wait point (see RegisterWakeup).
-  void NotifyWakeups();
+  friend class DispatchGovernor;
 
   CampaignCheckpointSink* checkpoint_sink_ = nullptr;
   std::atomic<bool> paused_{false};
@@ -146,80 +133,54 @@ class CampaignControl {
   std::atomic<uint32_t> waves_completed_{0};
   std::atomic<uint64_t> targets_completed_{0};
   std::atomic<uint64_t> deliveries_{0};
-  /// Wakes workers parked in AwaitRunnable on Resume/Cancel.
+  /// Held while Resume/Cancel flip their flag, and guards the
+  /// governor's budget and bucket; `cv_` wakes workers parked in
+  /// AwaitRunnable or AdmitDelivery.
   mutable std::mutex mutex_;
   mutable std::condition_variable cv_;
-  /// External wait points to notify on pause/resume/cancel.
-  mutable std::mutex wakeups_mutex_;
-  std::vector<std::pair<std::mutex*, std::condition_variable*>> wakeups_;
-};
-
-/// Token-bucket rate limiter for delivery dispatch.
-///
-/// Tokens refill continuously at `rate` per second up to `burst`; each
-/// delivery consumes one. Thread-safe; acquisition blocks until a token
-/// is available or the supplied control block interrupts the wait.
-class TokenBucket {
- public:
-  /// Builds a bucket refilling at `rate` tokens/second with capacity
-  /// `burst` (clamped to >= 1). `rate` <= 0 disables limiting entirely.
-  TokenBucket(double rate, double burst);
-
-  /// Blocks until a token is consumed. Returns false (without consuming)
-  /// when `control` is non-null and becomes cancelled *or paused* while
-  /// waiting — the caller must re-park on AwaitRunnable and retry, so a
-  /// pause freezes even workers that were mid-wait on the limiter.
-  bool Acquire(const CampaignControl* control);
-
- private:
-  double rate_;   ///< tokens per second (<= 0: unlimited)
-  double burst_;  ///< bucket capacity
-  std::mutex mutex_;
-  double tokens_;
-  std::chrono::steady_clock::time_point last_refill_;
 };
 
 /// Runtime throttle shared by every worker of a scheduled campaign.
 ///
 /// Installed into CampaignConfig::governor by the scheduler; the engine
 /// brackets each delivery with AdmitDelivery / CompleteDelivery. The
-/// governor enforces (in order) the pause/cancel control block, the
-/// per-group concurrency budget, and the token-bucket rate limit, and it
-/// tracks the peak number of simultaneously in-flight deliveries — the
-/// bench's headline number for what throttling buys.
+/// governor admits a delivery when the campaign is neither paused nor
+/// cancelled, its group has a free concurrency slot, and the token
+/// bucket holds a rate token — all three checked and taken together
+/// under the control's mutex — and it tracks the peak number of
+/// simultaneously in-flight deliveries, the bench's headline number for
+/// what throttling buys.
 class DispatchGovernor {
  public:
   /// Throttle limits. Zero values disable the corresponding control.
   struct Limits {
-    double dispatch_rate = 0.0;   ///< deliveries/second (0 = unlimited)
-    double dispatch_burst = 1.0;  ///< token-bucket capacity
+    /// Deliveries/second; <= 0 is unlimited. Must be finite.
+    double dispatch_rate = 0.0;
+    /// Token-bucket capacity (clamped to >= 1). Must be finite.
+    double dispatch_burst = 1.0;
     size_t group_concurrency = 0; ///< max in-flight per group (0 = unlimited)
   };
 
-  /// Builds a governor with `limits`; `control` may be null (no pause /
-  /// cancel, throttling only). A non-null control must outlive the
-  /// governor: the governor registers its budget wait point with the
-  /// control so Pause/Cancel wake budget-parked workers immediately.
-  explicit DispatchGovernor(const Limits& limits,
-                            CampaignControl* control = nullptr);
-  /// Unregisters the budget wait point from the control block.
-  ~DispatchGovernor();
+  /// Builds a governor with `limits` over `control`, which must be
+  /// non-null and outlive the governor: every wait happens on the
+  /// control's mutex and condition variable, so Pause/Cancel wake a
+  /// parked worker at once.
+  DispatchGovernor(const Limits& limits, CampaignControl* control);
 
   DispatchGovernor(const DispatchGovernor&) = delete;
   DispatchGovernor& operator=(const DispatchGovernor&) = delete;
 
-  /// Blocks until a delivery into `group` may start. A pause arriving
-  /// while the caller waits on the budget or the rate limiter re-parks
-  /// it before any resource is held, so paused campaigns stop dead.
-  /// Returns false when the campaign was cancelled (no slot or token is
-  /// then held).
+  /// Blocks until a delivery into `group` may start. Neither a slot nor
+  /// a token is held while waiting, so a pause freezes every parked
+  /// worker. A rate wait ends when the next token is due. Returns false
+  /// when the campaign was cancelled (no slot or token is then held).
+  /// With no rate and no group budget it takes no lock.
   bool AdmitDelivery(GroupId group);
   /// Releases the slot taken by a successful AdmitDelivery for `group`.
   void CompleteDelivery(GroupId group);
 
   /// Records a target reaching its final outcome (forwards to the
-  /// control block's checkpoint counters and durable sink when a control
-  /// block is attached).
+  /// control block's checkpoint counters and durable sink).
   void NoteTargetCompleted(const TargetCheckpoint& checkpoint);
 
   /// Highest number of deliveries ever simultaneously in flight.
@@ -228,18 +189,13 @@ class DispatchGovernor {
   }
 
  private:
-  /// Returns a per-group budget slot without touching in-flight stats
-  /// (used both by CompleteDelivery and by the failed-admit path).
-  void ReleaseGroupSlot(GroupId group);
-
-  CampaignControl* control_;
+  CampaignControl& control_;
   Limits limits_;
-  TokenBucket bucket_;
 
-  /// Guards per-group in-flight counts; cv wakes budget waiters.
-  std::mutex group_mutex_;
-  std::condition_variable group_cv_;
+  // Guarded by control_.mutex_.
   std::unordered_map<GroupId, size_t> group_in_flight_;
+  double tokens_ = 0;  ///< rate tokens available at `last_refill_`
+  std::chrono::steady_clock::time_point last_refill_;
 
   std::atomic<size_t> in_flight_{0};
   std::atomic<size_t> peak_in_flight_{0};

@@ -94,51 +94,38 @@ crypto::Sha256Digest FingerprintKeyConfig(const crypto::KeyConfig& config) {
 }
 
 PackageCache::PackageCache(const PackageCacheConfig& config)
-    : config_(config) {
-  if (config_.shard_count == 0) config_.shard_count = 1;
-  for (size_t i = 0; i < config_.shard_count; ++i) {
-    program_shards_.push_back(std::make_unique<Shard<CachedProgram>>());
-    artifact_shards_.push_back(std::make_unique<Shard<CachedArtifact>>());
-  }
-}
-
-size_t PackageCache::ShardIndex(const Digest& digest) const {
-  // Digest bytes are uniform; the low word picks the stripe.
-  size_t index;
-  std::memcpy(&index, digest.data() + 8, sizeof(index));
-  return index % config_.shard_count;
-}
+    : config_(config) {}
 
 template <typename Entry, typename Build>
 Result<std::shared_ptr<const Entry>> PackageCache::Lookup(
-    Shard<Entry>& shard, const Digest& digest, size_t capacity, bool* built,
+    Level<Entry>& level, const Digest& digest, size_t capacity, bool* built,
     Build&& build) {
   using Built = Result<std::shared_ptr<const Entry>>;
-  std::unique_lock lock(shard.mutex);
-  if (auto it = shard.map.find(digest); it != shard.map.end()) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+  std::unique_lock lock(level.mutex);
+  if (auto it = level.map.find(digest); it != level.map.end()) {
+    level.lru.splice(level.lru.begin(), level.lru, it->second.lru_it);
     return it->second.entry;
   }
-  if (auto it = shard.flights.find(digest); it != shard.flights.end()) {
-    const typename Shard<Entry>::Flight flight = it->second;
+  if (auto it = level.flights.find(digest); it != level.flights.end()) {
+    const typename Level<Entry>::Flight flight = it->second;
     lock.unlock();
     return flight.get();
   }
   std::promise<Built> promise;
-  shard.flights.emplace(digest, promise.get_future().share());
+  level.flights.emplace(digest, promise.get_future().share());
   lock.unlock();
 
   *built = true;
   Built result = build();
   lock.lock();
-  shard.flights.erase(digest);
+  level.flights.erase(digest);
   if (result.ok()) {
-    shard.lru.push_front(digest);
-    shard.map.emplace(digest,
-                      typename Shard<Entry>::Slot{*result, shard.lru.begin()});
-    while (shard.map.size() > capacity) {
-      shard.map.erase(shard.lru.back());
-      shard.lru.pop_back();
+    level.lru.push_front(digest);
+    level.map.emplace(digest,
+                      typename Level<Entry>::Slot{*result, level.lru.begin()});
+    while (level.map.size() > capacity) {
+      level.map.erase(level.lru.back());
+      level.lru.pop_back();
       counters_.evictions.Add();
       CacheMetrics::Get().evictions.Add();
     }
@@ -184,8 +171,7 @@ Result<std::shared_ptr<const CachedArtifact>> PackageCache::GetOrBuild(
   const auto seal = [&]() -> Result<std::shared_ptr<const CachedArtifact>> {
     bool compiled = false;
     auto program = Lookup(
-        *program_shards_[ShardIndex(program_digest)], program_digest,
-        config_.max_programs_per_shard, &compiled,
+        programs_, program_digest, config_.max_programs, &compiled,
         [&]() -> Result<std::shared_ptr<const CachedProgram>> {
           obs::ScopedSpan span("compile");
           const auto start = std::chrono::steady_clock::now();
@@ -230,8 +216,7 @@ Result<std::shared_ptr<const CachedArtifact>> PackageCache::GetOrBuild(
   };
 
   bool sealed = false;
-  auto artifact = Lookup(*artifact_shards_[ShardIndex(artifact_digest)],
-                         artifact_digest, config_.max_artifacts_per_shard,
+  auto artifact = Lookup(artifacts_, artifact_digest, config_.max_artifacts,
                          &sealed, seal);
   if (!artifact.ok()) return artifact.status();
   if (sealed) {
@@ -271,8 +256,7 @@ Result<std::shared_ptr<const CachedArtifact>> PackageCache::GetOrBuildDelta(
   CacheMetrics& metrics = CacheMetrics::Get();
   bool encoded = false;
   auto delta = Lookup(
-      *artifact_shards_[ShardIndex(digest)], digest,
-      config_.max_artifacts_per_shard, &encoded,
+      artifacts_, digest, config_.max_artifacts, &encoded,
       [&]() -> Result<std::shared_ptr<const CachedArtifact>> {
         obs::ScopedSpan span("delta_encode");
         const auto start = std::chrono::steady_clock::now();
@@ -307,12 +291,10 @@ PackageCacheStats PackageCache::Stats() const {
   stats.delta_hits = counters_.delta_hits.value();
   stats.delta_misses = counters_.delta_misses.value();
   stats.invalidations = counters_.invalidations.value();
-  for (const auto& shard : artifact_shards_) {
-    std::lock_guard lock(shard->mutex);
-    stats.artifact_entries += shard->map.size();
-    for (const auto& [digest, slot] : shard->map) {
-      stats.artifact_bytes += slot.entry->wire.size();
-    }
+  std::lock_guard lock(artifacts_.mutex);
+  stats.artifact_entries = artifacts_.map.size();
+  for (const auto& [digest, slot] : artifacts_.map) {
+    stats.artifact_bytes += slot.entry->wire.size();
   }
   return stats;
 }
@@ -320,12 +302,12 @@ PackageCacheStats PackageCache::Stats() const {
 size_t PackageCache::InvalidateKeyFingerprint(
     const crypto::Sha256Digest& key_fingerprint) {
   size_t dropped = 0;
-  for (const auto& shard : artifact_shards_) {
-    std::lock_guard lock(shard->mutex);
-    for (auto it = shard->map.begin(); it != shard->map.end();) {
+  {
+    std::lock_guard lock(artifacts_.mutex);
+    for (auto it = artifacts_.map.begin(); it != artifacts_.map.end();) {
       if (it->second.entry->key_fingerprint == key_fingerprint) {
-        shard->lru.erase(it->second.lru_it);
-        it = shard->map.erase(it);
+        artifacts_.lru.erase(it->second.lru_it);
+        it = artifacts_.map.erase(it);
         ++dropped;
       } else {
         ++it;
@@ -340,16 +322,14 @@ size_t PackageCache::InvalidateKeyFingerprint(
 }
 
 void PackageCache::Clear() {
-  for (const auto& shard : program_shards_) {
-    std::lock_guard lock(shard->mutex);
-    shard->map.clear();
-    shard->lru.clear();
+  {
+    std::lock_guard lock(programs_.mutex);
+    programs_.map.clear();
+    programs_.lru.clear();
   }
-  for (const auto& shard : artifact_shards_) {
-    std::lock_guard lock(shard->mutex);
-    shard->map.clear();
-    shard->lru.clear();
-  }
+  std::lock_guard lock(artifacts_.mutex);
+  artifacts_.map.clear();
+  artifacts_.lru.clear();
 }
 
 }  // namespace eric::fleet

@@ -21,12 +21,13 @@
 // fingerprint, so the cache leaks nothing an attacker with cache access
 // could use.
 //
-// Concurrency: lock-striped LRU shards, single-flight per address at both
-// levels. The first caller of a cold address builds it outside the shard
-// lock; concurrent callers of the same address wait for that build and
-// count a hit. A failed build reaches every waiter of its flight and is
-// not cached, so the next call builds again. An address is therefore
-// built once for as long as it stays resident, whoever the callers are.
+// Concurrency: one mutex per level guards its LRU map and its in-flight
+// map (single-flight per address). The first caller of a cold address
+// builds it outside the lock; concurrent callers of the same address wait
+// for that build and count a hit. A failed build reaches every waiter of
+// its flight and is not cached, so the next call builds again. An address
+// is therefore built once for as long as it stays resident, whoever the
+// callers are.
 #pragma once
 
 #include <array>
@@ -92,12 +93,11 @@ struct PackageCacheStats {
 
 /// Cache sizing.
 struct PackageCacheConfig {
-  size_t shard_count = 8;                ///< LRU stripes per cache level
-  size_t max_artifacts_per_shard = 512;  ///< level-2 entries per stripe
-  size_t max_programs_per_shard = 128;   ///< level-1 entries per stripe
+  size_t max_artifacts = 4096;  ///< level-2 entries (artifacts and deltas)
+  size_t max_programs = 1024;   ///< level-1 entries
 };
 
-/// The two-level, lock-striped, LRU-evicted artifact cache.
+/// The two-level, LRU-evicted artifact cache.
 ///
 /// Thread-safe: GetOrBuild, Stats, and Clear may race freely; artifacts
 /// handed out survive eviction and Clear because callers hold shared
@@ -133,7 +133,7 @@ class PackageCache {
   /// together with its full artifacts. kInvalidArgument when the two
   /// artifacts were sealed under different keys.
   ///
-  /// Delta entries share the artifact shards (and their LRU budget) but
+  /// Delta entries share the artifact level (and its LRU budget) but
   /// count in the separate delta_hits/delta_misses stats.
   Result<std::shared_ptr<const CachedArtifact>> GetOrBuildDelta(
       const CachedArtifact& base, const CachedArtifact& target,
@@ -170,14 +170,14 @@ class PackageCache {
     }
   };
 
-  /// One LRU-evicted map stripe. `Entry` is shared_ptr so readers keep
+  /// One LRU-evicted cache level. `Entry` is shared_ptr so readers keep
   /// artifacts alive after eviction. `flights` holds the builds in
   /// progress: an address is in `map` or `flights` from the moment its
   /// first caller claims it, so no second build of it can start.
   template <typename Entry>
-  struct Shard {
+  struct Level {
     using Flight = std::shared_future<Result<std::shared_ptr<const Entry>>>;
-    std::mutex mutex;
+    mutable std::mutex mutex;
     std::list<Digest> lru;  ///< front = most recent
     struct Slot {
       std::shared_ptr<const Entry> entry;
@@ -197,16 +197,14 @@ class PackageCache {
   /// build is inserted LRU-first; a failed one is handed to its waiters
   /// and forgotten.
   template <typename Entry, typename Build>
-  Result<std::shared_ptr<const Entry>> Lookup(Shard<Entry>& shard,
+  Result<std::shared_ptr<const Entry>> Lookup(Level<Entry>& level,
                                               const Digest& digest,
                                               size_t capacity, bool* built,
                                               Build&& build);
 
-  size_t ShardIndex(const Digest& digest) const;
-
   PackageCacheConfig config_;
-  std::vector<std::unique_ptr<Shard<CachedProgram>>> program_shards_;
-  std::vector<std::unique_ptr<Shard<CachedArtifact>>> artifact_shards_;
+  Level<CachedProgram> programs_;
+  Level<CachedArtifact> artifacts_;
 
   /// The monotonic counters, migrated from a mutex-guarded struct onto
   /// wait-free obs::Counter atomics. Stats() renders them back into a

@@ -1,7 +1,6 @@
 #include "obs/events.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstring>
 
@@ -45,32 +44,18 @@ EventLog& EventLog::Global() {
 void EventLog::Emit(EventSeverity severity, std::string_view subsystem,
                     std::string_view message, uint64_t device,
                     uint64_t campaign) {
-  const uint64_t index = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[index & (capacity_ - 1)];
-
-  // Claim the slot exclusively: markers are 2*(i+1) when slot content
-  // was published for ring index i, 2*i+1 while a writer fills it. A
-  // claim only succeeds against an even (quiescent) marker, so two
-  // writers lapped onto the same slot never interleave payload stores —
-  // the loser's event is simply dropped (it shows up in the
-  // appended-minus-retained accounting, like any overwritten event).
-  uint64_t observed = slot.marker.load(std::memory_order_relaxed);
-  if ((observed & 1) != 0 ||
-      !slot.marker.compare_exchange_strong(observed, 2 * index + 1,
-                                           std::memory_order_acquire,
-                                           std::memory_order_relaxed)) {
-    return;
+  {
+    std::lock_guard lock(mutex_);
+    Slot& slot = slots_[head_++ & (capacity_ - 1)];
+    slot.uptime_us = std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - epoch_)
+                         .count();
+    slot.severity = severity;
+    slot.device = device;
+    slot.campaign = campaign;
+    CopyTruncated(slot.subsystem, kSubsystemBytes, subsystem);
+    CopyTruncated(slot.message, kMessageBytes, message);
   }
-  slot.seq = index + 1;
-  slot.uptime_us = std::chrono::duration<double, std::micro>(
-                       std::chrono::steady_clock::now() - epoch_)
-                       .count();
-  slot.severity = severity;
-  slot.device = device;
-  slot.campaign = campaign;
-  CopyTruncated(slot.subsystem, kSubsystemBytes, subsystem);
-  CopyTruncated(slot.message, kMessageBytes, message);
-  slot.marker.store(2 * (index + 1), std::memory_order_release);
 
   if (severity == EventSeverity::kFatal) {
     // The flight record is the black box: flush the ring while the
@@ -85,38 +70,32 @@ void EventLog::Emit(EventSeverity severity, std::string_view subsystem,
   }
 }
 
+uint64_t EventLog::appended() const {
+  std::lock_guard lock(mutex_);
+  return head_;
+}
+
 EventLog::Snapshot EventLog::Snap(size_t max_events) const {
   Snapshot snap;
-  const uint64_t head = head_.load(std::memory_order_acquire);
-  snap.appended = head;
-  uint64_t first = head > capacity_ ? head - capacity_ : 0;
-  if (max_events < head - first) first = head - max_events;
-  snap.events.reserve(static_cast<size_t>(head - first));
-  for (uint64_t index = first; index < head; ++index) {
+  std::lock_guard lock(mutex_);
+  snap.appended = head_;
+  // Everything the ring wrapped over is lost; the caller's cap only
+  // hides events, so it does not count as dropped.
+  snap.dropped = head_ > capacity_ ? head_ - capacity_ : 0;
+  uint64_t first = snap.dropped;
+  if (max_events < head_ - first) first = head_ - max_events;
+  snap.events.reserve(static_cast<size_t>(head_ - first));
+  for (uint64_t index = first; index < head_; ++index) {
     const Slot& slot = slots_[index & (capacity_ - 1)];
-    const uint64_t expected = 2 * (index + 1);
-    const uint64_t before = slot.marker.load(std::memory_order_acquire);
-    if (before != expected) continue;  // overwritten, mid-write, or lost
-    EventRecord record;
-    record.seq = slot.seq;
+    EventRecord& record = snap.events.emplace_back();
+    record.seq = index + 1;
     record.uptime_us = slot.uptime_us;
     record.severity = slot.severity;
     record.device = slot.device;
     record.campaign = slot.campaign;
     record.subsystem = slot.subsystem;
     record.message = slot.message;
-    std::atomic_thread_fence(std::memory_order_acquire);
-    // Seqlock validation: the copy above is only trusted if no writer
-    // touched the slot while it ran.
-    if (slot.marker.load(std::memory_order_relaxed) != before) continue;
-    snap.events.push_back(std::move(record));
   }
-  // Retained-vs-appended is the loss accounting: everything that was
-  // emitted but is no longer readable (ring wrap, claim collisions,
-  // slots mid-write during this snapshot) counts as dropped. The cap
-  // requested by the caller is not loss, so add back what it hid.
-  snap.dropped = snap.appended - snap.events.size() -
-                 (first - (head > capacity_ ? head - capacity_ : 0));
   return snap;
 }
 

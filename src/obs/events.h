@@ -1,18 +1,18 @@
-// Structured event log: a lock-light bounded ring of fleet events
-// (severity, subsystem, device/campaign ids, message) that the engine,
-// agent, store, and channel feed on their failure paths, and that the
-// exporter renders as the `events` snapshot section.
+// Structured event log: a bounded ring of fleet events (severity,
+// subsystem, device/campaign ids, message) that the engine, agent,
+// store, and channel feed on their failure paths, and that the exporter
+// renders as the `events` snapshot section.
 //
 // Design constraints, in order:
-//   1. Emitting must never block a delivery worker: writers claim a
-//      slot with one fetch_add and publish it with a per-slot seqlock,
-//      so two writers never wait on each other and a reader never
-//      observes a torn record (it discards slots whose sequence moved
-//      mid-copy). When the ring wraps, the oldest events are
-//      overwritten and counted as dropped — bounded memory beats a
-//      complete log on a hot path.
+//   1. Emitting stays cheap on a delivery worker: one mutex guards the
+//      ring, held only to copy one fixed-size record in (Emit) or the
+//      retained records out (Snap). Events are rare next to deliveries
+//      (a fault path, not every step), so the lock is not contended.
+//      When the ring wraps, the oldest events are overwritten and
+//      counted as dropped — bounded memory beats a complete log on a
+//      hot path.
 //   2. Records are fixed-size (truncated messages, no allocation), so
-//      an Emit is a claim, a few stores, and a publish.
+//      an Emit is a lock, a few stores, and an unlock.
 //   3. Fatal events are rare and precious: on a kFatal emit the log
 //      dumps itself as a "flight record" JSON file (atomic write) so
 //      the events leading up to a poisoned WAL or a dead journal
@@ -67,8 +67,8 @@ struct EventRecord {
   std::string message;
 };
 
-/// Bounded ring of structured events. All methods are thread-safe;
-/// Emit is wait-free (one fetch_add plus plain stores).
+/// Bounded ring of structured events. All methods are thread-safe and
+/// serialize on one mutex.
 class EventLog {
  public:
   /// Default ring capacity (power of two; events beyond it overwrite
@@ -87,9 +87,9 @@ class EventLog {
   /// The process-wide event log used by all instrumented subsystems.
   static EventLog& Global();
 
-  /// Appends one event. Never blocks; when the ring is full the oldest
-  /// event is overwritten. A kFatal severity additionally dumps the
-  /// flight record if a path was configured.
+  /// Appends one event; when the ring is full the oldest event is
+  /// overwritten. A kFatal severity additionally dumps the flight
+  /// record if a path was configured.
   void Emit(EventSeverity severity, std::string_view subsystem,
             std::string_view message, uint64_t device = 0,
             uint64_t campaign = 0);
@@ -98,22 +98,18 @@ class EventLog {
   struct Snapshot {
     /// Events ever appended (monotonic).
     uint64_t appended = 0;
-    /// Events no longer readable: overwritten by ring wrap, plus any
-    /// discarded mid-write during this snapshot.
+    /// Events no longer readable: overwritten by ring wrap.
     uint64_t dropped = 0;
     /// Readable events, oldest first, seq strictly increasing.
     std::vector<EventRecord> events;
   };
 
   /// Copies out the most recent events (at most `max_events`), oldest
-  /// first. Concurrent writers are tolerated: slots they are mid-way
-  /// through are discarded, never returned torn.
+  /// first.
   Snapshot Snap(size_t max_events = SIZE_MAX) const;
 
   /// Total events ever appended.
-  uint64_t appended() const {
-    return head_.load(std::memory_order_relaxed);
-  }
+  uint64_t appended() const;
 
   /// Ring capacity in slots.
   size_t capacity() const { return capacity_; }
@@ -136,13 +132,9 @@ class EventLog {
   /// The dump body; the caller holds flight_mutex_.
   Status DumpFlightRecordLocked(const std::string& path) const;
 
-  // One fixed-size slot. `marker` is the slot's seqlock: 0 = never
-  // written; odd = a writer is mid-copy; even nonzero = published, and
-  // (marker/2 - 1) is the ring index (head value) it was published for,
-  // so a reader can tell a wrapped slot from the one it wanted.
+  // One fixed-size slot; the event with seq N lives in slot
+  // (N - 1) mod capacity until a later event overwrites it.
   struct Slot {
-    std::atomic<uint64_t> marker{0};
-    uint64_t seq = 0;
     double uptime_us = 0;
     EventSeverity severity = EventSeverity::kInfo;
     uint64_t device = 0;
@@ -152,8 +144,9 @@ class EventLog {
   };
 
   size_t capacity_;
+  mutable std::mutex mutex_;  ///< guards slots_ and head_
   std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> head_{0};
+  uint64_t head_ = 0;  ///< events ever appended
   std::atomic<uint64_t> flight_records_{0};
   std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();

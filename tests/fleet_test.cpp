@@ -7,8 +7,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -435,8 +437,7 @@ TEST(PackageCacheTest, CachedArtifactValidatesOnMembersRejectsElsewhere) {
 
 TEST(PackageCacheTest, LruEvictsAtCapacity) {
   PackageCacheConfig config;
-  config.shard_count = 1;
-  config.max_artifacts_per_shard = 2;
+  config.max_artifacts = 2;
   PackageCache cache(config);
 
   DeviceRegistry registry;
@@ -445,7 +446,7 @@ TEST(PackageCacheTest, LruEvictsAtCapacity) {
   auto sealing = registry.SealingContextFor(*id);
   ASSERT_TRUE(sealing.ok());
 
-  // Three distinct artifacts through a 2-slot shard.
+  // Three distinct artifacts through a 2-slot cache.
   for (uint64_t epoch = 0; epoch < 3; ++epoch) {
     crypto::KeyConfig config_epoch = registry.key_config();
     config_epoch.epoch = epoch;
@@ -457,6 +458,35 @@ TEST(PackageCacheTest, LruEvictsAtCapacity) {
   EXPECT_EQ(stats.artifact_misses, 3u);
   EXPECT_GE(stats.evictions, 1u);
   EXPECT_LE(stats.artifact_entries, 2u);
+}
+
+TEST(PackageCacheTest, EvictsTheLeastRecentlyUsedArtifact) {
+  PackageCacheConfig config;
+  config.max_artifacts = 2;
+  PackageCache cache(config);
+
+  DeviceRegistry registry;
+  auto id = registry.Enroll(0xE2);
+  ASSERT_TRUE(id.ok());
+  auto sealing = registry.SealingContextFor(*id);
+  ASSERT_TRUE(sealing.ok());
+  const auto get = [&](uint64_t epoch) {
+    crypto::KeyConfig config_epoch = registry.key_config();
+    config_epoch.epoch = epoch;
+    ASSERT_TRUE(cache.GetOrBuild(kTinyProgram, sealing->key, config_epoch,
+                                 core::EncryptionPolicy::Full())
+                    .ok());
+  };
+
+  get(0);
+  get(1);
+  get(0);  // epoch 1 is now the least recently used
+  get(2);  // evicts epoch 1
+  EXPECT_EQ(cache.Stats().evictions, 1u);
+  get(0);
+  EXPECT_EQ(cache.Stats().artifact_misses, 3u);
+  get(1);
+  EXPECT_EQ(cache.Stats().artifact_misses, 4u);
 }
 
 // A Clear() while GetOrBuild callers race must never invalidate a handed-out
@@ -1498,6 +1528,101 @@ TEST(DispatchGovernorTest, PauseAndCancelWakeBudgetParkedWorkers) {
   EXPECT_FALSE(admitted);
   EXPECT_LT(waited, std::chrono::seconds(2));
   governor.CompleteDelivery(group);
+}
+
+TEST(DispatchGovernorTest, CancelAndPauseReachRateParkedWorkers) {
+  // A worker waiting on an empty token bucket sleeps until the next
+  // token is due (5 s here), so only the control's notification can end
+  // the wait early.
+  CampaignControl control;
+  DispatchGovernor::Limits limits;
+  limits.dispatch_rate = 0.2;
+  limits.dispatch_burst = 1.0;
+  DispatchGovernor governor(limits, &control);
+
+  const GroupId group = 3;
+  ASSERT_TRUE(governor.AdmitDelivery(group));  // takes the only token
+  governor.CompleteDelivery(group);
+
+  std::atomic<bool> returned{false};
+  bool admitted = true;
+  std::thread waiter([&] {
+    admitted = governor.AdmitDelivery(group);  // parks on the bucket
+    returned.store(true, std::memory_order_release);
+  });
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(returned.load(std::memory_order_acquire));
+  // A pause keeps the worker parked: it is not admitted.
+  control.Pause();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(returned.load(std::memory_order_acquire));
+
+  control.Cancel();
+  const auto start = std::chrono::steady_clock::now();
+  waiter.join();
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(admitted);
+  EXPECT_LT(waited, std::chrono::seconds(2));
+}
+
+/// Runs a one-device campaign under `policy` and returns the status code.
+ErrorCode RunPolicyStatus(const SchedulerConfig& policy) {
+  GroupId group;
+  FleetFixture fleet(1, &group);
+  DeploymentEngine engine(fleet.registry, fleet.cache);
+  CampaignScheduler scheduler(engine, fleet.registry);
+  CampaignConfig campaign;
+  campaign.source = kTinyProgram;
+  campaign.group = group;
+  return scheduler.Run(campaign, policy).status().code();
+}
+
+TEST(CampaignSchedulerTest, RejectsNanCanaryThreshold) {
+  // NaN compares false both ways, so a range test written as
+  // `< 0 || > 1` let it through and the canary gate never fired.
+  SchedulerConfig policy;
+  policy.canary_size = 1;
+  policy.canary_failure_threshold = std::nan("");
+  EXPECT_EQ(RunPolicyStatus(policy), ErrorCode::kInvalidArgument);
+}
+
+TEST(CampaignSchedulerTest, RejectsNanWaveThreshold) {
+  SchedulerConfig policy;
+  policy.wave_failure_threshold = std::nan("");
+  EXPECT_EQ(RunPolicyStatus(policy), ErrorCode::kInvalidArgument);
+}
+
+TEST(CampaignSchedulerTest, RejectsNanDispatchRate) {
+  SchedulerConfig policy;
+  policy.limits.dispatch_rate = std::nan("");
+  EXPECT_EQ(RunPolicyStatus(policy), ErrorCode::kInvalidArgument);
+}
+
+TEST(CampaignSchedulerTest, RejectsInfiniteDispatchRate) {
+  SchedulerConfig policy;
+  policy.limits.dispatch_rate = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(RunPolicyStatus(policy), ErrorCode::kInvalidArgument);
+}
+
+TEST(CampaignSchedulerTest, RejectsNanDispatchBurst) {
+  SchedulerConfig policy;
+  policy.limits.dispatch_burst = std::nan("");
+  EXPECT_EQ(RunPolicyStatus(policy), ErrorCode::kInvalidArgument);
+}
+
+TEST(CampaignSchedulerTest, RejectsInfiniteDispatchBurst) {
+  SchedulerConfig policy;
+  policy.limits.dispatch_burst = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(RunPolicyStatus(policy), ErrorCode::kInvalidArgument);
+}
+
+TEST(CampaignSchedulerTest, NegativeDispatchRateDisablesLimiting) {
+  // Like a rate of 0 (the default), and unlike NaN, a negative rate is
+  // accepted and means "unlimited".
+  SchedulerConfig policy;
+  policy.limits.dispatch_rate = -5.0;
+  EXPECT_EQ(RunPolicyStatus(policy), ErrorCode::kOk);
 }
 
 TEST(CampaignSchedulerTest, CancelSkipsRemainingWaves) {

@@ -633,6 +633,43 @@ TEST(EventLogTest, EightThreadHammerNeverTearsARecord) {
   }
 }
 
+TEST(EventLogTest, SnapWhileFourThreadsEmitNeverTearsARecord) {
+  // The exporter thread snapshots the global log while delivery workers
+  // emit into it; every copied record must be whole and in order.
+  EventLog log(64);
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPerThread = 2000;
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&log, &running, t] {
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        log.Emit(EventSeverity::kInfo, "hammer",
+                 "t" + std::to_string(t) + "-i" + std::to_string(i),
+                 static_cast<uint64_t>(t), i);
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  size_t snaps = 0;
+  while (running.load(std::memory_order_acquire) > 0 || snaps == 0) {
+    const auto snap = log.Snap();
+    ++snaps;
+    uint64_t previous_seq = 0;
+    for (const EventRecord& event : snap.events) {
+      ASSERT_GT(event.seq, previous_seq);
+      previous_seq = event.seq;
+      ASSERT_LT(event.device, static_cast<uint64_t>(kThreads));
+      ASSERT_EQ(event.subsystem, "hammer");
+      ASSERT_EQ(event.message, "t" + std::to_string(event.device) + "-i" +
+                                   std::to_string(event.campaign))
+          << "torn record at seq " << event.seq;
+    }
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(log.appended(), kThreads * kPerThread);
+}
+
 TEST(EventLogTest, FatalEmitDumpsFlightRecord) {
   EventLog log(16);
   log.Emit(EventSeverity::kWarn, "net", "prelude");
