@@ -24,6 +24,11 @@
 //                                    independent) survives rotation.
 //   untouched_groups.hit_rate        artifact hit rate of the hot check —
 //                                    deterministically 1.0.
+//   puf.noise_draws_per_regen        noise votes that ran the Box–Muller
+//                                    math (puf_noise_draws) per PUF key
+//                                    regeneration, the work a key bump
+//                                    repeats per member, over a fixed set
+//                                    of device seeds — deterministic.
 //
 // Emits BENCH_rotation.json for the perf-trajectory gate.
 //
@@ -34,6 +39,8 @@
 #include <vector>
 
 #include "fleet/rotation_campaign.h"
+#include "obs/metrics.h"
+#include "puf/puf_key_generator.h"
 #include "support/bench_json.h"
 #include "workloads/workloads.h"
 
@@ -46,6 +53,36 @@ struct Scale {
   size_t devices_per_group = 16;
   size_t workers = 4;
 };
+
+// Regenerates the PUF key of a fixed set of devices after enrollment and
+// counts the noise votes that ran the Box–Muller math. Runs on one thread
+// after every campaign has finished, so only these calls move the counter.
+struct PufRegenWork {
+  uint64_t regenerations = 0;
+  uint64_t noise_draws = 0;
+  uint64_t key_mismatches = 0;
+};
+
+PufRegenWork MeasurePufRegenWork() {
+  constexpr uint64_t kDevices = 16;
+  constexpr int kRegenerations = 4;
+  const obs::Counter& draws =
+      obs::MetricsRegistry::Global().GetCounter("puf_noise_draws");
+  PufRegenWork work;
+  for (uint64_t d = 0; d < kDevices; ++d) {
+    const puf::PufKeyGenerator pkg(0xB00B5 + d);
+    Xoshiro256 rng(0x4EA54E11ull ^ d);
+    const auto enrollment = pkg.Enroll(rng);
+    for (int r = 0; r < kRegenerations; ++r) {
+      const uint64_t before = draws.value();
+      const crypto::Key256 key = pkg.RegenerateKey(enrollment.helper, rng);
+      work.noise_draws += draws.value() - before;
+      work.key_mismatches += key != enrollment.key;
+      ++work.regenerations;
+    }
+  }
+  return work;
+}
 
 }  // namespace
 
@@ -158,7 +195,13 @@ int main(int argc, char** argv) {
           : static_cast<double>(rotated->artifacts_invalidated) /
                 static_cast<double>(artifacts_before);
 
+  const PufRegenWork puf_work = MeasurePufRegenWork();
+  const double noise_draws_per_regen =
+      static_cast<double>(puf_work.noise_draws) /
+      static_cast<double>(puf_work.regenerations);
+
   const bool pass =
+      puf_work.key_mismatches == 0 &&
       reseal.succeeded == reseal.targets &&
       rotated->members_rekeyed == scale.devices_per_group &&
       rotated->artifacts_invalidated == 1 &&  // one policy, one group key
@@ -181,6 +224,11 @@ int main(int argc, char** argv) {
               "untouched groups hit rate %.2f\n",
               reseal.wall_ms, reseal.targets, reseal_per_device,
               reseal_vs_cold_ratio, hot_hit_rate);
+  std::printf("puf:    %.1f noise draws per key regeneration over %llu "
+              "regenerations, %llu key mismatches\n",
+              noise_draws_per_regen,
+              static_cast<unsigned long long>(puf_work.regenerations),
+              static_cast<unsigned long long>(puf_work.key_mismatches));
   std::printf("%s\n", pass ? "PASS" : "FAIL");
 
   JsonWriter json;
@@ -216,6 +264,12 @@ int main(int argc, char** argv) {
   json.Field("targets", hot->targets);
   json.Field("hit_rate", hot_hit_rate);
   json.Field("misses", hot->cache_artifact_misses);
+  json.EndObject();
+  json.Key("puf");
+  json.BeginObject();
+  json.Field("regenerations", puf_work.regenerations);
+  json.Field("noise_draws_per_regen", noise_draws_per_regen);
+  json.Field("key_mismatches", puf_work.key_mismatches);
   json.EndObject();
   json.Field("pass", pass);
   json.EndObject();

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "obs/metrics.h"
+
 namespace eric::puf {
 
 ArbiterPuf::ArbiterPuf(int challenge_bits, uint64_t device_seed,
@@ -72,6 +74,9 @@ bool ArbiterPuf::EvaluateStabilized(uint64_t challenge, Xoshiro256& rng,
     for (int i = 0; i < votes; ++i) rng.SkipGaussian();
     return diff > 0.0;
   }
+  static obs::Counter& noise_draws =
+      obs::MetricsRegistry::Global().GetCounter("puf_noise_draws");
+  noise_draws.Add(static_cast<uint64_t>(votes));
   int ones = 0;
   for (int i = 0; i < votes; ++i) {
     ones += MeasureOnce(diff, noise_sigma_, rng) ? 1 : 0;

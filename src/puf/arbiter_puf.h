@@ -52,6 +52,7 @@ class ArbiterPuf {
   /// voting, the standard cheap stabilizer). `votes` must be odd. Equals
   /// a majority over `votes` EvaluateNoisy calls, result and RNG draws
   /// alike; it skips the noise math when the noise cannot flip a vote.
+  /// Votes that run the noise math count in `puf_noise_draws`.
   bool EvaluateStabilized(uint64_t challenge, Xoshiro256& rng,
                           int votes = 11) const;
 

@@ -60,6 +60,9 @@ METRICS = [
     ("BENCH_rotation.json", "invalidation.targeted_fraction", "lower", 25.0),
     ("BENCH_rotation.json", "reseal.vs_cold_ratio", "lower", 60.0),
     ("BENCH_rotation.json", "untouched_groups.hit_rate", "higher", 25.0),
+    # Noise votes per PUF key regeneration that ran the Box–Muller math,
+    # over fixed device seeds: a deterministic count, gated exactly.
+    ("BENCH_rotation.json", "puf.noise_draws_per_regen", "lower", 0.0),
     # Delta packages: both ratios are deterministic byte counts (same
     # sources, keys, and policy on every host), so the gate is tight.
     ("BENCH_delta.json", "wire.delta_vs_full_ratio", "lower", 25.0),
