@@ -1,5 +1,6 @@
 #include "puf/arbiter_puf.h"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -18,28 +19,27 @@ ArbiterPuf::ArbiterPuf(int challenge_bits, uint64_t device_seed,
   Xoshiro256 rng(seed);
   stages_.reserve(static_cast<size_t>(challenge_bits));
   for (int i = 0; i < challenge_bits; ++i) {
-    stages_.push_back(StageDelays{
-        .top_straight = rng.NextGaussian() * model.variation_sigma,
-        .bottom_straight = rng.NextGaussian() * model.variation_sigma,
-        .top_crossed = rng.NextGaussian() * model.variation_sigma,
-        .bottom_crossed = rng.NextGaussian() * model.variation_sigma,
-    });
+    const double top_straight = rng.NextGaussian() * model.variation_sigma;
+    const double bottom_straight = rng.NextGaussian() * model.variation_sigma;
+    const double top_crossed = rng.NextGaussian() * model.variation_sigma;
+    const double bottom_crossed = rng.NextGaussian() * model.variation_sigma;
+    stages_.push_back({top_straight - bottom_straight,
+                       top_crossed - bottom_crossed});
   }
 }
 
 double ArbiterPuf::DelayDifference(uint64_t challenge) const {
   // Track (top path delay - bottom path delay). A crossed stage swaps the
   // racing signals, so the accumulated difference negates before adding
-  // that stage's contribution.
+  // that stage's contribution. Negation flips the sign bit, which is
+  // exact and needs no branch: challenge bits are random, so a branch
+  // per stage would mispredict half the time.
   double diff = 0.0;
   for (int i = 0; i < challenge_bits_; ++i) {
-    const bool crossed = (challenge >> i) & 1u;
-    const StageDelays& s = stages_[static_cast<size_t>(i)];
-    if (crossed) {
-      diff = -diff + (s.top_crossed - s.bottom_crossed);
-    } else {
-      diff = diff + (s.top_straight - s.bottom_straight);
-    }
+    const uint64_t crossed = (challenge >> i) & 1u;
+    diff = std::bit_cast<double>(std::bit_cast<uint64_t>(diff) ^
+                                 (crossed << 63)) +
+           stages_[static_cast<size_t>(i)][crossed];
   }
   return diff;
 }
@@ -57,31 +57,39 @@ bool MeasureOnce(double diff, double noise_sigma, Xoshiro256& rng) {
 
 }  // namespace
 
+bool MajorityVote(double diff, double noise_sigma, int votes,
+                  Xoshiro256& rng, uint64_t& noise_draws) {
+  assert(votes > 0 && votes % 2 == 1 && "temporal majority needs odd votes");
+  int measured = 0;
+  bool result = diff > 0.0;
+  if (!BeyondNoiseBound(diff, noise_sigma)) {
+    const int majority = votes / 2 + 1;
+    int ones = 0;
+    while (ones < majority && measured - ones < majority) {
+      ones += MeasureOnce(diff, noise_sigma, rng) ? 1 : 0;
+      ++measured;
+    }
+    noise_draws += static_cast<uint64_t>(measured);
+    result = ones == majority;
+  }
+  for (int i = measured; i < votes; ++i) rng.SkipGaussian();
+  return result;
+}
+
 bool ArbiterPuf::EvaluateNoisy(uint64_t challenge, Xoshiro256& rng) const {
   return MeasureOnce(DelayDifference(challenge), noise_sigma_, rng);
 }
 
 bool ArbiterPuf::EvaluateStabilized(uint64_t challenge, Xoshiro256& rng,
                                     int votes) const {
-  assert(votes > 0 && votes % 2 == 1 && "temporal majority needs odd votes");
-  const double diff = DelayDifference(challenge);
-  // No noise draw exceeds kMaxAbsGaussian sigmas, so a margin beyond that
-  // decides every vote: advance the RNG as the votes would and skip the
-  // noise math. Bit-exact with the loop below. A NaN or infinite sigma
-  // fails the comparison and takes the loop.
-  const double bound = std::abs(noise_sigma_) * kMaxAbsGaussian;
-  if (std::abs(diff) > bound) {
-    for (int i = 0; i < votes; ++i) rng.SkipGaussian();
-    return diff > 0.0;
-  }
-  static obs::Counter& noise_draws =
+  static obs::Counter& counter =
       obs::MetricsRegistry::Global().GetCounter("puf_noise_draws");
-  noise_draws.Add(static_cast<uint64_t>(votes));
-  int ones = 0;
-  for (int i = 0; i < votes; ++i) {
-    ones += MeasureOnce(diff, noise_sigma_, rng) ? 1 : 0;
-  }
-  return ones * 2 > votes;
+  uint64_t noise_draws = 0;
+  const bool result =
+      MajorityVote(DelayDifference(challenge), noise_sigma_, votes, rng,
+                   noise_draws);
+  if (noise_draws != 0) counter.Add(noise_draws);
+  return result;
 }
 
 }  // namespace eric::puf

@@ -13,6 +13,8 @@
 // (realistically) unstable bits.
 #pragma once
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -51,8 +53,8 @@ class ArbiterPuf {
   /// Majority vote over `votes` noisy measurements (temporal majority
   /// voting, the standard cheap stabilizer). `votes` must be odd. Equals
   /// a majority over `votes` EvaluateNoisy calls, result and RNG draws
-  /// alike; it skips the noise math when the noise cannot flip a vote.
-  /// Votes that run the noise math count in `puf_noise_draws`.
+  /// alike (see MajorityVote). Votes that run the noise math count in
+  /// `puf_noise_draws`.
   bool EvaluateStabilized(uint64_t challenge, Xoshiro256& rng,
                           int votes = 11) const;
 
@@ -61,16 +63,29 @@ class ArbiterPuf {
   double DelayDifference(uint64_t challenge) const;
 
  private:
-  struct StageDelays {
-    double top_straight;
-    double bottom_straight;
-    double top_crossed;
-    double bottom_crossed;
-  };
+  /// Per stage, the top-minus-bottom delay of the straight [0] and the
+  /// crossed [1] routing.
+  using StageDelays = std::array<double, 2>;
 
   int challenge_bits_;
   double noise_sigma_;
   std::vector<StageDelays> stages_;
 };
+
+/// True when no noise draw can flip a measurement of the delay difference
+/// `diff`: its margin exceeds kMaxAbsGaussian noise sigmas. A NaN or
+/// infinite sigma fails the comparison, so nothing is beyond its bound.
+inline bool BeyondNoiseBound(double diff, double noise_sigma) {
+  return std::abs(diff) > std::abs(noise_sigma) * kMaxAbsGaussian;
+}
+
+/// Temporal majority over `votes` (odd) noisy measurements of the delay
+/// difference `diff`, each one `diff + NextGaussian() * noise_sigma > 0`.
+/// Equals the full loop's result and RNG state: beyond the noise bound
+/// every vote is decided, and otherwise measuring stops once one side
+/// holds votes/2 + 1; the RNG advances past each vote not measured
+/// (Xoshiro256::SkipGaussian). Adds the measured votes to `noise_draws`.
+bool MajorityVote(double diff, double noise_sigma, int votes,
+                  Xoshiro256& rng, uint64_t& noise_draws);
 
 }  // namespace eric::puf

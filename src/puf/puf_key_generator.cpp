@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "crypto/kdf.h"
+#include "obs/metrics.h"
 
 namespace eric::puf {
 
@@ -16,6 +17,28 @@ PufKeyGenerator::PufKeyGenerator(uint64_t device_seed, const PkgConfig& config)
     pufs_.emplace_back(config.challenge_bits, device_seed,
                        static_cast<uint64_t>(i), config.process);
   }
+
+  const size_t positions = 256 * static_cast<size_t>(config.repetition);
+  schedule_.beyond_bound.assign((positions + 7) / 8, 0);
+  schedule_.positive.assign((positions + 7) / 8, 0);
+  std::vector<double> near_diffs;
+  for (int bit = 0; bit < 256; ++bit) {
+    const ArbiterPuf& puf = pufs_[static_cast<size_t>(bit % config.instances)];
+    for (int rep = 0; rep < config.repetition; ++rep) {
+      const double diff = puf.DelayDifference(ExtendedChallenge(bit, rep));
+      const int index = bit * config.repetition + rep;
+      const auto mask = static_cast<uint8_t>(1u << (index % 8));
+      const size_t byte = static_cast<size_t>(index / 8);
+      if (diff > 0.0) schedule_.positive[byte] |= mask;
+      if (BeyondNoiseBound(diff, config.process.noise_sigma)) {
+        schedule_.beyond_bound[byte] |= mask;
+      } else {
+        near_diffs.push_back(diff);
+      }
+    }
+  }
+  // Exact capacity: the table lives as long as the device.
+  schedule_.near_diffs.assign(near_diffs.begin(), near_diffs.end());
 }
 
 uint64_t PufKeyGenerator::ScheduledChallenge(int instance,
@@ -65,39 +88,40 @@ bool PufKeyGenerator::Response(int instance, uint64_t challenge,
   return pufs_[static_cast<size_t>(instance)].EvaluateNoisy(challenge, rng);
 }
 
-namespace {
-
-// Extended-schedule challenge for the fuzzy extractor: key bit `bit`,
-// repetition copy `rep`, mapped onto instance (bit % instances).
-uint64_t ExtendedChallenge(int bit, int rep, int challenge_bits) {
+uint64_t PufKeyGenerator::ExtendedChallenge(int bit, int rep) const {
+  // Like ScheduledChallenge, under its own public constant.
   SplitMix64 sm(0xFE77E57ull ^ (static_cast<uint64_t>(bit) << 20) ^
                 static_cast<uint64_t>(rep));
-  const uint64_t mask =
-      (challenge_bits == 64) ? ~0ull : ((1ull << challenge_bits) - 1);
+  const uint64_t mask = (config_.challenge_bits == 64)
+                            ? ~0ull
+                            : ((1ull << config_.challenge_bits) - 1);
   return sm.Next() & mask;
 }
 
-}  // namespace
-
 std::vector<uint8_t> PufKeyGenerator::MeasureExtendedResponses(
     Xoshiro256& rng) const {
-  const int total = 256 * config_.repetition;
-  std::vector<uint8_t> w(static_cast<size_t>((total + 7) / 8), 0);
-  for (int bit = 0; bit < 256; ++bit) {
-    const ArbiterPuf& puf =
-        pufs_[static_cast<size_t>(bit % config_.instances)];
-    for (int rep = 0; rep < config_.repetition; ++rep) {
-      const uint64_t challenge =
-          ExtendedChallenge(bit, rep, config_.challenge_bits);
-      const bool r =
-          puf.EvaluateStabilized(challenge, rng, config_.majority_votes);
-      const int index = bit * config_.repetition + rep;
-      if (r) {
-        w[static_cast<size_t>(index / 8)] |=
-            static_cast<uint8_t>(1u << (index % 8));
-      }
+  static obs::Counter& counter =
+      obs::MetricsRegistry::Global().GetCounter("puf_noise_draws");
+  const int votes = config_.majority_votes;
+  // Positions are measured in index order, as the schedule table lists
+  // them: the RNG order of measuring every copy of every key bit in turn.
+  std::vector<uint8_t> w(schedule_.beyond_bound.size(), 0);
+  const double* near = schedule_.near_diffs.data();
+  uint64_t noise_draws = 0;
+  for (int index = 0; index < 256 * config_.repetition; ++index) {
+    const size_t byte = static_cast<size_t>(index / 8);
+    const auto mask = static_cast<uint8_t>(1u << (index % 8));
+    bool r;
+    if (schedule_.beyond_bound[byte] & mask) {
+      for (int i = 0; i < votes; ++i) rng.SkipGaussian();
+      r = schedule_.positive[byte] & mask;
+    } else {
+      r = MajorityVote(*near++, config_.process.noise_sigma, votes, rng,
+                       noise_draws);
     }
+    if (r) w[byte] |= mask;
   }
+  counter.Add(noise_draws);
   return w;
 }
 

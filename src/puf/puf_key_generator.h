@@ -81,6 +81,11 @@ class PufKeyGenerator {
   /// public constant, identical on every device.
   uint64_t ScheduledChallenge(int instance, int bit_index) const;
 
+  /// The fuzzy extractor's public extended schedule: the challenge that
+  /// measures repetition copy `rep` of key bit `bit` on instance
+  /// (bit % instances). Identical on every device.
+  uint64_t ExtendedChallenge(int bit, int rep) const;
+
  private:
   crypto::Key256 AssembleKey(
       const std::function<bool(const ArbiterPuf&, uint64_t)>& eval) const;
@@ -88,8 +93,21 @@ class PufKeyGenerator {
   /// Measures the fuzzy extractor's 256 x repetition response bits.
   std::vector<uint8_t> MeasureExtendedResponses(Xoshiro256& rng) const;
 
+  /// The extended schedule's delay facts, read from the silicon once per
+  /// device. Position bit * repetition + rep has a bit in `beyond_bound`
+  /// (no noise can flip it, see BeyondNoiseBound) and in `positive` (its
+  /// delay difference is > 0); only positions within the bound keep their
+  /// delay difference, in `near_diffs` in position order. About 1.4 KB at
+  /// the default configuration, where ~10% of positions are near.
+  struct ScheduleTable {
+    std::vector<uint8_t> beyond_bound;
+    std::vector<uint8_t> positive;
+    std::vector<double> near_diffs;
+  };
+
   PkgConfig config_;
   std::vector<ArbiterPuf> pufs_;
+  ScheduleTable schedule_;
 };
 
 }  // namespace eric::puf

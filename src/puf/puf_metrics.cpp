@@ -58,8 +58,9 @@ PufQualityReport CharacterizeArbiterPuf(const PufStudyConfig& config) {
   report.devices = n_dev;
   report.challenges = n_chal;
   report.remeasurements = config.remeasurements;
+  const double responses = static_cast<double>(n_dev) * n_chal;
   report.uniformity_percent =
-      100.0 * total_ones / (static_cast<double>(n_dev) * n_chal);
+      responses > 0 ? 100.0 * total_ones / responses : 0.0;
 
   // Uniqueness: mean pairwise inter-device HD / n_chal.
   double hd_sum = 0.0;
@@ -71,7 +72,8 @@ PufQualityReport CharacterizeArbiterPuf(const PufStudyConfig& config) {
       ++pairs;
     }
   }
-  report.uniqueness_percent = 100.0 * hd_sum / (pairs * n_chal);
+  report.uniqueness_percent =
+      pairs * n_chal > 0 ? 100.0 * hd_sum / (pairs * n_chal) : 0.0;
 
   // Reliability: re-measure with noise, count intra-device flips vs ideal.
   Xoshiro256 noise_rng(config.seed ^ 0x4E015Eull);
@@ -89,14 +91,16 @@ PufQualityReport CharacterizeArbiterPuf(const PufStudyConfig& config) {
       }
     }
   }
+  const double remeasured = responses * config.remeasurements;
   report.reliability_percent =
-      100.0 * (1.0 - static_cast<double>(flips) /
-                         (static_cast<double>(n_dev) * n_chal *
-                          config.remeasurements));
+      remeasured > 0
+          ? 100.0 * (1.0 - static_cast<double>(flips) / remeasured)
+          : 0.0;
 
   // Bit aliasing: per-challenge bias across devices; report the worst.
-  double worst = 50.0;
-  for (int c = 0; c < n_chal; ++c) {
+  // Without devices there is no bias to measure: 0, like the rest.
+  double worst = responses > 0 ? 50.0 : 0.0;
+  for (int c = 0; c < n_chal && n_dev > 0; ++c) {
     const double bias =
         100.0 * ones_per_challenge[static_cast<size_t>(c)] / n_dev;
     if (std::abs(bias - 50.0) > std::abs(worst - 50.0)) worst = bias;

@@ -17,7 +17,10 @@
 
 namespace eric::puf {
 
-/// Result of a population study over many simulated devices.
+/// Result of a population study over many simulated devices. A metric
+/// the study cannot define reads 0, never NaN: uniqueness with fewer than
+/// two devices, reliability without remeasurements, and every metric
+/// without devices or challenges.
 struct PufQualityReport {
   double uniformity_percent = 0.0;
   double uniqueness_percent = 0.0;

@@ -7,7 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "crypto/kdf.h"
 #include "crypto/sha256.h"
+#include "obs/metrics.h"
 #include "puf/arbiter_puf.h"
 #include "puf/puf_key_generator.h"
 #include "puf/puf_metrics.h"
@@ -316,7 +318,7 @@ TEST(PufDifferentialTest, StabilizedMatchesPerVoteReference) {
     model.noise_sigma = sigma;
     for (uint64_t device = 0; device < 24; ++device) {
       const ArbiterPuf puf(8, device, device % 3, model);
-      for (int votes : {1, 11}) {
+      for (int votes : {1, 3, 5, 7, 11}) {
         Compare(puf, all_challenges, device * 131 + votes, votes, mismatches);
       }
     }
@@ -367,6 +369,215 @@ TEST(PufDifferentialTest, SingleVotesAcrossTheNoiseTailMatchReference) {
   EXPECT_EQ(mismatches.rng_words, 0);
 }
 
+// The key generator rebuilt from public pieces: one ArbiterPuf per
+// instance (the generator's silicon, by seed), the public schedules and a
+// majority over EvaluateNoisy votes, one Gaussian per vote. Next to each
+// result it counts the votes the generator must run the noise math for:
+// those cast until one side held the majority, at positions whose delay
+// difference lies within kMaxAbsGaussian noise sigmas.
+class ReferencePkg {
+ public:
+  ReferencePkg(uint64_t device_seed, const PkgConfig& config)
+      : public_schedule_(device_seed, config), config_(config) {
+    for (int i = 0; i < config.instances; ++i) {
+      pufs_.emplace_back(config.challenge_bits, device_seed,
+                         static_cast<uint64_t>(i), config.process);
+    }
+  }
+
+  PufKeyGenerator::Enrollment Enroll(Xoshiro256& rng) {
+    crypto::Key256 ideal{};
+    for (int i = 0; i < config_.instances; ++i) {
+      for (int b = 0; b < config_.bits_per_instance; ++b) {
+        const uint64_t challenge = public_schedule_.ScheduledChallenge(i, b);
+        SetBit(ideal, i * config_.bits_per_instance + b,
+               pufs_[static_cast<size_t>(i)].EvaluateIdeal(challenge));
+      }
+    }
+    PufKeyGenerator::Enrollment out;
+    out.key = crypto::DeriveKey(ideal, "eric.pkg.enroll", 0);
+    out.helper.mask = MeasureExtended(rng);
+    for (int bit = 0; bit < 256; ++bit) {
+      for (int rep = 0; rep < config_.repetition; ++rep) {
+        const int index = bit * config_.repetition + rep;
+        SetBit(out.helper.mask, index,
+               GetBit(out.helper.mask, index) != GetBit(out.key, bit));
+      }
+    }
+    return out;
+  }
+
+  crypto::Key256 RegenerateKey(const PufHelperData& helper, Xoshiro256& rng) {
+    const std::vector<uint8_t> w = MeasureExtended(rng);
+    crypto::Key256 key{};
+    for (int bit = 0; bit < 256; ++bit) {
+      int ones = 0;
+      for (int rep = 0; rep < config_.repetition; ++rep) {
+        const int index = bit * config_.repetition + rep;
+        ones += GetBit(w, index) != GetBit(helper.mask, index);
+      }
+      SetBit(key, bit, ones * 2 > config_.repetition);
+    }
+    return key;
+  }
+
+  crypto::Key256 GenerateKey(Xoshiro256& rng) {
+    crypto::Key256 key{};
+    for (int i = 0; i < config_.instances; ++i) {
+      for (int b = 0; b < config_.bits_per_instance; ++b) {
+        SetBit(key, i * config_.bits_per_instance + b,
+               Majority(pufs_[static_cast<size_t>(i)],
+                        public_schedule_.ScheduledChallenge(i, b), rng));
+      }
+    }
+    return key;
+  }
+
+  uint64_t noise_draws() const { return noise_draws_; }
+
+ private:
+  template <typename Bytes>
+  static bool GetBit(const Bytes& bytes, int index) {
+    return (bytes[static_cast<size_t>(index / 8)] >> (index % 8)) & 1u;
+  }
+  template <typename Bytes>
+  static void SetBit(Bytes& bytes, int index, bool value) {
+    const auto mask = static_cast<uint8_t>(1u << (index % 8));
+    auto& byte = bytes[static_cast<size_t>(index / 8)];
+    byte = static_cast<uint8_t>(value ? (byte | mask) : (byte & ~mask));
+  }
+
+  bool Majority(const ArbiterPuf& puf, uint64_t challenge, Xoshiro256& rng) {
+    const int votes = config_.majority_votes;
+    const double margin = std::abs(puf.DelayDifference(challenge));
+    const bool within_bound =
+        !(margin > std::abs(config_.process.noise_sigma) * kMaxAbsGaussian);
+    int ones = 0;
+    int decided_after = 0;
+    for (int i = 0; i < votes; ++i) {
+      ones += puf.EvaluateNoisy(challenge, rng);
+      const int zeros = i + 1 - ones;
+      if (decided_after == 0 && (ones * 2 > votes || zeros * 2 > votes)) {
+        decided_after = i + 1;
+      }
+    }
+    if (within_bound) noise_draws_ += static_cast<uint64_t>(decided_after);
+    return ones * 2 > votes;
+  }
+
+  std::vector<uint8_t> MeasureExtended(Xoshiro256& rng) {
+    const size_t positions = 256 * static_cast<size_t>(config_.repetition);
+    std::vector<uint8_t> w((positions + 7) / 8, 0);
+    for (int bit = 0; bit < 256; ++bit) {
+      for (int rep = 0; rep < config_.repetition; ++rep) {
+        SetBit(w, bit * config_.repetition + rep,
+               Majority(pufs_[static_cast<size_t>(bit % config_.instances)],
+                        public_schedule_.ExtendedChallenge(bit, rep), rng));
+      }
+    }
+    return w;
+  }
+
+  // Used only for the public, device-independent schedules.
+  PufKeyGenerator public_schedule_;
+  PkgConfig config_;
+  std::vector<ArbiterPuf> pufs_;
+  uint64_t noise_draws_ = 0;
+};
+
+// Runs enrollment, two regenerations and a raw majority key through the
+// generator and the reference from equal RNG states; counts keys, helper
+// masks, post-call RNG words and noise-draw totals that differ.
+struct PkgMismatches {
+  int keys = 0;
+  int helpers = 0;
+  int rng_words = 0;
+  int noise_draws = 0;
+  uint64_t reference_draws = 0;
+};
+void ComparePkg(uint64_t device_seed, const PkgConfig& config,
+                PkgMismatches& out) {
+  const obs::Counter& counter =
+      obs::MetricsRegistry::Global().GetCounter("puf_noise_draws");
+  const uint64_t draws_before = counter.value();
+  const PufKeyGenerator pkg(device_seed, config);
+  ReferencePkg reference(device_seed, config);
+  Xoshiro256 fast_rng(device_seed ^ 0x7AB1Eull);
+  Xoshiro256 reference_rng(device_seed ^ 0x7AB1Eull);
+  const auto check_rng = [&] {
+    out.rng_words += fast_rng.Next() != reference_rng.Next();
+  };
+
+  const auto enrollment = pkg.Enroll(fast_rng);
+  const auto expected = reference.Enroll(reference_rng);
+  out.keys += enrollment.key != expected.key;
+  out.helpers += enrollment.helper.mask != expected.helper.mask;
+  check_rng();
+  for (int powerup = 0; powerup < 2; ++powerup) {
+    out.keys += pkg.RegenerateKey(enrollment.helper, fast_rng) !=
+                reference.RegenerateKey(enrollment.helper, reference_rng);
+    check_rng();
+  }
+  out.keys += pkg.GenerateKey(fast_rng) != reference.GenerateKey(reference_rng);
+  check_rng();
+  out.noise_draws += counter.value() - draws_before != reference.noise_draws();
+  out.reference_draws += reference.noise_draws();
+}
+
+TEST(PufDifferentialTest, ExtendedScheduleMatchesPerVoteReference) {
+  const double kSigmas[] = {0.0, 0.06, 0.3, -0.06,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()};
+  PkgMismatches mismatches;
+  uint64_t device = 0;
+  for (int repetition : {1, 3, 5, 7}) {
+    for (int votes : {1, 3, 5, 11}) {
+      for (int challenge_bits : {8, 16, 64}) {
+        for (double sigma : kSigmas) {
+          PkgConfig config;
+          config.repetition = repetition;
+          config.majority_votes = votes;
+          config.challenge_bits = challenge_bits;
+          config.process.noise_sigma = sigma;
+          ComparePkg(++device, config, mismatches);
+        }
+      }
+    }
+  }
+  EXPECT_GT(mismatches.reference_draws, 0u);
+
+  // Noise scaled so that one scheduled position's delay difference sits
+  // just inside the noise bound, just beyond it and exactly on it (the
+  // bound itself is within: no noise draw reaches it, but the generator
+  // measures it like any position within).
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const PufKeyGenerator schedule(seed);
+    const ArbiterPuf silicon(8, seed, seed % 32);
+    const double margin = std::abs(silicon.DelayDifference(
+        schedule.ExtendedChallenge(static_cast<int>(seed % 32), 2)));
+    for (double ratio : {0.999, 1.0, 1.001}) {
+      PkgConfig config;
+      double& sigma = config.process.noise_sigma;
+      sigma = margin / (kMaxAbsGaussian * ratio);
+      if (ratio == 1.0) {
+        // Nudge sigma until sigma * kMaxAbsGaussian equals the margin.
+        const double up = std::numeric_limits<double>::infinity();
+        for (int step = 0; step < 8 && sigma * kMaxAbsGaussian != margin;
+             ++step) {
+          sigma = std::nextafter(sigma,
+                                 sigma * kMaxAbsGaussian < margin ? up : 0.0);
+        }
+        ASSERT_EQ(sigma * kMaxAbsGaussian, margin);
+      }
+      ComparePkg(seed, config, mismatches);
+    }
+  }
+  EXPECT_EQ(mismatches.keys, 0);
+  EXPECT_EQ(mismatches.helpers, 0);
+  EXPECT_EQ(mismatches.rng_words, 0);
+  EXPECT_EQ(mismatches.noise_draws, 0);
+}
+
 // --- Metrics ----------------------------------------------------------------
 
 TEST(MetricsTest, HammingDistance) {
@@ -410,6 +621,54 @@ TEST(MetricsTest, ReportEchoesConfig) {
   EXPECT_EQ(report.devices, 10);
   EXPECT_EQ(report.challenges, 16);
   EXPECT_EQ(report.remeasurements, 5);
+}
+
+// A degenerate study reports 0 for each metric it cannot define, and the
+// metrics it can define as usual.
+PufStudyConfig SmallStudy() {
+  PufStudyConfig config;
+  config.devices = 4;
+  config.challenges = 16;
+  config.remeasurements = 5;
+  return config;
+}
+
+TEST(MetricsTest, OneDeviceHasNoUniqueness) {
+  PufStudyConfig config = SmallStudy();
+  config.devices = 1;
+  const auto report = CharacterizeArbiterPuf(config);
+  EXPECT_EQ(report.uniqueness_percent, 0.0);
+  EXPECT_GT(report.uniformity_percent, 0.0);
+  EXPECT_GT(report.reliability_percent, 0.0);
+}
+
+TEST(MetricsTest, NoDevicesDefineNoMetric) {
+  PufStudyConfig config = SmallStudy();
+  config.devices = 0;
+  const auto report = CharacterizeArbiterPuf(config);
+  EXPECT_EQ(report.uniformity_percent, 0.0);
+  EXPECT_EQ(report.uniqueness_percent, 0.0);
+  EXPECT_EQ(report.reliability_percent, 0.0);
+  EXPECT_EQ(report.bit_aliasing_worst_percent, 0.0);
+}
+
+TEST(MetricsTest, NoChallengesDefineNoMetric) {
+  PufStudyConfig config = SmallStudy();
+  config.challenges = 0;
+  const auto report = CharacterizeArbiterPuf(config);
+  EXPECT_EQ(report.uniformity_percent, 0.0);
+  EXPECT_EQ(report.uniqueness_percent, 0.0);
+  EXPECT_EQ(report.reliability_percent, 0.0);
+  EXPECT_EQ(report.bit_aliasing_worst_percent, 0.0);
+}
+
+TEST(MetricsTest, NoRemeasurementsHaveNoReliability) {
+  PufStudyConfig config = SmallStudy();
+  config.remeasurements = 0;
+  const auto report = CharacterizeArbiterPuf(config);
+  EXPECT_EQ(report.reliability_percent, 0.0);
+  EXPECT_GT(report.uniformity_percent, 0.0);
+  EXPECT_GT(report.uniqueness_percent, 0.0);
 }
 
 }  // namespace
