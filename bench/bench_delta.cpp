@@ -18,6 +18,11 @@
 //                              as full packages (equal to the wire ratio
 //                              when every target patches).
 //   campaign.delta_fraction    deliveries that went out as deltas.
+//   campaign.address_sha256_blocks_per_target
+//                              SHA-256 compressions the package cache
+//                              spent deriving cache addresses
+//                              (fleet_cache_address_sha256_blocks)
+//                              during the delta campaign, per target.
 //
 // patch.vs_cold_seal_ratio (device-side ApplyDelta vs compile+seal from
 // a cold cache) is wall-time based — reported for the README story, not
@@ -31,6 +36,7 @@
 #include <vector>
 
 #include "fleet/deployment_engine.h"
+#include "obs/metrics.h"
 #include "pkg/delta.h"
 #include "support/bench_json.h"
 #include "support/stopwatch.h"
@@ -93,7 +99,14 @@ int main(int argc, char** argv) {
   update.source = v2;
   update.delta = true;
   update.delta_base_source = v1;
+  const obs::Counter& address_blocks =
+      obs::MetricsRegistry::Global().GetCounter(
+          "fleet_cache_address_sha256_blocks");
+  const uint64_t address_blocks_before = address_blocks.value();
   auto second = engine.Run(update);
+  const double address_blocks_per_target =
+      static_cast<double>(address_blocks.value() - address_blocks_before) /
+      static_cast<double>(devices);
   if (!second.ok() || second->succeeded != devices) {
     std::fprintf(stderr, "v2 delta campaign failed\n");
     return 1;
@@ -177,6 +190,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(second->bytes_shipped),
               static_cast<unsigned long long>(second->bytes_full_equivalent),
               campaign_bytes_ratio);
+  std::printf("campaign: %.2f cache-address SHA-256 blocks per target\n",
+              address_blocks_per_target);
   std::printf("patch: %.1f us apply vs %.1f us cold compile+seal "
               "(%.3fx)\n", apply_us, cold_seal_us, patch_vs_cold);
   std::printf("%s\n", pass ? "PASS" : "FAIL");
@@ -202,6 +217,7 @@ int main(int argc, char** argv) {
   json.Field("bytes_full_equivalent", second->bytes_full_equivalent);
   json.Field("bytes_ratio", campaign_bytes_ratio);
   json.Field("delta_fraction", delta_fraction);
+  json.Field("address_sha256_blocks_per_target", address_blocks_per_target);
   json.EndObject();
   json.Key("append_mutation");
   json.BeginObject();

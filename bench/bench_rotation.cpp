@@ -6,7 +6,8 @@
 // whole group's artifacts at once. This bench measures the deployment
 // story around that cliff:
 //
-//   cold      first deployment across G groups — one compile, G seals.
+//   cold      deployment across G groups from an empty cache — one
+//             compile, G seals.
 //   warm      immediate redeploy — every artifact served from cache.
 //   rotate    RotationCampaign on ONE group: epoch bump + member KMU
 //             re-provisioning, targeted invalidation (only that group's
@@ -19,7 +20,8 @@
 //   invalidation.targeted_fraction   invalidated / resident artifacts —
 //                                    deterministic, 1/G by construction.
 //   reseal.vs_cold_ratio             rotated group's per-device redeploy
-//                                    wall over the cold per-device wall;
+//                                    wall over the cold per-device wall,
+//                                    each side the median of 9 runs;
 //                                    < 1 because the compile cache (key-
 //                                    independent) survives rotation.
 //   untouched_groups.hit_rate        artifact hit rate of the hot check —
@@ -43,6 +45,7 @@
 #include "puf/puf_key_generator.h"
 #include "support/bench_json.h"
 #include "workloads/workloads.h"
+#include "cpu_probe.h"
 
 using namespace eric;
 
@@ -53,6 +56,11 @@ struct Scale {
   size_t devices_per_group = 16;
   size_t workers = 4;
 };
+
+// Each side of reseal.vs_cold_ratio is the median wall time of this
+// many runs: under --quick one redeploy is a few ms of four workers'
+// thread timing, and single runs spread the ratio by a third.
+constexpr size_t kRepetitions = 9;
 
 // Regenerates the PUF key of a fixed set of devices after enrollment and
 // counts the noise votes that ran the Box–Muller math. Runs on one thread
@@ -134,32 +142,57 @@ int main(int argc, char** argv) {
   campaign.devices = all_devices;
   campaign.workers = scale.workers;
 
-  // Cold: one compile, one seal per group.
-  auto cold = engine.Run(campaign);
-  if (!cold.ok() || cold->succeeded != cold->targets) {
-    std::fprintf(stderr, "cold campaign failed\n");
-    return 1;
-  }
-  // Warm: everything from cache.
-  auto warm = engine.Run(campaign);
-  if (!warm.ok() || warm->cache_artifact_misses != 0) {
-    std::fprintf(stderr, "warm campaign missed the cache\n");
-    return 1;
-  }
-  const size_t artifacts_before = cache.Stats().artifact_entries;
-
-  // Rotate the first group and redeploy it under the new epoch.
   fleet::RotationConfig rotation_config;
   rotation_config.group = groups.front();
   rotation_config.campaign = campaign;
   rotation_config.campaign.devices.clear();  // redeploy the group only
   fleet::RotationCampaign rotation(engine, registry, cache);
-  auto rotated = rotation.Run(rotation_config);
-  if (!rotated.ok()) {
-    std::fprintf(stderr, "rotation failed: %s\n",
-                 rotated.status().ToString().c_str());
+
+  // Cold deploys and rotations alternate, so both sides of the ratio see
+  // the same host conditions. Each repetition runs
+  //   cold    one compile, one seal per group, from an empty cache, then
+  //   rotate  the first group and redeploy it under the new epoch: the
+  //           compile cache survives, the group's artifact is re-sealed.
+  // The first rotation's invalidation is the one reported; every
+  // rotation must drop exactly that group's one artifact.
+  std::vector<double> cold_wall_ms;
+  std::vector<double> reseal_wall_ms;
+  fleet::CampaignReport cold;
+  std::vector<fleet::RotationReport> rotations;
+  size_t artifacts_before = 0;
+  bool rotations_ok = true;
+  for (size_t rep = 0; rep < kRepetitions; ++rep) {
+    cache.Clear();
+    auto run = engine.Run(campaign);
+    if (!run.ok() || run->succeeded != run->targets) {
+      std::fprintf(stderr, "cold campaign failed\n");
+      return 1;
+    }
+    cold = std::move(*run);
+    cold_wall_ms.push_back(cold.wall_ms);
+    if (rep == 0) artifacts_before = cache.Stats().artifact_entries;
+
+    auto rotated = rotation.Run(rotation_config);
+    if (!rotated.ok()) {
+      std::fprintf(stderr, "rotation failed: %s\n",
+                   rotated.status().ToString().c_str());
+      return 1;
+    }
+    const auto& rollout = rotated->rollout;
+    rotations_ok = rotations_ok && rollout.targets > 0 &&
+                   rollout.succeeded == rollout.targets &&
+                   rotated->members_rekeyed == scale.devices_per_group &&
+                   rotated->artifacts_invalidated == 1;  // one policy, key
+    reseal_wall_ms.push_back(rollout.wall_ms);
+    rotations.push_back(std::move(*rotated));
+  }
+  // Warm: everything from cache, the rotated group's new artifact too.
+  auto warm = engine.Run(campaign);
+  if (!warm.ok() || warm->cache_artifact_misses != 0) {
+    std::fprintf(stderr, "warm campaign missed the cache\n");
     return 1;
   }
+  const fleet::RotationReport* rotated = &rotations.front();
   const auto& reseal = rotated->rollout;
 
   // Hot check: the untouched groups still hit (per-wave attribution via a
@@ -181,12 +214,14 @@ int main(int argc, char** argv) {
           ? 0.0
           : static_cast<double>(hot->cache_artifact_hits) / hot_requests;
 
+  const double cold_median_ms = bench::Median(cold_wall_ms);
+  const double reseal_median_ms = bench::Median(reseal_wall_ms);
   const double cold_per_device =
-      cold->wall_ms / static_cast<double>(cold->targets);
+      cold_median_ms / static_cast<double>(cold.targets);
   const double reseal_per_device =
       reseal.targets == 0
           ? 0.0
-          : reseal.wall_ms / static_cast<double>(reseal.targets);
+          : reseal_median_ms / static_cast<double>(reseal.targets);
   const double reseal_vs_cold_ratio =
       cold_per_device == 0 ? 0.0 : reseal_per_device / cold_per_device;
   const double targeted_fraction =
@@ -201,18 +236,16 @@ int main(int argc, char** argv) {
       static_cast<double>(puf_work.regenerations);
 
   const bool pass =
-      puf_work.key_mismatches == 0 &&
-      reseal.succeeded == reseal.targets &&
-      rotated->members_rekeyed == scale.devices_per_group &&
-      rotated->artifacts_invalidated == 1 &&  // one policy, one group key
-      hot->cache_artifact_misses == 0 &&      // targeted, not Clear()
+      puf_work.key_mismatches == 0 && rotations_ok &&
+      hot->cache_artifact_misses == 0 &&  // targeted, not Clear()
       reseal_vs_cold_ratio < 3.0;
 
   std::printf("fleet: %zu groups x %zu devices\n", scale.groups,
               scale.devices_per_group);
-  std::printf("cold:   %.1f ms (%zu seals), warm: %.1f ms (0 seals)\n",
-              cold->wall_ms, static_cast<size_t>(cold->cache_artifact_misses),
-              warm->wall_ms);
+  std::printf("cold:   %.1f ms median of %zu (%zu seals each), warm: %.1f ms "
+              "(0 seals)\n",
+              cold_median_ms, kRepetitions,
+              static_cast<size_t>(cold.cache_artifact_misses), warm->wall_ms);
   std::printf("rotate: epoch %llu -> %llu, %zu members re-keyed in %.2f ms, "
               "%zu / %zu artifacts invalidated in %.3f ms\n",
               static_cast<unsigned long long>(rotated->old_epoch),
@@ -220,9 +253,10 @@ int main(int argc, char** argv) {
               rotated->members_rekeyed, rotated->bump_ms,
               rotated->artifacts_invalidated, artifacts_before,
               rotated->invalidate_ms);
-  std::printf("reseal: %.1f ms for %zu targets (%.3f ms/device, %.2fx cold), "
-              "untouched groups hit rate %.2f\n",
-              reseal.wall_ms, reseal.targets, reseal_per_device,
+  std::printf("reseal: %.1f ms median of %zu for %zu targets (%.3f ms/device, "
+              "%.2fx cold), untouched groups hit rate %.2f\n",
+              reseal_median_ms, kRepetitions, reseal.targets,
+              reseal_per_device,
               reseal_vs_cold_ratio, hot_hit_rate);
   std::printf("puf:    %.1f noise draws per key regeneration over %llu "
               "regenerations, %llu key mismatches\n",
@@ -239,8 +273,8 @@ int main(int argc, char** argv) {
   json.Field("workers", scale.workers);
   json.Key("cold");
   json.BeginObject();
-  json.Field("wall_ms", cold->wall_ms);
-  json.Field("seals", cold->cache_artifact_misses);
+  json.Field("wall_ms", cold_median_ms);
+  json.Field("seals", cold.cache_artifact_misses);
   json.Field("per_device_ms", cold_per_device);
   json.EndObject();
   json.Key("invalidation");
@@ -254,7 +288,7 @@ int main(int argc, char** argv) {
   json.EndObject();
   json.Key("reseal");
   json.BeginObject();
-  json.Field("wall_ms", reseal.wall_ms);
+  json.Field("wall_ms", reseal_median_ms);
   json.Field("targets", reseal.targets);
   json.Field("per_device_ms", reseal_per_device);
   json.Field("vs_cold_ratio", reseal_vs_cold_ratio);

@@ -22,10 +22,17 @@
 // the journal's begin and end records, which are per campaign. The count
 // is deterministic, so unlike the timings above it travels across hosts.
 //
+// Part 4 — CRC-32 speed. The CPU time of store::Crc32 over a fixed
+// 64 KiB buffer over that of a bench-local byte-at-a-time table loop
+// computing the same CRC: the median ratio of alternating passes
+// (crc32.vs_bytewise_ratio). Both sides run on the same host, so the
+// ratio travels where the absolute throughput does not.
+//
 // Emits BENCH_store.json for the perf-trajectory tooling.
 //
 //   bench_store [--quick] [--out FILE]
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -45,6 +52,7 @@
 #include "store/wal.h"
 #include "support/bench_json.h"
 #include "support/stopwatch.h"
+#include "cpu_probe.h"
 
 using namespace eric;
 
@@ -183,6 +191,77 @@ double DurableWritesPerDelivery(const fleet::RegistryConfig& config,
   return per_delivery;
 }
 
+// The byte-at-a-time table loop store::Crc32 is compared against.
+uint32_t BytewiseCrc32(std::span<const uint8_t> data) {
+  static const std::array<uint32_t, 256> kTable = [] {
+    std::array<uint32_t, 256> table{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t entry = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        entry = (entry >> 1) ^ ((entry & 1u) ? 0xEDB88320u : 0u);
+      }
+      table[i] = entry;
+    }
+    return table;
+  }();
+  uint32_t state = 0xFFFFFFFFu;
+  for (uint8_t byte : data) {
+    state = (state >> 8) ^ kTable[(state ^ byte) & 0xFFu];
+  }
+  return state ^ 0xFFFFFFFFu;
+}
+
+struct CrcSpeed {
+  double crc32_mb_per_s = 0;
+  double bytewise_mb_per_s = 0;
+  double vs_bytewise_ratio = 0;  ///< median CPU-time ratio of the pairs
+  bool agree = false;            ///< both loops computed the same CRC
+};
+
+CrcSpeed BenchCrc32() {
+  constexpr size_t kBytes = 64 * 1024;
+  constexpr int kRepsPerPass = 64;
+  constexpr int kPairs = 9;
+  std::vector<uint8_t> buffer(kBytes);
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (auto& byte : buffer) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    byte = static_cast<uint8_t>(x);
+  }
+  CrcSpeed speed;
+  speed.agree = store::Crc32(buffer) == BytewiseCrc32(buffer);
+  // Keeps the compiler from dropping the timed loops.
+  static volatile uint32_t sink = 0;
+  const auto pass = [&](uint32_t (*crc)(std::span<const uint8_t>)) {
+    const double before = bench::ProcessCpuMs();
+    uint32_t acc = 0;
+    for (int rep = 0; rep < kRepsPerPass; ++rep) acc ^= crc(buffer);
+    sink = acc;
+    return bench::ProcessCpuMs() - before;
+  };
+  std::vector<double> crc_ms, bytewise_ms, ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double ours, theirs;
+    if (pair % 2 == 0) {
+      ours = pass(store::Crc32);
+      theirs = pass(BytewiseCrc32);
+    } else {
+      theirs = pass(BytewiseCrc32);
+      ours = pass(store::Crc32);
+    }
+    crc_ms.push_back(ours);
+    bytewise_ms.push_back(theirs);
+    ratios.push_back(theirs > 0 ? ours / theirs : 0);
+  }
+  const double pass_mb = kBytes * kRepsPerPass / 1e6;
+  speed.crc32_mb_per_s = pass_mb / (bench::Median(crc_ms) / 1e3);
+  speed.bytewise_mb_per_s = pass_mb / (bench::Median(bytewise_ms) / 1e3);
+  speed.vs_bytewise_ratio = bench::Median(ratios);
+  return speed;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -309,8 +388,16 @@ int main(int argc, char** argv) {
               kCampaignDevices, writes_per_delivery,
               campaign_pass ? "PASS" : "FAIL");
 
+  // --- Part 4: CRC-32 speed -------------------------------------------------
+  const CrcSpeed crc = BenchCrc32();
+  std::printf("PART 4: CRC-32 over a 64 KiB buffer\n"
+              "  store::Crc32 %.0f MB/s, bytewise table %.0f MB/s, "
+              "CPU-time ratio %.3f %s\n\n",
+              crc.crc32_mb_per_s, crc.bytewise_mb_per_s,
+              crc.vs_bytewise_ratio, crc.agree ? "PASS" : "FAIL");
+
   // --- JSON -----------------------------------------------------------------
-  const bool pass = all_intact && recovery_pass && campaign_pass;
+  const bool pass = all_intact && recovery_pass && campaign_pass && crc.agree;
   JsonWriter json;
   json.BeginObject();
   json.Field("bench", "store");
@@ -346,6 +433,12 @@ int main(int argc, char** argv) {
   json.BeginObject();
   json.Field("devices", kCampaignDevices);
   json.Field("durable_writes_per_delivery", writes_per_delivery);
+  json.EndObject();
+  json.Key("crc32");
+  json.BeginObject();
+  json.Field("mb_per_s", crc.crc32_mb_per_s);
+  json.Field("bytewise_mb_per_s", crc.bytewise_mb_per_s);
+  json.Field("vs_bytewise_ratio", crc.vs_bytewise_ratio);
   json.EndObject();
   json.Field("pass", pass);
   json.EndObject();

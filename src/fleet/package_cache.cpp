@@ -25,6 +25,7 @@ struct CacheMetrics {
   obs::Counter& delta_hits;
   obs::Counter& delta_misses;
   obs::Counter& invalidations;
+  obs::Counter& address_sha256_blocks;
   obs::Histogram& compile_us;
   obs::Histogram& seal_us;
   obs::Histogram& delta_encode_us;
@@ -40,6 +41,7 @@ struct CacheMetrics {
         registry.GetCounter("fleet_cache_delta_hits"),
         registry.GetCounter("fleet_cache_delta_misses"),
         registry.GetCounter("fleet_cache_invalidations"),
+        registry.GetCounter("fleet_cache_address_sha256_blocks"),
         registry.GetHistogram("fleet_compile_us"),
         registry.GetHistogram("fleet_seal_us"),
         registry.GetHistogram("fleet_delta_encode_us"),
@@ -58,13 +60,25 @@ void CountEvent(uint64_t PackageCacheStats::*field,
   global.Add();
 }
 
-}  // namespace
-
-crypto::Sha256Digest FingerprintKey(const crypto::Key256& key) {
-  return crypto::Sha256::Hash(key);
+// Finishes `hasher`, adding the compressions it ran to `*blocks` when
+// the caller counts them.
+crypto::Sha256Digest FinishCounted(crypto::Sha256& hasher, uint64_t* blocks) {
+  const crypto::Sha256Digest digest = hasher.Finish();
+  if (blocks != nullptr) *blocks += hasher.blocks_processed();
+  return digest;
 }
 
-crypto::Sha256Digest FingerprintPolicy(const core::EncryptionPolicy& policy) {
+}  // namespace
+
+crypto::Sha256Digest FingerprintKey(const crypto::Key256& key,
+                                    uint64_t* sha256_blocks) {
+  crypto::Sha256 hasher;
+  hasher.Update(key);
+  return FinishCounted(hasher, sha256_blocks);
+}
+
+crypto::Sha256Digest FingerprintPolicy(const core::EncryptionPolicy& policy,
+                                       uint64_t* sha256_blocks) {
   crypto::Sha256 hasher;
   Sha256AbsorbString(hasher, "eric.fleet.policy.v1");
   Sha256AbsorbU64(hasher, static_cast<uint64_t>(policy.mode));
@@ -81,16 +95,17 @@ crypto::Sha256Digest FingerprintPolicy(const core::EncryptionPolicy& policy) {
                                           spec.bit_hi};
     hasher.Update(bytes);
   }
-  return hasher.Finish();
+  return FinishCounted(hasher, sha256_blocks);
 }
 
-crypto::Sha256Digest FingerprintKeyConfig(const crypto::KeyConfig& config) {
+crypto::Sha256Digest FingerprintKeyConfig(const crypto::KeyConfig& config,
+                                          uint64_t* sha256_blocks) {
   crypto::Sha256 hasher;
   Sha256AbsorbString(hasher, "eric.fleet.keyconfig.v1");
   Sha256AbsorbU64(hasher, config.epoch);
   Sha256AbsorbString(hasher, config.domain);
   Sha256AbsorbU64(hasher, config.environment_binding);
-  return hasher.Finish();
+  return FinishCounted(hasher, sha256_blocks);
 }
 
 PackageCache::PackageCache(const PackageCacheConfig& config)
@@ -152,21 +167,25 @@ Result<std::shared_ptr<const CachedArtifact>> PackageCache::GetOrBuild(
   Sha256AbsorbU64(program_hasher, options.compress ? 1 : 0);
   Sha256AbsorbU64(program_hasher, static_cast<uint64_t>(options.opt_rounds));
   Sha256AbsorbU64(program_hasher, static_cast<uint64_t>(options.isa));
-  const Digest program_digest = program_hasher.Finish();
+  uint64_t address_blocks = 0;
+  const Digest program_digest = FinishCounted(program_hasher, &address_blocks);
 
   // Level-2 address: program x key fingerprint x policy x cipher. The raw
   // key is hashed, never stored.
-  const crypto::Sha256Digest key_fingerprint = FingerprintKey(key);
+  const crypto::Sha256Digest key_fingerprint =
+      FingerprintKey(key, &address_blocks);
   crypto::Sha256 artifact_hasher;
   Sha256AbsorbString(artifact_hasher, "eric.fleet.artifact.v1");
   artifact_hasher.Update(program_digest);
   artifact_hasher.Update(key_fingerprint);
-  artifact_hasher.Update(FingerprintPolicy(policy));
-  artifact_hasher.Update(FingerprintKeyConfig(key_config));
+  artifact_hasher.Update(FingerprintPolicy(policy, &address_blocks));
+  artifact_hasher.Update(FingerprintKeyConfig(key_config, &address_blocks));
   Sha256AbsorbU64(artifact_hasher, static_cast<uint64_t>(cipher));
-  const Digest artifact_digest = artifact_hasher.Finish();
+  const Digest artifact_digest =
+      FinishCounted(artifact_hasher, &address_blocks);
 
   CacheMetrics& metrics = CacheMetrics::Get();
+  metrics.address_sha256_blocks.Add(address_blocks);
   // Artifact miss: get the compiled program (level 1), then seal.
   const auto seal = [&]() -> Result<std::shared_ptr<const CachedArtifact>> {
     bool compiled = false;
@@ -247,13 +266,20 @@ Result<std::shared_ptr<const CachedArtifact>> PackageCache::GetOrBuildDelta(
   // reusable against byte-identical endpoints, and hashing the wires
   // (instead of trusting caller-supplied version labels) makes a stale
   // label a miss, never a wrong patch.
+  uint64_t address_blocks = 0;
+  const auto wire_digest = [&](const std::vector<uint8_t>& wire) {
+    crypto::Sha256 wire_hasher;
+    wire_hasher.Update(wire);
+    return FinishCounted(wire_hasher, &address_blocks);
+  };
   crypto::Sha256 hasher;
   Sha256AbsorbString(hasher, "eric.fleet.delta.v1");
-  hasher.Update(crypto::Sha256::Hash(base.wire));
-  hasher.Update(crypto::Sha256::Hash(target.wire));
-  const Digest digest = hasher.Finish();
+  hasher.Update(wire_digest(base.wire));
+  hasher.Update(wire_digest(target.wire));
+  const Digest digest = FinishCounted(hasher, &address_blocks);
 
   CacheMetrics& metrics = CacheMetrics::Get();
+  metrics.address_sha256_blocks.Add(address_blocks);
   bool encoded = false;
   auto delta = Lookup(
       artifacts_, digest, config_.max_artifacts, &encoded,

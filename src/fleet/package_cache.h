@@ -252,13 +252,18 @@ inline void Sha256AbsorbString(crypto::Sha256& hasher,
 
 /// SHA-256 fingerprint of a deployment key: the level-2 cache-address
 /// component and the targeted-invalidation address. The raw key never
-/// enters a cache index.
-crypto::Sha256Digest FingerprintKey(const crypto::Key256& key);
+/// enters a cache index. Each fingerprint adds the SHA-256 compressions
+/// it ran to `*sha256_blocks` when that is non-null (the cache's
+/// fleet_cache_address_sha256_blocks accounting).
+crypto::Sha256Digest FingerprintKey(const crypto::Key256& key,
+                                    uint64_t* sha256_blocks = nullptr);
 /// Stable fingerprint of an encryption policy, used to form cache
 /// addresses (exposed for tests).
-crypto::Sha256Digest FingerprintPolicy(const core::EncryptionPolicy& policy);
+crypto::Sha256Digest FingerprintPolicy(const core::EncryptionPolicy& policy,
+                                       uint64_t* sha256_blocks = nullptr);
 /// Stable fingerprint of a key-derivation config (domain, epoch,
 /// binding), used to form cache addresses (exposed for tests).
-crypto::Sha256Digest FingerprintKeyConfig(const crypto::KeyConfig& config);
+crypto::Sha256Digest FingerprintKeyConfig(const crypto::KeyConfig& config,
+                                          uint64_t* sha256_blocks = nullptr);
 
 }  // namespace eric::fleet

@@ -20,6 +20,7 @@
 #include "store/record_io.h"
 #include "store/snapshot.h"
 #include "store/wal.h"
+#include "support/rng.h"
 
 namespace eric {
 namespace {
@@ -126,6 +127,73 @@ TEST(Crc32Test, KnownVectorAndSensitivity) {
   const uint32_t before = store::Crc32(bytes);
   bytes[2] ^= 1;
   EXPECT_NE(store::Crc32(bytes), before);
+}
+
+// The CRC-32 definition, one bit at a time: reflected polynomial
+// 0xEDB88320, register inverted on entry and exit. The oracle for every
+// table-driven way of computing store::Crc32Extend.
+uint32_t BitwiseCrc32Extend(uint32_t crc, std::span<const uint8_t> data) {
+  uint32_t state = ~crc;
+  for (uint8_t byte : data) {
+    state ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      state = (state >> 1) ^ ((state & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~state;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  Xoshiro256 rng(0xC4C32);
+  std::vector<uint8_t> buffer(300 + 8);
+  for (auto& byte : buffer) byte = static_cast<uint8_t>(rng.Next());
+  const std::string check = "123456789";
+  EXPECT_EQ(BitwiseCrc32Extend(0, {reinterpret_cast<const uint8_t*>(
+                                       check.data()),
+                                   check.size()}),
+            0xCBF43926u);
+
+  // Every length 0..300 at every start offset 0..7 (so word loads meet
+  // every alignment), from 0 and from a random running value.
+  int mismatches = 0;
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 300; ++length) {
+      const std::span<const uint8_t> data(buffer.data() + offset, length);
+      const auto initial = static_cast<uint32_t>(rng.Next());
+      mismatches += store::Crc32(data) != BitwiseCrc32Extend(0, data);
+      mismatches += store::Crc32Extend(initial, data) !=
+                    BitwiseCrc32Extend(initial, data);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Crc32Test, ChainedExtendEqualsOneCall) {
+  Xoshiro256 rng(0xC4A1);
+  std::vector<uint8_t> buffer(300);
+  for (auto& byte : buffer) byte = static_cast<uint8_t>(rng.Next());
+  const std::span<const uint8_t> all(buffer);
+  const uint32_t whole = store::Crc32(all);
+  ASSERT_EQ(whole, BitwiseCrc32Extend(0, all));
+
+  // One split at every point, then random three-way splits from a
+  // random running value.
+  int mismatches = 0;
+  for (size_t split = 0; split <= all.size(); ++split) {
+    mismatches += store::Crc32Extend(store::Crc32(all.first(split)),
+                                     all.subspan(split)) != whole;
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    size_t a = rng.NextBounded(all.size() + 1);
+    size_t b = rng.NextBounded(all.size() + 1);
+    if (a > b) std::swap(a, b);
+    const auto initial = static_cast<uint32_t>(rng.Next());
+    uint32_t chained = store::Crc32Extend(initial, all.first(a));
+    chained = store::Crc32Extend(chained, all.subspan(a, b - a));
+    chained = store::Crc32Extend(chained, all.subspan(b));
+    mismatches += chained != BitwiseCrc32Extend(initial, all);
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 // --- Wal ----------------------------------------------------------------------
