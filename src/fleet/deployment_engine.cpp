@@ -99,8 +99,7 @@ uint64_t ProgramVersionFingerprint(std::string_view source,
 
 DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
                                           DeviceId device,
-                                          uint64_t target_version,
-                                          uint64_t base_version) {
+                                          const CampaignPrograms& programs) {
   DeviceOutcome outcome;
   outcome.device = device;
 
@@ -119,24 +118,23 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
     return outcome;
   }
 
-  // The campaign's compile options, retargeted at this device's ISA.
-  // The ISA is a property of the enrolled silicon, never of the
-  // campaign config — a mixed fleet gets per-ISA images from one
-  // config, and the cache keys on the ISA so they can never alias.
-  compiler::CompileOptions compile_options = config.compile_options;
-  compile_options.isa = info->isa;
+  // The campaign's programs compiled for this device's ISA. The ISA is
+  // a property of the enrolled silicon, never of the campaign config — a
+  // mixed fleet gets per-ISA images from one config, and the cache keys
+  // on the ISA so they can never alias.
+  const auto isa_index = static_cast<size_t>(info->isa);
 
-  // Seals (or fetches) `source` for this device's current deployment key
-  // and its effective KDF config — per device, not registry-wide,
+  // Seals (or fetches) `program` for this device's current deployment
+  // key and its effective KDF config — per device, not registry-wide,
   // because a key-epoch rotation moves one group's epoch while every
   // other group seals on at its own. Group members share a key, so
   // across a campaign the cache builds once and serves the rest as hits.
   SealingContext sealing;
-  const auto fetch = [&](std::string_view source)
+  const auto fetch = [&](const ProgramAddress& program)
       -> Result<std::shared_ptr<const CachedArtifact>> {
-    return cache_.GetOrBuild(source, sealing.key, sealing.config,
+    return cache_.GetOrBuild(program, sealing.key, sealing.config,
                              config.policy, registry_.cipher(),
-                             compile_options, &outcome.cache);
+                             &outcome.cache);
   };
   // Re-reads the sealing context and fetches the full package for it.
   const auto fetch_current = [&]()
@@ -144,7 +142,7 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
     auto current = registry_.SealingContextFor(device);
     if (!current.ok()) return current.status();
     sealing = *current;
-    return fetch(config.source);
+    return fetch(programs.target[isa_index]);
   };
   auto fetched = fetch_current();
   if (!fetched.ok()) {
@@ -165,9 +163,9 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
   std::shared_ptr<const CachedArtifact> delta;
   if (config.delta) {
     auto running = registry_.DeliveredVersion(device);
-    if (running.ok() && running->version == base_version &&
+    if (running.ok() && running->version == programs.base_version &&
         running->key_fingerprint == full->key_fingerprint) {
-      auto base = fetch(config.delta_base_source);
+      auto base = fetch(programs.base[isa_index]);
       if (base.ok()) {
         auto encoded = cache_.GetOrBuildDelta(**base, *full, &outcome.cache);
         if (encoded.ok() &&
@@ -228,7 +226,7 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
     if (delivered.ok()) {
       DispatchMeta meta;
       meta.delta = as_delta;
-      meta.version = target_version;
+      meta.version = programs.target_version;
       meta.key_fingerprint = full->key_fingerprint;
       run = registry_.Dispatch(device, *delivered, config.arg0, config.arg1,
                                &meta);
@@ -468,14 +466,23 @@ Result<CampaignReport> DeploymentEngine::Run(const CampaignConfig& config) {
   std::atomic<size_t> cursor{0};
   // Key-independent version identities: what successful deliveries
   // label the device's slot with, and what the delta path requires the
-  // slot the device runs to match.
-  const uint64_t target_version = ProgramVersionFingerprint(
+  // slot the device runs to match. Then the programs' cache addresses
+  // for every ISA, so no fetch re-hashes a source.
+  CampaignPrograms programs;
+  programs.target_version = ProgramVersionFingerprint(
       config.source, config.policy, config.compile_options);
-  const uint64_t base_version =
-      config.delta ? ProgramVersionFingerprint(config.delta_base_source,
-                                               config.policy,
-                                               config.compile_options)
-                   : 0;
+  if (config.delta) {
+    programs.base_version = ProgramVersionFingerprint(
+        config.delta_base_source, config.policy, config.compile_options);
+  }
+  compiler::CompileOptions compile_options = config.compile_options;
+  for (size_t i = 0; i < isa::kNumIsaIds; ++i) {
+    compile_options.isa = static_cast<isa::IsaId>(i);
+    programs.target.emplace_back(config.source, compile_options);
+    if (config.delta) {
+      programs.base.emplace_back(config.delta_base_source, compile_options);
+    }
+  }
   auto worker_body = [&] {
     // Pin the campaign's trace onto this worker thread; every span the
     // layers below open (seal, deliver, wal_append, ...) nests under
@@ -487,8 +494,7 @@ Result<CampaignReport> DeploymentEngine::Run(const CampaignConfig& config) {
       DeviceOutcome& outcome = report.outcomes[i];
       {
         obs::ScopedSpan target_span("target", targets[i]);
-        outcome = DeployOne(config, targets[i], target_version,
-                            base_version);
+        outcome = DeployOne(config, targets[i], programs);
         // Revoked/skipped targets are policy outcomes, not failures.
         target_span.set_ok(outcome.ok || outcome.revoked ||
                            outcome.skipped || outcome.cancelled);

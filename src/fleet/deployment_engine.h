@@ -275,12 +275,20 @@ class DeploymentEngine {
   Result<CampaignReport> Run(const CampaignConfig& config);
 
  private:
+  /// What Run derives once per campaign for every target: the version
+  /// labels (ProgramVersionFingerprint of `source` and
+  /// `delta_base_source`) and each program's cache address per ISA.
+  struct CampaignPrograms {
+    uint64_t target_version = 0;
+    uint64_t base_version = 0;        ///< 0 unless a delta campaign
+    std::vector<ProgramAddress> target;  ///< `source`, indexed by IsaId
+    std::vector<ProgramAddress> base;    ///< base source; empty unless delta
+  };
+
   /// Deploys to one target, fetching its artifacts from the cache (which
   /// builds each address once, however many targets race on it).
-  /// `target_version` and `base_version` are the campaign's
-  /// ProgramVersionFingerprint of `source` and `delta_base_source`.
   DeviceOutcome DeployOne(const CampaignConfig& config, DeviceId device,
-                          uint64_t target_version, uint64_t base_version);
+                          const CampaignPrograms& programs);
 
   DeviceRegistry& registry_;
   PackageCache& cache_;

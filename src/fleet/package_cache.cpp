@@ -108,6 +108,34 @@ crypto::Sha256Digest FingerprintKeyConfig(const crypto::KeyConfig& config,
   return FinishCounted(hasher, sha256_blocks);
 }
 
+CachedArtifact::CachedArtifact(std::vector<uint8_t> wire_bytes,
+                               uint64_t* sha256_blocks)
+    : wire(std::move(wire_bytes)), wire_digest([&] {
+        crypto::Sha256 hasher;
+        hasher.Update(wire);
+        return FinishCounted(hasher, sha256_blocks);
+      }()) {}
+
+ProgramAddress::ProgramAddress(std::string_view source,
+                               const compiler::CompileOptions& options)
+    : source_(source), options_(options) {
+  // The plaintext program identity. The target ISA is part of it — the
+  // same source compiled for RV64GC and RV32I yields two different
+  // programs, and (through the program digest) two different artifact
+  // addresses, so a mixed fleet can never be served a cross-ISA image
+  // from cache.
+  crypto::Sha256 hasher;
+  Sha256AbsorbString(hasher, "eric.fleet.program.v1");
+  Sha256AbsorbString(hasher, source);
+  Sha256AbsorbU64(hasher, options.optimize ? 1 : 0);
+  Sha256AbsorbU64(hasher, options.compress ? 1 : 0);
+  Sha256AbsorbU64(hasher, static_cast<uint64_t>(options.opt_rounds));
+  Sha256AbsorbU64(hasher, static_cast<uint64_t>(options.isa));
+  uint64_t blocks = 0;
+  digest_ = FinishCounted(hasher, &blocks);
+  CacheMetrics::Get().address_sha256_blocks.Add(blocks);
+}
+
 PackageCache::PackageCache(const PackageCacheConfig& config)
     : config_(config) {}
 
@@ -155,28 +183,22 @@ Result<std::shared_ptr<const CachedArtifact>> PackageCache::GetOrBuild(
     const crypto::KeyConfig& key_config, const core::EncryptionPolicy& policy,
     core::CipherKind cipher, const compiler::CompileOptions& options,
     PackageCacheStats* call_stats) {
-  // Level-1 address: the plaintext program identity. The target ISA is
-  // part of it — the same source compiled for RV64GC and RV32I yields
-  // two different programs, and (through the program digest) two
-  // different artifact addresses, so a mixed fleet can never be served
-  // a cross-ISA image from cache.
-  crypto::Sha256 program_hasher;
-  Sha256AbsorbString(program_hasher, "eric.fleet.program.v1");
-  Sha256AbsorbString(program_hasher, source);
-  Sha256AbsorbU64(program_hasher, options.optimize ? 1 : 0);
-  Sha256AbsorbU64(program_hasher, options.compress ? 1 : 0);
-  Sha256AbsorbU64(program_hasher, static_cast<uint64_t>(options.opt_rounds));
-  Sha256AbsorbU64(program_hasher, static_cast<uint64_t>(options.isa));
-  uint64_t address_blocks = 0;
-  const Digest program_digest = FinishCounted(program_hasher, &address_blocks);
+  return GetOrBuild(ProgramAddress(source, options), key, key_config, policy,
+                    cipher, call_stats);
+}
 
+Result<std::shared_ptr<const CachedArtifact>> PackageCache::GetOrBuild(
+    const ProgramAddress& program, const crypto::Key256& key,
+    const crypto::KeyConfig& key_config, const core::EncryptionPolicy& policy,
+    core::CipherKind cipher, PackageCacheStats* call_stats) {
   // Level-2 address: program x key fingerprint x policy x cipher. The raw
   // key is hashed, never stored.
+  uint64_t address_blocks = 0;
   const crypto::Sha256Digest key_fingerprint =
       FingerprintKey(key, &address_blocks);
   crypto::Sha256 artifact_hasher;
   Sha256AbsorbString(artifact_hasher, "eric.fleet.artifact.v1");
-  artifact_hasher.Update(program_digest);
+  artifact_hasher.Update(program.digest());
   artifact_hasher.Update(key_fingerprint);
   artifact_hasher.Update(FingerprintPolicy(policy, &address_blocks));
   artifact_hasher.Update(FingerprintKeyConfig(key_config, &address_blocks));
@@ -185,16 +207,16 @@ Result<std::shared_ptr<const CachedArtifact>> PackageCache::GetOrBuild(
       FinishCounted(artifact_hasher, &address_blocks);
 
   CacheMetrics& metrics = CacheMetrics::Get();
-  metrics.address_sha256_blocks.Add(address_blocks);
   // Artifact miss: get the compiled program (level 1), then seal.
   const auto seal = [&]() -> Result<std::shared_ptr<const CachedArtifact>> {
     bool compiled = false;
-    auto program = Lookup(
-        programs_, program_digest, config_.max_programs, &compiled,
+    auto compiled_program = Lookup(
+        programs_, program.digest(), config_.max_programs, &compiled,
         [&]() -> Result<std::shared_ptr<const CachedProgram>> {
           obs::ScopedSpan span("compile");
           const auto start = std::chrono::steady_clock::now();
-          auto result = compiler::Compile(source, options);
+          auto result =
+              compiler::Compile(program.source(), program.options());
           if (!result.ok()) {
             span.set_ok(false);
             return result.status();
@@ -205,7 +227,7 @@ Result<std::shared_ptr<const CachedArtifact>> PackageCache::GetOrBuild(
           fresh->program = std::move(result->program);
           return std::shared_ptr<const CachedProgram>(std::move(fresh));
         });
-    if (!program.ok()) return program.status();
+    if (!compiled_program.ok()) return compiled_program.status();
     if (compiled) {
       CountEvent(&PackageCacheStats::compile_misses, call_stats,
                  counters_.compile_misses, metrics.compile_misses);
@@ -217,19 +239,19 @@ Result<std::shared_ptr<const CachedArtifact>> PackageCache::GetOrBuild(
     obs::ScopedSpan seal_span("seal");
     const auto seal_start = std::chrono::steady_clock::now();
     core::SoftwareSource sealer(key, key_config, cipher);
-    auto packaged = sealer.BuildPackage((*program)->program, policy);
+    auto packaged = sealer.BuildPackage((*compiled_program)->program, policy);
     if (!packaged.ok()) {
       seal_span.set_ok(false);
       return packaged.status();
     }
-    auto artifact = std::make_shared<CachedArtifact>();
-    artifact->wire = pkg::Serialize(packaged->package);
+    auto artifact = std::make_shared<CachedArtifact>(
+        pkg::Serialize(packaged->package), &address_blocks);
     artifact->instr_count = packaged->package.instr_count;
     artifact->compile_microseconds =
-        compiled ? (*program)->compile_microseconds : 0;
+        compiled ? (*compiled_program)->compile_microseconds : 0;
     artifact->seal_microseconds = MicrosecondsSince(seal_start);
     artifact->key_fingerprint = key_fingerprint;
-    artifact->isa = options.isa;
+    artifact->isa = program.options().isa;
     metrics.seal_us.Record(artifact->seal_microseconds);
     return std::shared_ptr<const CachedArtifact>(std::move(artifact));
   };
@@ -237,6 +259,7 @@ Result<std::shared_ptr<const CachedArtifact>> PackageCache::GetOrBuild(
   bool sealed = false;
   auto artifact = Lookup(artifacts_, artifact_digest, config_.max_artifacts,
                          &sealed, seal);
+  metrics.address_sha256_blocks.Add(address_blocks);
   if (!artifact.ok()) return artifact.status();
   if (sealed) {
     CountEvent(&PackageCacheStats::artifact_misses, call_stats,
@@ -263,31 +286,25 @@ Result<std::shared_ptr<const CachedArtifact>> PackageCache::GetOrBuildDelta(
                   "delta endpoints encoded for different isas");
   }
   // Address by the exact wire content of both sides: a delta is only
-  // reusable against byte-identical endpoints, and hashing the wires
-  // (instead of trusting caller-supplied version labels) makes a stale
-  // label a miss, never a wrong patch.
+  // reusable against byte-identical endpoints, and binding the wires'
+  // digests (instead of trusting caller-supplied version labels) makes a
+  // stale label a miss, never a wrong patch.
   uint64_t address_blocks = 0;
-  const auto wire_digest = [&](const std::vector<uint8_t>& wire) {
-    crypto::Sha256 wire_hasher;
-    wire_hasher.Update(wire);
-    return FinishCounted(wire_hasher, &address_blocks);
-  };
   crypto::Sha256 hasher;
   Sha256AbsorbString(hasher, "eric.fleet.delta.v1");
-  hasher.Update(wire_digest(base.wire));
-  hasher.Update(wire_digest(target.wire));
+  hasher.Update(base.wire_digest);
+  hasher.Update(target.wire_digest);
   const Digest digest = FinishCounted(hasher, &address_blocks);
 
   CacheMetrics& metrics = CacheMetrics::Get();
-  metrics.address_sha256_blocks.Add(address_blocks);
   bool encoded = false;
   auto delta = Lookup(
       artifacts_, digest, config_.max_artifacts, &encoded,
       [&]() -> Result<std::shared_ptr<const CachedArtifact>> {
         obs::ScopedSpan span("delta_encode");
         const auto start = std::chrono::steady_clock::now();
-        auto entry = std::make_shared<CachedArtifact>();
-        entry->wire = pkg::EncodeDelta(base.wire, target.wire);
+        auto entry = std::make_shared<CachedArtifact>(
+            pkg::EncodeDelta(base.wire, target.wire), &address_blocks);
         entry->instr_count = target.instr_count;
         entry->seal_microseconds = MicrosecondsSince(start);
         entry->key_fingerprint = target.key_fingerprint;
@@ -295,6 +312,7 @@ Result<std::shared_ptr<const CachedArtifact>> PackageCache::GetOrBuildDelta(
         metrics.delta_encode_us.Record(entry->seal_microseconds);
         return std::shared_ptr<const CachedArtifact>(std::move(entry));
       });
+  metrics.address_sha256_blocks.Add(address_blocks);
   if (encoded) {
     CountEvent(&PackageCacheStats::delta_misses, call_stats,
                counters_.delta_misses, metrics.delta_misses);

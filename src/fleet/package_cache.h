@@ -21,6 +21,12 @@
 // fingerprint, so the cache leaks nothing an attacker with cache access
 // could use.
 //
+// Addresses cost SHA-256 work on every fetch, so the inputs that are
+// large and unchanged are hashed once: a campaign derives each program's
+// digest once (ProgramAddress) and every artifact carries the digest of
+// its wire bytes from the moment it is built (CachedArtifact::wire_digest),
+// which is all a delta address needs of its endpoints.
+//
 // Concurrency: one mutex per level guards its LRU map and its in-flight
 // map (single-flight per address). The first caller of a cold address
 // builds it outside the lock; concurrent callers of the same address wait
@@ -51,7 +57,16 @@ namespace eric::fleet {
 
 /// One sealed, wire-ready artifact.
 struct CachedArtifact {
-  std::vector<uint8_t> wire;        ///< serialized package
+  /// Takes the artifact's bytes and records their SHA-256, adding the
+  /// compressions that ran to `*sha256_blocks`. The bytes and their
+  /// digest are fixed from here on, so `wire_digest` always matches
+  /// `wire`.
+  CachedArtifact(std::vector<uint8_t> wire_bytes, uint64_t* sha256_blocks);
+
+  const std::vector<uint8_t> wire;  ///< serialized package
+  /// SHA-256 of `wire`: what a delta's cache address binds each endpoint
+  /// by, hashed once here instead of on every delta lookup.
+  const crypto::Sha256Digest wire_digest;
   uint32_t instr_count = 0;         ///< instructions in the sealed text
   double compile_microseconds = 0;  ///< 0 when level 1 hit
   double seal_microseconds = 0;     ///< sign + encrypt + package time
@@ -97,6 +112,28 @@ struct PackageCacheConfig {
   size_t max_programs = 1024;   ///< level-1 entries
 };
 
+/// A program to seal: its source and compile options, bound to their
+/// level-1 cache address (the program digest). A campaign derives one
+/// per (source, ISA) and fetches every target's artifact with it, so the
+/// source is hashed once per campaign rather than once per fetch.
+class ProgramAddress {
+ public:
+  /// Hashes `source` and `options` into the program digest, adding the
+  /// compressions to fleet_cache_address_sha256_blocks. `source` is
+  /// viewed, not copied: it must outlive the address.
+  ProgramAddress(std::string_view source,
+                 const compiler::CompileOptions& options);
+
+  std::string_view source() const { return source_; }
+  const compiler::CompileOptions& options() const { return options_; }
+  const crypto::Sha256Digest& digest() const { return digest_; }
+
+ private:
+  std::string_view source_;
+  compiler::CompileOptions options_;
+  crypto::Sha256Digest digest_;
+};
+
 /// The two-level, LRU-evicted artifact cache.
 ///
 /// Thread-safe: GetOrBuild, Stats, and Clear may race freely; artifacts
@@ -122,16 +159,24 @@ class PackageCache {
       const compiler::CompileOptions& options = {},
       PackageCacheStats* call_stats = nullptr);
 
+  /// GetOrBuild for a program whose level-1 address is already derived:
+  /// the same artifact, without re-hashing the source.
+  Result<std::shared_ptr<const CachedArtifact>> GetOrBuild(
+      const ProgramAddress& program, const crypto::Key256& key,
+      const crypto::KeyConfig& key_config, const core::EncryptionPolicy& policy,
+      core::CipherKind cipher = core::CipherKind::kXor,
+      PackageCacheStats* call_stats = nullptr);
+
   /// Returns the delta package rewriting `base`'s wire bytes into
   /// `target`'s, encoding only on miss. Both artifacts must be sealed
   /// under the same key; the cache address binds the exact wire content
-  /// of both sides (SHA-256 of each), so any re-seal — new program, new
-  /// policy, new key epoch — addresses a different delta. The entry is
-  /// stored as a CachedArtifact whose `wire` holds the encoded delta and
-  /// whose key_fingerprint is the sealing key's, so a key-epoch
-  /// rotation's InvalidateKeyFingerprint drops the retired key's deltas
-  /// together with its full artifacts. kInvalidArgument when the two
-  /// artifacts were sealed under different keys.
+  /// of both sides (each one's `wire_digest`), so any re-seal — new
+  /// program, new policy, new key epoch — addresses a different delta.
+  /// The entry is stored as a CachedArtifact whose `wire` holds the
+  /// encoded delta and whose key_fingerprint is the sealing key's, so a
+  /// key-epoch rotation's InvalidateKeyFingerprint drops the retired
+  /// key's deltas together with its full artifacts. kInvalidArgument
+  /// when the two artifacts were sealed under different keys.
   ///
   /// Delta entries share the artifact level (and its LRU budget) but
   /// count in the separate delta_hits/delta_misses stats.

@@ -2474,6 +2474,113 @@ TEST(PackageCacheTest, RefusesCrossIsaDeltaEndpoints) {
   EXPECT_EQ(delta.status().code(), ErrorCode::kInvalidArgument);
 }
 
+TEST(PackageCacheAddressTest, BuiltArtifactsCarryTheDigestOfTheirWire) {
+  DeltaFleet fleet(1);
+  auto sealing = fleet.registry.SealingContextFor(fleet.devices[0]);
+  ASSERT_TRUE(sealing.ok());
+  const auto policy = core::EncryptionPolicy::Full();
+  auto v1 = fleet.cache.GetOrBuild(fleet.v1_source, sealing->key,
+                                   sealing->config, policy);
+  auto v2 = fleet.cache.GetOrBuild(fleet.v2_source, sealing->key,
+                                   sealing->config, policy);
+  ASSERT_TRUE(v1.ok() && v2.ok());
+  auto delta = fleet.cache.GetOrBuildDelta(**v1, **v2);
+  ASSERT_TRUE(delta.ok());
+  for (const CachedArtifact* artifact : {v1->get(), v2->get(), delta->get()}) {
+    EXPECT_EQ(artifact->wire_digest, crypto::Sha256::Hash(artifact->wire));
+  }
+}
+
+TEST(PackageCacheAddressTest, CampaignFetchAndSourceFetchShareOneArtifact) {
+  DeviceRegistry registry;
+  PackageCache cache;
+  const GroupId group = registry.CreateGroup("mixed");
+  std::vector<DeviceId> devices;
+  for (const isa::IsaId isa : {isa::IsaId::kRv64Gc, isa::IsaId::kRv32I}) {
+    auto id = registry.Enroll(0xADD0 + devices.size(), group, isa);
+    ASSERT_TRUE(id.ok());
+    devices.push_back(*id);
+  }
+  DeploymentEngine engine(registry, cache);
+  CampaignConfig campaign;
+  campaign.source = kTinyProgram;
+  campaign.group = group;
+  auto report = engine.Run(campaign);
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->succeeded, 2u);
+  ASSERT_EQ(cache.Stats().artifact_misses, 2u);  // one seal per ISA
+
+  // Both signatures find what the campaign sealed, per ISA: hits on the
+  // very same artifact, never a second seal.
+  auto sealing = registry.SealingContextFor(devices[0]);
+  ASSERT_TRUE(sealing.ok());
+  std::vector<crypto::Sha256Digest> program_digests;
+  for (const isa::IsaId isa : {isa::IsaId::kRv64Gc, isa::IsaId::kRv32I}) {
+    compiler::CompileOptions options = campaign.compile_options;
+    options.isa = isa;
+    const ProgramAddress program(campaign.source, options);
+    program_digests.push_back(program.digest());
+    PackageCacheStats by_address, by_source;
+    auto addressed =
+        cache.GetOrBuild(program, sealing->key, sealing->config,
+                         campaign.policy, registry.cipher(), &by_address);
+    auto sourced = cache.GetOrBuild(campaign.source, sealing->key,
+                                    sealing->config, campaign.policy,
+                                    registry.cipher(), options, &by_source);
+    ASSERT_TRUE(addressed.ok() && sourced.ok());
+    EXPECT_EQ(addressed->get(), sourced->get());
+    EXPECT_EQ((*addressed)->isa, isa);
+    EXPECT_EQ(by_address.artifact_hits, 1u);
+    EXPECT_EQ(by_source.artifact_hits, 1u);
+  }
+  EXPECT_NE(program_digests[0], program_digests[1]);
+  EXPECT_EQ(cache.Stats().artifact_misses, 2u);
+  EXPECT_EQ(cache.Stats().compile_misses, 2u);
+}
+
+TEST(PackageCacheAddressTest, DeltaAddressBindsBothEndpointsAndTheirEpoch) {
+  DeltaFleet fleet(1);
+  const auto policy = core::EncryptionPolicy::Full();
+  const auto seal = [&](const std::string& source) {
+    auto sealing = fleet.registry.SealingContextFor(fleet.devices[0]);
+    EXPECT_TRUE(sealing.ok());
+    auto artifact = fleet.cache.GetOrBuild(source, sealing->key,
+                                           sealing->config, policy);
+    return artifact.ok() ? *artifact : nullptr;
+  };
+  // One lookup's delta misses; the delta it returns must patch exactly.
+  using Artifact = std::shared_ptr<const CachedArtifact>;
+  const auto delta_misses = [&](const Artifact& base, const Artifact& target) {
+    PackageCacheStats stats;
+    auto delta = fleet.cache.GetOrBuildDelta(*base, *target, &stats);
+    EXPECT_TRUE(delta.ok());
+    if (delta.ok()) {
+      auto applied = pkg::ApplyDelta(base->wire, (*delta)->wire);
+      EXPECT_TRUE(applied.ok() && *applied == target->wire);
+    }
+    return stats.delta_misses;
+  };
+  const auto old_v1 = seal(fleet.v1_source);
+  const auto old_v2 = seal(fleet.v2_source);
+  const auto appended = seal(workloads::MakeSyntheticRelease(3, true));
+  ASSERT_TRUE(old_v1 && old_v2 && appended);
+  EXPECT_EQ(delta_misses(old_v1, old_v2), 1u);
+  EXPECT_EQ(delta_misses(old_v1, old_v2), 0u);
+  // The same base patched into another target is another delta.
+  EXPECT_EQ(delta_misses(old_v1, appended), 1u);
+
+  // Re-seal both endpoints under a new epoch. The old delta stays
+  // resident (nothing was invalidated), yet the new endpoints' wires
+  // differ, so their delta has a different address.
+  ASSERT_TRUE(fleet.registry.RotateGroupEpoch(fleet.group).ok());
+  const auto new_v1 = seal(fleet.v1_source);
+  const auto new_v2 = seal(fleet.v2_source);
+  ASSERT_TRUE(new_v1 && new_v2);
+  EXPECT_NE(new_v1->wire_digest, old_v1->wire_digest);
+  EXPECT_NE(new_v2->wire_digest, old_v2->wire_digest);
+  EXPECT_EQ(delta_misses(new_v1, new_v2), 1u);
+}
+
 TEST(DeploymentEngineTest, MixedIsaCampaignCompilesPerIsaAndRunsEverywhere) {
   DeviceRegistry registry;
   PackageCache cache;
